@@ -8,7 +8,6 @@ during a run, 4 for any other library error.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 
@@ -70,17 +69,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit_table(columns: dict, out) -> None:
-    if out is None:
-        writer = csv.writer(sys.stdout)
-        names = list(columns)
-        writer.writerow(names)
-        for row in zip(*(columns[n] for n in names)):
-            writer.writerow([f"{float(x):.15g}" for x in row])
-    else:
-        scenarios.write_csv(out, columns)
-
-
 def _print_row(row) -> None:
     print(f"{row.scenario}: eta_ge_bar={row.eta_ge_bar:.6f} "
           f"eta_se_bar={row.eta_se_bar:.6f} eta_he={row.eta_he:.6f} "
@@ -97,13 +85,13 @@ def _run(args) -> int:
         _print_row(scenarios.run_report(config, out_dir=args.out))
     elif args.command == "sweep-alpha":
         table = scenarios.sweep_alpha(args.theta_ab, args.points, args.energy)
-        _emit_table(table, args.out)
+        scenarios.write_csv(sys.stdout if args.out is None else args.out, table)
     elif args.command == "phase-profiles":
         table = scenarios.sweep_phase_profiles(
             args.profile, args.phi0, args.phidot0, args.omega0,
             t_end=args.t_end, n_points=args.points,
         )
-        _emit_table(table, args.out)
+        scenarios.write_csv(sys.stdout if args.out is None else args.out, table)
     elif args.command == "report":
         try:
             with open(args.config, encoding="utf-8") as fh:

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from .core import FieldSpec, pauli_compose
 from .errors import (
@@ -30,7 +29,7 @@ from .errors import (
     PreconditionError,
     SingularEvolutionError,
 )
-from .evolve import Trajectory, parallel_transport
+from .evolve import Trajectory, _trapezoid, parallel_transport
 
 __all__ = [
     "CurvatureSample",
@@ -193,7 +192,7 @@ def curvature_numeric_profile(traj: Trajectory) -> np.ndarray:
     less accurate; exclude them when comparing against closed forms.
     """
     m = parallel_transport(traj)
-    s = cumulative_trapezoid(traj.delta_e, traj.times, initial=0.0)
+    s = _trapezoid(traj.delta_e, traj.times, cumulative=True)
     if np.any(np.diff(s) <= 0.0):
         raise SingularEvolutionError(
             "arc length is not strictly increasing; dE vanishes on the grid"

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.integrate import trapezoid
 
 from .core import spectral_norm as _spectral_norm, energy_uncertainty as _energy_uncertainty
 from .errors import (
@@ -23,7 +22,7 @@ from .errors import (
     ZeroHamiltonianError,
     ZeroPathError,
 )
-from .evolve import Trajectory, sample_field
+from .evolve import Trajectory, _trapezoid, sample_field
 
 __all__ = [
     "Classification",
@@ -65,9 +64,12 @@ class Classification(str, Enum):
 def _unit_ratio(value):
     """Round a float or array of efficiencies into [0, 1].
 
-    Values above ``1 + TOL_EXCESS`` indicate quadrature trouble and raise.
+    Values above ``1 + TOL_EXCESS`` indicate quadrature trouble and raise,
+    as do NaN and infinite values, which no comparison would catch.
     """
     arr = np.asarray(value, dtype=float)
+    if not np.all(np.isfinite(arr)):
+        raise NumericalError("efficiency is not a finite number")
     excess = arr.max() - 1.0 if arr.size else 0.0
     if excess > TOL_EXCESS:
         raise NumericalError(f"efficiency exceeds 1 by {excess:.3e}")
@@ -173,8 +175,8 @@ def averaged_efficiencies(traj: Trajectory, field=None) -> tuple[float, float]:
         se = speed_efficiency_profile(traj)
     ge = geodesic_efficiency_profile(traj)
     duration = traj.times[-1] - traj.times[0]
-    ge_bar = float(trapezoid(ge, traj.times)) / duration
-    se_bar = float(trapezoid(se, traj.times)) / duration
+    ge_bar = float(_trapezoid(ge, traj.times)) / duration
+    se_bar = float(_trapezoid(se, traj.times)) / duration
     return _unit_ratio(ge_bar), _unit_ratio(se_bar)
 
 
@@ -250,8 +252,8 @@ def efficiency_report(traj: Trajectory, field=None, tol_one: float = TOL_ONE,
     else:
         se = speed_efficiency_profile(traj)
         duration = traj.times[-1] - traj.times[0]
-        ge_bar = _unit_ratio(float(trapezoid(ge, traj.times)) / duration)
-        se_bar = _unit_ratio(float(trapezoid(se, traj.times)) / duration)
+        ge_bar = _unit_ratio(float(_trapezoid(ge, traj.times)) / duration)
+        se_bar = _unit_ratio(float(_trapezoid(se, traj.times)) / duration)
     return EfficiencyReport(
         eta_ge_t=ge,
         eta_se_t=se,

@@ -4,7 +4,8 @@ The Schrodinger equation ``i dpsi/dt = H psi`` is integrated with classic
 RK4 on a uniform grid, renormalizing after every step; the matching Bloch
 equation ``da/dt = 2 h x a`` gets the same treatment.  Both samplers share
 one grid so line integrals (path length, time averages) can use trapezoid
-rules on identical nodes.
+rules on identical nodes; :func:`_trapezoid` is that rule for the whole
+package.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from .core import FieldSpec, TOL_RADICAND, clamped_arccos
 from .errors import (
@@ -42,6 +42,23 @@ STEPS_PER_UNIT = 2000
 MAX_STEP_DRIFT = 1e-4
 #: allowed Bloch-norm deviation on stored trajectory nodes
 TOL_DRIFT = 1e-8
+#: allowed deviation of an initial state's norm from 1
+TOL_NORM0 = 1e-10
+
+
+def _trapezoid(y, x, cumulative: bool = False):
+    """Trapezoid rule for samples ``y`` (real or complex) on nodes ``x``.
+
+    Returns the integral over ``[x[0], x[-1]]``, or with ``cumulative`` the
+    running integral at every node, starting from 0 at ``x[0]``.  The total
+    is a pairwise sum of the interval terms and the running integral a
+    sequential one, so ``cumulative[-1]`` may differ from the total in the
+    last bits.
+    """
+    terms = np.diff(x) * (y[1:] + y[:-1]) / 2.0
+    if cumulative:
+        return np.concatenate(([0.0], np.cumsum(terms)))
+    return terms.sum()
 
 
 @dataclass(frozen=True)
@@ -189,7 +206,7 @@ def _finish_trajectory(grid, states, h0_half, h_half,
     h0_nodes = h0_half[::2]
     h_nodes = h_half[::2]
     delta_e = _dispersion(bloch, h_nodes)
-    s_accum = cumulative_trapezoid(2.0 * delta_e, times, initial=0.0)
+    s_accum = _trapezoid(2.0 * delta_e, times, cumulative=True)
     s0 = clamped_arccos(bloch @ bloch[0])
     traj = Trajectory(grid, times, states, bloch, h0_nodes, h_nodes,
                       delta_e, s_accum, s0)
@@ -221,7 +238,7 @@ def schrodinger_evolve(field: FieldSpec, psi0, grid: TimeGrid | None = None,
     if psi0.shape != (2,):
         raise ShapeError(f"expected a length-2 state, got shape {psi0.shape}")
     norm0 = np.sqrt(np.vdot(psi0, psi0).real)
-    if abs(norm0 - 1.0) > 1e-10:
+    if abs(norm0 - 1.0) > TOL_NORM0:
         raise NormalizationError(f"initial state norm {norm0!r}, expected 1")
 
     h0_half, h_half = sample_field(field, grid.half_times)
@@ -313,7 +330,7 @@ def parallel_transport(traj: Trajectory, field: FieldSpec | None = None) -> np.n
     if h0_nodes.shape[0] != traj.n_nodes:
         raise ShapeError("field samples and trajectory have different lengths")
     expect_h = h0_nodes + np.einsum("ij,ij->i", traj.bloch, h_nodes)
-    beta = cumulative_trapezoid(expect_h, traj.times, initial=0.0)
+    beta = _trapezoid(expect_h, traj.times, cumulative=True)
     return np.exp(1j * beta)[:, None] * traj.states
 
 

@@ -19,8 +19,11 @@ reports; identical configs produce byte-identical files.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
+import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
@@ -34,8 +37,8 @@ from .efficiency import (
     speed_efficiency_tracenonzero,
     speed_efficiency_tracezero,
 )
-from .errors import ConfigError
-from .evolve import TimeGrid, schrodinger_evolve
+from .errors import BlochPathError, ConfigError
+from .evolve import TOL_NORM0, TimeGrid, schrodinger_evolve
 from .families import (
     SuboptimalStationary,
     UzdinFamily,
@@ -76,6 +79,26 @@ ALL_OUTPUTS = ("trajectory", "efficiency", "curvature", "report")
 ALPHA_EPS = 1e-6
 
 
+def _finite_real(value, what: str) -> float:
+    """``value`` as a float; :class:`ConfigError` unless it is a finite real."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not math.isfinite(value)):
+        raise ConfigError(f"{what} must be a finite real number, got {value!r}")
+    return float(value)
+
+
+def _finite_array(value, what: str) -> np.ndarray:
+    """``value`` as a float array; :class:`ConfigError` unless every entry is
+    a finite real."""
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{what} must hold real numbers, got {value!r}") from None
+    if not np.all(np.isfinite(arr)):
+        raise ConfigError(f"{what} must hold finite numbers, got {value!r}")
+    return arr
+
+
 @dataclass
 class ScenarioConfig:
     """Everything needed to run one scenario.
@@ -83,7 +106,10 @@ class ScenarioConfig:
     ``parameters`` holds named reals (which names depend on the scenario);
     ``field`` and ``psi0`` are only consulted by the ``custom`` scenario.
     ``n_steps = None`` means the default density of 2000 steps per unit
-    time.
+    time.  Malformed ``t_span``, ``n_steps``, ``parameters`` or ``outputs``
+    raise :class:`ConfigError` on construction; parameter values, ``field``
+    and ``psi0`` are checked when the scenario is built.  Either way no
+    numerics have run yet.
     """
 
     scenario: str
@@ -99,16 +125,38 @@ class ScenarioConfig:
             raise ConfigError(
                 f"unknown scenario {self.scenario!r}; expected one of {SCENARIOS}"
             )
-        self.parameters = dict(self.parameters or {})
-        self.t_span = (float(self.t_span[0]), float(self.t_span[1]))
-        if self.n_steps is not None and int(self.n_steps) < 2:
-            raise ConfigError("n_steps must be >= 2")
-        bad = set(self.outputs) - set(ALL_OUTPUTS)
+        params = self.parameters or {}
+        if not isinstance(params, dict):
+            raise ConfigError(f"parameters must be a mapping, got {params!r}")
+        self.parameters = dict(params)
+        try:
+            start, end = self.t_span
+        except (TypeError, ValueError):
+            raise ConfigError(
+                f"t_span must be two numbers [t_start, t_end], got {self.t_span!r}"
+            ) from None
+        self.t_span = (_finite_real(start, "t_span start"),
+                       _finite_real(end, "t_span end"))
+        if self.n_steps is not None:
+            steps = _finite_real(self.n_steps, "n_steps")
+            if not steps.is_integer() or steps < 2:
+                raise ConfigError(
+                    f"n_steps must be an integer >= 2, got {self.n_steps!r}"
+                )
+            self.n_steps = int(steps)
+        try:
+            bad = set(self.outputs) - set(ALL_OUTPUTS)
+        except TypeError:
+            raise ConfigError(
+                f"outputs must be a list of names, got {self.outputs!r}"
+            ) from None
         if bad:
             raise ConfigError(f"unknown outputs {sorted(bad)}")
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioConfig":
+        if not isinstance(data, dict):
+            raise ConfigError("config must be a JSON object")
         if "scenario" not in data:
             raise ConfigError("config is missing the 'scenario' key")
         known = {"scenario", "parameters", "t_span", "n_steps", "outputs",
@@ -116,12 +164,7 @@ class ScenarioConfig:
         bad = set(data) - known
         if bad:
             raise ConfigError(f"unknown config keys {sorted(bad)}")
-        kwargs = dict(data)
-        if "t_span" in kwargs:
-            kwargs["t_span"] = tuple(kwargs["t_span"])
-        if "outputs" in kwargs:
-            kwargs["outputs"] = tuple(kwargs["outputs"])
-        return cls(**kwargs)
+        return cls(**data)
 
 
 @dataclass(frozen=True)
@@ -153,7 +196,7 @@ def _resolve(params: dict, scenario: str, spec: dict, aliases: dict | None = Non
     out = {}
     for name, default in spec.items():
         if name in params:
-            out[name] = float(params[name])
+            out[name] = _finite_real(params[name], f"parameter {name!r}")
         elif default is None:
             raise ConfigError(f"scenario {scenario!r} is missing parameter {name!r}")
         else:
@@ -280,9 +323,9 @@ def _build_custom(config: ScenarioConfig):
     if not isinstance(spec, dict):
         raise ConfigError("custom scenario needs a 'field' mapping")
     if "times" in spec:
-        times = np.asarray(spec["times"], dtype=float)
-        h0_tab = np.asarray(spec.get("h0", np.zeros_like(times)), dtype=float)
-        h_tab = np.asarray(spec["h"], dtype=float)
+        times = _finite_array(spec["times"], "field 'times'")
+        h0_tab = _finite_array(spec.get("h0", np.zeros_like(times)), "field 'h0'")
+        h_tab = _finite_array(spec.get("h"), "field 'h'")
         if h_tab.shape != (times.shape[0], 3) or h0_tab.shape != times.shape:
             raise ConfigError("field table shapes do not line up with 'times'")
         if times.shape[0] < 2 or np.any(np.diff(times) <= 0):
@@ -296,24 +339,30 @@ def _build_custom(config: ScenarioConfig):
 
         field = FieldSpec(h0=h0, h=h, t_span=config.t_span)
     else:
-        try:
-            h_const = np.asarray(spec["h"], dtype=float)
-        except KeyError:
-            raise ConfigError("custom field needs 'h' (and optionally 'h0')") from None
+        if "h" not in spec:
+            raise ConfigError("custom field needs 'h' (and optionally 'h0')")
+        h_const = _finite_array(spec["h"], "field 'h'")
         if h_const.shape != (3,):
             raise ConfigError("custom field 'h' must be a 3-vector")
-        field = FieldSpec(h0=float(spec.get("h0", 0.0)), h=h_const,
-                          t_span=config.t_span)
+        field = FieldSpec(h0=_finite_real(spec.get("h0", 0.0), "field 'h0'"),
+                          h=h_const, t_span=config.t_span)
 
     if config.psi0 is None:
         psi0 = np.array([1.0, 0.0], dtype=complex)
     elif isinstance(config.psi0, dict) and "bloch" in config.psi0:
-        psi0 = state_from_bloch(np.asarray(config.psi0["bloch"], dtype=float))
+        bloch = _finite_array(config.psi0["bloch"], "psi0 'bloch'")
+        try:
+            psi0 = state_from_bloch(bloch)
+        except BlochPathError as exc:
+            raise ConfigError(f"psi0 'bloch': {exc}") from exc
     else:
-        pairs = np.asarray(config.psi0, dtype=float)
+        pairs = _finite_array(config.psi0, "psi0")
         if pairs.shape != (2, 2):
             raise ConfigError("psi0 must be [[re0, im0], [re1, im1]] or {'bloch': [...]}")
         psi0 = pairs[:, 0] + 1j * pairs[:, 1]
+        norm = float(np.sqrt(np.vdot(psi0, psi0).real))
+        if abs(norm - 1.0) > TOL_NORM0:
+            raise ConfigError(f"psi0 has norm {norm!r}, expected 1")
     return field, psi0, dict(config.parameters)
 
 
@@ -344,10 +393,14 @@ def _format_float(x: float) -> str:
 
 
 def write_csv(path, columns: dict) -> None:
-    """Write named columns as RFC 4180 CSV with 15 significant digits."""
+    """Write named columns as RFC 4180 CSV with 15 significant digits.
+
+    ``path`` is a file path or an open text stream, which is left open.
+    """
     names = list(columns)
     arrays = [np.asarray(columns[n]) for n in names]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with (contextlib.nullcontext(path) if hasattr(path, "write")
+          else open(path, "w", newline="", encoding="utf-8")) as fh:
         writer = csv.writer(fh)
         writer.writerow(names)
         for row in zip(*arrays):

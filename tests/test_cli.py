@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import blochpath
@@ -61,6 +62,13 @@ class TestSweepAlpha:
             assert ret == EXIT_OK
         assert a.read_bytes() == b.read_bytes()
 
+    def test_stdout_matches_the_file_output(self, tmp_path, capsys):
+        argv = ["sweep-alpha", "--theta-ab", "1.2", "--points", "41"]
+        assert main(argv) == EXIT_OK
+        stdout = capsys.readouterr().out
+        assert main(argv + ["--out", str(tmp_path / "a.csv")]) == EXIT_OK
+        assert stdout.encode() == (tmp_path / "a.csv").read_bytes()
+
     def test_out_of_range_theta(self, capsys):
         ret = main(["sweep-alpha", "--theta-ab", "4.0", "--points", "5"])
         assert ret == EXIT_CONFIG
@@ -75,6 +83,14 @@ class TestPhaseProfiles:
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[0] == "t,phi,phi_dot,eta_se_trace_zero,eta_se_trace_nonzero"
         assert len(lines) == 21
+
+    def test_stdout_matches_the_file_output(self, tmp_path, capsys):
+        argv = ["phase-profiles", "--profile", "exp", "--phi0", "0.5",
+                "--phidot0", "0.3", "--omega0", "1.1", "--points", "33"]
+        assert main(argv) == EXIT_OK
+        stdout = capsys.readouterr().out
+        assert main(argv + ["--out", str(tmp_path / "p.csv")]) == EXIT_OK
+        assert stdout.encode() == (tmp_path / "p.csv").read_bytes()
 
     def test_log_profile_needs_positive_phi0(self, capsys):
         ret = main(["phase-profiles", "--profile", "log", "--phi0", "-1.0",
@@ -124,6 +140,48 @@ class TestReport:
         assert "numerical error" in capsys.readouterr().err
 
 
+def _custom(psi0):
+    return {"scenario": "custom", "field": {"h": [0.0, 0.0, 1.0]},
+            "psi0": psi0, "n_steps": 50}
+
+
+class TestConfigBoundary:
+    @pytest.mark.parametrize("config, code", [
+        ({"scenario": "example3", "parameters": {"gamma": "abc"}}, EXIT_CONFIG),
+        ('{"scenario": "example3", "parameters": {"gamma": NaN}}', EXIT_CONFIG),
+        ({"scenario": "example3", "t_span": [0]}, EXIT_CONFIG),
+        ({"scenario": "example3", "t_span": [0, "x"]}, EXIT_CONFIG),
+        ({"scenario": "example3", "t_span": [0, 1, 2]}, EXIT_CONFIG),
+        ({"scenario": "example3", "n_steps": 2.5}, EXIT_CONFIG),
+        (_custom([[1.0, 0.0], [1.0, 0.0]]), EXIT_CONFIG),
+        (_custom({"bloch": [1.0, 0.0, 1.0]}), EXIT_CONFIG),
+        ({"scenario": "example3", "parameters": {"gamma": 1e300},
+          "n_steps": 50, "outputs": ["report"]}, EXIT_NUMERICAL),
+    ], ids=["gamma_not_a_number", "gamma_nan", "t_span_one_value",
+            "t_span_not_a_number", "t_span_three_values", "n_steps_fractional",
+            "psi0_unnormalised", "psi0_bloch_unnormalised", "gamma_overflow"])
+    def test_exit_code_without_traceback(self, tmp_path, capsys, config, code):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(config if isinstance(config, str) else json.dumps(config))
+        with np.errstate(over="ignore", invalid="ignore"):
+            ret = main(["report", "--config", str(cfg), "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert ret == code
+        assert "Traceback" not in err
+        assert err.startswith("config error" if code == EXIT_CONFIG
+                              else "numerical error")
+        assert not (tmp_path / "example3_report.json").exists()
+
+    def test_integral_float_step_count_is_accepted(self, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"scenario": "example3", "n_steps": 80.0,
+                                   "outputs": ["report"]}))
+        ret = main(["report", "--config", str(cfg), "--out", str(tmp_path)])
+        assert ret == EXIT_OK
+        payload = json.loads((tmp_path / "example3_report.json").read_text())
+        assert payload["n_steps"] == 80
+
+
 class TestProcessInvocation:
     def test_module_execution(self, tmp_path):
         proc = subprocess.run(
@@ -132,6 +190,24 @@ class TestProcessInvocation:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert (tmp_path / "example1_report.json").exists()
+
+    @pytest.mark.parametrize("argv", [["-c", "import blochpath"],
+                                      ["-m", "blochpath", "--help"]])
+    def test_cold_start_imports_no_scipy(self, argv):
+        # every module a fresh interpreter imports is listed by -X importtime
+        package_root = Path(blochpath.__file__).resolve().parents[1]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(package_root), env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-X", "importtime", *argv],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0
+        imported = [line.rsplit("|", 1)[-1].strip()
+                    for line in proc.stderr.splitlines()
+                    if line.startswith("import time:")]
+        assert "blochpath.evolve" in imported
+        assert not [m for m in imported
+                    if m == "scipy" or m.startswith("scipy.")]
 
     def test_console_script_help(self, tmp_path):
         # The suite runs from source, so no installer has put a `blochpath`

@@ -9,6 +9,7 @@ from blochpath import (
     Classification,
     EfficiencyReport,
     FieldSpec,
+    NumericalError,
     RangeError,
     TimeGrid,
     ZeroHamiltonianError,
@@ -266,3 +267,14 @@ class TestReports:
 
         a_feyn = feynman_evolve(dressed, base_traj.bloch[0], grid)
         assert np.max(np.abs(a_feyn - base_traj.bloch)) < 1e-8
+
+    def test_non_finite_efficiencies_raise_numerical_error(self):
+        # a field too strong for the grid turns the states into NaN, which
+        # no range check catches; the report must not average it
+        huge = FieldSpec(h0=0.0, h=np.array([0.0, 0.0, 1e300]))
+        with np.errstate(over="ignore", invalid="ignore"):
+            traj = schrodinger_evolve(huge, PSI0, TimeGrid(0.0, 1.0, 50))
+            with pytest.raises(NumericalError, match="finite"):
+                efficiency_report(traj)
+        with pytest.raises(NumericalError, match="finite"):
+            speed_efficiency_tracezero(np.nan, 1.0)

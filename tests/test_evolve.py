@@ -19,6 +19,7 @@ from blochpath import (
     schrodinger_evolve,
     transport_residual,
 )
+from blochpath.evolve import _trapezoid
 
 PSI0 = np.array([np.sqrt(3) / 2, 0.5], dtype=complex)
 SIGMA_Z_FIELD = FieldSpec(h0=0.0, h=np.array([0.0, 0.0, 1.0]))
@@ -185,3 +186,47 @@ class TestParallelTransport:
             transport_residual(np.zeros((4, 2), dtype=complex), np.zeros(3))
         with pytest.raises(ShapeError):
             transport_residual(np.zeros((2, 2), dtype=complex), np.zeros(2))
+
+
+class TestTrapezoid:
+    X = np.array([0.0, 0.1, 0.35, 0.4, 1.0, 1.7, 2.0])
+
+    def test_exact_on_linear_samples(self):
+        x = self.X
+        y = 3.0 * x - 1.0
+        antiderivative = 1.5 * x**2 - x
+        assert _trapezoid(y, x) == pytest.approx(antiderivative[-1], rel=1e-14)
+        assert np.allclose(_trapezoid(y, x, cumulative=True), antiderivative,
+                           rtol=1e-14, atol=1e-15)
+
+    def test_cumulative_starts_at_zero_and_ends_at_the_total(self):
+        rng = np.random.default_rng(5)
+        x = np.cumsum(rng.uniform(0.01, 0.2, 300))
+        y = np.cos(3.0 * x)
+        running = _trapezoid(y, x, cumulative=True)
+        assert running.shape == x.shape
+        assert running[0] == 0.0
+        assert running[-1] == pytest.approx(_trapezoid(y, x), rel=1e-13)
+
+    def test_complex_samples_integrate_each_part(self):
+        x = self.X
+        y = (2.0 - 1.5j) * x + 0.5j
+        running = _trapezoid(y, x, cumulative=True)
+        assert running.dtype == complex
+        assert np.allclose(running, (1.0 - 0.75j) * x**2 + 0.5j * x,
+                           rtol=1e-14, atol=1e-15)
+        assert np.array_equal(running.real, _trapezoid(y.real, x, cumulative=True))
+        assert np.array_equal(running.imag, _trapezoid(y.imag, x, cumulative=True))
+        assert _trapezoid(y, x) == pytest.approx(running[-1], rel=1e-14)
+
+    @pytest.mark.parametrize("n", [2, 3, 17, 2001])
+    def test_bitwise_equal_to_scipy(self, n):
+        integrate = pytest.importorskip("scipy.integrate")
+        rng = np.random.default_rng(n)
+        x = np.cumsum(rng.uniform(1e-3, 1.0, n))
+        for y in (rng.normal(size=n), rng.normal(size=n) + 1j * rng.normal(size=n)):
+            total = _trapezoid(y, x)
+            running = _trapezoid(y, x, cumulative=True)
+            assert total.tobytes() == integrate.trapezoid(y, x).tobytes()
+            assert running.tobytes() == integrate.cumulative_trapezoid(
+                y, x, initial=0.0).tobytes()

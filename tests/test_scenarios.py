@@ -1,6 +1,7 @@
 """Scenario registry, artifact emission, sweeps, and golden files."""
 
 import csv
+import io
 import json
 from pathlib import Path
 
@@ -218,6 +219,15 @@ class TestArtifacts:
         assert b"\r\n" in raw
         assert b"0.866025403784439" in raw
         assert raw.decode().splitlines()[0] == "x,y"
+
+    def test_csv_writer_takes_an_open_stream(self, tmp_path):
+        columns = {"x": np.linspace(0.0, 1.0, 7), "y": np.arange(7.0) / 3.0}
+        path = tmp_path / "t.csv"
+        write_csv(path, columns)
+        stream = io.StringIO(newline="")
+        write_csv(stream, columns)
+        assert not stream.closed
+        assert stream.getvalue().encode() == path.read_bytes()
 
     def test_json_writer_format(self, tmp_path):
         path = tmp_path / "t.json"
