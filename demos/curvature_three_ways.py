@@ -33,7 +33,7 @@ def main() -> None:
     print("constant sigma_z drive (expected coefficient 4/3):")
     print(f"{'t':>6} {'closed form':>14} {'expectation':>14} {'numeric':>14}")
     for k in (200, 600, 1000, 1400, 1800):
-        expect = curvature_expectation(traj, field, k=k)
+        expect = curvature_expectation(traj, k=k)
         numeric = curvature_numeric_oracle(traj, k=k)
         print(f"{traj.times[k]:6.3f} {closed[k]:14.12f} {expect:14.12f} "
               f"{numeric:14.10f}")

@@ -8,10 +8,7 @@ the curvature coefficient that vanishes exactly on geodesics.
 """
 
 from .core import (
-    BlochVector,
     FieldSpec,
-    HermitianMatrix2,
-    QubitState,
     bloch_from_state,
     clamped_arccos,
     energy_uncertainty,
@@ -22,19 +19,16 @@ from .core import (
     state_from_bloch,
 )
 from .curvature import (
-    CurvatureSample,
     curvature_bloch,
     curvature_bloch_profile,
     curvature_expectation,
     curvature_numeric_oracle,
     curvature_numeric_profile,
-    curvature_sample,
     curvature_transverse,
 )
 from .efficiency import (
     Classification,
     EfficiencyReport,
-    averaged_efficiencies,
     classify,
     efficiency_report,
     geodesic_efficiency_global,
@@ -65,7 +59,6 @@ from .errors import (
 from .evolve import (
     TimeGrid,
     Trajectory,
-    feynman_evolve,
     parallel_transport,
     path_length,
     sample_field,

@@ -12,7 +12,7 @@ Conventions used throughout the package (hbar = 1):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as _field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -29,9 +29,6 @@ __all__ = [
     "PAULI_Y",
     "PAULI_Z",
     "IDENTITY2",
-    "QubitState",
-    "BlochVector",
-    "HermitianMatrix2",
     "FieldSpec",
     "clamped_arccos",
     "pauli_compose",
@@ -58,16 +55,18 @@ TOL_ARCCOS = 1e-9
 TOL_RADICAND = 1e-14
 
 
-def clamped_arccos(x: Union[float, np.ndarray], excess_tol: float = TOL_ARCCOS):
+def clamped_arccos(x: Union[float, np.ndarray]):
     """arccos with the argument clipped to [-1, 1].
 
-    Arguments beyond the interval by more than ``excess_tol`` indicate a real
-    numerical problem upstream and raise :class:`NumericalError` instead of
-    being silently clipped.
+    Arguments beyond the interval by more than ``TOL_ARCCOS``, and
+    non-finite ones, indicate a real numerical problem upstream and raise
+    :class:`NumericalError` instead of being silently clipped.
     """
     x = np.asarray(x, dtype=float)
     excess = np.max(np.abs(x)) - 1.0
-    if excess > excess_tol:
+    if not excess <= TOL_ARCCOS:
+        if not np.isfinite(excess):
+            raise NumericalError("arccos argument is not finite")
         raise NumericalError(
             f"arccos argument exceeds [-1, 1] by {excess:.3e}"
         )
@@ -89,92 +88,6 @@ def _as_vec3(v, name: str = "vector") -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
-class QubitState:
-    """Normalized pure state ``c0 |0> + c1 |1>``."""
-
-    c0: complex
-    c1: complex
-
-    def __post_init__(self):
-        norm = abs(self.c0) ** 2 + abs(self.c1) ** 2
-        if abs(norm - 1.0) > TOL_NORM:
-            raise NormalizationError(f"state norm^2 = {norm!r}, expected 1")
-
-    @classmethod
-    def from_vec(cls, vec) -> "QubitState":
-        vec = _as_state(vec)
-        return cls(complex(vec[0]), complex(vec[1]))
-
-    @property
-    def vec(self) -> np.ndarray:
-        return np.array([self.c0, self.c1], dtype=complex)
-
-    @property
-    def bloch(self) -> np.ndarray:
-        return bloch_from_state(self.vec)
-
-    def __array__(self, dtype=None, copy=None):
-        return np.array([self.c0, self.c1], dtype=dtype or complex)
-
-
-@dataclass(frozen=True)
-class BlochVector:
-    """Unit vector on the Bloch sphere."""
-
-    x: float
-    y: float
-    z: float
-
-    def __post_init__(self):
-        norm = self.x**2 + self.y**2 + self.z**2
-        if abs(norm - 1.0) > TOL_NORM:
-            raise NormalizationError(f"Bloch norm^2 = {norm!r}, expected 1")
-
-    @classmethod
-    def from_vec(cls, vec) -> "BlochVector":
-        vec = _as_vec3(vec, "Bloch vector")
-        return cls(float(vec[0]), float(vec[1]), float(vec[2]))
-
-    @property
-    def vec(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z], dtype=float)
-
-    def __array__(self, dtype=None, copy=None):
-        return np.array([self.x, self.y, self.z], dtype=dtype or float)
-
-
-@dataclass(frozen=True)
-class HermitianMatrix2:
-    """2x2 Hermitian matrix stored canonically as ``(h0, h)``."""
-
-    h0: float
-    hx: float
-    hy: float
-    hz: float
-
-    @classmethod
-    def from_parts(cls, h0: float, h) -> "HermitianMatrix2":
-        h = _as_vec3(h, "field")
-        return cls(float(h0), float(h[0]), float(h[1]), float(h[2]))
-
-    @classmethod
-    def from_matrix(cls, matrix) -> "HermitianMatrix2":
-        h0, h = pauli_decompose(matrix)
-        return cls.from_parts(h0, h)
-
-    @property
-    def h(self) -> np.ndarray:
-        return np.array([self.hx, self.hy, self.hz], dtype=float)
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return pauli_compose(self.h0, self.h)
-
-    def __array__(self, dtype=None, copy=None):
-        return np.asarray(self.matrix, dtype=dtype or complex)
-
-
 def pauli_compose(h0: float, h) -> np.ndarray:
     """Assemble ``h0 * I + h . sigma`` as an explicit 2x2 complex matrix."""
     h = _as_vec3(h, "field")
@@ -187,13 +100,13 @@ def pauli_compose(h0: float, h) -> np.ndarray:
     )
 
 
-def pauli_decompose(matrix, tol: float = TOL_HERM) -> Tuple[float, np.ndarray]:
+def pauli_decompose(matrix) -> Tuple[float, np.ndarray]:
     """Split a 2x2 Hermitian matrix into its trace part and Pauli vector.
 
     Parameters
     ----------
     matrix : array_like, shape (2, 2)
-        Matrix to decompose. Must be Hermitian within ``tol`` in the
+        Matrix to decompose. Must be Hermitian within ``TOL_HERM`` in the
         entrywise max norm.
 
     Returns
@@ -207,7 +120,7 @@ def pauli_decompose(matrix, tol: float = TOL_HERM) -> Tuple[float, np.ndarray]:
     if m.shape != (2, 2):
         raise ShapeError(f"expected a 2x2 matrix, got shape {m.shape}")
     defect = np.max(np.abs(m - m.conj().T))
-    if defect > tol:
+    if defect > TOL_HERM:
         raise HermiticityError(f"matrix deviates from Hermiticity by {defect:.3e}")
     h0 = 0.5 * (m[0, 0].real + m[1, 1].real)
     h = np.array(
@@ -337,6 +250,3 @@ class FieldSpec:
         if self.h_dot is not None:
             return _as_vec3(self.h_dot(t), "field derivative")
         return (self.h_at(t + step) - self.h_at(t - step)) / (2.0 * step)
-
-    def matrix_at(self, t: float) -> np.ndarray:
-        return pauli_compose(self.h0_at(t), self.h_at(t))

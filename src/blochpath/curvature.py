@@ -18,8 +18,6 @@ coefficient is dimensionless either way.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -32,14 +30,12 @@ from .errors import (
 from .evolve import Trajectory, _trapezoid, parallel_transport
 
 __all__ = [
-    "CurvatureSample",
     "curvature_bloch",
     "curvature_bloch_profile",
     "curvature_transverse",
     "curvature_expectation",
     "curvature_numeric_oracle",
     "curvature_numeric_profile",
-    "curvature_sample",
 ]
 
 #: dispersion denominators below this are singular (eigenstate evolution)
@@ -131,8 +127,7 @@ def _dispersion_operator(traj: Trajectory, k: int) -> np.ndarray:
     return (matrix - expect * np.eye(2)) / de
 
 
-def curvature_expectation(traj: Trajectory, field: Optional[FieldSpec] = None,
-                          k: int = 0) -> float:
+def curvature_expectation(traj: Trajectory, k: int = 0) -> float:
     """Curvature at node ``k`` from moments of the dispersion operator.
 
     Evaluates ``<Dh^4> - <Dh^2>^2 + <Dh'^2> - <Dh'>^2 + i<[Dh^2, Dh']>``
@@ -141,9 +136,6 @@ def curvature_expectation(traj: Trajectory, field: Optional[FieldSpec] = None,
     nodes (one-sided second order at the ends, which carries a larger
     error).  The commutator expectation is purely imaginary in exact
     arithmetic; a real residual above 1e-10 flags the node with a warning.
-
-    ``field`` is unused (the trajectory carries its samples) and accepted
-    for symmetry with the other curvature evaluators.
     """
     n = traj.n_nodes
     if not 0 <= k < n:
@@ -204,12 +196,11 @@ def curvature_numeric_profile(traj: Trajectory) -> np.ndarray:
     return np.einsum("ij,ij->i", normal.conj(), normal).real
 
 
-def curvature_numeric_oracle(traj: Trajectory, field: Optional[FieldSpec] = None,
-                             k: int | None = None):
+def curvature_numeric_oracle(traj: Trajectory, k: int | None = None):
     """Covariant-derivative curvature, per node or as a full profile.
 
-    ``field`` is unused and accepted for symmetry.  With ``k`` given, the
-    node must be interior (the boundary stencils are not acceptance grade).
+    With ``k`` given, the node must be interior (the boundary stencils are
+    not acceptance grade).
     """
     profile = curvature_numeric_profile(traj)
     if k is None:
@@ -217,24 +208,3 @@ def curvature_numeric_oracle(traj: Trajectory, field: Optional[FieldSpec] = None
     if not 0 < k < traj.n_nodes - 1:
         raise PreconditionError("numeric curvature is only trusted at interior nodes")
     return float(profile[k])
-
-
-@dataclass(frozen=True)
-class CurvatureSample:
-    """One node's curvature by every available method."""
-
-    t: float
-    kappa_bloch: float
-    kappa_expect: Optional[float] = None
-    kappa_numeric: Optional[float] = None
-
-
-def curvature_sample(traj: Trajectory, field: FieldSpec, k: int,
-                     include_numeric: bool = False) -> CurvatureSample:
-    """Evaluate all curvature forms at node ``k`` of a trajectory."""
-    hd = field.h_dot_at(traj.times[k], step=traj.grid.dt)
-    kb = curvature_bloch(traj.bloch[k], traj.h_nodes[k], hd)
-    ke = curvature_expectation(traj, field, k)
-    kn = curvature_numeric_oracle(traj, field, k) if include_numeric else None
-    return CurvatureSample(t=float(traj.times[k]), kappa_bloch=kb,
-                           kappa_expect=ke, kappa_numeric=kn)

@@ -22,7 +22,7 @@ from .errors import (
     ZeroHamiltonianError,
     ZeroPathError,
 )
-from .evolve import Trajectory, _trapezoid, sample_field
+from .evolve import Trajectory, _trapezoid
 
 __all__ = [
     "Classification",
@@ -34,7 +34,6 @@ __all__ = [
     "speed_efficiency_profile",
     "speed_efficiency_tracenonzero",
     "speed_efficiency_tracezero",
-    "averaged_efficiencies",
     "hybrid_efficiency",
     "classify",
     "efficiency_report",
@@ -159,27 +158,6 @@ def speed_efficiency_tracezero(cdot_sq, phidot):
     return _unit_ratio(np.sqrt(c2 / denom_sq))
 
 
-def averaged_efficiencies(traj: Trajectory, field=None) -> tuple[float, float]:
-    """Trapezoid time averages of both instantaneous efficiencies.
-
-    Field samples stored on the trajectory are used unless ``field`` is
-    passed explicitly, in which case it is resampled on the nodes.
-    """
-    if field is not None:
-        h0, h = sample_field(field, traj.times)
-        norms = np.abs(h0) + np.linalg.norm(h, axis=1)
-        if np.any(norms == 0.0):
-            raise ZeroHamiltonianError("speed efficiency undefined where H = 0")
-        se = _unit_ratio(traj.delta_e / norms)
-    else:
-        se = speed_efficiency_profile(traj)
-    ge = geodesic_efficiency_profile(traj)
-    duration = traj.times[-1] - traj.times[0]
-    ge_bar = float(_trapezoid(ge, traj.times)) / duration
-    se_bar = float(_trapezoid(se, traj.times)) / duration
-    return _unit_ratio(ge_bar), _unit_ratio(se_bar)
-
-
 def hybrid_efficiency(eta_ge_bar: float, eta_se_bar: float) -> float:
     """Product of the averaged efficiencies.
 
@@ -210,10 +188,9 @@ class EfficiencyReport:
     duration: float
 
 
-def _classify_values(eta_ge_bar: float, eta_se_bar: float,
-                     tol_one: float, tol_cmp: float) -> Classification:
-    geodesic = eta_ge_bar >= 1.0 - tol_one
-    unwasteful = eta_se_bar >= 1.0 - tol_one
+def _classify_values(eta_ge_bar: float, eta_se_bar: float) -> Classification:
+    geodesic = eta_ge_bar >= 1.0 - TOL_ONE
+    unwasteful = eta_se_bar >= 1.0 - TOL_ONE
     if geodesic and unwasteful:
         return Classification.GEODESIC_UNWASTEFUL
     if unwasteful:
@@ -222,48 +199,41 @@ def _classify_values(eta_ge_bar: float, eta_se_bar: float,
         return Classification.GEODESIC_WASTEFUL
     length_loss = 1.0 - eta_ge_bar
     energy_loss = 1.0 - eta_se_bar
-    if abs(energy_loss - length_loss) <= tol_cmp * max(length_loss, energy_loss):
+    if abs(energy_loss - length_loss) <= TOL_CMP * max(length_loss, energy_loss):
         return Classification.AS_WASTEFUL_AS_NONGEODESIC
     if energy_loss > length_loss:
         return Classification.MORE_WASTEFUL_THAN_NONGEODESIC
     return Classification.LESS_WASTEFUL_THAN_NONGEODESIC
 
 
-def classify(report: EfficiencyReport, tol_one: float = TOL_ONE,
-             tol_cmp: float = TOL_CMP) -> Classification:
+def classify(report: EfficiencyReport) -> Classification:
     """Assign the waste taxonomy label from a report's averaged factors.
 
-    A factor within ``tol_one`` of 1 counts as 1.  When both factors fall
+    A factor within ``TOL_ONE`` of 1 counts as 1.  When both factors fall
     short, the relative losses ``1 - eta`` are compared with relative
-    tolerance ``tol_cmp`` to pick among the wasteful sub-cases.
+    tolerance ``TOL_CMP`` to pick among the wasteful sub-cases.
     """
-    return _classify_values(report.eta_ge_bar, report.eta_se_bar,
-                            tol_one, tol_cmp)
+    return _classify_values(report.eta_ge_bar, report.eta_se_bar)
 
 
-def efficiency_report(traj: Trajectory, field=None, tol_one: float = TOL_ONE,
-                      tol_cmp: float = TOL_CMP) -> EfficiencyReport:
-    """Evaluate both efficiency curves, averages, product, and label."""
+def efficiency_report(traj: Trajectory) -> EfficiencyReport:
+    """Evaluate both efficiency curves, their trapezoid time averages, the
+    product, and the label, from the trajectory's stored field samples."""
     ge = geodesic_efficiency_profile(traj)
-    if field is not None:
-        ge_bar, se_bar = averaged_efficiencies(traj, field)
-        h0, h = sample_field(field, traj.times)
-        se = _unit_ratio(traj.delta_e / (np.abs(h0) + np.linalg.norm(h, axis=1)))
-    else:
-        se = speed_efficiency_profile(traj)
-        duration = traj.times[-1] - traj.times[0]
-        ge_bar = _unit_ratio(float(_trapezoid(ge, traj.times)) / duration)
-        se_bar = _unit_ratio(float(_trapezoid(se, traj.times)) / duration)
+    se = speed_efficiency_profile(traj)
+    duration = traj.times[-1] - traj.times[0]
+    ge_bar = _unit_ratio(float(_trapezoid(ge, traj.times)) / duration)
+    se_bar = _unit_ratio(float(_trapezoid(se, traj.times)) / duration)
     return EfficiencyReport(
         eta_ge_t=ge,
         eta_se_t=se,
         eta_ge_bar=ge_bar,
         eta_se_bar=se_bar,
         eta_he=hybrid_efficiency(ge_bar, se_bar),
-        classification=_classify_values(ge_bar, se_bar, tol_one, tol_cmp),
+        classification=_classify_values(ge_bar, se_bar),
         mean_length_loss=1.0 - ge_bar,
         mean_energy_loss=1.0 - se_bar,
         s_total=float(traj.s_accum[-1]),
         s0_total=float(traj.s0[-1]),
-        duration=float(traj.times[-1] - traj.times[0]),
+        duration=float(duration),
     )

@@ -1,11 +1,9 @@
 """Fixed-step integration of qubit dynamics and parallel transport.
 
 The Schrodinger equation ``i dpsi/dt = H psi`` is integrated with classic
-RK4 on a uniform grid, renormalizing after every step; the matching Bloch
-equation ``da/dt = 2 h x a`` gets the same treatment.  Both samplers share
-one grid so line integrals (path length, time averages) can use trapezoid
-rules on identical nodes; :func:`_trapezoid` is that rule for the whole
-package.
+RK4 on a uniform grid, renormalizing after every step.  Line integrals
+(path length, time averages) use trapezoid rules on the same nodes;
+:func:`_trapezoid` is that rule for the whole package.
 """
 
 from __future__ import annotations
@@ -30,7 +28,6 @@ __all__ = [
     "Trajectory",
     "sample_field",
     "schrodinger_evolve",
-    "feynman_evolve",
     "parallel_transport",
     "transport_residual",
     "path_length",
@@ -44,6 +41,8 @@ MAX_STEP_DRIFT = 1e-4
 TOL_DRIFT = 1e-8
 #: allowed deviation of an initial state's norm from 1
 TOL_NORM0 = 1e-10
+#: largest number of grid intervals (and of sweep points) accepted
+MAX_STEPS = 10**7
 
 
 def _trapezoid(y, x, cumulative: bool = False):
@@ -78,12 +77,17 @@ class TimeGrid:
             )
         if int(self.n_steps) < 2:
             raise ConfigError("n_steps must be an integer >= 2")
+        if self.n_steps > MAX_STEPS:
+            raise ConfigError(
+                f"{self.n_steps} steps exceed the cap of {MAX_STEPS}"
+            )
 
     @classmethod
-    def with_density(cls, t_start: float, t_end: float,
-                     steps_per_unit: int = STEPS_PER_UNIT) -> "TimeGrid":
-        n = max(2, int(np.ceil((t_end - t_start) * steps_per_unit)))
-        return cls(t_start, t_end, n)
+    def with_density(cls, t_start: float, t_end: float) -> "TimeGrid":
+        """Grid of ``STEPS_PER_UNIT`` steps per unit time, at least 2."""
+        # capped so that a huge span fails the step cap, not int(inf)
+        steps = min((t_end - t_start) * STEPS_PER_UNIT, MAX_STEPS + 1)
+        return cls(t_start, t_end, max(2, int(np.ceil(steps))))
 
     @property
     def dt(self) -> float:
@@ -195,7 +199,9 @@ class Trajectory:
                 raise ShapeError(f"trajectory field {name} has shape {got}, want {want}")
         norms = np.einsum("ij,ij->i", self.bloch, self.bloch)
         worst = np.max(np.abs(norms - 1.0))
-        if worst > TOL_DRIFT:
+        if not worst <= TOL_DRIFT:
+            if not np.isfinite(worst):
+                raise NumericalError("Bloch norm is not finite")
             raise NumericalError(f"Bloch norm drift {worst:.3e} exceeds {TOL_DRIFT}")
 
 
@@ -260,7 +266,11 @@ def schrodinger_evolve(field: FieldSpec, psi0, grid: TimeGrid | None = None,
         y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         norm = np.sqrt(np.vdot(y, y).real)
         drift = abs(norm / prev_norm - 1.0)
-        if drift > MAX_STEP_DRIFT:
+        if not drift <= MAX_STEP_DRIFT:
+            if not np.isfinite(drift):
+                raise IntegrationError(
+                    f"state norm is not finite after step {k}; reduce dt"
+                )
             raise IntegrationError(
                 f"norm drift {drift:.3e} in step {k}; reduce dt"
             )
@@ -274,62 +284,16 @@ def schrodinger_evolve(field: FieldSpec, psi0, grid: TimeGrid | None = None,
                               validate=renormalize)
 
 
-def feynman_evolve(field: FieldSpec, a0, grid: TimeGrid | None = None,
-                   renormalize: bool = True) -> np.ndarray:
-    """Integrate the Bloch equation ``da/dt = 2 h(t) x a`` with RK4.
-
-    Returns the ``(n_nodes, 3)`` Bloch path.  Independent of
-    :func:`schrodinger_evolve`; useful as a cross-check of the state-space
-    integration.
-    """
-    if grid is None:
-        grid = TimeGrid.with_density(*field.t_span)
-    a0 = np.asarray(a0, dtype=float)
-    if a0.shape != (3,):
-        raise ShapeError(f"expected a length-3 Bloch vector, got shape {a0.shape}")
-    if abs(a0 @ a0 - 1.0) > 1e-10:
-        raise NormalizationError("initial Bloch vector must be unit length")
-
-    _, h_half = sample_field(field, grid.half_times)
-    dt = grid.dt
-    out = np.empty((grid.n_nodes, 3))
-    out[0] = a0
-    a = a0
-    for k in range(grid.n_steps):
-        h_a = h_half[2 * k]
-        h_m = h_half[2 * k + 1]
-        h_b = h_half[2 * k + 2]
-        k1 = 2.0 * np.cross(h_a, a)
-        k2 = 2.0 * np.cross(h_m, a + (0.5 * dt) * k1)
-        k3 = 2.0 * np.cross(h_m, a + (0.5 * dt) * k2)
-        k4 = 2.0 * np.cross(h_b, a + dt * k3)
-        a = a + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        norm = np.sqrt(a @ a)
-        if abs(norm - 1.0) > MAX_STEP_DRIFT:
-            raise IntegrationError(f"Bloch norm drift in step {k}; reduce dt")
-        if renormalize:
-            a = a / norm
-        out[k + 1] = a
-    return out
-
-
-def parallel_transport(traj: Trajectory, field: FieldSpec | None = None) -> np.ndarray:
+def parallel_transport(traj: Trajectory) -> np.ndarray:
     """Phase-align the sampled states so that ``<m | dm/dt> ~ 0``.
 
     Multiplies each state by ``exp(i beta(t))`` with
     ``beta = integral <H> dt`` and ``<H> = h0 + a . h``, removing the
-    dynamical phase accumulated along the trajectory.  By default the field
-    samples stored on the trajectory are used; passing ``field`` resamples
-    it on the trajectory nodes instead.
+    dynamical phase accumulated along the trajectory.  The field samples
+    stored on the trajectory are used.
     """
     traj.validate()
-    if field is None:
-        h0_nodes, h_nodes = traj.h0_nodes, traj.h_nodes
-    else:
-        h0_nodes, h_nodes = sample_field(field, traj.times)
-    if h0_nodes.shape[0] != traj.n_nodes:
-        raise ShapeError("field samples and trajectory have different lengths")
-    expect_h = h0_nodes + np.einsum("ij,ij->i", traj.bloch, h_nodes)
+    expect_h = traj.h0_nodes + np.einsum("ij,ij->i", traj.bloch, traj.h_nodes)
     beta = _trapezoid(expect_h, traj.times, cumulative=True)
     return np.exp(1j * beta)[:, None] * traj.states
 

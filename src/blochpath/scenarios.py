@@ -24,7 +24,7 @@ import csv
 import json
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -38,7 +38,7 @@ from .efficiency import (
     speed_efficiency_tracezero,
 )
 from .errors import BlochPathError, ConfigError
-from .evolve import TOL_NORM0, TimeGrid, schrodinger_evolve
+from .evolve import MAX_STEPS, TOL_NORM0, TimeGrid, schrodinger_evolve
 from .families import (
     SuboptimalStationary,
     UzdinFamily,
@@ -222,12 +222,6 @@ def _polar_path(omega0: float, theta0: float, varphi0: float):
     return m, m_dot
 
 
-def _grid_for(config: ScenarioConfig, t_span: tuple[float, float]) -> TimeGrid:
-    if config.n_steps is not None:
-        return TimeGrid(t_span[0], t_span[1], int(config.n_steps))
-    return TimeGrid.with_density(t_span[0], t_span[1])
-
-
 def _build_example1(config: ScenarioConfig):
     p = _resolve(config.parameters, "example1",
                  {"omega0": 1.0, "varphi0": 0.0, "theta0": 0.0})
@@ -376,35 +370,48 @@ _BUILDERS = {
 }
 
 
+def _build(config: ScenarioConfig):
+    """:func:`build_scenario` plus the builder's resolved parameters."""
+    field, psi0, params = _BUILDERS[config.scenario](config)
+    t_span = (field.t_span if config.scenario == "suboptimal_family"
+              else config.t_span)
+    if config.n_steps is None:
+        grid = TimeGrid.with_density(*t_span)
+    else:
+        grid = TimeGrid(t_span[0], t_span[1], int(config.n_steps))
+    return field, psi0, grid, params
+
+
 def build_scenario(config: ScenarioConfig):
     """Resolve a config into ``(field, psi0, grid)``.
 
     For ``suboptimal_family`` the span is the family's own travel time
     ``[0, t_ab]``; every other scenario runs over ``config.t_span``.
     """
-    field, psi0, _ = _BUILDERS[config.scenario](config)
-    grid = _grid_for(config, field.t_span if config.scenario == "suboptimal_family"
-                     else config.t_span)
+    field, psi0, grid, _ = _build(config)
     return field, psi0, grid
 
 
-def _format_float(x: float) -> str:
-    return f"{x:.15g}"
+def _format_float(x) -> str:
+    return f"{float(x):.15g}"
 
 
 def write_csv(path, columns: dict) -> None:
-    """Write named columns as RFC 4180 CSV with 15 significant digits.
+    """Write named columns as RFC 4180 CSV.
 
-    ``path`` is a file path or an open text stream, which is left open.
+    Numeric columns are written with 15 significant digits and string
+    columns as they are.  ``path`` is a file path or an open text stream,
+    which is left open.
     """
     names = list(columns)
     arrays = [np.asarray(columns[n]) for n in names]
+    cells = [map(str if a.dtype.kind == "U" else _format_float, a)
+             for a in arrays]
     with (contextlib.nullcontext(path) if hasattr(path, "write")
           else open(path, "w", newline="", encoding="utf-8")) as fh:
         writer = csv.writer(fh)
         writer.writerow(names)
-        for row in zip(*arrays):
-            writer.writerow([_format_float(float(x)) for x in row])
+        writer.writerows(zip(*cells))
 
 
 def write_json(path, payload: dict) -> None:
@@ -428,10 +435,7 @@ def run_report(config: ScenarioConfig, out_dir=".") -> ReportRow:
     into ``out_dir`` (subject to ``config.outputs``) and returns the
     summary row.
     """
-    builder = _BUILDERS[config.scenario]
-    field, psi0, params = builder(config)
-    grid = _grid_for(config, field.t_span if config.scenario == "suboptimal_family"
-                     else config.t_span)
+    field, psi0, grid, params = _build(config)
     traj = schrodinger_evolve(field, psi0, grid)
     report = efficiency_report(traj)
     row = ReportRow(
@@ -498,15 +502,9 @@ def table_rows(out_dir=None, n_steps: Optional[int] = None) -> list[ReportRow]:
         else:
             rows.append(run_report(config, out_dir=out_dir))
     if out_dir is not None:
-        path = Path(out_dir) / "table2.csv"
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["scenario", "eta_ge_bar", "eta_se_bar", "eta_he",
-                             "classification"])
-            for row in rows:
-                writer.writerow([row.scenario, _format_float(row.eta_ge_bar),
-                                 _format_float(row.eta_se_bar),
-                                 _format_float(row.eta_he), row.classification])
+        write_csv(Path(out_dir) / "table2.csv",
+                  {f.name: [getattr(row, f.name) for row in rows]
+                   for f in fields(ReportRow)})
     return rows
 
 
@@ -517,8 +515,8 @@ def sweep_alpha(theta_ab: float, n_points: int, E: float = 1.0) -> dict:
     alpha grid over [0, pi] with the two endpoints nudged inside by 1e-6
     (the family is defined on the open interval).
     """
-    if int(n_points) < 3:
-        raise ConfigError("sweep needs at least 3 alpha points")
+    if not 3 <= int(n_points) <= MAX_STEPS:
+        raise ConfigError(f"sweep needs 3 to {MAX_STEPS} alpha points")
     if not 1e-6 <= theta_ab <= np.pi - 1e-6:
         raise ConfigError("theta_ab must lie strictly between 0 and pi")
     if E <= 0.0:
@@ -566,8 +564,8 @@ def sweep_phase_profiles(profile: str, phi0: float, phidot0: float,
     ``eta_se_trace_zero`` (the traceless drive) and ``eta_se_trace_nonzero``
     (the trace-keeping drive, always the smaller of the two).
     """
-    if int(n_points) < 2:
-        raise ConfigError("sweep needs at least 2 time points")
+    if not 2 <= int(n_points) <= MAX_STEPS:
+        raise ConfigError(f"sweep needs 2 to {MAX_STEPS} time points")
     if t_end <= 0.0:
         raise ConfigError("t_end must be positive")
     phase, phase_dot = _phase_functions(profile, phi0, phidot0)

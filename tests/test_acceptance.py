@@ -18,7 +18,6 @@ from blochpath import (
     curvature_bloch_profile,
     curvature_numeric_oracle,
     delta_e_alpha,
-    feynman_evolve,
     hybrid_efficiency,
     rodrigues_rotate,
     rotation_angle,
@@ -29,6 +28,7 @@ from blochpath import (
     suboptimal_axis,
     travel_time,
 )
+from feynman import feynman_evolve
 
 FOUR_THIRDS = 4.0 / 3.0
 

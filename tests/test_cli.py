@@ -11,6 +11,7 @@ import pytest
 
 import blochpath
 from blochpath.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
+from blochpath.evolve import MAX_STEPS
 
 
 class TestExamples:
@@ -74,6 +75,12 @@ class TestSweepAlpha:
         assert ret == EXIT_CONFIG
         assert "config error" in capsys.readouterr().err
 
+    def test_point_count_over_the_cap(self, capsys):
+        ret = main(["sweep-alpha", "--theta-ab", "1.0", "--points",
+                    str(MAX_STEPS + 1)])
+        assert ret == EXIT_CONFIG
+        assert str(MAX_STEPS) in capsys.readouterr().err
+
 
 class TestPhaseProfiles:
     def test_stdout_csv(self, capsys):
@@ -91,6 +98,13 @@ class TestPhaseProfiles:
         stdout = capsys.readouterr().out
         assert main(argv + ["--out", str(tmp_path / "p.csv")]) == EXIT_OK
         assert stdout.encode() == (tmp_path / "p.csv").read_bytes()
+
+    def test_point_count_over_the_cap(self, capsys):
+        ret = main(["phase-profiles", "--profile", "linear", "--phi0", "0.0",
+                    "--phidot0", "1.0", "--omega0", "1.0", "--points",
+                    str(MAX_STEPS + 1)])
+        assert ret == EXIT_CONFIG
+        assert str(MAX_STEPS) in capsys.readouterr().err
 
     def test_log_profile_needs_positive_phi0(self, capsys):
         ret = main(["phase-profiles", "--profile", "log", "--phi0", "-1.0",
@@ -157,9 +171,13 @@ class TestConfigBoundary:
         (_custom({"bloch": [1.0, 0.0, 1.0]}), EXIT_CONFIG),
         ({"scenario": "example3", "parameters": {"gamma": 1e300},
           "n_steps": 50, "outputs": ["report"]}, EXIT_NUMERICAL),
+        ({"scenario": "custom", "field": {"h": [1.0, 0.0, 0.0]},
+          "t_span": [0, 1e6]}, EXIT_CONFIG),
+        ({"scenario": "example3", "n_steps": 1e12}, EXIT_CONFIG),
     ], ids=["gamma_not_a_number", "gamma_nan", "t_span_one_value",
             "t_span_not_a_number", "t_span_three_values", "n_steps_fractional",
-            "psi0_unnormalised", "psi0_bloch_unnormalised", "gamma_overflow"])
+            "psi0_unnormalised", "psi0_bloch_unnormalised", "gamma_overflow",
+            "t_span_over_step_cap", "n_steps_over_cap"])
     def test_exit_code_without_traceback(self, tmp_path, capsys, config, code):
         cfg = tmp_path / "run.json"
         cfg.write_text(config if isinstance(config, str) else json.dumps(config))

@@ -6,13 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blochpath import (
-    BlochVector,
     FieldSpec,
-    HermitianMatrix2,
     HermiticityError,
-    NormalizationError,
     NumericalError,
-    QubitState,
     ShapeError,
     bloch_from_state,
     clamped_arccos,
@@ -66,12 +62,6 @@ class TestPauliAlgebra:
         with pytest.raises(ShapeError):
             pauli_decompose(np.eye(3))
 
-    def test_hermitian_matrix_round_trip(self):
-        hm = HermitianMatrix2.from_matrix(pauli_compose(-1.0, [0.5, 0.25, 2.0]))
-        assert hm.h0 == pytest.approx(-1.0, abs=1e-14)
-        assert np.allclose(hm.h, [0.5, 0.25, 2.0], atol=1e-14)
-        assert np.allclose(hm.matrix, pauli_compose(-1.0, [0.5, 0.25, 2.0]))
-
 
 class TestStateBlochMaps:
     def test_poles_and_equator(self):
@@ -103,16 +93,6 @@ class TestStateBlochMaps:
         psi = state_from_bloch([0.0, 0.0, -1.0])
         assert abs(psi[0]) < 1e-12
         assert abs(abs(psi[1]) - 1.0) < 1e-12
-
-    def test_qubit_state_validation(self):
-        with pytest.raises(NormalizationError):
-            QubitState(1.0, 1.0)
-        s = QubitState(np.sqrt(3) / 2, 0.5)
-        assert np.allclose(s.bloch, [np.sqrt(3) / 2, 0.0, 0.5], atol=1e-15)
-
-    def test_bloch_vector_validation(self):
-        with pytest.raises(NormalizationError):
-            BlochVector(1.0, 1.0, 1.0)
 
 
 class TestScalars:
@@ -156,6 +136,11 @@ class TestScalars:
         with pytest.raises(NumericalError):
             clamped_arccos(1.01)
 
+    @pytest.mark.parametrize("x", [[np.nan, 0.5], np.inf, -np.inf])
+    def test_clamped_arccos_rejects_non_finite_arguments(self, x):
+        with pytest.raises(NumericalError, match="not finite"):
+            clamped_arccos(x)
+
     def test_fubini_study_distance_endpoints(self):
         assert fubini_study_distance([0, 0, 1.0], [0, 0, 1.0]) == 0.0
         assert fubini_study_distance([0, 0, 1.0], [0, 0, -1.0]) \
@@ -187,7 +172,3 @@ class TestFieldSpec:
         f = FieldSpec(h0=0.0, h=lambda t: np.array([np.cos(t), np.sin(t), 0.0]))
         fd = f.h_dot_at(0.4)
         assert np.allclose(fd, [-np.sin(0.4), np.cos(0.4), 0.0], atol=1e-8)
-
-    def test_matrix_at(self):
-        f = FieldSpec(h0=1.0, h=np.array([0.0, 0.0, 2.0]))
-        assert np.allclose(f.matrix_at(0.0), np.diag([3.0, -1.0]))

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from blochpath import (
-    CurvatureSample,
     FieldSpec,
     PreconditionError,
     SingularEvolutionError,
@@ -16,7 +15,6 @@ from blochpath import (
     curvature_expectation,
     curvature_numeric_oracle,
     curvature_numeric_profile,
-    curvature_sample,
     curvature_transverse,
     schrodinger_evolve,
 )
@@ -85,18 +83,18 @@ class TestTransverseForm:
 class TestExpectationForm:
     def test_sigma_z_matches_closed_form(self, example3):
         for k in (100, 1000, 1900):
-            got = curvature_expectation(example3.traj, example3.field, k=k)
+            got = curvature_expectation(example3.traj, k=k)
             assert got == pytest.approx(FOUR_THIRDS, abs=1e-9)
 
     def test_no_commutator_warning_for_clean_runs(self, example3):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            curvature_expectation(example3.traj, example3.field, k=500)
+            curvature_expectation(example3.traj, k=500)
 
     def test_endpoints_use_one_sided_differences(self, example3):
         n = example3.traj.grid.n_steps
         for k in (0, n):
-            got = curvature_expectation(example3.traj, example3.field, k=k)
+            got = curvature_expectation(example3.traj, k=k)
             assert got == pytest.approx(FOUR_THIRDS, abs=1e-6)
 
 
@@ -127,15 +125,6 @@ class TestNumericOracle:
 
 
 class TestDiagnosticBundle:
-    def test_sample_contains_all_requested_forms(self, example3):
-        s = curvature_sample(example3.traj, example3.field, k=700,
-                             include_numeric=True)
-        assert isinstance(s, CurvatureSample)
-        assert s.kappa_bloch == pytest.approx(FOUR_THIRDS, abs=1e-10)
-        assert s.kappa_expect == pytest.approx(FOUR_THIRDS, abs=1e-9)
-        assert s.kappa_numeric == pytest.approx(FOUR_THIRDS, abs=1e-3)
-        assert s.t == pytest.approx(example3.traj.times[700])
-
     def test_curvature_detects_geodesy_not_waste(self, example2, example4):
         # a wasteful drive along a great circle stays flat, while an
         # unwasteful drive along a small circle stays curved

@@ -1,5 +1,7 @@
 """Geodesic/speed/hybrid efficiencies and the waste taxonomy."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,7 +18,6 @@ from blochpath import (
     ZeroPathError,
     classify,
     efficiency_report,
-    feynman_evolve,
     geodesic_efficiency_global,
     geodesic_efficiency_instant,
     geodesic_efficiency_profile,
@@ -26,6 +27,7 @@ from blochpath import (
     speed_efficiency_tracenonzero,
     speed_efficiency_tracezero,
 )
+from feynman import feynman_evolve
 
 PSI0 = np.array([np.sqrt(3) / 2, 0.5], dtype=complex)
 SIGMA_Z_FIELD = FieldSpec(h0=0.0, h=np.array([0.0, 0.0, 1.0]))
@@ -269,12 +271,11 @@ class TestReports:
         assert np.max(np.abs(a_feyn - base_traj.bloch)) < 1e-8
 
     def test_non_finite_efficiencies_raise_numerical_error(self):
-        # a field too strong for the grid turns the states into NaN, which
-        # no range check catches; the report must not average it
-        huge = FieldSpec(h0=0.0, h=np.array([0.0, 0.0, 1e300]))
-        with np.errstate(over="ignore", invalid="ignore"):
-            traj = schrodinger_evolve(huge, PSI0, TimeGrid(0.0, 1.0, 50))
-            with pytest.raises(NumericalError, match="finite"):
-                efficiency_report(traj)
+        # NaN passes every range check; the report must not average it
+        traj = schrodinger_evolve(SIGMA_Z_FIELD, PSI0, TimeGrid(0.0, 1.0, 50))
+        delta_e = traj.delta_e.copy()
+        delta_e[17] = np.nan
+        with pytest.raises(NumericalError, match="finite"):
+            efficiency_report(dataclasses.replace(traj, delta_e=delta_e))
         with pytest.raises(NumericalError, match="finite"):
             speed_efficiency_tracezero(np.nan, 1.0)

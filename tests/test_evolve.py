@@ -1,5 +1,7 @@
 """Time grids, RK4 integrators, parallel transport, path-length bookkeeping."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -9,17 +11,18 @@ from blochpath import (
     FieldSpec,
     IntegrationError,
     NormalizationError,
+    NumericalError,
     ShapeError,
     TimeGrid,
     bloch_from_state,
-    feynman_evolve,
     parallel_transport,
     path_length,
     sample_field,
     schrodinger_evolve,
     transport_residual,
 )
-from blochpath.evolve import _trapezoid
+from blochpath.evolve import MAX_STEPS, _trapezoid
+from feynman import feynman_evolve
 
 PSI0 = np.array([np.sqrt(3) / 2, 0.5], dtype=complex)
 SIGMA_Z_FIELD = FieldSpec(h0=0.0, h=np.array([0.0, 0.0, 1.0]))
@@ -53,6 +56,15 @@ class TestTimeGrid:
     def test_rejects_bad_construction(self, args):
         with pytest.raises(ConfigError):
             TimeGrid(*args)
+
+    def test_step_cap_is_enforced_at_construction(self):
+        # constructing a grid allocates nothing, so the cap itself is cheap
+        assert TimeGrid(0.0, 1.0, MAX_STEPS).n_steps == MAX_STEPS
+        with pytest.raises(ConfigError, match=str(MAX_STEPS)):
+            TimeGrid(0.0, 1.0, MAX_STEPS + 1)
+        for span in ((0.0, 1e6), (-1e308, 1e308)):
+            with pytest.raises(ConfigError, match=str(MAX_STEPS)):
+                TimeGrid.with_density(*span)
 
 
 class TestFieldSampling:
@@ -118,6 +130,20 @@ class TestSchrodingerEvolve:
             schrodinger_evolve(field, np.array([1.0, 0.0], dtype=complex),
                                TimeGrid(0.0, 1.0, 2))
 
+    def test_overflowing_field_raises_at_the_first_step(self):
+        # the state turns into NaN, which a plain `drift > bound` lets pass
+        huge = FieldSpec(h0=0.0, h=np.array([0.0, 1e300, 0.0]))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(IntegrationError, match="not finite after step 0"):
+                schrodinger_evolve(huge, PSI0, TimeGrid(0.0, 1.0, 20))
+
+    def test_validate_rejects_non_finite_bloch_vectors(self):
+        traj = schrodinger_evolve(SIGMA_Z_FIELD, PSI0, TimeGrid(0.0, 1.0, 20))
+        bloch = traj.bloch.copy()
+        bloch[5, 1] = np.nan
+        with pytest.raises(NumericalError, match="not finite"):
+            dataclasses.replace(traj, bloch=bloch).validate()
+
     def test_initial_state_validation(self):
         with pytest.raises(ShapeError):
             schrodinger_evolve(SIGMA_Z_FIELD, np.array([1.0, 0.0, 0.0]))
@@ -174,12 +200,6 @@ class TestParallelTransport:
         m = parallel_transport(traj)
         bloch = np.stack([bloch_from_state(mk) for mk in m])
         assert np.max(np.abs(bloch - traj.bloch)) < 1e-12
-
-    def test_explicit_field_resampling_matches_stored_samples(self):
-        traj = schrodinger_evolve(SIGMA_Z_FIELD, PSI0, TimeGrid(0.0, 1.0, 500))
-        m1 = parallel_transport(traj)
-        m2 = parallel_transport(traj, field=SIGMA_Z_FIELD)
-        assert np.max(np.abs(m1 - m2)) < 1e-12
 
     def test_residual_shape_validation(self):
         with pytest.raises(ShapeError):

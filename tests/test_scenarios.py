@@ -245,6 +245,16 @@ class TestArtifacts:
                         "classification"]
         assert len(body) == 4
         assert body[0][4] == "GeodesicUnwasteful"
+        # byte for byte what a csv.writer with .15g floats renders
+        expected = io.StringIO()
+        writer = csv.writer(expected)
+        writer.writerow(head)
+        for r in rows:
+            writer.writerow([r.scenario, f"{r.eta_ge_bar:.15g}",
+                             f"{r.eta_se_bar:.15g}", f"{r.eta_he:.15g}",
+                             r.classification])
+        assert (tmp_path / "table2.csv").read_bytes() \
+            == expected.getvalue().encode("utf-8")
 
 
 class TestSweepAlpha:
