@@ -32,7 +32,6 @@ from .efficiency import (
     classify,
     efficiency_report,
     geodesic_efficiency_global,
-    geodesic_efficiency_instant,
     geodesic_efficiency_profile,
     hybrid_efficiency,
     speed_efficiency,

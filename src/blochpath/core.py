@@ -8,6 +8,9 @@ Conventions used throughout the package (hbar = 1):
 * a pure state ``psi = (c0, c1)`` maps to the Bloch vector
   ``a = (2 Re c0* c1, 2 Im c0* c1, |c0|^2 - |c1|^2)``;
 * energies carry the same units as the field components.
+
+``pauli_compose``, ``energy_uncertainty`` and ``spectral_norm`` broadcast
+over leading axes of ``(..., 3)`` field and Bloch-vector rows.
 """
 
 from __future__ import annotations
@@ -88,16 +91,23 @@ def _as_vec3(v, name: str = "vector") -> np.ndarray:
     return arr
 
 
-def pauli_compose(h0: float, h) -> np.ndarray:
-    """Assemble ``h0 * I + h . sigma`` as an explicit 2x2 complex matrix."""
-    h = _as_vec3(h, "field")
-    return np.array(
-        [
-            [h0 + h[2], h[0] - 1j * h[1]],
-            [h[0] + 1j * h[1], h0 - h[2]],
-        ],
-        dtype=complex,
-    )
+def _as_rows(v, name: str) -> np.ndarray:
+    arr = np.asarray(v, dtype=float)
+    if arr.shape[-1:] != (3,):
+        raise ShapeError(f"expected {name} rows of length 3, got shape {arr.shape}")
+    return arr
+
+
+def pauli_compose(h0, h) -> np.ndarray:
+    """Assemble ``h0 * I + h . sigma`` as explicit 2x2 complex matrices."""
+    h0 = np.asarray(h0, dtype=float)
+    h = _as_rows(h, "field")
+    out = np.empty(np.broadcast(h0, h[..., 0]).shape + (2, 2), dtype=complex)
+    out[..., 0, 0] = h0 + h[..., 2]
+    out[..., 0, 1] = h[..., 0] - 1j * h[..., 1]
+    out[..., 1, 0] = h[..., 0] + 1j * h[..., 1]
+    out[..., 1, 1] = h0 - h[..., 2]
+    return out
 
 
 def pauli_decompose(matrix) -> Tuple[float, np.ndarray]:
@@ -120,7 +130,7 @@ def pauli_decompose(matrix) -> Tuple[float, np.ndarray]:
     if m.shape != (2, 2):
         raise ShapeError(f"expected a 2x2 matrix, got shape {m.shape}")
     defect = np.max(np.abs(m - m.conj().T))
-    if defect > TOL_HERM:
+    if not defect <= TOL_HERM:
         raise HermiticityError(f"matrix deviates from Hermiticity by {defect:.3e}")
     h0 = 0.5 * (m[0, 0].real + m[1, 1].real)
     h = np.array(
@@ -140,6 +150,8 @@ def bloch_from_state(psi) -> np.ndarray:
     if abs(norm - 1.0) > TOL_NORM:
         raise NormalizationError(f"state norm^2 = {norm!r}, expected 1")
     cross = np.conj(vec[0]) * vec[1]
+    # ``abs(c) ** 2`` is libm ``pow`` on a scalar but a square on arrays, so
+    # this map and ``evolve._bloch_of`` round differently and stay apart
     return np.array(
         [2.0 * cross.real, 2.0 * cross.imag, abs(vec[0]) ** 2 - abs(vec[1]) ** 2]
     )
@@ -168,31 +180,25 @@ def state_from_bloch(a) -> np.ndarray:
     return np.array([c0, c1], dtype=complex)
 
 
-def energy_uncertainty(a, h0: float, h) -> float:
+def energy_uncertainty(a, h):
     """Instantaneous energy dispersion ``sqrt(h^2 - (a.h)^2)``.
 
-    The trace part ``h0`` shifts all eigenvalues equally and cannot
-    contribute to the dispersion; the argument is accepted so call sites can
-    pass a field sample through unchanged.
+    The trace part shifts all eigenvalues equally and cannot contribute,
+    so only the traceless part ``h`` of the field enters.
     """
-    a = _as_vec3(a, "Bloch vector")
-    h = _as_vec3(h, "field")
-    radicand = float(h @ h) - float(a @ h) ** 2
-    if radicand < 0.0:
-        if radicand > -TOL_RADICAND:
-            radicand = 0.0
-        else:
-            raise NumericalError(
-                f"negative dispersion radicand {radicand:.3e}; "
-                "check normalization of the Bloch vector"
-            )
-    return float(np.sqrt(radicand))
+    a = _as_rows(a, "Bloch vector")
+    h = _as_rows(h, "field")
+    ah = np.einsum("...i,...i->...", a, h)
+    radicand = np.einsum("...i,...i->...", h, h) - ah * ah
+    low = radicand.min() if radicand.size else 0.0
+    if low < -TOL_RADICAND:
+        raise NumericalError(f"negative dispersion radicand {low:.3e}")
+    return np.sqrt(np.clip(radicand, 0.0, None))
 
 
-def spectral_norm(h0: float, h) -> float:
+def spectral_norm(h0, h):
     """Spectral norm ``|h0| + |h|`` of ``h0 * I + h . sigma``."""
-    h = _as_vec3(h, "field")
-    return abs(float(h0)) + float(np.linalg.norm(h))
+    return np.abs(h0) + np.linalg.norm(_as_rows(h, "field"), axis=-1)
 
 
 def fubini_study_distance(a, b) -> float:

@@ -21,7 +21,7 @@ import warnings
 
 import numpy as np
 
-from .core import FieldSpec, pauli_compose
+from .core import FieldSpec, _as_rows, pauli_compose
 from .errors import (
     NumericalError,
     PreconditionError,
@@ -44,36 +44,43 @@ TOL_SING = 1e-12
 TOL_NEG = 1e-9
 
 
-def _clamp_nonneg(value: float) -> float:
-    if value < 0.0:
-        if value < -TOL_NEG:
-            raise NumericalError(f"curvature {value!r} is negative beyond tolerance")
-        return 0.0
-    return float(value)
+def _clamp_nonneg(value):
+    if not np.all(value >= -TOL_NEG):
+        raise NumericalError(f"curvature {float(np.min(value))!r} is NaN or "
+                             "negative beyond tolerance")
+    return np.where(value < 0.0, 0.0, value)[()]
 
 
-def curvature_bloch(a, h, h_dot) -> float:
+def _dot(x, y):
+    """Row-wise dot product over the last axis, rounded like 1-D ``x @ y``."""
+    return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
+
+
+def curvature_bloch(a, h, h_dot):
     """Closed-form curvature from Bloch-space data of a traceless field.
 
     Three terms: a parallel-component term ``4 (a.h)^2 / D``, a
     field-rotation term, and a mixed term, with ``D = h^2 - (a.h)^2``.
     The trace part of the Hamiltonian cannot bend the path and must be
-    dropped by the caller (only ``h`` enters).
+    dropped by the caller (only ``h`` enters).  Broadcasts over ``(..., 3)``
+    rows; ``float_power`` makes each row round as a lone 3-vector does.
     """
-    a = np.asarray(a, dtype=float)
-    h = np.asarray(h, dtype=float)
-    hd = np.asarray(h_dot, dtype=float)
-    ah = float(a @ h)
-    d = float(h @ h) - ah * ah
-    if d <= TOL_SING:
+    a = _as_rows(a, "Bloch vector")
+    h = _as_rows(h, "field")
+    hd = _as_rows(h_dot, "field derivative")
+    ah = _dot(a, h)
+    hh = _dot(h, h)
+    d = hh - ah * ah
+    if not np.all(d > TOL_SING):
         raise SingularEvolutionError(
             "a is (anti)parallel to h; eigenstate evolutions have no "
             "arc-length parameterization"
         )
     term1 = 4.0 * ah * ah / d
-    w = (a @ hd) * h - ah * hd
-    term2 = ((h @ h) * (hd @ hd) - float(h @ hd) ** 2 - float(w @ w)) / d**3
-    term3 = 4.0 * ah * float(a @ np.cross(h, hd)) / d**2
+    w = _dot(a, hd)[..., None] * h - ah[..., None] * hd
+    term2 = (hh * _dot(hd, hd) - np.float_power(_dot(h, hd), 2)
+             - _dot(w, w)) / np.float_power(d, 3)
+    term3 = 4.0 * ah * _dot(a, np.cross(h, hd)) / np.float_power(d, 2)
     return _clamp_nonneg(term1 + term2 + term3)
 
 
@@ -84,11 +91,8 @@ def curvature_bloch_profile(traj: Trajectory, field: FieldSpec) -> np.ndarray:
     central difference with the grid spacing.
     """
     step = traj.grid.dt
-    out = np.empty(traj.n_nodes)
-    for k, t in enumerate(traj.times):
-        hd = field.h_dot_at(t, step=step)
-        out[k] = curvature_bloch(traj.bloch[k], traj.h_nodes[k], hd)
-    return out
+    h_dot = np.array([field.h_dot_at(t, step=step) for t in traj.times])
+    return curvature_bloch(traj.bloch, traj.h_nodes, h_dot)
 
 
 def curvature_transverse(h_perp, t: float, a=None, fd_step: float = 1e-6) -> float:

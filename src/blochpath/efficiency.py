@@ -15,7 +15,7 @@ from enum import Enum
 
 import numpy as np
 
-from .core import spectral_norm as _spectral_norm, energy_uncertainty as _energy_uncertainty
+from .core import energy_uncertainty, spectral_norm
 from .errors import (
     NumericalError,
     RangeError,
@@ -28,7 +28,6 @@ __all__ = [
     "Classification",
     "EfficiencyReport",
     "geodesic_efficiency_global",
-    "geodesic_efficiency_instant",
     "geodesic_efficiency_profile",
     "speed_efficiency",
     "speed_efficiency_profile",
@@ -84,42 +83,34 @@ def geodesic_efficiency_global(traj: Trajectory) -> float:
     return _unit_ratio(float(traj.s0[-1]) / s)
 
 
-def geodesic_efficiency_instant(traj: Trajectory, k: int) -> float:
-    """Geodesic efficiency accumulated from the start node up to node ``k``.
+def geodesic_efficiency_profile(traj: Trajectory) -> np.ndarray:
+    """Geodesic efficiency accumulated from the start node up to each node.
 
     At the start node (and anywhere the accumulated length is below
     ``TOL_S``) the 0/0 limit is 1: both the distance and the length vanish
     linearly with slope ``2 dE``.
     """
-    s = float(traj.s_accum[k])
-    if s < TOL_S:
-        return 1.0
-    return _unit_ratio(float(traj.s0[k]) / s)
-
-
-def geodesic_efficiency_profile(traj: Trajectory) -> np.ndarray:
-    """Vectorized :func:`geodesic_efficiency_instant` over all nodes."""
     out = np.ones(traj.n_nodes)
     live = traj.s_accum >= TOL_S
     out[live] = traj.s0[live] / traj.s_accum[live]
     return _unit_ratio(out)
 
 
-def speed_efficiency(a, h0: float, h) -> float:
+def speed_efficiency(a, h0, h):
     """Energy dispersion over spectral norm, ``dE / (|h0| + |h|)``.
 
     Equals 1 exactly when the field is traceless and orthogonal to the
     Bloch vector; any parallel component or trace part wastes speed.
     """
-    norm = _spectral_norm(h0, h)
-    if norm == 0.0:
+    norm = spectral_norm(h0, h)
+    if np.any(norm == 0.0):
         raise ZeroHamiltonianError("speed efficiency undefined for H = 0")
-    return _unit_ratio(_energy_uncertainty(a, h0, h) / norm)
+    return _unit_ratio(energy_uncertainty(a, h) / norm)
 
 
 def speed_efficiency_profile(traj: Trajectory) -> np.ndarray:
     """Node-wise speed efficiency from the trajectory's stored field samples."""
-    norms = np.abs(traj.h0_nodes) + np.linalg.norm(traj.h_nodes, axis=1)
+    norms = spectral_norm(traj.h0_nodes, traj.h_nodes)
     if np.any(norms == 0.0):
         raise ZeroHamiltonianError("speed efficiency undefined where H = 0")
     return _unit_ratio(traj.delta_e / norms)

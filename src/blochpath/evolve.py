@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FieldSpec, TOL_RADICAND, clamped_arccos
+from .core import FieldSpec, clamped_arccos, energy_uncertainty, pauli_compose
 from .errors import (
     BlochPathError,
     ConfigError,
@@ -129,16 +129,6 @@ def sample_field(field: FieldSpec, times) -> tuple[np.ndarray, np.ndarray]:
     return h0, h
 
 
-def _matrices(h0: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Stack of 2x2 Hamiltonians from sampled field components."""
-    out = np.empty((h0.shape[0], 2, 2), dtype=complex)
-    out[:, 0, 0] = h0 + h[:, 2]
-    out[:, 0, 1] = h[:, 0] - 1j * h[:, 1]
-    out[:, 1, 0] = h[:, 0] + 1j * h[:, 1]
-    out[:, 1, 1] = h0 - h[:, 2]
-    return out
-
-
 def _bloch_of(states: np.ndarray) -> np.ndarray:
     cross = np.conj(states[:, 0]) * states[:, 1]
     return np.stack(
@@ -149,14 +139,6 @@ def _bloch_of(states: np.ndarray) -> np.ndarray:
         ],
         axis=1,
     )
-
-
-def _dispersion(bloch: np.ndarray, h: np.ndarray) -> np.ndarray:
-    radicand = np.einsum("ij,ij->i", h, h) - np.einsum("ij,ij->i", bloch, h) ** 2
-    low = radicand.min() if radicand.size else 0.0
-    if low < -TOL_RADICAND:
-        raise NumericalError(f"negative dispersion radicand {low:.3e}")
-    return np.sqrt(np.clip(radicand, 0.0, None))
 
 
 @dataclass
@@ -205,24 +187,22 @@ class Trajectory:
             raise NumericalError(f"Bloch norm drift {worst:.3e} exceeds {TOL_DRIFT}")
 
 
-def _finish_trajectory(grid, states, h0_half, h_half,
-                       validate: bool = True) -> Trajectory:
+def _finish_trajectory(grid, states, h0_half, h_half) -> Trajectory:
     times = grid.times
     bloch = _bloch_of(states)
     h0_nodes = h0_half[::2]
     h_nodes = h_half[::2]
-    delta_e = _dispersion(bloch, h_nodes)
+    delta_e = energy_uncertainty(bloch, h_nodes)
     s_accum = _trapezoid(2.0 * delta_e, times, cumulative=True)
     s0 = clamped_arccos(bloch @ bloch[0])
     traj = Trajectory(grid, times, states, bloch, h0_nodes, h_nodes,
                       delta_e, s_accum, s0)
-    if validate:
-        traj.validate()
+    traj.validate()
     return traj
 
 
-def schrodinger_evolve(field: FieldSpec, psi0, grid: TimeGrid | None = None,
-                       renormalize: bool = True) -> Trajectory:
+def schrodinger_evolve(field: FieldSpec, psi0,
+                       grid: TimeGrid | None = None) -> Trajectory:
     """Integrate ``i dpsi/dt = H(t) psi`` with RK4 on a fixed grid.
 
     Parameters
@@ -233,10 +213,6 @@ def schrodinger_evolve(field: FieldSpec, psi0, grid: TimeGrid | None = None,
         Normalized initial state.
     grid : TimeGrid, optional
         Defaults to ``field.t_span`` with 2000 steps per unit time.
-    renormalize : bool
-        Rescale the state after every step.  The pre-renormalization drift
-        is monitored either way and a step drift above 1e-4 raises
-        :class:`IntegrationError`.
     """
     if grid is None:
         grid = TimeGrid.with_density(*field.t_span)
@@ -248,13 +224,12 @@ def schrodinger_evolve(field: FieldSpec, psi0, grid: TimeGrid | None = None,
         raise NormalizationError(f"initial state norm {norm0!r}, expected 1")
 
     h0_half, h_half = sample_field(field, grid.half_times)
-    gen = -1j * _matrices(h0_half, h_half)
+    gen = -1j * pauli_compose(h0_half, h_half)
     dt = grid.dt
 
     states = np.empty((grid.n_nodes, 2), dtype=complex)
     states[0] = psi0
     y = psi0
-    prev_norm = norm0
     for k in range(grid.n_steps):
         a0 = gen[2 * k]
         am = gen[2 * k + 1]
@@ -265,7 +240,7 @@ def schrodinger_evolve(field: FieldSpec, psi0, grid: TimeGrid | None = None,
         k4 = a1 @ (y + dt * k3)
         y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         norm = np.sqrt(np.vdot(y, y).real)
-        drift = abs(norm / prev_norm - 1.0)
+        drift = abs(norm / (norm0 if k == 0 else 1.0) - 1.0)
         if not drift <= MAX_STEP_DRIFT:
             if not np.isfinite(drift):
                 raise IntegrationError(
@@ -274,14 +249,9 @@ def schrodinger_evolve(field: FieldSpec, psi0, grid: TimeGrid | None = None,
             raise IntegrationError(
                 f"norm drift {drift:.3e} in step {k}; reduce dt"
             )
-        if renormalize:
-            y = y / norm
-            prev_norm = 1.0
-        else:
-            prev_norm = norm
+        y = y / norm
         states[k + 1] = y
-    return _finish_trajectory(grid, states, h0_half, h_half,
-                              validate=renormalize)
+    return _finish_trajectory(grid, states, h0_half, h_half)
 
 
 def parallel_transport(traj: Trajectory) -> np.ndarray:

@@ -2,8 +2,9 @@
 
 Two constructions live here.  The stationary one-parameter family rotates an
 initial Bloch vector ``a`` into a target ``b`` about the axis ``n(alpha)``;
-only ``alpha = pi/2`` follows the great circle.  The Uzdin construction
-turns a prescribed normalized path ``|m(t)>`` into the traceless driving
+only ``alpha = pi/2`` follows the great circle, and its closed forms
+broadcast over arrays of ``alpha``.  The Uzdin construction turns a
+prescribed normalized path ``|m(t)>`` into the traceless driving
 Hamiltonian ``H = i|dm><m| - i|m><dm|``, plus its sub-optimal variants that
 add a phase term ``phidot |m><m|`` (kept or made traceless).
 """
@@ -15,7 +16,8 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .core import FieldSpec, bloch_from_state, clamped_arccos, pauli_decompose
+from .core import (FieldSpec, bloch_from_state, clamped_arccos,
+                   fubini_study_distance, pauli_decompose)
 from .errors import (
     ConfigError,
     DegenerateEndpointsError,
@@ -59,9 +61,7 @@ def endpoint_angle(a, b) -> float:
     The family's axis construction divides by both ``cos(theta/2)`` and
     ``sin(theta)``, so (anti)parallel endpoints are out of domain.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    theta = clamped_arccos(float(a @ b))
+    theta = fubini_study_distance(a, b)
     if theta <= TOL_DEG or theta >= np.pi - TOL_DEG:
         raise DegenerateEndpointsError(
             f"endpoint separation {theta!r} too close to 0 or pi"
@@ -88,35 +88,35 @@ def suboptimal_axis(alpha: float, a, b) -> np.ndarray:
     return n / norm
 
 
-def orbit_radius(alpha: float, theta_ab: float) -> float:
+def orbit_radius(alpha, theta_ab):
     """Radius ``sqrt(1 - cos^2(alpha) cos^2(theta/2))`` of the circle traced
     by the Bloch vector while precessing about ``n(alpha)``."""
     c = np.cos(alpha) * np.cos(0.5 * theta_ab)
-    return float(np.sqrt(1.0 - c * c))
+    return np.sqrt(1.0 - c * c)
 
 
-def rotation_angle(alpha: float, theta_ab: float) -> float:
+def rotation_angle(alpha, theta_ab):
     """Rotation angle ``phi(alpha)`` about ``n(alpha)`` that lands on ``b``.
 
     ``phi = 2 arccos(sin(alpha) cos(theta/2) / orbit_radius)``; decreases
     from pi at ``alpha = 0`` to ``theta_ab`` at ``alpha = pi/2``.
     """
     radius = orbit_radius(alpha, theta_ab)
-    if radius < 1e-12:
+    if np.any(radius < 1e-12):
         raise DegenerateEndpointsError(
             "orbit radius vanishes; alpha in {0, pi} with theta_ab = 0"
         )
     return 2.0 * clamped_arccos(np.sin(alpha) * np.cos(0.5 * theta_ab) / radius)
 
 
-def travel_time(alpha: float, theta_ab: float, E: float) -> float:
+def travel_time(alpha, theta_ab, E: float):
     """Time ``phi/(2E)`` to reach the target; minimal at ``alpha = pi/2``."""
     if E <= 0.0:
         raise RangeError(f"energy scale must be positive, got {E!r}")
     return rotation_angle(alpha, theta_ab) / (2.0 * E)
 
 
-def arc_length_alpha(alpha: float, theta_ab: float) -> float:
+def arc_length_alpha(alpha, theta_ab):
     """Fubini-Study length ``orbit_radius * phi`` of the traced arc.
 
     Equals ``theta_ab`` exactly at ``alpha = pi/2`` (the geodesic) and grows
@@ -125,7 +125,7 @@ def arc_length_alpha(alpha: float, theta_ab: float) -> float:
     return orbit_radius(alpha, theta_ab) * rotation_angle(alpha, theta_ab)
 
 
-def delta_e_alpha(alpha: float, theta_ab: float, E: float) -> float:
+def delta_e_alpha(alpha, theta_ab, E: float):
     """Energy dispersion ``E * orbit_radius`` along the stationary orbit.
 
     Constant in time, so the arc length is also ``2 delta_e * travel_time``.

@@ -37,7 +37,7 @@ from .efficiency import (
     speed_efficiency_tracenonzero,
     speed_efficiency_tracezero,
 )
-from .errors import BlochPathError, ConfigError
+from .errors import BlochPathError, ConfigError, NumericalError
 from .evolve import MAX_STEPS, TOL_NORM0, TimeGrid, schrodinger_evolve
 from .families import (
     SuboptimalStationary,
@@ -508,6 +508,14 @@ def table_rows(out_dir=None, n_steps: Optional[int] = None) -> list[ReportRow]:
     return rows
 
 
+def _finite_columns(columns: dict) -> dict:
+    """``columns`` itself; :class:`NumericalError` if an entry is not finite."""
+    for name, values in columns.items():
+        if not np.all(np.isfinite(values)):
+            raise NumericalError(f"sweep column {name!r} is not finite")
+    return columns
+
+
 def sweep_alpha(theta_ab: float, n_points: int, E: float = 1.0) -> dict:
     """Closed-form sweep of the stationary family over ``alpha``.
 
@@ -517,6 +525,8 @@ def sweep_alpha(theta_ab: float, n_points: int, E: float = 1.0) -> dict:
     """
     if not 3 <= int(n_points) <= MAX_STEPS:
         raise ConfigError(f"sweep needs 3 to {MAX_STEPS} alpha points")
+    theta_ab = _finite_real(theta_ab, "theta_ab")
+    E = _finite_real(E, "energy scale")
     if not 1e-6 <= theta_ab <= np.pi - 1e-6:
         raise ConfigError("theta_ab must lie strictly between 0 and pi")
     if E <= 0.0:
@@ -524,18 +534,15 @@ def sweep_alpha(theta_ab: float, n_points: int, E: float = 1.0) -> dict:
     alphas = np.linspace(0.0, np.pi, int(n_points))
     alphas[0] = ALPHA_EPS
     alphas[-1] = np.pi - ALPHA_EPS
-    s = np.array([arc_length_alpha(al, theta_ab) for al in alphas])
-    t_ab = np.array([travel_time(al, theta_ab, E) for al in alphas])
-    de = np.array([delta_e_alpha(al, theta_ab, E) for al in alphas])
-    eta_se = np.array([orbit_radius(al, theta_ab) for al in alphas])
-    return {
+    s = arc_length_alpha(alphas, theta_ab)
+    return _finite_columns({
         "alpha": alphas,
         "s": s,
-        "t_ab": t_ab,
-        "delta_e": de,
+        "t_ab": travel_time(alphas, theta_ab, E),
+        "delta_e": delta_e_alpha(alphas, theta_ab, E),
         "eta_ge": theta_ab / s,
-        "eta_se": eta_se,
-    }
+        "eta_se": orbit_radius(alphas, theta_ab),
+    })
 
 
 def _phase_functions(profile: str, phi0: float, phidot0: float):
@@ -566,6 +573,10 @@ def sweep_phase_profiles(profile: str, phi0: float, phidot0: float,
     """
     if not 2 <= int(n_points) <= MAX_STEPS:
         raise ConfigError(f"sweep needs 2 to {MAX_STEPS} time points")
+    phi0 = _finite_real(phi0, "phi0")
+    phidot0 = _finite_real(phidot0, "phidot0")
+    omega0 = _finite_real(omega0, "omega0")
+    t_end = _finite_real(t_end, "t_end")
     if t_end <= 0.0:
         raise ConfigError("t_end must be positive")
     phase, phase_dot = _phase_functions(profile, phi0, phidot0)
@@ -575,12 +586,10 @@ def sweep_phase_profiles(profile: str, phi0: float, phidot0: float,
     phi = phase(t)
     phidot = phase_dot(t)
     cdot_sq = omega0 * omega0
-    return {
+    return _finite_columns({
         "t": t,
         "phi": phi,
         "phi_dot": phidot,
-        "eta_se_trace_zero": np.asarray(
-            speed_efficiency_tracezero(cdot_sq, phidot), dtype=float),
-        "eta_se_trace_nonzero": np.asarray(
-            speed_efficiency_tracenonzero(cdot_sq, phidot), dtype=float),
-    }
+        "eta_se_trace_zero": speed_efficiency_tracezero(cdot_sq, phidot),
+        "eta_se_trace_nonzero": speed_efficiency_tracenonzero(cdot_sq, phidot),
+    })

@@ -19,8 +19,8 @@ from blochpath import (
 from blochpath.evolve import MAX_STEP_DRIFT
 
 
-def feynman_evolve(field: FieldSpec, a0, grid: TimeGrid | None = None,
-                   renormalize: bool = True) -> np.ndarray:
+def feynman_evolve(field: FieldSpec, a0,
+                   grid: TimeGrid | None = None) -> np.ndarray:
     """Integrate the Bloch equation ``da/dt = 2 h(t) x a`` with RK4.
 
     Returns the ``(n_nodes, 3)`` Bloch path.  Independent of
@@ -52,7 +52,6 @@ def feynman_evolve(field: FieldSpec, a0, grid: TimeGrid | None = None,
         norm = np.sqrt(a @ a)
         if abs(norm - 1.0) > MAX_STEP_DRIFT:
             raise IntegrationError(f"Bloch norm drift in step {k}; reduce dt")
-        if renormalize:
-            a = a / norm
+        a = a / norm
         out[k + 1] = a
     return out

@@ -1,0 +1,104 @@
+"""Batched calls of the broadcasting formulas equal their row-by-row calls.
+
+Each formula has one implementation for single vectors and for stacks of
+rows, so row ``k`` of a batched call must equal the call on row ``k`` bit
+for bit, and a single vector must give a scalar back.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from blochpath import (
+    BlochPathError,
+    arc_length_alpha,
+    curvature_bloch,
+    delta_e_alpha,
+    energy_uncertainty,
+    orbit_radius,
+    pauli_compose,
+    rotation_angle,
+    spectral_norm,
+    travel_time,
+)
+
+reals = st.floats(min_value=-10.0, max_value=10.0,
+                  allow_nan=False, allow_infinity=False)
+vectors = st.tuples(reals, reals, reals)
+angles = st.floats(min_value=1e-6, max_value=np.pi - 1e-6)
+
+
+@st.composite
+def rows(draw):
+    """``(a, h, h_dot, h0)``: unit Bloch vectors and field data, row-wise."""
+    n = draw(st.integers(1, 6))
+    a = np.array(draw(st.lists(vectors, min_size=n, max_size=n)))
+    norms = np.linalg.norm(a, axis=1)
+    assume(np.all(norms > 1e-3))
+    h = np.array(draw(st.lists(vectors, min_size=n, max_size=n)))
+    h_dot = np.array(draw(st.lists(vectors, min_size=n, max_size=n)))
+    h0 = np.array(draw(st.lists(reals, min_size=n, max_size=n)))
+    return a / norms[:, None], h, h_dot, h0
+
+
+def assert_batches_row_by_row(formula, *columns):
+    """Row ``k`` of ``formula(*columns)`` equals ``formula`` on row ``k``; a
+    row the formula rejects makes the batched call reject too."""
+    singles = []
+    for k in range(columns[0].shape[0]):
+        try:
+            singles.append(formula(*(c[k] for c in columns)))
+        except BlochPathError:
+            singles.append(None)
+    if any(single is None for single in singles):
+        with pytest.raises(BlochPathError):
+            formula(*columns)
+        return
+    batch = formula(*columns)
+    for k, single in enumerate(singles):
+        assert np.isscalar(single)
+        assert batch[k] == single
+
+
+@given(rows())
+@settings(max_examples=80, deadline=None)
+def test_energy_uncertainty_batches_row_by_row(data):
+    a, h, _, _ = data
+    assert_batches_row_by_row(energy_uncertainty, a, h)
+
+
+@given(rows())
+@settings(max_examples=80, deadline=None)
+def test_spectral_norm_batches_row_by_row(data):
+    _, h, _, h0 = data
+    assert_batches_row_by_row(spectral_norm, h0, h)
+
+
+@given(rows())
+@settings(max_examples=80, deadline=None)
+def test_curvature_batches_row_by_row(data):
+    a, h, h_dot, _ = data
+    assert_batches_row_by_row(curvature_bloch, a, h, h_dot)
+
+
+@given(rows())
+@settings(max_examples=40, deadline=None)
+def test_pauli_compose_batches_row_by_row(data):
+    _, h, _, h0 = data
+    batch = pauli_compose(h0, h)
+    assert batch.shape == (h.shape[0], 2, 2)
+    for k in range(h.shape[0]):
+        assert np.array_equal(batch[k], pauli_compose(h0[k], h[k]))
+
+
+@given(alphas=st.lists(angles, min_size=1, max_size=8),
+       theta=st.floats(min_value=1e-3, max_value=np.pi - 1e-3),
+       energy=st.floats(min_value=0.1, max_value=10.0))
+@settings(max_examples=80, deadline=None)
+def test_family_closed_forms_batch_point_by_point(alphas, theta, energy):
+    for form in (orbit_radius, rotation_angle, arc_length_alpha):
+        assert_batches_row_by_row(lambda al: form(al, theta), np.array(alphas))
+    for form in (travel_time, delta_e_alpha):
+        assert_batches_row_by_row(lambda al: form(al, theta, energy),
+                                  np.array(alphas))

@@ -159,6 +159,10 @@ def _custom(psi0):
             "psi0": psi0, "n_steps": 50}
 
 
+_SWEEP = ["sweep-alpha", "--theta-ab", "1.2", "--points", "9"]
+_PROFILE = ["phase-profiles", "--profile", "log", "--points", "9"]
+
+
 class TestConfigBoundary:
     @pytest.mark.parametrize("config, code", [
         ({"scenario": "example3", "parameters": {"gamma": "abc"}}, EXIT_CONFIG),
@@ -174,21 +178,41 @@ class TestConfigBoundary:
         ({"scenario": "custom", "field": {"h": [1.0, 0.0, 0.0]},
           "t_span": [0, 1e6]}, EXIT_CONFIG),
         ({"scenario": "example3", "n_steps": 1e12}, EXIT_CONFIG),
+        (_SWEEP + ["--energy", "nan"], EXIT_CONFIG),
+        (_SWEEP + ["--energy", "inf"], EXIT_CONFIG),
+        (_SWEEP + ["--energy", "5e-309"], EXIT_NUMERICAL),
+        (_PROFILE + ["--phi0", "nan", "--phidot0", "1", "--omega0", "1"],
+         EXIT_CONFIG),
+        (_PROFILE + ["--phi0", "1", "--phidot0", "1", "--omega0", "nan"],
+         EXIT_CONFIG),
+        (_PROFILE + ["--phi0", "1", "--phidot0", "1", "--omega0", "1",
+                     "--t-end", "nan"], EXIT_CONFIG),
+        (["phase-profiles", "--profile", "exp", "--phi0", "0", "--phidot0",
+          "800", "--omega0", "1"], EXIT_NUMERICAL),
     ], ids=["gamma_not_a_number", "gamma_nan", "t_span_one_value",
             "t_span_not_a_number", "t_span_three_values", "n_steps_fractional",
             "psi0_unnormalised", "psi0_bloch_unnormalised", "gamma_overflow",
-            "t_span_over_step_cap", "n_steps_over_cap"])
+            "t_span_over_step_cap", "n_steps_over_cap", "sweep_energy_nan",
+            "sweep_energy_inf", "sweep_travel_time_overflow", "profile_phi0_nan",
+            "profile_omega0_nan", "profile_t_end_nan", "profile_exp_overflow"])
     def test_exit_code_without_traceback(self, tmp_path, capsys, config, code):
-        cfg = tmp_path / "run.json"
-        cfg.write_text(config if isinstance(config, str) else json.dumps(config))
+        # a list is a sweep command line; anything else is a report config
+        if isinstance(config, list):
+            argv = config + ["--out", str(tmp_path / "table.csv")]
+        else:
+            cfg = tmp_path / "run.json"
+            cfg.write_text(config if isinstance(config, str)
+                           else json.dumps(config))
+            argv = ["report", "--config", str(cfg), "--out", str(tmp_path)]
         with np.errstate(over="ignore", invalid="ignore"):
-            ret = main(["report", "--config", str(cfg), "--out", str(tmp_path)])
+            ret = main(argv)
         err = capsys.readouterr().err
         assert ret == code
         assert "Traceback" not in err
         assert err.startswith("config error" if code == EXIT_CONFIG
                               else "numerical error")
         assert not (tmp_path / "example3_report.json").exists()
+        assert not (tmp_path / "table.csv").exists()
 
     def test_integral_float_step_count_is_accepted(self, tmp_path):
         cfg = tmp_path / "run.json"

@@ -58,6 +58,10 @@ class TestPauliAlgebra:
         with pytest.raises(HermiticityError):
             pauli_decompose(m)
 
+    def test_decompose_rejects_nan_entries(self):
+        with pytest.raises(HermiticityError):
+            pauli_decompose([[np.nan, 0.0], [0.0, 0.0]])
+
     def test_decompose_rejects_wrong_shape(self):
         with pytest.raises(ShapeError):
             pauli_decompose(np.eye(3))
@@ -101,19 +105,12 @@ class TestScalars:
 
     def test_energy_uncertainty_transverse_field(self):
         # a perpendicular to h: the full field magnitude drives motion
-        assert energy_uncertainty([0.0, 0.0, 1.0], 0.0, [2.0, 0.0, 0.0]) \
+        assert energy_uncertainty([0.0, 0.0, 1.0], [2.0, 0.0, 0.0]) \
             == pytest.approx(2.0, abs=1e-14)
 
     def test_energy_uncertainty_parallel_field_vanishes(self):
-        assert energy_uncertainty([0.0, 0.0, 1.0], 0.3, [0.0, 0.0, 5.0]) \
+        assert energy_uncertainty([0.0, 0.0, 1.0], [0.0, 0.0, 5.0]) \
             == pytest.approx(0.0, abs=1e-12)
-
-    def test_energy_uncertainty_ignores_trace(self):
-        a = np.array([np.sqrt(3) / 2, 0.0, 0.5])
-        h = np.array([0.0, 0.0, 1.0])
-        assert energy_uncertainty(a, 0.0, h) \
-            == pytest.approx(energy_uncertainty(a, 7.0, h), abs=1e-15)
-        assert energy_uncertainty(a, 0.0, h) == pytest.approx(np.sqrt(3) / 2)
 
     @given(theta=angles, phi=phases)
     @settings(max_examples=60, deadline=None)
@@ -125,8 +122,8 @@ class TestScalars:
         m = pauli_compose(h0, h)
         mean = np.vdot(psi, m @ psi).real
         var = np.vdot(psi, m @ (m @ psi)).real - mean ** 2
-        assert energy_uncertainty(a, h0, h) == pytest.approx(np.sqrt(var),
-                                                             abs=1e-10)
+        assert energy_uncertainty(a, h) == pytest.approx(np.sqrt(var),
+                                                         abs=1e-10)
 
     def test_clamped_arccos_clips_rounding_noise(self):
         assert clamped_arccos(1.0 + 1e-12) == 0.0

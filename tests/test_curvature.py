@@ -7,6 +7,7 @@ import pytest
 
 from blochpath import (
     FieldSpec,
+    NumericalError,
     PreconditionError,
     SingularEvolutionError,
     TimeGrid,
@@ -41,6 +42,13 @@ class TestBlochForm:
     def test_parallel_field_is_singular(self):
         with pytest.raises(SingularEvolutionError):
             curvature_bloch([0.0, 0.0, 1.0], [0.0, 0.0, 2.0], np.zeros(3))
+
+    def test_nan_field_derivative_raises(self):
+        field = FieldSpec(h0=0.0, h=lambda t: np.array([1.0, 0.0, 0.2]),
+                          h_dot=lambda t: np.array([np.nan, 0.0, 0.0]))
+        traj = schrodinger_evolve(field, PSI0, TimeGrid(0.0, 1.0, 10))
+        with pytest.raises(NumericalError, match="NaN"):
+            curvature_bloch_profile(traj, field)
 
     def test_scale_invariance_for_static_fields(self):
         # a static rescaled field traces the same circle, so the

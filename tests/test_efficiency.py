@@ -19,7 +19,6 @@ from blochpath import (
     classify,
     efficiency_report,
     geodesic_efficiency_global,
-    geodesic_efficiency_instant,
     geodesic_efficiency_profile,
     hybrid_efficiency,
     schrodinger_evolve,
@@ -55,12 +54,12 @@ class TestGeodesicEfficiency:
         expected = np.arccos((1.0 + 3.0 * np.cos(2.0)) / 4.0) / np.sqrt(3.0)
         assert geodesic_efficiency_global(traj) == pytest.approx(expected,
                                                                  abs=1e-9)
-        assert geodesic_efficiency_instant(traj, traj.grid.n_steps) \
+        assert geodesic_efficiency_profile(traj)[traj.grid.n_steps] \
             == pytest.approx(expected, abs=1e-9)
         assert expected == pytest.approx(0.94278207655677, abs=1e-12)
 
     def test_initial_node_limit_convention(self, example3):
-        assert geodesic_efficiency_instant(example3.traj, 0) == 1.0
+        assert geodesic_efficiency_profile(example3.traj)[0] == 1.0
 
     def test_geodesic_drive_scores_one_everywhere(self, example1):
         profile = geodesic_efficiency_profile(example1.traj)

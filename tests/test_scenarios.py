@@ -177,6 +177,21 @@ class TestGoldenFiles:
             for g, w in zip(got_row, want_row):
                 assert float(g) == pytest.approx(float(w), abs=1e-12)
 
+    def test_sweep_alpha_csv_matches_golden_bytes(self, tmp_path):
+        write_csv(tmp_path / "sweep.csv", sweep_alpha(1.2, 9))
+        assert (tmp_path / "sweep.csv").read_bytes() \
+            == (GOLDEN / "sweep_alpha_theta1.2_n9.csv").read_bytes()
+
+    def test_phased_example2_trajectory_matches_golden_bytes(self, tmp_path):
+        # rows of this kappa_bloch column move in the last digits when the
+        # closed form's powers are rounded as array powers instead of libm pow
+        run_report(ScenarioConfig(
+            scenario="example2", t_span=(0.2, 2.0), n_steps=40,
+            parameters={"omega0": 1.7, "nu0": 0.4, "varphi0": 0.3},
+            outputs=("trajectory", "efficiency", "curvature")), out_dir=tmp_path)
+        assert (tmp_path / "example2_trajectory.csv").read_bytes() \
+            == (GOLDEN / "example2_phased_trajectory_n40.csv").read_bytes()
+
     def test_example2_report_documents_the_closed_form(self, tmp_path):
         run_report(ScenarioConfig(scenario="example2", outputs=("report",),
                                   n_steps=50), out_dir=tmp_path)

@@ -1,0 +1,42 @@
+"""The benchmark tracer still finds and times every layer it wraps.
+
+``perfbench/trace.py`` replaces module attributes of blochpath (the names
+``run_report``, ``schrodinger_evolve``, ``sample_field``,
+``curvature_bloch_profile``, ``write_csv`` and so on) with timing wrappers.
+A refactor that renames one of them, or stops calling it through that
+name, would silently empty a per-layer metric; this test catches it.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import blochpath
+from blochpath import scenarios
+
+TRACE = Path(__file__).resolve().parents[1] / "perfbench" / "trace.py"
+
+
+def load_trace_module():
+    # loaded from its path: the module's name, ``trace``, is also a stdlib one
+    spec = importlib.util.spec_from_file_location("perfbench_trace", TRACE)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_layers_record_error_free_spans(tmp_path):
+    trace = load_trace_module()
+    tracer = trace.Tracer()
+    with tracer.installed(blochpath):
+        scenarios.run_report(
+            scenarios.ScenarioConfig(scenario="example3", n_steps=20),
+            out_dir=tmp_path)
+        scenarios.write_csv(tmp_path / "sweep.csv",
+                            scenarios.sweep_alpha(1.2, 9))
+    errors = {}
+    for span in tracer.spans:
+        errors.setdefault(span[trace.NAME], []).append(span[trace.ERROR])
+    for name in ("curvature.bloch_profile", "evolve.sample_field",
+                 "efficiency.efficiency_report", "scenarios.write_csv"):
+        assert errors.get(name), f"no {name} span recorded"
+        assert errors[name] == [None] * len(errors[name]), name
