@@ -11,6 +11,8 @@ import argparse
 import json
 import sys
 
+import numpy as np
+
 from . import scenarios
 from .errors import BlochPathError, ConfigError, NumericalError
 
@@ -115,7 +117,11 @@ def _run(args) -> int:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _run(args)
+        # overflow and invalid values are caught by the explicit finiteness
+        # checks and reported as typed errors; numpy's warnings would only
+        # repeat them on stderr ahead of the message
+        with np.errstate(all="ignore"):
+            return _run(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -21,6 +21,8 @@ from typing import Callable, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .errors import (
+    BlochPathError,
+    FieldError,
     HermiticityError,
     NormalizationError,
     NumericalError,
@@ -110,6 +112,22 @@ def pauli_compose(h0, h) -> np.ndarray:
     return out
 
 
+def _hermitian_parts(m):
+    """Hermiticity defect, half trace and Pauli vector of ``(..., 2, 2)``
+    matrices, row by row; the defect is the entrywise max of ``|m - m^H|``."""
+    defect = np.abs(m - np.swapaxes(m.conj(), -1, -2)).max(axis=(-2, -1))
+    h0 = 0.5 * (m[..., 0, 0].real + m[..., 1, 1].real)
+    h = np.stack(
+        [
+            0.5 * (m[..., 0, 1].real + m[..., 1, 0].real),
+            0.5 * (m[..., 1, 0].imag - m[..., 0, 1].imag),
+            0.5 * (m[..., 0, 0].real - m[..., 1, 1].real),
+        ],
+        axis=-1,
+    )
+    return defect, h0, h
+
+
 def pauli_decompose(matrix) -> Tuple[float, np.ndarray]:
     """Split a 2x2 Hermitian matrix into its trace part and Pauli vector.
 
@@ -129,18 +147,27 @@ def pauli_decompose(matrix) -> Tuple[float, np.ndarray]:
     m = np.asarray(matrix, dtype=complex)
     if m.shape != (2, 2):
         raise ShapeError(f"expected a 2x2 matrix, got shape {m.shape}")
-    defect = np.max(np.abs(m - m.conj().T))
+    defect, h0, h = _hermitian_parts(m)
     if not defect <= TOL_HERM:
         raise HermiticityError(f"matrix deviates from Hermiticity by {defect:.3e}")
-    h0 = 0.5 * (m[0, 0].real + m[1, 1].real)
-    h = np.array(
-        [
-            0.5 * (m[0, 1] + m[1, 0]).real,
-            0.5 * (m[1, 0] - m[0, 1]).imag,
-            0.5 * (m[0, 0].real - m[1, 1].real),
-        ]
-    )
     return h0, h
+
+
+def _bloch_rows(states):
+    """Bloch vectors of ``(..., 2)`` states, rounded as scalar complex
+    arithmetic rounds: ``conj(c0) c1`` spelled out in real parts and
+    ``|c|^2`` as ``float_power(hypot, 2)`` (libm ``pow``), not as the
+    array complex multiply and square, which round differently."""
+    xr, xi = states[..., 0].real, -states[..., 0].imag
+    yr, yi = states[..., 1].real, states[..., 1].imag
+    return np.stack(
+        [
+            2.0 * (xr * yr - xi * yi),
+            2.0 * (xr * yi + xi * yr),
+            np.float_power(np.hypot(xr, xi), 2) - np.float_power(np.hypot(yr, yi), 2),
+        ],
+        axis=-1,
+    )
 
 
 def bloch_from_state(psi) -> np.ndarray:
@@ -149,12 +176,7 @@ def bloch_from_state(psi) -> np.ndarray:
     norm = np.vdot(vec, vec).real
     if abs(norm - 1.0) > TOL_NORM:
         raise NormalizationError(f"state norm^2 = {norm!r}, expected 1")
-    cross = np.conj(vec[0]) * vec[1]
-    # ``abs(c) ** 2`` is libm ``pow`` on a scalar but a square on arrays, so
-    # this map and ``evolve._bloch_of`` round differently and stay apart
-    return np.array(
-        [2.0 * cross.real, 2.0 * cross.imag, abs(vec[0]) ** 2 - abs(vec[1]) ** 2]
-    )
+    return _bloch_rows(vec)
 
 
 def state_from_bloch(a) -> np.ndarray:
@@ -212,24 +234,60 @@ def fubini_study_distance(a, b) -> float:
     return clamped_arccos(float(a @ b))
 
 
-def _constant_scalar(value: float) -> Callable[[float], float]:
-    val = float(value)
-    return lambda t: val
+def _first(flags) -> Optional[int]:
+    """Index of the first true entry of ``flags``, or None."""
+    hits = np.flatnonzero(flags)
+    return int(hits[0]) if hits.size else None
 
 
-def _constant_vector(value) -> Callable[[float], np.ndarray]:
-    val = np.asarray(value, dtype=float).copy()
-    return lambda t: val
+def _per_sample(fn: Callable, times: np.ndarray, convert: Callable,
+                shape: tuple = (), dtype=float) -> np.ndarray:
+    """``convert(fn(t))`` for every ``t`` of ``times``, stacked.
+
+    ``fn`` is called once per sample, in the order of ``times``, with its
+    numpy float64 element, and each result is written into one
+    preallocated array.  Exceptions other than :class:`BlochPathError`
+    surface as :class:`FieldError` naming the failing ``t``.
+    """
+    out = np.empty(times.shape + shape, dtype=dtype)
+    for k, t in enumerate(times):
+        try:
+            out[k] = convert(fn(t))
+        except BlochPathError:
+            raise
+        except Exception as exc:
+            raise FieldError(f"field evaluation failed at t = {t!r}: {exc}") from exc
+    return out
+
+
+def _field_row(value) -> np.ndarray:
+    return _as_vec3(value, "field")
+
+
+def _derivative_row(value) -> np.ndarray:
+    return _as_vec3(value, "field derivative")
+
+
+def _column(value, times: np.ndarray, convert: Callable, shape: tuple = ()):
+    """A constant broadcast over ``times``, or a callable sampled per sample."""
+    if callable(value):
+        return _per_sample(value, times, convert, shape)
+    return np.broadcast_to(value, times.shape + shape).copy()
 
 
 @dataclass
 class FieldSpec:
     """Time-dependent control field ``H(t) = h0(t) * I + h(t) . sigma``.
 
-    ``h0`` and ``h`` may be callables of time or constants; constants are
-    wrapped into closures.  ``h_dot`` is the optional analytic derivative of
-    ``h`` used by curvature routines; when absent a central difference is
-    taken.
+    ``h0`` and ``h`` may be scalar callables of time or constants.  ``h_dot``
+    is the optional analytic derivative of ``h`` used by curvature routines;
+    when absent a central difference is taken, and a constant ``h`` has a
+    zero derivative.
+
+    :meth:`sample` and :meth:`sample_h_dot` evaluate a whole array of times:
+    constants broadcast, and a callable is called once per sample, in time
+    order.  Fields built from tables or prescribed paths sample in batches
+    instead.
     """
 
     h0: Union[Callable[[float], float], float]
@@ -239,20 +297,50 @@ class FieldSpec:
 
     def __post_init__(self):
         if not callable(self.h0):
-            self.h0 = _constant_scalar(self.h0)
+            self.h0 = float(self.h0)
         if not callable(self.h):
-            self.h = _constant_vector(self.h)
+            self.h = _field_row(np.array(self.h, dtype=float))
             if self.h_dot is None:
-                self.h_dot = _constant_vector((0.0, 0.0, 0.0))
+                self.h_dot = np.zeros(3)
+
+    def sample(self, times) -> Tuple[np.ndarray, np.ndarray]:
+        """``(h0, h)`` at ``times``: arrays of shape ``(n,)`` and ``(n, 3)``."""
+        times = np.asarray(times, dtype=float)
+        return (_column(self.h0, times, float),
+                _column(self.h, times, _field_row, (3,)))
+
+    def _sample_h(self, times: np.ndarray) -> np.ndarray:
+        """``h`` alone at ``times``; the trace part is not evaluated."""
+        return _column(self.h, times, _field_row, (3,))
+
+    def sample_h_dot(self, times, step: float = 1e-6) -> np.ndarray:
+        """``dh/dt`` at ``times``, shape ``(n, 3)``: analytic when ``h_dot``
+        is given, else the central difference ``(h(t + step) - h(t - step))
+        / (2 step)``, sampling ``h`` at ``t + step, t - step`` node by node."""
+        times = np.asarray(times, dtype=float)
+        if self.h_dot is not None:
+            return _column(self.h_dot, times, _derivative_row, (3,))
+        around = self._sample_h(np.stack([times + step, times - step], axis=-1).ravel())
+        return (around[0::2] - around[1::2]) / (2.0 * step)
 
     def h0_at(self, t: float) -> float:
-        return float(self.h0(t))
+        return float(self.sample([t])[0][0])
 
     def h_at(self, t: float) -> np.ndarray:
-        return _as_vec3(self.h(t), "field")
+        return self.sample([t])[1][0]
 
     def h_dot_at(self, t: float, step: float = 1e-6) -> np.ndarray:
         """Analytic ``dh/dt`` when available, else a central difference."""
-        if self.h_dot is not None:
-            return _as_vec3(self.h_dot(t), "field derivative")
-        return (self.h_at(t + step) - self.h_at(t - step)) / (2.0 * step)
+        return self.sample_h_dot([t], step)[0]
+
+
+@dataclass
+class _BatchedField(FieldSpec):
+    """Base of fields that override :meth:`sample` with a batched
+    evaluation; ``h0`` and ``h`` hold whatever that evaluation reads."""
+
+    def __post_init__(self):
+        pass
+
+    def _sample_h(self, times: np.ndarray) -> np.ndarray:
+        return self.sample(times)[1]

@@ -90,8 +90,7 @@ def curvature_bloch_profile(traj: Trajectory, field: FieldSpec) -> np.ndarray:
     ``dh/dt`` comes from ``field.h_dot`` when supplied, otherwise from a
     central difference with the grid spacing.
     """
-    step = traj.grid.dt
-    h_dot = np.array([field.h_dot_at(t, step=step) for t in traj.times])
+    h_dot = field.sample_h_dot(traj.times, step=traj.grid.dt)
     return curvature_bloch(traj.bloch, traj.h_nodes, h_dot)
 
 

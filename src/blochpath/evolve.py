@@ -12,9 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FieldSpec, clamped_arccos, energy_uncertainty, pauli_compose
+from .core import (FieldSpec, _first, clamped_arccos, energy_uncertainty,
+                   pauli_compose)
 from .errors import (
-    BlochPathError,
     ConfigError,
     FieldError,
     IntegrationError,
@@ -108,24 +108,17 @@ class TimeGrid:
 
 
 def sample_field(field: FieldSpec, times) -> tuple[np.ndarray, np.ndarray]:
-    """Evaluate ``(h0(t), h(t))`` on an array of times.
+    """Evaluate ``(h0(t), h(t))`` on an array of times with
+    :meth:`FieldSpec.sample`.
 
-    Exceptions raised inside user callables, and non-finite return values,
-    surface as :class:`FieldError`.
+    Exceptions raised inside user callables, and non-finite samples, surface
+    as :class:`FieldError` naming the first failing time.
     """
     times = np.asarray(times, dtype=float)
-    h0 = np.empty(times.shape[0])
-    h = np.empty((times.shape[0], 3))
-    for k, t in enumerate(times):
-        try:
-            h0[k] = field.h0_at(t)
-            h[k] = field.h_at(t)
-        except BlochPathError:
-            raise
-        except Exception as exc:
-            raise FieldError(f"field evaluation failed at t = {t!r}: {exc}") from exc
-    if not (np.all(np.isfinite(h0)) and np.all(np.isfinite(h))):
-        raise FieldError("field returned non-finite values")
+    h0, h = field.sample(times)
+    k = _first(~(np.isfinite(h0) & np.isfinite(h).all(axis=1)))
+    if k is not None:
+        raise FieldError(f"field returned non-finite values at t = {times[k]!r}")
     return h0, h
 
 

@@ -16,11 +16,13 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .core import (FieldSpec, bloch_from_state, clamped_arccos,
-                   fubini_study_distance, pauli_decompose)
+from .core import (TOL_HERM, TOL_NORM, FieldSpec, _as_state, _BatchedField,
+                   _bloch_rows, _first, _hermitian_parts, _per_sample,
+                   clamped_arccos, fubini_study_distance)
 from .errors import (
     ConfigError,
     DegenerateEndpointsError,
+    HermiticityError,
     NormalizationError,
     NumericalError,
     PreconditionError,
@@ -194,13 +196,21 @@ def suboptimal_hamiltonian(family: SuboptimalStationary) -> FieldSpec:
                      t_span=(0.0, family.t_ab))
 
 
+def _norm_sq(rows: np.ndarray) -> np.ndarray:
+    """Squared norms of complex rows.  They may differ from ``np.vdot`` in
+    the last bit, so only a value exactly at a check's tolerance can land
+    on the other side of it."""
+    return (rows.real * rows.real + rows.imag * rows.imag).sum(axis=-1)
+
+
 @dataclass
 class UzdinFamily:
     """Prescribed state path ``|m(t)>`` plus optional phase ``phi(t)``.
 
     ``m_dot`` and ``phase_dot`` may be omitted; central differences with
     step ``fd_step`` stand in.  ``variant`` selects which Hamiltonian the
-    constructors below produce.
+    constructors below produce.  The callables take a scalar time; the
+    drives call each once per sample and work on the stacked rows.
     """
 
     m_state: Callable[[float], np.ndarray]
@@ -211,42 +221,89 @@ class UzdinFamily:
     t_span: Tuple[float, float] = (0.0, 1.0)
     fd_step: float = 1e-6
 
-    def m_at(self, t: float) -> np.ndarray:
-        m = np.asarray(self.m_state(t), dtype=complex)
-        norm = np.vdot(m, m).real
-        if abs(norm - 1.0) > 1e-10:
-            raise NormalizationError(f"m({t!r}) has norm^2 = {norm!r}")
-        return m
+    def _states(self, fn, times) -> np.ndarray:
+        return _per_sample(fn, times, _as_state, (2,), complex)
 
-    def m_dot_at(self, t: float) -> np.ndarray:
+    def _m_rows(self, times) -> Tuple[np.ndarray, np.ndarray]:
+        """``m`` at ``times`` as ``(n, 2)`` rows, and its squared norms."""
+        m = self._states(self.m_state, times)
+        norm = _norm_sq(m)
+        k = _first(np.abs(norm - 1.0) > 1e-10)
+        if k is not None:
+            raise NormalizationError(f"m({times[k]!r}) has norm^2 = {norm[k]!r}")
+        return m, norm
+
+    def _m_dot_rows(self, times) -> np.ndarray:
         if self.m_dot is not None:
-            return np.asarray(self.m_dot(t), dtype=complex)
+            return self._states(self.m_dot, times)
         d = self.fd_step
-        return (np.asarray(self.m_state(t + d), dtype=complex)
-                - np.asarray(self.m_state(t - d), dtype=complex)) / (2.0 * d)
+        return (self._states(self.m_state, times + d)
+                - self._states(self.m_state, times - d)) / (2.0 * d)
 
-    def phase_dot_at(self, t: float) -> float:
+    def _phase_dot_rows(self, times) -> np.ndarray:
         if self.phase_dot is not None:
-            return float(self.phase_dot(t))
+            return _per_sample(self.phase_dot, times, float)
         if self.phase is None:
             raise ConfigError("phase derivative requested but neither "
                               "phase nor phase_dot was supplied")
         d = self.fd_step
-        return (float(self.phase(t + d)) - float(self.phase(t - d))) / (2.0 * d)
+        return (_per_sample(self.phase, times + d, float)
+                - _per_sample(self.phase, times - d, float)) / (2.0 * d)
+
+    def m_at(self, t: float) -> np.ndarray:
+        m, _ = self._m_rows(np.array([t], dtype=float))
+        return m[0]
+
+    def m_dot_at(self, t: float) -> np.ndarray:
+        return self._m_dot_rows(np.array([t], dtype=float))[0]
+
+    def phase_dot_at(self, t: float) -> float:
+        return float(self._phase_dot_rows(np.array([t], dtype=float))[0])
 
 
-def _optimal_field_at(fam: UzdinFamily, t: float) -> np.ndarray:
-    m = fam.m_at(t)
-    md = fam.m_dot_at(t)
-    gauge = abs(np.vdot(m, md))
-    if gauge > 1e-8 * (1.0 + np.linalg.norm(md)):
-        raise PreconditionError(
-            f"<m|dm/dt| = {gauge:.3e} at t = {t!r}; the path must be "
-            "parallel transported (phase-fixed) before constructing the drive"
-        )
-    matrix = 1j * (np.outer(md, m.conj()) - np.outer(m, md.conj()))
-    _, h = pauli_decompose(matrix)
-    return h
+@dataclass
+class _PathField(_BatchedField):
+    """Drive of an :class:`UzdinFamily` path, sampled in batches.
+
+    ``h0`` and ``h`` are unused.  The family's callables are called once
+    per sample; the checks, outer products, Pauli split and Bloch map then
+    run once over all rows.  ``variant`` is ``"optimal"`` or the family's
+    sub-optimal variant at construction.
+    """
+
+    family: Optional[UzdinFamily] = None
+    variant: str = "optimal"
+
+    def sample(self, times) -> Tuple[np.ndarray, np.ndarray]:
+        times = np.asarray(times, dtype=float)
+        fam = self.family
+        m, norm = fam._m_rows(times)
+        md = fam._m_dot_rows(times)
+        if self.variant != "optimal":
+            phase_dot = fam._phase_dot_rows(times)
+            k = _first(np.abs(norm - 1.0) > TOL_NORM)
+            if k is not None:
+                raise NormalizationError(f"state norm^2 = {norm[k]!r}, expected 1 "
+                                         f"at t = {times[k]!r}")
+        gauge = np.abs(np.einsum("ij,ij->i", m.conj(), md))
+        k = _first(gauge > 1e-8 * (1.0 + np.sqrt(_norm_sq(md))))
+        if k is not None:
+            raise PreconditionError(
+                f"<m|dm/dt| = {gauge[k]:.3e} at t = {times[k]!r}; the path must be "
+                "parallel transported (phase-fixed) before constructing the drive"
+            )
+        matrix = 1j * (md[:, :, None] * m.conj()[:, None, :]
+                       - m[:, :, None] * md.conj()[:, None, :])
+        defect, _, h = _hermitian_parts(matrix)
+        k = _first(~(defect <= TOL_HERM))
+        if k is not None:
+            raise HermiticityError(f"matrix deviates from Hermiticity by "
+                                   f"{defect[k]:.3e} at t = {times[k]!r}")
+        if self.variant == "optimal":
+            return np.zeros(times.shape), h
+        h = h + (0.5 * phase_dot)[:, None] * _bloch_rows(m)
+        h0 = 0.5 * phase_dot if self.variant == "trace_nonzero" else np.zeros(times.shape)
+        return h0, h
 
 
 def uzdin_optimal(fam: UzdinFamily,
@@ -257,8 +314,8 @@ def uzdin_optimal(fam: UzdinFamily,
     gauge ``<m|dm/dt> = 0``; the resulting field satisfies ``a.h = 0`` along
     the path, so no energy sits in the parallel component.
     """
-    return FieldSpec(h0=0.0, h=lambda t: _optimal_field_at(fam, t),
-                     h_dot=h_dot, t_span=fam.t_span)
+    return _PathField(h0=None, h=None, h_dot=h_dot, t_span=fam.t_span,
+                      family=fam)
 
 
 def uzdin_suboptimal(fam: UzdinFamily,
@@ -277,13 +334,5 @@ def uzdin_suboptimal(fam: UzdinFamily,
         )
     if fam.phase is None and fam.phase_dot is None:
         raise ConfigError("sub-optimal variants need phase or phase_dot")
-
-    def h(t: float) -> np.ndarray:
-        a_m = bloch_from_state(fam.m_at(t))
-        return _optimal_field_at(fam, t) + 0.5 * fam.phase_dot_at(t) * a_m
-
-    if fam.variant == "trace_nonzero":
-        h0 = lambda t: 0.5 * fam.phase_dot_at(t)
-    else:
-        h0 = 0.0
-    return FieldSpec(h0=h0, h=h, h_dot=h_dot, t_span=fam.t_span)
+    return _PathField(h0=None, h=None, h_dot=h_dot, t_span=fam.t_span,
+                      family=fam, variant=fam.variant)

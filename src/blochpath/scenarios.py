@@ -30,7 +30,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import FieldSpec, state_from_bloch
+from .core import FieldSpec, _BatchedField, state_from_bloch
 from .curvature import curvature_bloch_profile
 from .efficiency import (
     efficiency_report,
@@ -312,6 +312,24 @@ def _build_suboptimal_family(config: ScenarioConfig):
     return field, state_from_bloch(a), p
 
 
+@dataclass
+class _TableField(_BatchedField):
+    """Field linear between tabulated knots and constant beyond them.
+
+    ``h0`` and ``h`` hold the table at ``knots``; each column is sampled
+    with one ``np.interp`` over the whole time array.
+    """
+
+    knots: Optional[np.ndarray] = None
+
+    def sample(self, times):
+        times = np.asarray(times, dtype=float)
+        h = np.empty(times.shape + (3,))
+        for i in range(3):
+            h[:, i] = np.interp(times, self.knots, self.h[:, i])
+        return np.interp(times, self.knots, self.h0), h
+
+
 def _build_custom(config: ScenarioConfig):
     spec = config.field
     if not isinstance(spec, dict):
@@ -324,14 +342,7 @@ def _build_custom(config: ScenarioConfig):
             raise ConfigError("field table shapes do not line up with 'times'")
         if times.shape[0] < 2 or np.any(np.diff(times) <= 0):
             raise ConfigError("'times' must be strictly increasing, length >= 2")
-
-        def h0(t):
-            return float(np.interp(t, times, h0_tab))
-
-        def h(t):
-            return np.array([np.interp(t, times, h_tab[:, i]) for i in range(3)])
-
-        field = FieldSpec(h0=h0, h=h, t_span=config.t_span)
+        field = _TableField(h0=h0_tab, h=h_tab, t_span=config.t_span, knots=times)
     else:
         if "h" not in spec:
             raise ConfigError("custom field needs 'h' (and optionally 'h0')")

@@ -6,7 +6,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import blochpath
@@ -204,8 +203,7 @@ class TestConfigBoundary:
             cfg.write_text(config if isinstance(config, str)
                            else json.dumps(config))
             argv = ["report", "--config", str(cfg), "--out", str(tmp_path)]
-        with np.errstate(over="ignore", invalid="ignore"):
-            ret = main(argv)
+        ret = main(argv)
         err = capsys.readouterr().err
         assert ret == code
         assert "Traceback" not in err
@@ -232,6 +230,24 @@ class TestProcessInvocation:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert (tmp_path / "example1_report.json").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["phase-profiles", "--profile", "exp", "--phi0", "0", "--phidot0",
+         "800", "--omega0", "1"],
+        ["sweep-alpha", "--theta-ab", "1.2", "--points", "9", "--energy",
+         "5e-309"],
+    ], ids=["profile_exp_overflow", "sweep_travel_time_overflow"])
+    def test_overflow_prints_only_the_error(self, argv):
+        # numpy's RuntimeWarnings would print ahead of the typed error
+        package_root = Path(blochpath.__file__).resolve().parents[1]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(package_root), env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-m", "blochpath", *argv],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == EXIT_NUMERICAL
+        assert proc.stderr.splitlines()[0].startswith("numerical error")
+        assert "Warning" not in proc.stderr
 
     @pytest.mark.parametrize("argv", [["-c", "import blochpath"],
                                       ["-m", "blochpath", "--help"]])

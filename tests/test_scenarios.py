@@ -192,6 +192,28 @@ class TestGoldenFiles:
         assert (tmp_path / "example2_trajectory.csv").read_bytes() \
             == (GOLDEN / "example2_phased_trajectory_n40.csv").read_bytes()
 
+    def test_example4_trajectory_matches_golden_bytes(self, tmp_path):
+        # the batched prescribed-path drive with its analytic h_dot
+        run_report(ScenarioConfig(scenario="example4", parameters={"gamma": 1.7},
+                                  t_span=(0.1, 0.9), n_steps=40), out_dir=tmp_path)
+        assert (tmp_path / "example4_trajectory.csv").read_bytes() \
+            == (GOLDEN / "example4_gamma1.7_trajectory_n40.csv").read_bytes()
+
+    def test_tabulated_trajectory_matches_golden_bytes(self, tmp_path):
+        # np.interp over whole time arrays; kappa_bloch's h_dot is a
+        # central difference of the interpolated table
+        knots = np.linspace(0.0, 1.2, 9)
+        table = {"times": knots.tolist(),
+                 "h": np.stack([0.8 + 0.3 * np.sin(3.0 * knots),
+                                0.4 * np.cos(2.0 * knots),
+                                0.5 - 0.6 * knots], axis=1).tolist(),
+                 "h0": (0.2 * np.cos(4.0 * knots)).tolist()}
+        run_report(ScenarioConfig(scenario="custom", field=table,
+                                  psi0={"bloch": [0.0, 0.6, 0.8]},
+                                  t_span=(0.05, 1.1), n_steps=40), out_dir=tmp_path)
+        assert (tmp_path / "custom_trajectory.csv").read_bytes() \
+            == (GOLDEN / "custom_tabulated_trajectory_n40.csv").read_bytes()
+
     def test_example2_report_documents_the_closed_form(self, tmp_path):
         run_report(ScenarioConfig(scenario="example2", outputs=("report",),
                                   n_steps=50), out_dir=tmp_path)

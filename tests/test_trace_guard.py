@@ -40,3 +40,32 @@ def test_traced_layers_record_error_free_spans(tmp_path):
                  "efficiency.efficiency_report", "scenarios.write_csv"):
         assert errors.get(name), f"no {name} span recorded"
         assert errors[name] == [None] * len(errors[name]), name
+
+
+def test_batched_fields_sample_once_per_evolve(tmp_path):
+    # example2 is a prescribed-path drive, the custom one a table; both are
+    # sampled in one batch per evolve, and curvature's h_dot is sampled
+    # through the field itself, not through evolve.sample_field
+    trace = load_trace_module()
+    tracer = trace.Tracer()
+    n_steps = 20
+    configs = [
+        scenarios.ScenarioConfig(scenario="example2", n_steps=n_steps),
+        scenarios.ScenarioConfig(scenario="custom", n_steps=n_steps, field={
+            "times": [0.0, 0.4, 1.0], "h0": [0.1, -0.3, 0.2],
+            "h": [[1.0, 0.0, 0.2], [0.4, 0.6, 0.0], [0.1, 0.2, 0.9]]},
+            psi0={"bloch": [0.0, 0.6, 0.8]}),
+    ]
+    with tracer.installed(blochpath):
+        for config in configs:
+            scenarios.run_report(config, out_dir=tmp_path)
+    names = [span[trace.NAME] for span in tracer.spans]
+    samples = [span for span in tracer.spans
+               if span[trace.NAME] == "evolve.sample_field"]
+    assert [span[trace.ERROR] for span in samples] == [None, None]
+    assert names.count("evolve.schrodinger_evolve") == 2
+    assert names.count("curvature.bloch_profile") == 2
+    assert tracer.counts["field_samples"] == 2 * (2 * n_steps + 1)
+    for span in samples:
+        assert tracer.spans[span[trace.PARENT]][trace.NAME] \
+            == "evolve.schrodinger_evolve"
