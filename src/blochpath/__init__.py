@@ -59,7 +59,6 @@ from .evolve import (
     TimeGrid,
     Trajectory,
     parallel_transport,
-    path_length,
     sample_field,
     schrodinger_evolve,
     transport_residual,

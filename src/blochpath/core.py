@@ -174,7 +174,7 @@ def bloch_from_state(psi) -> np.ndarray:
     """Bloch vector of a normalized pure state."""
     vec = _as_state(psi)
     norm = np.vdot(vec, vec).real
-    if abs(norm - 1.0) > TOL_NORM:
+    if not abs(norm - 1.0) <= TOL_NORM:
         raise NormalizationError(f"state norm^2 = {norm!r}, expected 1")
     return _bloch_rows(vec)
 
@@ -187,7 +187,7 @@ def state_from_bloch(a) -> np.ndarray:
     """
     a = _as_vec3(a, "Bloch vector")
     norm = float(a @ a)
-    if abs(norm - 1.0) > TOL_NORM:
+    if not abs(norm - 1.0) <= TOL_NORM:
         raise NormalizationError(f"Bloch norm^2 = {norm!r}, expected 1")
     ax, ay, az = float(a[0]), float(a[1]), float(a[2])
     # branch per hemisphere so the small amplitude is recovered from the
@@ -260,19 +260,21 @@ def _per_sample(fn: Callable, times: np.ndarray, convert: Callable,
     return out
 
 
-def _field_row(value) -> np.ndarray:
-    return _as_vec3(value, "field")
-
-
-def _derivative_row(value) -> np.ndarray:
-    return _as_vec3(value, "field derivative")
-
-
-def _column(value, times: np.ndarray, convert: Callable, shape: tuple = ()):
-    """A constant broadcast over ``times``, or a callable sampled per sample."""
+def _column(value, times: np.ndarray, rows: Optional[str] = None):
+    """A constant broadcast over ``times``, or a callable sampled per sample:
+    scalars, or with ``rows`` naming the quantity, checked 3-vector rows."""
+    shape, convert = ((), float) if rows is None else ((3,), lambda v: _as_vec3(v, rows))
     if callable(value):
         return _per_sample(value, times, convert, shape)
     return np.broadcast_to(value, times.shape + shape).copy()
+
+
+def _central_difference(sample: Callable, times: np.ndarray, step: float):
+    """``(f(t + step) - f(t - step)) / (2 step)`` at every ``t`` of ``times``,
+    where ``sample`` evaluates ``f`` on an array of times; ``f`` is sampled
+    at ``t + step, t - step`` node by node."""
+    around = sample(np.stack([times + step, times - step], axis=-1).ravel())
+    return (around[0::2] - around[1::2]) / (2.0 * step)
 
 
 @dataclass
@@ -299,39 +301,26 @@ class FieldSpec:
         if not callable(self.h0):
             self.h0 = float(self.h0)
         if not callable(self.h):
-            self.h = _field_row(np.array(self.h, dtype=float))
+            self.h = _as_vec3(np.array(self.h, dtype=float), "field")
             if self.h_dot is None:
                 self.h_dot = np.zeros(3)
 
     def sample(self, times) -> Tuple[np.ndarray, np.ndarray]:
         """``(h0, h)`` at ``times``: arrays of shape ``(n,)`` and ``(n, 3)``."""
         times = np.asarray(times, dtype=float)
-        return (_column(self.h0, times, float),
-                _column(self.h, times, _field_row, (3,)))
+        return _column(self.h0, times), _column(self.h, times, "field")
 
     def _sample_h(self, times: np.ndarray) -> np.ndarray:
         """``h`` alone at ``times``; the trace part is not evaluated."""
-        return _column(self.h, times, _field_row, (3,))
+        return _column(self.h, times, "field")
 
-    def sample_h_dot(self, times, step: float = 1e-6) -> np.ndarray:
+    def sample_h_dot(self, times, step: float) -> np.ndarray:
         """``dh/dt`` at ``times``, shape ``(n, 3)``: analytic when ``h_dot``
-        is given, else the central difference ``(h(t + step) - h(t - step))
-        / (2 step)``, sampling ``h`` at ``t + step, t - step`` node by node."""
+        is given, else a central difference of ``h`` with ``step``."""
         times = np.asarray(times, dtype=float)
         if self.h_dot is not None:
-            return _column(self.h_dot, times, _derivative_row, (3,))
-        around = self._sample_h(np.stack([times + step, times - step], axis=-1).ravel())
-        return (around[0::2] - around[1::2]) / (2.0 * step)
-
-    def h0_at(self, t: float) -> float:
-        return float(self.sample([t])[0][0])
-
-    def h_at(self, t: float) -> np.ndarray:
-        return self.sample([t])[1][0]
-
-    def h_dot_at(self, t: float, step: float = 1e-6) -> np.ndarray:
-        """Analytic ``dh/dt`` when available, else a central difference."""
-        return self.sample_h_dot([t], step)[0]
+            return _column(self.h_dot, times, "field derivative")
+        return _central_difference(self._sample_h, times, step)
 
 
 @dataclass

@@ -199,15 +199,9 @@ def curvature_numeric_profile(traj: Trajectory) -> np.ndarray:
     return np.einsum("ij,ij->i", normal.conj(), normal).real
 
 
-def curvature_numeric_oracle(traj: Trajectory, k: int | None = None):
-    """Covariant-derivative curvature, per node or as a full profile.
-
-    With ``k`` given, the node must be interior (the boundary stencils are
-    not acceptance grade).
-    """
-    profile = curvature_numeric_profile(traj)
-    if k is None:
-        return profile
+def curvature_numeric_oracle(traj: Trajectory, k: int) -> float:
+    """Covariant-derivative curvature at node ``k``, which must be interior
+    (the boundary stencils are not acceptance grade)."""
     if not 0 < k < traj.n_nodes - 1:
         raise PreconditionError("numeric curvature is only trusted at interior nodes")
-    return float(profile[k])
+    return float(curvature_numeric_profile(traj)[k])

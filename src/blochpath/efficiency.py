@@ -116,6 +116,18 @@ def speed_efficiency_profile(traj: Trajectory) -> np.ndarray:
     return _unit_ratio(traj.delta_e / norms)
 
 
+def _closed_form_ratio(cdot_sq, phidot, denom_sq):
+    """``sqrt(c^2 / denom_sq(c^2, phidot))`` after the shared domain checks."""
+    c2 = np.asarray(cdot_sq, dtype=float)
+    pd = np.asarray(phidot, dtype=float)
+    if np.any(c2 < 0.0):
+        raise RangeError("cdot_sq must be nonnegative")
+    denom = denom_sq(c2, pd)
+    if np.any(denom == 0.0):
+        raise ZeroHamiltonianError("speed efficiency undefined for H = 0")
+    return _unit_ratio(np.sqrt(c2 / denom))
+
+
 def speed_efficiency_tracenonzero(cdot_sq, phidot):
     """Closed-form speed efficiency of the trace-keeping sub-optimal drive.
 
@@ -123,14 +135,8 @@ def speed_efficiency_tracenonzero(cdot_sq, phidot):
     where ``c^2 = |dc0/dt|^2 + |dc1/dt|^2`` for the driven path amplitudes.
     Accepts scalars or arrays in ``phidot``.
     """
-    c2 = np.asarray(cdot_sq, dtype=float)
-    pd = np.asarray(phidot, dtype=float)
-    if np.any(c2 < 0.0):
-        raise RangeError("cdot_sq must be nonnegative")
-    denom_sq = 0.5 * pd**2 + c2 + 0.5 * np.abs(pd) * np.sqrt(pd**2 + 4.0 * c2)
-    if np.any(denom_sq == 0.0):
-        raise ZeroHamiltonianError("speed efficiency undefined for H = 0")
-    return _unit_ratio(np.sqrt(c2 / denom_sq))
+    return _closed_form_ratio(cdot_sq, phidot, lambda c2, pd: (
+        0.5 * pd**2 + c2 + 0.5 * np.abs(pd) * np.sqrt(pd**2 + 4.0 * c2)))
 
 
 def speed_efficiency_tracezero(cdot_sq, phidot):
@@ -139,14 +145,7 @@ def speed_efficiency_tracezero(cdot_sq, phidot):
     ``sqrt(c^2) / sqrt(phidot^2/4 + c^2)``; for small ``phidot`` behaves as
     ``1 - phidot^2 / (8 c^2)``.
     """
-    c2 = np.asarray(cdot_sq, dtype=float)
-    pd = np.asarray(phidot, dtype=float)
-    if np.any(c2 < 0.0):
-        raise RangeError("cdot_sq must be nonnegative")
-    denom_sq = 0.25 * pd**2 + c2
-    if np.any(denom_sq == 0.0):
-        raise ZeroHamiltonianError("speed efficiency undefined for H = 0")
-    return _unit_ratio(np.sqrt(c2 / denom_sq))
+    return _closed_form_ratio(cdot_sq, phidot, lambda c2, pd: 0.25 * pd**2 + c2)
 
 
 def hybrid_efficiency(eta_ge_bar: float, eta_se_bar: float) -> float:
@@ -176,10 +175,15 @@ class EfficiencyReport:
     mean_energy_loss: float
     s_total: float
     s0_total: float
-    duration: float
 
 
-def _classify_values(eta_ge_bar: float, eta_se_bar: float) -> Classification:
+def classify(eta_ge_bar: float, eta_se_bar: float) -> Classification:
+    """Assign the waste taxonomy label from the averaged factors.
+
+    A factor within ``TOL_ONE`` of 1 counts as 1.  When both factors fall
+    short, the relative losses ``1 - eta`` are compared with relative
+    tolerance ``TOL_CMP`` to pick among the wasteful sub-cases.
+    """
     geodesic = eta_ge_bar >= 1.0 - TOL_ONE
     unwasteful = eta_se_bar >= 1.0 - TOL_ONE
     if geodesic and unwasteful:
@@ -197,16 +201,6 @@ def _classify_values(eta_ge_bar: float, eta_se_bar: float) -> Classification:
     return Classification.LESS_WASTEFUL_THAN_NONGEODESIC
 
 
-def classify(report: EfficiencyReport) -> Classification:
-    """Assign the waste taxonomy label from a report's averaged factors.
-
-    A factor within ``TOL_ONE`` of 1 counts as 1.  When both factors fall
-    short, the relative losses ``1 - eta`` are compared with relative
-    tolerance ``TOL_CMP`` to pick among the wasteful sub-cases.
-    """
-    return _classify_values(report.eta_ge_bar, report.eta_se_bar)
-
-
 def efficiency_report(traj: Trajectory) -> EfficiencyReport:
     """Evaluate both efficiency curves, their trapezoid time averages, the
     product, and the label, from the trajectory's stored field samples."""
@@ -221,10 +215,9 @@ def efficiency_report(traj: Trajectory) -> EfficiencyReport:
         eta_ge_bar=ge_bar,
         eta_se_bar=se_bar,
         eta_he=hybrid_efficiency(ge_bar, se_bar),
-        classification=_classify_values(ge_bar, se_bar),
+        classification=classify(ge_bar, se_bar),
         mean_length_loss=1.0 - ge_bar,
         mean_energy_loss=1.0 - se_bar,
         s_total=float(traj.s_accum[-1]),
         s0_total=float(traj.s0[-1]),
-        duration=float(duration),
     )

@@ -30,7 +30,6 @@ __all__ = [
     "schrodinger_evolve",
     "parallel_transport",
     "transport_residual",
-    "path_length",
 ]
 
 #: default number of RK4 steps per unit time
@@ -213,7 +212,7 @@ def schrodinger_evolve(field: FieldSpec, psi0,
     if psi0.shape != (2,):
         raise ShapeError(f"expected a length-2 state, got shape {psi0.shape}")
     norm0 = np.sqrt(np.vdot(psi0, psi0).real)
-    if abs(norm0 - 1.0) > TOL_NORM0:
+    if not abs(norm0 - 1.0) <= TOL_NORM0:
         raise NormalizationError(f"initial state norm {norm0!r}, expected 1")
 
     h0_half, h_half = sample_field(field, grid.half_times)
@@ -277,7 +276,3 @@ def transport_residual(m_states, times) -> np.ndarray:
     overlap = np.einsum("ij,ij->i", np.conj(m[1:-1]), dm)
     return np.abs(overlap)
 
-
-def path_length(traj: Trajectory) -> float:
-    """Total Fubini-Study length ``integral 2 dE dt`` along the trajectory."""
-    return float(traj.s_accum[-1])

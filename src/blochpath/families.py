@@ -17,11 +17,12 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from .core import (TOL_HERM, TOL_NORM, FieldSpec, _as_state, _BatchedField,
-                   _bloch_rows, _first, _hermitian_parts, _per_sample,
-                   clamped_arccos, fubini_study_distance)
+                   _bloch_rows, _central_difference, _first, _hermitian_parts,
+                   _per_sample, clamped_arccos, fubini_study_distance)
 from .errors import (
     ConfigError,
     DegenerateEndpointsError,
+    FieldError,
     HermiticityError,
     NormalizationError,
     NumericalError,
@@ -47,6 +48,8 @@ __all__ = [
 
 #: endpoint separations closer than this to 0 or pi are rejected
 TOL_DEG = 1e-6
+#: central-difference step standing in for an omitted ``m_dot`` or ``phase_dot``
+FD_STEP = 1e-6
 
 
 def rodrigues_rotate(v, axis, angle: float) -> np.ndarray:
@@ -208,7 +211,7 @@ class UzdinFamily:
     """Prescribed state path ``|m(t)>`` plus optional phase ``phi(t)``.
 
     ``m_dot`` and ``phase_dot`` may be omitted; central differences with
-    step ``fd_step`` stand in.  ``variant`` selects which Hamiltonian the
+    step ``FD_STEP`` stand in.  ``variant`` selects which Hamiltonian the
     constructors below produce.  The callables take a scalar time; the
     drives call each once per sample and work on the stacked rows.
     """
@@ -219,14 +222,21 @@ class UzdinFamily:
     phase_dot: Optional[Callable[[float], float]] = None
     variant: str = "optimal"
     t_span: Tuple[float, float] = (0.0, 1.0)
-    fd_step: float = 1e-6
 
-    def _states(self, fn, times) -> np.ndarray:
-        return _per_sample(fn, times, _as_state, (2,), complex)
+    def _rows(self, name: str, times, state: bool = False) -> np.ndarray:
+        """Callable ``name`` at ``times``, as ``(n, 2)`` states or ``(n,)``
+        reals; :class:`FieldError` names it and the first non-finite row."""
+        args = (_as_state, (2,), complex) if state else (float,)
+        rows = _per_sample(getattr(self, name), times, *args)
+        bad = ~np.isfinite(rows)
+        k = _first(bad.any(axis=1) if state else bad)
+        if k is not None:
+            raise FieldError(f"{name} returned non-finite values at t = {times[k]!r}")
+        return rows
 
     def _m_rows(self, times) -> Tuple[np.ndarray, np.ndarray]:
         """``m`` at ``times`` as ``(n, 2)`` rows, and its squared norms."""
-        m = self._states(self.m_state, times)
+        m = self._rows("m_state", times, state=True)
         norm = _norm_sq(m)
         k = _first(np.abs(norm - 1.0) > 1e-10)
         if k is not None:
@@ -235,30 +245,17 @@ class UzdinFamily:
 
     def _m_dot_rows(self, times) -> np.ndarray:
         if self.m_dot is not None:
-            return self._states(self.m_dot, times)
-        d = self.fd_step
-        return (self._states(self.m_state, times + d)
-                - self._states(self.m_state, times - d)) / (2.0 * d)
+            return self._rows("m_dot", times, state=True)
+        return _central_difference(lambda ts: self._rows("m_state", ts, state=True),
+                                   times, FD_STEP)
 
     def _phase_dot_rows(self, times) -> np.ndarray:
         if self.phase_dot is not None:
-            return _per_sample(self.phase_dot, times, float)
+            return self._rows("phase_dot", times)
         if self.phase is None:
             raise ConfigError("phase derivative requested but neither "
                               "phase nor phase_dot was supplied")
-        d = self.fd_step
-        return (_per_sample(self.phase, times + d, float)
-                - _per_sample(self.phase, times - d, float)) / (2.0 * d)
-
-    def m_at(self, t: float) -> np.ndarray:
-        m, _ = self._m_rows(np.array([t], dtype=float))
-        return m[0]
-
-    def m_dot_at(self, t: float) -> np.ndarray:
-        return self._m_dot_rows(np.array([t], dtype=float))[0]
-
-    def phase_dot_at(self, t: float) -> float:
-        return float(self._phase_dot_rows(np.array([t], dtype=float))[0])
+        return _central_difference(lambda ts: self._rows("phase", ts), times, FD_STEP)
 
 
 @dataclass
@@ -285,8 +282,10 @@ class _PathField(_BatchedField):
             if k is not None:
                 raise NormalizationError(f"state norm^2 = {norm[k]!r}, expected 1 "
                                          f"at t = {times[k]!r}")
+        # both checks scale with |dm/dt|, as the rounding of the products does
+        md_norm = np.sqrt(_norm_sq(md))
         gauge = np.abs(np.einsum("ij,ij->i", m.conj(), md))
-        k = _first(gauge > 1e-8 * (1.0 + np.sqrt(_norm_sq(md))))
+        k = _first(gauge > 1e-8 * (1.0 + md_norm))
         if k is not None:
             raise PreconditionError(
                 f"<m|dm/dt| = {gauge[k]:.3e} at t = {times[k]!r}; the path must be "
@@ -295,7 +294,7 @@ class _PathField(_BatchedField):
         matrix = 1j * (md[:, :, None] * m.conj()[:, None, :]
                        - m[:, :, None] * md.conj()[:, None, :])
         defect, _, h = _hermitian_parts(matrix)
-        k = _first(~(defect <= TOL_HERM))
+        k = _first(~(defect <= TOL_HERM * (1.0 + md_norm)))
         if k is not None:
             raise HermiticityError(f"matrix deviates from Hermiticity by "
                                    f"{defect[k]:.3e} at t = {times[k]!r}")

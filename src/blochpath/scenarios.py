@@ -40,6 +40,7 @@ from .efficiency import (
 from .errors import BlochPathError, ConfigError, NumericalError
 from .evolve import MAX_STEPS, TOL_NORM0, TimeGrid, schrodinger_evolve
 from .families import (
+    TOL_DEG,
     SuboptimalStationary,
     UzdinFamily,
     arc_length_alpha,
@@ -63,15 +64,6 @@ __all__ = [
     "write_csv",
     "write_json",
 ]
-
-SCENARIOS = (
-    "example1",
-    "example2",
-    "example3",
-    "example4",
-    "suboptimal_family",
-    "custom",
-)
 
 ALL_OUTPUTS = ("trajectory", "efficiency", "curvature", "report")
 
@@ -159,9 +151,7 @@ class ScenarioConfig:
             raise ConfigError("config must be a JSON object")
         if "scenario" not in data:
             raise ConfigError("config is missing the 'scenario' key")
-        known = {"scenario", "parameters", "t_span", "n_steps", "outputs",
-                 "field", "psi0"}
-        bad = set(data) - known
+        bad = set(data) - {f.name for f in fields(cls)}
         if bad:
             raise ConfigError(f"unknown config keys {sorted(bad)}")
         return cls(**data)
@@ -245,7 +235,6 @@ def _build_example2(config: ScenarioConfig):
     fam = UzdinFamily(
         m_state=m,
         m_dot=m_dot,
-        phase=lambda t: phi0 + nu0 * t,
         phase_dot=lambda t: nu0,
         variant="trace_nonzero",
         t_span=config.t_span,
@@ -302,9 +291,20 @@ def _build_example4(config: ScenarioConfig):
     return field, m(config.t_span[0]), p
 
 
+def _check_family_domain(theta_ab: float, E: float) -> None:
+    """:class:`ConfigError` unless the stationary family admits theta_ab and E."""
+    if not TOL_DEG <= theta_ab <= np.pi - TOL_DEG:
+        raise ConfigError("theta_ab must lie strictly between 0 and pi")
+    if E <= 0.0:
+        raise ConfigError("energy scale must be positive")
+
+
 def _build_suboptimal_family(config: ScenarioConfig):
     p = _resolve(config.parameters, "suboptimal_family",
                  {"alpha": None, "theta_ab": None, "E": 1.0})
+    if not 0.0 < p["alpha"] < np.pi:
+        raise ConfigError(f"alpha must lie in (0, pi), got {p['alpha']!r}")
+    _check_family_domain(p["theta_ab"], p["E"])
     a = np.array([0.0, 0.0, 1.0])
     b = np.array([np.sin(p["theta_ab"]), 0.0, np.cos(p["theta_ab"])])
     family = SuboptimalStationary(alpha=p["alpha"], a_hat=a, b_hat=b, E=p["E"])
@@ -368,7 +368,7 @@ def _build_custom(config: ScenarioConfig):
         norm = float(np.sqrt(np.vdot(psi0, psi0).real))
         if abs(norm - 1.0) > TOL_NORM0:
             raise ConfigError(f"psi0 has norm {norm!r}, expected 1")
-    return field, psi0, dict(config.parameters)
+    return field, psi0, _resolve(config.parameters, "custom", {})
 
 
 _BUILDERS = {
@@ -379,6 +379,8 @@ _BUILDERS = {
     "suboptimal_family": _build_suboptimal_family,
     "custom": _build_custom,
 }
+
+SCENARIOS = tuple(_BUILDERS)
 
 
 def _build(config: ScenarioConfig):
@@ -399,8 +401,7 @@ def build_scenario(config: ScenarioConfig):
     For ``suboptimal_family`` the span is the family's own travel time
     ``[0, t_ab]``; every other scenario runs over ``config.t_span``.
     """
-    field, psi0, grid, _ = _build(config)
-    return field, psi0, grid
+    return _build(config)[:3]
 
 
 def _format_float(x) -> str:
@@ -538,10 +539,7 @@ def sweep_alpha(theta_ab: float, n_points: int, E: float = 1.0) -> dict:
         raise ConfigError(f"sweep needs 3 to {MAX_STEPS} alpha points")
     theta_ab = _finite_real(theta_ab, "theta_ab")
     E = _finite_real(E, "energy scale")
-    if not 1e-6 <= theta_ab <= np.pi - 1e-6:
-        raise ConfigError("theta_ab must lie strictly between 0 and pi")
-    if E <= 0.0:
-        raise ConfigError("energy scale must be positive")
+    _check_family_domain(theta_ab, E)
     alphas = np.linspace(0.0, np.pi, int(n_points))
     alphas[0] = ALPHA_EPS
     alphas[-1] = np.pi - ALPHA_EPS

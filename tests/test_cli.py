@@ -1,16 +1,22 @@
 """Command line surface: subcommands, artifact files, exit codes."""
 
+import contextlib
+import io
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import blochpath
-from blochpath.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
+from blochpath.cli import EXIT_CONFIG, EXIT_ERROR, EXIT_NUMERICAL, EXIT_OK, main
 from blochpath.evolve import MAX_STEPS
+from blochpath.scenarios import SCENARIOS
 
 
 class TestExamples:
@@ -158,6 +164,16 @@ def _custom(psi0):
             "psi0": psi0, "n_steps": 50}
 
 
+def _family(**params):
+    return {"scenario": "suboptimal_family", "n_steps": 50,
+            "parameters": {"alpha": 1.0, "theta_ab": 1.2, **params}}
+
+
+#: outside alpha in (0, pi), E > 0 and theta_ab in [1e-6, pi - 1e-6]
+_FAMILY_OUT_OF_DOMAIN = [("alpha", 0.0), ("alpha", 3.2), ("E", 0.0), ("E", -2.0),
+                         ("theta_ab", 0.0), ("theta_ab", 1e-7),
+                         ("theta_ab", 3.14159265358979), ("theta_ab", -1.0),
+                         ("theta_ab", 4.0)]
 _SWEEP = ["sweep-alpha", "--theta-ab", "1.2", "--points", "9"]
 _PROFILE = ["phase-profiles", "--profile", "log", "--points", "9"]
 
@@ -188,12 +204,18 @@ class TestConfigBoundary:
                      "--t-end", "nan"], EXIT_CONFIG),
         (["phase-profiles", "--profile", "exp", "--phi0", "0", "--phidot0",
           "800", "--omega0", "1"], EXIT_NUMERICAL),
+        *[(_family(**{name: value}), EXIT_CONFIG)
+          for name, value in _FAMILY_OUT_OF_DOMAIN],
+        ('{"scenario": "custom", "field": {"h": [1, 0, 0]}, '
+         '"parameters": {"x": NaN, "y": "abc"}}', EXIT_CONFIG),
     ], ids=["gamma_not_a_number", "gamma_nan", "t_span_one_value",
             "t_span_not_a_number", "t_span_three_values", "n_steps_fractional",
             "psi0_unnormalised", "psi0_bloch_unnormalised", "gamma_overflow",
             "t_span_over_step_cap", "n_steps_over_cap", "sweep_energy_nan",
             "sweep_energy_inf", "sweep_travel_time_overflow", "profile_phi0_nan",
-            "profile_omega0_nan", "profile_t_end_nan", "profile_exp_overflow"])
+            "profile_omega0_nan", "profile_t_end_nan", "profile_exp_overflow",
+            *[f"family_{name}_{value}" for name, value in _FAMILY_OUT_OF_DOMAIN],
+            "custom_parameters"])
     def test_exit_code_without_traceback(self, tmp_path, capsys, config, code):
         # a list is a sweep command line; anything else is a report config
         if isinstance(config, list):
@@ -209,7 +231,7 @@ class TestConfigBoundary:
         assert "Traceback" not in err
         assert err.startswith("config error" if code == EXIT_CONFIG
                               else "numerical error")
-        assert not (tmp_path / "example3_report.json").exists()
+        assert not list(tmp_path.glob("*_report.json"))
         assert not (tmp_path / "table.csv").exists()
 
     def test_integral_float_step_count_is_accepted(self, tmp_path):
@@ -220,6 +242,81 @@ class TestConfigBoundary:
         assert ret == EXIT_OK
         payload = json.loads((tmp_path / "example3_report.json").read_text())
         assert payload["n_steps"] == 80
+
+
+#: parameter names each scenario is fuzzed with; "x" is never a valid one
+_FUZZ_NAMES = {"example1": ["omega0", "varphi0", "theta0", "x"],
+               "example2": ["omega0", "nu0", "Omega0", "varphi0", "theta0", "phi0"],
+               "example3": ["gamma"], "example4": ["gamma"],
+               "suboptimal_family": ["alpha", "theta_ab", "E"], "custom": ["x"]}
+_EXTREMES = [0.0, -0.0, -1.0, 5e-324, 1e-300, 1e-9, 3.2, 1e9, 1e300, -1e300,
+             math.nan, math.inf, -math.inf]
+_VALUES = st.floats(-4.0, 4.0) | st.one_of(st.sampled_from(_EXTREMES), st.floats(),
+                                           st.booleans(), st.text(max_size=2))
+_REALS = st.floats(-3.0, 3.0) | st.sampled_from(_EXTREMES)
+_ROW = st.lists(_REALS, min_size=3, max_size=3)
+
+
+def _table(n):
+    return st.fixed_dictionaries(
+        {"times": st.lists(st.floats(-1.0, 3.0), min_size=n, max_size=n).map(sorted),
+         "h": st.lists(_ROW, min_size=n, max_size=n)},
+        optional={"h0": st.lists(_REALS, min_size=n, max_size=n)})
+
+
+_FIELDS = st.one_of(
+    st.fixed_dictionaries({"h": _ROW}, optional={"h0": _REALS}),
+    st.integers(1, 4).flatmap(_table))
+_PSI0 = st.one_of(
+    st.sampled_from([[[1.0, 0.0], [0.0, 0.0]], [[0.6, 0.0], [0.0, 0.8]],
+                     {"bloch": [0.0, 0.6, 0.8]}, {"bloch": [0.0, 0.0, -1.0]}]),
+    st.lists(st.lists(_REALS, min_size=2, max_size=2), min_size=2, max_size=2),
+    st.fixed_dictionaries({"bloch": _ROW}))
+#: mostly [start, start + length] with a positive length, sometimes not
+_T_SPANS = st.tuples(st.floats(-3.0, 3.0), st.floats(1e-9, 5.0) | _REALS).map(
+    lambda span: [span[0], span[0] + span[1]])
+
+
+def _report_configs(scenario):
+    drawn = {"scenario": st.just(scenario), "t_span": _T_SPANS,
+             "n_steps": st.integers(1, 40),
+             "parameters": st.fixed_dictionaries(
+                 {}, optional=dict.fromkeys(_FUZZ_NAMES[scenario], _VALUES))}
+    if scenario == "custom":
+        drawn["field"] = _FIELDS
+    return st.fixed_dictionaries(drawn, optional={"psi0": _PSI0})
+
+
+def _numbers(value):
+    """Every number in a parsed JSON value."""
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, list):
+        return [x for item in value for x in _numbers(item)]
+    return [value] if isinstance(value, (int, float)) else []
+
+
+class TestConfigFuzz:
+    @given(config=st.sampled_from(SCENARIOS).flatmap(_report_configs))
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    def test_every_config_ends_in_a_report_or_a_typed_error(self, tmp_path_factory,
+                                                            config):
+        out = tmp_path_factory.mktemp("fuzz")
+        cfg = out / "run.json"
+        cfg.write_text(json.dumps(config))
+        stderr = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(stderr):
+            ret = main(["report", "--config", str(cfg), "--out", str(out)])
+        assert ret in (EXIT_OK, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_ERROR)
+        assert "Traceback" not in stderr.getvalue()
+        written = out / f"{config['scenario']}_report.json"
+        assert written.exists() == (ret == EXIT_OK)
+        if ret == EXIT_OK:
+            report = json.loads(written.read_text())
+            assert all(math.isfinite(x) for x in _numbers(report))
+            for key in ("eta_ge_bar", "eta_se_bar", "eta_he"):
+                assert 0.0 <= report[key] <= 1.0
 
 
 class TestProcessInvocation:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from blochpath import (
     FieldSpec,
     HermiticityError,
+    NormalizationError,
     NumericalError,
     ShapeError,
     bloch_from_state,
@@ -93,6 +94,13 @@ class TestStateBlochMaps:
         expected = [np.trace(rho @ p).real for p in (PAULI_X, PAULI_Y, PAULI_Z)]
         assert np.allclose(a, expected, atol=1e-12)
 
+    @pytest.mark.parametrize("value", [np.nan, 2.0])
+    def test_maps_reject_unnormalized_and_nan_inputs(self, value):
+        with pytest.raises(NormalizationError):
+            bloch_from_state([value, 0.0])
+        with pytest.raises(NormalizationError):
+            state_from_bloch([value, 0.0, 0.0])
+
     def test_state_from_bloch_south_pole(self):
         psi = state_from_bloch([0.0, 0.0, -1.0])
         assert abs(psi[0]) < 1e-12
@@ -161,11 +169,11 @@ class TestScalars:
 class TestFieldSpec:
     def test_constant_field_has_zero_derivative(self):
         f = FieldSpec(h0=0.25, h=np.array([0.0, 0.5, 0.0]))
-        assert np.allclose(f.h_at(0.3), [0.0, 0.5, 0.0])
-        assert np.allclose(f.h_dot_at(0.3), 0.0, atol=1e-15)
-        assert f.h0_at(1.7) == pytest.approx(0.25)
+        assert np.allclose(f.sample([0.3])[1][0], [0.0, 0.5, 0.0])
+        assert np.allclose(f.sample_h_dot([0.3], 1e-6)[0], 0.0, atol=1e-15)
+        assert f.sample([1.7])[0][0] == pytest.approx(0.25)
 
     def test_time_dependent_field_finite_difference(self):
         f = FieldSpec(h0=0.0, h=lambda t: np.array([np.cos(t), np.sin(t), 0.0]))
-        fd = f.h_dot_at(0.4)
+        fd = f.sample_h_dot([0.4], 1e-6)[0]
         assert np.allclose(fd, [-np.sin(0.4), np.cos(0.4), 0.0], atol=1e-8)

@@ -83,8 +83,8 @@ class TestTransverseForm:
     def test_prescribed_path_drive_gives_four_thirds(self, example4):
         traj, field = example4.traj, example4.field
         for k in (200, 1000, 1800):
-            got = curvature_transverse(field.h_at, traj.times[k],
-                                       a=traj.bloch[k], fd_step=1e-5)
+            got = curvature_transverse(lambda t: field.sample([t])[1][0],
+                                       traj.times[k], a=traj.bloch[k], fd_step=1e-5)
             assert got == pytest.approx(FOUR_THIRDS, abs=1e-6)
 
 

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from blochpath import (
     Classification,
-    EfficiencyReport,
     FieldSpec,
     NumericalError,
     RangeError,
@@ -37,15 +36,6 @@ phidots = st.floats(min_value=-8.0, max_value=8.0,
                     allow_nan=False, allow_infinity=False)
 speeds = st.floats(min_value=1e-3, max_value=16.0,
                    allow_nan=False, allow_infinity=False)
-
-
-def synthetic_report(ge, se):
-    return EfficiencyReport(
-        eta_ge_t=np.array([ge]), eta_se_t=np.array([se]),
-        eta_ge_bar=ge, eta_se_bar=se, eta_he=ge * se,
-        classification=None, mean_length_loss=1.0 - ge,
-        mean_energy_loss=1.0 - se, s_total=1.0, s0_total=ge, duration=1.0,
-    )
 
 
 class TestGeodesicEfficiency:
@@ -149,9 +139,11 @@ class TestSpeedEfficiency:
             variant="trace_nonzero")
         field = uzdin_suboptimal(fam)
         expected = speed_efficiency_tracenonzero(1.0, nu)
-        for t in (0.0, 0.37, 0.81):
-            a = bloch_from_state(fam.m_at(t))
-            got = speed_efficiency(a, field.h0_at(t), field.h_at(t))
+        times = [0.0, 0.37, 0.81]
+        h0, h = field.sample(times)
+        for k, t in enumerate(times):
+            a = bloch_from_state(fam.m_state(t))
+            got = speed_efficiency(a, h0[k], h[k])
             assert got == pytest.approx(expected, abs=1e-10)
 
 
@@ -194,7 +186,7 @@ class TestClassifier:
         (0.9, 0.9, Classification.AS_WASTEFUL_AS_NONGEODESIC),
     ])
     def test_labels(self, ge, se, label):
-        assert classify(synthetic_report(ge, se)) is label
+        assert classify(ge, se) is label
 
     def test_label_strings_are_stable(self):
         assert Classification.GEODESIC_UNWASTEFUL.value == "GeodesicUnwasteful"

@@ -158,8 +158,9 @@ class TestStationaryFamily:
         grid = TimeGrid(0.0, fam.t_ab, 2000)
         traj = schrodinger_evolve(field, state_from_bloch(a), grid)
         assert np.allclose(traj.bloch[-1], b, atol=1e-8)
-        assert field.h0_at(0.0) == 0.0
-        assert np.allclose(field.h_at(0.1), fam.E * fam.n_hat)
+        h0, h = field.sample([0.0, 0.1])
+        assert h0[0] == 0.0
+        assert np.allclose(h[1], fam.E * fam.n_hat)
 
 
 class TestUzdinConstructions:
@@ -172,7 +173,7 @@ class TestUzdinConstructions:
                           m_dot=lambda t: np.array([-np.sin(t), np.cos(t)],
                                                    dtype=complex))
         field = uzdin_optimal(fam)
-        assert field.h0_at(0.2) == 0.0
+        assert field.sample([0.2])[0][0] == 0.0
         grid = TimeGrid(0.0, 1.0, 1000)
         traj = schrodinger_evolve(field, self.great_circle(0.0), grid)
         exact = np.stack([self.great_circle(t) for t in grid.times])
@@ -184,15 +185,15 @@ class TestUzdinConstructions:
                           m_dot=lambda t: np.array([-np.sin(t), np.cos(t)],
                                                    dtype=complex))
         f_fd, f = uzdin_optimal(fam_fd), uzdin_optimal(fam)
-        for t in (0.0, 0.3, 0.9):
-            assert np.allclose(f_fd.h_at(t), f.h_at(t), atol=1e-5)
+        times = [0.0, 0.3, 0.9]
+        assert np.allclose(f_fd.sample(times)[1], f.sample(times)[1], atol=1e-5)
 
     def test_gauge_violation_is_detected(self):
         spinning = UzdinFamily(
             m_state=lambda t: np.exp(2j * t) * self.great_circle(t))
         field = uzdin_optimal(spinning)
         with pytest.raises(PreconditionError):
-            field.h_at(0.5)
+            field.sample([0.5])
 
     def test_suboptimal_variant_validation(self):
         fam = UzdinFamily(m_state=self.great_circle, variant="optimal")
@@ -222,9 +223,9 @@ class TestUzdinConstructions:
             for t in grid.times])
         assert np.max(np.abs(traj.states - expected)) < 1e-7
         if variant == "trace_nonzero":
-            assert field.h0_at(0.3) == pytest.approx(nu / 2.0)
+            assert field.sample([0.3])[0][0] == pytest.approx(nu / 2.0)
         else:
-            assert field.h0_at(0.3) == 0.0
+            assert field.sample([0.3])[0][0] == 0.0
 
     def test_suboptimal_shares_the_optimal_bloch_path(self):
         fam = UzdinFamily(m_state=self.great_circle,
@@ -241,4 +242,4 @@ class TestUzdinConstructions:
         fam = UzdinFamily(m_state=lambda t: np.array([1.0 + t, 0.0],
                                                      dtype=complex))
         with pytest.raises(NormalizationError):
-            fam.m_at(0.5)
+            uzdin_optimal(fam).sample([0.5])

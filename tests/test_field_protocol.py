@@ -14,7 +14,6 @@ import pytest
 from blochpath import (
     FieldError,
     FieldSpec,
-    HermiticityError,
     NormalizationError,
     PreconditionError,
     ScenarioConfig,
@@ -23,6 +22,7 @@ from blochpath import (
     UzdinFamily,
     build_scenario,
     curvature_bloch_profile,
+    run_report,
     sample_field,
     schrodinger_evolve,
     uzdin_optimal,
@@ -95,7 +95,7 @@ class TestCallableContract:
         assert np.array_equal(h0, np.full(11, 0.25))
         assert np.array_equal(h, np.tile([0.0, 0.5, 0.0], (11, 1)))
         assert np.array_equal(FieldSpec(h0=0.0, h=[1.0, 0.0, 0.0])
-                              .sample_h_dot(TIMES), np.zeros((11, 3)))
+                              .sample_h_dot(TIMES, 1e-6), np.zeros((11, 3)))
 
 
 def batched_fields():
@@ -117,9 +117,10 @@ def test_batched_rows_equal_single_samples(field):
     h0, h = field.sample(times)
     h_dot = field.sample_h_dot(times, step=1e-4)
     for k, t in enumerate(times):
-        assert h0[k] == field.h0_at(t)
-        assert np.array_equal(h[k], field.h_at(t))
-        assert np.array_equal(h_dot[k], field.h_dot_at(t, step=1e-4))
+        one_h0, one_h = field.sample([t])
+        assert h0[k] == one_h0[0]
+        assert np.array_equal(h[k], one_h[0])
+        assert np.array_equal(h_dot[k], field.sample_h_dot([t], step=1e-4)[0])
 
 
 def scalar_reference(fam, variant, t):
@@ -198,13 +199,40 @@ class TestBatchedChecks:
         names_first_failure(exc)
 
     def test_hermiticity_rejects_nan(self):
+        # a NaN derivative is named as such before any check compares it
         def m_dot(t):
             return great_circle_dot(t) * (np.nan if t > 0.55 else 1.0)
 
         field = uzdin_optimal(UzdinFamily(m_state=great_circle, m_dot=m_dot))
-        with pytest.raises(HermiticityError) as exc:
+        with pytest.raises(FieldError, match="m_dot returned non-finite") as exc:
             sample_field(field, TIMES)
         names_first_failure(exc)
+
+    @pytest.mark.parametrize("name", ["m_state", "phase_dot"])
+    def test_non_finite_path_rows_are_named(self, name):
+        def late_nan(value):
+            return lambda t: value(t) * (np.nan if t > 0.55 else 1.0)
+
+        callables = {"m_state": great_circle, "m_dot": great_circle_dot,
+                     "phase_dot": lambda t: 0.5}
+        callables[name] = late_nan(callables[name])
+        field = uzdin_suboptimal(UzdinFamily(**callables, variant="trace_zero"))
+        with pytest.raises(FieldError, match=f"{name} returned non-finite") as exc:
+            sample_field(field, TIMES)
+        names_first_failure(exc)
+
+    @pytest.mark.parametrize("gamma", [1e4, 1e6])
+    def test_hermiticity_tolerance_scales_with_the_path_speed(self, gamma):
+        # the Hermiticity defect of i(|dm><m| - |m><dm|) is rounding of
+        # size eps |dm/dt|; with gamma t_end = 10 every run traces one path
+        def report(g):
+            return run_report(ScenarioConfig(
+                scenario="example4", parameters={"gamma": g}, t_span=(0.0, 10.0 / g),
+                n_steps=2000, outputs=()))
+
+        fast, slow = report(gamma), report(1.0)
+        assert fast.eta_ge_bar == pytest.approx(slow.eta_ge_bar, abs=1e-12)
+        assert fast.classification == slow.classification == "NongeodesicUnwasteful"
 
     @pytest.mark.parametrize("where", ["h", "h0", "m_state"])
     def test_raising_callable(self, where):

@@ -95,15 +95,16 @@ class TestConfigValidation:
 class TestBuilders:
     def test_example1_defaults(self):
         field, psi0, grid = build_scenario(ScenarioConfig(scenario="example1"))
-        assert np.allclose(field.h_at(0.0), [0.0, 0.5, 0.0], atol=1e-15)
-        assert field.h0_at(0.0) == 0.0
+        h0, h = field.sample([0.0])
+        assert np.allclose(h[0], [0.0, 0.5, 0.0], atol=1e-15)
+        assert h0[0] == 0.0
         assert np.allclose(psi0, [1.0, 0.0])
         assert grid.n_steps == 2000
         assert (grid.t_start, grid.t_end) == (0.0, 1.0)
 
     def test_example3_defaults(self):
         field, psi0, grid = build_scenario(ScenarioConfig(scenario="example3"))
-        assert np.allclose(field.h_at(0.7), [0.0, 0.0, 1.0])
+        assert np.allclose(field.sample([0.7])[1][0], [0.0, 0.0, 1.0])
         assert np.allclose(psi0, [np.sqrt(3) / 2, 0.5])
 
     def test_example4_starts_on_the_prescribed_path(self):
@@ -123,7 +124,7 @@ class TestBuilders:
                              field={"h0": 0.0, "h": [0.0, 0.0, 1.0]},
                              psi0=[[np.sqrt(3) / 2, 0.0], [0.5, 0.0]])
         field, psi0, _ = build_scenario(cfg)
-        assert np.allclose(field.h_at(0.3), [0.0, 0.0, 1.0])
+        assert np.allclose(field.sample([0.3])[1][0], [0.0, 0.0, 1.0])
         assert np.allclose(psi0, [np.sqrt(3) / 2, 0.5])
 
     def test_custom_table_field_interpolates(self):
@@ -133,8 +134,9 @@ class TestBuilders:
             "h": [[0.0, 0.0, 1.0], [0.0, 0.0, 3.0]],
         })
         field, psi0, _ = build_scenario(cfg)
-        assert field.h0_at(0.25) == pytest.approx(0.25)
-        assert np.allclose(field.h_at(0.5), [0.0, 0.0, 2.0])
+        h0, h = field.sample([0.25, 0.5])
+        assert h0[0] == pytest.approx(0.25)
+        assert np.allclose(h[1], [0.0, 0.0, 2.0])
         assert np.allclose(psi0, [1.0, 0.0])
 
     def test_custom_bloch_initial_state(self):
