@@ -56,8 +56,6 @@ TOL_NORM = 1e-12
 TOL_HERM = 1e-12
 #: allowed excursion of an arccos argument beyond [-1, 1]
 TOL_ARCCOS = 1e-9
-#: magnitude below which a negative ``h^2 - (a.h)^2`` radicand is rounded to 0
-TOL_RADICAND = 1e-14
 
 
 def clamped_arccos(x: Union[float, np.ndarray]):
@@ -203,19 +201,15 @@ def state_from_bloch(a) -> np.ndarray:
 
 
 def energy_uncertainty(a, h):
-    """Instantaneous energy dispersion ``sqrt(h^2 - (a.h)^2)``.
+    """Instantaneous energy dispersion ``|a x h|`` of a unit Bloch vector.
 
+    Equals ``sqrt(h^2 - (a.h)^2)`` without its cancellation near a || h.
     The trace part shifts all eigenvalues equally and cannot contribute,
     so only the traceless part ``h`` of the field enters.
     """
     a = _as_rows(a, "Bloch vector")
     h = _as_rows(h, "field")
-    ah = np.einsum("...i,...i->...", a, h)
-    radicand = np.einsum("...i,...i->...", h, h) - ah * ah
-    low = radicand.min() if radicand.size else 0.0
-    if low < -TOL_RADICAND:
-        raise NumericalError(f"negative dispersion radicand {low:.3e}")
-    return np.sqrt(np.clip(radicand, 0.0, None))
+    return np.linalg.norm(np.cross(a, h), axis=-1)
 
 
 def spectral_norm(h0, h):

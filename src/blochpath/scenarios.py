@@ -20,7 +20,6 @@ reports; identical configs produce byte-identical files.
 from __future__ import annotations
 
 import contextlib
-import csv
 import json
 import math
 import numbers
@@ -404,26 +403,31 @@ def build_scenario(config: ScenarioConfig):
     return _build(config)[:3]
 
 
-def _format_float(x) -> str:
-    return f"{float(x):.15g}"
+#: rows formatted and written at a time, so a long table is never held as text
+_CSV_CHUNK = 256
 
 
 def write_csv(path, columns: dict) -> None:
-    """Write named columns as RFC 4180 CSV.
+    """Write named columns as RFC 4180 CSV, byte for byte as ``csv.writer``.
 
-    Numeric columns are written with 15 significant digits and string
-    columns as they are.  ``path`` is a file path or an open text stream,
-    which is left open.
+    Numbers get 15 significant digits; strings are quoted where they hold
+    ``,``, ``"``, CR or LF, or are an empty lone cell.  ``path`` is a file
+    path or an open text stream, which is left open.
     """
-    names = list(columns)
-    arrays = [np.asarray(columns[n]) for n in names]
-    cells = [map(str if a.dtype.kind == "U" else _format_float, a)
-             for a in arrays]
+    def quote(texts):
+        return ['"' + t.replace('"', '""') + '"' if any(c in t for c in ',"\r\n')
+                or (len(columns) == 1 and not t) else t for t in texts]
+
+    arrays = [np.array(quote(a.tolist())) if a.dtype.kind == "U" else a
+              for a in map(np.asarray, columns.values())]
+    row = ",".join("%s" if a.dtype.kind == "U" else "%.15g"
+                   for a in arrays) + "\r\n"
     with (contextlib.nullcontext(path) if hasattr(path, "write")
           else open(path, "w", newline="", encoding="utf-8")) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(names)
-        writer.writerows(zip(*cells))
+        fh.write(",".join(quote(list(columns))) + "\r\n")
+        for lo in range(0, len(arrays[0]) if arrays else 0, _CSV_CHUNK):
+            chunk = zip(*(a[lo:lo + _CSV_CHUNK].tolist() for a in arrays))
+            fh.write("".join(map(row.__mod__, chunk)))
 
 
 def write_json(path, payload: dict) -> None:

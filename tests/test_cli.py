@@ -158,6 +158,33 @@ class TestReport:
         assert ret == EXIT_NUMERICAL
         assert "numerical error" in capsys.readouterr().err
 
+    def test_eigenstate_reaches_the_singular_evolution_error(self, tmp_path, capsys):
+        # dE is exactly 0 along the field, so no efficiency exceeds 1 first
+        cfg = tmp_path / "eigen.json"
+        cfg.write_text(json.dumps({
+            "scenario": "custom",
+            "field": {"h0": 0.0, "h": [0.0, 0.0, 1.0]},
+            "psi0": {"bloch": [0.0, 0.0, 1.0]},
+        }))
+        ret = main(["report", "--config", str(cfg), "--out", str(tmp_path)])
+        assert ret == EXIT_NUMERICAL
+        assert "(anti)parallel to h" in capsys.readouterr().err
+
+    def test_short_geodesic_is_labelled_geodesic(self, tmp_path):
+        # over 1e-9 the arccos of the endpoint overlap rounded s0 to 0
+        cfg = tmp_path / "short.json"
+        cfg.write_text(json.dumps({
+            "scenario": "custom",
+            "field": {"h0": 0.0, "h": [1.0, 0.0, 0.0]},
+            "psi0": {"bloch": [0.0, 0.0, 1.0]},
+            "t_span": [0.0, 1e-9],
+        }))
+        assert main(["report", "--config", str(cfg), "--out", str(tmp_path)]) \
+            == EXIT_OK
+        payload = json.loads((tmp_path / "custom_report.json").read_text())
+        assert payload["eta_ge_bar"] == 1.0
+        assert payload["classification"] == "GeodesicUnwasteful"
+
 
 def _custom(psi0):
     return {"scenario": "custom", "field": {"h": [0.0, 0.0, 1.0]},

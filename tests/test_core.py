@@ -120,6 +120,12 @@ class TestScalars:
         assert energy_uncertainty([0.0, 0.0, 1.0], [0.0, 0.0, 5.0]) \
             == pytest.approx(0.0, abs=1e-12)
 
+    def test_energy_uncertainty_near_a_strong_parallel_field(self):
+        # h^2 - (a.h)^2 cancels to a negative radicand here; |a x h| does not
+        a, h = [0.96695834, 0.0, 0.25493443], [7.5859375, 0.0, 2.0]
+        assert energy_uncertainty(a, h) \
+            == pytest.approx(abs(a[2] * h[0] - a[0] * h[2]), rel=1e-9)
+
     @given(theta=angles, phi=phases)
     @settings(max_examples=60, deadline=None)
     def test_dispersion_matches_matrix_variance(self, theta, phi):

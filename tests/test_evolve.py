@@ -1,9 +1,13 @@
 """Time grids, RK4 integrators, parallel transport, path-length bookkeeping."""
 
 import dataclasses
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blochpath import (
     ConfigError,
@@ -12,16 +16,20 @@ from blochpath import (
     IntegrationError,
     NormalizationError,
     NumericalError,
+    ScenarioConfig,
     ShapeError,
     TimeGrid,
     bloch_from_state,
+    build_scenario,
     parallel_transport,
     sample_field,
     schrodinger_evolve,
+    state_from_bloch,
     transport_residual,
 )
 from blochpath.evolve import MAX_STEPS, _trapezoid
 from feynman import feynman_evolve
+from rk4_loop import sequential_rk4
 
 PSI0 = np.array([np.sqrt(3) / 2, 0.5], dtype=complex)
 SIGMA_Z_FIELD = FieldSpec(h0=0.0, h=np.array([0.0, 0.0, 1.0]))
@@ -154,6 +162,90 @@ class TestSchrodingerEvolve:
         assert traj.s_accum[-1] == pytest.approx(np.sqrt(3), abs=1e-12)
         assert traj.s_accum[0] == 0.0
         assert np.all(np.diff(traj.s_accum) >= 0.0)
+
+
+coefficients = st.floats(min_value=-4.0, max_value=4.0,
+                         allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def drives(draw):
+    """``(field, psi0, grid)``: a constant, callable or tabulated drive over
+    up to 2500 steps, three blocks of the propagator; block edges are drawn
+    on purpose."""
+    kind = draw(st.sampled_from(["constant", "callable", "tabulated"]))
+    t0 = draw(st.floats(min_value=-1.0, max_value=1.0))
+    steps = st.sampled_from([1023, 1024, 1025, 2048, 2049, 2500])
+    grid = TimeGrid(t0, t0 + draw(st.floats(min_value=0.1, max_value=2.0)),
+                    draw(steps | st.integers(min_value=2, max_value=2500)))
+    c = np.array(draw(st.lists(coefficients, min_size=6, max_size=6)))
+    norm = np.linalg.norm(c[:3])
+    bloch = c[:3] / norm if norm > 1e-3 else np.array([0.0, 0.0, 1.0])
+    if kind == "callable":
+        field = FieldSpec(h0=lambda t: c[3] * np.cos(c[4] * t),
+                          h=lambda t: np.array([c[0], c[5] * np.sin(c[1] * t),
+                                                c[2] + c[4] * t]))
+        return field, state_from_bloch(bloch), grid
+    if kind == "constant":
+        table = {"h0": float(c[3]), "h": c[3:].tolist()}
+    else:
+        knots = np.linspace(grid.t_start, grid.t_end, 7)
+        table = {"times": knots.tolist(), "h0": (c[5] * knots).tolist(),
+                 "h": np.outer(np.cos(c[4] * knots), c[:3]).tolist()}
+    field, psi0, _ = build_scenario(ScenarioConfig(
+        scenario="custom", field=table, psi0={"bloch": list(bloch)}))
+    return field, psi0, grid
+
+
+def _failing_step(run, *args):
+    """``run(*args)``, or the step an :class:`IntegrationError` from it names."""
+    try:
+        return run(*args)
+    except IntegrationError as exc:
+        return int(re.search(r"step (\d+)", str(exc)).group(1))
+
+
+class TestBlockedPropagator:
+    @given(drives())
+    @settings(max_examples=20, deadline=None)
+    def test_states_match_the_sequential_loop(self, drive):
+        field, psi0, grid = drive
+        want = _failing_step(sequential_rk4, field, psi0, grid)
+        got = _failing_step(lambda *a: schrodinger_evolve(*a).states,
+                            field, psi0, grid)
+        if isinstance(want, int):
+            assert got == want
+        else:
+            assert np.max(np.abs(got - want)) <= 1e-12
+
+    @pytest.mark.parametrize("late", [5e3, 1e300])
+    def test_late_block_divergence_names_the_reference_step(self, late):
+        # calm for 1500 steps, then a step too long for the field (finite
+        # drift) or one that overflows (non-finite norm), in the second block
+        field = FieldSpec(h0=0.0, h=lambda t: np.array(
+            [1.0 if t < 0.75 else late, 0.3, 0.0]))
+        grid = TimeGrid(0.0, 1.0, 2000)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(IntegrationError) as want:
+                sequential_rk4(field, PSI0, grid)
+            with pytest.raises(IntegrationError) as got:
+                schrodinger_evolve(field, PSI0, grid)
+        assert "step 1499;" in str(want.value)
+        assert str(got.value) == str(want.value)
+
+    def test_memory_stays_below_256_bytes_per_step(self):
+        # blocks keep the step matrices and their products off the whole grid
+        field = FieldSpec(h0=lambda t: 0.3 * np.sin(t),
+                          h=lambda t: np.array([1.0, 0.5 * np.cos(2.0 * t), 0.2]))
+        grid = TimeGrid(0.0, 3.0, 6000)
+        schrodinger_evolve(field, PSI0, TimeGrid(0.0, 1.0, 10))
+        tracemalloc.start()
+        try:
+            schrodinger_evolve(field, PSI0, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 * grid.n_steps
 
 
 class TestFeynmanEvolve:

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blochpath import (
     ConfigError,
@@ -267,6 +269,45 @@ class TestArtifacts:
         write_csv(stream, columns)
         assert not stream.closed
         assert stream.getvalue().encode() == path.read_bytes()
+
+    @staticmethod
+    def csv_module_bytes(columns):
+        """What ``csv.writer`` renders for ``columns``, numbers as ``.15g``."""
+        out = io.StringIO(newline="")
+        writer = csv.writer(out)
+        writer.writerow(list(columns))
+        writer.writerows(zip(*(
+            [str(x) if isinstance(x, str) else f"{float(x):.15g}" for x in col]
+            for col in columns.values())))
+        return out.getvalue().encode("utf-8")
+
+    @given(st.lists(st.floats(), min_size=1, max_size=40), st.integers(0, 2**32))
+    @settings(max_examples=40, deadline=None)
+    def test_csv_bytes_equal_the_csv_module(self, floats, seed):
+        # any float, plus rows past one write chunk of random magnitudes
+        rng = np.random.default_rng(seed)
+        special = [np.inf, -np.inf, np.nan, -0.0, 0.0, 5e-324, 2.2e-308,
+                   1e300, -1e-300, 1.0 / 3.0]
+        n = len(floats) + len(special) + 2100
+        columns = {
+            "x": np.concatenate([floats, special, rng.normal(size=2100)]),
+            "y": 10.0 ** rng.uniform(-300.0, 300.0, n) * rng.choice([-1, 1], n),
+            "k": np.arange(n),
+        }
+        stream = io.StringIO(newline="")
+        write_csv(stream, columns)
+        assert stream.getvalue().encode("utf-8") == self.csv_module_bytes(columns)
+
+    @pytest.mark.parametrize("columns", [
+        {"name": np.array(["plain", "a,b", 'say "hi"', "two\nlines", "cr\rx",
+                           "", " pad "]),
+         "quoted,head": np.linspace(0.0, 1.0, 7)},
+        {"lone": np.array(["", "x", ""])},
+    ])
+    def test_csv_string_cells_are_quoted_as_the_csv_module_does(self, columns):
+        stream = io.StringIO(newline="")
+        write_csv(stream, columns)
+        assert stream.getvalue().encode("utf-8") == self.csv_module_bytes(columns)
 
     def test_json_writer_format(self, tmp_path):
         path = tmp_path / "t.json"
