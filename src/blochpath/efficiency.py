@@ -75,12 +75,18 @@ def _unit_ratio(value):
     return float(out) if out.ndim == 0 else out
 
 
-def geodesic_efficiency_global(traj: Trajectory) -> float:
-    """Endpoint geodesic distance over total path length, in (0, 1]."""
+def _path_length(traj: Trajectory) -> float:
+    """Total path length; :class:`ZeroPathError` when it is at most
+    ``TOL_S``, where no efficiency of the run is defined."""
     s = float(traj.s_accum[-1])
     if s <= TOL_S:
         raise ZeroPathError(f"path length {s!r} too short for a ratio")
-    return _unit_ratio(float(traj.s0[-1]) / s)
+    return s
+
+
+def geodesic_efficiency_global(traj: Trajectory) -> float:
+    """Endpoint geodesic distance over total path length, in (0, 1]."""
+    return _unit_ratio(float(traj.s0[-1]) / _path_length(traj))
 
 
 def geodesic_efficiency_profile(traj: Trajectory) -> np.ndarray:
@@ -203,7 +209,12 @@ def classify(eta_ge_bar: float, eta_se_bar: float) -> Classification:
 
 def efficiency_report(traj: Trajectory) -> EfficiencyReport:
     """Evaluate both efficiency curves, their trapezoid time averages, the
-    product, and the label, from the trajectory's stored field samples."""
+    product, and the label, from the trajectory's stored field samples.
+
+    A run whose path length is at most ``TOL_S`` (an eigenstate of its
+    field, say) raises :class:`ZeroPathError` before any of them.
+    """
+    s_total = _path_length(traj)
     ge = geodesic_efficiency_profile(traj)
     se = speed_efficiency_profile(traj)
     duration = traj.times[-1] - traj.times[0]
@@ -218,6 +229,6 @@ def efficiency_report(traj: Trajectory) -> EfficiencyReport:
         classification=classify(ge_bar, se_bar),
         mean_length_loss=1.0 - ge_bar,
         mean_energy_loss=1.0 - se_bar,
-        s_total=float(traj.s_accum[-1]),
+        s_total=s_total,
         s0_total=float(traj.s0[-1]),
     )

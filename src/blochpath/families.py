@@ -7,6 +7,12 @@ broadcast over arrays of ``alpha``.  The Uzdin construction turns a
 prescribed normalized path ``|m(t)>`` into the traceless driving
 Hamiltonian ``H = i|dm><m| - i|m><dm|``, plus its sub-optimal variants that
 add a phase term ``phidot |m><m|`` (kept or made traceless).
+
+The path callables (``m_state``, ``m_dot``, ``phase``, ``phase_dot``) and a
+drive's ``h_dot`` take the whole time array and are called once per batch;
+scalar callables, one call per sample, belong to :class:`FieldSpec` only.
+An array closure must give the same bits as elementwise calls would, which
+the byte-pinned golden artifacts check for the built-in scenarios.
 """
 
 from __future__ import annotations
@@ -16,10 +22,11 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .core import (TOL_HERM, TOL_NORM, FieldSpec, _as_state, _BatchedField,
-                   _bloch_rows, _central_difference, _first, _hermitian_parts,
-                   _per_sample, clamped_arccos, fubini_study_distance)
+from .core import (TOL_HERM, TOL_NORM, FieldSpec, _BatchedField, _bloch_rows,
+                   _central_difference, _first, _hermitian_parts, clamped_arccos,
+                   fubini_study_distance)
 from .errors import (
+    BlochPathError,
     ConfigError,
     DegenerateEndpointsError,
     FieldError,
@@ -28,6 +35,7 @@ from .errors import (
     NumericalError,
     PreconditionError,
     RangeError,
+    ShapeError,
 )
 
 __all__ = [
@@ -206,33 +214,54 @@ def _norm_sq(rows: np.ndarray) -> np.ndarray:
     return (rows.real * rows.real + rows.imag * rows.imag).sum(axis=-1)
 
 
+def _path_rows(fn: Callable, name: str, times: np.ndarray, row: tuple = (),
+               dtype=float) -> np.ndarray:
+    """``fn(times)``, called once on the whole time array, as an array of
+    shape ``times.shape + row``.  Any other shape raises
+    :class:`ShapeError`; an exception inside ``fn``, values that do not
+    cast to ``dtype`` without loss of kind (complex to real), or a
+    non-finite row raise :class:`FieldError` naming ``name`` (and the
+    row's ``t``)."""
+    try:
+        rows = np.asarray(fn(times)).astype(dtype, casting="same_kind", copy=False)
+    except BlochPathError:
+        raise
+    except Exception as exc:
+        raise FieldError(f"{name} failed on the time array: {exc}") from exc
+    if rows.shape != times.shape + row:
+        raise ShapeError(f"{name} returned shape {rows.shape}, "
+                         f"expected {times.shape + row}")
+    k = _first(~np.isfinite(rows).all(axis=tuple(range(1, rows.ndim))))
+    if k is not None:
+        raise FieldError(f"{name} returned non-finite values at t = {times[k]!r}")
+    return rows
+
+
 @dataclass
 class UzdinFamily:
     """Prescribed state path ``|m(t)>`` plus optional phase ``phi(t)``.
 
-    ``m_dot`` and ``phase_dot`` may be omitted; central differences with
-    step ``FD_STEP`` stand in.  ``variant`` selects which Hamiltonian the
-    constructors below produce.  The callables take a scalar time; the
-    drives call each once per sample and work on the stacked rows.
+    The callables take the whole float64 time array ``t`` of shape ``(n,)``:
+    ``m_state`` and ``m_dot`` return ``(n, 2)`` complex rows, ``phase`` and
+    ``phase_dot`` ``(n,)`` reals.  Each is called once per batch.
+    ``m_dot`` and ``phase_dot`` may be omitted; a central difference with
+    step ``FD_STEP`` stands in, evaluating ``m_state`` or ``phase`` in one
+    call on the ``2n`` interleaved times ``t + FD_STEP, t - FD_STEP``.
+    ``variant`` selects which Hamiltonian the constructors below produce.
     """
 
-    m_state: Callable[[float], np.ndarray]
-    m_dot: Optional[Callable[[float], np.ndarray]] = None
-    phase: Optional[Callable[[float], float]] = None
-    phase_dot: Optional[Callable[[float], float]] = None
+    m_state: Callable[[np.ndarray], np.ndarray]
+    m_dot: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    phase: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    phase_dot: Optional[Callable[[np.ndarray], np.ndarray]] = None
     variant: str = "optimal"
     t_span: Tuple[float, float] = (0.0, 1.0)
 
     def _rows(self, name: str, times, state: bool = False) -> np.ndarray:
         """Callable ``name`` at ``times``, as ``(n, 2)`` states or ``(n,)``
-        reals; :class:`FieldError` names it and the first non-finite row."""
-        args = (_as_state, (2,), complex) if state else (float,)
-        rows = _per_sample(getattr(self, name), times, *args)
-        bad = ~np.isfinite(rows)
-        k = _first(bad.any(axis=1) if state else bad)
-        if k is not None:
-            raise FieldError(f"{name} returned non-finite values at t = {times[k]!r}")
-        return rows
+        reals."""
+        row, dtype = ((2,), complex) if state else ((), float)
+        return _path_rows(getattr(self, name), name, times, row, dtype)
 
     def _m_rows(self, times) -> Tuple[np.ndarray, np.ndarray]:
         """``m`` at ``times`` as ``(n, 2)`` rows, and its squared norms."""
@@ -262,10 +291,11 @@ class UzdinFamily:
 class _PathField(_BatchedField):
     """Drive of an :class:`UzdinFamily` path, sampled in batches.
 
-    ``h0`` and ``h`` are unused.  The family's callables are called once
-    per sample; the checks, outer products, Pauli split and Bloch map then
-    run once over all rows.  ``variant`` is ``"optimal"`` or the family's
-    sub-optimal variant at construction.
+    ``h0`` and ``h`` are unused.  The family's callables, and ``h_dot`` when
+    given, are called once on the whole time array; the checks, outer
+    products, Pauli split and Bloch map then run once over all rows.
+    ``variant`` is ``"optimal"`` or the family's sub-optimal variant at
+    construction.
     """
 
     family: Optional[UzdinFamily] = None
@@ -304,6 +334,13 @@ class _PathField(_BatchedField):
         h0 = 0.5 * phase_dot if self.variant == "trace_nonzero" else np.zeros(times.shape)
         return h0, h
 
+    def sample_h_dot(self, times, step: float) -> np.ndarray:
+        """``dh/dt`` at ``times``, shape ``(n, 3)``: one call of ``h_dot`` on
+        the array when given, else a central difference of the drive."""
+        if self.h_dot is None:
+            return super().sample_h_dot(times, step)
+        return _path_rows(self.h_dot, "h_dot", np.asarray(times, dtype=float), (3,))
+
 
 def uzdin_optimal(fam: UzdinFamily,
                   h_dot: Optional[Callable] = None) -> FieldSpec:
@@ -311,7 +348,8 @@ def uzdin_optimal(fam: UzdinFamily,
 
     Implements ``H(t) = i|dm><m| - i|m><dm|``.  Requires the transported
     gauge ``<m|dm/dt> = 0``; the resulting field satisfies ``a.h = 0`` along
-    the path, so no energy sits in the parallel component.
+    the path, so no energy sits in the parallel component.  ``h_dot``, when
+    given, maps the time array to ``(n, 3)`` rows of ``dh/dt``.
     """
     return _PathField(h0=None, h=None, h_dot=h_dot, t_span=fam.t_span,
                       family=fam)

@@ -195,17 +195,23 @@ def _resolve(params: dict, scenario: str, spec: dict, aliases: dict | None = Non
 
 def _polar_path(omega0: float, theta0: float, varphi0: float):
     """Constant-longitude path ``cos(th/2)|0> + e^{i varphi0} sin(th/2)|1>``
-    with ``th(t) = theta0 + omega0 t``, and its analytic derivative."""
+    with ``th(t) = theta0 + omega0 t``, and its analytic derivative.
+
+    Like every built-in path closure, both map a time array to ``(n, 2)``
+    rows (a single time to one row) with the operations of a one-sample
+    evaluation in the same order, so that rows match elementwise calls bit
+    for bit.
+    """
     phase = np.exp(1j * varphi0)
 
     def m(t):
         th = theta0 + omega0 * t
-        return np.array([np.cos(0.5 * th), phase * np.sin(0.5 * th)], dtype=complex)
+        return np.stack([np.cos(0.5 * th), phase * np.sin(0.5 * th)], axis=-1)
 
     def m_dot(t):
         th = theta0 + omega0 * t
-        return 0.5 * omega0 * np.array(
-            [-np.sin(0.5 * th), phase * np.cos(0.5 * th)], dtype=complex
+        return 0.5 * omega0 * np.stack(
+            [-np.sin(0.5 * th), phase * np.cos(0.5 * th)], axis=-1
         )
 
     return m, m_dot
@@ -234,7 +240,7 @@ def _build_example2(config: ScenarioConfig):
     fam = UzdinFamily(
         m_state=m,
         m_dot=m_dot,
-        phase_dot=lambda t: nu0,
+        phase_dot=lambda t: np.full(np.shape(t), nu0),
         variant="trace_nonzero",
         t_span=config.t_span,
     )
@@ -242,9 +248,9 @@ def _build_example2(config: ScenarioConfig):
     def h_dot(t):
         th = theta0 + omega0 * t
         rate = 0.5 * nu0 * omega0
-        return np.array([rate * np.cos(th) * np.cos(varphi0),
+        return np.stack([rate * np.cos(th) * np.cos(varphi0),
                          rate * np.cos(th) * np.sin(varphi0),
-                         -rate * np.sin(th)])
+                         -rate * np.sin(th)], axis=-1)
 
     field = uzdin_suboptimal(fam, h_dot=h_dot)
     t0 = config.t_span[0]
@@ -266,23 +272,18 @@ def _build_example4(config: ScenarioConfig):
     root3 = np.sqrt(3.0)
 
     def m(t):
-        return np.array(
-            [0.5 * root3 * np.exp(-0.5j * gamma * t),
-             0.5 * np.exp(1.5j * gamma * t)],
-            dtype=complex,
-        )
+        return np.stack([0.5 * root3 * np.exp(-0.5j * gamma * t),
+                         0.5 * np.exp(1.5j * gamma * t)], axis=-1)
 
     def m_dot(t):
-        return np.array(
-            [-0.25j * gamma * root3 * np.exp(-0.5j * gamma * t),
-             0.75j * gamma * np.exp(1.5j * gamma * t)],
-            dtype=complex,
-        )
+        return np.stack([-0.25j * gamma * root3 * np.exp(-0.5j * gamma * t),
+                         0.75j * gamma * np.exp(1.5j * gamma * t)], axis=-1)
 
     def h_dot(t):
         rate = 0.5 * root3 * gamma * gamma
-        return np.array([rate * np.sin(2.0 * gamma * t),
-                         -rate * np.cos(2.0 * gamma * t), 0.0])
+        return np.stack([rate * np.sin(2.0 * gamma * t),
+                         -rate * np.cos(2.0 * gamma * t), np.zeros(np.shape(t))],
+                        axis=-1)
 
     fam = UzdinFamily(m_state=m, m_dot=m_dot, variant="optimal",
                       t_span=config.t_span)
@@ -407,6 +408,17 @@ def build_scenario(config: ScenarioConfig):
 _CSV_CHUNK = 256
 
 
+@contextlib.contextmanager
+def _output(path):
+    """Turn an OS error on the output ``path`` (a missing parent, a file
+    where a directory belongs, or the reverse) into :class:`ConfigError`
+    naming it."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"cannot write output {str(path)!r}: {exc}") from exc
+
+
 def write_csv(path, columns: dict) -> None:
     """Write named columns as RFC 4180 CSV, byte for byte as ``csv.writer``.
 
@@ -422,8 +434,8 @@ def write_csv(path, columns: dict) -> None:
               for a in map(np.asarray, columns.values())]
     row = ",".join("%s" if a.dtype.kind == "U" else "%.15g"
                    for a in arrays) + "\r\n"
-    with (contextlib.nullcontext(path) if hasattr(path, "write")
-          else open(path, "w", newline="", encoding="utf-8")) as fh:
+    with _output(path), (contextlib.nullcontext(path) if hasattr(path, "write")
+                         else open(path, "w", newline="", encoding="utf-8")) as fh:
         fh.write(",".join(quote(list(columns))) + "\r\n")
         for lo in range(0, len(arrays[0]) if arrays else 0, _CSV_CHUNK):
             chunk = zip(*(a[lo:lo + _CSV_CHUNK].tolist() for a in arrays))
@@ -431,7 +443,7 @@ def write_csv(path, columns: dict) -> None:
 
 
 def write_json(path, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with _output(path), open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -463,7 +475,8 @@ def run_report(config: ScenarioConfig, out_dir=".") -> ReportRow:
     )
 
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    with _output(out):
+        out.mkdir(parents=True, exist_ok=True)
     outputs = set(config.outputs)
 
     if "trajectory" in outputs:

@@ -118,6 +118,31 @@ class TestPhaseProfiles:
         assert "config error" in capsys.readouterr().err
 
 
+class TestUnusableOut:
+    """An --out that cannot be written is a configuration error (exit 2)
+    naming the path, in every subcommand."""
+
+    SWEEP = ["sweep-alpha", "--theta-ab", "1.2", "--points", "5"]
+
+    @pytest.mark.parametrize("case", ["example_file", "sweep_missing_parent",
+                                      "sweep_directory", "table2_file"])
+    def test_exits_2_naming_the_path(self, tmp_path, capsys, case):
+        existing = tmp_path / "taken"
+        existing.write_text("")
+        argv, target = {
+            "example_file": (["example", "3", "--steps", "20"], existing),
+            "sweep_missing_parent": (self.SWEEP, tmp_path / "missing" / "x.csv"),
+            "sweep_directory": (self.SWEEP, tmp_path),
+            "table2_file": (["table2", "--steps", "20"], existing),
+        }[case]
+        assert main(argv + ["--out", str(target)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: cannot write output")
+        assert str(target) in err
+        assert "Traceback" not in err
+        assert existing.read_text() == ""
+
+
 class TestReport:
     def test_config_file_round_trip(self, tmp_path):
         cfg = tmp_path / "run.json"
@@ -159,7 +184,8 @@ class TestReport:
         assert "numerical error" in capsys.readouterr().err
 
     def test_eigenstate_reaches_the_singular_evolution_error(self, tmp_path, capsys):
-        # dE is exactly 0 along the field, so no efficiency exceeds 1 first
+        # dE is exactly 0 along the field, so the path has no length and
+        # the efficiencies stop the run before the curvature layer would
         cfg = tmp_path / "eigen.json"
         cfg.write_text(json.dumps({
             "scenario": "custom",
@@ -168,7 +194,22 @@ class TestReport:
         }))
         ret = main(["report", "--config", str(cfg), "--out", str(tmp_path)])
         assert ret == EXIT_NUMERICAL
-        assert "(anti)parallel to h" in capsys.readouterr().err
+        assert "path length 0.0 too short" in capsys.readouterr().err
+
+    def test_eigenstate_report_only_writes_no_report(self, tmp_path, capsys):
+        cfg = tmp_path / "eigen.json"
+        cfg.write_text(json.dumps({
+            "scenario": "custom",
+            "field": {"h0": 0.0, "h": [0.0, 0.0, 1.0]},
+            "psi0": {"bloch": [0.0, 0.0, 1.0]},
+            "outputs": ["report"],
+        }))
+        ret = main(["report", "--config", str(cfg), "--out", str(tmp_path)])
+        assert ret == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert err.startswith("numerical error: path length 0.0 too short")
+        assert "Traceback" not in err
+        assert not (tmp_path / "custom_report.json").exists()
 
     def test_short_geodesic_is_labelled_geodesic(self, tmp_path):
         # over 1e-9 the arccos of the endpoint overlap rounded s0 to 0
@@ -348,10 +389,14 @@ class TestConfigFuzz:
 
 class TestProcessInvocation:
     def test_module_execution(self, tmp_path):
+        package_root = Path(blochpath.__file__).resolve().parents[1]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(package_root), env.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "blochpath", "example", "1", "--steps",
              "60", "--out", str(tmp_path)],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=env)
         assert proc.returncode == 0
         assert (tmp_path / "example1_report.json").exists()
 

@@ -133,16 +133,16 @@ class TestSpeedEfficiency:
 
         nu = 0.4
         fam = UzdinFamily(
-            m_state=lambda t: np.array([np.cos(t), np.sin(t)], dtype=complex),
-            m_dot=lambda t: np.array([-np.sin(t), np.cos(t)], dtype=complex),
-            phase_dot=lambda t: nu, phase=lambda t: nu * t,
+            m_state=lambda t: np.stack([np.cos(t), np.sin(t)], axis=-1).astype(complex),
+            m_dot=lambda t: np.stack([-np.sin(t), np.cos(t)], axis=-1).astype(complex),
+            phase_dot=lambda t: np.full(t.shape, nu), phase=lambda t: nu * t,
             variant="trace_nonzero")
         field = uzdin_suboptimal(fam)
         expected = speed_efficiency_tracenonzero(1.0, nu)
-        times = [0.0, 0.37, 0.81]
+        times = np.array([0.0, 0.37, 0.81])
         h0, h = field.sample(times)
-        for k, t in enumerate(times):
-            a = bloch_from_state(fam.m_state(t))
+        for k, m in enumerate(fam.m_state(times)):
+            a = bloch_from_state(m)
             got = speed_efficiency(a, h0[k], h[k])
             assert got == pytest.approx(expected, abs=1e-10)
 

@@ -163,43 +163,43 @@ class TestStationaryFamily:
         assert np.allclose(h[1], fam.E * fam.n_hat)
 
 
-class TestUzdinConstructions:
-    @staticmethod
-    def great_circle(t):
-        return np.array([np.cos(t), np.sin(t)], dtype=complex)
+def great_circle(t):
+    """Array path ``cos t |0> + sin t |1>``: ``(n, 2)`` rows of ``t``."""
+    return np.stack([np.cos(t), np.sin(t)], axis=-1).astype(complex)
 
+
+def great_circle_dot(t):
+    return np.stack([-np.sin(t), np.cos(t)], axis=-1).astype(complex)
+
+
+class TestUzdinConstructions:
     def test_optimal_drive_follows_the_path_exactly(self):
-        fam = UzdinFamily(m_state=self.great_circle,
-                          m_dot=lambda t: np.array([-np.sin(t), np.cos(t)],
-                                                   dtype=complex))
+        fam = UzdinFamily(m_state=great_circle, m_dot=great_circle_dot)
         field = uzdin_optimal(fam)
         assert field.sample([0.2])[0][0] == 0.0
         grid = TimeGrid(0.0, 1.0, 1000)
-        traj = schrodinger_evolve(field, self.great_circle(0.0), grid)
-        exact = np.stack([self.great_circle(t) for t in grid.times])
-        assert np.max(np.abs(traj.states - exact)) < 1e-7
+        traj = schrodinger_evolve(field, great_circle(0.0), grid)
+        assert np.max(np.abs(traj.states - great_circle(grid.times))) < 1e-7
 
     def test_finite_difference_m_dot_agrees_with_analytic(self):
-        fam_fd = UzdinFamily(m_state=self.great_circle)
-        fam = UzdinFamily(m_state=self.great_circle,
-                          m_dot=lambda t: np.array([-np.sin(t), np.cos(t)],
-                                                   dtype=complex))
+        fam_fd = UzdinFamily(m_state=great_circle)
+        fam = UzdinFamily(m_state=great_circle, m_dot=great_circle_dot)
         f_fd, f = uzdin_optimal(fam_fd), uzdin_optimal(fam)
         times = [0.0, 0.3, 0.9]
         assert np.allclose(f_fd.sample(times)[1], f.sample(times)[1], atol=1e-5)
 
     def test_gauge_violation_is_detected(self):
         spinning = UzdinFamily(
-            m_state=lambda t: np.exp(2j * t) * self.great_circle(t))
+            m_state=lambda t: np.exp(2j * t)[:, None] * great_circle(t))
         field = uzdin_optimal(spinning)
         with pytest.raises(PreconditionError):
             field.sample([0.5])
 
     def test_suboptimal_variant_validation(self):
-        fam = UzdinFamily(m_state=self.great_circle, variant="optimal")
+        fam = UzdinFamily(m_state=great_circle, variant="optimal")
         with pytest.raises(ConfigError):
             uzdin_suboptimal(fam)
-        fam = UzdinFamily(m_state=self.great_circle, variant="trace_nonzero")
+        fam = UzdinFamily(m_state=great_circle, variant="trace_nonzero")
         with pytest.raises(ConfigError):
             uzdin_suboptimal(fam)  # no phase supplied
 
@@ -209,18 +209,16 @@ class TestUzdinConstructions:
     ])
     def test_suboptimal_drives_the_phased_path(self, variant, phase_scale):
         nu = 0.4
-        fam = UzdinFamily(m_state=self.great_circle,
-                          m_dot=lambda t: np.array([-np.sin(t), np.cos(t)],
-                                                   dtype=complex),
+        fam = UzdinFamily(m_state=great_circle,
+                          m_dot=great_circle_dot,
                           phase=lambda t: nu * t,
-                          phase_dot=lambda t: nu,
+                          phase_dot=lambda t: np.full(t.shape, nu),
                           variant=variant)
         field = uzdin_suboptimal(fam)
         grid = TimeGrid(0.0, 1.0, 1000)
-        traj = schrodinger_evolve(field, self.great_circle(0.0), grid)
-        expected = np.stack([
-            np.exp(-1j * phase_scale * nu * t) * self.great_circle(t)
-            for t in grid.times])
+        traj = schrodinger_evolve(field, great_circle(0.0), grid)
+        expected = (np.exp(-1j * phase_scale * nu * grid.times)[:, None]
+                    * great_circle(grid.times))
         assert np.max(np.abs(traj.states - expected)) < 1e-7
         if variant == "trace_nonzero":
             assert field.sample([0.3])[0][0] == pytest.approx(nu / 2.0)
@@ -228,18 +226,16 @@ class TestUzdinConstructions:
             assert field.sample([0.3])[0][0] == 0.0
 
     def test_suboptimal_shares_the_optimal_bloch_path(self):
-        fam = UzdinFamily(m_state=self.great_circle,
+        fam = UzdinFamily(m_state=great_circle,
                           phase=lambda t: 0.7 * t, variant="trace_nonzero")
         grid = TimeGrid(0.0, 1.0, 800)
         t_opt = schrodinger_evolve(uzdin_optimal(
-            UzdinFamily(m_state=self.great_circle)),
-            self.great_circle(0.0), grid)
-        t_sub = schrodinger_evolve(uzdin_suboptimal(fam),
-                                   self.great_circle(0.0), grid)
+            UzdinFamily(m_state=great_circle)), great_circle(0.0), grid)
+        t_sub = schrodinger_evolve(uzdin_suboptimal(fam), great_circle(0.0), grid)
         assert np.max(np.abs(t_opt.bloch - t_sub.bloch)) < 1e-8
 
     def test_m_at_normalization_check(self):
-        fam = UzdinFamily(m_state=lambda t: np.array([1.0 + t, 0.0],
-                                                     dtype=complex))
+        fam = UzdinFamily(m_state=lambda t: np.stack(
+            [1.0 + t, np.zeros_like(t)], axis=-1).astype(complex))
         with pytest.raises(NormalizationError):
             uzdin_optimal(fam).sample([0.5])

@@ -2,14 +2,18 @@
 
 ``FieldSpec.sample`` evaluates a whole time array.  Scalar user callables
 are still called once per sample, in time order, with a numpy float64;
-tabulated and prescribed-path fields are evaluated in batches and must give
-the same bits, and the same typed errors, as one sample at a time.
+prescribed-path callables are called once with the whole array; tabulated
+and prescribed-path fields are evaluated in batches and must give the same
+bits, and the same typed errors, as one sample at a time.
 """
 
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from blochpath import (
     FieldError,
@@ -28,6 +32,7 @@ from blochpath import (
     uzdin_optimal,
     uzdin_suboptimal,
 )
+from blochpath.families import FD_STEP
 from blochpath.scenarios import write_csv
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -42,7 +47,7 @@ def names_first_failure(exc_info):
 
 
 class Recorder:
-    """Scalar callable that records every argument it receives."""
+    """Callable that records every argument it receives."""
 
     def __init__(self, fn):
         self.fn = fn
@@ -54,11 +59,17 @@ class Recorder:
 
 
 def great_circle(t):
-    return np.array([np.cos(t), np.sin(t)], dtype=complex)
+    """Array path ``cos t |0> + sin t |1>``: ``(n, 2)`` rows of ``t``."""
+    return np.stack([np.cos(t), np.sin(t)], axis=-1).astype(complex)
 
 
 def great_circle_dot(t):
-    return np.array([-np.sin(t), np.cos(t)], dtype=complex)
+    return np.stack([-np.sin(t), np.cos(t)], axis=-1).astype(complex)
+
+
+def late(t):
+    """The samples of ``t`` at which the failing cases below go wrong."""
+    return np.asarray(t) > 0.55
 
 
 class TestCallableContract:
@@ -96,6 +107,77 @@ class TestCallableContract:
         assert np.array_equal(h, np.tile([0.0, 0.5, 0.0], (11, 1)))
         assert np.array_equal(FieldSpec(h0=0.0, h=[1.0, 0.0, 0.0])
                               .sample_h_dot(TIMES, 1e-6), np.zeros((11, 3)))
+
+
+class TestPathCallContract:
+    """Every prescribed-path callable is called once per batch with the
+    whole float64 time array."""
+
+    @staticmethod
+    def called_once_with(rec, times):
+        (arg,) = rec.args
+        assert type(arg) is np.ndarray and arg.dtype == np.float64
+        assert np.array_equal(arg, times)
+
+    def test_each_callable_is_called_once_with_the_full_array(self):
+        recs = {"m_state": Recorder(great_circle), "m_dot": Recorder(great_circle_dot),
+                "phase_dot": Recorder(lambda t: np.full(t.shape, 0.5))}
+        h_dot = Recorder(lambda t: np.zeros(t.shape + (3,)))
+        field = uzdin_suboptimal(UzdinFamily(**recs, variant="trace_nonzero"),
+                                 h_dot=h_dot)
+        field.sample(TIMES)
+        field.sample_h_dot(TIMES, 1e-4)
+        for rec in (*recs.values(), h_dot):
+            self.called_once_with(rec, TIMES)
+
+    @pytest.mark.parametrize("missing", ["m_dot", "phase_dot"])
+    def test_missing_derivative_is_one_call_of_length_2n(self, missing):
+        recs = {"m_state": Recorder(great_circle), "m_dot": Recorder(great_circle_dot),
+                "phase": Recorder(lambda t: 0.4 * t * t),
+                "phase_dot": Recorder(lambda t: 0.8 * t)}
+        del recs[missing]
+        if missing == "m_dot":
+            del recs["phase"]  # phase_dot is given, so phase is never called
+        uzdin_suboptimal(UzdinFamily(**recs, variant="trace_zero")).sample(TIMES)
+        around = np.stack([TIMES + FD_STEP, TIMES - FD_STEP], axis=-1).ravel()
+        differenced = "m_state" if missing == "m_dot" else "phase"
+        rec = recs.pop(differenced)
+        if differenced == "m_state":
+            assert np.array_equal(rec.args.pop(0), TIMES)
+        self.called_once_with(rec, around)
+        for other in recs.values():
+            self.called_once_with(other, TIMES)
+
+
+def builtin_closures(scenario, params):
+    """The path closures of a built-in prescribed-path scenario, by name."""
+    field, _, _ = build_scenario(ScenarioConfig(scenario=scenario, parameters=params))
+    fam = field.family
+    closures = {"m": fam.m_state, "m_dot": fam.m_dot, "h_dot": field.h_dot}
+    if fam.phase_dot is not None:
+        closures["phase_dot"] = fam.phase_dot
+    return closures
+
+
+reals = st.floats(-3.0, 3.0, allow_subnormal=False)
+
+
+@settings(max_examples=40, deadline=None)
+@given(scenario=st.sampled_from(["example2", "example4"]),
+       params=st.tuples(reals, reals, reals, reals),
+       times=arrays(np.float64, st.integers(1, 40),
+                    elements=st.floats(-50.0, 50.0, allow_subnormal=False)))
+def test_builtin_closures_equal_elementwise_calls_bit_for_bit(scenario, params, times):
+    # the array closures replaced one call per sample; SIMD loops must not
+    # round differently from the one-element evaluations they replaced
+    omega0, nu0, varphi0, theta0 = params
+    chosen = ({"omega0": omega0, "nu0": nu0, "varphi0": varphi0, "theta0": theta0}
+              if scenario == "example2" else {"gamma": omega0})
+    for name, fn in builtin_closures(scenario, chosen).items():
+        rows = fn(times)
+        assert rows.shape[0] == times.shape[0]
+        for k, t in enumerate(times):
+            assert rows[k].tobytes() == np.asarray(fn(t)).tobytes(), (name, t)
 
 
 def batched_fields():
@@ -168,8 +250,8 @@ class TestBatchedChecks:
 
     def test_gauge(self):
         def spinning(t):
-            gamma = 3.0 * (t - 0.55) ** 2 if t > 0.55 else 0.0
-            return np.exp(1j * gamma) * great_circle(t)
+            gamma = np.where(late(t), 3.0 * (t - 0.55) ** 2, 0.0)
+            return np.exp(1j * gamma)[..., None] * great_circle(t)
 
         field = uzdin_optimal(UzdinFamily(m_state=spinning))
         with pytest.raises(PreconditionError) as exc:
@@ -178,7 +260,8 @@ class TestBatchedChecks:
 
     @staticmethod
     def scaled(excess):
-        return lambda t: (1.0 + (excess if t > 0.55 else 0.0)) * great_circle(t)
+        return lambda t: (1.0 + np.where(late(t), excess, 0.0))[..., None] \
+            * great_circle(t)
 
     def test_path_normalization(self):
         # |m|^2 - 1 = 4e-11 is inside the path's tolerance of 1e-10 ...
@@ -193,7 +276,8 @@ class TestBatchedChecks:
     def test_bloch_map_normalization(self):
         # the phase term's Bloch map holds the path to 1e-12
         fam = UzdinFamily(m_state=self.scaled(2e-11), m_dot=great_circle_dot,
-                          phase_dot=lambda t: 0.5, variant="trace_zero")
+                          phase_dot=lambda t: np.full(t.shape, 0.5),
+                          variant="trace_zero")
         with pytest.raises(NormalizationError, match="state norm") as exc:
             sample_field(uzdin_suboptimal(fam), TIMES)
         names_first_failure(exc)
@@ -201,7 +285,7 @@ class TestBatchedChecks:
     def test_hermiticity_rejects_nan(self):
         # a NaN derivative is named as such before any check compares it
         def m_dot(t):
-            return great_circle_dot(t) * (np.nan if t > 0.55 else 1.0)
+            return great_circle_dot(t) * np.where(late(t), np.nan, 1.0)[..., None]
 
         field = uzdin_optimal(UzdinFamily(m_state=great_circle, m_dot=m_dot))
         with pytest.raises(FieldError, match="m_dot returned non-finite") as exc:
@@ -211,15 +295,26 @@ class TestBatchedChecks:
     @pytest.mark.parametrize("name", ["m_state", "phase_dot"])
     def test_non_finite_path_rows_are_named(self, name):
         def late_nan(value):
-            return lambda t: value(t) * (np.nan if t > 0.55 else 1.0)
+            def fn(t):
+                rows = value(t)
+                rows[late(t)] = np.nan
+                return rows
+            return fn
 
         callables = {"m_state": great_circle, "m_dot": great_circle_dot,
-                     "phase_dot": lambda t: 0.5}
+                     "phase_dot": lambda t: np.full(t.shape, 0.5)}
         callables[name] = late_nan(callables[name])
         field = uzdin_suboptimal(UzdinFamily(**callables, variant="trace_zero"))
         with pytest.raises(FieldError, match=f"{name} returned non-finite") as exc:
             sample_field(field, TIMES)
         names_first_failure(exc)
+
+    def test_complex_phase_is_not_truncated(self):
+        fam = UzdinFamily(m_state=great_circle, m_dot=great_circle_dot,
+                          phase_dot=lambda t: np.full(t.shape, 0.5 + 0.1j),
+                          variant="trace_zero")
+        with pytest.raises(FieldError, match="phase_dot"):
+            sample_field(uzdin_suboptimal(fam), TIMES)
 
     @pytest.mark.parametrize("gamma", [1e4, 1e6])
     def test_hermiticity_tolerance_scales_with_the_path_speed(self, gamma):
@@ -238,7 +333,7 @@ class TestBatchedChecks:
     def test_raising_callable(self, where):
         def fail_late(value):
             def fn(t):
-                if t > 0.55:
+                if np.any(late(t)):
                     raise ValueError("boom")
                 return value(t)
             return fn
@@ -251,7 +346,11 @@ class TestBatchedChecks:
             field = FieldSpec(h0=fail_late(lambda t: 0.0), h=np.ones(3))
         with pytest.raises(FieldError, match="boom") as exc:
             sample_field(field, TIMES)
-        names_first_failure(exc)
+        if where == "m_state":
+            # one call on the whole array: no single sample to name
+            assert "m_state" in str(exc.value)
+        else:
+            names_first_failure(exc)
 
     def test_nan_returning_callable(self):
         field = FieldSpec(h0=0.0, h=lambda t: np.full(3, np.nan if t > 0.55 else 1.0))
@@ -268,8 +367,14 @@ class TestBatchedChecks:
 
     def test_path_of_wrong_shape(self):
         field = uzdin_optimal(UzdinFamily(m_state=lambda t: np.ones(3) / np.sqrt(3)))
-        with pytest.raises(ShapeError):
+        with pytest.raises(ShapeError, match="m_state"):
             sample_field(field, TIMES)
+
+    def test_h_dot_of_wrong_shape(self):
+        field = uzdin_optimal(UzdinFamily(m_state=great_circle),
+                              h_dot=lambda t: np.zeros(t.shape + (2,)))
+        with pytest.raises(ShapeError, match="h_dot"):
+            field.sample_h_dot(TIMES, 1e-4)
 
 
 def transported_path(t):
@@ -277,8 +382,8 @@ def transported_path(t):
     0.2 + 2.1 t: the global phase cancels <m|dm/dt>."""
     theta, phi = 0.4 + 1.3 * t, 0.2 + 2.1 * t
     gamma = -1.05 * (t - np.sin(theta) / 1.3)
-    return np.exp(1j * gamma) * np.array([np.cos(0.5 * theta),
-                                          np.exp(1j * phi) * np.sin(0.5 * theta)])
+    return np.exp(1j * gamma)[..., None] * np.stack(
+        [np.cos(0.5 * theta), np.exp(1j * phi) * np.sin(0.5 * theta)], axis=-1)
 
 
 def test_finite_difference_uzdin_drive_matches_golden_bytes(tmp_path):
