@@ -30,8 +30,10 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .core import FieldSpec, _BatchedField, state_from_bloch
+from .csvtext import csv_rows, quote
 from .curvature import curvature_bloch_profile
 from .efficiency import (
+    _unit_ratio,
     efficiency_report,
     speed_efficiency_tracenonzero,
     speed_efficiency_tracezero,
@@ -404,8 +406,8 @@ def build_scenario(config: ScenarioConfig):
     return _build(config)[:3]
 
 
-#: rows formatted and written at a time, so a long table is never held as text
-_CSV_CHUNK = 256
+#: cells formatted and written at a time, so a long table is never held as text
+_CSV_CELLS = 4096
 
 
 @contextlib.contextmanager
@@ -422,24 +424,20 @@ def _output(path):
 def write_csv(path, columns: dict) -> None:
     """Write named columns as RFC 4180 CSV, byte for byte as ``csv.writer``.
 
-    Numbers get 15 significant digits; strings are quoted where they hold
-    ``,``, ``"``, CR or LF, or are an empty lone cell.  ``path`` is a file
-    path or an open text stream, which is left open.
+    Numbers get 15 significant digits, exactly as ``'%.15g'``; strings are
+    quoted where they hold ``,``, ``"``, CR or LF, or are an empty lone
+    cell.  ``path`` is a file path or an open text stream, which is left
+    open.
     """
-    def quote(texts):
-        return ['"' + t.replace('"', '""') + '"' if any(c in t for c in ',"\r\n')
-                or (len(columns) == 1 and not t) else t for t in texts]
-
-    arrays = [np.array(quote(a.tolist())) if a.dtype.kind == "U" else a
-              for a in map(np.asarray, columns.values())]
-    row = ",".join("%s" if a.dtype.kind == "U" else "%.15g"
-                   for a in arrays) + "\r\n"
+    arrays = [np.asarray(c) for c in columns.values()]
+    n_rows = min((len(a) for a in arrays), default=0)
+    step = max(1, _CSV_CELLS // max(1, len(arrays)))
     with _output(path), (contextlib.nullcontext(path) if hasattr(path, "write")
                          else open(path, "w", newline="", encoding="utf-8")) as fh:
-        fh.write(",".join(quote(list(columns))) + "\r\n")
-        for lo in range(0, len(arrays[0]) if arrays else 0, _CSV_CHUNK):
-            chunk = zip(*(a[lo:lo + _CSV_CHUNK].tolist() for a in arrays))
-            fh.write("".join(map(row.__mod__, chunk)))
+        fh.write(",".join(quote(list(columns), len(columns) == 1)) + "\r\n")
+        for lo in range(0, n_rows, step):
+            hi = min(lo + step, n_rows)
+            fh.write(csv_rows([a[lo:hi] for a in arrays]))
 
 
 def write_json(path, payload: dict) -> None:
@@ -537,10 +535,16 @@ def table_rows(out_dir=None, n_steps: Optional[int] = None) -> list[ReportRow]:
     return rows
 
 
+#: the largest magnitude whose 15-digit CSV form reads back as a finite
+#: float: ``'%.15g'`` rounds the doubles above it to 1.79769313486232e+308
+_CSV_MAX = 1.797693134862315e308
+
+
 def _finite_columns(columns: dict) -> dict:
-    """``columns`` itself; :class:`NumericalError` if an entry is not finite."""
+    """``columns`` itself; :class:`NumericalError` if an entry is not
+    finite, or would not be once written with 15 significant digits."""
     for name, values in columns.items():
-        if not np.all(np.isfinite(values)):
+        if not np.all(np.abs(values) <= _CSV_MAX):
             raise NumericalError(f"sweep column {name!r} is not finite")
     return columns
 
@@ -550,7 +554,9 @@ def sweep_alpha(theta_ab: float, n_points: int, E: float = 1.0) -> dict:
 
     Returns columns ``alpha, s, t_ab, delta_e, eta_ge, eta_se`` on a uniform
     alpha grid over [0, pi] with the two endpoints nudged inside by 1e-6
-    (the family is defined on the open interval).
+    (the family is defined on the open interval).  Both efficiencies pass
+    the same check as a run's: one above ``1 + TOL_EXCESS`` raises
+    :class:`NumericalError`.
     """
     if not 3 <= int(n_points) <= MAX_STEPS:
         raise ConfigError(f"sweep needs 3 to {MAX_STEPS} alpha points")
@@ -566,8 +572,8 @@ def sweep_alpha(theta_ab: float, n_points: int, E: float = 1.0) -> dict:
         "s": s,
         "t_ab": travel_time(alphas, theta_ab, E),
         "delta_e": delta_e_alpha(alphas, theta_ab, E),
-        "eta_ge": theta_ab / s,
-        "eta_se": orbit_radius(alphas, theta_ab),
+        "eta_ge": _unit_ratio(theta_ab / s),
+        "eta_se": _unit_ratio(orbit_radius(alphas, theta_ab)),
     })
 
 

@@ -1,6 +1,7 @@
 """Command line surface: subcommands, artifact files, exit codes."""
 
 import contextlib
+import csv
 import io
 import json
 import math
@@ -86,6 +87,15 @@ class TestSweepAlpha:
         assert ret == EXIT_CONFIG
         assert str(MAX_STEPS) in capsys.readouterr().err
 
+    def test_efficiency_above_one_is_a_numerical_error(self, capsys):
+        # at theta_ab = 1e-6 the closed-form arc at alpha = pi/4 comes out
+        # shorter than the geodesic
+        ret = main(["sweep-alpha", "--theta-ab", "1e-6", "--points", "5"])
+        out, err = capsys.readouterr()
+        assert ret == EXIT_NUMERICAL
+        assert err.startswith("numerical error: efficiency exceeds 1 by 1.776e-04")
+        assert out == ""
+
 
 class TestPhaseProfiles:
     def test_stdout_csv(self, capsys):
@@ -110,6 +120,17 @@ class TestPhaseProfiles:
                     str(MAX_STEPS + 1)])
         assert ret == EXIT_CONFIG
         assert str(MAX_STEPS) in capsys.readouterr().err
+
+    def test_a_cell_past_the_largest_15_digit_float_is_an_error(self, capsys):
+        # '%.15g' rounds this finite phi up to 1.79769313486232e+308, which
+        # reads back as inf
+        argv = ["phase-profiles", "--profile", "linear", "--phidot0", "0",
+                "--omega0", "1", "--points", "2", "--phi0"]
+        assert main(argv + ["1.7976931348623151e+308"]) == EXIT_NUMERICAL
+        assert capsys.readouterr().err.startswith(
+            "numerical error: sweep column 'phi' is not finite")
+        assert main(argv + ["1.797693134862315e+308"]) == EXIT_OK
+        assert "1.79769313486231e+308" in capsys.readouterr().out
 
     def test_log_profile_needs_positive_phi0(self, capsys):
         ret = main(["phase-profiles", "--profile", "log", "--phi0", "-1.0",
@@ -385,6 +406,72 @@ class TestConfigFuzz:
             assert all(math.isfinite(x) for x in _numbers(report))
             for key in ("eta_ge_bar", "eta_se_bar", "eta_he"):
                 assert 0.0 <= report[key] <= 1.0
+
+
+#: argv spellings of numbers: huge, tiny, negative, NaN and inf among them
+_ARGV_NUMBERS = st.one_of(
+    st.sampled_from(["0", "-0", "1", "-1", "0.5", "1.2", "3.1415926",
+                     "3.14159265358979", "1e-6", "1e-7", "5e-324", "1e-300",
+                     "2.5e-309", "1e9", "1e300", "-1e300", "1e308",
+                     "1.7976931348623151e+308", "nan", "inf", "-inf"]),
+    st.floats(0.0, 4.0).map(repr), st.floats(-10.0, 10.0).map(repr),
+    st.floats().map(repr))
+
+
+def _option(flag, value, joined):
+    # "--flag -1e300" is a usage error (exit 2): argparse reads the value
+    # as an option; "--flag=-1e300" passes it through
+    return [f"{flag}={value}"] if joined else [flag, value]
+
+
+@st.composite
+def _csv_argv(draw):
+    joined = draw(st.booleans())
+    if draw(st.booleans()):
+        argv = ["sweep-alpha", *_option("--theta-ab", draw(_ARGV_NUMBERS), joined)]
+        if draw(st.booleans()):
+            argv += _option("--energy", draw(_ARGV_NUMBERS), joined)
+    else:
+        argv = ["phase-profiles", "--profile",
+                draw(st.sampled_from(["log", "linear", "exp"]))]
+        for flag in ("--phi0", "--phidot0", "--omega0"):
+            argv += _option(flag, draw(_ARGV_NUMBERS), joined)
+        if draw(st.booleans()):
+            argv += _option("--t-end", draw(_ARGV_NUMBERS), joined)
+    argv += ["--points", str(draw(st.integers(0, 50)))]
+    return argv, draw(st.sampled_from(["stdout", "file", "directory",
+                                       "missing_parent"]))
+
+
+class TestArgvFuzz:
+    @given(case=_csv_argv())
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    def test_every_csv_command_ends_in_a_documented_exit(self, tmp_path_factory,
+                                                         case):
+        argv, target = case
+        out = tmp_path_factory.mktemp("argv")
+        path = {"stdout": None, "file": out / "table.csv", "directory": out,
+                "missing_parent": out / "missing" / "table.csv"}[target]
+        if path is not None:
+            argv = argv + ["--out", str(path)]
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            try:
+                ret = main(argv)
+            except SystemExit as exc:
+                ret = exc.code
+        assert ret in (EXIT_OK, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_ERROR)
+        assert "Traceback" not in stderr.getvalue()
+        if ret != EXIT_OK:
+            return
+        text = stdout.getvalue() if path is None else path.read_text()
+        header, *rows = list(csv.reader(io.StringIO(text)))
+        assert rows
+        for row in rows:
+            cells = dict(zip(header, map(float, row)))
+            assert all(math.isfinite(v) for v in cells.values())
+            assert all(0.0 <= v <= 1.0 for name, v in cells.items()
+                       if name.startswith("eta"))
 
 
 class TestProcessInvocation:
