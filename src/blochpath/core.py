@@ -234,23 +234,78 @@ def _first(flags) -> Optional[int]:
     return int(hits[0]) if hits.size else None
 
 
+#: samples of a scalar callable whose results are converted together
+_BLOCK = 256
+
+
+def _field_error(t, exc: Exception):
+    """Raise ``exc`` as the failure at sample ``t``: a :class:`BlochPathError`
+    as it is, any other exception as a :class:`FieldError` naming ``t``."""
+    if isinstance(exc, BlochPathError):
+        raise exc
+    raise FieldError(f"field evaluation failed at t = {t!r}: {exc}") from exc
+
+
+def _fill(fn: Callable, times: np.ndarray, convert: Callable, out: np.ndarray) -> list:
+    """Call ``fn`` at each of ``times``, write the converted results into
+    ``out`` and return them raw.
+
+    Several results are converted by one ``np.array`` call when it gives
+    float64 rows of ``out``'s shape; otherwise each goes through ``convert``,
+    which accepts, rejects and names the first failing ``t`` as one sample
+    at a time does.  Values returned before ``fn`` raises are converted
+    first, so an earlier invalid one is still the error reported.
+    """
+    values, failure = [], None
+    try:
+        for t in times:
+            values.append(fn(t))
+    except Exception as exc:
+        failure = exc
+    rows = None
+    if len(values) > 1:
+        try:
+            rows = np.array(values)
+        except Exception:  # whatever np.array rejects, ``convert`` judges below
+            pass
+    if rows is not None and rows.dtype == np.float64 \
+            and rows.shape == (len(values),) + out.shape[1:]:
+        out[:len(values)] = rows
+    else:
+        for k, value in enumerate(values):
+            try:
+                out[k] = convert(value)
+            except Exception as exc:
+                _field_error(times[k], exc)
+    if failure is not None:
+        _field_error(times[len(values)], failure)
+    return values
+
+
 def _per_sample(fn: Callable, times: np.ndarray, convert: Callable,
-                shape: tuple = (), dtype=float) -> np.ndarray:
+                shape: tuple = ()) -> np.ndarray:
     """``convert(fn(t))`` for every ``t`` of ``times``, stacked.
 
     ``fn`` is called once per sample, in the order of ``times``, with its
-    numpy float64 element, and each result is written into one
-    preallocated array.  Exceptions other than :class:`BlochPathError`
-    surface as :class:`FieldError` naming the failing ``t``.
+    numpy float64 element.  Its results are converted ``_BLOCK`` samples at
+    a time (see :func:`_fill`), so every accepted value and every error is
+    the one-sample-at-a-time one, except that after an invalid value up to
+    a block of later samples may already have been evaluated.  Exceptions
+    other than :class:`BlochPathError` surface as :class:`FieldError`
+    naming the failing ``t``.
+
+    A result is read after later calls, so ``fn`` must not change an object
+    it has returned.  The first two samples are converted as they return;
+    a callable that returns the same array or list for both (a reused
+    output buffer) is converted that way throughout.
     """
-    out = np.empty(times.shape + shape, dtype=dtype)
-    for k, t in enumerate(times):
-        try:
-            out[k] = convert(fn(t))
-        except BlochPathError:
-            raise
-        except Exception as exc:
-            raise FieldError(f"field evaluation failed at t = {t!r}: {exc}") from exc
+    out = np.empty(times.shape + shape)
+    head = [_fill(fn, times[k:k + 1], convert, out[k:k + 1])[0]
+            for k in range(min(2, len(times)))]
+    reused = len(head) == 2 and head[0] is head[1] and isinstance(head[0], (np.ndarray, list))
+    size = 1 if reused else _BLOCK
+    for start in range(len(head), len(times), size):
+        _fill(fn, times[start:start + size], convert, out[start:start + size])
     return out
 
 
@@ -282,8 +337,12 @@ class FieldSpec:
 
     :meth:`sample` and :meth:`sample_h_dot` evaluate a whole array of times:
     constants broadcast, and a callable is called once per sample, in time
-    order.  Fields built from tables or prescribed paths sample in batches
-    instead.
+    order, with a numpy float64.  Its results are converted to arrays a
+    block of samples at a time, with the values and errors of one sample at
+    a time; after an invalid result up to a block of later samples may
+    already have been evaluated, and a callable must not change an object
+    it has returned (one output buffer, returned at every call, is allowed).
+    Fields built from tables or prescribed paths sample in batches instead.
     """
 
     h0: Union[Callable[[float], float], float]

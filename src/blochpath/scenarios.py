@@ -38,7 +38,7 @@ from .efficiency import (
     speed_efficiency_tracenonzero,
     speed_efficiency_tracezero,
 )
-from .errors import BlochPathError, ConfigError, NumericalError
+from .errors import BlochPathError, ConfigError, NumericalError, ShapeError
 from .evolve import MAX_STEPS, TOL_NORM0, TimeGrid, schrodinger_evolve
 from .families import (
     TOL_DEG,
@@ -427,10 +427,14 @@ def write_csv(path, columns: dict) -> None:
     Numbers get 15 significant digits, exactly as ``'%.15g'``; strings are
     quoted where they hold ``,``, ``"``, CR or LF, or are an empty lone
     cell.  ``path`` is a file path or an open text stream, which is left
-    open.
+    open.  Columns of different lengths raise :class:`ShapeError` before
+    anything is written.
     """
     arrays = [np.asarray(c) for c in columns.values()]
-    n_rows = min((len(a) for a in arrays), default=0)
+    lengths = {name: len(a) for name, a in zip(columns, arrays)}
+    if len(set(lengths.values())) > 1:
+        raise ShapeError(f"CSV columns differ in length: {lengths}")
+    n_rows = max(lengths.values(), default=0)
     step = max(1, _CSV_CELLS // max(1, len(arrays)))
     with _output(path), (contextlib.nullcontext(path) if hasattr(path, "write")
                          else open(path, "w", newline="", encoding="utf-8")) as fh:

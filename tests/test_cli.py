@@ -443,6 +443,32 @@ def _csv_argv(draw):
                                        "missing_parent"]))
 
 
+#: --t-end spellings: non-finite, negative, zero, subnormal and huge ones
+#: (the last past the 10**7-step cap of the default grid, so rejected before
+#: anything is allocated) and ordinary spans, on which the default grid of
+#: 2000 steps per unit time stays small
+_T_ENDS = st.one_of(
+    st.sampled_from(["nan", "inf", "-inf", "-1", "-0.5", "0", "-0", "5e-324",
+                     "1e-300", "1e300", "1e308"]),
+    st.floats(1e-3, 1.5).map(repr))
+
+
+@st.composite
+def _run_argv(draw):
+    joined = draw(st.booleans())
+    if draw(st.booleans()):
+        argv = ["example", str(draw(st.integers(1, 4))),
+                *_option("--t-end", draw(_T_ENDS), joined)]
+    else:
+        argv = ["table2"]
+    steps = draw(st.one_of(st.none(), st.integers(-5, 50)))
+    if steps is not None:
+        argv += _option("--steps", str(steps), joined)
+    # example's --out defaults to the working directory, so it is always given
+    targets = ["file", "directory", "missing_parent", "fresh_directory"]
+    return argv, draw(st.sampled_from(targets + (["none"] if argv[0] == "table2" else [])))
+
+
 class TestArgvFuzz:
     @given(case=_csv_argv())
     @settings(max_examples=150, derandomize=True, deadline=None)
@@ -472,6 +498,42 @@ class TestArgvFuzz:
             assert all(math.isfinite(v) for v in cells.values())
             assert all(0.0 <= v <= 1.0 for name, v in cells.items()
                        if name.startswith("eta"))
+
+
+    @given(case=_run_argv())
+    @settings(max_examples=80, derandomize=True, deadline=None)
+    def test_every_run_command_ends_in_a_documented_exit(self, tmp_path_factory, case):
+        argv, target = case
+        out = tmp_path_factory.mktemp("argv")
+        (out / "file").write_text("")
+        path = {"none": None, "file": out / "file", "directory": out,
+                "missing_parent": out / "missing" / "run",
+                "fresh_directory": out / "fresh"}[target]
+        if path is not None:
+            argv = argv + ["--out", str(path)]
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            try:
+                ret = main(argv)
+            except SystemExit as exc:
+                ret = exc.code
+        assert ret in (EXIT_OK, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_ERROR)
+        assert "Traceback" not in stderr.getvalue()
+        if ret != EXIT_OK:
+            return
+        if argv[0] == "table2":
+            rows = stdout.getvalue().splitlines()[1:]
+            assert len(rows) == 4
+            etas = [float(x) for row in rows for x in row.split()[1:4]]
+            assert all(0.0 <= x <= 1.0 for x in etas)
+            names = [f"example{k}" for k in range(1, 5)] if path is not None else []
+        else:
+            names = [f"example{argv[1]}"]
+        for name in names:
+            report = json.loads((path / f"{name}_report.json").read_text())
+            assert all(math.isfinite(x) for x in _numbers(report))
+            for key in ("eta_ge_bar", "eta_se_bar", "eta_he"):
+                assert 0.0 <= report[key] <= 1.0
 
 
 class TestProcessInvocation:

@@ -1,12 +1,17 @@
 """The field-sampling protocol: call contract, batched checks, pinned bytes.
 
 ``FieldSpec.sample`` evaluates a whole time array.  Scalar user callables
-are still called once per sample, in time order, with a numpy float64;
-prescribed-path callables are called once with the whole array; tabulated
-and prescribed-path fields are evaluated in batches and must give the same
-bits, and the same typed errors, as one sample at a time.
+are still called once per sample, in time order, with a numpy float64, and
+their results are converted a block at a time; prescribed-path callables
+are called once with the whole array; tabulated and prescribed-path fields
+are evaluated in batches.  Each must give the same bits, and the same typed
+errors, as one sample at a time.
 """
 
+import copy
+import itertools
+import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +37,7 @@ from blochpath import (
     uzdin_optimal,
     uzdin_suboptimal,
 )
+from blochpath.core import _BLOCK, _as_vec3
 from blochpath.families import FD_STEP
 from blochpath.scenarios import write_csv
 
@@ -107,6 +113,191 @@ class TestCallableContract:
         assert np.array_equal(h, np.tile([0.0, 0.5, 0.0], (11, 1)))
         assert np.array_equal(FieldSpec(h0=0.0, h=[1.0, 0.0, 0.0])
                               .sample_h_dot(TIMES, 1e-6), np.zeros((11, 3)))
+
+
+def one_at_a_time(fn, times, convert):
+    """The loop the block conversion replaced: ``convert(fn(t))`` sample by
+    sample, the first failure raised at once and named by its ``t``."""
+    rows = []
+    for t in times:
+        try:
+            rows.append(convert(fn(t)))
+        except (FieldError, ShapeError):
+            raise
+        except Exception as exc:
+            raise FieldError(f"field evaluation failed at t = {t!r}: {exc}") from exc
+    return np.array(rows, dtype=float)
+
+
+def as_row(v):
+    return _as_vec3(v, "field")
+
+
+#: accepted results of a scalar ``h0`` and of a row ``h``, by kind
+SCALAR_KINDS = {
+    "float": float, "int": lambda x: int(x * 1e12), "bool": lambda x: x > 0.0,
+    "zero_d": np.array, "float32": np.float32, "float64": np.float64,
+    "string": repr,
+}
+ROW_KINDS = {
+    "array": np.array, "list": list, "tuple": tuple,
+    "ints": lambda r: [int(x * 1e12) for x in r], "bools": lambda r: [x > 0.0 for x in r],
+    "zero_ds": lambda r: [np.array(x) for x in r], "float32": lambda r: np.array(r, np.float32),
+    "strings": lambda r: [repr(x) for x in r],
+}
+
+
+def results_of(kinds, made):
+    """A callable returning a new result for each call, cycling through
+    ``made``: pairs of a kind's name and its argument."""
+    calls = itertools.count()
+
+    def fn(t):
+        name, value = made[next(calls) % len(made)]
+        return kinds[name](value)
+    return fn
+
+
+finite = st.floats(-1e6, 1e6, allow_nan=False)
+
+
+class TestBlockConversion:
+    """Results are converted ``_BLOCK`` samples at a time, to the bits,
+    errors and first failing ``t`` of one sample at a time."""
+
+    N = 600  # more than two blocks
+
+    @settings(max_examples=60, deadline=None)
+    @given(made=st.lists(st.tuples(st.sampled_from(sorted(ROW_KINDS)),
+                                   st.tuples(finite, finite, finite)), min_size=1, max_size=6),
+           scalars=st.lists(st.tuples(st.sampled_from(sorted(SCALAR_KINDS)), finite),
+                            min_size=1, max_size=6),
+           n=st.integers(1, N))
+    def test_blocks_give_the_bits_of_one_sample_at_a_time(self, made, scalars, n):
+        # a block of one kind converts through np.array, a mixed or
+        # non-float64 block value by value
+        times = np.linspace(0.0, 1.0, n)
+        h0, h = FieldSpec(h0=results_of(SCALAR_KINDS, scalars),
+                          h=results_of(ROW_KINDS, made)).sample(times)
+        want_h0 = one_at_a_time(results_of(SCALAR_KINDS, scalars), times, float)
+        want_h = one_at_a_time(results_of(ROW_KINDS, made), times, as_row)
+        assert h0.tobytes() == want_h0.tobytes()
+        assert h.tobytes() == want_h.tobytes()
+
+    @staticmethod
+    def bad_at(k, bad, good):
+        calls = itertools.count()
+        return lambda t: bad if next(calls) == k else good(t)
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 255, 256, 257, 258, N - 1])
+    @pytest.mark.parametrize("bad", [[1.0, 2.0], "x", 1j, [1j, 0.0, 0.0], np.array([1.0])],
+                             ids=["two_vector", "string", "complex", "complex_row", "one_array"])
+    @pytest.mark.parametrize("where", ["h0", "h"])
+    def test_invalid_value_raises_as_one_sample_at_a_time(self, k, bad, where):
+        times = np.linspace(0.0, 1.0, self.N)
+        good, convert = ((lambda t: 0.5 * t, float) if where == "h0"
+                         else (lambda t: [t, 1.0, 0.5], as_row))
+        with pytest.raises((FieldError, ShapeError)) as want:
+            one_at_a_time(self.bad_at(k, bad, good), times, convert)
+        field = (FieldSpec(h0=self.bad_at(k, bad, good), h=np.ones(3)) if where == "h0"
+                 else FieldSpec(h0=0.0, h=self.bad_at(k, bad, good)))
+        with pytest.raises(want.type) as got:
+            field.sample(times)
+        assert str(got.value) == str(want.value)
+        assert f"t = {times[k]!r}" in str(got.value) or isinstance(got.value, ShapeError)
+
+    @pytest.mark.parametrize("bad", [[1.0], np.array([1.0]), [[1.0, 2.0, 3.0]]],
+                             ids=["list", "array", "nested"])
+    @pytest.mark.parametrize("where", ["h0", "h"])
+    def test_a_block_of_wrong_shapes_is_never_broadcast(self, bad, where):
+        # every sample past the first two, which are converted alone, is
+        # wrong the same way: the block stacks, but not to rows
+        times = np.linspace(0.0, 1.0, self.N)
+        convert, good = ((float, float) if where == "h0"
+                         else (as_row, lambda t: [t, 0.0, 1.0]))
+
+        def fn(t):
+            return copy.deepcopy(bad) if t > times[1] else good(t)
+
+        with pytest.raises((FieldError, ShapeError)) as want:
+            one_at_a_time(fn, times, convert)
+        field = (FieldSpec(h0=fn, h=np.ones(3)) if where == "h0"
+                 else FieldSpec(h0=0.0, h=fn))
+        with pytest.raises(want.type) as got:
+            field.sample(times)
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("bad", [[1.0, 2.0], "x"])
+    def test_an_earlier_invalid_value_wins_over_a_later_raise(self, bad):
+        # sample 30 is invalid and the call at sample 39 raises, in one block
+        def counted(calls):
+            def h(t):
+                calls.append(t)
+                if len(calls) == 40:
+                    raise ValueError("boom")
+                return bad if len(calls) == 31 else [t, 0.0, 1.0]
+            return h
+
+        times = np.linspace(0.0, 1.0, self.N)
+        with pytest.raises((FieldError, ShapeError)) as want:
+            one_at_a_time(counted([]), times, as_row)
+        calls = []
+        with pytest.raises(want.type) as got:
+            FieldSpec(h0=0.0, h=counted(calls)).sample(times)
+        assert str(got.value) == str(want.value)
+        assert "boom" not in str(got.value)
+        assert len(calls) == 40
+
+    def test_a_raise_names_its_own_sample(self):
+        times = np.linspace(0.0, 1.0, self.N)
+        calls = []
+
+        def h(t):
+            calls.append(t)
+            if len(calls) == 300:
+                raise ValueError("boom")
+            return [t, 0.0, 1.0]
+
+        with pytest.raises(FieldError, match="boom") as exc:
+            FieldSpec(h0=0.0, h=h).sample(times)
+        assert f"t = {times[299]!r}" in str(exc.value)
+        assert isinstance(exc.value.__cause__, ValueError)
+
+    def test_later_samples_evaluated_after_an_invalid_one_are_at_most_a_block(self):
+        times = np.linspace(0.0, 1.0, self.N)
+        calls = []
+
+        def h(t):
+            calls.append(t)
+            return [1.0, 2.0] if len(calls) == 5 else [t, 0.0, 1.0]
+
+        with pytest.raises(ShapeError):
+            FieldSpec(h0=0.0, h=h).sample(times)
+        assert 5 <= len(calls) <= 5 + _BLOCK
+
+    @pytest.mark.parametrize("buffer", [np.zeros(3), [0.0, 0.0, 0.0]], ids=["array", "list"])
+    def test_a_reused_output_buffer_is_read_as_it_returns(self, buffer):
+        # a callable that fills and returns one buffer sees it read before
+        # the next call changes it
+        def h(t):
+            buffer[:] = [math.cos(t), math.sin(t), t]
+            return buffer
+
+        times = np.linspace(0.0, 1.0, self.N)
+        fresh = FieldSpec(h0=0.0, h=lambda t: [math.cos(t), math.sin(t), t]).sample(times)[1]
+        assert np.array_equal(FieldSpec(h0=0.0, h=h).sample(times)[1], fresh)
+
+    def test_memory_is_bounded_by_a_block(self):
+        # results are held one block at a time, not for the whole run
+        field = FieldSpec(h0=0.0, h=lambda t: np.array([math.sin(t), 0.5, t]))
+        times = np.linspace(0.0, 1.0, 10**5)
+        tracemalloc.start()
+        try:
+            h0, h = field.sample(times)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < h0.nbytes + h.nbytes + 2**20, peak
 
 
 class TestPathCallContract:

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from blochpath import (
     ConfigError,
     ScenarioConfig,
+    ShapeError,
     build_scenario,
     orbit_radius,
     run_report,
@@ -269,6 +270,15 @@ class TestArtifacts:
         write_csv(stream, columns)
         assert not stream.closed
         assert stream.getvalue().encode() == path.read_bytes()
+
+    @pytest.mark.parametrize("target", ["stream", "path"])
+    def test_csv_columns_of_different_lengths_are_a_shape_error(self, tmp_path, target):
+        stream, path = io.StringIO(newline=""), tmp_path / "t.csv"
+        with pytest.raises(ShapeError, match="differ in length"):
+            write_csv(stream if target == "stream" else path,
+                      {"a": [1.0, 2.0, 3.0], "b": [4.0]})
+        assert stream.getvalue() == ""
+        assert not path.exists()
 
     @staticmethod
     def csv_module_bytes(columns):

@@ -8,7 +8,10 @@ name, would silently empty a per-layer metric; this test catches it.
 """
 
 import importlib.util
+import math
 from pathlib import Path
+
+import numpy as np
 
 import blochpath
 from blochpath import scenarios
@@ -69,3 +72,28 @@ def test_batched_fields_sample_once_per_evolve(tmp_path):
     for span in samples:
         assert tracer.spans[span[trace.PARENT]][trace.NAME] \
             == "evolve.schrodinger_evolve"
+
+
+def test_scalar_callable_field_is_sampled_in_one_traced_span():
+    # the benchmark's callable ops: a FieldSpec of scalar Python callables
+    # run through the package-level schrodinger_evolve and efficiency_report
+    trace = load_trace_module()
+    tracer = trace.Tracer()
+    n_steps = 30
+    calls = []
+
+    def h(t):
+        calls.append(t)
+        return np.array([1.0 + 0.2 * math.sin(3.0 * t), 0.0, 0.4])
+
+    field = blochpath.FieldSpec(h0=lambda t: 0.1 * math.cos(t), h=h, t_span=(0.0, 0.6))
+    with tracer.installed(blochpath):
+        traj = blochpath.schrodinger_evolve(field, np.array([1.0, 0.0], dtype=complex),
+                                            blochpath.TimeGrid(0.0, 0.6, n_steps))
+        blochpath.efficiency_report(traj)
+    samples = [span for span in tracer.spans
+               if span[trace.NAME] == "evolve.sample_field"]
+    assert [span[trace.ERROR] for span in samples] == [None]
+    assert tracer.spans[samples[0][trace.PARENT]][trace.NAME] \
+        == "evolve.schrodinger_evolve"
+    assert tracer.counts["field_samples"] == 2 * n_steps + 1 == len(calls)
