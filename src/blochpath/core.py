@@ -91,6 +91,15 @@ def _as_vec3(v, name: str = "vector") -> np.ndarray:
     return arr
 
 
+def _as_times(times) -> np.ndarray:
+    """``times`` as a float64 1-D array; any other shape is a
+    :class:`ShapeError`."""
+    arr = np.asarray(times, dtype=float)
+    if arr.ndim != 1:
+        raise ShapeError(f"expected a 1-D array of times, got shape {arr.shape}")
+    return arr
+
+
 def _as_rows(v, name: str) -> np.ndarray:
     arr = np.asarray(v, dtype=float)
     if arr.shape[-1:] != (3,):
@@ -360,7 +369,7 @@ class FieldSpec:
 
     def sample(self, times) -> Tuple[np.ndarray, np.ndarray]:
         """``(h0, h)`` at ``times``: arrays of shape ``(n,)`` and ``(n, 3)``."""
-        times = np.asarray(times, dtype=float)
+        times = _as_times(times)
         return _column(self.h0, times), _column(self.h, times, "field")
 
     def _sample_h(self, times: np.ndarray) -> np.ndarray:
@@ -370,7 +379,7 @@ class FieldSpec:
     def sample_h_dot(self, times, step: float) -> np.ndarray:
         """``dh/dt`` at ``times``, shape ``(n, 3)``: analytic when ``h_dot``
         is given, else a central difference of ``h`` with ``step``."""
-        times = np.asarray(times, dtype=float)
+        times = _as_times(times)
         if self.h_dot is not None:
             return _column(self.h_dot, times, "field derivative")
         return _central_difference(self._sample_h, times, step)

@@ -16,10 +16,13 @@ whose ``log10`` estimate missed by one.
 The ``%g`` layout goes into fixed byte slots padded with NUL, one column
 of slots per cell: the sign, the ``0.000`` prefix of a small fixed-point
 number, 15 digits with the point inserted, and the exponent ``e±XX``.
-Trailing zeros, and a point with no digit after it, become NUL, and one
-boolean compress turns the slots into text.  String cells are placed in
-the same byte matrix with an explicit keep-mask, so a NUL inside a
-string survives.
+Trailing zeros, and a point with no digit after it, become NUL.  The
+sign, prefix and exponent places are written only when some cell of the
+chunk needs them, and every place no cell uses is dropped; the rest are
+copied to cell-major order once, and one ``bytes.translate`` deletes the
+NULs.  String cells are placed in the same byte matrix with their own NUL
+bytes held as 0xFE, a byte UTF-8 never uses, which the same ``translate``
+turns back into NUL.
 """
 
 from __future__ import annotations
@@ -39,6 +42,8 @@ _SLOT = 26
 _PLACE = np.arange(16, dtype=np.uint8)[:, None]
 _PREFIX = np.frombuffer(b"0.000", np.uint8)[:, None]
 _PREFIX_PLACE = np.arange(5, dtype=np.int8)[:, None]
+#: after the padding NULs are deleted, a string's own NULs are restored
+_UNMARK = bytes.maketrans(b"\xfe", b"\0")
 
 
 def _pow10_table(lo: int = -60, hi: int = 60):
@@ -133,8 +138,12 @@ def _g15_slots(x: np.ndarray, out: np.ndarray) -> None:
     # the point goes after digit p: the integer digits, one digit before an
     # exponent, or past the last digit when a small number's prefix holds it
     p = (whole * (e + 1) + small * 15 + ~fixed).astype(np.uint8)
-    out[0] = np.signbit(x) * np.uint8(ord("-"))
-    out[1:6] = (_PREFIX_PLACE < small * (1 - e)) * _PREFIX
+    # the sign, prefix and exponent places stay zero unless a cell uses them
+    neg = np.signbit(x)
+    if neg.any():
+        out[0] = neg * np.uint8(ord("-"))
+    if small.any():
+        out[1:6] = (_PREFIX_PLACE < small * (1 - e)) * _PREFIX
     body = out[6:22]
     body[0] = d[0]
     before = _PLACE < p
@@ -148,11 +157,12 @@ def _g15_slots(x: np.ndarray, out: np.ndarray) -> None:
     keep |= before & whole
     body *= keep
     expo = ~fixed
-    mag = np.abs(e).astype(np.uint8)
-    out[22] = expo * np.uint8(ord("e"))
-    out[23] = expo * (ord("+") + 2 * (e < 0)).astype(np.uint8)
-    out[24] = expo * (ord("0") + mag // 10)
-    out[25] = expo * (ord("0") + mag % 10)
+    if expo.any():
+        mag = np.abs(e).astype(np.uint8)
+        out[22] = expo * np.uint8(ord("e"))
+        out[23] = expo * (ord("+") + 2 * (e < 0)).astype(np.uint8)
+        out[24] = expo * (ord("0") + mag // 10)
+        out[25] = expo * (ord("0") + mag % 10)
     for i in np.flatnonzero(~done):
         text = ("%.15g" % x[i]).encode()
         out[:, i] = 0
@@ -174,7 +184,9 @@ def csv_rows(columns: list) -> str:
     other column is read as float64 and written as ``'%.15g'``.
     """
     rows, width = len(columns[0]), len(columns)
-    texts = {j: [t.encode("utf-8", "surrogatepass")
+    # a string's own NUL is held as 0xFE, a byte UTF-8 never uses, so that
+    # every NUL in the byte matrix is padding
+    texts = {j: [t.encode("utf-8", "surrogatepass").replace(b"\0", b"\xfe")
                  for t in quote(c.tolist(), width == 1)]
              for j, c in enumerate(columns) if c.dtype.kind == "U"}
     size = max([_SLOT] + [len(t) for cells in texts.values() for t in cells])
@@ -189,12 +201,10 @@ def csv_rows(columns: list) -> str:
     _g15_slots(values.ravel(), cells[:_SLOT].reshape(_SLOT, -1))
     cells[size, :, :-1] = ord(",")
     cells[size:, :, -1] = np.array([[ord("\r")], [ord("\n")]])
-    keep = cells != 0
     for j, encoded in texts.items():
         padded = b"".join(t.ljust(size, b"\0") for t in encoded)
         cells[:size, :, j] = np.frombuffer(padded, np.uint8).reshape(rows, size).T
-        keep[:size, :, j] = (np.arange(size)[:, None]
-                             < np.array([len(t) for t in encoded]))
-    flat = cells.reshape(size + 2, -1).T
-    return flat[keep.reshape(size + 2, -1).T].tobytes().decode(
-        "utf-8", "surrogatepass")
+    flat = cells.reshape(size + 2, -1)
+    flat = flat[flat.any(axis=1)]
+    return np.ascontiguousarray(flat.T).tobytes().translate(
+        _UNMARK, b"\0").decode("utf-8", "surrogatepass")

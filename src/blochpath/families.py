@@ -22,9 +22,9 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .core import (TOL_HERM, TOL_NORM, FieldSpec, _BatchedField, _bloch_rows,
-                   _central_difference, _first, _hermitian_parts, clamped_arccos,
-                   fubini_study_distance)
+from .core import (TOL_HERM, TOL_NORM, FieldSpec, _as_times, _BatchedField,
+                   _bloch_rows, _central_difference, _first, _hermitian_parts,
+                   clamped_arccos, fubini_study_distance)
 from .errors import (
     BlochPathError,
     ConfigError,
@@ -108,18 +108,24 @@ def orbit_radius(alpha, theta_ab):
     return np.sqrt(1.0 - c * c)
 
 
+def _orbit(alpha, theta_ab):
+    """``(orbit_radius, rotation_angle)``, each evaluated once; a vanishing
+    radius raises :class:`DegenerateEndpointsError`."""
+    radius = orbit_radius(alpha, theta_ab)
+    if np.any(radius < 1e-12):
+        raise DegenerateEndpointsError(
+            "orbit radius vanishes; alpha in {0, pi} with theta_ab = 0"
+        )
+    return radius, 2.0 * clamped_arccos(np.sin(alpha) * np.cos(0.5 * theta_ab) / radius)
+
+
 def rotation_angle(alpha, theta_ab):
     """Rotation angle ``phi(alpha)`` about ``n(alpha)`` that lands on ``b``.
 
     ``phi = 2 arccos(sin(alpha) cos(theta/2) / orbit_radius)``; decreases
     from pi at ``alpha = 0`` to ``theta_ab`` at ``alpha = pi/2``.
     """
-    radius = orbit_radius(alpha, theta_ab)
-    if np.any(radius < 1e-12):
-        raise DegenerateEndpointsError(
-            "orbit radius vanishes; alpha in {0, pi} with theta_ab = 0"
-        )
-    return 2.0 * clamped_arccos(np.sin(alpha) * np.cos(0.5 * theta_ab) / radius)
+    return _orbit(alpha, theta_ab)[1]
 
 
 def travel_time(alpha, theta_ab, E: float):
@@ -135,7 +141,8 @@ def arc_length_alpha(alpha, theta_ab):
     Equals ``theta_ab`` exactly at ``alpha = pi/2`` (the geodesic) and grows
     on both sides; tends to pi as ``theta_ab -> pi`` for every ``alpha``.
     """
-    return orbit_radius(alpha, theta_ab) * rotation_angle(alpha, theta_ab)
+    radius, phi = _orbit(alpha, theta_ab)
+    return radius * phi
 
 
 def delta_e_alpha(alpha, theta_ab, E: float):
@@ -302,7 +309,7 @@ class _PathField(_BatchedField):
     variant: str = "optimal"
 
     def sample(self, times) -> Tuple[np.ndarray, np.ndarray]:
-        times = np.asarray(times, dtype=float)
+        times = _as_times(times)
         fam = self.family
         m, norm = fam._m_rows(times)
         md = fam._m_dot_rows(times)
@@ -339,7 +346,7 @@ class _PathField(_BatchedField):
         the array when given, else a central difference of the drive."""
         if self.h_dot is None:
             return super().sample_h_dot(times, step)
-        return _path_rows(self.h_dot, "h_dot", np.asarray(times, dtype=float), (3,))
+        return _path_rows(self.h_dot, "h_dot", _as_times(times), (3,))
 
 
 def uzdin_optimal(fam: UzdinFamily,

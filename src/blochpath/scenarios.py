@@ -29,7 +29,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import FieldSpec, _BatchedField, state_from_bloch
+from .core import FieldSpec, _as_times, _BatchedField, state_from_bloch
 from .csvtext import csv_rows, quote
 from .curvature import curvature_bloch_profile
 from .efficiency import (
@@ -44,11 +44,8 @@ from .families import (
     TOL_DEG,
     SuboptimalStationary,
     UzdinFamily,
-    arc_length_alpha,
-    delta_e_alpha,
-    orbit_radius,
+    _orbit,
     suboptimal_hamiltonian,
-    travel_time,
     uzdin_optimal,
     uzdin_suboptimal,
 )
@@ -325,7 +322,7 @@ class _TableField(_BatchedField):
     knots: Optional[np.ndarray] = None
 
     def sample(self, times):
-        times = np.asarray(times, dtype=float)
+        times = _as_times(times)
         h = np.empty(times.shape + (3,))
         for i in range(3):
             h[:, i] = np.interp(times, self.knots, self.h[:, i])
@@ -570,14 +567,17 @@ def sweep_alpha(theta_ab: float, n_points: int, E: float = 1.0) -> dict:
     alphas = np.linspace(0.0, np.pi, int(n_points))
     alphas[0] = ALPHA_EPS
     alphas[-1] = np.pi - ALPHA_EPS
-    s = arc_length_alpha(alphas, theta_ab)
+    # the operations of arc_length_alpha, travel_time and delta_e_alpha, on
+    # one evaluation of the radius and the angle
+    radius, phi = _orbit(alphas, theta_ab)
+    s = radius * phi
     return _finite_columns({
         "alpha": alphas,
         "s": s,
-        "t_ab": travel_time(alphas, theta_ab, E),
-        "delta_e": delta_e_alpha(alphas, theta_ab, E),
+        "t_ab": phi / (2.0 * E),
+        "delta_e": E * radius,
         "eta_ge": _unit_ratio(theta_ab / s),
-        "eta_se": _unit_ratio(orbit_radius(alphas, theta_ab)),
+        "eta_se": _unit_ratio(radius),
     })
 
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blochpath import sweep_phase_profiles
+from blochpath import scenarios, sweep_phase_profiles
 from blochpath.scenarios import write_csv
 
 
@@ -122,6 +122,40 @@ def test_a_long_table_is_formatted_in_chunks(tmp_path):
     assert path.read_bytes() == template_bytes(table)
 
 
+#: cells that need the optional places: a sign, a ``0.000`` prefix, an exponent
+OPTIONAL = {"sign": -2.5, "prefix": 1.25e-4, "exponent": 3.5e-21}
+
+
+@given(st.integers(1, 5), st.floats(1.5, 4.0), st.fixed_dictionaries(
+    {kind: st.sampled_from(["none", "one", "every"]) for kind in OPTIONAL}),
+    st.integers(0, 2**32 - 1))
+@settings(max_examples=30, deadline=None, derandomize=True)
+def test_optional_places_in_no_one_or_every_chunk(width, chunks, where, seed):
+    """Tables of several chunks, with the cells that need a sign, prefix or
+    exponent place in no chunk, in one chunk, or in every chunk."""
+    step = scenarios._CSV_CELLS // width
+    rng = np.random.default_rng(seed)
+    table = rng.uniform(1.0, 1000.0, (int(chunks * step), width))
+    for kind, value in OPTIONAL.items():
+        if where[kind] == "one":
+            table[rng.integers(len(table)), rng.integers(width)] = value
+        elif where[kind] == "every":
+            rows = np.minimum(np.arange(0, len(table), step) + rng.integers(step),
+                              len(table) - 1)
+            table[rows, rng.integers(width, size=len(rows))] = value
+    columns = {f"c{j}": table[:, j] for j in range(width)}
+    assert written(columns) == template_bytes(columns)
+
+
+@pytest.mark.parametrize("cells", [1, 2, 7, 4096, 10**6])
+def test_chunk_size_does_not_change_the_bytes(monkeypatch, cells):
+    columns = {"name": np.array(["þ", "a\x00b", "", "x,y", "ÿ"] * 40),
+               "x": np.linspace(-3e-5, 2e20, 200),
+               "y": np.arange(200.0)}
+    monkeypatch.setattr(scenarios, "_CSV_CELLS", cells)
+    assert written(columns) == template_bytes(columns)
+
+
 class TestStringCells:
     @pytest.mark.parametrize("columns", [
         {"name": np.array(["θ_ab", "ψ → φ", "naïve,quoted", "日本語", "🙂"]),
@@ -129,7 +163,13 @@ class TestStringCells:
         {"with nul": np.array(["a\x00b", "\x00lead", "x"]),
          "n": np.arange(3.0)},
         {"lone": np.array(["\x00", "", "é"])},
-    ], ids=["non_ascii", "nul", "lone_column"])
+        {"thorn": np.array(["þ", "þ\x00", "aþb"]), "y": np.array(["ÿ", "\x00ÿ", "ÿÿ"]),
+         "n": np.array([-1.0, 1e-300, 0.0])},
+        {"mixed": np.array(["é\x00þ", "\x00日本", "ÿ\x00\x00", "🙂\x00"]),
+         "n": np.arange(4.0)},
+        {"lone": np.array(["þ", "ÿ\x00", "\x00é"])},
+    ], ids=["non_ascii", "nul", "lone_column", "thorn_and_y_umlaut",
+            "nul_next_to_non_ascii", "lone_non_ascii_column"])
     def test_string_cells_match_both_references(self, columns):
         got = written(columns)
         assert got == template_bytes(columns)

@@ -396,6 +396,23 @@ def test_batched_rows_equal_single_samples(field):
         assert np.array_equal(h_dot[k], field.sample_h_dot([t], step=1e-4)[0])
 
 
+@pytest.mark.parametrize("times", [0.5, np.array(0.5), [[0.1, 0.2], [0.3, 0.4]]],
+                         ids=["float", "zero_d", "two_d"])
+@pytest.mark.parametrize("field", [
+    FieldSpec(h0=0.2, h=[0.0, 0.0, 1.0]),
+    FieldSpec(h0=lambda t: 0.1 * t, h=lambda t: [t, 0.0, 1.0]),
+    *batched_fields(),
+    uzdin_optimal(UzdinFamily(m_state=great_circle),
+                  h_dot=lambda t: np.zeros(np.shape(t) + (3,))),
+], ids=["constant", "callable", "uzdin_optimal", "uzdin_trace_nonzero",
+        "tabulated", "path_with_h_dot"])
+def test_times_that_are_not_one_dimensional_are_a_shape_error(field, times):
+    for sample in (lambda: sample_field(field, times), lambda: field.sample(times),
+                   lambda: field.sample_h_dot(times, 1e-4)):
+        with pytest.raises(ShapeError, match="1-D array of times"):
+            sample()
+
+
 def scalar_reference(fam, variant, t):
     """One sample of a prescribed-path drive in scalar arithmetic: numpy
     complex scalars, ``np.outer`` and ``abs(c) ** 2``."""
