@@ -10,7 +10,6 @@ the curvature coefficient that vanishes exactly on geodesics.
 from .core import (
     FieldSpec,
     bloch_from_state,
-    clamped_arccos,
     energy_uncertainty,
     fubini_study_distance,
     pauli_compose,

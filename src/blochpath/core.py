@@ -9,8 +9,8 @@ Conventions used throughout the package (hbar = 1):
   ``a = (2 Re c0* c1, 2 Im c0* c1, |c0|^2 - |c1|^2)``;
 * energies carry the same units as the field components.
 
-``pauli_compose``, ``energy_uncertainty`` and ``spectral_norm`` broadcast
-over leading axes of ``(..., 3)`` field and Bloch-vector rows.
+``pauli_compose``, ``energy_uncertainty``, ``spectral_norm`` and
+``fubini_study_distance`` broadcast over leading axes of ``(..., 3)`` rows.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ import numpy as np
 
 from .errors import (
     BlochPathError,
+    ConfigError,
     FieldError,
     HermiticityError,
     NormalizationError,
@@ -35,7 +36,6 @@ __all__ = [
     "PAULI_Z",
     "IDENTITY2",
     "FieldSpec",
-    "clamped_arccos",
     "pauli_compose",
     "pauli_decompose",
     "bloch_from_state",
@@ -54,27 +54,6 @@ IDENTITY2 = np.eye(2, dtype=complex)
 TOL_NORM = 1e-12
 #: tolerance on Hermiticity of decomposed matrices
 TOL_HERM = 1e-12
-#: allowed excursion of an arccos argument beyond [-1, 1]
-TOL_ARCCOS = 1e-9
-
-
-def clamped_arccos(x: Union[float, np.ndarray]):
-    """arccos with the argument clipped to [-1, 1].
-
-    Arguments beyond the interval by more than ``TOL_ARCCOS``, and
-    non-finite ones, indicate a real numerical problem upstream and raise
-    :class:`NumericalError` instead of being silently clipped.
-    """
-    x = np.asarray(x, dtype=float)
-    excess = np.max(np.abs(x)) - 1.0
-    if not excess <= TOL_ARCCOS:
-        if not np.isfinite(excess):
-            raise NumericalError("arccos argument is not finite")
-        raise NumericalError(
-            f"arccos argument exceeds [-1, 1] by {excess:.3e}"
-        )
-    out = np.arccos(np.clip(x, -1.0, 1.0))
-    return float(out) if out.ndim == 0 else out
 
 
 def _as_state(psi) -> np.ndarray:
@@ -92,11 +71,18 @@ def _as_vec3(v, name: str = "vector") -> np.ndarray:
 
 
 def _as_times(times) -> np.ndarray:
-    """``times`` as a float64 1-D array; any other shape is a
-    :class:`ShapeError`."""
-    arr = np.asarray(times, dtype=float)
+    """``times`` as a float64 1-D array.  Any other shape is a
+    :class:`ShapeError`; values that are not finite reals are a
+    :class:`ConfigError`, as non-finite grid endpoints are."""
+    try:
+        arr = np.asarray(times).astype(float, casting="same_kind", copy=False)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"times must be real numbers: {exc}") from exc
     if arr.ndim != 1:
         raise ShapeError(f"expected a 1-D array of times, got shape {arr.shape}")
+    k = _first(~np.isfinite(arr))
+    if k is not None:
+        raise ConfigError(f"time {float(arr[k])!r} at index {k} is not finite")
     return arr
 
 
@@ -226,15 +212,25 @@ def spectral_norm(h0, h):
     return np.abs(h0) + np.linalg.norm(_as_rows(h, "field"), axis=-1)
 
 
-def fubini_study_distance(a, b) -> float:
-    """Geodesic (Fubini-Study) distance between two Bloch directions.
+def fubini_study_distance(a, b):
+    """Geodesic (Fubini-Study) distance ``atan2(|a x b|, a . b)`` between
+    the directions of the rows of ``a`` and of ``b``.
 
-    Equals ``arccos(a . b)``, i.e. twice ``arccos |<A|B>|`` for the
-    corresponding pure states.
+    Twice ``arccos |<A|B>|`` for the pure states, without the lost digits
+    of ``arccos(a . b)`` near 0 and pi.  A single pair gives a float; a
+    non-finite angle raises :class:`NumericalError`.
     """
-    a = _as_vec3(a, "Bloch vector")
+    a = _as_rows(a, "Bloch vector")
     b = _as_vec3(b, "Bloch vector")
-    return clamped_arccos(float(a @ b))
+    rows = a.reshape(-1, 3)
+    # numpy hands one row to BLAS dot and several to gemv, which round a.b
+    # differently; a single row goes in twice so that every call uses gemv
+    dot = (np.repeat(rows, 2, axis=0) if len(rows) == 1 else rows) @ b
+    out = np.arctan2(np.linalg.norm(np.cross(a, b), axis=-1),
+                     dot[:len(rows)].reshape(a.shape[:-1]))
+    if not np.isfinite(out).all():
+        raise NumericalError("Fubini-Study distance is not finite")
+    return float(out) if out.ndim == 0 else out
 
 
 def _first(flags) -> Optional[int]:

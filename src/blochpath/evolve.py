@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FieldSpec, _first, energy_uncertainty, pauli_compose
+from .core import (FieldSpec, _as_times, _first, energy_uncertainty,
+                   fubini_study_distance, pauli_compose)
 from .errors import (
     ConfigError,
     FieldError,
@@ -90,9 +91,11 @@ class TimeGrid:
     @classmethod
     def with_density(cls, t_start: float, t_end: float) -> "TimeGrid":
         """Grid of ``STEPS_PER_UNIT`` steps per unit time, at least 2."""
-        # capped so that a huge span fails the step cap, not int(inf)
-        steps = min((t_end - t_start) * STEPS_PER_UNIT, MAX_STEPS + 1)
-        return cls(t_start, t_end, max(2, int(np.ceil(steps))))
+        # a huge span fails the step cap and one that is not a number the
+        # endpoint check, not int(inf) or int(nan)
+        steps = (t_end - t_start) * STEPS_PER_UNIT
+        n = max(2, int(np.ceil(steps))) if steps <= MAX_STEPS else MAX_STEPS + 1
+        return cls(t_start, t_end, n)
 
     @property
     def dt(self) -> float:
@@ -119,7 +122,7 @@ def sample_field(field: FieldSpec, times) -> tuple[np.ndarray, np.ndarray]:
     Exceptions raised inside user callables, and non-finite samples, surface
     as :class:`FieldError` naming the first failing time.
     """
-    times = np.asarray(times, dtype=float)
+    times = _as_times(times)
     h0, h = field.sample(times)
     k = _first(~(np.isfinite(h0) & np.isfinite(h).all(axis=1)))
     if k is not None:
@@ -253,9 +256,7 @@ def schrodinger_evolve(field: FieldSpec, psi0,
     times, bloch, h_nodes = grid.times, _bloch_of(states), h_half[::2]
     delta_e = energy_uncertainty(bloch, h_nodes)
     s_accum = _trapezoid(2.0 * delta_e, times, cumulative=True)
-    # atan2 keeps full relative accuracy near 0 and pi, where arccos does not
-    s0 = np.arctan2(np.linalg.norm(np.cross(bloch, bloch[0]), axis=1),
-                    bloch @ bloch[0])
+    s0 = fubini_study_distance(bloch, bloch[0])
     traj = Trajectory(grid, times, states, bloch, h0_half[::2], h_nodes,
                       delta_e, s_accum, s0)
     traj.validate()

@@ -24,7 +24,7 @@ import numpy as np
 
 from .core import (TOL_HERM, TOL_NORM, FieldSpec, _as_times, _BatchedField,
                    _bloch_rows, _central_difference, _first, _hermitian_parts,
-                   clamped_arccos, fubini_study_distance)
+                   fubini_study_distance)
 from .errors import (
     BlochPathError,
     ConfigError,
@@ -69,13 +69,13 @@ def rodrigues_rotate(v, axis, angle: float) -> np.ndarray:
 
 
 def endpoint_angle(a, b) -> float:
-    """Angular separation ``arccos(a.b)``, rejected near 0 and pi.
+    """Angular separation ``atan2(|a x b|, a.b)``, rejected outside the
+    family's domain ``[TOL_DEG, pi - TOL_DEG]``.
 
-    The family's axis construction divides by both ``cos(theta/2)`` and
-    ``sin(theta)``, so (anti)parallel endpoints are out of domain.
+    (Anti)parallel endpoints leave the axis construction without a plane.
     """
     theta = fubini_study_distance(a, b)
-    if theta <= TOL_DEG or theta >= np.pi - TOL_DEG:
+    if not TOL_DEG <= theta <= np.pi - TOL_DEG:
         raise DegenerateEndpointsError(
             f"endpoint separation {theta!r} too close to 0 or pi"
         )
@@ -83,18 +83,18 @@ def endpoint_angle(a, b) -> float:
 
 
 def suboptimal_axis(alpha: float, a, b) -> np.ndarray:
-    """Rotation axis ``n(alpha)`` carrying ``a`` to ``b``.
-
-    A combination of the normalized bisector ``(a+b)/(2 cos(theta/2))`` and
-    the normal ``(a x b)/sin(theta)`` weighted by ``cos(alpha)`` and
-    ``sin(alpha)``; unit norm for every ``alpha``.
-    """
+    """Rotation axis ``n(alpha) = cos(alpha) m + sin(alpha) v`` carrying
+    ``a`` to ``b``: ``v`` is the unit normal along ``a x b`` and ``m`` the
+    unit bisector ``cos(theta/2) a + sin(theta/2) w``, with ``w`` along
+    ``v x a``, so no step divides by the vanishing ``|a + b|`` near pi."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    theta = endpoint_angle(a, b)
-    bisector = (a + b) / (2.0 * np.cos(0.5 * theta))
-    normal = np.cross(a, b) / np.sin(theta)
-    n = np.cos(alpha) * bisector + np.sin(alpha) * normal
+    half = 0.5 * endpoint_angle(a, b)
+    # a x b as a x (b -+ a): the short difference keeps its relative accuracy
+    normal = np.cross(a, b - np.sign(a @ b) * a)
+    toward = np.cross(normal, a)
+    bisector = np.cos(half) * a + np.sin(half) / np.linalg.norm(toward) * toward
+    n = np.cos(alpha) * bisector + np.sin(alpha) / np.linalg.norm(normal) * normal
     norm = np.linalg.norm(n)
     if abs(norm - 1.0) > 1e-12:
         raise NumericalError(f"axis norm {norm!r} deviates from 1")
@@ -102,36 +102,48 @@ def suboptimal_axis(alpha: float, a, b) -> np.ndarray:
 
 
 def orbit_radius(alpha, theta_ab):
-    """Radius ``sqrt(1 - cos^2(alpha) cos^2(theta/2))`` of the circle traced
-    by the Bloch vector while precessing about ``n(alpha)``."""
-    c = np.cos(alpha) * np.cos(0.5 * theta_ab)
-    return np.sqrt(1.0 - c * c)
+    """Radius ``sqrt(sin^2(alpha) + cos^2(alpha) sin^2(theta/2))`` of the
+    circle traced by the Bloch vector while precessing about ``n(alpha)``."""
+    return _orbit(alpha, theta_ab)[0]
 
 
 def _orbit(alpha, theta_ab):
-    """``(orbit_radius, rotation_angle)``, each evaluated once; a vanishing
-    radius raises :class:`DegenerateEndpointsError`."""
-    radius = orbit_radius(alpha, theta_ab)
+    """``(orbit_radius, rotation_angle)`` from one evaluation of each sine
+    and cosine.  A non-finite input raises :class:`NumericalError`, a
+    vanishing radius :class:`DegenerateEndpointsError`."""
+    sin_a, cos_a = np.sin(alpha), np.cos(alpha)
+    sin_h, cos_h = np.sin(0.5 * theta_ab), np.cos(0.5 * theta_ab)
+    lever = cos_a * sin_h  # a sum of squares: np.hypot is twice as slow
+    radius = np.sqrt(sin_a * sin_a + lever * lever)
+    if not np.isfinite(radius).all():
+        raise NumericalError("alpha and theta_ab must be finite")
     if np.any(radius < 1e-12):
         raise DegenerateEndpointsError(
             "orbit radius vanishes; alpha in {0, pi} with theta_ab = 0"
         )
-    return radius, 2.0 * clamped_arccos(np.sin(alpha) * np.cos(0.5 * theta_ab) / radius)
+    # phi - theta, so that phi is exactly theta where sin(alpha) rounds to 1
+    excess = np.arctan2(sin_h * cos_h * (1.0 - sin_a),
+                        sin_a * (cos_h * cos_h) + sin_h * sin_h)
+    return radius, theta_ab + 2.0 * excess
 
 
 def rotation_angle(alpha, theta_ab):
     """Rotation angle ``phi(alpha)`` about ``n(alpha)`` that lands on ``b``.
 
-    ``phi = 2 arccos(sin(alpha) cos(theta/2) / orbit_radius)``; decreases
-    from pi at ``alpha = 0`` to ``theta_ab`` at ``alpha = pi/2``.
+    ``phi = 2 atan2(sin(theta/2), sin(alpha) cos(theta/2))``; decreases
+    from pi at ``alpha = 0`` to exactly ``theta_ab`` at ``alpha = pi/2``.
     """
     return _orbit(alpha, theta_ab)[1]
 
 
+def _check_energy(E: float) -> None:
+    if not 0.0 < E < np.inf:
+        raise RangeError(f"energy scale must be positive and finite, got {E!r}")
+
+
 def travel_time(alpha, theta_ab, E: float):
     """Time ``phi/(2E)`` to reach the target; minimal at ``alpha = pi/2``."""
-    if E <= 0.0:
-        raise RangeError(f"energy scale must be positive, got {E!r}")
+    _check_energy(E)
     return rotation_angle(alpha, theta_ab) / (2.0 * E)
 
 
@@ -150,8 +162,7 @@ def delta_e_alpha(alpha, theta_ab, E: float):
 
     Constant in time, so the arc length is also ``2 delta_e * travel_time``.
     """
-    if E <= 0.0:
-        raise RangeError(f"energy scale must be positive, got {E!r}")
+    _check_energy(E)
     return E * orbit_radius(alpha, theta_ab)
 
 
@@ -174,8 +185,7 @@ class SuboptimalStationary:
         object.__setattr__(self, "b_hat", np.asarray(self.b_hat, dtype=float))
         if not 0.0 < self.alpha < np.pi:
             raise RangeError(f"alpha must lie in (0, pi), got {self.alpha!r}")
-        if self.E <= 0.0:
-            raise RangeError(f"energy scale must be positive, got {self.E!r}")
+        _check_energy(self.E)
         for name in ("a_hat", "b_hat"):
             v = getattr(self, name)
             if abs(v @ v - 1.0) > 1e-12:

@@ -293,7 +293,8 @@ def _build_example4(config: ScenarioConfig):
 def _check_family_domain(theta_ab: float, E: float) -> None:
     """:class:`ConfigError` unless the stationary family admits theta_ab and E."""
     if not TOL_DEG <= theta_ab <= np.pi - TOL_DEG:
-        raise ConfigError("theta_ab must lie strictly between 0 and pi")
+        raise ConfigError(f"theta_ab must lie in [{TOL_DEG:g}, pi - {TOL_DEG:g}], "
+                          f"got {theta_ab!r}")
     if E <= 0.0:
         raise ConfigError("energy scale must be positive")
 

@@ -87,14 +87,20 @@ class TestSweepAlpha:
         assert ret == EXIT_CONFIG
         assert str(MAX_STEPS) in capsys.readouterr().err
 
-    def test_efficiency_above_one_is_a_numerical_error(self, capsys):
-        # at theta_ab = 1e-6 the closed-form arc at alpha = pi/4 comes out
-        # shorter than the geodesic
+    def test_small_separation_sweep_is_geodesic_at_half_pi(self, capsys):
+        # at theta_ab = 1e-6 an arccos closed form lost the digits of the arc
+        # and put eta_ge at 1.00018 for alpha = pi/4
         ret = main(["sweep-alpha", "--theta-ab", "1e-6", "--points", "5"])
         out, err = capsys.readouterr()
-        assert ret == EXIT_NUMERICAL
-        assert err.startswith("numerical error: efficiency exceeds 1 by 1.776e-04")
-        assert out == ""
+        assert ret == EXIT_OK
+        assert err == ""
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert len(rows) == 5
+        for row in rows:
+            assert 0.0 < float(row["eta_ge"]) <= 1.0
+            assert 0.0 < float(row["eta_se"]) <= 1.0
+        assert float(rows[2]["alpha"]) == pytest.approx(math.pi / 2, rel=1e-14)
+        assert float(rows[2]["eta_ge"]) == 1.0
 
 
 class TestPhaseProfiles:
@@ -246,6 +252,25 @@ class TestReport:
         payload = json.loads((tmp_path / "custom_report.json").read_text())
         assert payload["eta_ge_bar"] == 1.0
         assert payload["classification"] == "GeodesicUnwasteful"
+
+
+    @pytest.mark.parametrize("alpha, theta_ab, label", [
+        (math.pi / 2, 1e-6, "GeodesicUnwasteful"),
+        (math.pi / 2, 3.1415, "GeodesicUnwasteful"),
+        (math.pi / 2, math.pi - 1e-6, "GeodesicUnwasteful"),
+        (1.0, 1e-6, "GeodesicWasteful"),
+    ])
+    def test_stationary_family_runs_at_the_ends_of_its_domain(
+            self, tmp_path, capsys, alpha, theta_ab, label):
+        # the arccos axis and angle used to end these runs in exit 3
+        cfg = tmp_path / "family.json"
+        cfg.write_text(json.dumps({"scenario": "suboptimal_family",
+                                   "parameters": {"alpha": alpha, "theta_ab": theta_ab}}))
+        assert main(["report", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_OK
+        assert capsys.readouterr().err == ""
+        payload = json.loads((tmp_path / "suboptimal_family_report.json").read_text())
+        assert payload["classification"] == label
+        assert payload["eta_ge_bar"] <= 1.0
 
 
 def _custom(psi0):

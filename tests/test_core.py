@@ -12,7 +12,6 @@ from blochpath import (
     NumericalError,
     ShapeError,
     bloch_from_state,
-    clamped_arccos,
     energy_uncertainty,
     fubini_study_distance,
     pauli_compose,
@@ -139,19 +138,6 @@ class TestScalars:
         assert energy_uncertainty(a, h) == pytest.approx(np.sqrt(var),
                                                          abs=1e-10)
 
-    def test_clamped_arccos_clips_rounding_noise(self):
-        assert clamped_arccos(1.0 + 1e-12) == 0.0
-        assert clamped_arccos(-1.0 - 1e-12) == pytest.approx(np.pi)
-
-    def test_clamped_arccos_rejects_large_excess(self):
-        with pytest.raises(NumericalError):
-            clamped_arccos(1.01)
-
-    @pytest.mark.parametrize("x", [[np.nan, 0.5], np.inf, -np.inf])
-    def test_clamped_arccos_rejects_non_finite_arguments(self, x):
-        with pytest.raises(NumericalError, match="not finite"):
-            clamped_arccos(x)
-
     def test_fubini_study_distance_endpoints(self):
         assert fubini_study_distance([0, 0, 1.0], [0, 0, 1.0]) == 0.0
         assert fubini_study_distance([0, 0, 1.0], [0, 0, -1.0]) \
@@ -170,6 +156,46 @@ class TestScalars:
         expected = 2.0 * np.arccos(overlap)
         got = fubini_study_distance(bloch_from_state(sa), bloch_from_state(sb))
         assert got == pytest.approx(expected, abs=1e-7)
+
+    @pytest.mark.parametrize("b", [[np.nan, 0.0, 1.0], [np.inf, 0.0, 0.0],
+                                   [0.0, -np.inf, 0.0]])
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_fubini_study_distance_rejects_non_finite_vectors(self, b):
+        with pytest.raises(NumericalError, match="not finite"):
+            fubini_study_distance([0.0, 0.0, 1.0], b)
+        with pytest.raises(NumericalError, match="not finite"):
+            fubini_study_distance([[0.0, 0.0, 1.0], b], [1.0, 0.0, 0.0])
+        with pytest.raises(NumericalError, match="not finite"):
+            fubini_study_distance(b, [1.0, 0.0, 0.0])
+
+    @pytest.mark.parametrize("theta", [1e-300, 1e-12, 1e-6, np.pi - 1e-6,
+                                       np.pi - 1e-12])
+    def test_fubini_study_distance_keeps_relative_accuracy_at_the_ends(self, theta):
+        b = [np.sin(theta), 0.0, np.cos(theta)]
+        assert fubini_study_distance([0.0, 0.0, 1.0], b) \
+            == pytest.approx(theta, rel=1e-15)
+
+    def test_fubini_study_distance_is_the_angle_between_directions(self):
+        assert fubini_study_distance([0.0, 0.0, 3.0], [0.5, 0.0, 0.5]) \
+            == pytest.approx(np.pi / 4, rel=1e-15)
+
+    @given(rows=st.lists(st.tuples(reals, reals, reals), min_size=1, max_size=40),
+           b=st.tuples(reals, reals, reals))
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    def test_fubini_study_distance_rows_equal_single_calls(self, rows, b):
+        a = np.array(rows)
+        expected = np.array([fubini_study_distance(row, b) for row in a])
+        assert np.array_equal(fubini_study_distance(a, b), expected)
+        assert np.array_equal(fubini_study_distance(a.reshape(1, -1, 3), b),
+                              expected[None])
+
+    def test_fubini_study_distance_rows_match_a_trajectory_s0(self):
+        # s0 of a run is this distance from the first node, row by row
+        rng = np.random.default_rng(3)
+        a = rng.normal(size=(500, 3))
+        a /= np.linalg.norm(a, axis=1)[:, None]
+        expected = np.arctan2(np.linalg.norm(np.cross(a, a[0]), axis=1), a @ a[0])
+        assert np.array_equal(fubini_study_distance(a, a[0]), expected)
 
 
 class TestFieldSpec:

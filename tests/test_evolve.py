@@ -73,6 +73,12 @@ class TestTimeGrid:
             with pytest.raises(ConfigError, match=str(MAX_STEPS)):
                 TimeGrid.with_density(*span)
 
+    @pytest.mark.parametrize("span", [(0.0, np.nan), (np.nan, 1.0), (0.0, np.inf),
+                                      (-np.inf, 0.0), (np.nan, np.nan)])
+    def test_default_density_of_a_non_finite_span_is_a_config_error(self, span):
+        with pytest.raises(ConfigError, match="endpoints must be finite"):
+            TimeGrid.with_density(*span)
+
 
 class TestFieldSampling:
     def test_samples_constants_and_callables(self):

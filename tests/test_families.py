@@ -10,6 +10,7 @@ from blochpath import (
     DegenerateEndpointsError,
     FieldSpec,
     NormalizationError,
+    NumericalError,
     PreconditionError,
     RangeError,
     SuboptimalStationary,
@@ -30,6 +31,7 @@ from blochpath import (
     uzdin_optimal,
     uzdin_suboptimal,
 )
+from blochpath.families import TOL_DEG
 
 # frozen oracles for alpha = pi/4, theta_AB = pi/2
 PHI_PI4 = 1.9106332362490186
@@ -161,6 +163,85 @@ class TestStationaryFamily:
         h0, h = field.sample([0.0, 0.1])
         assert h0[0] == 0.0
         assert np.allclose(h[1], fam.E * fam.n_hat)
+
+
+def crowded_theta(exponent, near_pi):
+    """A separation ``10**exponent`` away from 0 or from pi, within the
+    family's domain."""
+    gap = 10.0 ** exponent
+    return float(np.clip(np.pi - gap if near_pi else gap, TOL_DEG, np.pi - TOL_DEG))
+
+
+crowded_thetas = st.builds(crowded_theta, st.floats(-6.0, np.log10(np.pi / 2)),
+                           st.booleans())
+open_alphas = st.floats(0.0, np.pi, exclude_min=True, exclude_max=True)
+
+
+def frame(angles):
+    """The rotation taking the z axis and the x-z plane to a frame set by
+    three angles."""
+    out = np.eye(3)
+    for axis, angle in zip(np.eye(3), angles):
+        out = np.array([rodrigues_rotate(col, axis, angle) for col in out.T]).T
+    return out
+
+
+class TestWholeDomain:
+    """The closed forms and the construction hold from TOL_DEG to
+    pi - TOL_DEG, not only away from the ends."""
+
+    @given(alpha=open_alphas, theta=crowded_thetas,
+           angles=st.tuples(*3 * [st.floats(-np.pi, np.pi)]))
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_construction_lands_on_b_over_the_whole_domain(self, alpha, theta, angles):
+        # rotating the pair moves its angle by rounding, so the rotated pair
+        # keeps off the domain's ends
+        inside = float(np.clip(theta, TOL_DEG + 1e-12, np.pi - TOL_DEG - 1e-12))
+        for rotation, separation in ((np.eye(3), theta), (frame(angles), inside)):
+            a, b = (rotation @ v for v in endpoint_pair(separation))
+            fam = SuboptimalStationary(alpha, a, b)
+            assert np.max(np.abs(rodrigues_rotate(a, fam.n_hat, fam.phi) - b)) <= 1e-10
+            assert abs(fam.n_hat @ (a - b)) <= 1e-12
+            assert fam.theta_ab <= fam.phi <= np.pi + 1e-15
+
+    @pytest.mark.parametrize("theta", [TOL_DEG, np.pi - TOL_DEG])
+    def test_domain_is_closed(self, theta):
+        a, b = endpoint_pair(theta)
+        assert endpoint_angle(a, b) == theta
+        SuboptimalStationary(1.0, a, b)
+
+    @given(theta=crowded_thetas)
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_half_pi_is_exactly_the_geodesic(self, theta):
+        assert rotation_angle(np.pi / 2, theta) == theta
+        assert arc_length_alpha(np.pi / 2, theta) == theta
+        assert orbit_radius(np.pi / 2, theta) == 1.0
+
+    @pytest.mark.parametrize("call", [
+        lambda: endpoint_angle(Z_HAT, [np.nan, 0.0, 1.0]),
+        lambda: suboptimal_axis(1.0, Z_HAT, [np.nan, 0.0, 0.0]),
+        lambda: SuboptimalStationary(1.0, Z_HAT, np.array([np.nan, 0.0, 0.0])),
+        lambda: rotation_angle(np.nan, 1.0),
+        lambda: rotation_angle(1.0, np.nan),
+        lambda: arc_length_alpha(np.array([0.5, np.nan]), 1.0),
+        lambda: orbit_radius(1.0, np.nan),
+        lambda: travel_time(1.0, np.nan, 1.0),
+        lambda: delta_e_alpha(np.inf, 1.0, 1.0),
+    ], ids=["endpoint_angle", "suboptimal_axis", "family", "rotation_alpha",
+            "rotation_theta", "arc_length", "orbit_radius", "travel_time",
+            "delta_e"])
+    def test_non_finite_input_is_a_numerical_error(self, call):
+        with np.errstate(invalid="ignore"), pytest.raises(NumericalError, match="finite"):
+            call()
+
+    @pytest.mark.parametrize("energy", [np.nan, np.inf, -np.inf])
+    def test_energy_must_be_positive_and_finite(self, energy):
+        a, b = endpoint_pair(1.0)
+        for call in (lambda: SuboptimalStationary(1.0, a, b, E=energy),
+                     lambda: travel_time(1.0, 1.0, energy),
+                     lambda: delta_e_alpha(1.0, 1.0, energy)):
+            with pytest.raises(RangeError, match="positive and finite"):
+                call()
 
 
 def great_circle(t):

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from blochpath import (
+    ConfigError,
     FieldError,
     FieldSpec,
     NormalizationError,
@@ -396,9 +397,7 @@ def test_batched_rows_equal_single_samples(field):
         assert np.array_equal(h_dot[k], field.sample_h_dot([t], step=1e-4)[0])
 
 
-@pytest.mark.parametrize("times", [0.5, np.array(0.5), [[0.1, 0.2], [0.3, 0.4]]],
-                         ids=["float", "zero_d", "two_d"])
-@pytest.mark.parametrize("field", [
+every_field_kind = pytest.mark.parametrize("field", [
     FieldSpec(h0=0.2, h=[0.0, 0.0, 1.0]),
     FieldSpec(h0=lambda t: 0.1 * t, h=lambda t: [t, 0.0, 1.0]),
     *batched_fields(),
@@ -406,10 +405,33 @@ def test_batched_rows_equal_single_samples(field):
                   h_dot=lambda t: np.zeros(np.shape(t) + (3,))),
 ], ids=["constant", "callable", "uzdin_optimal", "uzdin_trace_nonzero",
         "tabulated", "path_with_h_dot"])
+
+
+def every_sampler(field, times):
+    return (lambda: sample_field(field, times), lambda: field.sample(times),
+            lambda: field.sample_h_dot(times, 1e-4))
+
+
+@pytest.mark.parametrize("times", [0.5, np.array(0.5), [[0.1, 0.2], [0.3, 0.4]]],
+                         ids=["float", "zero_d", "two_d"])
+@every_field_kind
 def test_times_that_are_not_one_dimensional_are_a_shape_error(field, times):
-    for sample in (lambda: sample_field(field, times), lambda: field.sample(times),
-                   lambda: field.sample_h_dot(times, 1e-4)):
+    for sample in every_sampler(field, times):
         with pytest.raises(ShapeError, match="1-D array of times"):
+            sample()
+
+
+@pytest.mark.parametrize("times, message", [
+    (["a", "b"], "real numbers"),
+    ([1j, 2j], "real numbers"),
+    (np.array([0.5, 1j]), "real numbers"),
+    ([np.nan, 0.5], "nan at index 0 is not finite"),
+    ([0.5, -np.inf], "-inf at index 1 is not finite"),
+], ids=["strings", "complex_list", "complex_array", "nan", "inf"])
+@every_field_kind
+def test_times_that_are_not_finite_reals_are_a_config_error(field, times, message):
+    for sample in every_sampler(field, times):
+        with pytest.raises(ConfigError, match=message):
             sample()
 
 

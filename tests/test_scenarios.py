@@ -375,6 +375,19 @@ class TestSweepAlpha:
         table = sweep_alpha(np.pi - 1e-6, 9)
         assert np.max(np.abs(table["s"] - np.pi)) < 1e-4
 
+    @given(gap=st.floats(-6.0, np.log10(np.pi / 2)), near_pi=st.booleans(),
+           half=st.integers(1, 200), energy=st.floats(1e-3, 1e3))
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_efficiencies_stay_in_bounds_over_the_whole_domain(self, gap, near_pi,
+                                                               half, energy):
+        theta = float(np.clip(np.pi - 10.0 ** gap if near_pi else 10.0 ** gap,
+                              1e-6, np.pi - 1e-6))
+        table = sweep_alpha(theta, 2 * half + 1, E=energy)
+        assert np.all(table["eta_ge"] <= 1.0) and np.all(table["eta_se"] <= 1.0)
+        assert table["alpha"][half] == pytest.approx(np.pi / 2, rel=1e-15)
+        assert table["eta_ge"][half] == 1.0
+        assert table["s"][half] == theta
+
     def test_validation(self):
         with pytest.raises(ConfigError):
             sweep_alpha(np.pi / 2, 2)
