@@ -6,7 +6,9 @@ shows up as a positive value.  The coefficient can be computed from
 * the Bloch-vector closed form (field, its derivative, and the state),
 * operator expectation values of the normalized dispersion operator, and
 * a direct numerical second derivative of the parallel-transported state
-  with respect to arc length (the definition, used here as an oracle).
+  with respect to arc length (the definition, used here as an oracle),
+
+each as one profile over every node of the run.
 
 For a constant sigma_z field acting on a state tilted 30 degrees off the
 axis, all three agree on 4/3 along the entire run, while the great-circle
@@ -19,8 +21,8 @@ from blochpath import (
     ScenarioConfig,
     build_scenario,
     curvature_bloch_profile,
-    curvature_expectation,
-    curvature_numeric_oracle,
+    curvature_expectation_profile,
+    curvature_numeric_profile,
     schrodinger_evolve,
 )
 
@@ -30,13 +32,13 @@ def main() -> None:
     traj = schrodinger_evolve(field, psi0, grid)
 
     closed = curvature_bloch_profile(traj, field)
+    expect = curvature_expectation_profile(traj)
+    numeric = curvature_numeric_profile(traj)
     print("constant sigma_z drive (expected coefficient 4/3):")
     print(f"{'t':>6} {'closed form':>14} {'expectation':>14} {'numeric':>14}")
     for k in (200, 600, 1000, 1400, 1800):
-        expect = curvature_expectation(traj, k=k)
-        numeric = curvature_numeric_oracle(traj, k=k)
-        print(f"{traj.times[k]:6.3f} {closed[k]:14.12f} {expect:14.12f} "
-              f"{numeric:14.10f}")
+        print(f"{traj.times[k]:6.3f} {closed[k]:14.12f} {expect[k]:14.12f} "
+              f"{numeric[k]:14.10f}")
 
     assert np.max(np.abs(closed - 4.0 / 3.0)) < 1e-10
     print()

@@ -20,17 +20,14 @@ from .core import (
 from .curvature import (
     curvature_bloch,
     curvature_bloch_profile,
-    curvature_expectation,
-    curvature_numeric_oracle,
+    curvature_expectation_profile,
     curvature_numeric_profile,
-    curvature_transverse,
 )
 from .efficiency import (
     Classification,
     EfficiencyReport,
     classify,
     efficiency_report,
-    geodesic_efficiency_global,
     geodesic_efficiency_profile,
     hybrid_efficiency,
     speed_efficiency,
@@ -60,7 +57,6 @@ from .evolve import (
     parallel_transport,
     sample_field,
     schrodinger_evolve,
-    transport_residual,
 )
 from .families import (
     SuboptimalStationary,

@@ -2,13 +2,16 @@
 
 The coefficient is the squared norm of the second covariant derivative of
 the parallel-transported state with respect to arc length; it vanishes
-exactly on geodesics.  Three equivalent evaluations are provided:
+exactly on geodesics.  Three equivalent profiles, each one broadcast over
+every node of a trajectory, are provided:
 
-* a closed form in Bloch-space data ``(a, h, dh/dt)``;
-* an expectation-value form built from the normalized dispersion operator
-  ``Dh = (H - <H>) / dE`` and its transported derivative;
-* a direct finite-difference evaluation of the covariant derivative,
-  useful as a method-independent cross-check.
+* :func:`curvature_bloch_profile`, a closed form in Bloch-space data
+  ``(a, h, dh/dt)`` (:func:`curvature_bloch` on any rows);
+* :func:`curvature_expectation_profile`, expectation values of the
+  normalized dispersion operator ``Dh = (H - <H>) / dE`` and its
+  transported derivative;
+* :func:`curvature_numeric_profile`, a direct finite-difference evaluation
+  of the covariant derivative, a method-independent cross-check.
 
 Inside this module the arc-length speed is ``v = dE`` (not the factor-2
 normalization used for the path length ``s_accum`` elsewhere); the
@@ -21,20 +24,14 @@ import warnings
 
 import numpy as np
 
-from .core import FieldSpec, _as_rows, pauli_compose
-from .errors import (
-    NumericalError,
-    PreconditionError,
-    SingularEvolutionError,
-)
+from .core import FieldSpec, _as_rows, _first, pauli_compose
+from .errors import NumericalError, SingularEvolutionError
 from .evolve import Trajectory, _trapezoid, parallel_transport
 
 __all__ = [
     "curvature_bloch",
     "curvature_bloch_profile",
-    "curvature_transverse",
-    "curvature_expectation",
-    "curvature_numeric_oracle",
+    "curvature_expectation_profile",
     "curvature_numeric_profile",
 ]
 
@@ -94,82 +91,56 @@ def curvature_bloch_profile(traj: Trajectory, field: FieldSpec) -> np.ndarray:
     return curvature_bloch(traj.bloch, traj.h_nodes, h_dot)
 
 
-def curvature_transverse(h_perp, t: float, a=None, fd_step: float = 1e-6) -> float:
-    """Curvature of a purely transverse field: ``|d(unit h)/dt|^2 / h^2``.
-
-    Valid when the field stays orthogonal to the Bloch vector (``a.h = 0``),
-    in which case the coefficient only measures how fast the field
-    direction turns relative to the precession rate.  Pass ``a`` to have
-    the orthogonality precondition checked.
-    """
-    h = np.asarray(h_perp(t), dtype=float)
-    h_sq = float(h @ h)
-    if h_sq <= TOL_SING:
-        raise SingularEvolutionError("transverse field vanishes at this time")
-    if a is not None:
-        a = np.asarray(a, dtype=float)
-        if abs(float(a @ h)) > 1e-9 * max(1.0, np.sqrt(h_sq)):
-            raise PreconditionError(
-                "field is not orthogonal to the Bloch vector; use "
-                "curvature_bloch for the general case"
-            )
-    plus = np.asarray(h_perp(t + fd_step), dtype=float)
-    minus = np.asarray(h_perp(t - fd_step), dtype=float)
-    unit_dot = (plus / np.linalg.norm(plus) - minus / np.linalg.norm(minus)) \
-        / (2.0 * fd_step)
-    return _clamp_nonneg(float(unit_dot @ unit_dot) / h_sq)
-
-
-def _dispersion_operator(traj: Trajectory, k: int) -> np.ndarray:
-    """Matrix ``Dh = (H - <H>) / dE`` at node ``k``."""
-    de = traj.delta_e[k]
-    if de <= TOL_SING:
-        raise SingularEvolutionError(f"dE = {de!r} at node {k}; eigenstate evolution")
-    matrix = pauli_compose(traj.h0_nodes[k], traj.h_nodes[k])
-    expect = traj.h0_nodes[k] + float(traj.bloch[k] @ traj.h_nodes[k])
-    return (matrix - expect * np.eye(2)) / de
-
-
-def curvature_expectation(traj: Trajectory, k: int = 0) -> float:
-    """Curvature at node ``k`` from moments of the dispersion operator.
+def curvature_expectation_profile(traj: Trajectory) -> np.ndarray:
+    """Curvature at every node from moments of the dispersion operator.
 
     Evaluates ``<Dh^4> - <Dh^2>^2 + <Dh'^2> - <Dh'>^2 + i<[Dh^2, Dh']>``
-    in the state at node ``k``, where ``Dh' = (dDh/dt) / v`` and ``v = dE``.
-    The time derivative uses a central difference over the neighboring
-    nodes (one-sided second order at the ends, which carries a larger
-    error).  The commutator expectation is purely imaginary in exact
-    arithmetic; a real residual above 1e-10 flags the node with a warning.
+    in the state at each node, with ``Dh = (H - <H>) / dE`` and
+    ``Dh' = (dDh/dt) / v``, ``v = dE``.  Both are ``(n, 2, 2)`` stacks,
+    applied to the states one operator at a time.  The time derivative is
+    a central difference over the neighboring nodes (one-sided second
+    order at the ends, which carries a larger error).
+    A node with ``dE <= TOL_SING`` raises :class:`SingularEvolutionError`
+    naming the first one.  The commutator expectation is purely imaginary
+    in exact arithmetic; a real residual above 1e-10 raises one warning
+    naming the worst node.
     """
-    n = traj.n_nodes
-    if not 0 <= k < n:
-        raise IndexError(f"node {k} outside trajectory of {n} nodes")
-    dt = traj.grid.dt
-    dh = _dispersion_operator(traj, k)
-    if k == 0:
-        ddh = (-3.0 * dh + 4.0 * _dispersion_operator(traj, 1)
-               - _dispersion_operator(traj, 2)) / (2.0 * dt)
-    elif k == n - 1:
-        ddh = (3.0 * dh - 4.0 * _dispersion_operator(traj, n - 2)
-               + _dispersion_operator(traj, n - 3)) / (2.0 * dt)
-    else:
-        ddh = (_dispersion_operator(traj, k + 1)
-               - _dispersion_operator(traj, k - 1)) / (2.0 * dt)
-    dh_prime = ddh / traj.delta_e[k]
+    de = traj.delta_e
+    first = _first(~(de > TOL_SING))
+    if first is not None:
+        raise SingularEvolutionError(
+            f"dE = {float(de[first])!r} at node {first}; eigenstate evolution")
+    expect_h = traj.h0_nodes + _dot(traj.bloch, traj.h_nodes)
+    dh = (pauli_compose(traj.h0_nodes, traj.h_nodes)
+          - expect_h[:, None, None] * np.eye(2)) / de[:, None, None]
+    ddh = np.empty_like(dh)
+    ddh[0] = -3.0 * dh[0] + 4.0 * dh[1] - dh[2]
+    ddh[1:-1] = dh[2:] - dh[:-2]
+    ddh[-1] = 3.0 * dh[-1] - 4.0 * dh[-2] + dh[-3]
+    dh_prime = ddh / (2.0 * traj.grid.dt) / de[:, None, None]
 
-    psi = traj.states[k]
+    psi = traj.states
 
-    def expect(op: np.ndarray) -> complex:
-        return complex(np.vdot(psi, op @ psi))
+    def apply(op: np.ndarray, vec: np.ndarray) -> np.ndarray:
+        return np.einsum("nij,nj->ni", op, vec)
 
-    dh_sq = dh @ dh
-    moment4 = expect(dh_sq @ dh_sq).real
-    moment2 = expect(dh_sq).real
-    prime_var = expect(dh_prime @ dh_prime).real - expect(dh_prime).real ** 2
-    comm = expect(dh_sq @ dh_prime - dh_prime @ dh_sq)
-    if abs(comm.real) > 1e-10:
+    def expect(vec: np.ndarray) -> np.ndarray:
+        return np.einsum("ni,ni->n", psi.conj(), vec)
+
+    dh2_psi = apply(dh, apply(dh, psi))
+    prime_psi = apply(dh_prime, psi)
+    moment4 = expect(apply(dh, apply(dh, dh2_psi))).real
+    moment2 = expect(dh2_psi).real
+    prime_var = expect(apply(dh_prime, prime_psi)).real - expect(prime_psi).real ** 2
+    comm = expect(apply(dh, apply(dh, prime_psi)) - apply(dh_prime, dh2_psi))
+    residual = np.abs(comm.real)
+    worst = int(np.argmax(residual))
+    if residual[worst] > 1e-10:
         warnings.warn(
-            f"commutator expectation has real residual {comm.real:.3e} "
-            f"at node {k}; finite-difference noise suspected",
+            f"commutator expectation has real residual {comm.real[worst]:.3e} "
+            f"at node {worst} (nodes above 1e-10: "
+            f"{np.count_nonzero(residual > 1e-10)}); finite-difference noise "
+            "suspected",
             RuntimeWarning,
             stacklevel=2,
         )
@@ -197,11 +168,3 @@ def curvature_numeric_profile(traj: Trajectory) -> np.ndarray:
     overlap = np.einsum("ij,ij->i", m.conj(), tangent_prime)
     normal = tangent_prime - overlap[:, None] * m
     return np.einsum("ij,ij->i", normal.conj(), normal).real
-
-
-def curvature_numeric_oracle(traj: Trajectory, k: int) -> float:
-    """Covariant-derivative curvature at node ``k``, which must be interior
-    (the boundary stencils are not acceptance grade)."""
-    if not 0 < k < traj.n_nodes - 1:
-        raise PreconditionError("numeric curvature is only trusted at interior nodes")
-    return float(curvature_numeric_profile(traj)[k])

@@ -27,7 +27,6 @@ from .evolve import Trajectory, _trapezoid
 __all__ = [
     "Classification",
     "EfficiencyReport",
-    "geodesic_efficiency_global",
     "geodesic_efficiency_profile",
     "speed_efficiency",
     "speed_efficiency_profile",
@@ -84,11 +83,6 @@ def _path_length(traj: Trajectory) -> float:
     return s
 
 
-def geodesic_efficiency_global(traj: Trajectory) -> float:
-    """Endpoint geodesic distance over total path length, in (0, 1]."""
-    return _unit_ratio(float(traj.s0[-1]) / _path_length(traj))
-
-
 def geodesic_efficiency_profile(traj: Trajectory) -> np.ndarray:
     """Geodesic efficiency accumulated from the start node up to each node.
 
@@ -102,24 +96,27 @@ def geodesic_efficiency_profile(traj: Trajectory) -> np.ndarray:
     return _unit_ratio(out)
 
 
+def _speed_ratio(delta_e, h0, h):
+    """``delta_e / (|h0| + |h|)``; :class:`ZeroHamiltonianError` where H = 0."""
+    norm = spectral_norm(h0, h)
+    if np.any(norm == 0.0):
+        raise ZeroHamiltonianError("speed efficiency undefined where H = 0")
+    return _unit_ratio(delta_e / norm)
+
+
 def speed_efficiency(a, h0, h):
     """Energy dispersion over spectral norm, ``dE / (|h0| + |h|)``.
 
     Equals 1 exactly when the field is traceless and orthogonal to the
     Bloch vector; any parallel component or trace part wastes speed.
     """
-    norm = spectral_norm(h0, h)
-    if np.any(norm == 0.0):
-        raise ZeroHamiltonianError("speed efficiency undefined for H = 0")
-    return _unit_ratio(energy_uncertainty(a, h) / norm)
+    return _speed_ratio(energy_uncertainty(a, h), h0, h)
 
 
 def speed_efficiency_profile(traj: Trajectory) -> np.ndarray:
-    """Node-wise speed efficiency from the trajectory's stored field samples."""
-    norms = spectral_norm(traj.h0_nodes, traj.h_nodes)
-    if np.any(norms == 0.0):
-        raise ZeroHamiltonianError("speed efficiency undefined where H = 0")
-    return _unit_ratio(traj.delta_e / norms)
+    """Node-wise speed efficiency from the trajectory's stored ``delta_e``
+    and field samples."""
+    return _speed_ratio(traj.delta_e, traj.h0_nodes, traj.h_nodes)
 
 
 def _closed_form_ratio(cdot_sq, phidot, denom_sq):

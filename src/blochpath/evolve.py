@@ -13,6 +13,7 @@ trapezoid rule :func:`_trapezoid` on the same nodes.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,7 +35,6 @@ __all__ = [
     "sample_field",
     "schrodinger_evolve",
     "parallel_transport",
-    "transport_residual",
 ]
 
 #: default number of RK4 steps per unit time
@@ -49,6 +49,18 @@ TOL_NORM0 = 1e-10
 MAX_STEPS = 10**7
 #: steps whose matrices and prefix products are held at once
 _BLOCK = 1024
+
+
+def _count(value, what: str, least: int = 2) -> int:
+    """``value`` as an ``int``; :class:`ConfigError` unless it is an integral
+    real (not a ``bool``) from ``least`` to ``MAX_STEPS``."""
+    # NaN and inf fail the range before int() could raise on them
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not least <= value <= MAX_STEPS or value != int(value)):
+        raise ConfigError(
+            f"{what} must be an integer from {least} to {MAX_STEPS}, got {value!r}"
+        )
+    return int(value)
 
 
 def _trapezoid(y, x, cumulative: bool = False):
@@ -81,12 +93,7 @@ class TimeGrid:
             raise ConfigError(
                 f"t_end ({self.t_end}) must exceed t_start ({self.t_start})"
             )
-        if int(self.n_steps) < 2:
-            raise ConfigError("n_steps must be an integer >= 2")
-        if self.n_steps > MAX_STEPS:
-            raise ConfigError(
-                f"{self.n_steps} steps exceed the cap of {MAX_STEPS}"
-            )
+        object.__setattr__(self, "n_steps", _count(self.n_steps, "n_steps"))
 
     @classmethod
     def with_density(cls, t_start: float, t_end: float) -> "TimeGrid":
@@ -275,21 +282,3 @@ def parallel_transport(traj: Trajectory) -> np.ndarray:
     expect_h = traj.h0_nodes + np.einsum("ij,ij->i", traj.bloch, traj.h_nodes)
     beta = _trapezoid(expect_h, traj.times, cumulative=True)
     return np.exp(1j * beta)[:, None] * traj.states
-
-
-def transport_residual(m_states, times) -> np.ndarray:
-    """Centered-difference check ``|<m_k | dm/dt (t_k)>|`` at interior nodes.
-
-    For a parallel-transported path this is O(dt^2); it quantifies how well
-    the transported gauge kills the dynamical phase.
-    """
-    m = np.asarray(m_states, dtype=complex)
-    t = np.asarray(times, dtype=float)
-    if m.ndim != 2 or m.shape[0] != t.shape[0]:
-        raise ShapeError("state array and time array lengths differ")
-    if m.shape[0] < 3:
-        raise ShapeError("need at least 3 nodes for a centered difference")
-    dm = (m[2:] - m[:-2]) / (t[2:] - t[:-2])[:, None]
-    overlap = np.einsum("ij,ij->i", np.conj(m[1:-1]), dm)
-    return np.abs(overlap)
-

@@ -39,7 +39,7 @@ from .efficiency import (
     speed_efficiency_tracezero,
 )
 from .errors import BlochPathError, ConfigError, NumericalError, ShapeError
-from .evolve import MAX_STEPS, TOL_NORM0, TimeGrid, schrodinger_evolve
+from .evolve import TOL_NORM0, TimeGrid, _count, schrodinger_evolve
 from .families import (
     TOL_DEG,
     SuboptimalStationary,
@@ -128,12 +128,7 @@ class ScenarioConfig:
         self.t_span = (_finite_real(start, "t_span start"),
                        _finite_real(end, "t_span end"))
         if self.n_steps is not None:
-            steps = _finite_real(self.n_steps, "n_steps")
-            if not steps.is_integer() or steps < 2:
-                raise ConfigError(
-                    f"n_steps must be an integer >= 2, got {self.n_steps!r}"
-                )
-            self.n_steps = int(steps)
+            self.n_steps = _count(self.n_steps, "n_steps")
         try:
             bad = set(self.outputs) - set(ALL_OUTPUTS)
         except TypeError:
@@ -391,7 +386,7 @@ def _build(config: ScenarioConfig):
     if config.n_steps is None:
         grid = TimeGrid.with_density(*t_span)
     else:
-        grid = TimeGrid(t_span[0], t_span[1], int(config.n_steps))
+        grid = TimeGrid(t_span[0], t_span[1], config.n_steps)
     return field, psi0, grid, params
 
 
@@ -560,12 +555,11 @@ def sweep_alpha(theta_ab: float, n_points: int, E: float = 1.0) -> dict:
     the same check as a run's: one above ``1 + TOL_EXCESS`` raises
     :class:`NumericalError`.
     """
-    if not 3 <= int(n_points) <= MAX_STEPS:
-        raise ConfigError(f"sweep needs 3 to {MAX_STEPS} alpha points")
+    n_points = _count(n_points, "alpha points", least=3)
     theta_ab = _finite_real(theta_ab, "theta_ab")
     E = _finite_real(E, "energy scale")
     _check_family_domain(theta_ab, E)
-    alphas = np.linspace(0.0, np.pi, int(n_points))
+    alphas = np.linspace(0.0, np.pi, n_points)
     alphas[0] = ALPHA_EPS
     alphas[-1] = np.pi - ALPHA_EPS
     # the operations of arc_length_alpha, travel_time and delta_e_alpha, on
@@ -608,8 +602,7 @@ def sweep_phase_profiles(profile: str, phi0: float, phidot0: float,
     ``eta_se_trace_zero`` (the traceless drive) and ``eta_se_trace_nonzero``
     (the trace-keeping drive, always the smaller of the two).
     """
-    if not 2 <= int(n_points) <= MAX_STEPS:
-        raise ConfigError(f"sweep needs 2 to {MAX_STEPS} time points")
+    n_points = _count(n_points, "time points")
     phi0 = _finite_real(phi0, "phi0")
     phidot0 = _finite_real(phidot0, "phidot0")
     omega0 = _finite_real(omega0, "omega0")
@@ -617,7 +610,7 @@ def sweep_phase_profiles(profile: str, phi0: float, phidot0: float,
     if t_end <= 0.0:
         raise ConfigError("t_end must be positive")
     phase, phase_dot = _phase_functions(profile, phi0, phidot0)
-    t = np.linspace(0.0, t_end, int(n_points))
+    t = np.linspace(0.0, t_end, n_points)
     if profile == "log" and 1.0 + (phidot0 / phi0) * t_end <= 0.0:
         raise ConfigError("log profile leaves its domain before t_end")
     phi = phase(t)

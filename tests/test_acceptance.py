@@ -16,7 +16,7 @@ from blochpath import (
     arc_length_alpha,
     build_scenario,
     curvature_bloch_profile,
-    curvature_numeric_oracle,
+    curvature_numeric_profile,
     delta_e_alpha,
     hybrid_efficiency,
     rodrigues_rotate,
@@ -84,7 +84,7 @@ def test_criterion_05_curvature_fixtures(example1, example2, example3,
         prof = curvature_bloch_profile(run.traj, run.field)
         worst_bloch = max(worst_bloch, np.max(np.abs(prof - FOUR_THIRDS)))
         k = run.traj.grid.n_steps // 2
-        numeric = curvature_numeric_oracle(run.traj, k=k)
+        numeric = curvature_numeric_profile(run.traj)[k]
         assert numeric == pytest.approx(FOUR_THIRDS, abs=1e-3)
     assert worst_bloch < 1e-10
 

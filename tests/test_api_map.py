@@ -1,0 +1,48 @@
+"""The README's Python API map names every export and no removed name."""
+
+import re
+import types
+from pathlib import Path
+
+import pytest
+
+import blochpath
+
+ROOT = Path(__file__).resolve().parents[1]
+
+#: names and parameters taken out of the package; none may be referred to
+#: again
+REMOVED = ("curvature_expectation", "curvature_numeric_oracle",
+           "curvature_transverse", "transport_residual",
+           "geodesic_efficiency_global", "_dispersion_operator", "fd_step")
+
+
+def _exports() -> list[str]:
+    return sorted(name for name, value in vars(blochpath).items()
+                  if not name.startswith("_")
+                  and not isinstance(value, types.ModuleType))
+
+
+def _api_map_identifiers() -> set[str]:
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Python API map\n", 1)[1].split("\n## ", 1)[0]
+    spans = re.findall(r"`([^`]+)`", section)
+    return {word for span in spans
+            for word in re.findall(r"[A-Za-z_]\w*", span)}
+
+
+@pytest.mark.parametrize("name", _exports())
+def test_every_export_is_in_the_api_map(name):
+    assert name in _api_map_identifiers()
+
+
+def test_no_removed_name_is_left_behind():
+    files = [ROOT / "README.md", *sorted((ROOT / "demos").rglob("*.py")),
+             *sorted((ROOT / "src").rglob("*.py"))]
+    pattern = re.compile(r"\b(?:%s)\b" % "|".join(REMOVED))
+    found = [f"{path.relative_to(ROOT)}:{n}: {match.group()}"
+             for path in files
+             for n, line in enumerate(path.read_text(encoding="utf-8")
+                                      .splitlines(), 1)
+             for match in pattern.finditer(line)]
+    assert found == []

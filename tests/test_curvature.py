@@ -1,5 +1,7 @@
-"""Curvature coefficient: closed form, operator form, and numeric oracle."""
+"""Curvature coefficient: closed form, expectation form, and numeric form."""
 
+import dataclasses
+import time
 import warnings
 
 import numpy as np
@@ -8,17 +10,15 @@ import pytest
 from blochpath import (
     FieldSpec,
     NumericalError,
-    PreconditionError,
     SingularEvolutionError,
     TimeGrid,
     curvature_bloch,
     curvature_bloch_profile,
-    curvature_expectation,
-    curvature_numeric_oracle,
+    curvature_expectation_profile,
     curvature_numeric_profile,
-    curvature_transverse,
     schrodinger_evolve,
 )
+from geometry_oracles import curvature_expectation, curvature_transverse
 
 PSI0 = np.array([np.sqrt(3) / 2, 0.5], dtype=complex)
 FOUR_THIRDS = 4.0 / 3.0
@@ -71,59 +71,89 @@ class TestTransverseForm:
         got = curvature_transverse(f, 0.4)
         assert got == pytest.approx(nu ** 2 / amp ** 2, abs=1e-8)
 
-    def test_orthogonality_precondition(self):
-        f = lambda t: np.array([0.5, 0.0, 0.0])
-        with pytest.raises(PreconditionError):
-            curvature_transverse(f, 0.0, a=[1.0, 0.0, 0.0])
-
-    def test_vanishing_field_is_singular(self):
-        with pytest.raises(SingularEvolutionError):
-            curvature_transverse(lambda t: np.zeros(3), 0.0)
-
-    def test_prescribed_path_drive_gives_four_thirds(self, example4):
+    def test_prescribed_path_drive_matches_the_closed_form(self, example4):
         traj, field = example4.traj, example4.field
+        closed = curvature_bloch_profile(traj, field)
         for k in (200, 1000, 1800):
+            # the transverse formula holds only while a.h = 0
+            assert abs(traj.bloch[k] @ traj.h_nodes[k]) < 1e-9
             got = curvature_transverse(lambda t: field.sample([t])[1][0],
-                                       traj.times[k], a=traj.bloch[k], fd_step=1e-5)
+                                       traj.times[k], fd_step=1e-5)
             assert got == pytest.approx(FOUR_THIRDS, abs=1e-6)
+            assert got == pytest.approx(closed[k], abs=1e-6)
+
+
+SCENARIOS = ("example1", "example2", "example3", "example4")
 
 
 class TestExpectationForm:
-    def test_sigma_z_matches_closed_form(self, example3):
-        for k in (100, 1000, 1900):
-            got = curvature_expectation(example3.traj, k=k)
-            assert got == pytest.approx(FOUR_THIRDS, abs=1e-9)
+    @pytest.mark.parametrize("name", SCENARIOS)
+    def test_matches_the_per_node_reference_everywhere(self, name, request):
+        traj = request.getfixturevalue(name).traj
+        prof = curvature_expectation_profile(traj)
+        ref = np.array([curvature_expectation(traj, k)
+                        for k in range(traj.n_nodes)])
+        assert np.max(np.abs(prof - ref)) < 1e-12
 
-    def test_no_commutator_warning_for_clean_runs(self, example3):
+    def test_sigma_z_reads_four_thirds_ends_included(self, example3):
+        prof = curvature_expectation_profile(example3.traj)
+        assert np.max(np.abs(prof[1:-1] - FOUR_THIRDS)) < 1e-9
+        # the one-sided end stencils carry a larger error
+        assert np.max(np.abs(prof - FOUR_THIRDS)) < 1e-6
+
+    @pytest.mark.parametrize("name", SCENARIOS)
+    def test_no_commutator_warning_for_clean_runs(self, name, request):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            curvature_expectation(example3.traj, k=500)
+            curvature_expectation_profile(request.getfixturevalue(name).traj)
 
-    def test_endpoints_use_one_sided_differences(self, example3):
-        n = example3.traj.grid.n_steps
-        for k in (0, n):
-            got = curvature_expectation(example3.traj, k=k)
-            assert got == pytest.approx(FOUR_THIRDS, abs=1e-6)
+    def test_perturbed_node_gets_the_one_warning(self, example3):
+        # the one-sided stencil of the last node includes the node itself,
+        # so a far-off field sample there inflates both Dh^2 and Dh' and
+        # the rounding of their commutator with them
+        traj = example3.traj
+        last = traj.n_nodes - 1
+        h_nodes = traj.h_nodes.copy()
+        h_nodes[last] *= 1e3
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            curvature_expectation_profile(
+                dataclasses.replace(traj, h_nodes=h_nodes))
+        assert len(caught) == 1
+        assert caught[0].category is RuntimeWarning
+        assert f"at node {last} " in str(caught[0].message)
+
+    def test_zero_dispersion_names_a_node(self):
+        eigen = schrodinger_evolve(FieldSpec(h0=0.0, h=[0.0, 0.0, 1.0]),
+                                   [1.0, 0.0], TimeGrid(0.0, 1.0, 16))
+        with pytest.raises(SingularEvolutionError, match="at node 0;"):
+            curvature_expectation_profile(eigen)
+
+    def test_profile_beats_the_per_node_loop(self, example4):
+        def best(fn, repeat):
+            times = []
+            for _ in range(repeat):
+                start = time.perf_counter()
+                fn()
+                times.append(time.perf_counter() - start)
+            return min(times)
+
+        traj = example4.traj
+        loop = best(lambda: [curvature_expectation(traj, k)
+                             for k in range(traj.n_nodes)], 2)
+        profile = best(lambda: curvature_expectation_profile(traj), 5)
+        assert loop > 20.0 * profile
 
 
-class TestNumericOracle:
+class TestNumericForm:
     def test_sigma_z_profile(self, example3):
         prof = curvature_numeric_profile(example3.traj)
         interior = prof[10:-10]
         assert np.max(np.abs(interior - FOUR_THIRDS)) < 1e-3
 
-    def test_oracle_at_one_node(self, example3):
-        k = example3.traj.grid.n_steps // 2
-        got = curvature_numeric_oracle(example3.traj, k=k)
-        assert got == pytest.approx(FOUR_THIRDS, abs=1e-3)
-
     def test_geodesic_profile_is_flat(self, example1):
         prof = curvature_numeric_profile(example1.traj)
         assert np.max(np.abs(prof[10:-10])) < 1e-5
-
-    def test_boundary_node_is_rejected(self, example3):
-        with pytest.raises(PreconditionError):
-            curvature_numeric_oracle(example3.traj, k=0)
 
     def test_zero_motion_is_singular(self):
         still = schrodinger_evolve(FieldSpec(h0=0.0, h=np.zeros(3)), PSI0,

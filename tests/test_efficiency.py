@@ -17,7 +17,6 @@ from blochpath import (
     ZeroPathError,
     classify,
     efficiency_report,
-    geodesic_efficiency_global,
     geodesic_efficiency_profile,
     hybrid_efficiency,
     schrodinger_evolve,
@@ -42,8 +41,6 @@ class TestGeodesicEfficiency:
     def test_constant_sigma_z_closed_form(self, example3):
         traj = example3.traj
         expected = np.arccos((1.0 + 3.0 * np.cos(2.0)) / 4.0) / np.sqrt(3.0)
-        assert geodesic_efficiency_global(traj) == pytest.approx(expected,
-                                                                 abs=1e-9)
         assert geodesic_efficiency_profile(traj)[traj.grid.n_steps] \
             == pytest.approx(expected, abs=1e-9)
         assert expected == pytest.approx(0.94278207655677, abs=1e-12)
@@ -59,7 +56,7 @@ class TestGeodesicEfficiency:
         still = schrodinger_evolve(FieldSpec(h0=0.0, h=np.zeros(3)), PSI0,
                                    TimeGrid(0.0, 1.0, 10))
         with pytest.raises(ZeroPathError):
-            geodesic_efficiency_global(still)
+            efficiency_report(still)
 
     def test_profile_lies_in_unit_interval(self, example3):
         profile = geodesic_efficiency_profile(example3.traj)
@@ -251,8 +248,8 @@ class TestReports:
         dressed_traj = schrodinger_evolve(dressed, PSI0, grid)
 
         assert np.max(np.abs(dressed_traj.bloch - base_traj.bloch)) < 1e-8
-        assert geodesic_efficiency_global(dressed_traj) == pytest.approx(
-            geodesic_efficiency_global(base_traj), abs=1e-8)
+        assert geodesic_efficiency_profile(dressed_traj)[-1] == pytest.approx(
+            geodesic_efficiency_profile(base_traj)[-1], abs=1e-8)
 
         base = efficiency_report(base_traj)
         worse = efficiency_report(dressed_traj)

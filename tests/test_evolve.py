@@ -25,10 +25,10 @@ from blochpath import (
     sample_field,
     schrodinger_evolve,
     state_from_bloch,
-    transport_residual,
 )
 from blochpath.evolve import MAX_STEPS, _trapezoid
 from feynman import feynman_evolve
+from geometry_oracles import transport_residual
 from rk4_loop import sequential_rk4
 
 PSI0 = np.array([np.sqrt(3) / 2, 0.5], dtype=complex)
@@ -63,6 +63,19 @@ class TestTimeGrid:
     def test_rejects_bad_construction(self, args):
         with pytest.raises(ConfigError):
             TimeGrid(*args)
+
+    @pytest.mark.parametrize("steps", ["3", None, np.nan, np.inf, -np.inf,
+                                       True, 2.5, 1, 1.0, [3]])
+    def test_step_count_must_be_an_integral_real_of_at_least_2(self, steps):
+        with pytest.raises(ConfigError, match="n_steps"):
+            TimeGrid(0.0, 1.0, steps)
+
+    @pytest.mark.parametrize("steps", [3.0, np.float64(3.0), np.int64(3)])
+    def test_integral_step_count_is_stored_as_an_int(self, steps):
+        grid = TimeGrid(0.0, 1.0, steps)
+        assert grid.n_steps == 3 and type(grid.n_steps) is int
+        traj = schrodinger_evolve(SIGMA_Z_FIELD, PSI0, grid)
+        assert traj.n_nodes == 4
 
     def test_step_cap_is_enforced_at_construction(self):
         # constructing a grid allocates nothing, so the cap itself is cheap
@@ -288,12 +301,6 @@ class TestParallelTransport:
         m = parallel_transport(traj)
         bloch = np.stack([bloch_from_state(mk) for mk in m])
         assert np.max(np.abs(bloch - traj.bloch)) < 1e-12
-
-    def test_residual_shape_validation(self):
-        with pytest.raises(ShapeError):
-            transport_residual(np.zeros((4, 2), dtype=complex), np.zeros(3))
-        with pytest.raises(ShapeError):
-            transport_residual(np.zeros((2, 2), dtype=complex), np.zeros(2))
 
 
 class TestTrapezoid:

@@ -23,6 +23,7 @@ from blochpath import (
     table_rows,
     travel_time,
 )
+from blochpath.evolve import MAX_STEPS
 from blochpath.scenarios import write_csv, write_json
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -58,6 +59,17 @@ class TestConfigValidation:
     def test_step_count(self):
         with pytest.raises(ConfigError):
             ScenarioConfig(scenario="example1", n_steps=1)
+
+    @pytest.mark.parametrize("steps", [
+        "3", np.nan, np.inf, True, 5.7, MAX_STEPS + 1])
+    def test_step_count_is_an_integral_real_in_range(self, steps):
+        with pytest.raises(ConfigError, match="n_steps"):
+            ScenarioConfig(scenario="example1", n_steps=steps)
+
+    def test_integral_float_step_count_is_stored_as_an_int(self):
+        cfg = ScenarioConfig(scenario="example1", n_steps=40.0)
+        assert cfg.n_steps == 40 and type(cfg.n_steps) is int
+        assert build_scenario(cfg)[2].n_steps == 40
 
     def test_from_dict_round_trip_and_unknown_keys(self):
         cfg = ScenarioConfig.from_dict({
@@ -396,6 +408,16 @@ class TestSweepAlpha:
         with pytest.raises(ConfigError):
             sweep_alpha(np.pi / 2, 5, E=0.0)
 
+    @pytest.mark.parametrize("points", ["5", 5.7, np.nan, np.inf, True, 2,
+                                        MAX_STEPS + 1])
+    def test_point_count_is_an_integral_real_in_range(self, points):
+        with pytest.raises(ConfigError, match="alpha points"):
+            sweep_alpha(1.2, points)
+
+    def test_integral_float_point_count(self):
+        table = sweep_alpha(1.2, 5.0)
+        assert table["alpha"].tolist() == sweep_alpha(1.2, 5)["alpha"].tolist()
+
 
 class TestPhaseProfiles:
     def test_columns_and_t0_agreement(self):
@@ -441,3 +463,8 @@ class TestPhaseProfiles:
             sweep_phase_profiles("cubic", 1.0, 1.0, 1.0)
         with pytest.raises(ConfigError):
             sweep_phase_profiles("linear", 1.0, 1.0, 1.0, n_points=1)
+
+    @pytest.mark.parametrize("points", ["5", 5.7, np.nan, np.inf, True, None])
+    def test_point_count_is_an_integral_real(self, points):
+        with pytest.raises(ConfigError, match="time points"):
+            sweep_phase_profiles("linear", 1.0, 1.0, 1.0, n_points=points)
