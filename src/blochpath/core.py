@@ -56,15 +56,23 @@ TOL_NORM = 1e-12
 TOL_HERM = 1e-12
 
 
+def _as_array(v, dtype, name: str) -> np.ndarray:
+    """``v`` as a ``dtype`` array; :class:`ConfigError` if it is not numbers."""
+    try:
+        return np.asarray(v, dtype=dtype)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{name} must hold numbers: {exc}") from exc
+
+
 def _as_state(psi) -> np.ndarray:
-    vec = np.asarray(psi, dtype=complex)
+    vec = _as_array(psi, complex, "state vector")
     if vec.shape != (2,):
         raise ShapeError(f"expected a length-2 state vector, got shape {vec.shape}")
     return vec
 
 
 def _as_vec3(v, name: str = "vector") -> np.ndarray:
-    arr = np.asarray(v, dtype=float)
+    arr = _as_array(v, float, name)
     if arr.shape != (3,):
         raise ShapeError(f"expected a length-3 {name}, got shape {arr.shape}")
     return arr
@@ -87,7 +95,7 @@ def _as_times(times) -> np.ndarray:
 
 
 def _as_rows(v, name: str) -> np.ndarray:
-    arr = np.asarray(v, dtype=float)
+    arr = _as_array(v, float, name)
     if arr.shape[-1:] != (3,):
         raise ShapeError(f"expected {name} rows of length 3, got shape {arr.shape}")
     return arr
@@ -137,7 +145,7 @@ def pauli_decompose(matrix) -> Tuple[float, np.ndarray]:
     h : ndarray, shape (3,)
         Real coefficients of (sigma_x, sigma_y, sigma_z).
     """
-    m = np.asarray(matrix, dtype=complex)
+    m = _as_array(matrix, complex, "matrix")
     if m.shape != (2, 2):
         raise ShapeError(f"expected a 2x2 matrix, got shape {m.shape}")
     defect, h0, h = _hermitian_parts(m)
@@ -239,14 +247,24 @@ def _first(flags) -> Optional[int]:
     return int(hits[0]) if hits.size else None
 
 
+def _check_finite(times: np.ndarray, what: str, *columns) -> None:
+    """:class:`FieldError` at the first of ``times`` with a non-finite row."""
+    finite = [np.isfinite(c) for c in columns]
+    if all(f.all() for f in finite):  # rows are looked at only on a failure
+        return
+    rows = [f.reshape(len(times), -1).all(axis=1) for f in finite]
+    k = _first(~np.logical_and.reduce(rows))
+    raise FieldError(f"{what} returned non-finite values at t = {times[k]!r}")
+
+
 #: samples of a scalar callable whose results are converted together
 _BLOCK = 256
 
 
 def _field_error(t, exc: Exception):
     """Raise ``exc`` as the failure at sample ``t``: a :class:`BlochPathError`
-    as it is, any other exception as a :class:`FieldError` naming ``t``."""
-    if isinstance(exc, BlochPathError):
+    but :class:`ConfigError` as it is, anything else as a :class:`FieldError`."""
+    if isinstance(exc, BlochPathError) and not isinstance(exc, ConfigError):
         raise exc
     raise FieldError(f"field evaluation failed at t = {t!r}: {exc}") from exc
 
@@ -359,7 +377,7 @@ class FieldSpec:
         if not callable(self.h0):
             self.h0 = float(self.h0)
         if not callable(self.h):
-            self.h = _as_vec3(np.array(self.h, dtype=float), "field")
+            self.h = _as_vec3(self.h, "field").copy()
             if self.h_dot is None:
                 self.h_dot = np.zeros(3)
 

@@ -24,9 +24,9 @@ import warnings
 
 import numpy as np
 
-from .core import FieldSpec, _as_rows, _first, pauli_compose
+from .core import FieldSpec, _as_rows, _check_finite, _first, pauli_compose
 from .errors import NumericalError, SingularEvolutionError
-from .evolve import Trajectory, _trapezoid, parallel_transport
+from .evolve import Trajectory, parallel_transport
 
 __all__ = [
     "curvature_bloch",
@@ -85,9 +85,11 @@ def curvature_bloch_profile(traj: Trajectory, field: FieldSpec) -> np.ndarray:
     """Node-wise :func:`curvature_bloch` along a trajectory.
 
     ``dh/dt`` comes from ``field.h_dot`` when supplied, otherwise from a
-    central difference with the grid spacing.
+    central difference with the grid spacing; a non-finite one is a
+    :class:`FieldError` naming the node's time.
     """
     h_dot = field.sample_h_dot(traj.times, step=traj.grid.dt)
+    _check_finite(traj.times, "field derivative", h_dot)
     return curvature_bloch(traj.bloch, traj.h_nodes, h_dot)
 
 
@@ -152,13 +154,14 @@ def curvature_numeric_profile(traj: Trajectory) -> np.ndarray:
     """Direct covariant-derivative curvature at every node.
 
     Parallel transports the states, reparameterizes by arc length
-    ``s = integral dE dt``, differentiates twice with second-order
-    ``numpy.gradient`` stencils, projects out the state component, and
-    returns the squared norm.  End nodes lean on one-sided stencils and are
-    less accurate; exclude them when comparing against closed forms.
+    ``s = integral dE dt`` (half the stored ``s_accum``), differentiates
+    twice with second-order ``numpy.gradient`` stencils, projects out the
+    state component, and returns the squared norm.  End nodes lean on
+    one-sided stencils and are less accurate; exclude them when comparing
+    against closed forms.
     """
     m = parallel_transport(traj)
-    s = _trapezoid(traj.delta_e, traj.times, cumulative=True)
+    s = 0.5 * traj.s_accum  # the trapezoid of dE bit for bit: halving is exact
     if np.any(np.diff(s) <= 0.0):
         raise SingularEvolutionError(
             "arc length is not strictly increasing; dE vanishes on the grid"

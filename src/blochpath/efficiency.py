@@ -22,7 +22,7 @@ from .errors import (
     ZeroHamiltonianError,
     ZeroPathError,
 )
-from .evolve import Trajectory, _trapezoid
+from .evolve import Trajectory, _is_real, _trapezoid
 
 __all__ = [
     "Classification",
@@ -151,6 +151,14 @@ def speed_efficiency_tracezero(cdot_sq, phidot):
     return _closed_form_ratio(cdot_sq, phidot, lambda c2, pd: 0.25 * pd**2 + c2)
 
 
+def _check_factors(eta_ge_bar, eta_se_bar) -> None:
+    """:class:`RangeError` unless both are reals in ``[-TOL_EXCESS, 1 + TOL_EXCESS]``
+    (NaN is not)."""
+    for name, value in (("eta_ge_bar", eta_ge_bar), ("eta_se_bar", eta_se_bar)):
+        if not (_is_real(value) and -TOL_EXCESS <= value <= 1.0 + TOL_EXCESS):
+            raise RangeError(f"{name} = {value!r} is not a real number in [0, 1]")
+
+
 def hybrid_efficiency(eta_ge_bar: float, eta_se_bar: float) -> float:
     """Product of the averaged efficiencies.
 
@@ -158,9 +166,7 @@ def hybrid_efficiency(eta_ge_bar: float, eta_se_bar: float) -> float:
     either factor when the other is 1, and never exceeds the smaller factor.
     Arithmetic and geometric means violate all three (see the tests).
     """
-    for name, value in (("eta_ge_bar", eta_ge_bar), ("eta_se_bar", eta_se_bar)):
-        if not -TOL_EXCESS <= value <= 1.0 + TOL_EXCESS:
-            raise RangeError(f"{name} = {value!r} outside [0, 1]")
+    _check_factors(eta_ge_bar, eta_se_bar)
     return float(np.clip(eta_ge_bar, 0.0, 1.0) * np.clip(eta_se_bar, 0.0, 1.0))
 
 
@@ -187,6 +193,7 @@ def classify(eta_ge_bar: float, eta_se_bar: float) -> Classification:
     short, the relative losses ``1 - eta`` are compared with relative
     tolerance ``TOL_CMP`` to pick among the wasteful sub-cases.
     """
+    _check_factors(eta_ge_bar, eta_se_bar)
     geodesic = eta_ge_bar >= 1.0 - TOL_ONE
     unwasteful = eta_se_bar >= 1.0 - TOL_ONE
     if geodesic and unwasteful:

@@ -5,9 +5,10 @@ RK4 on a uniform grid, renormalizing after every step.  A linear RK4 step
 is the matrix ``M = I + dt/6 (A0 + 2 K2 + 2 K3 + K4)`` with ``A = -iH``,
 ``K2 = Am (I + dt/2 A0)``, ``K3 = Am (I + dt/2 K2)``, ``K4 = A1 (I + dt K3)``.
 The matrices of ``_BLOCK`` steps are built at once, and their Hillis-Steele
-prefix products ``M_k ... M_0`` (Blelloch, CMU-CS-90-190) carry the block's
-first state to every node; renormalizing, a scalar, commutes with them.
-The drifts ``|M_k y_k| - 1`` are checked at once.  Line integrals use the
+prefix products ``P_k = M_k ... M_0`` (Blelloch, CMU-CS-90-190) carry the
+block's first state ``y`` to every node.  Renormalizing, a scalar, commutes
+with them, so the drifts ``|M_k y_k| - 1`` are the growths
+``|P_k y| / |P_(k-1) y| - 1``, checked at once.  Line integrals use the
 trapezoid rule :func:`_trapezoid` on the same nodes.
 """
 
@@ -18,16 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (FieldSpec, _as_times, _first, energy_uncertainty,
-                   fubini_study_distance, pauli_compose)
-from .errors import (
-    ConfigError,
-    FieldError,
-    IntegrationError,
-    NormalizationError,
-    NumericalError,
-    ShapeError,
-)
+from .core import (FieldSpec, _as_state, _as_times, _check_finite, _first,
+                   energy_uncertainty, fubini_study_distance, pauli_compose)
+from .errors import (ConfigError, IntegrationError, NormalizationError,
+                     NumericalError, ShapeError)
 
 __all__ = [
     "TimeGrid",
@@ -51,12 +46,16 @@ MAX_STEPS = 10**7
 _BLOCK = 1024
 
 
+def _is_real(value) -> bool:
+    """Whether ``value`` is a real number other than a ``bool``."""
+    return not isinstance(value, bool) and isinstance(value, numbers.Real)
+
+
 def _count(value, what: str, least: int = 2) -> int:
     """``value`` as an ``int``; :class:`ConfigError` unless it is an integral
     real (not a ``bool``) from ``least`` to ``MAX_STEPS``."""
     # NaN and inf fail the range before int() could raise on them
-    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-            or not least <= value <= MAX_STEPS or value != int(value)):
+    if not _is_real(value) or not least <= value <= MAX_STEPS or value != int(value):
         raise ConfigError(
             f"{what} must be an integer from {least} to {MAX_STEPS}, got {value!r}"
         )
@@ -87,7 +86,7 @@ class TimeGrid:
     n_steps: int
 
     def __post_init__(self):
-        if not np.isfinite(self.t_start) or not np.isfinite(self.t_end):
+        if not all(_is_real(t) and np.isfinite(t) for t in (self.t_start, self.t_end)):
             raise ConfigError("grid endpoints must be finite")
         if self.t_end <= self.t_start:
             raise ConfigError(
@@ -131,9 +130,7 @@ def sample_field(field: FieldSpec, times) -> tuple[np.ndarray, np.ndarray]:
     """
     times = _as_times(times)
     h0, h = field.sample(times)
-    k = _first(~(np.isfinite(h0) & np.isfinite(h).all(axis=1)))
-    if k is not None:
-        raise FieldError(f"field returned non-finite values at t = {times[k]!r}")
+    _check_finite(times, "field", h0, h)
     return h0, h
 
 
@@ -205,25 +202,24 @@ def _step_matrices(h0, h, dt):
     return eye + (dt / 6.0) * (a0 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _propagate(psi0, norm0, h0_half, h_half, dt) -> np.ndarray:
+def _propagate(psi0, h0_half, h_half, dt) -> np.ndarray:
     """States on the nodes, propagated ``_BLOCK`` steps at a time."""
     n_steps = (len(h0_half) - 1) // 2
     states = np.empty((n_steps + 1, 2), dtype=complex)
     states[0] = psi0
     for lo in range(0, n_steps, _BLOCK):
         hi = min(lo + _BLOCK, n_steps)
-        m = _step_matrices(h0_half[2 * lo:2 * hi + 1],
-                           h_half[2 * lo:2 * hi + 1], dt)
-        p, shift = m.copy(), 1
+        p, shift = _step_matrices(h0_half[2 * lo:2 * hi + 1],
+                                  h_half[2 * lo:2 * hi + 1], dt), 1
         while shift < hi - lo:  # Hillis-Steele: P_k = M_k ... M_0
             p[..., shift:] = _mul(p[..., shift:], p[..., :-shift])
             shift *= 2
         w = _mul(p, states[lo, :, None, None])[:, 0]
-        states[lo + 1:hi + 1] = (w / np.linalg.norm(w, axis=0)).T
-        # y_k, the renormalized state step k starts from, is states[k]
-        norms = np.linalg.norm(_mul(m, states[lo:hi].T[:, None])[:, 0], axis=0)
-        norms[0] /= norm0 if lo == 0 else 1.0
-        drift = np.abs(norms - 1.0)
+        norms = np.linalg.norm(w, axis=0)
+        states[lo + 1:hi + 1] = (w / norms).T
+        # step k's growth |M_k y_k| is |P_k y| / |P_(k-1) y|, y = states[lo]
+        growth = norms / np.concatenate(([np.linalg.norm(states[lo])], norms[:-1]))
+        drift = np.abs(growth - 1.0)
         k = _first(~(drift <= MAX_STEP_DRIFT))
         if k is not None:
             cause = (f"norm drift {drift[k]:.3e} in step" if np.isfinite(drift[k])
@@ -251,15 +247,13 @@ def schrodinger_evolve(field: FieldSpec, psi0,
     """
     if grid is None:
         grid = TimeGrid.with_density(*field.t_span)
-    psi0 = np.asarray(psi0, dtype=complex)
-    if psi0.shape != (2,):
-        raise ShapeError(f"expected a length-2 state, got shape {psi0.shape}")
+    psi0 = _as_state(psi0)
     norm0 = np.sqrt(np.vdot(psi0, psi0).real)
     if not abs(norm0 - 1.0) <= TOL_NORM0:
         raise NormalizationError(f"initial state norm {norm0!r}, expected 1")
 
     h0_half, h_half = sample_field(field, grid.half_times)
-    states = _propagate(psi0, norm0, h0_half, h_half, grid.dt)
+    states = _propagate(psi0, h0_half, h_half, grid.dt)
     times, bloch, h_nodes = grid.times, _bloch_of(states), h_half[::2]
     delta_e = energy_uncertainty(bloch, h_nodes)
     s_accum = _trapezoid(2.0 * delta_e, times, cumulative=True)

@@ -17,14 +17,15 @@ the byte-pinned golden artifacts check for the built-in scenarios.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .core import (TOL_HERM, TOL_NORM, FieldSpec, _as_times, _BatchedField,
-                   _bloch_rows, _central_difference, _first, _hermitian_parts,
-                   fubini_study_distance)
+from .core import (TOL_HERM, TOL_NORM, FieldSpec, _as_times, _as_vec3,
+                   _BatchedField, _bloch_rows, _central_difference, _first,
+                   _hermitian_parts, fubini_study_distance)
+from .evolve import TOL_NORM0
 from .errors import (
     BlochPathError,
     ConfigError,
@@ -62,8 +63,8 @@ FD_STEP = 1e-6
 
 def rodrigues_rotate(v, axis, angle: float) -> np.ndarray:
     """Rotate ``v`` about the unit ``axis`` by ``angle`` (right-hand rule)."""
-    v = np.asarray(v, dtype=float)
-    k = np.asarray(axis, dtype=float)
+    v = _as_vec3(v)
+    k = _as_vec3(axis, "axis")
     c, s = np.cos(angle), np.sin(angle)
     return v * c + np.cross(k, v) * s + k * (k @ v) * (1.0 - c)
 
@@ -87,8 +88,8 @@ def suboptimal_axis(alpha: float, a, b) -> np.ndarray:
     ``a`` to ``b``: ``v`` is the unit normal along ``a x b`` and ``m`` the
     unit bisector ``cos(theta/2) a + sin(theta/2) w``, with ``w`` along
     ``v x a``, so no step divides by the vanishing ``|a + b|`` near pi."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
+    a = _as_vec3(a, "Bloch vector")
+    b = _as_vec3(b, "Bloch vector")
     half = 0.5 * endpoint_angle(a, b)
     # a x b as a x (b -+ a): the short difference keeps its relative accuracy
     normal = np.cross(a, b - np.sign(a @ b) * a)
@@ -96,7 +97,7 @@ def suboptimal_axis(alpha: float, a, b) -> np.ndarray:
     bisector = np.cos(half) * a + np.sin(half) / np.linalg.norm(toward) * toward
     n = np.cos(alpha) * bisector + np.sin(alpha) / np.linalg.norm(normal) * normal
     norm = np.linalg.norm(n)
-    if abs(norm - 1.0) > 1e-12:
+    if abs(norm - 1.0) > TOL_NORM:
         raise NumericalError(f"axis norm {norm!r} deviates from 1")
     return n / norm
 
@@ -170,52 +171,39 @@ def delta_e_alpha(alpha, theta_ab, E: float):
 class SuboptimalStationary:
     """Stationary drive rotating ``a_hat`` into ``b_hat`` about ``n(alpha)``.
 
-    Derived geometry is validated on construction: the axis is unit and
-    equidistant from both endpoints, and a Rodrigues rotation by ``phi``
-    actually lands on ``b_hat``.
+    The geometry ``theta_ab``, ``n_hat``, ``phi`` and ``t_ab`` is derived and
+    validated once, on construction: the axis is unit and equidistant from
+    both endpoints, and a Rodrigues rotation by ``phi`` lands on ``b_hat``.
     """
 
     alpha: float
     a_hat: np.ndarray
     b_hat: np.ndarray
     E: float = 1.0
+    theta_ab: float = field(init=False)
+    n_hat: np.ndarray = field(init=False)
+    phi: float = field(init=False)
+    t_ab: float = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "a_hat", np.asarray(self.a_hat, dtype=float))
-        object.__setattr__(self, "b_hat", np.asarray(self.b_hat, dtype=float))
+        a = _as_vec3(self.a_hat, "a_hat").copy()
+        b = _as_vec3(self.b_hat, "b_hat").copy()
         if not 0.0 < self.alpha < np.pi:
             raise RangeError(f"alpha must lie in (0, pi), got {self.alpha!r}")
         _check_energy(self.E)
-        for name in ("a_hat", "b_hat"):
-            v = getattr(self, name)
-            if abs(v @ v - 1.0) > 1e-12:
+        for name, v in (("a_hat", a), ("b_hat", b)):
+            if abs(v @ v - 1.0) > TOL_NORM:
                 raise NormalizationError(f"{name} must be a unit vector")
-        axis = self.n_hat
-        if abs(axis @ (self.a_hat - self.b_hat)) > 1e-12:
+        axis = suboptimal_axis(self.alpha, a, b)
+        if abs(axis @ (a - b)) > TOL_NORM:
             raise NumericalError("axis is not equidistant from the endpoints")
-        landed = rodrigues_rotate(self.a_hat, axis, self.phi)
-        if np.max(np.abs(landed - self.b_hat)) > 1e-10:
+        theta_ab = endpoint_angle(a, b)
+        phi = _orbit(self.alpha, theta_ab)[1]
+        if np.max(np.abs(rodrigues_rotate(a, axis, phi) - b)) > 1e-10:
             raise NumericalError("rotation by phi does not reach b_hat")
-
-    @property
-    def theta_ab(self) -> float:
-        return endpoint_angle(self.a_hat, self.b_hat)
-
-    @property
-    def n_hat(self) -> np.ndarray:
-        return suboptimal_axis(self.alpha, self.a_hat, self.b_hat)
-
-    @property
-    def phi(self) -> float:
-        return rotation_angle(self.alpha, self.theta_ab)
-
-    @property
-    def t_ab(self) -> float:
-        return travel_time(self.alpha, self.theta_ab, self.E)
-
-    @property
-    def radius(self) -> float:
-        return orbit_radius(self.alpha, self.theta_ab)
+        for name, value in zip(("a_hat", "b_hat", "theta_ab", "n_hat", "phi", "t_ab"),
+                               (a, b, theta_ab, axis, phi, phi / (2.0 * self.E))):
+            object.__setattr__(self, name, value)
 
 
 def suboptimal_hamiltonian(family: SuboptimalStationary) -> FieldSpec:
@@ -264,14 +252,12 @@ class UzdinFamily:
     ``m_dot`` and ``phase_dot`` may be omitted; a central difference with
     step ``FD_STEP`` stands in, evaluating ``m_state`` or ``phase`` in one
     call on the ``2n`` interleaved times ``t + FD_STEP, t - FD_STEP``.
-    ``variant`` selects which Hamiltonian the constructors below produce.
     """
 
     m_state: Callable[[np.ndarray], np.ndarray]
     m_dot: Optional[Callable[[np.ndarray], np.ndarray]] = None
     phase: Optional[Callable[[np.ndarray], np.ndarray]] = None
     phase_dot: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    variant: str = "optimal"
     t_span: Tuple[float, float] = (0.0, 1.0)
 
     def _rows(self, name: str, times, state: bool = False) -> np.ndarray:
@@ -284,7 +270,7 @@ class UzdinFamily:
         """``m`` at ``times`` as ``(n, 2)`` rows, and its squared norms."""
         m = self._rows("m_state", times, state=True)
         norm = _norm_sq(m)
-        k = _first(np.abs(norm - 1.0) > 1e-10)
+        k = _first(np.abs(norm - 1.0) > TOL_NORM0)
         if k is not None:
             raise NormalizationError(f"m({times[k]!r}) has norm^2 = {norm[k]!r}")
         return m, norm
@@ -311,8 +297,7 @@ class _PathField(_BatchedField):
     ``h0`` and ``h`` are unused.  The family's callables, and ``h_dot`` when
     given, are called once on the whole time array; the checks, outer
     products, Pauli split and Bloch map then run once over all rows.
-    ``variant`` is ``"optimal"`` or the family's sub-optimal variant at
-    construction.
+    ``variant`` is ``"optimal"``, ``"trace_nonzero"`` or ``"trace_zero"``.
     """
 
     family: Optional[UzdinFamily] = None
@@ -372,7 +357,7 @@ def uzdin_optimal(fam: UzdinFamily,
                       family=fam)
 
 
-def uzdin_suboptimal(fam: UzdinFamily,
+def uzdin_suboptimal(fam: UzdinFamily, variant: str,
                      h_dot: Optional[Callable] = None) -> FieldSpec:
     """Sub-optimal drive obtained by adding the phase term ``phidot |m><m|``.
 
@@ -382,11 +367,11 @@ def uzdin_suboptimal(fam: UzdinFamily,
     Both share the traceless part ``h = h_opt + (phidot/2) a_m`` and trace
     the same Bloch path as the optimal drive.
     """
-    if fam.variant not in ("trace_nonzero", "trace_zero"):
+    if variant not in ("trace_nonzero", "trace_zero"):
         raise ConfigError(
-            f"variant must be trace_nonzero or trace_zero, got {fam.variant!r}"
+            f"variant must be trace_nonzero or trace_zero, got {variant!r}"
         )
     if fam.phase is None and fam.phase_dot is None:
         raise ConfigError("sub-optimal variants need phase or phase_dot")
     return _PathField(h0=None, h=None, h_dot=h_dot, t_span=fam.t_span,
-                      family=fam, variant=fam.variant)
+                      family=fam, variant=variant)

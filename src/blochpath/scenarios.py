@@ -22,14 +22,13 @@ from __future__ import annotations
 import contextlib
 import json
 import math
-import numbers
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import FieldSpec, _as_times, _BatchedField, state_from_bloch
+from .core import FieldSpec, _as_array, _as_times, _BatchedField, state_from_bloch
 from .csvtext import csv_rows, quote
 from .curvature import curvature_bloch_profile
 from .efficiency import (
@@ -39,7 +38,7 @@ from .efficiency import (
     speed_efficiency_tracezero,
 )
 from .errors import BlochPathError, ConfigError, NumericalError, ShapeError
-from .evolve import TOL_NORM0, TimeGrid, _count, schrodinger_evolve
+from .evolve import TOL_NORM0, TimeGrid, _count, _is_real, schrodinger_evolve
 from .families import (
     TOL_DEG,
     SuboptimalStationary,
@@ -71,8 +70,7 @@ ALPHA_EPS = 1e-6
 
 def _finite_real(value, what: str) -> float:
     """``value`` as a float; :class:`ConfigError` unless it is a finite real."""
-    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-            or not math.isfinite(value)):
+    if not _is_real(value) or not math.isfinite(value):
         raise ConfigError(f"{what} must be a finite real number, got {value!r}")
     return float(value)
 
@@ -80,10 +78,7 @@ def _finite_real(value, what: str) -> float:
 def _finite_array(value, what: str) -> np.ndarray:
     """``value`` as a float array; :class:`ConfigError` unless every entry is
     a finite real."""
-    try:
-        arr = np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{what} must hold real numbers, got {value!r}") from None
+    arr = _as_array(value, float, what)
     if not np.all(np.isfinite(arr)):
         raise ConfigError(f"{what} must hold finite numbers, got {value!r}")
     return arr
@@ -235,7 +230,6 @@ def _build_example2(config: ScenarioConfig):
         m_state=m,
         m_dot=m_dot,
         phase_dot=lambda t: np.full(np.shape(t), nu0),
-        variant="trace_nonzero",
         t_span=config.t_span,
     )
 
@@ -246,7 +240,7 @@ def _build_example2(config: ScenarioConfig):
                          rate * np.cos(th) * np.sin(varphi0),
                          -rate * np.sin(th)], axis=-1)
 
-    field = uzdin_suboptimal(fam, h_dot=h_dot)
+    field = uzdin_suboptimal(fam, "trace_nonzero", h_dot=h_dot)
     t0 = config.t_span[0]
     psi0 = np.exp(-1j * (phi0 + nu0 * t0)) * m(t0)
     return field, psi0, p
@@ -279,8 +273,7 @@ def _build_example4(config: ScenarioConfig):
                          -rate * np.cos(2.0 * gamma * t), np.zeros(np.shape(t))],
                         axis=-1)
 
-    fam = UzdinFamily(m_state=m, m_dot=m_dot, variant="optimal",
-                      t_span=config.t_span)
+    fam = UzdinFamily(m_state=m, m_dot=m_dot, t_span=config.t_span)
     field = uzdin_optimal(fam, h_dot=h_dot)
     return field, m(config.t_span[0]), p
 
@@ -381,20 +374,19 @@ SCENARIOS = tuple(_BUILDERS)
 def _build(config: ScenarioConfig):
     """:func:`build_scenario` plus the builder's resolved parameters."""
     field, psi0, params = _BUILDERS[config.scenario](config)
-    t_span = (field.t_span if config.scenario == "suboptimal_family"
-              else config.t_span)
     if config.n_steps is None:
-        grid = TimeGrid.with_density(*t_span)
+        grid = TimeGrid.with_density(*field.t_span)
     else:
-        grid = TimeGrid(t_span[0], t_span[1], config.n_steps)
+        grid = TimeGrid(*field.t_span, config.n_steps)
     return field, psi0, grid, params
 
 
 def build_scenario(config: ScenarioConfig):
     """Resolve a config into ``(field, psi0, grid)``.
 
-    For ``suboptimal_family`` the span is the family's own travel time
-    ``[0, t_ab]``; every other scenario runs over ``config.t_span``.
+    The grid spans the field's ``t_span``: the family's own travel time
+    ``[0, t_ab]`` for ``suboptimal_family``, ``config.t_span`` for every
+    other scenario.
     """
     return _build(config)[:3]
 

@@ -1,0 +1,113 @@
+"""Invalid arguments at the library's boundary end as typed errors.
+
+Each array argument below goes through the one array conversion step, and
+grid endpoints and averaged factors through one real-number check; a
+string, ``None``, a complex scalar or an arbitrary object must raise a
+:class:`BlochPathError`, never a bare ``TypeError`` or ``ValueError``.
+Sampled derivatives pass the same finiteness check as sampled fields.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from blochpath import (
+    BlochPathError,
+    ConfigError,
+    FieldError,
+    FieldSpec,
+    RangeError,
+    SuboptimalStationary,
+    TimeGrid,
+    bloch_from_state,
+    classify,
+    curvature_bloch_profile,
+    energy_uncertainty,
+    fubini_study_distance,
+    hybrid_efficiency,
+    pauli_decompose,
+    rodrigues_rotate,
+    sample_field,
+    schrodinger_evolve,
+    state_from_bloch,
+    suboptimal_axis,
+)
+
+BAD = ["x", None, 1j, object()]
+BAD_IDS = ["str", "None", "complex", "object"]
+
+Z = [0.0, 0.0, 1.0]
+X = [1.0, 0.0, 0.0]
+FIELD = FieldSpec(h0=0.0, h=[1.0, 0.0, 0.0])
+PSI0 = np.array([1.0, 0.0], dtype=complex)
+
+CALLS = {
+    "state_from_bloch": lambda v: state_from_bloch(v),
+    "bloch_from_state": lambda v: bloch_from_state(v),
+    "fubini_study_distance.a": lambda v: fubini_study_distance(v, X),
+    "fubini_study_distance.b": lambda v: fubini_study_distance(X, v),
+    "energy_uncertainty.a": lambda v: energy_uncertainty(v, X),
+    "energy_uncertainty.h": lambda v: energy_uncertainty(Z, v),
+    "schrodinger_evolve.psi0": lambda v: schrodinger_evolve(FIELD, v),
+    "FieldSpec.h": lambda v: FieldSpec(0.0, v),
+    "suboptimal_axis.a": lambda v: suboptimal_axis(1.0, v, X),
+    "suboptimal_axis.b": lambda v: suboptimal_axis(1.0, Z, v),
+    "SuboptimalStationary.a_hat": lambda v: SuboptimalStationary(1.0, v, X),
+    "SuboptimalStationary.b_hat": lambda v: SuboptimalStationary(1.0, Z, v),
+    "pauli_decompose": lambda v: pauli_decompose(v),
+    "rodrigues_rotate.v": lambda v: rodrigues_rotate(v, Z, 1.0),
+    "rodrigues_rotate.axis": lambda v: rodrigues_rotate(X, v, 1.0),
+    "TimeGrid.t_start": lambda v: TimeGrid(v, 1.0, 10),
+    "TimeGrid.t_end": lambda v: TimeGrid(0.0, v, 10),
+    "hybrid_efficiency.eta_ge_bar": lambda v: hybrid_efficiency(v, 0.5),
+    "hybrid_efficiency.eta_se_bar": lambda v: hybrid_efficiency(0.5, v),
+    "classify.eta_ge_bar": lambda v: classify(v, 0.5),
+    "classify.eta_se_bar": lambda v: classify(0.5, v),
+}
+
+
+@pytest.mark.parametrize("value", BAD, ids=BAD_IDS)
+@pytest.mark.parametrize("name", list(CALLS))
+def test_only_typed_errors_escape(name, value):
+    with pytest.raises(BlochPathError):
+        CALLS[name](value)
+
+
+@pytest.mark.parametrize("value", ["x", [1.0, "y", 0.0], object(), [[1, 0], [0, 1], "z"]],
+                         ids=["str", "str_entry", "object", "ragged"])
+def test_unconvertible_arrays_are_a_config_error(value):
+    for convert in (state_from_bloch, pauli_decompose,
+                    lambda v: schrodinger_evolve(FIELD, v),
+                    lambda v: FieldSpec(0.0, v)):
+        with pytest.raises(ConfigError, match="must hold numbers"):
+            convert(value)
+
+
+@pytest.mark.parametrize("endpoint", ["0", None, 1j, math.nan, math.inf])
+def test_grid_endpoints_share_one_message(endpoint):
+    for args in ((endpoint, 1.0, 10), (0.0, endpoint, 10)):
+        with pytest.raises(ConfigError, match="grid endpoints must be finite"):
+            TimeGrid(*args)
+
+
+@pytest.mark.parametrize("factor", [math.nan, -0.1, 1.2, "x", None, 1j])
+def test_classify_checks_factors_as_hybrid_efficiency_does(factor):
+    for call in (classify, hybrid_efficiency):
+        for args in ((factor, 0.5), (0.5, factor)):
+            with pytest.raises(RangeError):
+                call(*args)
+
+
+def test_late_non_finite_derivative_names_its_node():
+    field = FieldSpec(h0=0.0, h=lambda t: np.array([1.0, 0.0, 0.2]),
+                      h_dot=lambda t: np.array([np.nan if t > 0.65 else 0.0, 0.0, 0.0]))
+    traj = schrodinger_evolve(field, PSI0, TimeGrid(0.0, 1.0, 10))
+    with pytest.raises(FieldError, match="field derivative returned non-finite") as exc:
+        curvature_bloch_profile(traj, field)
+    assert f"t = {traj.times[7]!r}" in str(exc.value)
+
+
+def test_no_times_sample_to_empty_columns():
+    h0, h = sample_field(FieldSpec(h0=0.0, h=[0.0, 0.0, 1.0]), [])
+    assert h0.shape == (0,) and h.shape == (0, 3)

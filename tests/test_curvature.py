@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from blochpath import (
+    FieldError,
     FieldSpec,
-    NumericalError,
     SingularEvolutionError,
     TimeGrid,
     curvature_bloch,
@@ -47,8 +47,9 @@ class TestBlochForm:
         field = FieldSpec(h0=0.0, h=lambda t: np.array([1.0, 0.0, 0.2]),
                           h_dot=lambda t: np.array([np.nan, 0.0, 0.0]))
         traj = schrodinger_evolve(field, PSI0, TimeGrid(0.0, 1.0, 10))
-        with pytest.raises(NumericalError, match="NaN"):
+        with pytest.raises(FieldError, match="derivative returned non-finite") as exc:
             curvature_bloch_profile(traj, field)
+        assert f"t = {traj.times[0]!r}" in str(exc.value)
 
     def test_scale_invariance_for_static_fields(self):
         # a static rescaled field traces the same circle, so the

@@ -132,9 +132,8 @@ class TestSpeedEfficiency:
         fam = UzdinFamily(
             m_state=lambda t: np.stack([np.cos(t), np.sin(t)], axis=-1).astype(complex),
             m_dot=lambda t: np.stack([-np.sin(t), np.cos(t)], axis=-1).astype(complex),
-            phase_dot=lambda t: np.full(t.shape, nu), phase=lambda t: nu * t,
-            variant="trace_nonzero")
-        field = uzdin_suboptimal(fam)
+            phase_dot=lambda t: np.full(t.shape, nu), phase=lambda t: nu * t)
+        field = uzdin_suboptimal(fam, "trace_nonzero")
         expected = speed_efficiency_tracenonzero(1.0, nu)
         times = np.array([0.0, 0.37, 0.81])
         h0, h = field.sample(times)

@@ -277,12 +277,12 @@ class TestUzdinConstructions:
             field.sample([0.5])
 
     def test_suboptimal_variant_validation(self):
-        fam = UzdinFamily(m_state=great_circle, variant="optimal")
+        fam = UzdinFamily(m_state=great_circle)
         with pytest.raises(ConfigError):
-            uzdin_suboptimal(fam)
-        fam = UzdinFamily(m_state=great_circle, variant="trace_nonzero")
+            uzdin_suboptimal(fam, "optimal")
+        fam = UzdinFamily(m_state=great_circle)
         with pytest.raises(ConfigError):
-            uzdin_suboptimal(fam)  # no phase supplied
+            uzdin_suboptimal(fam, "trace_nonzero")  # no phase supplied
 
     @pytest.mark.parametrize("variant,phase_scale", [
         ("trace_nonzero", 1.0),
@@ -293,9 +293,8 @@ class TestUzdinConstructions:
         fam = UzdinFamily(m_state=great_circle,
                           m_dot=great_circle_dot,
                           phase=lambda t: nu * t,
-                          phase_dot=lambda t: np.full(t.shape, nu),
-                          variant=variant)
-        field = uzdin_suboptimal(fam)
+                          phase_dot=lambda t: np.full(t.shape, nu))
+        field = uzdin_suboptimal(fam, variant)
         grid = TimeGrid(0.0, 1.0, 1000)
         traj = schrodinger_evolve(field, great_circle(0.0), grid)
         expected = (np.exp(-1j * phase_scale * nu * grid.times)[:, None]
@@ -308,11 +307,12 @@ class TestUzdinConstructions:
 
     def test_suboptimal_shares_the_optimal_bloch_path(self):
         fam = UzdinFamily(m_state=great_circle,
-                          phase=lambda t: 0.7 * t, variant="trace_nonzero")
+                          phase=lambda t: 0.7 * t)
         grid = TimeGrid(0.0, 1.0, 800)
         t_opt = schrodinger_evolve(uzdin_optimal(
             UzdinFamily(m_state=great_circle)), great_circle(0.0), grid)
-        t_sub = schrodinger_evolve(uzdin_suboptimal(fam), great_circle(0.0), grid)
+        t_sub = schrodinger_evolve(uzdin_suboptimal(fam, "trace_nonzero"),
+                                   great_circle(0.0), grid)
         assert np.max(np.abs(t_opt.bloch - t_sub.bloch)) < 1e-8
 
     def test_m_at_normalization_check(self):

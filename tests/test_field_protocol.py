@@ -315,7 +315,7 @@ class TestPathCallContract:
         recs = {"m_state": Recorder(great_circle), "m_dot": Recorder(great_circle_dot),
                 "phase_dot": Recorder(lambda t: np.full(t.shape, 0.5))}
         h_dot = Recorder(lambda t: np.zeros(t.shape + (3,)))
-        field = uzdin_suboptimal(UzdinFamily(**recs, variant="trace_nonzero"),
+        field = uzdin_suboptimal(UzdinFamily(**recs), "trace_nonzero",
                                  h_dot=h_dot)
         field.sample(TIMES)
         field.sample_h_dot(TIMES, 1e-4)
@@ -330,7 +330,7 @@ class TestPathCallContract:
         del recs[missing]
         if missing == "m_dot":
             del recs["phase"]  # phase_dot is given, so phase is never called
-        uzdin_suboptimal(UzdinFamily(**recs, variant="trace_zero")).sample(TIMES)
+        uzdin_suboptimal(UzdinFamily(**recs), "trace_zero").sample(TIMES)
         around = np.stack([TIMES + FD_STEP, TIMES - FD_STEP], axis=-1).ravel()
         differenced = "m_state" if missing == "m_dot" else "phase"
         rec = recs.pop(differenced)
@@ -374,14 +374,13 @@ def test_builtin_closures_equal_elementwise_calls_bit_for_bit(scenario, params, 
 
 def batched_fields():
     """One field of every batched kind."""
-    phased = UzdinFamily(m_state=great_circle, phase=lambda t: 0.4 * t * t,
-                         variant="trace_nonzero")
+    phased = UzdinFamily(m_state=great_circle, phase=lambda t: 0.4 * t * t)
     tabulated, _, _ = build_scenario(ScenarioConfig(scenario="custom", field={
         "times": [0.0, 0.3, 0.7, 1.0],
         "h": [[1.0, 0.0, 0.2], [0.5, 0.4, 0.0], [0.2, 0.1, 0.9], [0.0, 1.0, 0.3]],
         "h0": [0.1, -0.2, 0.3, 0.0]}))
     return [uzdin_optimal(UzdinFamily(m_state=great_circle)),
-            uzdin_suboptimal(phased), tabulated]
+            uzdin_suboptimal(phased, "trace_nonzero"), tabulated]
 
 
 @pytest.mark.parametrize("field", batched_fields(),
@@ -465,8 +464,8 @@ def test_batched_path_drive_rounds_as_scalar_arithmetic(variant):
             scenario="example2", t_span=(0.0, 1.0), n_steps=1000, parameters={
                 "omega0": omega0, "nu0": nu0, "varphi0": varphi0, "theta0": theta0}))
         fam = field.family
-        fam.variant = variant
-        field = uzdin_optimal(fam) if variant == "optimal" else uzdin_suboptimal(fam)
+        field = (uzdin_optimal(fam) if variant == "optimal"
+                 else uzdin_suboptimal(fam, variant))
         h0, h = field.sample(grid.half_times)
         for k, t in enumerate(grid.half_times):
             want_h0, want_h = scalar_reference(fam, variant, t)
@@ -506,10 +505,9 @@ class TestBatchedChecks:
     def test_bloch_map_normalization(self):
         # the phase term's Bloch map holds the path to 1e-12
         fam = UzdinFamily(m_state=self.scaled(2e-11), m_dot=great_circle_dot,
-                          phase_dot=lambda t: np.full(t.shape, 0.5),
-                          variant="trace_zero")
+                          phase_dot=lambda t: np.full(t.shape, 0.5))
         with pytest.raises(NormalizationError, match="state norm") as exc:
-            sample_field(uzdin_suboptimal(fam), TIMES)
+            sample_field(uzdin_suboptimal(fam, "trace_zero"), TIMES)
         names_first_failure(exc)
 
     def test_hermiticity_rejects_nan(self):
@@ -534,17 +532,16 @@ class TestBatchedChecks:
         callables = {"m_state": great_circle, "m_dot": great_circle_dot,
                      "phase_dot": lambda t: np.full(t.shape, 0.5)}
         callables[name] = late_nan(callables[name])
-        field = uzdin_suboptimal(UzdinFamily(**callables, variant="trace_zero"))
+        field = uzdin_suboptimal(UzdinFamily(**callables), "trace_zero")
         with pytest.raises(FieldError, match=f"{name} returned non-finite") as exc:
             sample_field(field, TIMES)
         names_first_failure(exc)
 
     def test_complex_phase_is_not_truncated(self):
         fam = UzdinFamily(m_state=great_circle, m_dot=great_circle_dot,
-                          phase_dot=lambda t: np.full(t.shape, 0.5 + 0.1j),
-                          variant="trace_zero")
+                          phase_dot=lambda t: np.full(t.shape, 0.5 + 0.1j))
         with pytest.raises(FieldError, match="phase_dot"):
-            sample_field(uzdin_suboptimal(fam), TIMES)
+            sample_field(uzdin_suboptimal(fam, "trace_zero"), TIMES)
 
     @pytest.mark.parametrize("gamma", [1e4, 1e6])
     def test_hermiticity_tolerance_scales_with_the_path_speed(self, gamma):
@@ -620,8 +617,8 @@ def test_finite_difference_uzdin_drive_matches_golden_bytes(tmp_path):
     # m_dot, phase_dot and h_dot all come from central differences
     fam = UzdinFamily(m_state=transported_path,
                       phase=lambda t: 0.4 * t + 0.3 * np.sin(2.0 * t),
-                      variant="trace_zero", t_span=(0.1, 0.8))
-    field = uzdin_suboptimal(fam)
+                      t_span=(0.1, 0.8))
+    field = uzdin_suboptimal(fam, "trace_zero")
     traj = schrodinger_evolve(field, transported_path(0.1), TimeGrid(0.1, 0.8, 30))
     write_csv(tmp_path / "uzdin.csv", {
         "t": traj.times, "h0": traj.h0_nodes, "h_x": traj.h_nodes[:, 0],

@@ -17,6 +17,7 @@ from blochpath import (
     build_scenario,
     orbit_radius,
     run_report,
+    schrodinger_evolve,
     speed_efficiency_tracezero,
     sweep_alpha,
     sweep_phase_profiles,
@@ -133,6 +134,21 @@ class TestBuilders:
         _, _, grid = build_scenario(cfg)
         assert grid.t_end == pytest.approx(
             travel_time(np.pi / 4, np.pi / 2, 1.0), abs=1e-12)
+
+    def test_suboptimal_family_geometry_is_derived_once(self, monkeypatch):
+        from blochpath import families
+
+        calls = {"suboptimal_axis": 0, "_orbit": 0, "endpoint_angle": 0}
+        for name in calls:
+            def counted(*args, _fn=getattr(families, name), _name=name):
+                calls[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(families, name, counted)
+        cfg = ScenarioConfig(scenario="suboptimal_family", n_steps=50,
+                             parameters={"alpha": 1.1, "theta_ab": 0.9})
+        schrodinger_evolve(*build_scenario(cfg))
+        # the axis computes the separation once more on its own
+        assert calls == {"suboptimal_axis": 1, "_orbit": 1, "endpoint_angle": 2}
 
     def test_custom_constant_field(self):
         cfg = ScenarioConfig(scenario="custom", n_steps=100, parameters={},
