@@ -13,7 +13,6 @@ from .core import (
     energy_uncertainty,
     fubini_study_distance,
     pauli_compose,
-    pauli_decompose,
     spectral_norm,
     state_from_bloch,
 )
@@ -74,6 +73,7 @@ from .families import (
     uzdin_suboptimal,
 )
 from .scenarios import (
+    SCENARIOS,
     ReportRow,
     ScenarioConfig,
     build_scenario,
@@ -81,6 +81,8 @@ from .scenarios import (
     sweep_alpha,
     sweep_phase_profiles,
     table_rows,
+    write_csv,
+    write_json,
 )
 
 __version__ = "0.1.0"

@@ -1,4 +1,4 @@
-"""Single-qubit algebra: Pauli decompositions, Bloch vectors, basic geometry.
+"""Single-qubit algebra: Pauli composition, Bloch vectors, basic geometry.
 
 Conventions used throughout the package (hbar = 1):
 
@@ -11,6 +11,11 @@ Conventions used throughout the package (hbar = 1):
 
 ``pauli_compose``, ``energy_uncertainty``, ``spectral_norm`` and
 ``fubini_study_distance`` broadcast over leading axes of ``(..., 3)`` rows.
+Nothing here takes a matrix apart: the one matrix the package decomposes,
+the Uzdin drive, is read off entry by entry where it is built
+(``families``).  Array arguments go through one conversion to numbers and
+real-valued ones (``h0``, angles, ``alpha``, ``E``) through another; what
+neither converts raises :class:`ConfigError`.
 """
 
 from __future__ import annotations
@@ -24,20 +29,14 @@ from .errors import (
     BlochPathError,
     ConfigError,
     FieldError,
-    HermiticityError,
     NormalizationError,
     NumericalError,
     ShapeError,
 )
 
 __all__ = [
-    "PAULI_X",
-    "PAULI_Y",
-    "PAULI_Z",
-    "IDENTITY2",
     "FieldSpec",
     "pauli_compose",
-    "pauli_decompose",
     "bloch_from_state",
     "state_from_bloch",
     "energy_uncertainty",
@@ -45,14 +44,9 @@ __all__ = [
     "fubini_study_distance",
 ]
 
-PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-IDENTITY2 = np.eye(2, dtype=complex)
-
 #: tolerance on norms of states and Bloch vectors
 TOL_NORM = 1e-12
-#: tolerance on Hermiticity of decomposed matrices
+#: tolerance on Hermiticity of the Uzdin drive, relative to ``1 + |dm/dt|``
 TOL_HERM = 1e-12
 
 
@@ -78,14 +72,28 @@ def _as_vec3(v, name: str = "vector") -> np.ndarray:
     return arr
 
 
+def _as_reals(v, name: str) -> np.ndarray:
+    """``v`` as a float64 array; :class:`ConfigError` unless it holds real
+    numbers (a string, ``None``, a complex or another object does not)."""
+    try:
+        return np.asarray(v).astype(float, casting="same_kind", copy=False)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{name} must be real numbers: {exc}") from exc
+
+
+def _finite_reals(v, name: str) -> np.ndarray:
+    """:func:`_as_reals`, and :class:`NumericalError` unless all are finite."""
+    arr = _as_reals(v, name)
+    if not np.isfinite(arr).all():
+        raise NumericalError(f"{name} must be finite")
+    return arr
+
+
 def _as_times(times) -> np.ndarray:
     """``times`` as a float64 1-D array.  Any other shape is a
     :class:`ShapeError`; values that are not finite reals are a
     :class:`ConfigError`, as non-finite grid endpoints are."""
-    try:
-        arr = np.asarray(times).astype(float, casting="same_kind", copy=False)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"times must be real numbers: {exc}") from exc
+    arr = _as_reals(times, "times")
     if arr.ndim != 1:
         raise ShapeError(f"expected a 1-D array of times, got shape {arr.shape}")
     k = _first(~np.isfinite(arr))
@@ -103,7 +111,7 @@ def _as_rows(v, name: str) -> np.ndarray:
 
 def pauli_compose(h0, h) -> np.ndarray:
     """Assemble ``h0 * I + h . sigma`` as explicit 2x2 complex matrices."""
-    h0 = np.asarray(h0, dtype=float)
+    h0 = _finite_reals(h0, "h0")
     h = _as_rows(h, "field")
     out = np.empty(np.broadcast(h0, h[..., 0]).shape + (2, 2), dtype=complex)
     out[..., 0, 0] = h0 + h[..., 2]
@@ -111,47 +119,6 @@ def pauli_compose(h0, h) -> np.ndarray:
     out[..., 1, 0] = h[..., 0] + 1j * h[..., 1]
     out[..., 1, 1] = h0 - h[..., 2]
     return out
-
-
-def _hermitian_parts(m):
-    """Hermiticity defect, half trace and Pauli vector of ``(..., 2, 2)``
-    matrices, row by row; the defect is the entrywise max of ``|m - m^H|``."""
-    defect = np.abs(m - np.swapaxes(m.conj(), -1, -2)).max(axis=(-2, -1))
-    h0 = 0.5 * (m[..., 0, 0].real + m[..., 1, 1].real)
-    h = np.stack(
-        [
-            0.5 * (m[..., 0, 1].real + m[..., 1, 0].real),
-            0.5 * (m[..., 1, 0].imag - m[..., 0, 1].imag),
-            0.5 * (m[..., 0, 0].real - m[..., 1, 1].real),
-        ],
-        axis=-1,
-    )
-    return defect, h0, h
-
-
-def pauli_decompose(matrix) -> Tuple[float, np.ndarray]:
-    """Split a 2x2 Hermitian matrix into its trace part and Pauli vector.
-
-    Parameters
-    ----------
-    matrix : array_like, shape (2, 2)
-        Matrix to decompose. Must be Hermitian within ``TOL_HERM`` in the
-        entrywise max norm.
-
-    Returns
-    -------
-    h0 : float
-        Half the trace.
-    h : ndarray, shape (3,)
-        Real coefficients of (sigma_x, sigma_y, sigma_z).
-    """
-    m = _as_array(matrix, complex, "matrix")
-    if m.shape != (2, 2):
-        raise ShapeError(f"expected a 2x2 matrix, got shape {m.shape}")
-    defect, h0, h = _hermitian_parts(m)
-    if not defect <= TOL_HERM:
-        raise HermiticityError(f"matrix deviates from Hermiticity by {defect:.3e}")
-    return h0, h
 
 
 def _bloch_rows(states):
@@ -217,6 +184,7 @@ def energy_uncertainty(a, h):
 
 def spectral_norm(h0, h):
     """Spectral norm ``|h0| + |h|`` of ``h0 * I + h . sigma``."""
+    h0 = _finite_reals(h0, "h0")
     return np.abs(h0) + np.linalg.norm(_as_rows(h, "field"), axis=-1)
 
 
@@ -375,7 +343,10 @@ class FieldSpec:
 
     def __post_init__(self):
         if not callable(self.h0):
-            self.h0 = float(self.h0)
+            h0 = _as_reals(self.h0, "h0")
+            if h0.shape != ():
+                raise ShapeError(f"expected a scalar h0, got shape {h0.shape}")
+            self.h0 = float(h0)
         if not callable(self.h):
             self.h = _as_vec3(self.h, "field").copy()
             if self.h_dot is None:

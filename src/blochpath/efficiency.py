@@ -15,7 +15,7 @@ from enum import Enum
 
 import numpy as np
 
-from .core import energy_uncertainty, spectral_norm
+from .core import _as_reals, energy_uncertainty, spectral_norm
 from .errors import (
     NumericalError,
     RangeError,
@@ -121,8 +121,8 @@ def speed_efficiency_profile(traj: Trajectory) -> np.ndarray:
 
 def _closed_form_ratio(cdot_sq, phidot, denom_sq):
     """``sqrt(c^2 / denom_sq(c^2, phidot))`` after the shared domain checks."""
-    c2 = np.asarray(cdot_sq, dtype=float)
-    pd = np.asarray(phidot, dtype=float)
+    c2 = _as_reals(cdot_sq, "cdot_sq")
+    pd = _as_reals(phidot, "phidot")
     if np.any(c2 < 0.0):
         raise RangeError("cdot_sq must be nonnegative")
     denom = denom_sq(c2, pd)

@@ -22,9 +22,9 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .core import (TOL_HERM, TOL_NORM, FieldSpec, _as_times, _as_vec3,
-                   _BatchedField, _bloch_rows, _central_difference, _first,
-                   _hermitian_parts, fubini_study_distance)
+from .core import (TOL_HERM, TOL_NORM, FieldSpec, _as_reals, _as_times,
+                   _as_vec3, _BatchedField, _bloch_rows, _central_difference,
+                   _finite_reals, _first, fubini_study_distance)
 from .evolve import TOL_NORM0
 from .errors import (
     BlochPathError,
@@ -65,6 +65,7 @@ def rodrigues_rotate(v, axis, angle: float) -> np.ndarray:
     """Rotate ``v`` about the unit ``axis`` by ``angle`` (right-hand rule)."""
     v = _as_vec3(v)
     k = _as_vec3(axis, "axis")
+    angle = _finite_reals(angle, "angle")
     c, s = np.cos(angle), np.sin(angle)
     return v * c + np.cross(k, v) * s + k * (k @ v) * (1.0 - c)
 
@@ -90,6 +91,7 @@ def suboptimal_axis(alpha: float, a, b) -> np.ndarray:
     ``v x a``, so no step divides by the vanishing ``|a + b|`` near pi."""
     a = _as_vec3(a, "Bloch vector")
     b = _as_vec3(b, "Bloch vector")
+    alpha = _finite_reals(alpha, "alpha")
     half = 0.5 * endpoint_angle(a, b)
     # a x b as a x (b -+ a): the short difference keeps its relative accuracy
     normal = np.cross(a, b - np.sign(a @ b) * a)
@@ -112,6 +114,7 @@ def _orbit(alpha, theta_ab):
     """``(orbit_radius, rotation_angle)`` from one evaluation of each sine
     and cosine.  A non-finite input raises :class:`NumericalError`, a
     vanishing radius :class:`DegenerateEndpointsError`."""
+    alpha, theta_ab = _as_reals(alpha, "alpha"), _as_reals(theta_ab, "theta_ab")
     sin_a, cos_a = np.sin(alpha), np.cos(alpha)
     sin_h, cos_h = np.sin(0.5 * theta_ab), np.cos(0.5 * theta_ab)
     lever = cos_a * sin_h  # a sum of squares: np.hypot is twice as slow
@@ -138,7 +141,7 @@ def rotation_angle(alpha, theta_ab):
 
 
 def _check_energy(E: float) -> None:
-    if not 0.0 < E < np.inf:
+    if not 0.0 < _as_reals(E, "E") < np.inf:
         raise RangeError(f"energy scale must be positive and finite, got {E!r}")
 
 
@@ -188,7 +191,7 @@ class SuboptimalStationary:
     def __post_init__(self):
         a = _as_vec3(self.a_hat, "a_hat").copy()
         b = _as_vec3(self.b_hat, "b_hat").copy()
-        if not 0.0 < self.alpha < np.pi:
+        if not 0.0 < _as_reals(self.alpha, "alpha") < np.pi:
             raise RangeError(f"alpha must lie in (0, pi), got {self.alpha!r}")
         _check_energy(self.E)
         for name, v in (("a_hat", a), ("b_hat", b)):
@@ -295,8 +298,9 @@ class _PathField(_BatchedField):
     """Drive of an :class:`UzdinFamily` path, sampled in batches.
 
     ``h0`` and ``h`` are unused.  The family's callables, and ``h_dot`` when
-    given, are called once on the whole time array; the checks, outer
-    products, Pauli split and Bloch map then run once over all rows.
+    given, are called once on the whole time array; the checks, the drive's
+    matrix entries, its Pauli vector and the Bloch map then run once over
+    all rows.
     ``variant`` is ``"optimal"``, ``"trace_nonzero"`` or ``"trace_zero"``.
     """
 
@@ -323,13 +327,19 @@ class _PathField(_BatchedField):
                 f"<m|dm/dt| = {gauge[k]:.3e} at t = {times[k]!r}; the path must be "
                 "parallel transported (phase-fixed) before constructing the drive"
             )
-        matrix = 1j * (md[:, :, None] * m.conj()[:, None, :]
-                       - m[:, :, None] * md.conj()[:, None, :])
-        defect, _, h = _hermitian_parts(matrix)
+        # the entries of i(|dm><m| - |m><dm|), each rounded as in the 2x2
+        # product; the Pauli vector is read off them
+        e = [[1j * (md[:, i] * m[:, j].conj() - m[:, i] * md[:, j].conj())
+              for j in (0, 1)] for i in (0, 1)]
+        defect = np.maximum.reduce([np.abs(e[i][j] - e[j][i].conj())
+                                    for i in (0, 1) for j in (0, 1)])
         k = _first(~(defect <= TOL_HERM * (1.0 + md_norm)))
         if k is not None:
             raise HermiticityError(f"matrix deviates from Hermiticity by "
                                    f"{defect[k]:.3e} at t = {times[k]!r}")
+        (e00, e01), (e10, e11) = e
+        h = np.stack([0.5 * (e01.real + e10.real), 0.5 * (e10.imag - e01.imag),
+                      0.5 * (e00.real - e11.real)], axis=-1)
         if self.variant == "optimal":
             return np.zeros(times.shape), h
         h = h + (0.5 * phase_dot)[:, None] * _bloch_rows(m)

@@ -9,6 +9,8 @@
   central difference of the user's field.
 * :func:`transport_residual` measures how well
   :func:`blochpath.parallel_transport` removes the dynamical phase.
+* :func:`uzdin_drive` is the Uzdin drive as the library once built it: the
+  full 2x2 matrices, then their Hermiticity defect and Pauli vector.
 """
 
 import warnings
@@ -93,3 +95,16 @@ def transport_residual(m_states, times) -> np.ndarray:
     dm = (m[2:] - m[:-2]) / (t[2:] - t[:-2])[:, None]
     overlap = np.einsum("ij,ij->i", np.conj(m[1:-1]), dm)
     return np.abs(overlap)
+
+
+def uzdin_drive(m, md):
+    """Matrices ``i(|dm><m| - |m><dm|)`` of ``(n, 2)`` rows of the path ``m``
+    and its derivative ``md``, their Hermiticity defect (the entrywise max
+    of ``|H - H^dagger|``) and their Pauli vectors."""
+    matrix = 1j * (md[:, :, None] * m.conj()[:, None, :]
+                   - m[:, :, None] * md.conj()[:, None, :])
+    defect = np.abs(matrix - np.swapaxes(matrix.conj(), -1, -2)).max(axis=(-2, -1))
+    h = np.stack([0.5 * (matrix[:, 0, 1].real + matrix[:, 1, 0].real),
+                  0.5 * (matrix[:, 1, 0].imag - matrix[:, 0, 1].imag),
+                  0.5 * (matrix[:, 0, 0].real - matrix[:, 1, 1].real)], axis=-1)
+    return matrix, defect, h

@@ -1,6 +1,7 @@
 """The README's Python API map names every export and no removed name."""
 
 import re
+import sys
 import types
 from pathlib import Path
 
@@ -14,7 +15,9 @@ ROOT = Path(__file__).resolve().parents[1]
 #: again
 REMOVED = ("curvature_expectation", "curvature_numeric_oracle",
            "curvature_transverse", "transport_residual",
-           "geodesic_efficiency_global", "_dispersion_operator", "fd_step")
+           "geodesic_efficiency_global", "_dispersion_operator", "fd_step",
+           "pauli_decompose", "_hermitian_parts", "PAULI_X", "PAULI_Y",
+           "PAULI_Z", "IDENTITY2")
 
 
 def _exports() -> list[str]:
@@ -31,9 +34,21 @@ def _api_map_identifiers() -> set[str]:
             for word in re.findall(r"[A-Za-z_]\w*", span)}
 
 
+def _module_all() -> list[tuple[str, str]]:
+    return sorted((module.__name__, name)
+                  for module in vars(blochpath).values()
+                  if isinstance(module, types.ModuleType)
+                  for name in getattr(module, "__all__", ()))
+
+
 @pytest.mark.parametrize("name", _exports())
 def test_every_export_is_in_the_api_map(name):
     assert name in _api_map_identifiers()
+
+
+@pytest.mark.parametrize("module,name", _module_all())
+def test_every_public_name_of_a_module_is_exported(module, name):
+    assert getattr(blochpath, name, None) is getattr(sys.modules[module], name)
 
 
 def test_no_removed_name_is_left_behind():

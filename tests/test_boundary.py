@@ -1,10 +1,12 @@
 """Invalid arguments at the library's boundary end as typed errors.
 
-Each array argument below goes through the one array conversion step, and
-grid endpoints and averaged factors through one real-number check; a
-string, ``None``, a complex scalar or an arbitrary object must raise a
-:class:`BlochPathError`, never a bare ``TypeError`` or ``ValueError``.
-Sampled derivatives pass the same finiteness check as sampled fields.
+Each array argument below goes through the one array conversion step,
+each real-valued one (``h0``, an angle, ``alpha``, ``theta_ab``, ``E``,
+``cdot_sq``) through one real-number conversion, and grid endpoints and
+averaged factors through one real-number check; a string, ``None``, a
+complex scalar or an arbitrary object must raise a :class:`BlochPathError`,
+never a bare ``TypeError`` or ``ValueError``.  Sampled derivatives pass the
+same finiteness check as sampled fields.
 """
 
 import math
@@ -17,21 +19,32 @@ from blochpath import (
     ConfigError,
     FieldError,
     FieldSpec,
+    NumericalError,
     RangeError,
+    ShapeError,
     SuboptimalStationary,
     TimeGrid,
+    arc_length_alpha,
     bloch_from_state,
     classify,
     curvature_bloch_profile,
+    delta_e_alpha,
     energy_uncertainty,
     fubini_study_distance,
     hybrid_efficiency,
-    pauli_decompose,
+    orbit_radius,
+    pauli_compose,
     rodrigues_rotate,
+    rotation_angle,
     sample_field,
     schrodinger_evolve,
+    spectral_norm,
+    speed_efficiency,
+    speed_efficiency_tracenonzero,
+    speed_efficiency_tracezero,
     state_from_bloch,
     suboptimal_axis,
+    travel_time,
 )
 
 BAD = ["x", None, 1j, object()]
@@ -55,9 +68,31 @@ CALLS = {
     "suboptimal_axis.b": lambda v: suboptimal_axis(1.0, Z, v),
     "SuboptimalStationary.a_hat": lambda v: SuboptimalStationary(1.0, v, X),
     "SuboptimalStationary.b_hat": lambda v: SuboptimalStationary(1.0, Z, v),
-    "pauli_decompose": lambda v: pauli_decompose(v),
     "rodrigues_rotate.v": lambda v: rodrigues_rotate(v, Z, 1.0),
     "rodrigues_rotate.axis": lambda v: rodrigues_rotate(X, v, 1.0),
+    "rodrigues_rotate.angle": lambda v: rodrigues_rotate(X, Z, v),
+    "pauli_compose.h0": lambda v: pauli_compose(v, X),
+    "spectral_norm.h0": lambda v: spectral_norm(v, X),
+    "speed_efficiency.h0": lambda v: speed_efficiency(Z, v, X),
+    "speed_efficiency_tracezero.cdot_sq": lambda v: speed_efficiency_tracezero(v, 0.5),
+    "speed_efficiency_tracenonzero.cdot_sq":
+        lambda v: speed_efficiency_tracenonzero(v, 0.5),
+    "suboptimal_axis.alpha": lambda v: suboptimal_axis(v, Z, X),
+    "SuboptimalStationary.alpha": lambda v: SuboptimalStationary(v, Z, X),
+    "orbit_radius.alpha": lambda v: orbit_radius(v, 1.0),
+    "orbit_radius.theta_ab": lambda v: orbit_radius(1.0, v),
+    "rotation_angle.alpha": lambda v: rotation_angle(v, 1.0),
+    "rotation_angle.theta_ab": lambda v: rotation_angle(1.0, v),
+    "arc_length_alpha.alpha": lambda v: arc_length_alpha(v, 1.0),
+    "arc_length_alpha.theta_ab": lambda v: arc_length_alpha(1.0, v),
+    "travel_time.alpha": lambda v: travel_time(v, 1.0, 1.0),
+    "travel_time.theta_ab": lambda v: travel_time(1.0, v, 1.0),
+    "travel_time.E": lambda v: travel_time(1.0, 1.0, v),
+    "delta_e_alpha.alpha": lambda v: delta_e_alpha(v, 1.0, 1.0),
+    "delta_e_alpha.theta_ab": lambda v: delta_e_alpha(1.0, v, 1.0),
+    "delta_e_alpha.E": lambda v: delta_e_alpha(1.0, 1.0, v),
+    "SuboptimalStationary.E": lambda v: SuboptimalStationary(1.0, Z, X, E=v),
+    "FieldSpec.h0": lambda v: FieldSpec(v, X),
     "TimeGrid.t_start": lambda v: TimeGrid(v, 1.0, 10),
     "TimeGrid.t_end": lambda v: TimeGrid(0.0, v, 10),
     "hybrid_efficiency.eta_ge_bar": lambda v: hybrid_efficiency(v, 0.5),
@@ -74,14 +109,43 @@ def test_only_typed_errors_escape(name, value):
         CALLS[name](value)
 
 
+#: the real-valued arguments, named by the last part of a ``CALLS`` key
+REAL_ARGUMENTS = ("h0", "cdot_sq", "angle", "alpha", "theta_ab", "E")
+
+
+@pytest.mark.parametrize("value", BAD, ids=BAD_IDS)
+@pytest.mark.parametrize("name", [name for name in CALLS
+                                  if name.rsplit(".", 1)[-1] in REAL_ARGUMENTS])
+def test_non_numbers_in_real_arguments_are_a_config_error(name, value):
+    with pytest.raises(ConfigError, match="must be real numbers"):
+        CALLS[name](value)
+
+
 @pytest.mark.parametrize("value", ["x", [1.0, "y", 0.0], object(), [[1, 0], [0, 1], "z"]],
                          ids=["str", "str_entry", "object", "ragged"])
 def test_unconvertible_arrays_are_a_config_error(value):
-    for convert in (state_from_bloch, pauli_decompose,
+    for convert in (state_from_bloch,
                     lambda v: schrodinger_evolve(FIELD, v),
                     lambda v: FieldSpec(0.0, v)):
         with pytest.raises(ConfigError, match="must hold numbers"):
             convert(value)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: pauli_compose(math.nan, X),
+    lambda: spectral_norm(math.nan, X),
+    lambda: rodrigues_rotate(X, Z, math.nan),
+    lambda: suboptimal_axis(math.nan, Z, X),
+], ids=["pauli_compose", "spectral_norm", "rodrigues_rotate", "suboptimal_axis"])
+def test_non_finite_real_arguments_are_a_numerical_error(call):
+    with pytest.raises(NumericalError, match="must be finite"):
+        call()
+
+
+@pytest.mark.parametrize("h0", [[0.5], [0.5, 0.5]], ids=["one_entry", "two_entries"])
+def test_constant_h0_must_be_a_scalar(h0):
+    with pytest.raises(ShapeError, match="scalar h0"):
+        FieldSpec(h0, X)
 
 
 @pytest.mark.parametrize("endpoint", ["0", None, 1j, math.nan, math.inf])

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from blochpath import (
     FieldSpec,
-    HermiticityError,
     NormalizationError,
     NumericalError,
     ShapeError,
@@ -15,11 +14,14 @@ from blochpath import (
     energy_uncertainty,
     fubini_study_distance,
     pauli_compose,
-    pauli_decompose,
     spectral_norm,
     state_from_bloch,
 )
-from blochpath.core import IDENTITY2, PAULI_X, PAULI_Y, PAULI_Z
+
+#: the Pauli matrices sigma_x, sigma_y, sigma_z
+SIGMA = (np.array([[0.0, 1.0], [1.0, 0.0]]),
+         np.array([[0.0, -1.0j], [1.0j, 0.0]]),
+         np.array([[1.0, 0.0], [0.0, -1.0]]))
 
 reals = st.floats(min_value=-10.0, max_value=10.0,
                   allow_nan=False, allow_infinity=False)
@@ -30,41 +32,11 @@ phases = st.floats(min_value=-np.pi, max_value=np.pi,
 
 
 class TestPauliAlgebra:
-    def test_pauli_products(self):
-        assert np.allclose(PAULI_X @ PAULI_Y, 1j * PAULI_Z)
-        assert np.allclose(PAULI_X @ PAULI_X, IDENTITY2)
-        assert np.allclose(PAULI_Y @ PAULI_Z, 1j * PAULI_X)
-
     def test_compose_matches_explicit_matrix(self):
         m = pauli_compose(0.5, np.array([1.0, 2.0, 3.0]))
         expected = np.array([[0.5 + 3.0, 1.0 - 2.0j],
                              [1.0 + 2.0j, 0.5 - 3.0]])
         assert np.allclose(m, expected, atol=1e-15)
-
-    def test_decompose_scaled_identity(self):
-        h0, h = pauli_decompose(2.5 * IDENTITY2)
-        assert h0 == pytest.approx(2.5, abs=1e-15)
-        assert np.allclose(h, 0.0, atol=1e-15)
-
-    @given(h0=reals, hx=reals, hy=reals, hz=reals)
-    @settings(max_examples=60, deadline=None)
-    def test_compose_decompose_round_trip(self, h0, hx, hy, hz):
-        g0, g = pauli_decompose(pauli_compose(h0, np.array([hx, hy, hz])))
-        assert g0 == pytest.approx(h0, abs=1e-12)
-        assert np.allclose(g, [hx, hy, hz], atol=1e-12)
-
-    def test_decompose_rejects_non_hermitian(self):
-        m = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-        with pytest.raises(HermiticityError):
-            pauli_decompose(m)
-
-    def test_decompose_rejects_nan_entries(self):
-        with pytest.raises(HermiticityError):
-            pauli_decompose([[np.nan, 0.0], [0.0, 0.0]])
-
-    def test_decompose_rejects_wrong_shape(self):
-        with pytest.raises(ShapeError):
-            pauli_decompose(np.eye(3))
 
 
 class TestStateBlochMaps:
@@ -90,7 +62,7 @@ class TestStateBlochMaps:
             [np.cos(theta / 2.0), np.exp(1j * phi) * np.sin(theta / 2.0)])
         a = bloch_from_state(psi)
         rho = np.outer(psi, psi.conj())
-        expected = [np.trace(rho @ p).real for p in (PAULI_X, PAULI_Y, PAULI_Z)]
+        expected = [np.trace(rho @ p).real for p in SIGMA]
         assert np.allclose(a, expected, atol=1e-12)
 
     @pytest.mark.parametrize("value", [np.nan, 2.0])

@@ -21,6 +21,7 @@ from blochpath import (
     delta_e_alpha,
     endpoint_angle,
     orbit_radius,
+    pauli_compose,
     rodrigues_rotate,
     rotation_angle,
     schrodinger_evolve,
@@ -31,7 +32,9 @@ from blochpath import (
     uzdin_optimal,
     uzdin_suboptimal,
 )
+from blochpath.core import TOL_HERM, _bloch_rows
 from blochpath.families import TOL_DEG
+from geometry_oracles import uzdin_drive
 
 # frozen oracles for alpha = pi/4, theta_AB = pi/2
 PHI_PI4 = 1.9106332362490186
@@ -253,7 +256,59 @@ def great_circle_dot(t):
     return np.stack([-np.sin(t), np.cos(t)], axis=-1).astype(complex)
 
 
+def transported_path(theta0, theta1, phi0, phi1):
+    """Path at polar angle ``theta0 + theta1 t`` and azimuth ``phi0 + phi1 t``
+    with the global phase ``gamma`` that cancels ``<m|dm/dt>``
+    (``gamma' = -phi1 sin^2(theta/2)``), and its analytic derivative."""
+    def parts(t):
+        theta, phi = theta0 + theta1 * t, phi0 + phi1 * t
+        gamma = -0.5 * phi1 * (t - (np.sin(theta) - np.sin(theta0)) / theta1)
+        c, s = np.cos(0.5 * theta), np.sin(0.5 * theta)
+        return np.exp(1j * gamma), np.exp(1j * phi), c, s
+
+    def m_state(t):
+        g, p, c, s = parts(t)
+        return g[:, None] * np.stack([c + 0j, p * s], axis=-1)
+
+    def m_dot(t):
+        g, p, c, s = parts(t)
+        gamma_dot = -phi1 * s * s
+        return g[:, None] * np.stack([1j * gamma_dot * c - 0.5 * theta1 * s,
+                                      p * (1j * (gamma_dot + phi1) * s
+                                           + 0.5 * theta1 * c)], axis=-1)
+
+    return m_state, m_dot
+
+
+speeds = st.floats(min_value=0.2, max_value=3.0) | st.floats(min_value=-3.0, max_value=-0.2)
+offsets = st.floats(min_value=-4.0, max_value=4.0)
+
+
 class TestUzdinConstructions:
+    @given(theta0=offsets, theta1=speeds, phi0=offsets, phi1=offsets,
+           nu=st.tuples(offsets, offsets), n=st.integers(1, 300),
+           variant=st.sampled_from(["optimal", "trace_nonzero", "trace_zero"]))
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_drive_equals_the_decomposed_matrix_bit_for_bit(
+            self, theta0, theta1, phi0, phi1, nu, n, variant):
+        m_state, m_dot = transported_path(theta0, theta1, phi0, phi1)
+        fam = UzdinFamily(m_state=m_state, m_dot=m_dot,
+                          phase_dot=lambda t: nu[0] + nu[1] * t)
+        field = (uzdin_optimal(fam) if variant == "optimal"
+                 else uzdin_suboptimal(fam, variant))
+        times = np.linspace(0.0, 1.0, n)
+        h0, h = field.sample(times)
+        m, md = m_state(times), m_dot(times)
+        matrix, defect, want = uzdin_drive(m, md)
+        assert np.all(defect <= TOL_HERM * (1.0 + np.linalg.norm(md, axis=1)))
+        assert np.allclose(pauli_compose(0.0, want), matrix, rtol=0.0, atol=1e-14)
+        half_phase_dot = 0.5 * (nu[0] + nu[1] * times)
+        if variant != "optimal":
+            want = want + half_phase_dot[:, None] * _bloch_rows(m)
+        assert np.array_equal(h, want)
+        assert np.array_equal(h0, half_phase_dot if variant == "trace_nonzero"
+                              else np.zeros(n))
+
     def test_optimal_drive_follows_the_path_exactly(self):
         fam = UzdinFamily(m_state=great_circle, m_dot=great_circle_dot)
         field = uzdin_optimal(fam)

@@ -24,6 +24,7 @@ from blochpath import (
     ConfigError,
     FieldError,
     FieldSpec,
+    HermiticityError,
     NormalizationError,
     PreconditionError,
     ScenarioConfig,
@@ -518,6 +519,20 @@ class TestBatchedChecks:
         field = uzdin_optimal(UzdinFamily(m_state=great_circle, m_dot=m_dot))
         with pytest.raises(FieldError, match="m_dot returned non-finite") as exc:
             sample_field(field, TIMES)
+        names_first_failure(exc)
+
+    def test_hermiticity_names_the_first_overflowing_row(self):
+        # finite entries are Hermitian up to rounding of size eps |dm/dt|;
+        # a derivative near the largest double overflows them to inf and NaN
+        def m_dot(t):
+            scale = np.where(late(t), 1.5e308, 1.0) * (1.0 + 1.0j)
+            return scale[..., None] * great_circle_dot(t)
+
+        fam = UzdinFamily(m_state=lambda t: np.exp(0.25j * np.pi) * great_circle(t),
+                          m_dot=m_dot)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(HermiticityError, match="deviates from Hermiticity") as exc:
+            sample_field(uzdin_optimal(fam), TIMES)
         names_first_failure(exc)
 
     @pytest.mark.parametrize("name", ["m_state", "phase_dot"])
