@@ -13,13 +13,15 @@ Conventions used throughout the package (hbar = 1):
 ``fubini_study_distance`` broadcast over leading axes of ``(..., 3)`` rows.
 Nothing here takes a matrix apart: the one matrix the package decomposes,
 the Uzdin drive, is read off entry by entry where it is built
-(``families``).  Array arguments go through one conversion to numbers and
-real-valued ones (``h0``, angles, ``alpha``, ``E``) through another; what
-neither converts raises :class:`ConfigError`.
+(``families``).  Every argument, config value and callable result is read
+by one rule for what counts as a number, :func:`_numbers`, before its
+shape, range and finiteness are checked.
 """
 
 from __future__ import annotations
 
+import operator
+import reprlib
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple, Union
 
@@ -50,50 +52,64 @@ TOL_NORM = 1e-12
 TOL_HERM = 1e-12
 
 
-def _as_array(v, dtype, name: str) -> np.ndarray:
-    """``v`` as a ``dtype`` array; :class:`ConfigError` if it is not numbers."""
+def _numbers(v, name: str, dtype=float, error: Optional[Exception] = None) -> np.ndarray:
+    """``v`` as a ``dtype`` array if ``np.asarray`` reads it as integers or
+    reals (or complex numbers, for a complex ``dtype``), the one rule for
+    what counts as a number; else ``error``, by default :class:`ConfigError`."""
+    kinds, kind = ("iufc", "complex") if dtype is complex else ("iuf", "real")
     try:
-        return np.asarray(v, dtype=dtype)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"{name} must hold numbers: {exc}") from exc
+        ok = (arr := np.asarray(v)).dtype.kind in kinds
+    except (TypeError, ValueError):  # a ragged list
+        ok = False
+    if not ok:
+        raise error or ConfigError(f"{name} must be {kind} numbers, got {reprlib.repr(v)}")
+    return arr.astype(dtype, copy=False)
 
 
 def _as_state(psi) -> np.ndarray:
-    vec = _as_array(psi, complex, "state vector")
+    vec = _numbers(psi, "state vector", complex)
     if vec.shape != (2,):
         raise ShapeError(f"expected a length-2 state vector, got shape {vec.shape}")
     return vec
 
 
 def _as_vec3(v, name: str = "vector") -> np.ndarray:
-    arr = _as_array(v, float, name)
+    arr = _numbers(v, name)
     if arr.shape != (3,):
         raise ShapeError(f"expected a length-3 {name}, got shape {arr.shape}")
     return arr
 
 
-def _as_reals(v, name: str) -> np.ndarray:
-    """``v`` as a float64 array; :class:`ConfigError` unless it holds real
-    numbers (a string, ``None``, a complex or another object does not)."""
-    try:
-        return np.asarray(v).astype(float, casting="same_kind", copy=False)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{name} must be real numbers: {exc}") from exc
+def _scalar(v, name: str) -> float:
+    """``v`` as a float; :class:`ShapeError` unless it is one number."""
+    arr = _numbers(v, name)
+    if arr.shape != ():
+        raise ShapeError(f"expected a scalar {name}, got shape {arr.shape}")
+    return float(arr)
 
 
-def _finite_reals(v, name: str) -> np.ndarray:
-    """:func:`_as_reals`, and :class:`NumericalError` unless all are finite."""
-    arr = _as_reals(v, name)
+def _finite_reals(v, name: str, scalar: bool = False):
+    """:func:`_numbers` (or :func:`_scalar`), and :class:`NumericalError`
+    unless all are finite."""
+    arr = _scalar(v, name) if scalar else _numbers(v, name)
     if not np.isfinite(arr).all():
         raise NumericalError(f"{name} must be finite")
     return arr
+
+
+def _broadcast(*arrays) -> tuple:
+    """The common broadcast shape of ``arrays``; :class:`ShapeError` if none."""
+    try:
+        return np.broadcast_shapes(*(a.shape for a in arrays))
+    except ValueError as exc:
+        raise ShapeError(str(exc)) from None
 
 
 def _as_times(times) -> np.ndarray:
     """``times`` as a float64 1-D array.  Any other shape is a
     :class:`ShapeError`; values that are not finite reals are a
     :class:`ConfigError`, as non-finite grid endpoints are."""
-    arr = _as_reals(times, "times")
+    arr = _numbers(times, "times")
     if arr.ndim != 1:
         raise ShapeError(f"expected a 1-D array of times, got shape {arr.shape}")
     k = _first(~np.isfinite(arr))
@@ -103,7 +119,7 @@ def _as_times(times) -> np.ndarray:
 
 
 def _as_rows(v, name: str) -> np.ndarray:
-    arr = _as_array(v, float, name)
+    arr = _numbers(v, name)
     if arr.shape[-1:] != (3,):
         raise ShapeError(f"expected {name} rows of length 3, got shape {arr.shape}")
     return arr
@@ -113,7 +129,7 @@ def pauli_compose(h0, h) -> np.ndarray:
     """Assemble ``h0 * I + h . sigma`` as explicit 2x2 complex matrices."""
     h0 = _finite_reals(h0, "h0")
     h = _as_rows(h, "field")
-    out = np.empty(np.broadcast(h0, h[..., 0]).shape + (2, 2), dtype=complex)
+    out = np.empty(_broadcast(h0, h[..., 0]) + (2, 2), dtype=complex)
     out[..., 0, 0] = h0 + h[..., 2]
     out[..., 0, 1] = h[..., 0] - 1j * h[..., 1]
     out[..., 1, 0] = h[..., 0] + 1j * h[..., 1]
@@ -179,13 +195,15 @@ def energy_uncertainty(a, h):
     """
     a = _as_rows(a, "Bloch vector")
     h = _as_rows(h, "field")
+    _broadcast(a, h)
     return np.linalg.norm(np.cross(a, h), axis=-1)
 
 
 def spectral_norm(h0, h):
     """Spectral norm ``|h0| + |h|`` of ``h0 * I + h . sigma``."""
-    h0 = _finite_reals(h0, "h0")
-    return np.abs(h0) + np.linalg.norm(_as_rows(h, "field"), axis=-1)
+    h0, h = _finite_reals(h0, "h0"), _as_rows(h, "field")
+    _broadcast(h0, h[..., 0])
+    return np.abs(h0) + np.linalg.norm(h, axis=-1)
 
 
 def fubini_study_distance(a, b):
@@ -229,23 +247,35 @@ def _check_finite(times: np.ndarray, what: str, *columns) -> None:
 _BLOCK = 256
 
 
-def _field_error(t, exc: Exception):
-    """Raise ``exc`` as the failure at sample ``t``: a :class:`BlochPathError`
-    but :class:`ConfigError` as it is, anything else as a :class:`FieldError`."""
+def _field_error(what: str, exc: Exception):
+    """Raise ``exc``, met in a user callable, as the failure of ``what``: a
+    :class:`BlochPathError` but :class:`ConfigError` as it is, else as a :class:`FieldError`."""
     if isinstance(exc, BlochPathError) and not isinstance(exc, ConfigError):
         raise exc
-    raise FieldError(f"field evaluation failed at t = {t!r}: {exc}") from exc
+    raise FieldError(f"{what}: {exc}") from exc
+
+
+def _plain_reals(values) -> bool:
+    """Whether a block holds only float64 arrays, plain reals, or lists or tuples of
+    plain reals: one ``np.array`` of it then reads no bool as 0 or 1 beside reals."""
+    try:
+        return set(map(operator.attrgetter("dtype"), values)) == {np.dtype(float)}
+    except AttributeError:  # Python numbers, lists or tuples
+        types = set(map(type, values))
+    if types <= {list, tuple}:
+        types = {type(x) for value in values for x in value}
+    return types <= {float, int, np.float64}
 
 
 def _fill(fn: Callable, times: np.ndarray, convert: Callable, out: np.ndarray) -> list:
     """Call ``fn`` at each of ``times``, write the converted results into
     ``out`` and return them raw.
 
-    Several results are converted by one ``np.array`` call when it gives
-    float64 rows of ``out``'s shape; otherwise each goes through ``convert``,
-    which accepts, rejects and names the first failing ``t`` as one sample
-    at a time does.  Values returned before ``fn`` raises are converted
-    first, so an earlier invalid one is still the error reported.
+    Several results are converted by one ``np.array`` call when they are
+    :func:`_plain_reals` stacking to float64 rows of ``out``'s shape; else
+    each goes through ``convert``, which accepts, rejects and names the
+    first failing ``t`` as one sample at a time does.  Values returned
+    before ``fn`` raises are converted first, so an earlier invalid one wins.
     """
     values, failure = [], None
     try:
@@ -254,7 +284,7 @@ def _fill(fn: Callable, times: np.ndarray, convert: Callable, out: np.ndarray) -
     except Exception as exc:
         failure = exc
     rows = None
-    if len(values) > 1:
+    if len(values) > 1 and _plain_reals(values):
         try:
             rows = np.array(values)
         except Exception:  # whatever np.array rejects, ``convert`` judges below
@@ -267,9 +297,9 @@ def _fill(fn: Callable, times: np.ndarray, convert: Callable, out: np.ndarray) -
             try:
                 out[k] = convert(value)
             except Exception as exc:
-                _field_error(times[k], exc)
+                _field_error(f"field evaluation failed at t = {times[k]!r}", exc)
     if failure is not None:
-        _field_error(times[len(values)], failure)
+        _field_error(f"field evaluation failed at t = {times[len(values)]!r}", failure)
     return values
 
 
@@ -303,9 +333,9 @@ def _per_sample(fn: Callable, times: np.ndarray, convert: Callable,
 def _column(value, times: np.ndarray, rows: Optional[str] = None):
     """A constant broadcast over ``times``, or a callable sampled per sample:
     scalars, or with ``rows`` naming the quantity, checked 3-vector rows."""
-    shape, convert = ((), float) if rows is None else ((3,), lambda v: _as_vec3(v, rows))
+    shape, convert = ((), _scalar) if rows is None else ((3,), _as_vec3)
     if callable(value):
-        return _per_sample(value, times, convert, shape)
+        return _per_sample(value, times, lambda v: convert(v, rows or "h0"), shape)
     return np.broadcast_to(value, times.shape + shape).copy()
 
 
@@ -343,10 +373,7 @@ class FieldSpec:
 
     def __post_init__(self):
         if not callable(self.h0):
-            h0 = _as_reals(self.h0, "h0")
-            if h0.shape != ():
-                raise ShapeError(f"expected a scalar h0, got shape {h0.shape}")
-            self.h0 = float(h0)
+            self.h0 = _scalar(self.h0, "h0")
         if not callable(self.h):
             self.h = _as_vec3(self.h, "field").copy()
             if self.h_dot is None:

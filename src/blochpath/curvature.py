@@ -24,7 +24,7 @@ import warnings
 
 import numpy as np
 
-from .core import FieldSpec, _as_rows, _check_finite, _first, pauli_compose
+from .core import FieldSpec, _as_rows, _broadcast, _check_finite, _first, pauli_compose
 from .errors import NumericalError, SingularEvolutionError
 from .evolve import Trajectory, parallel_transport
 
@@ -65,6 +65,7 @@ def curvature_bloch(a, h, h_dot):
     a = _as_rows(a, "Bloch vector")
     h = _as_rows(h, "field")
     hd = _as_rows(h_dot, "field derivative")
+    _broadcast(a, h, hd)
     ah = _dot(a, h)
     hh = _dot(h, h)
     d = hh - ah * ah

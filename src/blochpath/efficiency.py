@@ -15,14 +15,14 @@ from enum import Enum
 
 import numpy as np
 
-from .core import _as_reals, energy_uncertainty, spectral_norm
+from .core import _broadcast, _numbers, energy_uncertainty, spectral_norm
 from .errors import (
     NumericalError,
     RangeError,
     ZeroHamiltonianError,
     ZeroPathError,
 )
-from .evolve import Trajectory, _is_real, _trapezoid
+from .evolve import Trajectory, _trapezoid
 
 __all__ = [
     "Classification",
@@ -121,8 +121,8 @@ def speed_efficiency_profile(traj: Trajectory) -> np.ndarray:
 
 def _closed_form_ratio(cdot_sq, phidot, denom_sq):
     """``sqrt(c^2 / denom_sq(c^2, phidot))`` after the shared domain checks."""
-    c2 = _as_reals(cdot_sq, "cdot_sq")
-    pd = _as_reals(phidot, "phidot")
+    c2, pd = _numbers(cdot_sq, "cdot_sq"), _numbers(phidot, "phidot")
+    _broadcast(c2, pd)
     if np.any(c2 < 0.0):
         raise RangeError("cdot_sq must be nonnegative")
     denom = denom_sq(c2, pd)
@@ -152,11 +152,13 @@ def speed_efficiency_tracezero(cdot_sq, phidot):
 
 
 def _check_factors(eta_ge_bar, eta_se_bar) -> None:
-    """:class:`RangeError` unless both are reals in ``[-TOL_EXCESS, 1 + TOL_EXCESS]``
-    (NaN is not)."""
+    """:class:`RangeError` unless both are single numbers in
+    ``[-TOL_EXCESS, 1 + TOL_EXCESS]`` (NaN is not)."""
     for name, value in (("eta_ge_bar", eta_ge_bar), ("eta_se_bar", eta_se_bar)):
-        if not (_is_real(value) and -TOL_EXCESS <= value <= 1.0 + TOL_EXCESS):
-            raise RangeError(f"{name} = {value!r} is not a real number in [0, 1]")
+        bad = RangeError(f"{name} = {value!r} is not a real number in [0, 1]")
+        factor = _numbers(value, name, error=bad)
+        if factor.shape != () or not -TOL_EXCESS <= factor <= 1.0 + TOL_EXCESS:
+            raise bad
 
 
 def hybrid_efficiency(eta_ge_bar: float, eta_se_bar: float) -> float:

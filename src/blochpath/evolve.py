@@ -14,12 +14,11 @@ trapezoid rule :func:`_trapezoid` on the same nodes.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (FieldSpec, _as_state, _as_times, _check_finite, _first,
+from .core import (FieldSpec, _as_state, _as_times, _check_finite, _first, _numbers,
                    energy_uncertainty, fubini_study_distance, pauli_compose)
 from .errors import (ConfigError, IntegrationError, NormalizationError,
                      NumericalError, ShapeError)
@@ -46,20 +45,16 @@ MAX_STEPS = 10**7
 _BLOCK = 1024
 
 
-def _is_real(value) -> bool:
-    """Whether ``value`` is a real number other than a ``bool``."""
-    return not isinstance(value, bool) and isinstance(value, numbers.Real)
-
-
 def _count(value, what: str, least: int = 2) -> int:
-    """``value`` as an ``int``; :class:`ConfigError` unless it is an integral
-    real (not a ``bool``) from ``least`` to ``MAX_STEPS``."""
+    """``value`` as an ``int``; :class:`ConfigError` unless it is one
+    integral number from ``least`` to ``MAX_STEPS``."""
+    n = _numbers(value, what)
     # NaN and inf fail the range before int() could raise on them
-    if not _is_real(value) or not least <= value <= MAX_STEPS or value != int(value):
+    if n.shape != () or not least <= n <= MAX_STEPS or n != int(n):
         raise ConfigError(
             f"{what} must be an integer from {least} to {MAX_STEPS}, got {value!r}"
         )
-    return int(value)
+    return int(n)
 
 
 def _trapezoid(y, x, cumulative: bool = False):
@@ -86,8 +81,10 @@ class TimeGrid:
     n_steps: int
 
     def __post_init__(self):
-        if not all(_is_real(t) and np.isfinite(t) for t in (self.t_start, self.t_end)):
-            raise ConfigError("grid endpoints must be finite")
+        bad = ConfigError("grid endpoints must be finite")
+        ends = [_numbers(t, "grid endpoint", error=bad) for t in (self.t_start, self.t_end)]
+        if not all(t.shape == () and np.isfinite(t) for t in ends):
+            raise bad
         if self.t_end <= self.t_start:
             raise ConfigError(
                 f"t_end ({self.t_end}) must exceed t_start ({self.t_start})"
@@ -97,8 +94,9 @@ class TimeGrid:
     @classmethod
     def with_density(cls, t_start: float, t_end: float) -> "TimeGrid":
         """Grid of ``STEPS_PER_UNIT`` steps per unit time, at least 2."""
-        # a huge span fails the step cap and one that is not a number the
-        # endpoint check, not int(inf) or int(nan)
+        # the endpoints are checked before any arithmetic on them, and a
+        # span too long to count fails the step cap, not int(inf)
+        cls(t_start, t_end, 2)
         steps = (t_end - t_start) * STEPS_PER_UNIT
         n = max(2, int(np.ceil(steps))) if steps <= MAX_STEPS else MAX_STEPS + 1
         return cls(t_start, t_end, n)

@@ -22,12 +22,11 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .core import (TOL_HERM, TOL_NORM, FieldSpec, _as_reals, _as_times,
-                   _as_vec3, _BatchedField, _bloch_rows, _central_difference,
-                   _finite_reals, _first, fubini_study_distance)
+from .core import (TOL_HERM, TOL_NORM, FieldSpec, _as_times, _as_vec3, _BatchedField,
+                   _bloch_rows, _broadcast, _central_difference, _field_error,
+                   _finite_reals, _first, _numbers, _scalar, fubini_study_distance)
 from .evolve import TOL_NORM0
 from .errors import (
-    BlochPathError,
     ConfigError,
     DegenerateEndpointsError,
     FieldError,
@@ -65,7 +64,7 @@ def rodrigues_rotate(v, axis, angle: float) -> np.ndarray:
     """Rotate ``v`` about the unit ``axis`` by ``angle`` (right-hand rule)."""
     v = _as_vec3(v)
     k = _as_vec3(axis, "axis")
-    angle = _finite_reals(angle, "angle")
+    angle = _finite_reals(angle, "angle", scalar=True)
     c, s = np.cos(angle), np.sin(angle)
     return v * c + np.cross(k, v) * s + k * (k @ v) * (1.0 - c)
 
@@ -91,7 +90,7 @@ def suboptimal_axis(alpha: float, a, b) -> np.ndarray:
     ``v x a``, so no step divides by the vanishing ``|a + b|`` near pi."""
     a = _as_vec3(a, "Bloch vector")
     b = _as_vec3(b, "Bloch vector")
-    alpha = _finite_reals(alpha, "alpha")
+    alpha = _finite_reals(alpha, "alpha", scalar=True)
     half = 0.5 * endpoint_angle(a, b)
     # a x b as a x (b -+ a): the short difference keeps its relative accuracy
     normal = np.cross(a, b - np.sign(a @ b) * a)
@@ -114,7 +113,8 @@ def _orbit(alpha, theta_ab):
     """``(orbit_radius, rotation_angle)`` from one evaluation of each sine
     and cosine.  A non-finite input raises :class:`NumericalError`, a
     vanishing radius :class:`DegenerateEndpointsError`."""
-    alpha, theta_ab = _as_reals(alpha, "alpha"), _as_reals(theta_ab, "theta_ab")
+    alpha, theta_ab = _numbers(alpha, "alpha"), _numbers(theta_ab, "theta_ab")
+    _broadcast(alpha, theta_ab)
     sin_a, cos_a = np.sin(alpha), np.cos(alpha)
     sin_h, cos_h = np.sin(0.5 * theta_ab), np.cos(0.5 * theta_ab)
     lever = cos_a * sin_h  # a sum of squares: np.hypot is twice as slow
@@ -141,7 +141,7 @@ def rotation_angle(alpha, theta_ab):
 
 
 def _check_energy(E: float) -> None:
-    if not 0.0 < _as_reals(E, "E") < np.inf:
+    if not 0.0 < _scalar(E, "E") < np.inf:
         raise RangeError(f"energy scale must be positive and finite, got {E!r}")
 
 
@@ -191,7 +191,7 @@ class SuboptimalStationary:
     def __post_init__(self):
         a = _as_vec3(self.a_hat, "a_hat").copy()
         b = _as_vec3(self.b_hat, "b_hat").copy()
-        if not 0.0 < _as_reals(self.alpha, "alpha") < np.pi:
+        if not 0.0 < _scalar(self.alpha, "alpha") < np.pi:
             raise RangeError(f"alpha must lie in (0, pi), got {self.alpha!r}")
         _check_energy(self.E)
         for name, v in (("a_hat", a), ("b_hat", b)):
@@ -226,16 +226,13 @@ def _path_rows(fn: Callable, name: str, times: np.ndarray, row: tuple = (),
                dtype=float) -> np.ndarray:
     """``fn(times)``, called once on the whole time array, as an array of
     shape ``times.shape + row``.  Any other shape raises
-    :class:`ShapeError`; an exception inside ``fn``, values that do not
-    cast to ``dtype`` without loss of kind (complex to real), or a
-    non-finite row raise :class:`FieldError` naming ``name`` (and the
-    row's ``t``)."""
+    :class:`ShapeError`; an exception inside ``fn``, values that are not
+    numbers of ``dtype``'s kind (see :func:`core._numbers`), or a non-finite
+    row raise :class:`FieldError` naming ``name`` (and the row's ``t``)."""
     try:
-        rows = np.asarray(fn(times)).astype(dtype, casting="same_kind", copy=False)
-    except BlochPathError:
-        raise
+        rows = _numbers(fn(times), name, dtype)
     except Exception as exc:
-        raise FieldError(f"{name} failed on the time array: {exc}") from exc
+        _field_error(f"{name} failed on the time array", exc)
     if rows.shape != times.shape + row:
         raise ShapeError(f"{name} returned shape {rows.shape}, "
                          f"expected {times.shape + row}")

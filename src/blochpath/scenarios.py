@@ -21,14 +21,13 @@ from __future__ import annotations
 
 import contextlib
 import json
-import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import FieldSpec, _as_array, _as_times, _BatchedField, state_from_bloch
+from .core import FieldSpec, _as_times, _BatchedField, _numbers, state_from_bloch
 from .csvtext import csv_rows, quote
 from .curvature import curvature_bloch_profile
 from .efficiency import (
@@ -38,7 +37,7 @@ from .efficiency import (
     speed_efficiency_tracezero,
 )
 from .errors import BlochPathError, ConfigError, NumericalError, ShapeError
-from .evolve import TOL_NORM0, TimeGrid, _count, _is_real, schrodinger_evolve
+from .evolve import TOL_NORM0, TimeGrid, _count, schrodinger_evolve
 from .families import (
     TOL_DEG,
     SuboptimalStationary,
@@ -68,20 +67,13 @@ ALL_OUTPUTS = ("trajectory", "efficiency", "curvature", "report")
 ALPHA_EPS = 1e-6
 
 
-def _finite_real(value, what: str) -> float:
-    """``value`` as a float; :class:`ConfigError` unless it is a finite real."""
-    if not _is_real(value) or not math.isfinite(value):
-        raise ConfigError(f"{what} must be a finite real number, got {value!r}")
-    return float(value)
-
-
-def _finite_array(value, what: str) -> np.ndarray:
-    """``value`` as a float array; :class:`ConfigError` unless every entry is
-    a finite real."""
-    arr = _as_array(value, float, what)
-    if not np.all(np.isfinite(arr)):
-        raise ConfigError(f"{what} must hold finite numbers, got {value!r}")
-    return arr
+def _finite(value, what: str, array: bool = False):
+    """``value`` as a float, or with ``array`` as a float array; else :class:`ConfigError`."""
+    arr = _numbers(value, what)
+    if (arr.shape != () and not array) or not np.isfinite(arr).all():
+        raise ConfigError(f"{what} must be {'finite numbers' if array else 'a finite number'}"
+                          f", got {value!r}")
+    return arr if array else float(arr)
 
 
 @dataclass
@@ -120,8 +112,8 @@ class ScenarioConfig:
             raise ConfigError(
                 f"t_span must be two numbers [t_start, t_end], got {self.t_span!r}"
             ) from None
-        self.t_span = (_finite_real(start, "t_span start"),
-                       _finite_real(end, "t_span end"))
+        self.t_span = (_finite(start, "t_span start"),
+                       _finite(end, "t_span end"))
         if self.n_steps is not None:
             self.n_steps = _count(self.n_steps, "n_steps")
         try:
@@ -174,7 +166,7 @@ def _resolve(params: dict, scenario: str, spec: dict, aliases: dict | None = Non
     out = {}
     for name, default in spec.items():
         if name in params:
-            out[name] = _finite_real(params[name], f"parameter {name!r}")
+            out[name] = _finite(params[name], f"parameter {name!r}")
         elif default is None:
             raise ConfigError(f"scenario {scenario!r} is missing parameter {name!r}")
         else:
@@ -323,9 +315,9 @@ def _build_custom(config: ScenarioConfig):
     if not isinstance(spec, dict):
         raise ConfigError("custom scenario needs a 'field' mapping")
     if "times" in spec:
-        times = _finite_array(spec["times"], "field 'times'")
-        h0_tab = _finite_array(spec.get("h0", np.zeros_like(times)), "field 'h0'")
-        h_tab = _finite_array(spec.get("h"), "field 'h'")
+        times = _finite(spec["times"], "field 'times'", array=True)
+        h0_tab = _finite(spec.get("h0", np.zeros_like(times)), "field 'h0'", array=True)
+        h_tab = _finite(spec.get("h"), "field 'h'", array=True)
         if h_tab.shape != (times.shape[0], 3) or h0_tab.shape != times.shape:
             raise ConfigError("field table shapes do not line up with 'times'")
         if times.shape[0] < 2 or np.any(np.diff(times) <= 0):
@@ -334,22 +326,22 @@ def _build_custom(config: ScenarioConfig):
     else:
         if "h" not in spec:
             raise ConfigError("custom field needs 'h' (and optionally 'h0')")
-        h_const = _finite_array(spec["h"], "field 'h'")
+        h_const = _finite(spec["h"], "field 'h'", array=True)
         if h_const.shape != (3,):
             raise ConfigError("custom field 'h' must be a 3-vector")
-        field = FieldSpec(h0=_finite_real(spec.get("h0", 0.0), "field 'h0'"),
+        field = FieldSpec(h0=_finite(spec.get("h0", 0.0), "field 'h0'"),
                           h=h_const, t_span=config.t_span)
 
     if config.psi0 is None:
         psi0 = np.array([1.0, 0.0], dtype=complex)
     elif isinstance(config.psi0, dict) and "bloch" in config.psi0:
-        bloch = _finite_array(config.psi0["bloch"], "psi0 'bloch'")
+        bloch = _finite(config.psi0["bloch"], "psi0 'bloch'", array=True)
         try:
             psi0 = state_from_bloch(bloch)
         except BlochPathError as exc:
             raise ConfigError(f"psi0 'bloch': {exc}") from exc
     else:
-        pairs = _finite_array(config.psi0, "psi0")
+        pairs = _finite(config.psi0, "psi0", array=True)
         if pairs.shape != (2, 2):
             raise ConfigError("psi0 must be [[re0, im0], [re1, im1]] or {'bloch': [...]}")
         psi0 = pairs[:, 0] + 1j * pairs[:, 1]
@@ -548,8 +540,8 @@ def sweep_alpha(theta_ab: float, n_points: int, E: float = 1.0) -> dict:
     :class:`NumericalError`.
     """
     n_points = _count(n_points, "alpha points", least=3)
-    theta_ab = _finite_real(theta_ab, "theta_ab")
-    E = _finite_real(E, "energy scale")
+    theta_ab = _finite(theta_ab, "theta_ab")
+    E = _finite(E, "energy scale")
     _check_family_domain(theta_ab, E)
     alphas = np.linspace(0.0, np.pi, n_points)
     alphas[0] = ALPHA_EPS
@@ -595,10 +587,10 @@ def sweep_phase_profiles(profile: str, phi0: float, phidot0: float,
     (the trace-keeping drive, always the smaller of the two).
     """
     n_points = _count(n_points, "time points")
-    phi0 = _finite_real(phi0, "phi0")
-    phidot0 = _finite_real(phidot0, "phidot0")
-    omega0 = _finite_real(omega0, "omega0")
-    t_end = _finite_real(t_end, "t_end")
+    phi0 = _finite(phi0, "phi0")
+    phidot0 = _finite(phidot0, "phidot0")
+    omega0 = _finite(omega0, "omega0")
+    t_end = _finite(t_end, "t_end")
     if t_end <= 0.0:
         raise ConfigError("t_end must be positive")
     phase, phase_dot = _phase_functions(profile, phi0, phidot0)

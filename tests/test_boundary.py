@@ -1,12 +1,12 @@
 """Invalid arguments at the library's boundary end as typed errors.
 
-Each array argument below goes through the one array conversion step,
-each real-valued one (``h0``, an angle, ``alpha``, ``theta_ab``, ``E``,
-``cdot_sq``) through one real-number conversion, and grid endpoints and
-averaged factors through one real-number check; a string, ``None``, a
-complex scalar or an arbitrary object must raise a :class:`BlochPathError`,
-never a bare ``TypeError`` or ``ValueError``.  Sampled derivatives pass the
-same finiteness check as sampled fields.
+Every argument below, array or real-valued (``h0``, an angle, ``alpha``,
+``theta_ab``, ``E``, ``cdot_sq``), grid endpoints and averaged factors
+included, is read by the one rule for what counts as a number; a string,
+``None``, a complex scalar, an arbitrary object, a bool or an integer
+beyond 64 bits must raise a :class:`BlochPathError`, never a bare
+``TypeError``, ``ValueError`` or ``OverflowError``.  Sampled derivatives
+pass the same finiteness check as sampled fields.
 """
 
 import math
@@ -27,6 +27,7 @@ from blochpath import (
     arc_length_alpha,
     bloch_from_state,
     classify,
+    curvature_bloch,
     curvature_bloch_profile,
     delta_e_alpha,
     energy_uncertainty,
@@ -47,8 +48,8 @@ from blochpath import (
     travel_time,
 )
 
-BAD = ["x", None, 1j, object()]
-BAD_IDS = ["str", "None", "complex", "object"]
+BAD = ["x", None, 1j, object(), True, 10**400]
+BAD_IDS = ["str", "None", "complex", "object", "bool", "huge_int"]
 
 Z = [0.0, 0.0, 1.0]
 X = [1.0, 0.0, 0.0]
@@ -127,7 +128,7 @@ def test_unconvertible_arrays_are_a_config_error(value):
     for convert in (state_from_bloch,
                     lambda v: schrodinger_evolve(FIELD, v),
                     lambda v: FieldSpec(0.0, v)):
-        with pytest.raises(ConfigError, match="must hold numbers"):
+        with pytest.raises(ConfigError, match="must be (real|complex) numbers"):
             convert(value)
 
 
@@ -139,6 +140,32 @@ def test_unconvertible_arrays_are_a_config_error(value):
 ], ids=["pauli_compose", "spectral_norm", "rodrigues_rotate", "suboptimal_axis"])
 def test_non_finite_real_arguments_are_a_numerical_error(call):
     with pytest.raises(NumericalError, match="must be finite"):
+        call()
+
+
+TWO, THREE, ROWS = [1.0, 2.0], [1.0, 2.0, 3.0], np.ones((3, 3))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: travel_time(1.0, 1.0, TWO),
+    lambda: delta_e_alpha(1.0, 1.0, TWO),
+    lambda: SuboptimalStationary(np.array(TWO), Z, X),
+    lambda: rodrigues_rotate(X, Z, TWO),
+    lambda: suboptimal_axis(TWO, Z, X),
+    lambda: pauli_compose(TWO, ROWS),
+    lambda: spectral_norm(TWO, ROWS),
+    lambda: orbit_radius(TWO, THREE),
+    lambda: speed_efficiency_tracezero(TWO, THREE),
+    lambda: speed_efficiency_tracenonzero(TWO, THREE),
+    lambda: energy_uncertainty(np.ones((2, 3)), ROWS),
+    lambda: curvature_bloch(np.ones((2, 3)), ROWS, ROWS),
+], ids=["travel_time.E", "delta_e_alpha.E", "SuboptimalStationary.alpha",
+        "rodrigues_rotate.angle", "suboptimal_axis.alpha", "pauli_compose",
+        "spectral_norm", "orbit_radius", "speed_efficiency_tracezero",
+        "speed_efficiency_tracenonzero", "energy_uncertainty", "curvature_bloch"])
+def test_real_arguments_of_the_wrong_shape_are_a_shape_error(call):
+    # a scalar argument given as an array, or arrays that do not broadcast
+    with pytest.raises(ShapeError):
         call()
 
 

@@ -322,6 +322,11 @@ class TestConfigBoundary:
           for name, value in _FAMILY_OUT_OF_DOMAIN],
         ('{"scenario": "custom", "field": {"h": [1, 0, 0]}, '
          '"parameters": {"x": NaN, "y": "abc"}}', EXIT_CONFIG),
+        ({"scenario": "example3", "parameters": {"gamma": 10**400}}, EXIT_CONFIG),
+        ({"scenario": "example3", "t_span": [0, 10**400]}, EXIT_CONFIG),
+        ({"scenario": "custom", "field": {"h": ["1", "0", "0"]}}, EXIT_CONFIG),
+        ({"scenario": "custom", "field": {"h": [True, False, False]}}, EXIT_CONFIG),
+        (_custom({"bloch": [False, False, True]}), EXIT_CONFIG),
     ], ids=["gamma_not_a_number", "gamma_nan", "t_span_one_value",
             "t_span_not_a_number", "t_span_three_values", "n_steps_fractional",
             "psi0_unnormalised", "psi0_bloch_unnormalised", "gamma_overflow",
@@ -329,7 +334,8 @@ class TestConfigBoundary:
             "sweep_energy_inf", "sweep_travel_time_overflow", "profile_phi0_nan",
             "profile_omega0_nan", "profile_t_end_nan", "profile_exp_overflow",
             *[f"family_{name}_{value}" for name, value in _FAMILY_OUT_OF_DOMAIN],
-            "custom_parameters"])
+            "custom_parameters", "gamma_huge_integer", "t_span_huge_integer",
+            "field_h_strings", "field_h_bools", "psi0_bloch_bools"])
     def test_exit_code_without_traceback(self, tmp_path, capsys, config, code):
         # a list is a sweep command line; anything else is a report config
         if isinstance(config, list):
@@ -364,7 +370,7 @@ _FUZZ_NAMES = {"example1": ["omega0", "varphi0", "theta0", "x"],
                "example3": ["gamma"], "example4": ["gamma"],
                "suboptimal_family": ["alpha", "theta_ab", "E"], "custom": ["x"]}
 _EXTREMES = [0.0, -0.0, -1.0, 5e-324, 1e-300, 1e-9, 3.2, 1e9, 1e300, -1e300,
-             math.nan, math.inf, -math.inf]
+             math.nan, math.inf, -math.inf, 10**400]
 _VALUES = st.floats(-4.0, 4.0) | st.one_of(st.sampled_from(_EXTREMES), st.floats(),
                                            st.booleans(), st.text(max_size=2))
 _REALS = st.floats(-3.0, 3.0) | st.sampled_from(_EXTREMES)

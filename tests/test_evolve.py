@@ -87,7 +87,8 @@ class TestTimeGrid:
                 TimeGrid.with_density(*span)
 
     @pytest.mark.parametrize("span", [(0.0, np.nan), (np.nan, 1.0), (0.0, np.inf),
-                                      (-np.inf, 0.0), (np.nan, np.nan)])
+                                      (-np.inf, 0.0), (np.nan, np.nan), ("0", 1.0),
+                                      (0.0, None), (0.0, True), (0.0, 10**400)])
     def test_default_density_of_a_non_finite_span_is_a_config_error(self, span):
         with pytest.raises(ConfigError, match="endpoints must be finite"):
             TimeGrid.with_density(*span)

@@ -39,7 +39,7 @@ from blochpath import (
     uzdin_optimal,
     uzdin_suboptimal,
 )
-from blochpath.core import _BLOCK, _as_vec3
+from blochpath.core import _BLOCK, _as_vec3, _scalar
 from blochpath.families import FD_STEP
 from blochpath.scenarios import write_csv
 
@@ -131,21 +131,23 @@ def one_at_a_time(fn, times, convert):
     return np.array(rows, dtype=float)
 
 
+def as_scalar(v):
+    return _scalar(v, "h0")
+
+
 def as_row(v):
     return _as_vec3(v, "field")
 
 
 #: accepted results of a scalar ``h0`` and of a row ``h``, by kind
 SCALAR_KINDS = {
-    "float": float, "int": lambda x: int(x * 1e12), "bool": lambda x: x > 0.0,
+    "float": float, "int": lambda x: int(x * 1e12),
     "zero_d": np.array, "float32": np.float32, "float64": np.float64,
-    "string": repr,
 }
 ROW_KINDS = {
     "array": np.array, "list": list, "tuple": tuple,
-    "ints": lambda r: [int(x * 1e12) for x in r], "bools": lambda r: [x > 0.0 for x in r],
+    "ints": lambda r: [int(x * 1e12) for x in r],
     "zero_ds": lambda r: [np.array(x) for x in r], "float32": lambda r: np.array(r, np.float32),
-    "strings": lambda r: [repr(x) for x in r],
 }
 
 
@@ -181,7 +183,7 @@ class TestBlockConversion:
         times = np.linspace(0.0, 1.0, n)
         h0, h = FieldSpec(h0=results_of(SCALAR_KINDS, scalars),
                           h=results_of(ROW_KINDS, made)).sample(times)
-        want_h0 = one_at_a_time(results_of(SCALAR_KINDS, scalars), times, float)
+        want_h0 = one_at_a_time(results_of(SCALAR_KINDS, scalars), times, as_scalar)
         want_h = one_at_a_time(results_of(ROW_KINDS, made), times, as_row)
         assert h0.tobytes() == want_h0.tobytes()
         assert h.tobytes() == want_h.tobytes()
@@ -192,12 +194,14 @@ class TestBlockConversion:
         return lambda t: bad if next(calls) == k else good(t)
 
     @pytest.mark.parametrize("k", [0, 1, 2, 255, 256, 257, 258, N - 1])
-    @pytest.mark.parametrize("bad", [[1.0, 2.0], "x", 1j, [1j, 0.0, 0.0], np.array([1.0])],
-                             ids=["two_vector", "string", "complex", "complex_row", "one_array"])
+    @pytest.mark.parametrize("bad", [[1.0, 2.0], "x", 1j, [1j, 0.0, 0.0], np.array([1.0]),
+                                     True, "0.5", [True, False, True], ["0.5", "1.0", "0.25"]],
+                             ids=["two_vector", "string", "complex", "complex_row", "one_array",
+                                  "bool", "numeric_string", "bools", "strings"])
     @pytest.mark.parametrize("where", ["h0", "h"])
     def test_invalid_value_raises_as_one_sample_at_a_time(self, k, bad, where):
         times = np.linspace(0.0, 1.0, self.N)
-        good, convert = ((lambda t: 0.5 * t, float) if where == "h0"
+        good, convert = ((lambda t: 0.5 * t, as_scalar) if where == "h0"
                          else (lambda t: [t, 1.0, 0.5], as_row))
         with pytest.raises((FieldError, ShapeError)) as want:
             one_at_a_time(self.bad_at(k, bad, good), times, convert)
@@ -215,7 +219,7 @@ class TestBlockConversion:
         # every sample past the first two, which are converted alone, is
         # wrong the same way: the block stacks, but not to rows
         times = np.linspace(0.0, 1.0, self.N)
-        convert, good = ((float, float) if where == "h0"
+        convert, good = ((as_scalar, float) if where == "h0"
                          else (as_row, lambda t: [t, 0.0, 1.0]))
 
         def fn(t):
