@@ -9,7 +9,6 @@ the curvature coefficient that vanishes exactly on geodesics.
 
 from .core import (
     FieldSpec,
-    bloch_from_state,
     energy_uncertainty,
     fubini_study_distance,
     pauli_compose,
@@ -29,7 +28,6 @@ from .efficiency import (
     efficiency_report,
     geodesic_efficiency_profile,
     hybrid_efficiency,
-    speed_efficiency,
     speed_efficiency_profile,
     speed_efficiency_tracenonzero,
     speed_efficiency_tracezero,
@@ -60,15 +58,10 @@ from .evolve import (
 from .families import (
     SuboptimalStationary,
     UzdinFamily,
-    arc_length_alpha,
-    delta_e_alpha,
     endpoint_angle,
-    orbit_radius,
     rodrigues_rotate,
-    rotation_angle,
     suboptimal_axis,
     suboptimal_hamiltonian,
-    travel_time,
     uzdin_optimal,
     uzdin_suboptimal,
 )

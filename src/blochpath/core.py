@@ -39,7 +39,6 @@ from .errors import (
 __all__ = [
     "FieldSpec",
     "pauli_compose",
-    "bloch_from_state",
     "state_from_bloch",
     "energy_uncertainty",
     "spectral_norm",
@@ -52,13 +51,21 @@ TOL_NORM = 1e-12
 TOL_HERM = 1e-12
 
 
+def _holds_bool(v) -> bool:
+    """Whether ``v`` is a list or tuple with a bool at any depth, which
+    ``np.asarray`` would read as 0 or 1 beside numbers."""
+    return isinstance(v, (list, tuple)) and any(
+        isinstance(x, (bool, np.bool_)) or _holds_bool(x) for x in v)
+
+
 def _numbers(v, name: str, dtype=float, error: Optional[Exception] = None) -> np.ndarray:
     """``v`` as a ``dtype`` array if ``np.asarray`` reads it as integers or
-    reals (or complex numbers, for a complex ``dtype``), the one rule for
-    what counts as a number; else ``error``, by default :class:`ConfigError`."""
+    reals (or complex numbers, for a complex ``dtype``) and it holds no
+    bool, the one rule for what counts as a number; else ``error``, by
+    default :class:`ConfigError`."""
     kinds, kind = ("iufc", "complex") if dtype is complex else ("iuf", "real")
     try:
-        ok = (arr := np.asarray(v)).dtype.kind in kinds
+        ok = (arr := np.asarray(v)).dtype.kind in kinds and not _holds_bool(v)
     except (TypeError, ValueError):  # a ragged list
         ok = False
     if not ok:
@@ -152,15 +159,6 @@ def _bloch_rows(states):
         ],
         axis=-1,
     )
-
-
-def bloch_from_state(psi) -> np.ndarray:
-    """Bloch vector of a normalized pure state."""
-    vec = _as_state(psi)
-    norm = np.vdot(vec, vec).real
-    if not abs(norm - 1.0) <= TOL_NORM:
-        raise NormalizationError(f"state norm^2 = {norm!r}, expected 1")
-    return _bloch_rows(vec)
 
 
 def state_from_bloch(a) -> np.ndarray:

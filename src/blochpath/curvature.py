@@ -20,8 +20,6 @@ coefficient is dimensionless either way.
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 
 from .core import FieldSpec, _as_rows, _broadcast, _check_finite, _first, pauli_compose
@@ -104,9 +102,7 @@ def curvature_expectation_profile(traj: Trajectory) -> np.ndarray:
     a central difference over the neighboring nodes (one-sided second
     order at the ends, which carries a larger error).
     A node with ``dE <= TOL_SING`` raises :class:`SingularEvolutionError`
-    naming the first one.  The commutator expectation is purely imaginary
-    in exact arithmetic; a real residual above 1e-10 raises one warning
-    naming the worst node.
+    naming the first one.
     """
     de = traj.delta_e
     first = _first(~(de > TOL_SING))
@@ -136,17 +132,6 @@ def curvature_expectation_profile(traj: Trajectory) -> np.ndarray:
     moment2 = expect(dh2_psi).real
     prime_var = expect(apply(dh_prime, prime_psi)).real - expect(prime_psi).real ** 2
     comm = expect(apply(dh, apply(dh, prime_psi)) - apply(dh_prime, dh2_psi))
-    residual = np.abs(comm.real)
-    worst = int(np.argmax(residual))
-    if residual[worst] > 1e-10:
-        warnings.warn(
-            f"commutator expectation has real residual {comm.real[worst]:.3e} "
-            f"at node {worst} (nodes above 1e-10: "
-            f"{np.count_nonzero(residual > 1e-10)}); finite-difference noise "
-            "suspected",
-            RuntimeWarning,
-            stacklevel=2,
-        )
     cross = (1j * comm).real
     return _clamp_nonneg(moment4 - moment2**2 + prime_var + cross)
 

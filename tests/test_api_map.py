@@ -1,5 +1,8 @@
-"""The README's Python API map names every export and no removed name."""
+"""The README's Python API map names every export and no removed name;
+every export has a caller in the package or the demos."""
 
+import ast
+import functools
 import re
 import sys
 import types
@@ -17,7 +20,9 @@ REMOVED = ("curvature_expectation", "curvature_numeric_oracle",
            "curvature_transverse", "transport_residual",
            "geodesic_efficiency_global", "_dispersion_operator", "fd_step",
            "pauli_decompose", "_hermitian_parts", "PAULI_X", "PAULI_Y",
-           "PAULI_Z", "IDENTITY2")
+           "PAULI_Z", "IDENTITY2", "orbit_radius", "rotation_angle",
+           "travel_time", "arc_length_alpha", "delta_e_alpha",
+           "bloch_from_state", "speed_efficiency")
 
 
 def _exports() -> list[str]:
@@ -49,6 +54,27 @@ def test_every_export_is_in_the_api_map(name):
 @pytest.mark.parametrize("module,name", _module_all())
 def test_every_public_name_of_a_module_is_exported(module, name):
     assert getattr(blochpath, name, None) is getattr(sys.modules[module], name)
+
+
+@functools.cache
+def _used_names() -> frozenset[str]:
+    """Names read as a ``Name`` or an ``Attribute`` in the package modules
+    (``__init__`` aside) and in the demos."""
+    files = [path for path in sorted((ROOT / "src" / "blochpath").glob("*.py"))
+             if path.name != "__init__.py"] + sorted((ROOT / "demos").rglob("*.py"))
+    used = set()
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    return frozenset(used)
+
+
+@pytest.mark.parametrize("name", _exports())
+def test_every_export_has_a_caller_outside_the_tests(name):
+    assert name in _used_names()
 
 
 def test_no_removed_name_is_left_behind():

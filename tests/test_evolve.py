@@ -19,13 +19,13 @@ from blochpath import (
     ScenarioConfig,
     ShapeError,
     TimeGrid,
-    bloch_from_state,
     build_scenario,
     parallel_transport,
     sample_field,
     schrodinger_evolve,
     state_from_bloch,
 )
+from blochpath.core import _bloch_rows
 from blochpath.evolve import MAX_STEPS, _trapezoid
 from feynman import feynman_evolve
 from geometry_oracles import transport_residual
@@ -300,7 +300,7 @@ class TestParallelTransport:
     def test_transport_preserves_the_bloch_path(self):
         traj = schrodinger_evolve(SIGMA_Z_FIELD, PSI0, TimeGrid(0.0, 1.0, 500))
         m = parallel_transport(traj)
-        bloch = np.stack([bloch_from_state(mk) for mk in m])
+        bloch = _bloch_rows(m)
         assert np.max(np.abs(bloch - traj.bloch)) < 1e-12
 
 

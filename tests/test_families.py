@@ -16,24 +16,18 @@ from blochpath import (
     SuboptimalStationary,
     TimeGrid,
     UzdinFamily,
-    arc_length_alpha,
-    bloch_from_state,
-    delta_e_alpha,
     endpoint_angle,
-    orbit_radius,
     pauli_compose,
     rodrigues_rotate,
-    rotation_angle,
     schrodinger_evolve,
     state_from_bloch,
     suboptimal_axis,
     suboptimal_hamiltonian,
-    travel_time,
     uzdin_optimal,
     uzdin_suboptimal,
 )
 from blochpath.core import TOL_HERM, _bloch_rows
-from blochpath.families import TOL_DEG
+from blochpath.families import TOL_DEG, _orbit
 from geometry_oracles import uzdin_drive
 
 # frozen oracles for alpha = pi/4, theta_AB = pi/2
@@ -80,62 +74,54 @@ class TestGeometryHelpers:
     def test_rotation_carries_a_onto_b(self, alpha, theta):
         a, b = endpoint_pair(theta)
         n = suboptimal_axis(alpha, a, b)
-        phi = rotation_angle(alpha, theta)
+        phi = _orbit(alpha, theta)[1]
         assert np.allclose(rodrigues_rotate(a, n, phi), b, atol=1e-9)
 
 
 class TestClosedForms:
+    """The orbit radius and rotation angle, and the arc length
+    ``radius * phi``, travel time ``phi / (2E)`` and dispersion
+    ``E * radius`` that ``sweep_alpha`` forms from them."""
+
     def test_frozen_quarter_circle_oracles(self):
-        assert rotation_angle(np.pi / 4, np.pi / 2) == pytest.approx(
-            PHI_PI4, abs=1e-12)
-        assert travel_time(np.pi / 4, np.pi / 2, 1.0) == pytest.approx(
-            T_PI4, abs=1e-12)
-        assert orbit_radius(np.pi / 4, np.pi / 2) == pytest.approx(
-            np.sqrt(3) / 2, abs=1e-12)
-        assert delta_e_alpha(np.pi / 4, np.pi / 2, 1.0) == pytest.approx(
-            np.sqrt(3) / 2, abs=1e-12)
-        assert arc_length_alpha(np.pi / 4, np.pi / 2) == pytest.approx(
-            np.sqrt(3) / 2 * PHI_PI4, abs=1e-12)
+        radius, phi = _orbit(np.pi / 4, np.pi / 2)
+        assert phi == pytest.approx(PHI_PI4, abs=1e-12)
+        assert phi / (2.0 * 1.0) == pytest.approx(T_PI4, abs=1e-12)
+        assert radius == pytest.approx(np.sqrt(3) / 2, abs=1e-12)
+        assert radius * phi == pytest.approx(np.sqrt(3) / 2 * PHI_PI4, abs=1e-12)
 
     def test_geodesic_plane_recovers_great_circle(self):
         theta = 1.1
-        assert rotation_angle(np.pi / 2, theta) == pytest.approx(theta,
-                                                                 abs=1e-12)
-        assert arc_length_alpha(np.pi / 2, theta) == pytest.approx(theta,
-                                                                   abs=1e-12)
+        radius, phi = _orbit(np.pi / 2, theta)
+        assert phi == pytest.approx(theta, abs=1e-12)
+        assert radius * phi == pytest.approx(theta, abs=1e-12)
 
     def test_rotation_angle_spans_theta_to_pi(self):
         theta = np.pi / 2
-        assert rotation_angle(1e-6, theta) == pytest.approx(np.pi, abs=1e-5)
+        assert _orbit(1e-6, theta)[1] == pytest.approx(np.pi, abs=1e-5)
         for alpha in np.linspace(0.05, np.pi - 0.05, 30):
-            phi = rotation_angle(alpha, theta)
+            phi = _orbit(alpha, theta)[1]
             assert theta - 1e-12 <= phi <= np.pi + 1e-12
 
     def test_arc_length_never_beats_the_geodesic(self):
         for theta in (0.3, 1.0, 2.0, 3.0):
             for alpha in np.linspace(0.01, np.pi - 0.01, 25):
-                assert arc_length_alpha(alpha, theta) >= theta - 1e-12
+                radius, phi = _orbit(alpha, theta)
+                assert radius * phi >= theta - 1e-12
 
     def test_arc_length_approaches_pi_for_antipodal_endpoints(self):
         theta = np.pi - 1e-6
         for alpha in np.linspace(1e-6, np.pi - 1e-6, 9):
-            assert arc_length_alpha(alpha, theta) == pytest.approx(np.pi,
-                                                                   abs=1e-4)
+            radius, phi = _orbit(alpha, theta)
+            assert radius * phi == pytest.approx(np.pi, abs=1e-4)
 
     def test_length_time_dispersion_identity(self):
         # s = 2 dE t_AB ties the three closed forms together
         for alpha in (0.3, 1.0, 2.4):
+            radius, phi = _orbit(alpha, np.pi / 2)
             for energy in (0.5, 1.0, 3.0):
-                s = arc_length_alpha(alpha, np.pi / 2)
-                lhs = 2.0 * delta_e_alpha(alpha, np.pi / 2, energy) \
-                    * travel_time(alpha, np.pi / 2, energy)
-                assert lhs == pytest.approx(s, abs=1e-12)
-
-    def test_travel_time_rejects_nonpositive_energy(self):
-        with pytest.raises(RangeError):
-            travel_time(np.pi / 4, np.pi / 2, 0.0)
-        with pytest.raises(RangeError):
-            delta_e_alpha(np.pi / 4, np.pi / 2, -1.0)
+                lhs = 2.0 * (energy * radius) * (phi / (2.0 * energy))
+                assert lhs == pytest.approx(radius * phi, abs=1e-12)
 
 
 class TestStationaryFamily:
@@ -155,6 +141,13 @@ class TestStationaryFamily:
         assert fam.phi == pytest.approx(PHI_PI4, abs=1e-12)
         assert fam.t_ab == pytest.approx(T_PI4, abs=1e-12)
         assert abs(fam.n_hat @ fam.n_hat - 1.0) < 1e-12
+
+    def test_float32_alpha_keeps_float64_arithmetic(self):
+        a, b = endpoint_pair(1.2)
+        narrow = SuboptimalStationary(np.float32(1.0), a, b)
+        wide = SuboptimalStationary(float(np.float32(1.0)), a, b)
+        assert (narrow.phi, narrow.t_ab) == (wide.phi, wide.t_ab)
+        assert np.array_equal(narrow.n_hat, wide.n_hat)
 
     def test_constant_drive_lands_on_b(self):
         a, b = endpoint_pair(np.pi / 2)
@@ -216,23 +209,16 @@ class TestWholeDomain:
     @given(theta=crowded_thetas)
     @settings(max_examples=100, deadline=None, derandomize=True)
     def test_half_pi_is_exactly_the_geodesic(self, theta):
-        assert rotation_angle(np.pi / 2, theta) == theta
-        assert arc_length_alpha(np.pi / 2, theta) == theta
-        assert orbit_radius(np.pi / 2, theta) == 1.0
+        radius, phi = _orbit(np.pi / 2, theta)
+        assert phi == theta
+        assert radius * phi == theta
+        assert radius == 1.0
 
     @pytest.mark.parametrize("call", [
         lambda: endpoint_angle(Z_HAT, [np.nan, 0.0, 1.0]),
         lambda: suboptimal_axis(1.0, Z_HAT, [np.nan, 0.0, 0.0]),
         lambda: SuboptimalStationary(1.0, Z_HAT, np.array([np.nan, 0.0, 0.0])),
-        lambda: rotation_angle(np.nan, 1.0),
-        lambda: rotation_angle(1.0, np.nan),
-        lambda: arc_length_alpha(np.array([0.5, np.nan]), 1.0),
-        lambda: orbit_radius(1.0, np.nan),
-        lambda: travel_time(1.0, np.nan, 1.0),
-        lambda: delta_e_alpha(np.inf, 1.0, 1.0),
-    ], ids=["endpoint_angle", "suboptimal_axis", "family", "rotation_alpha",
-            "rotation_theta", "arc_length", "orbit_radius", "travel_time",
-            "delta_e"])
+    ], ids=["endpoint_angle", "suboptimal_axis", "family"])
     def test_non_finite_input_is_a_numerical_error(self, call):
         with np.errstate(invalid="ignore"), pytest.raises(NumericalError, match="finite"):
             call()
@@ -240,11 +226,8 @@ class TestWholeDomain:
     @pytest.mark.parametrize("energy", [np.nan, np.inf, -np.inf])
     def test_energy_must_be_positive_and_finite(self, energy):
         a, b = endpoint_pair(1.0)
-        for call in (lambda: SuboptimalStationary(1.0, a, b, E=energy),
-                     lambda: travel_time(1.0, 1.0, energy),
-                     lambda: delta_e_alpha(1.0, 1.0, energy)):
-            with pytest.raises(RangeError, match="positive and finite"):
-                call()
+        with pytest.raises(RangeError, match="positive and finite"):
+            SuboptimalStationary(1.0, a, b, E=energy)
 
 
 def great_circle(t):

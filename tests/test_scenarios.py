@@ -15,16 +15,15 @@ from blochpath import (
     ScenarioConfig,
     ShapeError,
     build_scenario,
-    orbit_radius,
     run_report,
     schrodinger_evolve,
     speed_efficiency_tracezero,
     sweep_alpha,
     sweep_phase_profiles,
     table_rows,
-    travel_time,
 )
 from blochpath.evolve import MAX_STEPS
+from blochpath.families import _orbit
 from blochpath.scenarios import write_csv, write_json
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -133,7 +132,7 @@ class TestBuilders:
                                          "theta_ab": np.pi / 2})
         _, _, grid = build_scenario(cfg)
         assert grid.t_end == pytest.approx(
-            travel_time(np.pi / 4, np.pi / 2, 1.0), abs=1e-12)
+            _orbit(np.pi / 4, np.pi / 2)[1] / (2.0 * 1.0), abs=1e-12)
 
     def test_suboptimal_family_geometry_is_derived_once(self, monkeypatch):
         from blochpath import families
@@ -396,7 +395,7 @@ class TestSweepAlpha:
 
     def test_speed_column_is_the_orbit_radius(self):
         table = sweep_alpha(1.2, 9, E=2.5)
-        expected = [orbit_radius(a, 1.2) for a in table["alpha"]]
+        expected = [_orbit(a, 1.2)[0] for a in table["alpha"]]
         assert np.allclose(table["eta_se"], expected, atol=1e-12)
 
     def test_antipodal_limit(self):
