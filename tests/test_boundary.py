@@ -1,7 +1,8 @@
 """Invalid arguments at the library's boundary end as typed errors.
 
 Every argument below, array or real-valued (``h0``, an angle, ``alpha``,
-``E``, ``cdot_sq``), grid endpoints and averaged factors included, is read
+``theta_ab``, ``E``, ``cdot_sq``, a phase rate, a sweep's settings), grid
+endpoints, step and point counts and averaged factors included, is read
 by the one rule for what counts as a number; a string, ``None``, a complex
 scalar, an arbitrary object, a bool (alone or in a list) or an integer
 beyond 64 bits must raise a :class:`BlochPathError`, never a bare
@@ -27,6 +28,7 @@ from blochpath import (
     classify,
     curvature_bloch,
     curvature_bloch_profile,
+    endpoint_angle,
     energy_uncertainty,
     fubini_study_distance,
     hybrid_efficiency,
@@ -39,6 +41,8 @@ from blochpath import (
     speed_efficiency_tracezero,
     state_from_bloch,
     suboptimal_axis,
+    sweep_alpha,
+    sweep_phase_profiles,
 )
 
 BAD = ["x", None, 1j, object(), True, 10**400]
@@ -53,8 +57,13 @@ CALLS = {
     "state_from_bloch": lambda v: state_from_bloch(v),
     "fubini_study_distance.a": lambda v: fubini_study_distance(v, X),
     "fubini_study_distance.b": lambda v: fubini_study_distance(X, v),
+    "endpoint_angle.a": lambda v: endpoint_angle(v, X),
+    "endpoint_angle.b": lambda v: endpoint_angle(Z, v),
     "energy_uncertainty.a": lambda v: energy_uncertainty(v, X),
     "energy_uncertainty.h": lambda v: energy_uncertainty(Z, v),
+    "curvature_bloch.a": lambda v: curvature_bloch(v, X, Z),
+    "curvature_bloch.h": lambda v: curvature_bloch(Z, v, Z),
+    "curvature_bloch.h_dot": lambda v: curvature_bloch(Z, X, v),
     "schrodinger_evolve.psi0": lambda v: schrodinger_evolve(FIELD, v),
     "FieldSpec.h": lambda v: FieldSpec(0.0, v),
     "suboptimal_axis.a": lambda v: suboptimal_axis(1.0, v, X),
@@ -69,12 +78,27 @@ CALLS = {
     "speed_efficiency_tracezero.cdot_sq": lambda v: speed_efficiency_tracezero(v, 0.5),
     "speed_efficiency_tracenonzero.cdot_sq":
         lambda v: speed_efficiency_tracenonzero(v, 0.5),
+    "speed_efficiency_tracezero.phidot": lambda v: speed_efficiency_tracezero(1.0, v),
+    "speed_efficiency_tracenonzero.phidot":
+        lambda v: speed_efficiency_tracenonzero(1.0, v),
     "suboptimal_axis.alpha": lambda v: suboptimal_axis(v, Z, X),
     "SuboptimalStationary.alpha": lambda v: SuboptimalStationary(v, Z, X),
     "SuboptimalStationary.E": lambda v: SuboptimalStationary(1.0, Z, X, E=v),
+    "sweep_alpha.theta_ab": lambda v: sweep_alpha(v, 5),
+    "sweep_alpha.E": lambda v: sweep_alpha(1.0, 5, E=v),
+    "sweep_alpha.n_points": lambda v: sweep_alpha(1.0, v),
+    "sweep_phase_profiles.phi0": lambda v: sweep_phase_profiles("linear", v, 0.5, 1.0),
+    "sweep_phase_profiles.phidot0":
+        lambda v: sweep_phase_profiles("linear", 0.5, v, 1.0),
+    "sweep_phase_profiles.omega0":
+        lambda v: sweep_phase_profiles("linear", 0.5, 0.5, v),
+    "sweep_phase_profiles.t_end":
+        lambda v: sweep_phase_profiles("linear", 0.5, 0.5, 1.0, t_end=v),
     "FieldSpec.h0": lambda v: FieldSpec(v, X),
     "TimeGrid.t_start": lambda v: TimeGrid(v, 1.0, 10),
     "TimeGrid.t_end": lambda v: TimeGrid(0.0, v, 10),
+    "TimeGrid.n_steps": lambda v: TimeGrid(0.0, 1.0, v),
+    "sample_field.times": lambda v: sample_field(FIELD, v),
     "hybrid_efficiency.eta_ge_bar": lambda v: hybrid_efficiency(v, 0.5),
     "hybrid_efficiency.eta_se_bar": lambda v: hybrid_efficiency(0.5, v),
     "classify.eta_ge_bar": lambda v: classify(v, 0.5),
@@ -90,7 +114,8 @@ def test_only_typed_errors_escape(name, value):
 
 
 #: the real-valued arguments, named by the last part of a ``CALLS`` key
-REAL_ARGUMENTS = ("h0", "cdot_sq", "angle", "alpha", "E")
+REAL_ARGUMENTS = ("h0", "cdot_sq", "angle", "alpha", "theta_ab", "E", "phidot",
+                  "phi0", "phidot0", "omega0")
 
 
 @pytest.mark.parametrize("value", BAD, ids=BAD_IDS)
