@@ -1,4 +1,4 @@
-"""CSV rows as text, formatted a chunk of cells at a time in numpy.
+"""CSV rows as UTF-8 bytes, formatted a chunk of cells at a time in numpy.
 
 Numbers are written as ``'%.15g' % v`` would write them, byte for byte.
 Each cell's 15-digit integer and decimal exponent ``e`` come from the
@@ -16,16 +16,29 @@ whose ``log10`` estimate missed by one.
 The ``%g`` layout goes into fixed byte slots padded with NUL, one column
 of slots per cell: the sign, the ``0.000`` prefix of a small fixed-point
 number, 15 digits with the point inserted, and the exponent ``e±XX``.
-Trailing zeros, and a point with no digit after it, become NUL.  The
-sign, prefix and exponent places are written only when some cell of the
-chunk needs them, and every place no cell uses is dropped; the rest are
-copied to cell-major order once, and one ``bytes.translate`` deletes the
-NULs.  String cells are placed in the same byte matrix with their own NUL
-bytes held as 0xFE, a byte UTF-8 never uses, which the same ``translate``
-turns back into NUL.
+Digits after the last nonzero one, and a point with no digit after it,
+become NUL.  The sign, prefix and exponent places are written only when
+some cell of the chunk needs them, and every place no cell uses is
+dropped; the rest are copied to cell-major order about ``_PAGE`` bytes at
+a time, and one ``bytes.translate`` of each page deletes the NULs.
+String cells are placed in the same byte matrix with their own NUL bytes
+held as 0xFE, a byte UTF-8 never uses, which the same ``translate`` turns
+back into NUL.  A chunk whose strings are longer than a slot is cut into
+row blocks, each padded to its own longest string and holding no more
+cell bytes than the whole chunk would at ``_SLOT``, or than a page a
+column, so a long cell widens only the cells next to it.
+
+Every chunk-sized intermediate lives in one workspace per writing thread,
+``_CELL_BYTES`` (93) bytes a cell, written by ``out=`` and in-place
+ufuncs, so that a steady run of writes allocates only page-sized pieces
+and its output.  A thread keeps at most ``_KEEP`` bytes of it; a larger
+chunk, as a row of more than about 11000 cells makes, gets a workspace of
+its own that is freed with the chunk.
 """
 
 from __future__ import annotations
+
+import threading
 
 import numpy as np
 
@@ -39,9 +52,20 @@ _TIE = 1e-9
 #: bytes per numeric slot: sign, ``0.000`` prefix, 16 digit/point places,
 #: ``e±XX``
 _SLOT = 26
+#: cell-major bytes handed to one ``bytes.translate``; a page still holds
+#: 64 cells when they are wider, as a chunk with a long string cell makes
+#: them, since each page gathers every byte place of its cells
+_PAGE = 1 << 15
+#: workspace bytes per cell: six float rows, a table index, nine flag rows
+#: and the slots with their two separator places
+_CELL_BYTES = 6 * 8 + 8 + 9 + _SLOT + 2
+#: the largest workspace a thread keeps between writes
+_KEEP = 1 << 20
 _PLACE = np.arange(16, dtype=np.uint8)[:, None]
+_COUNT = _PLACE + 1
 _PREFIX = np.frombuffer(b"0.000", np.uint8)[:, None]
 _PREFIX_PLACE = np.arange(5, dtype=np.int8)[:, None]
+_CRLF = np.array([[ord("\r")], [ord("\n")]], np.uint8)
 #: after the padding NULs are deleted, a string's own NULs are restored
 _UNMARK = bytes.maketrans(b"\xfe", b"\0")
 
@@ -66,107 +90,227 @@ def _pow10_table(lo: int = -60, hi: int = 60):
     return head, head_hi, head - head_hi, tail, -lo
 
 
-def _quad_table() -> np.ndarray:
-    """The ASCII digits of 0000 ... 9999, four bytes to a uint32 entry."""
+def _quad_digits() -> np.ndarray:
+    """The ASCII digits of 0000 ... 9999 as a ``(4, 10000)`` uint8 array,
+    one row per digit place."""
     pairs = np.frombuffer("".join(f"{i:02d}" for i in range(100)).encode(),
                           np.uint16)
     quads = np.empty((100, 100, 2), np.uint16)
     quads[:, :, 0] = pairs[:, None]
     quads[:, :, 1] = pairs
-    return quads.view(np.uint32).ravel()
+    return quads.view(np.uint8).reshape(10000, 4).T.copy()
 
 
 _P_HI, _P_HI_HI, _P_HI_LO, _P_LO, _K0 = _pow10_table()
-_QUADS = _quad_table()
+_QUAD_DIGITS = _quad_digits()
 
 
-def _scaled(a: np.ndarray, k: np.ndarray):
-    """``floor(a 10^k)`` and the remainder in ``[0, 1)``, accurate to about
-    1e-16 while ``a 10^k`` stays below 2^50."""
-    i = k + _K0
-    ph, phh, phl = _P_HI.take(i), _P_HI_HI.take(i), _P_HI_LO.take(i)
-    p = a * ph
-    c = _SPLIT * a
-    ah = c - (c - a)
-    al = a - ah
-    lo = (((ah * phh - p) + ah * phl + al * phh) + al * phl) + a * _P_LO.take(i)
-    f = np.floor(p)
-    r = (p - f) + lo
-    whole = np.floor(r)
-    return f + whole, r - whole
+_THREAD = threading.local()
 
 
-def _decimal(x: np.ndarray):
+def _workspace(n: int, size: int):
+    """The calling thread's workspace cut for a chunk of ``n`` cells of
+    ``size`` bytes.
+
+    One byte arena per thread, made on its first write and replaced only by
+    a larger chunk up to ``_KEEP`` bytes, gives contiguous views: six float
+    rows (the values ``x`` and five scratch rows), a table index, nine flag
+    rows, and the ``(size + 2, n)`` cell bytes with their separator places.
+    Float rows 2-3 later hold the 16 digit bytes of each cell and rows 4-5
+    a 16-place mask, once the floats there are spent.
+    """
+    need = n * (_CELL_BYTES - _SLOT + size)
+    arena = getattr(_THREAD, "arena", None)
+    if arena is None or arena.size < need:
+        arena = np.empty(need, np.uint8)
+        if need <= _KEEP:
+            _THREAD.arena = arena
+    return (arena[:48 * n].view(np.float64).reshape(6, n),
+            arena[48 * n:56 * n].view(np.intp),
+            arena[56 * n:65 * n].reshape(9, n),
+            arena[65 * n:need].reshape(size + 2, n))
+
+
+def _bytes16(rows: np.ndarray) -> np.ndarray:
+    """Two float rows seen as 16 byte rows of their cells."""
+    return rows.view(np.uint8).reshape(16, rows.shape[1])
+
+
+def _scaled(a, i, p, c, u, h) -> None:
+    """``floor(a 10^k)`` into ``c`` and the remainder in ``[0, 1)`` into
+    ``p``, accurate to about 1e-16 while ``a 10^k`` stays below 2^50; ``i``
+    holds ``k + _K0``, and ``u`` and ``h`` are scratch."""
+    _P_HI.take(i, out=p, mode="clip")
+    p *= a
+    np.multiply(_SPLIT, a, out=c)
+    np.subtract(c, a, out=u)
+    c -= u  # the high half ah of a; al = a - ah
+    # lo = (((ah phh - p) + ah phl + al phh) + al phl) + a lo(10^k)
+    _P_HI_HI.take(i, out=u, mode="clip")
+    u *= c
+    u -= p
+    _P_HI_LO.take(i, out=h, mode="clip")
+    h *= c
+    u += h
+    np.subtract(a, c, out=c)
+    for table, half in ((_P_HI_HI, c), (_P_HI_LO, c), (_P_LO, a)):
+        table.take(i, out=h, mode="clip")
+        h *= half
+        u += h
+    np.floor(p, out=c)
+    p -= c
+    p += u  # r = (p - floor) + lo
+    np.floor(p, out=h)
+    c += h
+    p -= h
+
+
+def _decimal(x, floats, i, flags):
     """``|x|`` rounded to ``digits 10^(e - 14)``, with ``digits`` a 15-digit
     integer (as a float) and ``e`` an int8, where the fast path proves the
     rounding; and the mask of those cells.  Zeros give ``digits = e = 0``
-    and count as proven; the other unproven cells get zeros too."""
-    ax = np.abs(x)
-    a = np.fmin(np.fmax(ax, _FAST_MIN), _FAST_MAX)
-    e = np.floor(np.log10(a)).astype(np.intp)
-    floor, rem = _scaled(a, 14 - e)
-    # where log10 missed by one, next to a power of ten, floor has 14 or 16
-    # digits and the cell is left to the scalar path
-    proven = ((ax >= _FAST_MIN) & (ax < _FAST_MAX) & (floor >= 1e14)
-              & (floor < 1e15) & (np.abs(rem - 0.5) >= _TIE))
-    digits = (floor + (rem > 0.5)) * proven
-    carry = digits == 1e15
-    digits[carry] = 1e14
-    return digits, ((e + carry) * proven).astype(np.int8), proven | (ax == 0.0)
+    and count as proven; the other unproven cells get zeros too.
+
+    ``floats`` are five scratch rows, ``digits`` is returned in the third;
+    ``e`` and the mask are the flag rows 0 and 2, and rows 1 and 3 are
+    scratch."""
+    a, p, c, u, h = floats
+    e = flags[0].view(np.int8)
+    proven, done, tmp = flags[1:4].view(bool)
+    np.abs(x, out=a)
+    np.greater_equal(a, _FAST_MIN, out=proven)
+    np.less(a, _FAST_MAX, out=tmp)
+    proven &= tmp
+    np.equal(a, 0.0, out=done)
+    np.fmax(a, _FAST_MIN, out=a)
+    np.fmin(a, _FAST_MAX, out=a)
+    np.log10(a, out=p)
+    np.floor(p, out=p)
+    np.copyto(e, p, casting="unsafe")
+    np.subtract(14.0 + _K0, p, out=p)
+    np.copyto(i, p, casting="unsafe")
+    _scaled(a, i, p, c, u, h)
+    # where log10 missed by one, next to a power of ten, the floor has 14 or
+    # 16 digits and the cell is left to the scalar path
+    np.greater_equal(c, 1e14, out=tmp)
+    proven &= tmp
+    np.less(c, 1e15, out=tmp)
+    proven &= tmp
+    np.subtract(p, 0.5, out=h)
+    np.abs(h, out=h)
+    np.greater_equal(h, _TIE, out=tmp)
+    proven &= tmp
+    # round half up: a proven remainder is farther than _TIE from 1/2, so
+    # floor(rem + 1/2) is exactly (rem > 1/2)
+    np.add(p, 0.5, out=h)
+    np.floor(h, out=h)
+    c += h
+    np.logical_not(proven, out=tmp)
+    c[tmp] = 0.0
+    e *= proven.view(np.int8)
+    np.equal(c, 1e15, out=tmp)  # rounding carried into a 16th digit
+    c[tmp] = 1e14
+    e += tmp.view(np.int8)
+    done |= proven
+    return c, e, done
 
 
-def _digit_bytes(digits: np.ndarray) -> np.ndarray:
-    """The 15 ASCII digits of each integer in ``digits``, then a ``0``, as a
-    ``(16, n)`` uint8 array."""
-    high = np.floor(digits / 1e7)
-    low = (digits - high * 1e7) * 10.0
-    g0, g2 = np.floor(high / 1e4), np.floor(low / 1e4)
-    groups = np.stack([g0, high - g0 * 1e4, g2, low - g2 * 1e4], axis=1)
-    return np.ascontiguousarray(
-        _QUADS.take(groups.astype(np.intp)).view(np.uint8).T)
+def _digit_bytes(digits, floats, i) -> np.ndarray:
+    """The 15 ASCII digits of each integer in ``digits`` (float row 3 of
+    ``floats``), then a ``0``, as a ``(16, n)`` uint8 view of rows 2-3;
+    rows 1, 4 and 5 are scratch."""
+    _, high, _, _, low, group = floats
+    d = _bytes16(floats[2:4])
+    np.divide(digits, 1e7, out=high)
+    np.floor(high, out=high)
+    np.multiply(high, 1e7, out=low)
+    np.subtract(digits, low, out=low)
+    low *= 10.0
+    # four groups of four digits, each written as soon as it is cut off
+    for place, part in ((0, high), (8, low)):
+        np.divide(part, 1e4, out=group)
+        np.floor(group, out=group)
+        np.copyto(i, group, casting="unsafe")
+        _QUAD_DIGITS.take(i, axis=1, out=d[place:place + 4], mode="clip")
+        group *= 1e4
+        np.subtract(part, group, out=group)
+        np.copyto(i, group, casting="unsafe")
+        _QUAD_DIGITS.take(i, axis=1, out=d[place + 4:place + 8], mode="clip")
+    return d
 
 
-def _g15_slots(x: np.ndarray, out: np.ndarray) -> None:
-    """Write ``'%.15g' % v`` for each float of ``x`` into the zeroed
-    ``(_SLOT, n)`` uint8 array ``out``, as NUL-padded byte slots, one
-    column per cell."""
-    digits, e, done = _decimal(x)
-    d = _digit_bytes(digits)
-    fixed = (e >= -4) & (e < 15)
-    whole = fixed & (e >= 0)
-    small = fixed & (e < 0)
+def _g15_slots(out, floats, i, flags) -> None:
+    """Write ``'%.15g' % v`` for each float of ``floats[0]`` into ``out``,
+    a ``(_SLOT, n)`` uint8 array whose sign, prefix and exponent places are
+    zero, as NUL-padded byte slots, one column per cell."""
+    x = floats[0]
+    _, e, done = _decimal(x, floats[1:], i, flags)
+    d = _digit_bytes(floats[3], floats, i)
+    mask = _bytes16(floats[4:6])
+    hit = mask.view(bool)
+    # flag rows 1 and 4 are taken over once the proven and fixed flags are spent
+    expo, fixed, whole, small = (flags[j].view(bool) for j in (1, 4, 5, 6))
+    tmp, p, kept = flags[3], flags[7], flags[8]
+    np.greater_equal(e, -4, out=fixed)
+    np.less(e, 15, out=whole)
+    fixed &= whole
+    np.greater_equal(e, 0, out=whole)
+    whole &= fixed
+    np.less(e, 0, out=small)
+    small &= fixed
+    np.logical_not(fixed, out=expo)
     # the point goes after digit p: the integer digits, one digit before an
     # exponent, or past the last digit when a small number's prefix holds it
-    p = (whole * (e + 1) + small * 15 + ~fixed).astype(np.uint8)
-    # the sign, prefix and exponent places stay zero unless a cell uses them
-    neg = np.signbit(x)
-    if neg.any():
-        out[0] = neg * np.uint8(ord("-"))
-    if small.any():
-        out[1:6] = (_PREFIX_PLACE < small * (1 - e)) * _PREFIX
+    np.add(e, 1, out=p.view(np.int8))
+    p *= whole.view(np.uint8)
+    np.multiply(small.view(np.uint8), 15, out=tmp)
+    p += tmp
+    p += expo.view(np.uint8)
+    # the digits kept: up to the last nonzero one, and every integer digit
+    np.greater(d, ord("0"), out=hit)
+    mask *= _COUNT
+    np.maximum.reduce(mask, axis=0, out=kept)
+    np.multiply(p, whole.view(np.uint8), out=tmp)
+    np.maximum(kept, tmp, out=kept)
+    # the places kept: those digits, and the point if a digit follows it
+    np.greater(kept, p, out=tmp.view(bool))
+    kept += tmp
     body = out[6:22]
-    body[0] = d[0]
-    before = _PLACE < p
-    np.multiply(before[1:], d[1:], out=body[1:])
-    body[1:] += (_PLACE[1:] == p) * np.uint8(ord("."))
-    body[1:] += (_PLACE[1:] > p) * d[:15]
-    # keep what lies before the last nonzero digit, and the integer digits
-    keep = body > ord("0")
-    for j in range(14, -1, -1):
-        keep[j] |= keep[j + 1]
-    keep |= before & whole
-    body *= keep
-    expo = ~fixed
+    np.less(_PLACE, p, out=hit)
+    np.multiply(mask, d, out=body)
+    np.greater(_PLACE[1:], p, out=hit[1:])
+    mask[1:] *= d[:15]
+    body[1:] += mask[1:]
+    np.equal(_PLACE, p, out=hit)
+    mask *= ord(".")
+    body += mask
+    np.less(_PLACE, kept, out=hit)
+    body *= mask
+    neg = fixed
+    np.signbit(x, out=neg)
+    if neg.any():
+        np.multiply(neg.view(np.uint8), ord("-"), out=out[0])
+    if small.any():
+        np.subtract(1, e, out=tmp.view(np.int8))
+        tmp *= small.view(np.uint8)
+        np.less(_PREFIX_PLACE, tmp.view(np.int8), out=hit[:5])
+        np.multiply(mask[:5], _PREFIX, out=out[1:6])
     if expo.any():
-        mag = np.abs(e).astype(np.uint8)
-        out[22] = expo * np.uint8(ord("e"))
-        out[23] = expo * (ord("+") + 2 * (e < 0)).astype(np.uint8)
-        out[24] = expo * (ord("0") + mag // 10)
-        out[25] = expo * (ord("0") + mag % 10)
-    for i in np.flatnonzero(~done):
-        text = ("%.15g" % x[i]).encode()
-        out[:, i] = 0
-        out[:len(text), i] = np.frombuffer(text, np.uint8)
+        on = expo.view(np.uint8)
+        np.multiply(on, ord("e"), out=out[22])
+        np.less(e, 0, out=tmp.view(bool))
+        np.multiply(tmp, 2, out=out[23])
+        out[23] += ord("+")
+        np.abs(e, out=tmp.view(np.int8))
+        np.floor_divide(tmp, 10, out=out[24])
+        np.remainder(tmp, 10, out=out[25])
+        out[24:26] += ord("0")
+        out[23:26] *= on
+    np.logical_not(done, out=tmp.view(bool))
+    for k in tmp.nonzero()[0]:
+        text = ("%.15g" % x[k]).encode()
+        out[:, k] = 0
+        out[:len(text), k] = np.frombuffer(text, np.uint8)
 
 
 def quote(texts: list, lone: bool) -> list:
@@ -177,11 +321,28 @@ def quote(texts: list, lone: bool) -> list:
             or (lone and not t) else t for t in texts]
 
 
-def csv_rows(columns: list) -> str:
-    """The CRLF-terminated CSV rows of equal-length columns.
+def _blocks(longest: np.ndarray, lo: int, hi: int, budget: int):
+    """Row ranges ``[lo, hi)`` with the longest string of each, at least
+    ``_SLOT``, cut in halves until a range is one row or its cells, padded
+    to that length, hold at most ``budget`` bytes a column; ``longest``
+    holds the largest string cell of every row."""
+    size = max(_SLOT, int(longest[lo:hi].max()))
+    if hi - lo == 1 or (size + 2) * (hi - lo) <= budget:
+        yield lo, hi, size
+    else:
+        mid = (lo + hi) // 2
+        yield from _blocks(longest, lo, mid, budget)
+        yield from _blocks(longest, mid, hi, budget)
 
-    A column of ``str`` (numpy kind ``U``) is quoted by :func:`quote`; any
-    other column is read as float64 and written as ``'%.15g'``.
+
+def csv_rows(columns: list):
+    """Yield the CRLF-terminated CSV rows of equal-length 1-D columns as
+    UTF-8 bytes, a page of whole cells at a time.
+
+    A column of ``str`` (numpy kind ``U``) is quoted by :func:`quote` and
+    encoded with ``surrogatepass``; any other column is read as float64 and
+    written as ``'%.15g'``.  The calling thread's workspace is in use until
+    the last page is taken.
     """
     rows, width = len(columns[0]), len(columns)
     # a string's own NUL is held as 0xFE, a byte UTF-8 never uses, so that
@@ -189,22 +350,38 @@ def csv_rows(columns: list) -> str:
     texts = {j: [t.encode("utf-8", "surrogatepass").replace(b"\0", b"\xfe")
                  for t in quote(c.tolist(), width == 1)]
              for j, c in enumerate(columns) if c.dtype.kind == "U"}
-    size = max([_SLOT] + [len(t) for cells in texts.values() for t in cells])
+    longest = np.zeros(rows, np.intp)
+    for encoded in texts.values():
+        np.maximum(longest, np.fromiter(map(len, encoded), np.intp, rows), out=longest)
+    budget = max((_SLOT + 2) * rows, _PAGE)
+    for lo, hi, size in _blocks(longest, 0, rows, budget) if rows else ():
+        yield from _pages([c[lo:hi] for c in columns],
+                          {j: encoded[lo:hi] for j, encoded in texts.items()}, size)
+
+
+def _pages(columns: list, texts: dict, size: int):
+    """The byte pages of :func:`csv_rows` for ``columns`` whose string
+    cells, encoded in ``texts`` by column index, fit in ``size`` bytes."""
+    rows, width = len(columns[0]), len(columns)
+    n = rows * width
+    floats, i, flags, cells = _workspace(n, size)
     # place-major: byte place, then row, then column, so that each numpy
     # operation runs along a whole chunk of cells
-    cells = np.zeros((size + 2, rows, width), np.uint8)
+    cells[:6] = 0
+    cells[22:] = 0
     # a string cell is formatted as 0, then overwritten with its own bytes
-    values = np.zeros((rows, width))
+    values = floats[0].reshape(rows, width)
     for j, column in enumerate(columns):
-        if j not in texts:
-            values[:, j] = column
-    _g15_slots(values.ravel(), cells[:_SLOT].reshape(_SLOT, -1))
-    cells[size, :, :-1] = ord(",")
-    cells[size:, :, -1] = np.array([[ord("\r")], [ord("\n")]])
+        values[:, j] = 0.0 if j in texts else column
+    _g15_slots(cells[:_SLOT], floats, i, flags)
+    grid = cells.reshape(size + 2, rows, width)
+    grid[size, :, :-1] = ord(",")
+    grid[size:, :, -1] = _CRLF
     for j, encoded in texts.items():
         padded = b"".join(t.ljust(size, b"\0") for t in encoded)
-        cells[:size, :, j] = np.frombuffer(padded, np.uint8).reshape(rows, size).T
-    flat = cells.reshape(size + 2, -1)
-    flat = flat[flat.any(axis=1)]
-    return np.ascontiguousarray(flat.T).tobytes().translate(
-        _UNMARK, b"\0").decode("utf-8", "surrogatepass")
+        grid[:size, :, j] = np.frombuffer(padded, np.uint8).reshape(rows, size).T
+    keep = np.maximum.reduce(cells, axis=1).nonzero()[0]
+    step = max(_PAGE // len(keep), 64)
+    for lo in range(0, n, step):
+        yield np.ascontiguousarray(cells[keep, lo:lo + step].T).tobytes().translate(
+            _UNMARK, b"\0")

@@ -383,8 +383,10 @@ def build_scenario(config: ScenarioConfig):
     return _build(config)[:3]
 
 
-#: cells formatted and written at a time, so a long table is never held as text
-_CSV_CELLS = 4096
+#: cells formatted and written at a time, so a long table is never held as
+#: text; their workspace (93 bytes a cell) and pages keep a whole write's
+#: traced memory under 1 MiB
+_CSV_CELLS = 9216
 
 
 @contextlib.contextmanager
@@ -398,27 +400,70 @@ def _output(path):
         raise ConfigError(f"cannot write output {str(path)!r}: {exc}") from exc
 
 
+def _csv_column(name, values, path: bool) -> np.ndarray:
+    """``values`` as a 1-D array of numbers or strings (numpy kind ``b``,
+    ``i``, ``u``, ``f`` or ``U``); any other array is a :class:`ShapeError`
+    or :class:`ConfigError` naming the column, as is a name that is not a
+    string and, for a ``path``, a string holding a lone surrogate, which
+    UTF-8 cannot encode."""
+    if not isinstance(name, str):
+        raise ConfigError(f"CSV column name {name!r} is not a string")
+    try:
+        arr = np.asarray(values)
+    except ValueError as exc:  # a ragged list
+        raise ShapeError(f"CSV column {name!r} is not 1-D: {exc}") from None
+    if arr.ndim != 1:
+        raise ShapeError(f"CSV column {name!r} must be 1-D, got shape {arr.shape}")
+    if arr.dtype.kind not in "biufU":
+        raise ConfigError(f"CSV column {name!r} must hold numbers or strings, "
+                          f"got dtype {arr.dtype}")
+    if path and arr.dtype.kind == "U" and _holds_surrogate(arr):
+        raise ConfigError(f"CSV column {name!r} holds a lone surrogate, "
+                          "which UTF-8 cannot encode")
+    return arr
+
+
+def _holds_surrogate(arr: np.ndarray) -> bool:
+    """Whether a string array holds a code point 0xD800-0xDFFF: a UCS-4
+    unit whose top bits read 0x1B in native byte order.  The units are read
+    about 64 KiB at a time, so the check never holds a copy of the column."""
+    step = max(1, (1 << 16) // arr.itemsize)
+    native = arr.dtype.newbyteorder("=")
+    return any((np.ascontiguousarray(arr[lo:lo + step], native).view(np.uint32)
+                >> 11 == 0x1B).any() for lo in range(0, len(arr), step))
+
+
 def write_csv(path, columns: dict) -> None:
     """Write named columns as RFC 4180 CSV, byte for byte as ``csv.writer``.
 
     Numbers get 15 significant digits, exactly as ``'%.15g'``; strings are
     quoted where they hold ``,``, ``"``, CR or LF, or are an empty lone
-    cell.  ``path`` is a file path or an open text stream, which is left
-    open.  Columns of different lengths raise :class:`ShapeError` before
-    anything is written.
+    cell.  ``path`` is a file path, written as UTF-8 bytes, or an open text
+    stream, which is left open.  Columns that are not 1-D arrays of numbers
+    or strings, or differ in length, raise :class:`ShapeError` or
+    :class:`ConfigError` before anything is written.
     """
-    arrays = [np.asarray(c) for c in columns.values()]
+    stream = hasattr(path, "write")
+    arrays = [_csv_column(name, values, not stream) for name, values in columns.items()]
     lengths = {name: len(a) for name, a in zip(columns, arrays)}
     if len(set(lengths.values())) > 1:
         raise ShapeError(f"CSV columns differ in length: {lengths}")
+    header = ",".join(quote(list(columns), len(columns) == 1)) + "\r\n"
+    try:
+        header = header.encode("utf-8", "surrogatepass" if stream else "strict")
+    except UnicodeEncodeError:
+        raise ConfigError(f"CSV column names {list(columns)!r} hold a lone "
+                          "surrogate, which UTF-8 cannot encode") from None
     n_rows = max(lengths.values(), default=0)
     step = max(1, _CSV_CELLS // max(1, len(arrays)))
-    with _output(path), (contextlib.nullcontext(path) if hasattr(path, "write")
-                         else open(path, "w", newline="", encoding="utf-8")) as fh:
-        fh.write(",".join(quote(list(columns), len(columns) == 1)) + "\r\n")
+    with _output(path), (contextlib.nullcontext(path) if stream
+                         else open(path, "wb")) as fh:
+        write = ((lambda data: fh.write(data.decode("utf-8", "surrogatepass")))
+                 if stream else fh.write)
+        write(header)
         for lo in range(0, n_rows, step):
-            hi = min(lo + step, n_rows)
-            fh.write(csv_rows([a[lo:hi] for a in arrays]))
+            for page in csv_rows([a[lo:lo + step] for a in arrays]):
+                write(page)
 
 
 def write_json(path, payload: dict) -> None:

@@ -3,6 +3,8 @@ replaced, and ``csv.writer``."""
 
 import csv
 import io
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -11,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blochpath import scenarios, sweep_phase_profiles
+from blochpath.errors import ConfigError, ShapeError
 from blochpath.scenarios import write_csv
 
 
@@ -122,6 +125,168 @@ def test_a_long_table_is_formatted_in_chunks(tmp_path):
     assert path.read_bytes() == template_bytes(table)
 
 
+def chunks_of(rows: int, width: int) -> int:
+    step = max(1, scenarios._CSV_CELLS // width)
+    return -(-rows // step)
+
+
+def test_a_steady_write_allocates_about_one_page_at_a_time(tmp_path):
+    # after a warm-up write the thread's workspace holds every chunk-sized
+    # intermediate; what is left is a few pages of text and the output
+    table = sweep_phase_profiles("log", 1.0, 2.0, 1.0, t_end=5.0, n_points=60000)
+    path = tmp_path / "long.csv"
+    write_csv(path, table)
+    chunks = chunks_of(60000, len(table))
+    assert chunks >= 4
+    chunk_bytes = (path.stat().st_size - len(",".join(table)) - 2) / chunks
+    tracemalloc.start()
+    try:
+        write_csv(path, table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * chunk_bytes
+    assert path.read_bytes() == template_bytes(table)
+
+
+def test_a_long_string_cell_widens_only_its_neighbours(tmp_path):
+    # padding every cell of a chunk to one 1000-character cell would hold
+    # about 9 MB; the row blocks around it hold the cell bytes of one chunk
+    rows = scenarios._CSV_CELLS // 3
+    names = np.full(rows, "a", dtype=object)
+    names[5] = "é" * 1000
+    columns = {"s": names.astype(str), "x": np.arange(rows * 0.5, step=0.5),
+               "y": np.ones(rows)}
+    path = tmp_path / "t.csv"
+    write_csv(path, columns)
+    tracemalloc.start()
+    try:
+        write_csv(path, columns)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert path.read_bytes() == template_bytes(columns)
+
+
+def test_a_row_wider_than_a_chunk_leaves_no_workspace_behind(tmp_path):
+    # one row is one chunk here, and its workspace is more than a thread keeps
+    width = scenarios._CSV_CELLS + 3000
+    columns = {f"c{j}": np.array([j * 0.25, -1.0]) for j in range(width)}
+    path = tmp_path / "wide.csv"
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        write_csv(path, columns)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert kept < 2**19
+    assert path.read_bytes() == template_bytes(columns)
+
+
+def test_threads_writing_at_once_keep_their_own_tables(tmp_path):
+    """More writers than cores, switching often: each thread's workspace is
+    its own, so every file holds its own table."""
+    rows = 4 * (scenarios._CSV_CELLS // 3) + 17
+    assert chunks_of(rows, 3) >= 4
+    rng = np.random.default_rng(11)
+    tables = [{"a": rng.normal(size=rows) * 10.0**k, "b": rng.uniform(-1e-5, 1e5, rows),
+               "c": np.arange(rows) * (k + 1)} for k in range(4)]
+    paths = [tmp_path / f"t{k}.csv" for k in range(4)]
+    start = threading.Barrier(len(tables))
+
+    def write(k):
+        start.wait(timeout=30)
+        write_csv(paths[k], tables[k])
+
+    threads = [threading.Thread(target=write, args=(k,)) for k in range(len(tables))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for path, table in zip(paths, tables):
+        assert path.read_bytes() == template_bytes(table)
+
+
+def test_a_path_and_a_stream_get_the_same_bytes(tmp_path):
+    rows = 5 * (3 * scenarios._CSV_CELLS // 10)
+    columns = {"name": np.array(["þ", "a\x00b", "", "x,y", "日本"] * (rows // 5)),
+               "x": np.linspace(-3e-5, 2e20, rows), "n": np.arange(rows)}
+    path = tmp_path / "t.csv"
+    write_csv(path, columns)
+    assert path.read_bytes() == written(columns) == template_bytes(columns)
+
+
+class TestColumnChecks:
+    """A column that is not 1-D numbers or strings is refused, naming it,
+    before the file is opened."""
+
+    @pytest.mark.parametrize("column, error", [
+        (np.ones((2, 3)), ShapeError),
+        (np.float64(1.0), ShapeError),
+        ([[1.0, 2.0], [3.0]], ShapeError),
+        (np.array([1 + 2j, 3.0]), ConfigError),
+        (np.array([None, 1.0], dtype=object), ConfigError),
+        ([None, 1.0], ConfigError),
+        (np.array([b"ab", b"c"]), ConfigError),
+        (np.array(["2024-01-01", "2024-01-02"], dtype="datetime64[D]"), ConfigError),
+    ], ids=["two_d", "zero_d", "ragged", "complex", "object", "none_list", "bytes",
+            "datetime"])
+    @pytest.mark.parametrize("target", ["stream", "path"])
+    def test_a_bad_column_is_refused_before_writing(self, tmp_path, column, error, target):
+        stream, path = io.StringIO(newline=""), tmp_path / "t.csv"
+        with pytest.raises(error, match="column 'bad'"):
+            write_csv(stream if target == "stream" else path,
+                      {"x": np.array([1.0, 2.0]), "bad": column})
+        assert stream.getvalue() == ""
+        assert not path.exists()
+
+    @pytest.mark.parametrize("target", ["stream", "path"])
+    def test_a_name_that_is_not_a_string_is_refused(self, tmp_path, target):
+        stream, path = io.StringIO(newline=""), tmp_path / "t.csv"
+        with pytest.raises(ConfigError, match="name 1 is not a string"):
+            write_csv(stream if target == "stream" else path, {1: np.array([1.0])})
+        assert stream.getvalue() == ""
+        assert not path.exists()
+
+    @pytest.mark.parametrize("order", ["=", ">", "<"])
+    @pytest.mark.parametrize("rows", [1, 40000])
+    def test_a_lone_surrogate_is_refused_for_a_path(self, tmp_path, order, rows):
+        path = tmp_path / "t.csv"
+        cells = np.full(rows, "abc", f"{order}U3")
+        cells[-1] = "a\ud800b"
+        with pytest.raises(ConfigError, match="'s'.*surrogate"):
+            write_csv(path, {"s": cells, "n": np.ones(rows)})
+        assert not path.exists()
+
+    @pytest.mark.parametrize("order", [">", "<"])
+    def test_a_byte_swapped_string_column_is_written(self, tmp_path, order):
+        columns = {"s": np.array(["a\ue000b", "þ", "x,y"], f"{order}U3"),
+                   "n": np.arange(3.0)}
+        path = tmp_path / "t.csv"
+        write_csv(path, columns)
+        assert path.read_bytes() == template_bytes(columns)
+
+    def test_a_lone_surrogate_in_a_name_is_refused_for_a_path(self, tmp_path):
+        path = tmp_path / "t.csv"
+        with pytest.raises(ConfigError, match="surrogate"):
+            write_csv(path, {"s\udfff": np.array([1.0])})
+        assert not path.exists()
+
+    @pytest.mark.parametrize("column", [np.array([True, False]), np.array([1, -2]),
+                                        np.array([1, 2], np.uint8), [0.5, 1.5], ["a", "b"]])
+    def test_numbers_and_strings_are_written(self, column):
+        columns = {"c": column}
+        assert written(columns) == template_bytes(columns)
+
+
 #: cells that need the optional places: a sign, a ``0.000`` prefix, an exponent
 OPTIONAL = {"sign": -2.5, "prefix": 1.25e-4, "exponent": 3.5e-21}
 
@@ -168,8 +333,9 @@ class TestStringCells:
         {"mixed": np.array(["é\x00þ", "\x00日本", "ÿ\x00\x00", "🙂\x00"]),
          "n": np.arange(4.0)},
         {"lone": np.array(["þ", "ÿ\x00", "\x00é"])},
+        {"long": np.array(["ab" * 400] + ["c,d", "é"] * 60), "n": np.arange(121.0)},
     ], ids=["non_ascii", "nul", "lone_column", "thorn_and_y_umlaut",
-            "nul_next_to_non_ascii", "lone_non_ascii_column"])
+            "nul_next_to_non_ascii", "lone_non_ascii_column", "long_cell_over_pages"])
     def test_string_cells_match_both_references(self, columns):
         got = written(columns)
         assert got == template_bytes(columns)

@@ -196,9 +196,10 @@ class TestBlockConversion:
     @pytest.mark.parametrize("k", [0, 1, 2, 255, 256, 257, 258, N - 1])
     @pytest.mark.parametrize("bad", [[1.0, 2.0], "x", 1j, [1j, 0.0, 0.0], np.array([1.0]),
                                      True, "0.5", [True, False, True], ["0.5", "1.0", "0.25"],
-                                     [True, 0.0, 0.0]],
+                                     [True, 0.0, 0.0], [0.5, False, 0.25]],
                              ids=["two_vector", "string", "complex", "complex_row", "one_array",
-                                  "bool", "numeric_string", "bools", "strings", "bool_entry"])
+                                  "bool", "numeric_string", "bools", "strings", "bool_entry",
+                                  "bool_beside_reals"])
     @pytest.mark.parametrize("where", ["h0", "h"])
     def test_invalid_value_raises_as_one_sample_at_a_time(self, k, bad, where):
         times = np.linspace(0.0, 1.0, self.N)
