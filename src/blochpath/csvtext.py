@@ -1,4 +1,5 @@
-"""CSV rows as UTF-8 bytes, formatted a chunk of cells at a time in numpy.
+"""CSV rows as UTF-8 bytes, numeric tables formatted a chunk of cells at a
+time in numpy.
 
 Numbers are written as ``'%.15g' % v`` would write them, byte for byte.
 Each cell's 15-digit integer and decimal exponent ``e`` come from the
@@ -21,12 +22,9 @@ become NUL.  The sign, prefix and exponent places are written only when
 some cell of the chunk needs them, and every place no cell uses is
 dropped; the rest are copied to cell-major order about ``_PAGE`` bytes at
 a time, and one ``bytes.translate`` of each page deletes the NULs.
-String cells are placed in the same byte matrix with their own NUL bytes
-held as 0xFE, a byte UTF-8 never uses, which the same ``translate`` turns
-back into NUL.  A chunk whose strings are longer than a slot is cut into
-row blocks, each padded to its own longest string and holding no more
-cell bytes than the whole chunk would at ``_SLOT``, or than a page a
-column, so a long cell widens only the cells next to it.
+
+A table with a string column is written a row at a time with the scalar
+formatters instead.
 
 Every chunk-sized intermediate lives in one workspace per writing thread,
 ``_CELL_BYTES`` (93) bytes a cell, written by ``out=`` and in-place
@@ -52,22 +50,21 @@ _TIE = 1e-9
 #: bytes per numeric slot: sign, ``0.000`` prefix, 16 digit/point places,
 #: ``e±XX``
 _SLOT = 26
-#: cell-major bytes handed to one ``bytes.translate``; a page still holds
-#: 64 cells when they are wider, as a chunk with a long string cell makes
-#: them, since each page gathers every byte place of its cells
+#: cell-major bytes handed to one ``bytes.translate``
 _PAGE = 1 << 15
 #: workspace bytes per cell: six float rows, a table index, nine flag rows
 #: and the slots with their two separator places
 _CELL_BYTES = 6 * 8 + 8 + 9 + _SLOT + 2
 #: the largest workspace a thread keeps between writes
 _KEEP = 1 << 20
+#: cells formatted at a time, so a long table is never held as text; their
+#: workspace and pages keep a whole write's traced memory under 1 MiB
+_CSV_CELLS = 9216
 _PLACE = np.arange(16, dtype=np.uint8)[:, None]
 _COUNT = _PLACE + 1
 _PREFIX = np.frombuffer(b"0.000", np.uint8)[:, None]
 _PREFIX_PLACE = np.arange(5, dtype=np.int8)[:, None]
 _CRLF = np.array([[ord("\r")], [ord("\n")]], np.uint8)
-#: after the padding NULs are deleted, a string's own NULs are restored
-_UNMARK = bytes.maketrans(b"\xfe", b"\0")
 
 
 def _pow10_table(lo: int = -60, hi: int = 60):
@@ -108,18 +105,17 @@ _QUAD_DIGITS = _quad_digits()
 _THREAD = threading.local()
 
 
-def _workspace(n: int, size: int):
-    """The calling thread's workspace cut for a chunk of ``n`` cells of
-    ``size`` bytes.
+def _workspace(n: int):
+    """The calling thread's workspace cut for a chunk of ``n`` cells.
 
     One byte arena per thread, made on its first write and replaced only by
     a larger chunk up to ``_KEEP`` bytes, gives contiguous views: six float
     rows (the values ``x`` and five scratch rows), a table index, nine flag
-    rows, and the ``(size + 2, n)`` cell bytes with their separator places.
+    rows, and the ``(_SLOT + 2, n)`` cell bytes with their separator places.
     Float rows 2-3 later hold the 16 digit bytes of each cell and rows 4-5
     a 16-place mask, once the floats there are spent.
     """
-    need = n * (_CELL_BYTES - _SLOT + size)
+    need = n * _CELL_BYTES
     arena = getattr(_THREAD, "arena", None)
     if arena is None or arena.size < need:
         arena = np.empty(need, np.uint8)
@@ -128,7 +124,7 @@ def _workspace(n: int, size: int):
     return (arena[:48 * n].view(np.float64).reshape(6, n),
             arena[48 * n:56 * n].view(np.intp),
             arena[56 * n:65 * n].reshape(9, n),
-            arena[65 * n:need].reshape(size + 2, n))
+            arena[65 * n:need].reshape(_SLOT + 2, n))
 
 
 def _bytes16(rows: np.ndarray) -> np.ndarray:
@@ -313,75 +309,59 @@ def _g15_slots(out, floats, i, flags) -> None:
         out[:len(text), k] = np.frombuffer(text, np.uint8)
 
 
-def quote(texts: list, lone: bool) -> list:
-    """``texts`` as ``csv.writer`` quotes them: a cell holding ``,``, ``"``,
-    CR or LF is quoted with ``"`` doubled, as is an empty cell that is the
+def quote(text: str, lone: bool) -> str:
+    """``text`` as ``csv.writer`` quotes it: a cell holding ``,``, ``"``, CR
+    or LF is quoted with ``"`` doubled, as is an empty cell that is the
     row's only one (``lone``)."""
-    return ['"' + t.replace('"', '""') + '"' if any(c in t for c in ',"\r\n')
-            or (lone and not t) else t for t in texts]
-
-
-def _blocks(longest: np.ndarray, lo: int, hi: int, budget: int):
-    """Row ranges ``[lo, hi)`` with the longest string of each, at least
-    ``_SLOT``, cut in halves until a range is one row or its cells, padded
-    to that length, hold at most ``budget`` bytes a column; ``longest``
-    holds the largest string cell of every row."""
-    size = max(_SLOT, int(longest[lo:hi].max()))
-    if hi - lo == 1 or (size + 2) * (hi - lo) <= budget:
-        yield lo, hi, size
-    else:
-        mid = (lo + hi) // 2
-        yield from _blocks(longest, lo, mid, budget)
-        yield from _blocks(longest, mid, hi, budget)
+    if any(c in text for c in ',"\r\n') or (lone and not text):
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def csv_rows(columns: list):
     """Yield the CRLF-terminated CSV rows of equal-length 1-D columns as
-    UTF-8 bytes, a page of whole cells at a time.
+    UTF-8 bytes.
 
-    A column of ``str`` (numpy kind ``U``) is quoted by :func:`quote` and
-    encoded with ``surrogatepass``; any other column is read as float64 and
-    written as ``'%.15g'``.  The calling thread's workspace is in use until
-    the last page is taken.
+    A table of numbers, read as float64, is formatted ``_CSV_CELLS`` cells
+    at a time and yielded a page of whole cells at a time; the calling
+    thread's workspace is in use until the last page is taken.  A table
+    with a column of ``str`` (numpy kind ``U``) is yielded a row at a time,
+    read a cell at a time: strings quoted by :func:`quote` and encoded with
+    ``surrogatepass``, numbers as ``'%.15g' % float(v)``.
     """
-    rows, width = len(columns[0]), len(columns)
-    # a string's own NUL is held as 0xFE, a byte UTF-8 never uses, so that
-    # every NUL in the byte matrix is padding
-    texts = {j: [t.encode("utf-8", "surrogatepass").replace(b"\0", b"\xfe")
-                 for t in quote(c.tolist(), width == 1)]
-             for j, c in enumerate(columns) if c.dtype.kind == "U"}
-    longest = np.zeros(rows, np.intp)
-    for encoded in texts.values():
-        np.maximum(longest, np.fromiter(map(len, encoded), np.intp, rows), out=longest)
-    budget = max((_SLOT + 2) * rows, _PAGE)
-    for lo, hi, size in _blocks(longest, 0, rows, budget) if rows else ():
-        yield from _pages([c[lo:hi] for c in columns],
-                          {j: encoded[lo:hi] for j, encoded in texts.items()}, size)
+    if any(c.dtype.kind == "U" for c in columns):
+        row = ",".join("%s" if c.dtype.kind == "U" else "%.15g"
+                       for c in columns) + "\r\n"
+        lone = len(columns) == 1
+        cells = [(quote(t, lone) for t in c) if c.dtype.kind == "U" else map(float, c)
+                 for c in columns]
+        for values in zip(*cells):
+            yield (row % values).encode("utf-8", "surrogatepass")
+        return
+    step = max(1, _CSV_CELLS // max(1, len(columns)))
+    for lo in range(0, len(columns[0]) if columns else 0, step):
+        yield from _pages([c[lo:lo + step] for c in columns])
 
 
-def _pages(columns: list, texts: dict, size: int):
-    """The byte pages of :func:`csv_rows` for ``columns`` whose string
-    cells, encoded in ``texts`` by column index, fit in ``size`` bytes."""
+def _pages(columns: list):
+    """The byte pages of :func:`csv_rows` for one chunk of numeric
+    ``columns``."""
     rows, width = len(columns[0]), len(columns)
     n = rows * width
-    floats, i, flags, cells = _workspace(n, size)
+    floats, i, flags, cells = _workspace(n)
     # place-major: byte place, then row, then column, so that each numpy
     # operation runs along a whole chunk of cells
     cells[:6] = 0
     cells[22:] = 0
-    # a string cell is formatted as 0, then overwritten with its own bytes
     values = floats[0].reshape(rows, width)
     for j, column in enumerate(columns):
-        values[:, j] = 0.0 if j in texts else column
+        values[:, j] = column
     _g15_slots(cells[:_SLOT], floats, i, flags)
-    grid = cells.reshape(size + 2, rows, width)
-    grid[size, :, :-1] = ord(",")
-    grid[size:, :, -1] = _CRLF
-    for j, encoded in texts.items():
-        padded = b"".join(t.ljust(size, b"\0") for t in encoded)
-        grid[:size, :, j] = np.frombuffer(padded, np.uint8).reshape(rows, size).T
+    grid = cells.reshape(_SLOT + 2, rows, width)
+    grid[_SLOT, :, :-1] = ord(",")
+    grid[_SLOT:, :, -1] = _CRLF
     keep = np.maximum.reduce(cells, axis=1).nonzero()[0]
-    step = max(_PAGE // len(keep), 64)
+    step = _PAGE // len(keep)
     for lo in range(0, n, step):
         yield np.ascontiguousarray(cells[keep, lo:lo + step].T).tobytes().translate(
-            _UNMARK, b"\0")
+            None, b"\0")

@@ -383,21 +383,17 @@ def build_scenario(config: ScenarioConfig):
     return _build(config)[:3]
 
 
-#: cells formatted and written at a time, so a long table is never held as
-#: text; their workspace (93 bytes a cell) and pages keep a whole write's
-#: traced memory under 1 MiB
-_CSV_CELLS = 9216
-
-
 @contextlib.contextmanager
 def _output(path):
     """Turn an OS error on the output ``path`` (a missing parent, a file
-    where a directory belongs, or the reverse) into :class:`ConfigError`
-    naming it."""
+    where a directory belongs, or the reverse) or on an open stream (a
+    closed pipe) into :class:`ConfigError` naming it; a stream is named by
+    its ``name``, such as ``'<stdout>'``."""
     try:
         yield
     except OSError as exc:
-        raise ConfigError(f"cannot write output {str(path)!r}: {exc}") from exc
+        name = getattr(path, "name", path) if hasattr(path, "write") else path
+        raise ConfigError(f"cannot write output {str(name)!r}: {exc}") from exc
 
 
 def _csv_column(name, values, path: bool) -> np.ndarray:
@@ -448,22 +444,19 @@ def write_csv(path, columns: dict) -> None:
     lengths = {name: len(a) for name, a in zip(columns, arrays)}
     if len(set(lengths.values())) > 1:
         raise ShapeError(f"CSV columns differ in length: {lengths}")
-    header = ",".join(quote(list(columns), len(columns) == 1)) + "\r\n"
+    header = ",".join(quote(name, len(columns) == 1) for name in columns) + "\r\n"
     try:
         header = header.encode("utf-8", "surrogatepass" if stream else "strict")
     except UnicodeEncodeError:
         raise ConfigError(f"CSV column names {list(columns)!r} hold a lone "
                           "surrogate, which UTF-8 cannot encode") from None
-    n_rows = max(lengths.values(), default=0)
-    step = max(1, _CSV_CELLS // max(1, len(arrays)))
     with _output(path), (contextlib.nullcontext(path) if stream
                          else open(path, "wb")) as fh:
         write = ((lambda data: fh.write(data.decode("utf-8", "surrogatepass")))
                  if stream else fh.write)
         write(header)
-        for lo in range(0, n_rows, step):
-            for page in csv_rows([a[lo:lo + step] for a in arrays]):
-                write(page)
+        for page in csv_rows(arrays):
+            write(page)
 
 
 def write_json(path, payload: dict) -> None:

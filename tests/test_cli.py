@@ -2,10 +2,12 @@
 
 import contextlib
 import csv
+import errno
 import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -168,6 +170,26 @@ class TestUnusableOut:
         assert str(target) in err
         assert "Traceback" not in err
         assert existing.read_text() == ""
+
+    def test_a_closed_stdout_pipe_exits_2_naming_stdout(self):
+        # the pipe's reading end is closed before the child starts, so its
+        # first write to stdout fails, as under `| head -c 10`
+        package_root = Path(blochpath.__file__).resolve().parents[1]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(package_root), env.get("PYTHONPATH")]))
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "blochpath", "sweep-alpha", "--theta-ab",
+                 "1.2", "--points", "20000"],
+                stdout=write, stderr=subprocess.PIPE, text=True, env=env)
+        finally:
+            os.close(write)
+        assert proc.returncode == EXIT_CONFIG
+        assert proc.stderr == ("config error: cannot write output '<stdout>': "
+                               f"[Errno {errno.EPIPE}] {os.strerror(errno.EPIPE)}\n")
 
 
 class TestReport:
@@ -637,10 +659,10 @@ class TestProcessInvocation:
         # launcher on PATH, and one that is there may belong to another
         # checkout.  Write the launcher pip writes for the entry point that
         # pyproject.toml declares, and run it against the package under test.
-        tomllib = pytest.importorskip("tomllib")
+        # The table is read without tomllib, which Python 3.10 lacks.
         pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
-        with pyproject.open("rb") as fh:
-            entry = tomllib.load(fh)["project"]["scripts"]["blochpath"]
+        scripts = pyproject.read_text().split("[project.scripts]", 1)[1].split("\n[", 1)[0]
+        entry = re.search(r'^blochpath\s*=\s*"(.+)"', scripts, re.M).group(1)
         module, attr = entry.split(":")
         bindir = tmp_path / "bin"
         bindir.mkdir()

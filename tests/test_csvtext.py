@@ -1,7 +1,6 @@
 """The array CSV formatter against ``'%.15g'``, the row-template writer it
 replaced, and ``csv.writer``."""
 
-import csv
 import io
 import sys
 import threading
@@ -12,9 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blochpath import scenarios, sweep_phase_profiles
+from blochpath import csvtext, sweep_phase_profiles
 from blochpath.errors import ConfigError, ShapeError
 from blochpath.scenarios import write_csv
+from csv_reference import csv_module_bytes
 
 
 def written(columns) -> bytes:
@@ -37,16 +37,6 @@ def template_bytes(columns) -> bytes:
     rows = zip(*(a.tolist() for a in arrays))
     text = ",".join(quote(list(columns))) + "\r\n" + "".join(row % r for r in rows)
     return text.encode("utf-8")
-
-
-def csv_module_bytes(columns) -> bytes:
-    out = io.StringIO(newline="")
-    writer = csv.writer(out)
-    writer.writerow(list(columns))
-    writer.writerows(zip(*(
-        [x if isinstance(x, str) else f"{float(x):.15g}" for x in col]
-        for col in columns.values())))
-    return out.getvalue().encode("utf-8")
 
 
 def assert_g15(values):
@@ -126,7 +116,7 @@ def test_a_long_table_is_formatted_in_chunks(tmp_path):
 
 
 def chunks_of(rows: int, width: int) -> int:
-    step = max(1, scenarios._CSV_CELLS // width)
+    step = max(1, csvtext._CSV_CELLS // width)
     return -(-rows // step)
 
 
@@ -151,8 +141,8 @@ def test_a_steady_write_allocates_about_one_page_at_a_time(tmp_path):
 
 def test_a_long_string_cell_widens_only_its_neighbours(tmp_path):
     # padding every cell of a chunk to one 1000-character cell would hold
-    # about 9 MB; the row blocks around it hold the cell bytes of one chunk
-    rows = scenarios._CSV_CELLS // 3
+    # about 9 MB; a table with strings is written a row at a time
+    rows = csvtext._CSV_CELLS // 3
     names = np.full(rows, "a", dtype=object)
     names[5] = "é" * 1000
     columns = {"s": names.astype(str), "x": np.arange(rows * 0.5, step=0.5),
@@ -171,7 +161,7 @@ def test_a_long_string_cell_widens_only_its_neighbours(tmp_path):
 
 def test_a_row_wider_than_a_chunk_leaves_no_workspace_behind(tmp_path):
     # one row is one chunk here, and its workspace is more than a thread keeps
-    width = scenarios._CSV_CELLS + 3000
+    width = csvtext._CSV_CELLS + 3000
     columns = {f"c{j}": np.array([j * 0.25, -1.0]) for j in range(width)}
     path = tmp_path / "wide.csv"
     tracemalloc.start()
@@ -188,7 +178,7 @@ def test_a_row_wider_than_a_chunk_leaves_no_workspace_behind(tmp_path):
 def test_threads_writing_at_once_keep_their_own_tables(tmp_path):
     """More writers than cores, switching often: each thread's workspace is
     its own, so every file holds its own table."""
-    rows = 4 * (scenarios._CSV_CELLS // 3) + 17
+    rows = 4 * (csvtext._CSV_CELLS // 3) + 17
     assert chunks_of(rows, 3) >= 4
     rng = np.random.default_rng(11)
     tables = [{"a": rng.normal(size=rows) * 10.0**k, "b": rng.uniform(-1e-5, 1e5, rows),
@@ -215,13 +205,24 @@ def test_threads_writing_at_once_keep_their_own_tables(tmp_path):
         assert path.read_bytes() == template_bytes(table)
 
 
+def numeric_table(rows: int) -> dict:
+    """Three number columns with cells that need a sign, a ``0.000``
+    prefix, an exponent, or the scalar formatter."""
+    x = np.linspace(-3e-5, 2e20, rows)
+    x[::97] = np.nan
+    return {"x": x, "n": np.arange(rows), "y": 1.0 / (np.arange(rows) - 7.5) ** 5}
+
+
 def test_a_path_and_a_stream_get_the_same_bytes(tmp_path):
-    rows = 5 * (3 * scenarios._CSV_CELLS // 10)
-    columns = {"name": np.array(["þ", "a\x00b", "", "x,y", "日本"] * (rows // 5)),
+    rows = 5 * (3 * csvtext._CSV_CELLS // 10)
+    strings = {"name": np.array(["þ", "a\x00b", "", "x,y", "日本"] * (rows // 5)),
                "x": np.linspace(-3e-5, 2e20, rows), "n": np.arange(rows)}
+    numbers = numeric_table(rows)
+    assert chunks_of(rows, len(numbers)) >= 2
     path = tmp_path / "t.csv"
-    write_csv(path, columns)
-    assert path.read_bytes() == written(columns) == template_bytes(columns)
+    for columns in (strings, numbers):
+        write_csv(path, columns)
+        assert path.read_bytes() == written(columns) == template_bytes(columns)
 
 
 class TestColumnChecks:
@@ -298,7 +299,7 @@ OPTIONAL = {"sign": -2.5, "prefix": 1.25e-4, "exponent": 3.5e-21}
 def test_optional_places_in_no_one_or_every_chunk(width, chunks, where, seed):
     """Tables of several chunks, with the cells that need a sign, prefix or
     exponent place in no chunk, in one chunk, or in every chunk."""
-    step = scenarios._CSV_CELLS // width
+    step = csvtext._CSV_CELLS // width
     rng = np.random.default_rng(seed)
     table = rng.uniform(1.0, 1000.0, (int(chunks * step), width))
     for kind, value in OPTIONAL.items():
@@ -314,11 +315,29 @@ def test_optional_places_in_no_one_or_every_chunk(width, chunks, where, seed):
 
 @pytest.mark.parametrize("cells", [1, 2, 7, 4096, 10**6])
 def test_chunk_size_does_not_change_the_bytes(monkeypatch, cells):
-    columns = {"name": np.array(["þ", "a\x00b", "", "x,y", "ÿ"] * 40),
+    strings = {"name": np.array(["þ", "a\x00b", "", "x,y", "ÿ"] * 40),
                "x": np.linspace(-3e-5, 2e20, 200),
                "y": np.arange(200.0)}
-    monkeypatch.setattr(scenarios, "_CSV_CELLS", cells)
-    assert written(columns) == template_bytes(columns)
+    numbers = numeric_table(3500)
+    assert chunks_of(3500, len(numbers)) >= 2
+    monkeypatch.setattr(csvtext, "_CSV_CELLS", cells)
+    for columns in (strings, numbers):
+        assert written(columns) == template_bytes(columns)
+
+
+def test_a_string_column_does_not_change_the_number_cells():
+    """The same numbers written alone, by the numpy formatter, and next to
+    a string column, a row at a time, come out byte for byte the same."""
+    powers = TestBoundaries.POWERS
+    edges = np.array([1e-44, 1e44])
+    values = np.concatenate([
+        exact_ties(), powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf),
+        edges, np.nextafter(edges, 0.0), np.nextafter(edges, np.inf),
+        [0.0, np.nan, np.inf, 5e-324]])
+    values = np.concatenate([values, -values])
+    alone = written({"x": values}).split(b"\r\n")[1:-1]
+    beside = written({"s": np.full(len(values), "a"), "x": values}).split(b"\r\n")[1:-1]
+    assert [line.removeprefix(b"a,") for line in beside] == alone
 
 
 class TestStringCells:

@@ -25,6 +25,7 @@ from blochpath import (
 from blochpath.evolve import MAX_STEPS
 from blochpath.families import _orbit
 from blochpath.scenarios import write_csv, write_json
+from csv_reference import csv_module_bytes
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -307,17 +308,6 @@ class TestArtifacts:
         assert stream.getvalue() == ""
         assert not path.exists()
 
-    @staticmethod
-    def csv_module_bytes(columns):
-        """What ``csv.writer`` renders for ``columns``, numbers as ``.15g``."""
-        out = io.StringIO(newline="")
-        writer = csv.writer(out)
-        writer.writerow(list(columns))
-        writer.writerows(zip(*(
-            [str(x) if isinstance(x, str) else f"{float(x):.15g}" for x in col]
-            for col in columns.values())))
-        return out.getvalue().encode("utf-8")
-
     @given(st.lists(st.floats(), min_size=1, max_size=40), st.integers(0, 2**32))
     @settings(max_examples=40, deadline=None)
     def test_csv_bytes_equal_the_csv_module(self, floats, seed):
@@ -333,7 +323,7 @@ class TestArtifacts:
         }
         stream = io.StringIO(newline="")
         write_csv(stream, columns)
-        assert stream.getvalue().encode("utf-8") == self.csv_module_bytes(columns)
+        assert stream.getvalue().encode("utf-8") == csv_module_bytes(columns)
 
     @pytest.mark.parametrize("columns", [
         {"name": np.array(["plain", "a,b", 'say "hi"', "two\nlines", "cr\rx",
@@ -344,7 +334,7 @@ class TestArtifacts:
     def test_csv_string_cells_are_quoted_as_the_csv_module_does(self, columns):
         stream = io.StringIO(newline="")
         write_csv(stream, columns)
-        assert stream.getvalue().encode("utf-8") == self.csv_module_bytes(columns)
+        assert stream.getvalue().encode("utf-8") == csv_module_bytes(columns)
 
     def test_json_writer_format(self, tmp_path):
         path = tmp_path / "t.json"
