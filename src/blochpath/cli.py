@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 import numpy as np
@@ -77,6 +78,22 @@ def _print_row(row) -> None:
           f"{row.classification}")
 
 
+def _write_table(out, table) -> None:
+    """Write ``table`` to the ``out`` path, or to stdout when it is None."""
+    if out is not None:
+        scenarios.write_csv(out, table)
+        return
+    try:
+        scenarios.write_csv(sys.stdout, table)
+    except ConfigError as exc:
+        if isinstance(exc.__cause__, OSError):
+            # stdout's reader has gone: point stdout at devnull, so the
+            # flush at interpreter exit drops what is still buffered instead
+            # of failing on it again (and turning exit 2 into 120)
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise
+
+
 def _run(args) -> int:
     if args.command == "example":
         config = scenarios.ScenarioConfig(
@@ -87,13 +104,13 @@ def _run(args) -> int:
         _print_row(scenarios.run_report(config, out_dir=args.out))
     elif args.command == "sweep-alpha":
         table = scenarios.sweep_alpha(args.theta_ab, args.points, args.energy)
-        scenarios.write_csv(sys.stdout if args.out is None else args.out, table)
+        _write_table(args.out, table)
     elif args.command == "phase-profiles":
         table = scenarios.sweep_phase_profiles(
             args.profile, args.phi0, args.phidot0, args.omega0,
             t_end=args.t_end, n_points=args.points,
         )
-        scenarios.write_csv(sys.stdout if args.out is None else args.out, table)
+        _write_table(args.out, table)
     elif args.command == "report":
         try:
             with open(args.config, encoding="utf-8") as fh:

@@ -36,6 +36,8 @@ its own that is freed with the chunk.
 
 from __future__ import annotations
 
+import itertools
+import re
 import threading
 
 import numpy as np
@@ -309,11 +311,14 @@ def _g15_slots(out, floats, i, flags) -> None:
         out[:len(text), k] = np.frombuffer(text, np.uint8)
 
 
+_NEEDS_QUOTES = re.compile('[,"\r\n]').search
+
+
 def quote(text: str, lone: bool) -> str:
     """``text`` as ``csv.writer`` quotes it: a cell holding ``,``, ``"``, CR
     or LF is quoted with ``"`` doubled, as is an empty cell that is the
     row's only one (``lone``)."""
-    if any(c in text for c in ',"\r\n') or (lone and not text):
+    if _NEEDS_QUOTES(text) or (lone and not text):
         return '"' + text.replace('"', '""') + '"'
     return text
 
@@ -325,20 +330,22 @@ def csv_rows(columns: list):
     A table of numbers, read as float64, is formatted ``_CSV_CELLS`` cells
     at a time and yielded a page of whole cells at a time; the calling
     thread's workspace is in use until the last page is taken.  A table
-    with a column of ``str`` (numpy kind ``U``) is yielded a row at a time,
-    read a cell at a time: strings quoted by :func:`quote` and encoded with
+    with a column of ``str`` (numpy kind ``U``) is formatted a row at a time
+    and yielded ``_CSV_CELLS`` cells' worth of rows at a time, read a cell at
+    a time: strings quoted by :func:`quote` and encoded with
     ``surrogatepass``, numbers as ``'%.15g' % float(v)``.
     """
+    step = max(1, _CSV_CELLS // max(1, len(columns)))
     if any(c.dtype.kind == "U" for c in columns):
         row = ",".join("%s" if c.dtype.kind == "U" else "%.15g"
                        for c in columns) + "\r\n"
         lone = len(columns) == 1
         cells = [(quote(t, lone) for t in c) if c.dtype.kind == "U" else map(float, c)
                  for c in columns]
-        for values in zip(*cells):
-            yield (row % values).encode("utf-8", "surrogatepass")
+        rows = map(row.__mod__, zip(*cells))
+        while page := "".join(itertools.islice(rows, step)):
+            yield page.encode("utf-8", "surrogatepass")
         return
-    step = max(1, _CSV_CELLS // max(1, len(columns)))
     for lo in range(0, len(columns[0]) if columns else 0, step):
         yield from _pages([c[lo:lo + step] for c in columns])
 

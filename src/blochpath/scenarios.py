@@ -384,15 +384,13 @@ def build_scenario(config: ScenarioConfig):
 
 
 @contextlib.contextmanager
-def _output(path):
-    """Turn an OS error on the output ``path`` (a missing parent, a file
-    where a directory belongs, or the reverse) or on an open stream (a
-    closed pipe) into :class:`ConfigError` naming it; a stream is named by
-    its ``name``, such as ``'<stdout>'``."""
+def _output(name):
+    """Turn an OS error on the output called ``name`` (a missing parent, a
+    file where a directory belongs, or the reverse, or a closed pipe) into
+    :class:`ConfigError` naming it."""
     try:
         yield
     except OSError as exc:
-        name = getattr(path, "name", path) if hasattr(path, "write") else path
         raise ConfigError(f"cannot write output {str(name)!r}: {exc}") from exc
 
 
@@ -450,8 +448,9 @@ def write_csv(path, columns: dict) -> None:
     except UnicodeEncodeError:
         raise ConfigError(f"CSV column names {list(columns)!r} hold a lone "
                           "surrogate, which UTF-8 cannot encode") from None
-    with _output(path), (contextlib.nullcontext(path) if stream
-                         else open(path, "wb")) as fh:
+    # a stream is named by its ``name``, such as ``'<stdout>'``
+    with _output(getattr(path, "name", path) if stream else path), \
+            (contextlib.nullcontext(path) if stream else open(path, "wb")) as fh:
         write = ((lambda data: fh.write(data.decode("utf-8", "surrogatepass")))
                  if stream else fh.write)
         write(header)

@@ -171,11 +171,17 @@ class TestUnusableOut:
         assert "Traceback" not in err
         assert existing.read_text() == ""
 
-    def test_a_closed_stdout_pipe_exits_2_naming_stdout(self):
-        # the pipe's reading end is closed before the child starts, so its
-        # first write to stdout fails, as under `| head -c 10`
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    def test_a_closed_stdout_pipe_exits_2_naming_stdout(self, unbuffered):
+        # the pipe's reading end is closed before the child starts, so a
+        # write to stdout fails, as under `| head -c 10`; with a buffered
+        # stdout the header is still in the buffer when the first page fails,
+        # and it must not fail again at interpreter exit
         package_root = Path(blochpath.__file__).resolve().parents[1]
         env = dict(os.environ)
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
         env["PYTHONPATH"] = os.pathsep.join(
             filter(None, [str(package_root), env.get("PYTHONPATH")]))
         read, write = os.pipe()

@@ -139,9 +139,9 @@ def test_a_steady_write_allocates_about_one_page_at_a_time(tmp_path):
     assert path.read_bytes() == template_bytes(table)
 
 
-def test_a_long_string_cell_widens_only_its_neighbours(tmp_path):
-    # padding every cell of a chunk to one 1000-character cell would hold
-    # about 9 MB; a table with strings is written a row at a time
+def test_a_long_string_cell_is_written_in_bounded_memory(tmp_path):
+    # a table with strings is formatted a row at a time and written a
+    # chunk's worth of rows at a time, never held whole
     rows = csvtext._CSV_CELLS // 3
     names = np.full(rows, "a", dtype=object)
     names[5] = "é" * 1000
