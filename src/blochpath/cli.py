@@ -78,23 +78,7 @@ def _print_row(row) -> None:
           f"{row.classification}")
 
 
-def _write_table(out, table) -> None:
-    """Write ``table`` to the ``out`` path, or to stdout when it is None."""
-    if out is not None:
-        scenarios.write_csv(out, table)
-        return
-    try:
-        scenarios.write_csv(sys.stdout, table)
-    except ConfigError as exc:
-        if isinstance(exc.__cause__, OSError):
-            # stdout's reader has gone: point stdout at devnull, so the
-            # flush at interpreter exit drops what is still buffered instead
-            # of failing on it again (and turning exit 2 into 120)
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        raise
-
-
-def _run(args) -> int:
+def _run(args) -> None:
     if args.command == "example":
         config = scenarios.ScenarioConfig(
             scenario=f"example{args.number}",
@@ -104,13 +88,13 @@ def _run(args) -> int:
         _print_row(scenarios.run_report(config, out_dir=args.out))
     elif args.command == "sweep-alpha":
         table = scenarios.sweep_alpha(args.theta_ab, args.points, args.energy)
-        _write_table(args.out, table)
+        scenarios.write_csv(sys.stdout if args.out is None else args.out, table)
     elif args.command == "phase-profiles":
         table = scenarios.sweep_phase_profiles(
             args.profile, args.phi0, args.phidot0, args.omega0,
             t_end=args.t_end, n_points=args.points,
         )
-        _write_table(args.out, table)
+        scenarios.write_csv(sys.stdout if args.out is None else args.out, table)
     elif args.command == "report":
         try:
             with open(args.config, encoding="utf-8") as fh:
@@ -128,7 +112,6 @@ def _run(args) -> int:
             print(f"{row.scenario:<12} {row.eta_ge_bar:>10.6f} "
                   f"{row.eta_se_bar:>10.6f} {row.eta_he:>10.6f}  "
                   f"{row.classification}")
-    return EXIT_OK
 
 
 def main(argv=None) -> int:
@@ -136,9 +119,13 @@ def main(argv=None) -> int:
     try:
         # overflow and invalid values are caught by the explicit finiteness
         # checks and reported as typed errors; numpy's warnings would only
-        # repeat them on stderr ahead of the message
-        with np.errstate(all="ignore"):
-            return _run(args)
+        # repeat them on stderr ahead of the message.  Every file is written
+        # under a guard naming it, so an OS error that reaches the guard here
+        # came from a print to stdout or its flush.
+        with np.errstate(all="ignore"), scenarios._output("<stdout>"):
+            _run(args)
+            sys.stdout.flush()
+        return EXIT_OK
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -148,6 +135,14 @@ def main(argv=None) -> int:
     except BlochPathError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    finally:
+        try:
+            sys.stdout.flush()
+        except OSError:
+            # stdout cannot take what it still buffers (its reader has gone,
+            # or its disk is full): point it at devnull, so that the flush at
+            # interpreter exit does not fail again and turn exit 2 into 120
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 if __name__ == "__main__":

@@ -26,19 +26,17 @@ a time, and one ``bytes.translate`` of each page deletes the NULs.
 A table with a string column is written a row at a time with the scalar
 formatters instead.
 
-Every chunk-sized intermediate lives in one workspace per writing thread,
+Every chunk-sized intermediate lives in one workspace per chunk,
 ``_CELL_BYTES`` (93) bytes a cell, written by ``out=`` and in-place
-ufuncs, so that a steady run of writes allocates only page-sized pieces
-and its output.  A thread keeps at most ``_KEEP`` bytes of it; a larger
-chunk, as a row of more than about 11000 cells makes, gets a workspace of
-its own that is freed with the chunk.
+ufuncs, so that formatting a chunk makes one allocation besides its
+pages.  Nothing is kept between chunks: the workspace is freed once the
+chunk's last page has been yielded.
 """
 
 from __future__ import annotations
 
 import itertools
 import re
-import threading
 
 import numpy as np
 
@@ -57,8 +55,6 @@ _PAGE = 1 << 15
 #: workspace bytes per cell: six float rows, a table index, nine flag rows
 #: and the slots with their two separator places
 _CELL_BYTES = 6 * 8 + 8 + 9 + _SLOT + 2
-#: the largest workspace a thread keeps between writes
-_KEEP = 1 << 20
 #: cells formatted at a time, so a long table is never held as text; their
 #: workspace and pages keep a whole write's traced memory under 1 MiB
 _CSV_CELLS = 9216
@@ -104,29 +100,20 @@ _P_HI, _P_HI_HI, _P_HI_LO, _P_LO, _K0 = _pow10_table()
 _QUAD_DIGITS = _quad_digits()
 
 
-_THREAD = threading.local()
-
-
 def _workspace(n: int):
-    """The calling thread's workspace cut for a chunk of ``n`` cells.
-
-    One byte arena per thread, made on its first write and replaced only by
-    a larger chunk up to ``_KEEP`` bytes, gives contiguous views: six float
-    rows (the values ``x`` and five scratch rows), a table index, nine flag
-    rows, and the ``(_SLOT + 2, n)`` cell bytes with their separator places.
-    Float rows 2-3 later hold the 16 digit bytes of each cell and rows 4-5
-    a 16-place mask, once the floats there are spent.
+    """A new workspace for a chunk of ``n`` cells, cut into contiguous
+    views of one byte array: six float rows (the values ``x`` and five
+    scratch rows), a table index, nine flag rows, and the ``(_SLOT + 2, n)``
+    cell bytes with their separator places.  Float rows 2-3 later hold the
+    16 digit bytes of each cell and rows 4-5 a 16-place mask, once the
+    floats there are spent.
     """
     need = n * _CELL_BYTES
-    arena = getattr(_THREAD, "arena", None)
-    if arena is None or arena.size < need:
-        arena = np.empty(need, np.uint8)
-        if need <= _KEEP:
-            _THREAD.arena = arena
-    return (arena[:48 * n].view(np.float64).reshape(6, n),
-            arena[48 * n:56 * n].view(np.intp),
-            arena[56 * n:65 * n].reshape(9, n),
-            arena[65 * n:need].reshape(_SLOT + 2, n))
+    block = np.empty(need, np.uint8)
+    return (block[:48 * n].view(np.float64).reshape(6, n),
+            block[48 * n:56 * n].view(np.intp),
+            block[56 * n:65 * n].reshape(9, n),
+            block[65 * n:need].reshape(_SLOT + 2, n))
 
 
 def _bytes16(rows: np.ndarray) -> np.ndarray:
@@ -328,8 +315,7 @@ def csv_rows(columns: list):
     UTF-8 bytes.
 
     A table of numbers, read as float64, is formatted ``_CSV_CELLS`` cells
-    at a time and yielded a page of whole cells at a time; the calling
-    thread's workspace is in use until the last page is taken.  A table
+    at a time and yielded a page of whole cells at a time.  A table
     with a column of ``str`` (numpy kind ``U``) is formatted a row at a time
     and yielded ``_CSV_CELLS`` cells' worth of rows at a time, read a cell at
     a time: strings quoted by :func:`quote` and encoded with

@@ -104,6 +104,7 @@ def curvature_expectation_profile(traj: Trajectory) -> np.ndarray:
     A node with ``dE <= TOL_SING`` raises :class:`SingularEvolutionError`
     naming the first one.
     """
+    traj.validate()
     de = traj.delta_e
     first = _first(~(de > TOL_SING))
     if first is not None:

@@ -90,7 +90,7 @@ def geodesic_efficiency_profile(traj: Trajectory) -> np.ndarray:
     linearly with slope ``2 dE``.
     """
     out = np.ones(traj.n_nodes)
-    live = traj.s_accum >= TOL_S
+    live = ~(traj.s_accum < TOL_S)  # NaN is live, so _unit_ratio rejects it
     out[live] = traj.s0[live] / traj.s_accum[live]
     return _unit_ratio(out)
 
@@ -210,6 +210,7 @@ def efficiency_report(traj: Trajectory) -> EfficiencyReport:
     A run whose path length is at most ``TOL_S`` (an eigenstate of its
     field, say) raises :class:`ZeroPathError` before any of them.
     """
+    traj.validate()
     s_total = _path_length(traj)
     ge = geodesic_efficiency_profile(traj)
     se = speed_efficiency_profile(traj)

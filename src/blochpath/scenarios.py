@@ -76,6 +76,13 @@ def _finite(value, what: str, array: bool = False):
     return arr if array else float(arr)
 
 
+def _known_keys(mapping: dict, allowed, what: str) -> None:
+    """:class:`ConfigError` naming the keys of ``mapping`` not ``allowed``."""
+    bad = set(mapping) - set(allowed)
+    if bad:
+        raise ConfigError(f"unknown {what} keys {sorted(bad, key=str)}")
+
+
 @dataclass
 class ScenarioConfig:
     """Everything needed to run one scenario.
@@ -102,7 +109,7 @@ class ScenarioConfig:
             raise ConfigError(
                 f"unknown scenario {self.scenario!r}; expected one of {SCENARIOS}"
             )
-        params = self.parameters or {}
+        params = {} if self.parameters is None else self.parameters
         if not isinstance(params, dict):
             raise ConfigError(f"parameters must be a mapping, got {params!r}")
         self.parameters = dict(params)
@@ -117,6 +124,8 @@ class ScenarioConfig:
         if self.n_steps is not None:
             self.n_steps = _count(self.n_steps, "n_steps")
         try:
+            if isinstance(self.outputs, str):
+                raise TypeError
             bad = set(self.outputs) - set(ALL_OUTPUTS)
         except TypeError:
             raise ConfigError(
@@ -131,9 +140,7 @@ class ScenarioConfig:
             raise ConfigError("config must be a JSON object")
         if "scenario" not in data:
             raise ConfigError("config is missing the 'scenario' key")
-        bad = set(data) - {f.name for f in fields(cls)}
-        if bad:
-            raise ConfigError(f"unknown config keys {sorted(bad)}")
+        _known_keys(data, [f.name for f in fields(cls)], "config")
         return cls(**data)
 
 
@@ -314,6 +321,7 @@ def _build_custom(config: ScenarioConfig):
     spec = config.field
     if not isinstance(spec, dict):
         raise ConfigError("custom scenario needs a 'field' mapping")
+    _known_keys(spec, ("times", "h", "h0"), "field")
     if "times" in spec:
         times = _finite(spec["times"], "field 'times'", array=True)
         h0_tab = _finite(spec.get("h0", np.zeros_like(times)), "field 'h0'", array=True)
@@ -334,8 +342,9 @@ def _build_custom(config: ScenarioConfig):
 
     if config.psi0 is None:
         psi0 = np.array([1.0, 0.0], dtype=complex)
-    elif isinstance(config.psi0, dict) and "bloch" in config.psi0:
-        bloch = _finite(config.psi0["bloch"], "psi0 'bloch'", array=True)
+    elif isinstance(config.psi0, dict):
+        _known_keys(config.psi0, ("bloch",), "psi0")
+        bloch = _finite(config.psi0.get("bloch"), "psi0 'bloch'", array=True)
         try:
             psi0 = state_from_bloch(bloch)
         except BlochPathError as exc:

@@ -150,6 +150,7 @@ def test_non_finite_real_arguments_are_a_numerical_error(call):
 
 
 TWO, THREE, ROWS = [1.0, 2.0], [1.0, 2.0, 3.0], np.ones((3, 3))
+PAIRS, ROWS4 = np.ones((4, 2)), np.tile([0.0, 0.6, 0.8], (4, 1))
 
 
 @pytest.mark.parametrize("call", [
@@ -163,12 +164,20 @@ TWO, THREE, ROWS = [1.0, 2.0], [1.0, 2.0, 3.0], np.ones((3, 3))
     lambda: speed_efficiency_tracenonzero(TWO, THREE),
     lambda: energy_uncertainty(np.ones((2, 3)), ROWS),
     lambda: curvature_bloch(np.ones((2, 3)), ROWS, ROWS),
+    lambda: energy_uncertainty(PAIRS, ROWS4),
+    lambda: spectral_norm(np.zeros(4), PAIRS),
+    lambda: pauli_compose(np.zeros(4), PAIRS),
+    lambda: fubini_study_distance(PAIRS, ROWS4[0]),
+    lambda: curvature_bloch(ROWS4, PAIRS, ROWS4),
 ], ids=["SuboptimalStationary.E", "SuboptimalStationary.alpha",
         "rodrigues_rotate.angle", "suboptimal_axis.alpha", "pauli_compose",
         "spectral_norm", "speed_efficiency_tracezero",
-        "speed_efficiency_tracenonzero", "energy_uncertainty", "curvature_bloch"])
+        "speed_efficiency_tracenonzero", "energy_uncertainty", "curvature_bloch",
+        "energy_uncertainty.pairs", "spectral_norm.pairs", "pauli_compose.pairs",
+        "fubini_study_distance.pairs", "curvature_bloch.pairs"])
 def test_real_arguments_of_the_wrong_shape_are_a_shape_error(call):
-    # a scalar argument given as an array, or arrays that do not broadcast
+    # a scalar argument given as an array, arrays that do not broadcast, or
+    # rows of two where 3-vectors belong
     with pytest.raises(ShapeError):
         call()
 

@@ -172,11 +172,25 @@ class TestUnusableOut:
         assert existing.read_text() == ""
 
     @pytest.mark.parametrize("unbuffered", [False, True])
-    def test_a_closed_stdout_pipe_exits_2_naming_stdout(self, unbuffered):
+    @pytest.mark.parametrize("command", ["table2", "example", "report",
+                                         "sweep-alpha", "phase-profiles"])
+    def test_a_closed_stdout_pipe_exits_2_naming_stdout(self, tmp_path, command,
+                                                        unbuffered):
         # the pipe's reading end is closed before the child starts, so a
         # write to stdout fails, as under `| head -c 10`; with a buffered
-        # stdout the header is still in the buffer when the first page fails,
-        # and it must not fail again at interpreter exit
+        # stdout what is still in the buffer must not fail again at
+        # interpreter exit
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"scenario": "example1", "n_steps": 20,
+                                      "outputs": ["report"]}))
+        argv = {
+            "table2": ["table2", "--steps", "20"],
+            "example": ["example", "1", "--steps", "20", "--out", str(tmp_path)],
+            "report": ["report", "--config", str(config), "--out", str(tmp_path)],
+            "sweep-alpha": ["sweep-alpha", "--theta-ab", "1.2", "--points", "20000"],
+            "phase-profiles": ["phase-profiles", "--profile", "log", "--phi0", "1",
+                               "--phidot0", "2", "--omega0", "1"],
+        }[command]
         package_root = Path(blochpath.__file__).resolve().parents[1]
         env = dict(os.environ)
         env.pop("PYTHONUNBUFFERED", None)
@@ -187,10 +201,9 @@ class TestUnusableOut:
         read, write = os.pipe()
         os.close(read)
         try:
-            proc = subprocess.run(
-                [sys.executable, "-m", "blochpath", "sweep-alpha", "--theta-ab",
-                 "1.2", "--points", "20000"],
-                stdout=write, stderr=subprocess.PIPE, text=True, env=env)
+            proc = subprocess.run([sys.executable, "-m", "blochpath", *argv],
+                                  stdout=write, stderr=subprocess.PIPE, text=True,
+                                  env=env)
         finally:
             os.close(write)
         assert proc.returncode == EXIT_CONFIG
@@ -389,6 +402,27 @@ class TestConfigBoundary:
                               else "numerical error")
         assert not list(tmp_path.glob("*_report.json"))
         assert not (tmp_path / "table.csv").exists()
+
+    @pytest.mark.parametrize("config, message", [
+        ({**_custom({"bloch": [1, 0, 0]}), "field": {"h": [0, 0, 1], "ho": 0.5}},
+         "unknown field keys ['ho']"),
+        ({**_custom(None), "field": {"times": [0, 1], "h": [[0, 0, 1]] * 2,
+                                     "h_0": [0, 0]}},
+         "unknown field keys ['h_0']"),
+        (_custom({"bloch": [1, 0, 0], "phase": 0.5}), "unknown psi0 keys ['phase']"),
+        (_custom({"Bloch": [1, 0, 0]}), "unknown psi0 keys ['Bloch']"),
+        ({"scenario": "example1", "outputs": "report"},
+         "outputs must be a list of names, got 'report'"),
+        ({"scenario": "example1", "parameters": []}, "parameters must be a mapping, got []"),
+    ], ids=["field_h0_misspelt", "table_h0_misspelt", "psi0_extra_key",
+            "psi0_bloch_misspelt", "outputs_a_string", "parameters_a_list"])
+    def test_a_misspelt_key_is_named(self, tmp_path, capsys, config, message):
+        # a key the run would ignore is refused, not run with its default
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(config))
+        assert main(["report", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not list(tmp_path.glob("*.csv")) + list(tmp_path.glob("*_report.json"))
 
     def test_step_cap_of_the_default_grid_names_n_steps(self, tmp_path, capsys):
         cfg = tmp_path / "run.json"

@@ -120,23 +120,50 @@ def chunks_of(rows: int, width: int) -> int:
     return -(-rows // step)
 
 
-def test_a_steady_write_allocates_about_one_page_at_a_time(tmp_path):
-    # after a warm-up write the thread's workspace holds every chunk-sized
-    # intermediate; what is left is a few pages of text and the output
+def test_a_write_keeps_nothing_behind(tmp_path):
+    # each chunk's workspace is freed with the chunk, so neither a thread's
+    # first write nor its next one leaves a workspace behind
     table = sweep_phase_profiles("log", 1.0, 2.0, 1.0, t_end=5.0, n_points=60000)
     path = tmp_path / "long.csv"
-    write_csv(path, table)
-    chunks = chunks_of(60000, len(table))
-    assert chunks >= 4
-    chunk_bytes = (path.stat().st_size - len(",".join(table)) - 2) / chunks
+    kept = []
+
+    def write_twice():
+        for _ in range(2):
+            before = tracemalloc.get_traced_memory()[0]
+            write_csv(path, table)
+            kept.append(tracemalloc.get_traced_memory()[0] - before)
+
+    thread = threading.Thread(target=write_twice)
     tracemalloc.start()
     try:
-        write_csv(path, table)
-        peak = tracemalloc.get_traced_memory()[1]
+        thread.start()
+        thread.join(timeout=120)
     finally:
         tracemalloc.stop()
-    assert peak < 2 * chunk_bytes
+    assert len(kept) == 2
+    assert max(kept) < 2**16
     assert path.read_bytes() == template_bytes(table)
+
+
+def test_a_write_inside_a_stream_write_keeps_both_tables():
+    # the outer table's pages are yielded while its chunk is still being
+    # read, so the inner write must not format into the same memory
+    inner = {"seven": np.full(20000, 7.0)}
+    outer = {"a": np.linspace(-3.0, 5e6, 20000), "b": np.arange(20000) * 0.1}
+    inner_streams = []
+
+    class Nested(io.StringIO):
+        def write(self, text):
+            stream = io.StringIO(newline="")
+            write_csv(stream, inner)
+            inner_streams.append(stream)
+            return super().write(text)
+
+    stream = Nested(newline="")
+    write_csv(stream, outer)
+    assert stream.getvalue().encode("utf-8") == template_bytes(outer)
+    assert all(s.getvalue().encode("utf-8") == template_bytes(inner)
+               for s in inner_streams)
 
 
 def test_a_long_string_cell_is_written_in_bounded_memory(tmp_path):
@@ -160,7 +187,8 @@ def test_a_long_string_cell_is_written_in_bounded_memory(tmp_path):
 
 
 def test_a_row_wider_than_a_chunk_leaves_no_workspace_behind(tmp_path):
-    # one row is one chunk here, and its workspace is more than a thread keeps
+    # one row is one chunk here, larger than any other test's, and its
+    # workspace is freed with it
     width = csvtext._CSV_CELLS + 3000
     columns = {f"c{j}": np.array([j * 0.25, -1.0]) for j in range(width)}
     path = tmp_path / "wide.csv"
@@ -176,7 +204,7 @@ def test_a_row_wider_than_a_chunk_leaves_no_workspace_behind(tmp_path):
 
 
 def test_threads_writing_at_once_keep_their_own_tables(tmp_path):
-    """More writers than cores, switching often: each thread's workspace is
+    """More writers than cores, switching often: each chunk's workspace is
     its own, so every file holds its own table."""
     rows = 4 * (csvtext._CSV_CELLS // 3) + 17
     assert chunks_of(rows, 3) >= 4

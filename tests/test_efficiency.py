@@ -12,10 +12,12 @@ from blochpath import (
     FieldSpec,
     NumericalError,
     RangeError,
+    ShapeError,
     TimeGrid,
     ZeroHamiltonianError,
     ZeroPathError,
     classify,
+    curvature_expectation_profile,
     efficiency_report,
     geodesic_efficiency_profile,
     hybrid_efficiency,
@@ -270,3 +272,28 @@ class TestReports:
             efficiency_report(dataclasses.replace(traj, delta_e=delta_e))
         with pytest.raises(NumericalError, match="finite"):
             speed_efficiency_tracezero(np.nan, 1.0)
+
+
+class TestHandBuiltTrajectory:
+    """A trajectory edited after the run is checked on entry, as
+    ``parallel_transport`` checks it, and a NaN length is not read as 0."""
+
+    TRAJ = schrodinger_evolve(SIGMA_Z_FIELD, PSI0, TimeGrid(0.0, 1.0, 20))
+
+    def test_a_short_delta_e_is_a_shape_error(self):
+        traj = dataclasses.replace(self.TRAJ, delta_e=self.TRAJ.delta_e[:-1])
+        with pytest.raises(ShapeError, match="delta_e"):
+            efficiency_report(traj)
+
+    def test_short_states_are_a_shape_error(self):
+        traj = dataclasses.replace(self.TRAJ, states=self.TRAJ.states[:-1])
+        with pytest.raises(ShapeError, match="states"):
+            curvature_expectation_profile(traj)
+
+    def test_a_nan_path_length_is_a_numerical_error(self):
+        traj = dataclasses.replace(self.TRAJ,
+                                   s_accum=np.full(self.TRAJ.n_nodes, np.nan))
+        with pytest.raises(NumericalError, match="finite"):
+            geodesic_efficiency_profile(traj)
+        with pytest.raises(NumericalError, match="finite"):
+            efficiency_report(traj)
