@@ -9,7 +9,7 @@ prescribed normalized path ``|m(t)>`` into the traceless driving
 Hamiltonian ``H = i|dm><m| - i|m><dm|``, plus its sub-optimal variants that
 add a phase term ``phidot |m><m|`` (kept or made traceless).
 
-The path callables (``m_state``, ``m_dot``, ``phase``, ``phase_dot``) and a
+The path callables (``m_state``, ``m_dot``, ``phase_dot``) and a
 drive's ``h_dot`` take the whole time array and are called once per batch;
 scalar callables, one call per sample, belong to :class:`FieldSpec` only.
 An array closure must give the same bits as elementwise calls would, which
@@ -24,13 +24,12 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from .core import (TOL_HERM, TOL_NORM, FieldSpec, _as_times, _as_vec3, _BatchedField,
-                   _bloch_rows, _central_difference, _field_error,
-                   _finite_reals, _first, _numbers, _scalar, fubini_study_distance)
+                   _bloch_rows, _check_finite, _field_error, _finite_reals, _first,
+                   _numbers, _scalar, fubini_study_distance)
 from .evolve import TOL_NORM0
 from .errors import (
     ConfigError,
     DegenerateEndpointsError,
-    FieldError,
     HermiticityError,
     NormalizationError,
     NumericalError,
@@ -52,8 +51,6 @@ __all__ = [
 
 #: endpoint separations closer than this to 0 or pi are rejected
 TOL_DEG = 1e-6
-#: central-difference step standing in for an omitted ``m_dot`` or ``phase_dot``
-FD_STEP = 1e-6
 
 
 def rodrigues_rotate(v, axis, angle: float) -> np.ndarray:
@@ -188,58 +185,24 @@ def _path_rows(fn: Callable, name: str, times: np.ndarray, row: tuple = (),
     if rows.shape != times.shape + row:
         raise ShapeError(f"{name} returned shape {rows.shape}, "
                          f"expected {times.shape + row}")
-    k = _first(~np.isfinite(rows).all(axis=tuple(range(1, rows.ndim))))
-    if k is not None:
-        raise FieldError(f"{name} returned non-finite values at t = {times[k]!r}")
+    _check_finite(times, name, rows)
     return rows
 
 
 @dataclass
 class UzdinFamily:
-    """Prescribed state path ``|m(t)>`` plus optional phase ``phi(t)``.
+    """Prescribed state path ``|m(t)>``, its derivative, and optionally the
+    rate ``phidot(t)`` of the phase the sub-optimal variants add.
 
     The callables take the whole float64 time array ``t`` of shape ``(n,)``:
-    ``m_state`` and ``m_dot`` return ``(n, 2)`` complex rows, ``phase`` and
+    ``m_state`` and ``m_dot`` return ``(n, 2)`` complex rows and
     ``phase_dot`` ``(n,)`` reals.  Each is called once per batch.
-    ``m_dot`` and ``phase_dot`` may be omitted; a central difference with
-    step ``FD_STEP`` stands in, evaluating ``m_state`` or ``phase`` in one
-    call on the ``2n`` interleaved times ``t + FD_STEP, t - FD_STEP``.
     """
 
     m_state: Callable[[np.ndarray], np.ndarray]
-    m_dot: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    phase: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    m_dot: Callable[[np.ndarray], np.ndarray]
     phase_dot: Optional[Callable[[np.ndarray], np.ndarray]] = None
     t_span: Tuple[float, float] = (0.0, 1.0)
-
-    def _rows(self, name: str, times, state: bool = False) -> np.ndarray:
-        """Callable ``name`` at ``times``, as ``(n, 2)`` states or ``(n,)``
-        reals."""
-        row, dtype = ((2,), complex) if state else ((), float)
-        return _path_rows(getattr(self, name), name, times, row, dtype)
-
-    def _m_rows(self, times) -> Tuple[np.ndarray, np.ndarray]:
-        """``m`` at ``times`` as ``(n, 2)`` rows, and its squared norms."""
-        m = self._rows("m_state", times, state=True)
-        norm = _norm_sq(m)
-        k = _first(np.abs(norm - 1.0) > TOL_NORM0)
-        if k is not None:
-            raise NormalizationError(f"m({times[k]!r}) has norm^2 = {norm[k]!r}")
-        return m, norm
-
-    def _m_dot_rows(self, times) -> np.ndarray:
-        if self.m_dot is not None:
-            return self._rows("m_dot", times, state=True)
-        return _central_difference(lambda ts: self._rows("m_state", ts, state=True),
-                                   times, FD_STEP)
-
-    def _phase_dot_rows(self, times) -> np.ndarray:
-        if self.phase_dot is not None:
-            return self._rows("phase_dot", times)
-        if self.phase is None:
-            raise ConfigError("phase derivative requested but neither "
-                              "phase nor phase_dot was supplied")
-        return _central_difference(lambda ts: self._rows("phase", ts), times, FD_STEP)
 
 
 @dataclass
@@ -259,10 +222,14 @@ class _PathField(_BatchedField):
     def sample(self, times) -> Tuple[np.ndarray, np.ndarray]:
         times = _as_times(times)
         fam = self.family
-        m, norm = fam._m_rows(times)
-        md = fam._m_dot_rows(times)
+        m = _path_rows(fam.m_state, "m_state", times, (2,), complex)
+        norm = _norm_sq(m)
+        k = _first(np.abs(norm - 1.0) > TOL_NORM0)
+        if k is not None:
+            raise NormalizationError(f"m({times[k]!r}) has norm^2 = {norm[k]!r}")
+        md = _path_rows(fam.m_dot, "m_dot", times, (2,), complex)
         if self.variant != "optimal":
-            phase_dot = fam._phase_dot_rows(times)
+            phase_dot = _path_rows(fam.phase_dot, "phase_dot", times)
             k = _first(np.abs(norm - 1.0) > TOL_NORM)
             if k is not None:
                 raise NormalizationError(f"state norm^2 = {norm[k]!r}, expected 1 "
@@ -330,7 +297,7 @@ def uzdin_suboptimal(fam: UzdinFamily, variant: str,
         raise ConfigError(
             f"variant must be trace_nonzero or trace_zero, got {variant!r}"
         )
-    if fam.phase is None and fam.phase_dot is None:
-        raise ConfigError("sub-optimal variants need phase or phase_dot")
+    if fam.phase_dot is None:
+        raise ConfigError("sub-optimal variants need phase_dot")
     return _PathField(h0=None, h=None, h_dot=h_dot, t_span=fam.t_span,
                       family=fam, variant=variant)

@@ -88,12 +88,14 @@ class ScenarioConfig:
     """Everything needed to run one scenario.
 
     ``parameters`` holds named reals (which names depend on the scenario);
-    ``field`` and ``psi0`` are only consulted by the ``custom`` scenario.
+    ``field`` and ``psi0`` are read by the ``custom`` scenario only.
     ``n_steps = None`` means the default density of 2000 steps per unit
-    time.  Malformed ``t_span``, ``n_steps``, ``parameters`` or ``outputs``
-    raise :class:`ConfigError` on construction; parameter values, ``field``
-    and ``psi0`` are checked when the scenario is built.  Either way no
-    numerics have run yet.
+    time.  Malformed ``t_span``, ``n_steps``, ``parameters`` or ``outputs``,
+    a ``field`` or ``psi0`` for another scenario, and ``efficiency`` or
+    ``curvature`` outputs without the ``trajectory`` file they add columns
+    to raise :class:`ConfigError` on construction; parameter values,
+    ``field`` and ``psi0`` are checked when the scenario is built.  Either
+    way no numerics have run yet.
     """
 
     scenario: str
@@ -133,6 +135,14 @@ class ScenarioConfig:
             ) from None
         if bad:
             raise ConfigError(f"unknown outputs {sorted(bad)}")
+        columns = {"efficiency", "curvature"} & set(self.outputs)
+        if columns and "trajectory" not in self.outputs:
+            raise ConfigError(f"outputs {sorted(columns)} are columns of the "
+                              "'trajectory' file, which is not asked for")
+        unread = [k for k in ("field", "psi0") if getattr(self, k) is not None]
+        if unread and self.scenario != "custom":
+            raise ConfigError(f"scenario {self.scenario!r} does not read {unread}; "
+                              "only 'custom' does")
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioConfig":

@@ -414,8 +414,22 @@ class TestConfigBoundary:
         ({"scenario": "example1", "outputs": "report"},
          "outputs must be a list of names, got 'report'"),
         ({"scenario": "example1", "parameters": []}, "parameters must be a mapping, got []"),
+        ({"scenario": "example3", "psi0": {"bloch": [1, 0, 0]}, "field": {"h": [1, 0, 0]},
+          "outputs": ["report"]},
+         "scenario 'example3' does not read ['field', 'psi0']; only 'custom' does"),
+        ({"scenario": "suboptimal_family", "parameters": {"alpha": 1, "theta_ab": 1},
+          "psi0": {"bloch": [1, 0, 0]}},
+         "scenario 'suboptimal_family' does not read ['psi0']; only 'custom' does"),
+        ({"scenario": "example3", "outputs": ["curvature"]},
+         "outputs ['curvature'] are columns of the 'trajectory' file, "
+         "which is not asked for"),
+        ({"scenario": "example1", "outputs": ["report", "efficiency", "curvature"]},
+         "outputs ['curvature', 'efficiency'] are columns of the 'trajectory' file, "
+         "which is not asked for"),
     ], ids=["field_h0_misspelt", "table_h0_misspelt", "psi0_extra_key",
-            "psi0_bloch_misspelt", "outputs_a_string", "parameters_a_list"])
+            "psi0_bloch_misspelt", "outputs_a_string", "parameters_a_list",
+            "field_and_psi0_for_a_builtin", "psi0_for_the_family",
+            "curvature_without_trajectory", "columns_without_trajectory"])
     def test_a_misspelt_key_is_named(self, tmp_path, capsys, config, message):
         # a key the run would ignore is refused, not run with its default
         cfg = tmp_path / "run.json"

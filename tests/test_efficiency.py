@@ -142,7 +142,7 @@ class TestSpeedEfficiency:
         fam = UzdinFamily(
             m_state=lambda t: np.stack([np.cos(t), np.sin(t)], axis=-1).astype(complex),
             m_dot=lambda t: np.stack([-np.sin(t), np.cos(t)], axis=-1).astype(complex),
-            phase_dot=lambda t: np.full(t.shape, nu), phase=lambda t: nu * t)
+            phase_dot=lambda t: np.full(t.shape, nu))
         field = uzdin_suboptimal(fam, "trace_nonzero")
         expected = speed_efficiency_tracenonzero(1.0, nu)
         traj = schrodinger_evolve(field, UP, TimeGrid(0.0, 0.81, 200))

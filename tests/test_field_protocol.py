@@ -40,7 +40,6 @@ from blochpath import (
     uzdin_suboptimal,
 )
 from blochpath.core import _BLOCK, _as_vec3, _scalar
-from blochpath.families import FD_STEP
 from blochpath.scenarios import write_csv
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -329,24 +328,6 @@ class TestPathCallContract:
         for rec in (*recs.values(), h_dot):
             self.called_once_with(rec, TIMES)
 
-    @pytest.mark.parametrize("missing", ["m_dot", "phase_dot"])
-    def test_missing_derivative_is_one_call_of_length_2n(self, missing):
-        recs = {"m_state": Recorder(great_circle), "m_dot": Recorder(great_circle_dot),
-                "phase": Recorder(lambda t: 0.4 * t * t),
-                "phase_dot": Recorder(lambda t: 0.8 * t)}
-        del recs[missing]
-        if missing == "m_dot":
-            del recs["phase"]  # phase_dot is given, so phase is never called
-        uzdin_suboptimal(UzdinFamily(**recs), "trace_zero").sample(TIMES)
-        around = np.stack([TIMES + FD_STEP, TIMES - FD_STEP], axis=-1).ravel()
-        differenced = "m_state" if missing == "m_dot" else "phase"
-        rec = recs.pop(differenced)
-        if differenced == "m_state":
-            assert np.array_equal(rec.args.pop(0), TIMES)
-        self.called_once_with(rec, around)
-        for other in recs.values():
-            self.called_once_with(other, TIMES)
-
 
 def builtin_closures(scenario, params):
     """The path closures of a built-in prescribed-path scenario, by name."""
@@ -381,12 +362,13 @@ def test_builtin_closures_equal_elementwise_calls_bit_for_bit(scenario, params, 
 
 def batched_fields():
     """One field of every batched kind."""
-    phased = UzdinFamily(m_state=great_circle, phase=lambda t: 0.4 * t * t)
+    phased = UzdinFamily(m_state=great_circle, m_dot=great_circle_dot,
+                         phase_dot=lambda t: 0.8 * t)
     tabulated, _, _ = build_scenario(ScenarioConfig(scenario="custom", field={
         "times": [0.0, 0.3, 0.7, 1.0],
         "h": [[1.0, 0.0, 0.2], [0.5, 0.4, 0.0], [0.2, 0.1, 0.9], [0.0, 1.0, 0.3]],
         "h0": [0.1, -0.2, 0.3, 0.0]}))
-    return [uzdin_optimal(UzdinFamily(m_state=great_circle)),
+    return [uzdin_optimal(UzdinFamily(m_state=great_circle, m_dot=great_circle_dot)),
             uzdin_suboptimal(phased, "trace_nonzero"), tabulated]
 
 
@@ -407,7 +389,7 @@ every_field_kind = pytest.mark.parametrize("field", [
     FieldSpec(h0=0.2, h=[0.0, 0.0, 1.0]),
     FieldSpec(h0=lambda t: 0.1 * t, h=lambda t: [t, 0.0, 1.0]),
     *batched_fields(),
-    uzdin_optimal(UzdinFamily(m_state=great_circle),
+    uzdin_optimal(UzdinFamily(m_state=great_circle, m_dot=great_circle_dot),
                   h_dot=lambda t: np.zeros(np.shape(t) + (3,))),
 ], ids=["constant", "callable", "uzdin_optimal", "uzdin_trace_nonzero",
         "tabulated", "path_with_h_dot"])
@@ -489,7 +471,13 @@ class TestBatchedChecks:
             gamma = np.where(late(t), 3.0 * (t - 0.55) ** 2, 0.0)
             return np.exp(1j * gamma)[..., None] * great_circle(t)
 
-        field = uzdin_optimal(UzdinFamily(m_state=spinning))
+        def spinning_dot(t):
+            gamma = np.where(late(t), 3.0 * (t - 0.55) ** 2, 0.0)
+            gamma_dot = np.where(late(t), 6.0 * (t - 0.55), 0.0)
+            return np.exp(1j * gamma)[..., None] * (
+                1j * gamma_dot[..., None] * great_circle(t) + great_circle_dot(t))
+
+        field = uzdin_optimal(UzdinFamily(m_state=spinning, m_dot=spinning_dot))
         with pytest.raises(PreconditionError) as exc:
             sample_field(field, TIMES)
         names_first_failure(exc)
@@ -587,7 +575,8 @@ class TestBatchedChecks:
             return fn
 
         if where == "m_state":
-            field = uzdin_optimal(UzdinFamily(m_state=fail_late(great_circle)))
+            field = uzdin_optimal(UzdinFamily(m_state=fail_late(great_circle),
+                                              m_dot=great_circle_dot))
         elif where == "h":
             field = FieldSpec(h0=0.0, h=fail_late(lambda t: np.ones(3)))
         else:
@@ -614,12 +603,13 @@ class TestBatchedChecks:
             FieldSpec(h0=0.0, h=value)
 
     def test_path_of_wrong_shape(self):
-        field = uzdin_optimal(UzdinFamily(m_state=lambda t: np.ones(3) / np.sqrt(3)))
+        field = uzdin_optimal(UzdinFamily(m_state=lambda t: np.ones(3) / np.sqrt(3),
+                                          m_dot=great_circle_dot))
         with pytest.raises(ShapeError, match="m_state"):
             sample_field(field, TIMES)
 
     def test_h_dot_of_wrong_shape(self):
-        field = uzdin_optimal(UzdinFamily(m_state=great_circle),
+        field = uzdin_optimal(UzdinFamily(m_state=great_circle, m_dot=great_circle_dot),
                               h_dot=lambda t: np.zeros(t.shape + (2,)))
         with pytest.raises(ShapeError, match="h_dot"):
             field.sample_h_dot(TIMES, 1e-4)
@@ -634,10 +624,22 @@ def transported_path(t):
         [np.cos(0.5 * theta), np.exp(1j * phi) * np.sin(0.5 * theta)], axis=-1)
 
 
-def test_finite_difference_uzdin_drive_matches_golden_bytes(tmp_path):
-    # m_dot, phase_dot and h_dot all come from central differences
-    fam = UzdinFamily(m_state=transported_path,
-                      phase=lambda t: 0.4 * t + 0.3 * np.sin(2.0 * t),
+def transported_path_dot(t):
+    """Derivative of :func:`transported_path`, with the phase rate
+    ``gamma' = -2.1 sin^2(theta/2)``."""
+    theta, phi = 0.4 + 1.3 * t, 0.2 + 2.1 * t
+    c, s = np.cos(0.5 * theta), np.sin(0.5 * theta)
+    gamma = -1.05 * (t - np.sin(theta) / 1.3)
+    turn = np.stack([-0.65 * s, np.exp(1j * phi) * (2.1j * s + 0.65 * c)], axis=-1)
+    return np.exp(1j * gamma)[..., None] * turn \
+        + (-2.1j * s * s)[..., None] * transported_path(t)
+
+
+def test_trace_zero_uzdin_drive_matches_golden_bytes(tmp_path):
+    # h_dot is omitted, so the curvature column pins the drive's central
+    # difference
+    fam = UzdinFamily(m_state=transported_path, m_dot=transported_path_dot,
+                      phase_dot=lambda t: 0.4 + 0.6 * np.cos(2.0 * t),
                       t_span=(0.1, 0.8))
     field = uzdin_suboptimal(fam, "trace_zero")
     traj = schrodinger_evolve(field, transported_path(0.1), TimeGrid(0.1, 0.8, 30))
@@ -648,5 +650,4 @@ def test_finite_difference_uzdin_drive_matches_golden_bytes(tmp_path):
         "re_c1": traj.states[:, 1].real, "im_c1": traj.states[:, 1].imag,
         "kappa_bloch": curvature_bloch_profile(traj, field)})
     assert (tmp_path / "uzdin.csv").read_bytes() \
-        == (GOLDEN / "uzdin_fd_trace_zero_n30.csv").read_bytes()
-
+        == (GOLDEN / "uzdin_trace_zero_n30.csv").read_bytes()
