@@ -99,7 +99,7 @@ def _run(args) -> None:
         try:
             with open(args.config, encoding="utf-8") as fh:
                 data = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
             raise ConfigError(f"cannot read config {args.config!r}: {exc}") from exc
         config = scenarios.ScenarioConfig.from_dict(data)
         _print_row(scenarios.run_report(config, out_dir=args.out))

@@ -265,11 +265,25 @@ def _plain_reals(values) -> bool:
     return types <= {float, int, np.float64}
 
 
-def _fill(fn: Callable, times: np.ndarray, convert: Callable, out: np.ndarray) -> list:
-    """Call ``fn`` at each of ``times``, write the converted results into
-    ``out`` and return them raw.
+def _stack(values, row: tuple) -> np.ndarray:
+    """``np.array(values)`` of :func:`_plain_reals` ``values``; when every one
+    is a contiguous 1-D float64 array of length ``row``, the same rows read
+    from their joined bytes, which skips ``np.array``'s per-element shape
+    discovery.  A ``len`` and an ``ndim`` scan cost less than a ``shape`` one."""
+    if len(row) == 1 and hasattr(values[0], "ndim") and set(map(len, values)) == set(row) \
+            and set(map(operator.attrgetter("ndim"), values)) == {1}:
+        try:
+            return np.frombuffer(b"".join(values)).reshape(len(values), -1)
+        except TypeError:  # bytes.join refuses a non-contiguous array
+            pass
+    return np.array(values)
 
-    Several results are converted by one ``np.array`` call when they are
+
+def _fill(fn: Callable, times: np.ndarray, convert: Callable, out: np.ndarray) -> list:
+    """Call ``fn`` at each of ``times``, as Python floats, write the converted
+    results into ``out`` and return them raw.
+
+    Several results are converted by one :func:`_stack` call when they are
     :func:`_plain_reals` stacking to float64 rows of ``out``'s shape; else
     each goes through ``convert``, which accepts, rejects and names the
     first failing ``t`` as one sample at a time does.  Values returned
@@ -277,15 +291,15 @@ def _fill(fn: Callable, times: np.ndarray, convert: Callable, out: np.ndarray) -
     """
     values, failure = [], None
     try:
-        for t in times:
+        for t in times.tolist():
             values.append(fn(t))
     except Exception as exc:
         failure = exc
     rows = None
     if len(values) > 1 and _plain_reals(values):
         try:
-            rows = np.array(values)
-        except Exception:  # whatever np.array rejects, ``convert`` judges below
+            rows = _stack(values, out.shape[1:])
+        except Exception:  # whatever _stack rejects, ``convert`` judges below
             pass
     if rows is not None and rows.dtype == np.float64 \
             and rows.shape == (len(values),) + out.shape[1:]:
@@ -306,12 +320,12 @@ def _per_sample(fn: Callable, times: np.ndarray, convert: Callable,
     """``convert(fn(t))`` for every ``t`` of ``times``, stacked.
 
     ``fn`` is called once per sample, in the order of ``times``, with its
-    numpy float64 element.  Its results are converted ``_BLOCK`` samples at
-    a time (see :func:`_fill`), so every accepted value and every error is
-    the one-sample-at-a-time one, except that after an invalid value up to
-    a block of later samples may already have been evaluated.  Exceptions
-    other than :class:`BlochPathError` surface as :class:`FieldError`
-    naming the failing ``t``.
+    element as a Python float (the same double).  Its results are converted
+    ``_BLOCK`` samples at a time (see :func:`_fill`), so every accepted
+    value and every error is the one-sample-at-a-time one, except that
+    after an invalid value up to a block of later samples may already have
+    been evaluated.  Exceptions other than :class:`BlochPathError` surface
+    as :class:`FieldError` naming the failing ``t``.
 
     A result is read after later calls, so ``fn`` must not change an object
     it has returned.  The first two samples are converted as they return;
@@ -356,11 +370,12 @@ class FieldSpec:
 
     :meth:`sample` and :meth:`sample_h_dot` evaluate a whole array of times:
     constants broadcast, and a callable is called once per sample, in time
-    order, with a numpy float64.  Its results are converted to arrays a
-    block of samples at a time, with the values and errors of one sample at
-    a time; after an invalid result up to a block of later samples may
-    already have been evaluated, and a callable must not change an object
-    it has returned (one output buffer, returned at every call, is allowed).
+    order, with a Python float.  Its results are converted to arrays a
+    block of samples at a time (float64 array rows by their bytes), with
+    the values and errors of one sample at a time; after an invalid result
+    up to a block of later samples may already have been evaluated, and a
+    callable must not change an object it has returned (one output buffer,
+    returned at every call, is allowed).
     Fields built from tables or prescribed paths sample in batches instead.
     """
 

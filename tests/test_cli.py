@@ -234,6 +234,18 @@ class TestReport:
         cfg.write_text("{not json")
         assert main(["report", "--config", str(cfg)]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("text", [
+        b'{"scenario": "example3", "label": "\xff\xfe"}',
+        b'{"scenario": "example3", "parameters": {"gamma": '
+        + b"[" * 100000 + b"]" * 100000 + b"}}",
+    ], ids=["not_utf8", "nested_too_deep"])
+    def test_unreadable_config_file(self, tmp_path, capsys, text):
+        cfg = tmp_path / "bad.json"
+        cfg.write_bytes(text)
+        assert main(["report", "--config", str(cfg)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(
+            f"config error: cannot read config {str(cfg)!r}: ")
+
     def test_unknown_config_key(self, tmp_path):
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps({"scenario": "example1", "mystery": 1}))

@@ -1,6 +1,7 @@
 """Geodesic/speed/hybrid efficiencies and the waste taxonomy."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from blochpath import (
     speed_efficiency_profile,
     speed_efficiency_tracenonzero,
     speed_efficiency_tracezero,
+    state_from_bloch,
 )
 from feynman import feynman_evolve
 
@@ -262,6 +264,38 @@ class TestReports:
 
         a_feyn = feynman_evolve(dressed, base_traj.bloch[0], grid)
         assert np.max(np.abs(a_feyn - base_traj.bloch)) < 1e-8
+
+    @staticmethod
+    def rotating_run(c):
+        """Report scalars and trajectory of a scalar-callable rotating drive
+        mapped by ``(h0, h, T) -> (c h0(c t), c h(c t), T / c)``."""
+        field = FieldSpec(h0=lambda t: c * 0.3,
+                          h=lambda t: [c * 1.2 * math.cos(2.5 * c * t),
+                                       c * 1.2 * math.sin(2.5 * c * t), c * 0.4],
+                          t_span=(0.0, 1.0 / c))
+        traj = schrodinger_evolve(field, state_from_bloch([0.6, 0.0, 0.8]),
+                                  TimeGrid(0.0, 1.0 / c, 400))
+        report = dataclasses.asdict(efficiency_report(traj))
+        del report["eta_ge_t"], report["eta_se_t"]
+        return report, traj
+
+    @pytest.mark.parametrize("c", [2.0**-20, 0.25, 8.0, 2.0**20])
+    def test_a_power_of_two_time_scale_gives_the_same_bits(self, c):
+        # the efficiencies are dimensionless; scaling by 2^k rounds nowhere
+        want, want_traj = self.rotating_run(1.0)
+        got, traj = self.rotating_run(c)
+        assert got == want
+        assert traj.bloch.tobytes() == want_traj.bloch.tobytes()
+
+    @pytest.mark.parametrize("c", [3.0, 1e-3])
+    def test_any_time_scale_gives_the_same_report(self, c):
+        # measured gaps: 7.2e-15 (c = 3) and 2.9e-15 (c = 1e-3), relative
+        want, _ = self.rotating_run(1.0)
+        got, _ = self.rotating_run(c)
+        assert got["classification"] == want["classification"]
+        for name, value in want.items():
+            if name != "classification":
+                assert got[name] == pytest.approx(value, rel=1e-14, abs=0.0), name
 
     def test_non_finite_efficiencies_raise_numerical_error(self):
         # NaN passes every range check; the report must not average it

@@ -1,8 +1,9 @@
 """The field-sampling protocol: call contract, batched checks, pinned bytes.
 
 ``FieldSpec.sample`` evaluates a whole time array.  Scalar user callables
-are still called once per sample, in time order, with a numpy float64, and
-their results are converted a block at a time; prescribed-path callables
+are still called once per sample, in time order, with a Python float (the
+grid's double, bit for bit), and their results are converted a block at a
+time, float64 array rows by their bytes; prescribed-path callables
 are called once with the whole array; tabulated and prescribed-path fields
 are evaluated in batches.  Each must give the same bits, and the same typed
 errors, as one sample at a time.
@@ -91,8 +92,8 @@ class TestCallableContract:
         schrodinger_evolve(FieldSpec(h0=h0, h=h, t_span=(0.2, 1.1)), PSI0, grid)
         for rec in (h0, h):
             assert len(rec.args) == 2 * grid.n_steps + 1
-            assert all(type(t) is np.float64 for t in rec.args)
-            assert np.array_equal(rec.args, grid.half_times)
+            assert all(type(t) is float for t in rec.args)
+            assert np.array(rec.args).tobytes() == grid.half_times.tobytes()
             assert np.all(np.diff(rec.args) > 0.0)
 
     def test_curvature_central_difference_adds_two_h_calls_per_node(self):
@@ -104,9 +105,9 @@ class TestCallableContract:
         assert len(h0.args) == n0
         assert len(h.args) == n + 2 * traj.n_nodes
         extra = h.args[n:]
-        assert all(type(t) is np.float64 for t in extra)
-        assert np.array_equal(extra[0::2], traj.times + traj.grid.dt)
-        assert np.array_equal(extra[1::2], traj.times - traj.grid.dt)
+        assert all(type(t) is float for t in extra)
+        assert np.array(extra[0::2]).tobytes() == (traj.times + traj.grid.dt).tobytes()
+        assert np.array(extra[1::2]).tobytes() == (traj.times - traj.grid.dt).tobytes()
 
     def test_constant_fields_broadcast(self):
         h0, h = sample_field(FieldSpec(h0=0.25, h=[0.0, 0.5, 0.0]), TIMES)
@@ -147,7 +148,14 @@ ROW_KINDS = {
     "array": np.array, "list": list, "tuple": tuple,
     "ints": lambda r: [int(x * 1e12) for x in r],
     "zero_ds": lambda r: [np.array(x) for x in r], "float32": lambda r: np.array(r, np.float32),
+    "strided": lambda r: np.repeat(np.array(r), 2)[::2],
 }
+
+
+def two_or_four(t):
+    """float64 arrays of lengths 2 and 4 in turn on ``TestBlockConversion``'s
+    grid: each pair holds the bytes of two rows of 3."""
+    return np.full(4 if round((TestBlockConversion.N - 1) * t) % 2 else 2, t)
 
 
 def results_of(kinds, made):
@@ -213,18 +221,22 @@ class TestBlockConversion:
         assert str(got.value) == str(want.value)
         assert f"t = {times[k]!r}" in str(got.value) or isinstance(got.value, ShapeError)
 
-    @pytest.mark.parametrize("bad", [[1.0], np.array([1.0]), [[1.0, 2.0, 3.0]]],
-                             ids=["list", "array", "nested"])
+    @pytest.mark.parametrize("bad", [[1.0], np.array([1.0]), [[1.0, 2.0, 3.0]],
+                                     np.array([[1.0], [2.0], [3.0]]), two_or_four],
+                             ids=["list", "array", "nested", "column", "two_or_four"])
     @pytest.mark.parametrize("where", ["h0", "h"])
     def test_a_block_of_wrong_shapes_is_never_broadcast(self, bad, where):
         # every sample past the first two, which are converted alone, is
-        # wrong the same way: the block stacks, but not to rows
+        # wrong the same way, or in turn two ways: the block stacks, or its
+        # bytes join, but not to rows
         times = np.linspace(0.0, 1.0, self.N)
         convert, good = ((as_scalar, float) if where == "h0"
                          else (as_row, lambda t: [t, 0.0, 1.0]))
 
         def fn(t):
-            return copy.deepcopy(bad) if t > times[1] else good(t)
+            if t <= times[1]:
+                return good(t)
+            return bad(t) if callable(bad) else copy.deepcopy(bad)
 
         with pytest.raises((FieldError, ShapeError)) as want:
             one_at_a_time(fn, times, convert)
