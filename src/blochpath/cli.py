@@ -8,6 +8,7 @@ during a run, 4 for any other library error.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -145,5 +146,15 @@ def main(argv=None) -> int:
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
+def run() -> int:
+    """Process entry of ``python -m blochpath`` and the ``blochpath`` script.
+
+    Everything imported so far lives until exit, so it is frozen out of
+    every later collection; the command's own objects are collected as
+    usual.  :func:`main` leaves its host process's collector alone."""
+    gc.freeze()
+    return main()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

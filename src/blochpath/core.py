@@ -238,7 +238,7 @@ def _check_finite(times: np.ndarray, what: str, *columns) -> None:
         return
     rows = [f.reshape(len(times), -1).all(axis=1) for f in finite]
     k = _first(~np.logical_and.reduce(rows))
-    raise FieldError(f"{what} returned non-finite values at t = {times[k]!r}")
+    raise FieldError(f"{what} returned non-finite values at t = {float(times[k])!r}")
 
 
 #: samples of a scalar callable whose results are converted together
@@ -309,9 +309,10 @@ def _fill(fn: Callable, times: np.ndarray, convert: Callable, out: np.ndarray) -
             try:
                 out[k] = convert(value)
             except Exception as exc:
-                _field_error(f"field evaluation failed at t = {times[k]!r}", exc)
+                _field_error(f"field evaluation failed at t = {float(times[k])!r}", exc)
     if failure is not None:
-        _field_error(f"field evaluation failed at t = {times[len(values)]!r}", failure)
+        _field_error(f"field evaluation failed at t = {float(times[len(values)])!r}",
+                     failure)
     return values
 
 

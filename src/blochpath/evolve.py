@@ -100,8 +100,9 @@ class TimeGrid:
         steps = (t_end - t_start) * STEPS_PER_UNIT
         if not steps <= MAX_STEPS:
             raise ConfigError(
-                f"a span of {t_end - t_start!r} at the default {STEPS_PER_UNIT} steps "
-                f"per unit time exceeds the cap of {MAX_STEPS} steps; set n_steps")
+                f"a span of {float(t_end - t_start)!r} at the default "
+                f"{STEPS_PER_UNIT} steps per unit time exceeds the cap of "
+                f"{MAX_STEPS} steps; set n_steps")
         return cls(t_start, t_end, max(2, int(np.ceil(steps))))
 
     @property

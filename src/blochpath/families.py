@@ -140,9 +140,9 @@ class SuboptimalStationary:
         b = _as_vec3(self.b_hat, "b_hat").copy()
         alpha = _scalar(self.alpha, "alpha")
         if not 0.0 < alpha < np.pi:
-            raise RangeError(f"alpha must lie in (0, pi), got {self.alpha!r}")
-        if not 0.0 < _scalar(self.E, "E") < np.inf:
-            raise RangeError(f"energy scale must be positive and finite, got {self.E!r}")
+            raise RangeError(f"alpha must lie in (0, pi), got {alpha!r}")
+        if not 0.0 < (E := _scalar(self.E, "E")) < np.inf:
+            raise RangeError(f"energy scale must be positive and finite, got {E!r}")
         for name, v in (("a_hat", a), ("b_hat", b)):
             if abs(v @ v - 1.0) > TOL_NORM:
                 raise NormalizationError(f"{name} must be a unit vector")
@@ -226,21 +226,22 @@ class _PathField(_BatchedField):
         norm = _norm_sq(m)
         k = _first(np.abs(norm - 1.0) > TOL_NORM0)
         if k is not None:
-            raise NormalizationError(f"m({times[k]!r}) has norm^2 = {norm[k]!r}")
+            raise NormalizationError(f"m({float(times[k])!r}) has norm^2 = "
+                                     f"{float(norm[k])!r}")
         md = _path_rows(fam.m_dot, "m_dot", times, (2,), complex)
         if self.variant != "optimal":
             phase_dot = _path_rows(fam.phase_dot, "phase_dot", times)
             k = _first(np.abs(norm - 1.0) > TOL_NORM)
             if k is not None:
-                raise NormalizationError(f"state norm^2 = {norm[k]!r}, expected 1 "
-                                         f"at t = {times[k]!r}")
+                raise NormalizationError(f"state norm^2 = {float(norm[k])!r}, expected 1 "
+                                         f"at t = {float(times[k])!r}")
         # both checks scale with |dm/dt|, as the rounding of the products does
         md_norm = np.sqrt(_norm_sq(md))
         gauge = np.abs(np.einsum("ij,ij->i", m.conj(), md))
         k = _first(gauge > 1e-8 * (1.0 + md_norm))
         if k is not None:
             raise PreconditionError(
-                f"<m|dm/dt| = {gauge[k]:.3e} at t = {times[k]!r}; the path must be "
+                f"<m|dm/dt| = {gauge[k]:.3e} at t = {float(times[k])!r}; the path must be "
                 "parallel transported (phase-fixed) before constructing the drive"
             )
         # the entries of i(|dm><m| - |m><dm|), each rounded as in the 2x2
@@ -252,7 +253,7 @@ class _PathField(_BatchedField):
         k = _first(~(defect <= TOL_HERM * (1.0 + md_norm)))
         if k is not None:
             raise HermiticityError(f"matrix deviates from Hermiticity by "
-                                   f"{defect[k]:.3e} at t = {times[k]!r}")
+                                   f"{defect[k]:.3e} at t = {float(times[k])!r}")
         (e00, e01), (e10, e11) = e
         h = np.stack([0.5 * (e01.real + e10.real), 0.5 * (e10.imag - e01.imag),
                       0.5 * (e00.real - e11.real)], axis=-1)

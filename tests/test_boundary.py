@@ -7,10 +7,12 @@ by the one rule for what counts as a number; a string, ``None``, a complex
 scalar, an arbitrary object, a bool (alone or in a list) or an integer
 beyond 64 bits must raise a :class:`BlochPathError`, never a bare
 ``TypeError``, ``ValueError`` or ``OverflowError``.  Sampled derivatives
-pass the same finiteness check as sampled fields.
+pass the same finiteness check as sampled fields.  A number in an error
+message prints as a plain float, whatever numpy's version.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -20,11 +22,15 @@ from blochpath import (
     ConfigError,
     FieldError,
     FieldSpec,
+    HermiticityError,
+    NormalizationError,
     NumericalError,
+    PreconditionError,
     RangeError,
     ShapeError,
     SuboptimalStationary,
     TimeGrid,
+    UzdinFamily,
     classify,
     curvature_bloch,
     curvature_bloch_profile,
@@ -43,6 +49,8 @@ from blochpath import (
     suboptimal_axis,
     sweep_alpha,
     sweep_phase_profiles,
+    uzdin_optimal,
+    uzdin_suboptimal,
 )
 
 BAD = ["x", None, 1j, object(), True, 10**400]
@@ -209,9 +217,52 @@ def test_late_non_finite_derivative_names_its_node():
     traj = schrodinger_evolve(field, PSI0, TimeGrid(0.0, 1.0, 10))
     with pytest.raises(FieldError, match="field derivative returned non-finite") as exc:
         curvature_bloch_profile(traj, field)
-    assert f"t = {traj.times[7]!r}" in str(exc.value)
+    assert f"t = {float(traj.times[7])!r}" in str(exc.value)
 
 
 def test_no_times_sample_to_empty_columns():
     h0, h = sample_field(FieldSpec(h0=0.0, h=[0.0, 0.0, 1.0]), [])
     assert h0.shape == (0,) and h.shape == (0, 3)
+
+
+def _path(m, m_dot, variant="optimal"):
+    """Drive of a constant prescribed path ``m`` with derivative ``m_dot``."""
+    def rows(row):
+        return lambda t: np.tile(np.asarray(row, dtype=complex), (len(t), 1))
+    fam = UzdinFamily(m_state=rows(m), m_dot=rows(m_dot),
+                      phase_dot=lambda t: np.ones_like(t))
+    return uzdin_optimal(fam) if variant == "optimal" else uzdin_suboptimal(fam, variant)
+
+
+TIMES = np.linspace(0.0, 1.0, 11)
+MESSAGES = {
+    "non_finite_sample": (FieldError, lambda: sample_field(
+        FieldSpec(h0=lambda t: math.inf if t > 0.5 else 0.0, h=X), TIMES)),
+    "invalid_sample": (FieldError, lambda: sample_field(
+        FieldSpec(0.0, lambda t: "x"), TIMES)),
+    "raising_sample": (FieldError, lambda: sample_field(
+        FieldSpec(0.0, lambda t: 1 / 0), TIMES)),
+    "path_norm": (NormalizationError, lambda: sample_field(
+        _path([1.0, 1.0], [0.0, 0.0]), TIMES)),
+    "variant_norm": (NormalizationError, lambda: sample_field(
+        _path([1.0 + 1e-11, 0.0], [0.0, 0.0], "trace_zero"), TIMES)),
+    "gauge": (PreconditionError, lambda: sample_field(
+        _path([1.0, 0.0], [1.0, 0.0]), TIMES)),
+    # products past the largest double leave NaN entries in the matrix
+    "hermiticity": (HermiticityError, lambda: sample_field(
+        _path([0.6, 0.8], [-1.7e308, 1.275e308]), TIMES)),
+    "family_alpha": (RangeError, lambda: SuboptimalStationary(np.float64(5.0), Z, X)),
+    "family_energy": (RangeError, lambda: SuboptimalStationary(1.0, Z, X,
+                                                               E=np.float64(-1.0))),
+    "default_grid": (ConfigError, lambda: TimeGrid.with_density(np.float64(0.0),
+                                                                np.float64(1e300))),
+}
+
+
+@pytest.mark.parametrize("case", list(MESSAGES))
+def test_messages_print_plain_floats(case):
+    error, call = MESSAGES[case]
+    with np.errstate(all="ignore"), pytest.raises(error) as exc:
+        call()
+    assert "np." not in str(exc.value)
+    assert re.search(r"\d", str(exc.value))

@@ -3,6 +3,7 @@
 import contextlib
 import csv
 import errno
+import gc
 import io
 import json
 import math
@@ -20,6 +21,17 @@ import blochpath
 from blochpath.cli import EXIT_CONFIG, EXIT_ERROR, EXIT_NUMERICAL, EXIT_OK, main
 from blochpath.evolve import MAX_STEPS
 from blochpath.scenarios import SCENARIOS
+
+PACKAGE_ROOT = Path(blochpath.__file__).resolve().parents[1]
+
+
+def _child_env(*paths) -> dict:
+    """This process's environment for a child interpreter, with ``paths`` and
+    then the package under test ahead of any inherited PYTHONPATH."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [*map(str, paths), str(PACKAGE_ROOT), env.get("PYTHONPATH")]))
+    return env
 
 
 class TestExamples:
@@ -191,13 +203,10 @@ class TestUnusableOut:
             "phase-profiles": ["phase-profiles", "--profile", "log", "--phi0", "1",
                                "--phidot0", "2", "--omega0", "1"],
         }[command]
-        package_root = Path(blochpath.__file__).resolve().parents[1]
-        env = dict(os.environ)
+        env = _child_env()
         env.pop("PYTHONUNBUFFERED", None)
         if unbuffered:
             env["PYTHONUNBUFFERED"] = "1"
-        env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, [str(package_root), env.get("PYTHONPATH")]))
         read, write = os.pipe()
         os.close(read)
         try:
@@ -671,16 +680,84 @@ class TestArgvFuzz:
                 assert 0.0 <= report[key] <= 1.0
 
 
+def _constant_run(tmp_path, h0, h, t_span=(0.0, 1.0), n_steps=None,
+                  bloch=(0.0, 0.0, 1.0)):
+    """``report`` on a constant ``custom`` field: the exit code and the
+    report JSON, or None when the run failed."""
+    config = {"scenario": "custom", "field": {"h0": h0, "h": list(h)},
+              "psi0": {"bloch": list(bloch)}, "t_span": list(t_span),
+              "outputs": ["report"]}
+    if n_steps is not None:
+        config["n_steps"] = n_steps
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(config))
+    report = tmp_path / "custom_report.json"
+    report.unlink(missing_ok=True)
+    code = main(["report", "--config", str(path), "--out", str(tmp_path)])
+    return code, json.loads(report.read_text()) if code == EXIT_OK else None
+
+
+class TestDomain:
+    """The valid domain the README states, both sides of each boundary."""
+
+    @pytest.mark.parametrize("c", [2.0**-20, 0.25, 8.0, 2.0**20])
+    def test_power_of_two_rescaling_leaves_the_report_bit_for_bit(self, tmp_path,
+                                                                   capsys, c):
+        # (h0, h, t_span) -> (c h0, c h, t_span / c) is exact for powers of two
+        def run(c):
+            code, report = _constant_run(tmp_path, c * 0.3, [c * 0.4, c * 0.2, c * 0.9],
+                                         (0.25 / c, 1.75 / c), 300, (0.6, 0.0, 0.8))
+            assert code == EXIT_OK
+            return {key: report[key] for key in (
+                "eta_ge_bar", "eta_se_bar", "eta_he", "classification",
+                "mean_energy_loss", "mean_length_loss", "s_total", "s0_total")}
+
+        assert run(c) == run(1.0)
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("magnitude, code", [(991.0, EXIT_OK), (992.0, EXIT_NUMERICAL)])
+    def test_default_grid_takes_a_field_up_to_the_rk4_step_bound(self, tmp_path, capsys,
+                                                                  magnitude, code):
+        # 2000 steps per unit time: |h| dt = 0.4955 runs, 0.496 drifts
+        assert _constant_run(tmp_path, 0.0, [magnitude, 0.0, 0.0])[0] == code
+        err = capsys.readouterr().err
+        assert err == "" if code == EXIT_OK else \
+            re.fullmatch(r"numerical error: norm drift \S+ in step 0; reduce dt\n", err)
+
+    @pytest.mark.parametrize("share", [-0.999, -0.6, -0.2, 0.0, 0.3, 0.7, 0.999])
+    @pytest.mark.parametrize("bloch", [(0.0, 0.0, 1.0), (0.0, 1.0, 0.0), (0.6, 0.0, -0.8)])
+    def test_the_stated_step_rule_is_sufficient(self, tmp_path, share, bloch):
+        # (|h0| + |h|) dt = 0.49, any split between h0 and |h|, any state
+        # that is not an eigenstate of h along x
+        total = 0.49 * 2000
+        h0 = share * total
+        assert _constant_run(tmp_path, h0, [total - abs(h0), 0.0, 0.0],
+                             bloch=bloch)[0] == EXIT_OK
+
+    def test_the_stated_step_count_is_the_remedy(self, tmp_path):
+        n_steps = math.ceil((0.0 + 992.0) * 1.0 / 0.49)
+        assert _constant_run(tmp_path, 0.0, [992.0, 0.0, 0.0], n_steps=n_steps)[0] \
+            == EXIT_OK
+
+    @pytest.mark.parametrize("c", [1.0, 2.0**20, 2.0**-20])
+    def test_a_path_within_tol_s_exits_3_at_every_scale(self, tmp_path, capsys, c):
+        code, _ = _constant_run(tmp_path, 0.0, [c * 1e-10, 0.0, 0.0], (0.0, 1.0 / c), 1000)
+        assert code == EXIT_NUMERICAL
+        assert re.fullmatch(r"numerical error: path length \S+ too short for a ratio\n",
+                            capsys.readouterr().err)
+
+    def test_more_travel_is_the_remedy_for_tol_s(self, tmp_path):
+        code, report = _constant_run(tmp_path, 0.0, [1e-10, 0.0, 0.0], (0.0, 1e4), 100)
+        assert code == EXIT_OK
+        assert report["s_total"] > 1e-9
+
+
 class TestProcessInvocation:
     def test_module_execution(self, tmp_path):
-        package_root = Path(blochpath.__file__).resolve().parents[1]
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, [str(package_root), env.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "blochpath", "example", "1", "--steps",
              "60", "--out", str(tmp_path)],
-            capture_output=True, text=True, env=env)
+            capture_output=True, text=True, env=_child_env())
         assert proc.returncode == 0
         assert (tmp_path / "example1_report.json").exists()
 
@@ -692,12 +769,8 @@ class TestProcessInvocation:
     ], ids=["profile_exp_overflow", "sweep_travel_time_overflow"])
     def test_overflow_prints_only_the_error(self, argv):
         # numpy's RuntimeWarnings would print ahead of the typed error
-        package_root = Path(blochpath.__file__).resolve().parents[1]
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, [str(package_root), env.get("PYTHONPATH")]))
         proc = subprocess.run([sys.executable, "-m", "blochpath", *argv],
-                              capture_output=True, text=True, env=env)
+                              capture_output=True, text=True, env=_child_env())
         assert proc.returncode == EXIT_NUMERICAL
         assert proc.stderr.splitlines()[0].startswith("numerical error")
         assert "Warning" not in proc.stderr
@@ -706,12 +779,8 @@ class TestProcessInvocation:
                                       ["-m", "blochpath", "--help"]])
     def test_cold_start_imports_no_scipy(self, argv):
         # every module a fresh interpreter imports is listed by -X importtime
-        package_root = Path(blochpath.__file__).resolve().parents[1]
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, [str(package_root), env.get("PYTHONPATH")]))
         proc = subprocess.run([sys.executable, "-X", "importtime", *argv],
-                              capture_output=True, text=True, env=env)
+                              capture_output=True, text=True, env=_child_env())
         assert proc.returncode == 0
         imported = [line.rsplit("|", 1)[-1].strip()
                     for line in proc.stderr.splitlines()
@@ -721,33 +790,75 @@ class TestProcessInvocation:
                     if m == "scipy" or m.startswith("scipy.")]
 
     def test_console_script_help(self, tmp_path):
-        # The suite runs from source, so no installer has put a `blochpath`
-        # launcher on PATH, and one that is there may belong to another
-        # checkout.  Write the launcher pip writes for the entry point that
-        # pyproject.toml declares, and run it against the package under test.
-        # The table is read without tomllib, which Python 3.10 lacks.
-        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
-        scripts = pyproject.read_text().split("[project.scripts]", 1)[1].split("\n[", 1)[0]
-        entry = re.search(r'^blochpath\s*=\s*"(.+)"', scripts, re.M).group(1)
-        module, attr = entry.split(":")
-        bindir = tmp_path / "bin"
-        bindir.mkdir()
-        launcher = bindir / "blochpath"
-        launcher.write_text(f"#!{sys.executable}\n"
-                            "import sys\n"
-                            f"from {module} import {attr}\n"
-                            f"sys.exit({attr}())\n")
-        launcher.chmod(0o755)
-        package_root = Path(blochpath.__file__).resolve().parents[1]
-        env = dict(os.environ)
-        env["PATH"] = os.pathsep.join(
-            filter(None, [str(bindir), env.get("PATH")]))
-        env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, [str(package_root), env.get("PYTHONPATH")]))
-
-        proc = subprocess.run(["blochpath", "--help"],
-                              capture_output=True, text=True, env=env)
+        proc = subprocess.run([_launcher(tmp_path), "--help"],
+                              capture_output=True, text=True, env=_child_env())
         assert proc.returncode == 0
         for sub in ("example", "sweep-alpha", "phase-profiles", "report",
                     "table2"):
             assert sub in proc.stdout
+
+    def test_main_leaves_the_host_collector_alone(self, tmp_path):
+        frozen, enabled = gc.get_freeze_count(), gc.isenabled()
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep-alpha", "--theta-ab", "1.2", "--points", "50",
+                     "--out", str(out)]) == EXIT_OK
+        assert out.stat().st_size > 0
+        assert (gc.get_freeze_count(), gc.isenabled()) == (frozen, enabled)
+
+    @pytest.mark.parametrize("entry", ["module", "console_script"])
+    def test_process_entries_freeze_the_import_heap(self, tmp_path, capsys, entry):
+        argv = ["table2", "--steps", "20"]
+        code = main(argv)
+        want = capsys.readouterr().out
+        command = ([sys.executable, "-m", "blochpath"] if entry == "module"
+                   else [_launcher(tmp_path)])
+        proc = subprocess.run([*command, *argv], capture_output=True, text=True,
+                              env=_child_env(_freeze_probe(tmp_path)))
+        assert (proc.returncode, proc.stdout) == (code, want)
+        assert _frozen_at_exit(proc.stderr) > 0
+
+    def test_importing_the_module_entry_freezes_nothing(self, tmp_path):
+        proc = subprocess.run([sys.executable, "-c", "import blochpath.__main__"],
+                              capture_output=True, text=True,
+                              env=_child_env(_freeze_probe(tmp_path)))
+        assert proc.returncode == 0
+        assert _frozen_at_exit(proc.stderr) == 0
+
+
+def _launcher(tmp_path) -> str:
+    """The launcher pip writes for the ``blochpath`` entry point that
+    pyproject.toml declares, written under ``tmp_path``.
+
+    The suite runs from source, so no installer has put a launcher on PATH,
+    and one that is there may belong to another checkout.  The table is read
+    without tomllib, which Python 3.10 lacks."""
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    scripts = pyproject.read_text().split("[project.scripts]", 1)[1].split("\n[", 1)[0]
+    entry = re.search(r'^blochpath\s*=\s*"(.+)"', scripts, re.M).group(1)
+    module, attr = entry.split(":")
+    bindir = tmp_path / "bin"
+    bindir.mkdir(exist_ok=True)
+    launcher = bindir / "blochpath"
+    launcher.write_text(f"#!{sys.executable}\n"
+                        "import sys\n"
+                        f"from {module} import {attr}\n"
+                        f"sys.exit({attr}())\n")
+    launcher.chmod(0o755)
+    return str(launcher)
+
+
+def _freeze_probe(tmp_path) -> Path:
+    """A directory whose ``sitecustomize`` has a child write, at exit, how
+    many objects its collector holds frozen."""
+    probe = tmp_path / "probe"
+    probe.mkdir(exist_ok=True)
+    (probe / "sitecustomize.py").write_text(
+        "import atexit, gc, sys\n"
+        "atexit.register(lambda: sys.stderr.write(\n"
+        "    f'frozen at exit: {gc.get_freeze_count()}\\n'))\n")
+    return probe
+
+
+def _frozen_at_exit(stderr: str) -> int:
+    """The probe's count, which must be all the child wrote to stderr."""
+    return int(re.fullmatch(r"frozen at exit: (\d+)\n", stderr).group(1))
