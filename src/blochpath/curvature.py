@@ -56,6 +56,9 @@ def curvature_bloch(a, h, h_dot):
 
     Three terms: a parallel-component term ``4 (a.h)^2 / D``, a
     field-rotation term, and a mixed term, with ``D = h^2 - (a.h)^2``.
+    When ``h_dot`` is all zeros (a stationary field) and ``h^2`` is finite,
+    the last two are exact zeros of either sign and the first term alone
+    is returned: the same bits as the sum.
     The trace part of the Hamiltonian cannot bend the path and must be
     dropped by the caller (only ``h`` enters).  Broadcasts over ``(..., 3)``
     rows; ``float_power`` makes each row round as a lone 3-vector does.
@@ -63,7 +66,7 @@ def curvature_bloch(a, h, h_dot):
     a = _as_rows(a, "Bloch vector")
     h = _as_rows(h, "field")
     hd = _as_rows(h_dot, "field derivative")
-    _broadcast(a, h, hd)
+    shape = _broadcast(a, h, hd)
     ah = _dot(a, h)
     hh = _dot(h, h)
     d = hh - ah * ah
@@ -73,6 +76,8 @@ def curvature_bloch(a, h, h_dot):
             "arc-length parameterization"
         )
     term1 = 4.0 * ah * ah / d
+    if not hd.any() and np.isfinite(hh).all():  # term2 and term3 are +-0
+        return _clamp_nonneg(np.broadcast_to(term1, shape[:-1]))
     w = _dot(a, hd)[..., None] * h - ah[..., None] * hd
     term2 = (hh * _dot(hd, hd) - np.float_power(_dot(h, hd), 2)
              - _dot(w, w)) / np.float_power(d, 3)

@@ -8,8 +8,14 @@ The matrices of ``_BLOCK`` steps are built at once, and their Hillis-Steele
 prefix products ``P_k = M_k ... M_0`` (Blelloch, CMU-CS-90-190) carry the
 block's first state ``y`` to every node.  Renormalizing, a scalar, commutes
 with them, so the drifts ``|M_k y_k| - 1`` are the growths
-``|P_k y| / |P_(k-1) y| - 1``, checked at once.  Line integrals use the
-trapezoid rule :func:`_trapezoid` on the same nodes.
+``|P_k y| / |P_(k-1) y| - 1``, checked at once.  When every node and
+midpoint sample of the field has the same bits (a stationary field, given
+as a constant or as a callable of one value), all steps share one matrix
+``M``: it is built once, its powers ``P_k = M^(k+1)`` for one block are
+formed by doubling, ``P_(s+i) = P_(s-1) P_i``, and every block reuses them.
+Hillis-Steele forms exactly these products from equal matrices, so the
+states have the same bits either way.  Line integrals use the trapezoid
+rule :func:`_trapezoid` on the same nodes.
 """
 
 from __future__ import annotations
@@ -204,18 +210,45 @@ def _step_matrices(h0, h, dt):
     return eye + (dt / 6.0) * (a0 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
+def _same_rows(x) -> bool:
+    """Whether every sample of ``x`` has the bits of the first one."""
+    bits = x.view(np.int64)
+    return bool((bits == bits[0]).all())
+
+
+def _powers(m, count):
+    """Prefix products ``P_k = M^(k+1)``, ``k < count``, of one step matrix
+    ``m`` of shape ``(2, 2, 1)``, formed by doubling:
+    ``P_(s+i) = P_(s-1) P_i``.  Hillis-Steele forms these very products
+    when all its matrices equal ``m``, so they have the same bits."""
+    p = np.empty((2, 2, count), dtype=complex)
+    p[..., :1], s = m, 1
+    while s < count:
+        k = min(s, count - s)
+        p[..., s:s + k] = _mul(p[..., s - 1:s], p[..., :k])
+        s *= 2
+    return p
+
+
 def _propagate(psi0, h0_half, h_half, dt) -> np.ndarray:
     """States on the nodes, propagated ``_BLOCK`` steps at a time."""
     n_steps = (len(h0_half) - 1) // 2
     states = np.empty((n_steps + 1, 2), dtype=complex)
     states[0] = psi0
+    powers = None
+    if _same_rows(h0_half) and _same_rows(h_half):  # one step matrix
+        powers = _powers(_step_matrices(h0_half[:3], h_half[:3], dt),
+                         min(_BLOCK, n_steps))
     for lo in range(0, n_steps, _BLOCK):
         hi = min(lo + _BLOCK, n_steps)
-        p, shift = _step_matrices(h0_half[2 * lo:2 * hi + 1],
-                                  h_half[2 * lo:2 * hi + 1], dt), 1
-        while shift < hi - lo:  # Hillis-Steele: P_k = M_k ... M_0
-            p[..., shift:] = _mul(p[..., shift:], p[..., :-shift])
-            shift *= 2
+        if powers is not None:
+            p = powers[..., :hi - lo]
+        else:
+            p, shift = _step_matrices(h0_half[2 * lo:2 * hi + 1],
+                                      h_half[2 * lo:2 * hi + 1], dt), 1
+            while shift < hi - lo:  # Hillis-Steele: P_k = M_k ... M_0
+                p[..., shift:] = _mul(p[..., shift:], p[..., :-shift])
+                shift *= 2
         w = _mul(p, states[lo, :, None, None])[:, 0]
         norms = np.linalg.norm(w, axis=0)
         states[lo + 1:hi + 1] = (w / norms).T

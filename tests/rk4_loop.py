@@ -1,10 +1,15 @@
-"""Sequential RK4 on states: the test suite's step-by-step reference.
+"""RK4 references for the propagator in :mod:`blochpath.evolve`.
 
-This is the per-step loop :func:`blochpath.schrodinger_evolve` once ran:
-one RK4 step on the state vector at a time, renormalizing after each.  The
-library now builds every step matrix at once and propagates them with a
-blocked prefix product; agreement with this loop, state by state and in the
-step an integration fails, checks that rewrite.
+:func:`sequential_rk4` is the per-step loop :func:`blochpath.schrodinger_evolve`
+once ran: one RK4 step on the state vector at a time, renormalizing after
+each.  The library builds every step matrix at once and propagates them with
+a blocked prefix product; agreement with this loop, state by state and in
+the step an integration fails, checks that rewrite.
+
+:func:`hillis_steele_rk4` is that blocked propagator as it was before fields
+with equal samples got one step matrix and its doubled powers: it builds
+every step's matrix and takes their Hillis-Steele prefix products in every
+block.  The library must give its states bit for bit.
 """
 
 import numpy as np
@@ -18,7 +23,8 @@ from blochpath import (
     pauli_compose,
     sample_field,
 )
-from blochpath.evolve import MAX_STEP_DRIFT, TOL_NORM0
+from blochpath.core import _first
+from blochpath.evolve import _BLOCK, MAX_STEP_DRIFT, TOL_NORM0, _mul, _step_matrices
 
 
 def sequential_rk4(field: FieldSpec, psi0, grid: TimeGrid) -> np.ndarray:
@@ -59,4 +65,31 @@ def sequential_rk4(field: FieldSpec, psi0, grid: TimeGrid) -> np.ndarray:
             )
         y = y / norm
         states[k + 1] = y
+    return states
+
+
+def hillis_steele_rk4(field: FieldSpec, psi0, grid: TimeGrid) -> np.ndarray:
+    """The ``(n_nodes, 2)`` states of the blocked propagator with a
+    Hillis-Steele scan over every block's own step matrices."""
+    h0_half, h_half = sample_field(field, grid.half_times)
+    n_steps, dt = grid.n_steps, grid.dt
+    states = np.empty((n_steps + 1, 2), dtype=complex)
+    states[0] = psi0
+    for lo in range(0, n_steps, _BLOCK):
+        hi = min(lo + _BLOCK, n_steps)
+        p, shift = _step_matrices(h0_half[2 * lo:2 * hi + 1],
+                                  h_half[2 * lo:2 * hi + 1], dt), 1
+        while shift < hi - lo:  # P_k = M_k ... M_0
+            p[..., shift:] = _mul(p[..., shift:], p[..., :-shift])
+            shift *= 2
+        w = _mul(p, states[lo, :, None, None])[:, 0]
+        norms = np.linalg.norm(w, axis=0)
+        states[lo + 1:hi + 1] = (w / norms).T
+        growth = norms / np.concatenate(([np.linalg.norm(states[lo])], norms[:-1]))
+        drift = np.abs(growth - 1.0)
+        k = _first(~(drift <= MAX_STEP_DRIFT))
+        if k is not None:
+            cause = (f"norm drift {drift[k]:.3e} in step" if np.isfinite(drift[k])
+                     else "state norm is not finite after step")
+            raise IntegrationError(f"{cause} {lo + k}; reduce dt")
     return states

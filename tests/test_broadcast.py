@@ -78,6 +78,20 @@ def test_curvature_batches_row_by_row(data):
     assert_batches_row_by_row(curvature_bloch, a, h, h_dot)
 
 
+@given(rows(), st.data())
+@settings(max_examples=80, deadline=None)
+def test_curvature_batches_stationary_rows_row_by_row(data, draw):
+    # rows with dh/dt = 0, of either sign, take the first term alone on
+    # their own; in a batch with moving rows the full three-term form runs
+    a, h, h_dot, _ = data
+    n = a.shape[0]
+    still = np.array(draw.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    signs = np.array(draw.draw(st.lists(st.sampled_from([0.0, -0.0]),
+                                        min_size=3 * n, max_size=3 * n))).reshape(n, 3)
+    h_dot = np.where(still[:, None], signs, h_dot)
+    assert_batches_row_by_row(curvature_bloch, a, h, h_dot)
+
+
 @given(rows())
 @settings(max_examples=40, deadline=None)
 def test_pauli_compose_batches_row_by_row(data):

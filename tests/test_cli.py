@@ -715,10 +715,11 @@ class TestDomain:
         assert run(c) == run(1.0)
         assert capsys.readouterr().err == ""
 
-    @pytest.mark.parametrize("magnitude, code", [(991.0, EXIT_OK), (992.0, EXIT_NUMERICAL)])
+    @pytest.mark.parametrize("magnitude, code", [(991.0, EXIT_OK), (992.0, EXIT_NUMERICAL),
+                                                 (1000.0, EXIT_NUMERICAL)])
     def test_default_grid_takes_a_field_up_to_the_rk4_step_bound(self, tmp_path, capsys,
                                                                   magnitude, code):
-        # 2000 steps per unit time: |h| dt = 0.4955 runs, 0.496 drifts
+        # 2000 steps per unit time: |h| dt = 0.4955 runs, 0.496 and 0.5 drift
         assert _constant_run(tmp_path, 0.0, [magnitude, 0.0, 0.0])[0] == code
         err = capsys.readouterr().err
         assert err == "" if code == EXIT_OK else \

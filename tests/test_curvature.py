@@ -8,6 +8,7 @@ import pytest
 from blochpath import (
     FieldError,
     FieldSpec,
+    NumericalError,
     SingularEvolutionError,
     TimeGrid,
     curvature_bloch,
@@ -57,6 +58,65 @@ class TestBlochForm:
         for scale in (0.5, 2.0, 7.0):
             assert curvature_bloch(a, scale * h, np.zeros(3)) \
                 == pytest.approx(FOUR_THIRDS, abs=1e-10)
+
+
+def _dot(x, y):
+    return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
+
+
+def three_terms(a, h, h_dot):
+    """The three-term closed form, summed in full and clamped at 0."""
+    ah, hh = _dot(a, h), _dot(h, h)
+    d = hh - ah * ah
+    w = _dot(a, h_dot)[..., None] * h - ah[..., None] * h_dot
+    with np.errstate(over="ignore"):  # d^3 of a large field is inf: 0 / inf
+        term2 = (hh * _dot(h_dot, h_dot) - np.float_power(_dot(h, h_dot), 2)
+                 - _dot(w, w)) / np.float_power(d, 3)
+        term3 = 4.0 * ah * _dot(a, np.cross(h, h_dot)) / np.float_power(d, 2)
+    total = 4.0 * ah * ah / d + term2 + term3
+    return np.where(total < 0.0, 0.0, total)
+
+
+def stationary_rows(seed: int, n: int = 400):
+    """Unit Bloch vectors, fields from 1e-6 to 1e150 in size and signed-zero
+    ``dh/dt`` rows; some vectors and fields have zero components of either
+    sign, and some fields are perpendicular to their vector."""
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(n, 3))
+    a[::5, 1] = -0.0
+    a /= np.linalg.norm(a, axis=1)[:, None]
+    h = rng.normal(size=(n, 3)) * 10.0 ** rng.uniform(-6, 150, size=(n, 1))
+    h[::7, 0] = rng.choice([0.0, -0.0], size=h[::7].shape[0])
+    h[::3] -= _dot(a[::3], h[::3])[:, None] * a[::3]  # a.h = 0 up to rounding
+    h_dot = np.where(rng.random((n, 3)) < 0.5, 0.0, -0.0)
+    return a, h, h_dot
+
+
+class TestStationaryBits:
+    """With ``dh/dt = 0`` the closed form returns its first term alone; the
+    bits are those of the full three-term sum, whose other terms are +-0."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_zero_derivative_rows_give_the_three_term_bits(self, seed):
+        a, h, h_dot = stationary_rows(seed)
+        want = three_terms(a, h, h_dot)
+        assert np.array_equal(curvature_bloch(a, h, h_dot).view(np.int64),
+                              want.view(np.int64))
+        for k in range(0, len(a), 37):
+            single = curvature_bloch(a[k], h[k], h_dot[k])
+            assert np.float64(single).view(np.int64) == want[k].view(np.int64)
+
+    def test_a_zero_derivative_broadcasts_to_every_row(self):
+        a, h, _ = stationary_rows(3, 4)
+        got = curvature_bloch(a[0], h[0], np.zeros((5, 3)))
+        assert got.shape == (5,)
+        assert np.array_equal(got, np.full(5, curvature_bloch(a[0], h[0], np.zeros(3))))
+
+    def test_an_overflowing_field_square_still_raises(self):
+        # |h|^2 = inf with a.h finite: the full form gives inf * 0 = NaN
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericalError, match="NaN"):
+                curvature_bloch([0.0, 0.0, 1.0], [1e200, 0.0, 1e-3], np.zeros(3))
 
 
 class TestTransverseForm:

@@ -29,7 +29,7 @@ from blochpath.core import _bloch_rows
 from blochpath.evolve import MAX_STEPS, _trapezoid
 from feynman import feynman_evolve
 from geometry_oracles import transport_residual
-from rk4_loop import sequential_rk4
+from rk4_loop import hillis_steele_rk4, sequential_rk4
 
 PSI0 = np.array([np.sqrt(3) / 2, 0.5], dtype=complex)
 SIGMA_Z_FIELD = FieldSpec(h0=0.0, h=np.array([0.0, 0.0, 1.0]))
@@ -238,19 +238,23 @@ class TestBlockedPropagator:
         else:
             assert np.max(np.abs(got - want)) <= 1e-12
 
-    @pytest.mark.parametrize("late", [5e3, 1e300])
-    def test_late_block_divergence_names_the_reference_step(self, late):
+    @pytest.mark.parametrize("field, step", [
         # calm for 1500 steps, then a step too long for the field (finite
         # drift) or one that overflows (non-finite norm), in the second block
-        field = FieldSpec(h0=0.0, h=lambda t: np.array(
-            [1.0 if t < 0.75 else late, 0.3, 0.0]))
+        *(pytest.param(FieldSpec(h0=0.0, h=lambda t, late=late: np.array(
+            [1.0 if t < 0.75 else late, 0.3, 0.0])), 1499, id=str(late))
+          for late in (5e3, 1e300)),
+        # a constant field too strong for the grid: one step matrix drifts
+        pytest.param(FieldSpec(h0=0.0, h=[1000.0, 0.0, 0.0]), 0, id="constant"),
+    ])
+    def test_late_block_divergence_names_the_reference_step(self, field, step):
         grid = TimeGrid(0.0, 1.0, 2000)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(IntegrationError) as want:
                 sequential_rk4(field, PSI0, grid)
             with pytest.raises(IntegrationError) as got:
                 schrodinger_evolve(field, PSI0, grid)
-        assert "step 1499;" in str(want.value)
+        assert f"step {step};" in str(want.value)
         assert str(got.value) == str(want.value)
 
     def test_memory_stays_below_256_bytes_per_step(self):
@@ -266,6 +270,45 @@ class TestBlockedPropagator:
         finally:
             tracemalloc.stop()
         assert peak < 256 * grid.n_steps
+
+
+def _switching(lo: int, hi: int, grid: TimeGrid):
+    """A field constant on ``grid``'s first ``lo`` steps that changes at the
+    node of step ``lo`` and again at step ``hi``."""
+    t_lo, t_hi = grid.t_start + lo * grid.dt, grid.t_start + hi * grid.dt
+    return FieldSpec(h0=lambda t: 0.7 if t < t_lo else -0.2,
+                     h=lambda t: np.array([0.4, -1.1, 0.9] if t < t_lo else
+                                          [0.5, 0.2, -1.3] if t < t_hi else
+                                          [-0.8, 0.6, 0.1]))
+
+
+class TestEqualSamples:
+    """A field whose samples are all equal is propagated with one step
+    matrix and its powers; the states keep the bits of the blocked
+    Hillis-Steele scan over every step's own matrix."""
+
+    @staticmethod
+    def assert_same_bits(field, grid):
+        got = schrodinger_evolve(field, PSI0, grid).states
+        want = hillis_steele_rk4(field, PSI0, grid)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("n_steps", [2, 3, 1023, 1024, 1025, 2049, 5000])
+    @pytest.mark.parametrize("field", [
+        FieldSpec(h0=0.7, h=np.array([0.4, -1.1, 0.9])),
+        FieldSpec(h0=-1.3, h=[-0.0, 2.5, 0.0]),
+        # a callable of one value gives the same step matrix bits
+        FieldSpec(h0=lambda t: 0.7, h=lambda t: np.array([0.4, -1.1, 0.9])),
+    ], ids=["constant", "signed-zeros", "callable"])
+    def test_constant_fields_keep_the_hillis_steele_bits(self, field, n_steps):
+        self.assert_same_bits(field, TimeGrid(0.25, 0.25 + 5e-4 * n_steps, n_steps))
+
+    @pytest.mark.parametrize("n_steps, lo, hi", [
+        (1025, 1024, 1025), (2049, 1024, 2000), (5000, 1024, 4999), (2049, 2048, 2049)])
+    def test_fields_constant_on_the_first_block_keep_the_hillis_steele_bits(
+            self, n_steps, lo, hi):
+        grid = TimeGrid(0.25, 0.25 + 5e-4 * n_steps, n_steps)
+        self.assert_same_bits(_switching(lo, hi, grid), grid)
 
 
 class TestFeynmanEvolve:
