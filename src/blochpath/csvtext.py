@@ -1,5 +1,5 @@
-"""CSV rows as UTF-8 bytes, numeric tables formatted a chunk of cells at a
-time in numpy.
+"""CSV rows of numbers as UTF-8 bytes, formatted a chunk of cells at a time
+in numpy.
 
 Numbers are written as ``'%.15g' % v`` would write them, byte for byte.
 Each cell's 15-digit integer and decimal exponent ``e`` come from the
@@ -23,9 +23,6 @@ some cell of the chunk needs them, and every place no cell uses is
 dropped; the rest are copied to cell-major order about ``_PAGE`` bytes at
 a time, and one ``bytes.translate`` of each page deletes the NULs.
 
-A table with a string column is written a row at a time with the scalar
-formatters instead.
-
 Every chunk-sized intermediate lives in one workspace per chunk,
 ``_CELL_BYTES`` (93) bytes a cell, written by ``out=`` and in-place
 ufuncs, so that formatting a chunk makes one allocation besides its
@@ -34,9 +31,6 @@ chunk's last page has been yielded.
 """
 
 from __future__ import annotations
-
-import itertools
-import re
 
 import numpy as np
 
@@ -298,40 +292,11 @@ def _g15_slots(out, floats, i, flags) -> None:
         out[:len(text), k] = np.frombuffer(text, np.uint8)
 
 
-_NEEDS_QUOTES = re.compile('[,"\r\n]').search
-
-
-def quote(text: str, lone: bool) -> str:
-    """``text`` as ``csv.writer`` quotes it: a cell holding ``,``, ``"``, CR
-    or LF is quoted with ``"`` doubled, as is an empty cell that is the
-    row's only one (``lone``)."""
-    if _NEEDS_QUOTES(text) or (lone and not text):
-        return '"' + text.replace('"', '""') + '"'
-    return text
-
-
 def csv_rows(columns: list):
-    """Yield the CRLF-terminated CSV rows of equal-length 1-D columns as
-    UTF-8 bytes.
-
-    A table of numbers, read as float64, is formatted ``_CSV_CELLS`` cells
-    at a time and yielded a page of whole cells at a time.  A table
-    with a column of ``str`` (numpy kind ``U``) is formatted a row at a time
-    and yielded ``_CSV_CELLS`` cells' worth of rows at a time, read a cell at
-    a time: strings quoted by :func:`quote` and encoded with
-    ``surrogatepass``, numbers as ``'%.15g' % float(v)``.
-    """
+    """Yield the CRLF-terminated CSV rows of equal-length 1-D numeric
+    columns, read as float64, as UTF-8 bytes: ``_CSV_CELLS`` cells are
+    formatted at a time and yielded a page of whole cells at a time."""
     step = max(1, _CSV_CELLS // max(1, len(columns)))
-    if any(c.dtype.kind == "U" for c in columns):
-        row = ",".join("%s" if c.dtype.kind == "U" else "%.15g"
-                       for c in columns) + "\r\n"
-        lone = len(columns) == 1
-        cells = [(quote(t, lone) for t in c) if c.dtype.kind == "U" else map(float, c)
-                 for c in columns]
-        rows = map(row.__mod__, zip(*cells))
-        while page := "".join(itertools.islice(rows, step)):
-            yield page.encode("utf-8", "surrogatepass")
-        return
     for lo in range(0, len(columns[0]) if columns else 0, step):
         yield from _pages([c[lo:lo + step] for c in columns])
 

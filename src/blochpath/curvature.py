@@ -79,9 +79,11 @@ def curvature_bloch(a, h, h_dot):
     if not hd.any() and np.isfinite(hh).all():  # term2 and term3 are +-0
         return _clamp_nonneg(np.broadcast_to(term1, shape[:-1]))
     w = _dot(a, hd)[..., None] * h - ah[..., None] * hd
-    term2 = (hh * _dot(hd, hd) - np.float_power(_dot(h, hd), 2)
-             - _dot(w, w)) / np.float_power(d, 3)
-    term3 = 4.0 * ah * _dot(a, np.cross(h, hd)) / np.float_power(d, 2)
+    # past |h| ~ 1e51 the powers of d overflow to inf and the terms to 0
+    with np.errstate(over="ignore"):
+        term2 = (hh * _dot(hd, hd) - np.float_power(_dot(h, hd), 2)
+                 - _dot(w, w)) / np.float_power(d, 3)
+        term3 = 4.0 * ah * _dot(a, np.cross(h, hd)) / np.float_power(d, 2)
     return _clamp_nonneg(term1 + term2 + term3)
 
 

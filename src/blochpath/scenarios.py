@@ -20,15 +20,17 @@ reports; identical configs produce byte-identical files.
 from __future__ import annotations
 
 import contextlib
+import csv
+import io
 import json
-from dataclasses import dataclass, fields
+from dataclasses import astuple, dataclass, fields
 from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .core import FieldSpec, _as_times, _BatchedField, _numbers, state_from_bloch
-from .csvtext import csv_rows, quote
+from .csvtext import csv_rows
 from .curvature import curvature_bloch_profile
 from .efficiency import (
     _unit_ratio,
@@ -413,12 +415,11 @@ def _output(name):
         raise ConfigError(f"cannot write output {str(name)!r}: {exc}") from exc
 
 
-def _csv_column(name, values, path: bool) -> np.ndarray:
-    """``values`` as a 1-D array of numbers or strings (numpy kind ``b``,
-    ``i``, ``u``, ``f`` or ``U``); any other array is a :class:`ShapeError`
+def _csv_column(name, values) -> np.ndarray:
+    """``values`` as a 1-D array of numbers (numpy kind ``b``, ``i``, ``u``
+    or ``f``); any other array, strings among them, is a :class:`ShapeError`
     or :class:`ConfigError` naming the column, as is a name that is not a
-    string and, for a ``path``, a string holding a lone surrogate, which
-    UTF-8 cannot encode."""
+    string."""
     if not isinstance(name, str):
         raise ConfigError(f"CSV column name {name!r} is not a string")
     try:
@@ -427,46 +428,33 @@ def _csv_column(name, values, path: bool) -> np.ndarray:
         raise ShapeError(f"CSV column {name!r} is not 1-D: {exc}") from None
     if arr.ndim != 1:
         raise ShapeError(f"CSV column {name!r} must be 1-D, got shape {arr.shape}")
-    if arr.dtype.kind not in "biufU":
-        raise ConfigError(f"CSV column {name!r} must hold numbers or strings, "
+    if arr.dtype.kind not in "biuf":
+        raise ConfigError(f"CSV column {name!r} must hold numbers, "
                           f"got dtype {arr.dtype}")
-    if path and arr.dtype.kind == "U" and _holds_surrogate(arr):
-        raise ConfigError(f"CSV column {name!r} holds a lone surrogate, "
-                          "which UTF-8 cannot encode")
     return arr
 
 
-def _holds_surrogate(arr: np.ndarray) -> bool:
-    """Whether a string array holds a code point 0xD800-0xDFFF: a UCS-4
-    unit whose top bits read 0x1B in native byte order.  The units are read
-    about 64 KiB at a time, so the check never holds a copy of the column."""
-    step = max(1, (1 << 16) // arr.itemsize)
-    native = arr.dtype.newbyteorder("=")
-    return any((np.ascontiguousarray(arr[lo:lo + step], native).view(np.uint32)
-                >> 11 == 0x1B).any() for lo in range(0, len(arr), step))
-
-
 def write_csv(path, columns: dict) -> None:
-    """Write named columns as RFC 4180 CSV, byte for byte as ``csv.writer``.
+    """Write named columns of numbers as RFC 4180 CSV, byte for byte as
+    ``csv.writer`` with each number given as ``'%.15g'``.
 
-    Numbers get 15 significant digits, exactly as ``'%.15g'``; strings are
-    quoted where they hold ``,``, ``"``, CR or LF, or are an empty lone
-    cell.  ``path`` is a file path, written as UTF-8 bytes, or an open text
-    stream, which is left open.  Columns that are not 1-D arrays of numbers
-    or strings, or differ in length, raise :class:`ShapeError` or
+    ``path`` is a file path, written as UTF-8 bytes, or an open text
+    stream, which is left open.  Columns that are not 1-D arrays of
+    numbers, or differ in length, raise :class:`ShapeError` or
     :class:`ConfigError` before anything is written.
     """
     stream = hasattr(path, "write")
-    arrays = [_csv_column(name, values, not stream) for name, values in columns.items()]
+    arrays = [_csv_column(name, values) for name, values in columns.items()]
     lengths = {name: len(a) for name, a in zip(columns, arrays)}
     if len(set(lengths.values())) > 1:
         raise ShapeError(f"CSV columns differ in length: {lengths}")
-    header = ",".join(quote(name, len(columns) == 1) for name in columns) + "\r\n"
-    try:
-        header = header.encode("utf-8", "surrogatepass" if stream else "strict")
-    except UnicodeEncodeError:
-        raise ConfigError(f"CSV column names {list(columns)!r} hold a lone "
-                          "surrogate, which UTF-8 cannot encode") from None
+    text = io.StringIO()
+    try:  # csv.writer refuses a NUL before Python 3.11
+        csv.writer(text).writerow(columns)
+        header = text.getvalue().encode("utf-8", "surrogatepass" if stream else "strict")
+    except (csv.Error, UnicodeEncodeError) as exc:
+        raise ConfigError(f"CSV column names {list(columns)!r} cannot be written: "
+                          f"{exc}") from None
     # a stream is named by its ``name``, such as ``'<stdout>'``
     with _output(getattr(path, "name", path) if stream else path), \
             (contextlib.nullcontext(path) if stream else open(path, "wb")) as fh:
@@ -557,18 +545,18 @@ def table_rows(out_dir=None, n_steps: Optional[int] = None) -> list[ReportRow]:
     With ``out_dir`` given, per-scenario artifacts and a combined
     ``table2.csv`` are written there.
     """
-    rows = []
-    for name in SCENARIOS[:4]:
-        config = ScenarioConfig(scenario=name, t_span=(0.0, 1.0), n_steps=n_steps)
-        if out_dir is None:
-            config.outputs = ()
-            rows.append(run_report(config, out_dir="."))
-        else:
-            rows.append(run_report(config, out_dir=out_dir))
-    if out_dir is not None:
-        write_csv(Path(out_dir) / "table2.csv",
-                  {f.name: [getattr(row, f.name) for row in rows]
-                   for f in fields(ReportRow)})
+    written = out_dir is not None
+    rows = [run_report(ScenarioConfig(scenario=name, t_span=(0.0, 1.0), n_steps=n_steps,
+                                      outputs=ALL_OUTPUTS if written else ()),
+                       out_dir if written else ".")
+            for name in SCENARIOS[:4]]
+    if written:
+        path = Path(out_dir) / "table2.csv"
+        with _output(path), open(path, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(f.name for f in fields(ReportRow))
+            writer.writerows([v if isinstance(v, str) else "%.15g" % v
+                              for v in astuple(row)] for row in rows)
     return rows
 
 

@@ -1,6 +1,7 @@
 """Curvature coefficient: closed form, expectation form, and numeric form."""
 
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -117,6 +118,14 @@ class TestStationaryBits:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NumericalError, match="NaN"):
                 curvature_bloch([0.0, 0.0, 1.0], [1e200, 0.0, 1e-3], np.zeros(3))
+
+    def test_a_huge_driven_field_gives_its_value_without_a_warning(self):
+        # d^3 and d^2 overflow to inf, so the field-rotation and mixed terms
+        # are 0 and the parallel term, 0 here, is the whole value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = curvature_bloch([1.0, 0.0, 0.0], [0.0, 1e150, 1e150], [1.0, 0.0, 0.0])
+        assert got == 0.0
 
 
 class TestTransverseForm:

@@ -334,15 +334,17 @@ class TestArtifacts:
         assert stream.getvalue().encode("utf-8") == csv_module_bytes(columns)
 
     @pytest.mark.parametrize("columns", [
-        {"name": np.array(["plain", "a,b", 'say "hi"', "two\nlines", "cr\rx",
-                           "", " pad "]),
-         "quoted,head": np.linspace(0.0, 1.0, 7)},
-        {"lone": np.array(["", "x", ""])},
-    ])
-    def test_csv_string_cells_are_quoted_as_the_csv_module_does(self, columns):
-        stream = io.StringIO(newline="")
+        {name: np.linspace(0.0, 1.0, 3) * k for k, name in enumerate(
+            ["plain", "quoted,head", 'say "hi"', "two\nlines", "cr\rx", "", " pad ",
+             "η"])},
+        {"": np.array([0.5, -1.0])},
+    ], ids=["awkward_names", "lone_empty_name"])
+    def test_csv_names_are_quoted_as_the_csv_module_does(self, tmp_path, columns):
+        stream, path = io.StringIO(newline=""), tmp_path / "t.csv"
         write_csv(stream, columns)
-        assert stream.getvalue().encode("utf-8") == csv_module_bytes(columns)
+        write_csv(path, columns)
+        assert stream.getvalue().encode("utf-8") == path.read_bytes() \
+            == csv_module_bytes(columns)
 
     def test_json_writer_format(self, tmp_path):
         path = tmp_path / "t.json"
