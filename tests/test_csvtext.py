@@ -1,5 +1,5 @@
-"""The array CSV formatter against ``'%.15g'`` and the row-template writer
-it replaced."""
+"""The array CSV formatter against ``'%.15g'``, the row-template writer it
+replaced, and ``csv.writer``."""
 
 import io
 import sys
@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from blochpath import csvtext, sweep_phase_profiles
 from blochpath.errors import ConfigError, ShapeError
 from blochpath.scenarios import write_csv
+from csv_reference import csv_module_bytes
 
 
 def written(columns) -> bytes:
@@ -234,8 +235,10 @@ class TestColumnChecks:
         (np.array([b"ab", b"c"]), ConfigError),
         (np.array(["a", "b"]), ConfigError),
         (np.array(["2024-01-01", "2024-01-02"], dtype="datetime64[D]"), ConfigError),
+        (np.array([1, 2], dtype="timedelta64[s]"), ConfigError),
+        (np.zeros(2, dtype=[("a", "f8")]), ConfigError),
     ], ids=["two_d", "zero_d", "ragged", "complex", "object", "none_list", "bytes",
-            "str", "datetime"])
+            "str", "datetime", "timedelta", "structured"])
     @pytest.mark.parametrize("target", ["stream", "path"])
     def test_a_bad_column_is_refused_before_writing(self, tmp_path, column, error, target):
         stream, path = io.StringIO(newline=""), tmp_path / "t.csv"
@@ -265,10 +268,60 @@ class TestColumnChecks:
         assert stream.getvalue() == "s\udfff\r\n1\r\n"
 
     @pytest.mark.parametrize("column", [np.array([True, False]), np.array([1, -2]),
-                                        np.array([1, 2], np.uint8), [0.5, 1.5]])
+                                        np.array([1, 2], np.uint8), [0.5, 1.5],
+                                        np.array([0.1, -3e20], np.float32),
+                                        np.array([0.1, -6e4], np.float16)])
     def test_each_number_kind_is_written(self, column):
         columns = {"c": column}
         assert written(columns) == template_bytes(columns)
+
+    @pytest.mark.parametrize("dtype", ["<f8", ">f8", ">i4", ">u2"])
+    def test_a_byte_swapped_number_column_is_written(self, tmp_path, dtype):
+        columns = {"s": np.array([1.5, -2.0, 0.1, 7.0]).astype(dtype),
+                   "n": np.arange(4.0)}
+        path = tmp_path / "t.csv"
+        write_csv(path, columns)
+        assert path.read_bytes() == template_bytes(columns)
+
+
+def table_of(names) -> dict:
+    return {name: np.linspace(-1.0, 2.0, 3) * k for k, name in enumerate(names)}
+
+
+class TestNames:
+    """The header is ``csv.writer``'s row of the column names, whatever
+    code points they hold and however long they are."""
+
+    @pytest.mark.parametrize("names", [
+        ["θ_ab", "ψ → φ", "naïve,quoted", "日本語", "🙂"],
+        ["þ", "ÿ", "aþb", "ÿÿ"],
+        ["ab" * 20000, "c,d", "é"],
+        ["é"],
+    ], ids=["non_ascii", "thorn_and_y_umlaut", "long_name_over_pages",
+            "lone_non_ascii_column"])
+    def test_names_match_the_csv_module(self, tmp_path, names):
+        columns = table_of(names)
+        path = tmp_path / "t.csv"
+        write_csv(path, columns)
+        assert path.read_bytes() == written(columns) == csv_module_bytes(columns)
+
+    @pytest.mark.parametrize("names", [["a\x00b", "\x00lead"], ["é\x00þ", "\x00日本"]],
+                             ids=["nul", "nul_next_to_non_ascii"])
+    def test_a_nul_in_a_name_is_written_where_csv_writer_writes_it(self, tmp_path, names):
+        # csv.writer refuses a NUL before Python 3.11, and so does the header
+        columns = table_of(names)
+        stream, path = io.StringIO(newline=""), tmp_path / "t.csv"
+        if sys.version_info >= (3, 11):
+            write_csv(stream, columns)
+            write_csv(path, columns)
+            assert path.read_bytes() == stream.getvalue().encode("utf-8") \
+                == csv_module_bytes(columns)
+        else:
+            for target in (stream, path):
+                with pytest.raises(ConfigError, match="cannot be written"):
+                    write_csv(target, columns)
+            assert stream.getvalue() == ""
+            assert not path.exists()
 
 
 #: cells that need the optional places: a sign, a ``0.000`` prefix, an exponent
@@ -294,6 +347,34 @@ def test_optional_places_in_no_one_or_every_chunk(width, chunks, where, seed):
             table[rows, rng.integers(width, size=len(rows))] = value
     columns = {f"c{j}": table[:, j] for j in range(width)}
     assert written(columns) == template_bytes(columns)
+
+
+def test_a_neighbour_column_does_not_change_the_number_cells():
+    """The same numbers written alone and next to a column whose every cell
+    needs a sign, a ``0.000`` prefix and an exponent come out byte for byte
+    the same."""
+    powers = TestBoundaries.POWERS
+    edges = np.array([1e-44, 1e44])
+    values = np.concatenate([
+        exact_ties(), powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf),
+        edges, np.nextafter(edges, 0.0), np.nextafter(edges, np.inf),
+        [0.0, np.nan, np.inf, 5e-324]])
+    values = np.concatenate([values, -values])
+    alone = written({"x": values}).split(b"\r\n")[1:-1]
+    beside = written({"w": np.full(len(values), -3.5e-21),
+                      "x": values}).split(b"\r\n")[1:-1]
+    assert [line.removeprefix(b"-3.5e-21,") for line in beside] == alone
+
+
+def test_the_numbers_of_table2_match_the_csv_module():
+    columns = {
+        "eta_ge_bar": [1.0, 0.999999999999978, 0.866025403784439, 0.8660254037844386],
+        "eta_se_bar": [1.0, 0.904987562112089, 0.5, 1.0],
+        "eta_he": [1.0, 0.904987562112069, 0.433012701892219, 0.8660254037844386],
+    }
+    got = written(columns)
+    assert got == template_bytes(columns)
+    assert got == csv_module_bytes(columns)
 
 
 @pytest.mark.parametrize("cells", [1, 2, 7, 4096, 10**6])
