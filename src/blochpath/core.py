@@ -352,22 +352,13 @@ def _column(value, times: np.ndarray, rows: Optional[str] = None):
     return np.broadcast_to(value, times.shape + shape).copy()
 
 
-def _central_difference(sample: Callable, times: np.ndarray, step: float):
-    """``(f(t + step) - f(t - step)) / (2 step)`` at every ``t`` of ``times``,
-    where ``sample`` evaluates ``f`` on an array of times; ``f`` is sampled
-    at ``t + step, t - step`` node by node."""
-    around = sample(np.stack([times + step, times - step], axis=-1).ravel())
-    return (around[0::2] - around[1::2]) / (2.0 * step)
-
-
 @dataclass
 class FieldSpec:
     """Time-dependent control field ``H(t) = h0(t) * I + h(t) . sigma``.
 
-    ``h0`` and ``h`` may be scalar callables of time or constants.  ``h_dot``
-    is the optional analytic derivative of ``h`` used by curvature routines;
-    when absent a central difference is taken, and a constant ``h`` has a
-    zero derivative.
+    ``h0`` and ``h`` may be scalar callables of time or constants, called
+    only inside the span.  ``h_dot`` is the optional analytic derivative of
+    ``h`` used by curvature routines; a constant ``h`` has a zero one.
 
     :meth:`sample` and :meth:`sample_h_dot` evaluate a whole array of times:
     constants broadcast, and a callable is called once per sample, in time
@@ -398,17 +389,16 @@ class FieldSpec:
         times = _as_times(times)
         return _column(self.h0, times), _column(self.h, times, "field")
 
-    def _sample_h(self, times: np.ndarray) -> np.ndarray:
-        """``h`` alone at ``times``; the trace part is not evaluated."""
-        return _column(self.h, times, "field")
-
-    def sample_h_dot(self, times, step: float) -> np.ndarray:
-        """``dh/dt`` at ``times``, shape ``(n, 3)``: analytic when ``h_dot``
-        is given, else a central difference of ``h`` with ``step``."""
+    def sample_h_dot(self, times) -> np.ndarray:
+        """The analytic ``dh/dt`` at ``times``, shape ``(n, 3)``;
+        :class:`ConfigError` on a field without ``h_dot``."""
         times = _as_times(times)
-        if self.h_dot is not None:
-            return _column(self.h_dot, times, "field derivative")
-        return _central_difference(self._sample_h, times, step)
+        if self.h_dot is None:
+            raise ConfigError("the field has no h_dot to sample")
+        return self._h_dot_rows(times)
+
+    def _h_dot_rows(self, times: np.ndarray) -> np.ndarray:
+        return _column(self.h_dot, times, "field derivative")
 
 
 @dataclass
@@ -418,6 +408,3 @@ class _BatchedField(FieldSpec):
 
     def __post_init__(self):
         pass
-
-    def _sample_h(self, times: np.ndarray) -> np.ndarray:
-        return self.sample(times)[1]

@@ -90,11 +90,20 @@ def curvature_bloch(a, h, h_dot):
 def curvature_bloch_profile(traj: Trajectory, field: FieldSpec) -> np.ndarray:
     """Node-wise :func:`curvature_bloch` along a trajectory.
 
-    ``dh/dt`` comes from ``field.h_dot`` when supplied, otherwise from a
-    central difference with the grid spacing; a non-finite one is a
+    ``dh/dt`` comes from ``field.h_dot`` when supplied, else, with no field
+    call, from differences of the run's samples ``traj.h_half``, exact zeros
+    on equal samples: ``(h(t + dt/2) - h(t - dt/2)) / dt`` at inner nodes,
+    one-sided second-order ones at the ends.  A non-finite ``dh/dt`` is a
     :class:`FieldError` naming the node's time.
     """
-    h_dot = field.sample_h_dot(traj.times, step=traj.grid.dt)
+    if field.h_dot is None:
+        h, h_dot = traj.h_half, np.empty(traj.h_nodes.shape)
+        h_dot[0] = 4.0 * (h[1] - h[0]) - (h[2] - h[0])
+        h_dot[1:-1] = h[3::2] - h[1:-2:2]
+        h_dot[-1] = 4.0 * (h[-1] - h[-2]) - (h[-1] - h[-3])
+        h_dot /= traj.grid.dt
+    else:
+        h_dot = field.sample_h_dot(traj.times)
     _check_finite(traj.times, "field derivative", h_dot)
     return curvature_bloch(traj.bloch, traj.h_nodes, h_dot)
 

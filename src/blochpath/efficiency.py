@@ -215,8 +215,8 @@ def efficiency_report(traj: Trajectory) -> EfficiencyReport:
     ge = geodesic_efficiency_profile(traj)
     se = speed_efficiency_profile(traj)
     duration = traj.times[-1] - traj.times[0]
-    ge_bar = _unit_ratio(float(_trapezoid(ge, traj.times)) / duration)
-    se_bar = _unit_ratio(float(_trapezoid(se, traj.times)) / duration)
+    ge_bar = _unit_ratio(float(_trapezoid(ge, traj.grid)) / duration)
+    se_bar = _unit_ratio(float(_trapezoid(se, traj.grid)) / duration)
     return EfficiencyReport(
         eta_ge_t=ge,
         eta_se_t=se,

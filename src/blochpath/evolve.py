@@ -63,16 +63,18 @@ def _count(value, what: str, least: int = 2) -> int:
     return int(n)
 
 
-def _trapezoid(y, x, cumulative: bool = False):
-    """Trapezoid rule for samples ``y`` (real or complex) on nodes ``x``.
+def _trapezoid(y, grid: TimeGrid, cumulative: bool = False):
+    """Trapezoid rule for samples ``y`` (real or complex) on the nodes of ``grid``.
 
-    Returns the integral over ``[x[0], x[-1]]``, or with ``cumulative`` the
-    running integral at every node, starting from 0 at ``x[0]``.  The total
-    is a pairwise sum of the interval terms and the running integral a
+    Returns the integral over the grid, or with ``cumulative`` the running
+    integral at every node, from 0 at the first.  The intervals are those of
+    the offsets ``t - t_start``, which a far ``t_start`` leaves exact.  The
+    total is a pairwise sum of the interval terms and the running integral a
     sequential one, so ``cumulative[-1]`` may differ from the total in the
     last bits.
     """
-    terms = np.diff(x) * (y[1:] + y[:-1]) / 2.0
+    terms = np.diff(np.linspace(0.0, grid.t_end - grid.t_start, grid.n_nodes)) \
+        * (y[1:] + y[:-1]) / 2.0
     if cumulative:
         return np.concatenate(([0.0], np.cumsum(terms)))
     return terms.sum()
@@ -152,16 +154,18 @@ def _bloch_of(states: np.ndarray) -> np.ndarray:
 class Trajectory:
     """Sampled evolution: states, Bloch path, field and derived line data.
 
-    ``s_accum`` is the Fubini-Study path length ``integral 2 dE dt`` up to
-    each node; ``s0`` is the geodesic distance from the initial node.
+    ``h0_half`` and ``h_half`` hold the field at ``grid.half_times``, and
+    ``h0_nodes`` and ``h_nodes`` are their node rows.  ``s_accum`` is the
+    Fubini-Study path length ``integral 2 dE dt`` up to each node; ``s0``
+    is the geodesic distance from the initial node.
     """
 
     grid: TimeGrid
     times: np.ndarray
     states: np.ndarray
     bloch: np.ndarray
-    h0_nodes: np.ndarray
-    h_nodes: np.ndarray
+    h0_half: np.ndarray
+    h_half: np.ndarray
     delta_e: np.ndarray
     s_accum: np.ndarray
     s0: np.ndarray
@@ -170,18 +174,19 @@ class Trajectory:
     def n_nodes(self) -> int:
         return self.times.shape[0]
 
+    @property
+    def h0_nodes(self) -> np.ndarray:
+        return self.h0_half[::2]
+
+    @property
+    def h_nodes(self) -> np.ndarray:
+        return self.h_half[::2]
+
     def validate(self) -> None:
         n = self.n_nodes
-        shapes = {
-            "times": (n,),
-            "states": (n, 2),
-            "bloch": (n, 3),
-            "h0_nodes": (n,),
-            "h_nodes": (n, 3),
-            "delta_e": (n,),
-            "s_accum": (n,),
-            "s0": (n,),
-        }
+        shapes = {"times": (n,), "states": (n, 2), "bloch": (n, 3),
+                  "h0_half": (2 * n - 1,), "h_half": (2 * n - 1, 3),
+                  "delta_e": (n,), "s_accum": (n,), "s0": (n,)}
         for name, want in shapes.items():
             got = np.asarray(getattr(self, name)).shape
             if got != want:
@@ -289,11 +294,11 @@ def schrodinger_evolve(field: FieldSpec, psi0,
 
     h0_half, h_half = sample_field(field, grid.half_times)
     states = _propagate(psi0, h0_half, h_half, grid.dt)
-    times, bloch, h_nodes = grid.times, _bloch_of(states), h_half[::2]
-    delta_e = energy_uncertainty(bloch, h_nodes)
-    s_accum = _trapezoid(2.0 * delta_e, times, cumulative=True)
+    bloch = _bloch_of(states)
+    delta_e = energy_uncertainty(bloch, h_half[::2])
+    s_accum = _trapezoid(2.0 * delta_e, grid, cumulative=True)
     s0 = fubini_study_distance(bloch, bloch[0])
-    traj = Trajectory(grid, times, states, bloch, h0_half[::2], h_nodes,
+    traj = Trajectory(grid, grid.times, states, bloch, h0_half, h_half,
                       delta_e, s_accum, s0)
     traj.validate()
     return traj
@@ -309,5 +314,5 @@ def parallel_transport(traj: Trajectory) -> np.ndarray:
     """
     traj.validate()
     expect_h = traj.h0_nodes + np.einsum("ij,ij->i", traj.bloch, traj.h_nodes)
-    beta = _trapezoid(expect_h, traj.times, cumulative=True)
+    beta = _trapezoid(expect_h, traj.grid, cumulative=True)
     return np.exp(1j * beta)[:, None] * traj.states

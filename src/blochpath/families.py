@@ -263,12 +263,9 @@ class _PathField(_BatchedField):
         h0 = 0.5 * phase_dot if self.variant == "trace_nonzero" else np.zeros(times.shape)
         return h0, h
 
-    def sample_h_dot(self, times, step: float) -> np.ndarray:
-        """``dh/dt`` at ``times``, shape ``(n, 3)``: one call of ``h_dot`` on
-        the array when given, else a central difference of the drive."""
-        if self.h_dot is None:
-            return super().sample_h_dot(times, step)
-        return _path_rows(self.h_dot, "h_dot", _as_times(times), (3,))
+    def _h_dot_rows(self, times: np.ndarray) -> np.ndarray:
+        """One call of ``h_dot`` on the whole time array."""
+        return _path_rows(self.h_dot, "h_dot", times, (3,))
 
 
 def uzdin_optimal(fam: UzdinFamily,

@@ -22,7 +22,8 @@ REMOVED = ("curvature_expectation", "curvature_numeric_oracle",
            "pauli_decompose", "_hermitian_parts", "PAULI_X", "PAULI_Y",
            "PAULI_Z", "IDENTITY2", "orbit_radius", "rotation_angle",
            "travel_time", "arc_length_alpha", "delta_e_alpha",
-           "bloch_from_state", "speed_efficiency", "FD_STEP")
+           "bloch_from_state", "speed_efficiency", "FD_STEP",
+           "_central_difference", "_sample_h")
 
 
 def _exports() -> list[str]:

@@ -233,6 +233,28 @@ class TestReport:
         payload = json.loads((tmp_path / "example1_report.json").read_text())
         assert payload["classification"] == "GeodesicUnwasteful"
 
+    @pytest.mark.parametrize("t_start", [1e5, 1e6])
+    @pytest.mark.parametrize("number", [1, 2, 3, 4])
+    def test_a_far_start_runs_as_a_start_at_zero(self, tmp_path, number, t_start):
+        # the line integrals run over offsets from t_start, so no digits of
+        # the interval widths are lost to the start's magnitude
+        def report(t_span, out):
+            cfg = tmp_path / f"{out}.json"
+            cfg.write_text(json.dumps({"scenario": f"example{number}", "t_span": t_span,
+                                       "outputs": ["report"]}))
+            assert main(["report", "--config", str(cfg), "--out", str(tmp_path / out)]) \
+                == EXIT_OK
+            return json.loads((tmp_path / out / f"example{number}_report.json").read_text())
+
+        far = report([t_start, t_start + 1.0], "far")
+        assert far["t_span"] == [t_start, t_start + 1.0]
+        if number in (1, 3):  # constant fields: the run does not depend on t_start
+            near = report([0.0, 1.0], "near")
+            assert far["classification"] == near["classification"]
+            for key in ("eta_ge_bar", "eta_se_bar", "eta_he", "s_total", "s0_total",
+                        "mean_length_loss", "mean_energy_loss"):
+                assert far[key] == pytest.approx(near[key], rel=1e-15, abs=1e-15), key
+
     def test_missing_config_file(self, tmp_path, capsys):
         ret = main(["report", "--config", str(tmp_path / "nope.json")])
         assert ret == EXIT_CONFIG

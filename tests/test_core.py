@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blochpath import (
+    ConfigError,
     FieldSpec,
     NormalizationError,
     NumericalError,
@@ -172,10 +173,17 @@ class TestFieldSpec:
     def test_constant_field_has_zero_derivative(self):
         f = FieldSpec(h0=0.25, h=np.array([0.0, 0.5, 0.0]))
         assert np.allclose(f.sample([0.3])[1][0], [0.0, 0.5, 0.0])
-        assert np.allclose(f.sample_h_dot([0.3], 1e-6)[0], 0.0, atol=1e-15)
+        assert np.array_equal(f.sample_h_dot([0.3, 0.8]), np.zeros((2, 3)))
         assert f.sample([1.7])[0][0] == pytest.approx(0.25)
 
-    def test_time_dependent_field_finite_difference(self):
-        f = FieldSpec(h0=0.0, h=lambda t: np.array([np.cos(t), np.sin(t), 0.0]))
-        fd = f.sample_h_dot([0.4], 1e-6)[0]
-        assert np.allclose(fd, [-np.sin(0.4), np.cos(0.4), 0.0], atol=1e-8)
+    def test_time_dependent_field_samples_its_analytic_derivative(self):
+        f = FieldSpec(h0=0.0, h=lambda t: np.array([np.cos(t), np.sin(t), 0.0]),
+                      h_dot=lambda t: np.array([-np.sin(t), np.cos(t), 0.0]))
+        assert np.array_equal(f.sample_h_dot([0.4])[0], [-np.sin(0.4), np.cos(0.4), 0.0])
+
+    def test_a_field_without_h_dot_has_no_derivative_to_sample(self):
+        calls = []
+        f = FieldSpec(h0=0.0, h=lambda t: calls.append(t) or [np.cos(t), 0.0, 1.0])
+        with pytest.raises(ConfigError, match="no h_dot"):
+            f.sample_h_dot([0.4])
+        assert calls == []

@@ -1,5 +1,6 @@
 """Curvature coefficient: closed form, expectation form, and numeric form."""
 
+import math
 import time
 import warnings
 
@@ -10,8 +11,10 @@ from blochpath import (
     FieldError,
     FieldSpec,
     NumericalError,
+    ScenarioConfig,
     SingularEvolutionError,
     TimeGrid,
+    build_scenario,
     curvature_bloch,
     curvature_bloch_profile,
     curvature_expectation_profile,
@@ -126,6 +129,67 @@ class TestStationaryBits:
             warnings.simplefilter("error")
             got = curvature_bloch([1.0, 0.0, 0.0], [0.0, 1e150, 1e150], [1.0, 0.0, 0.0])
         assert got == 0.0
+
+
+def errors_against_analytic(h, h_dot, t_span, steps, first=0.0):
+    """Largest ``|kappa - kappa_exact|`` at the nodes from ``first`` on, for
+    each of ``steps``: the profile of a field without ``h_dot`` against the
+    closed form fed the analytic ``h_dot`` on the same trajectory."""
+    out = []
+    for n in steps:
+        field = FieldSpec(h0=0.0, h=h, t_span=t_span)
+        traj = schrodinger_evolve(field, [1.0, 1.0] / np.sqrt(2.0), TimeGrid(*t_span, n))
+        keep = traj.times >= first
+        exact = curvature_bloch(traj.bloch[keep], traj.h_nodes[keep],
+                                np.array([h_dot(t) for t in traj.times[keep]]))
+        out.append(np.max(np.abs(curvature_bloch_profile(traj, field)[keep] - exact)))
+    return np.array(out)
+
+
+class TestDerivativeFromSamples:
+    """Without ``h_dot``, ``dh/dt`` is a difference of the run's own node and
+    midpoint samples: second order, and no field call."""
+
+    def test_a_field_defined_only_on_its_span_gets_its_curvature(self):
+        # sqrt(t) raises for any t < 0; its h_dot is infinite at t = 0
+        errors = errors_against_analytic(
+            lambda t: (math.sqrt(t), 0.0, 1.0), lambda t: (0.5 / math.sqrt(t), 0.0, 0.0),
+            (0.0, 1.0), (100, 200, 400), first=0.25)
+        assert errors[0] < 1e-4
+        assert np.all((3.8 < errors[:-1] / errors[1:]) & (errors[:-1] / errors[1:] < 4.2))
+
+    def test_a_smooth_field_that_raises_outside_its_span_is_second_order(self):
+        def h(t):
+            if not 0.2 <= t <= 0.9:
+                raise ValueError(f"t = {t} is outside the span")
+            return (math.sin(3.0 * t), math.cos(2.0 * t), 1.0 + t)
+
+        errors = errors_against_analytic(
+            h, lambda t: (3.0 * math.cos(3.0 * t), -2.0 * math.sin(2.0 * t), 1.0),
+            (0.2, 0.9), (100, 200, 400))  # the end nodes included
+        assert errors[0] < 1e-4
+        assert np.all((3.8 < errors[:-1] / errors[1:]) & (errors[:-1] / errors[1:] < 4.2))
+
+    def test_a_tables_end_nodes_take_the_slope_of_their_piece(self):
+        # one piece from (0, 0, 1) to (2, 0, 1): dh/dt = (2, 0, 0) everywhere,
+        # also at the ends, where np.interp is constant beyond the knots
+        field, psi0, grid = build_scenario(ScenarioConfig(
+            scenario="custom", field={"times": [0.0, 1.0], "h": [[0.0, 0.0, 1.0],
+                                                                [2.0, 0.0, 1.0]]},
+            psi0={"bloch": [1.0, 0.0, 0.0]}, n_steps=100))
+        traj = schrodinger_evolve(field, psi0, grid)
+        got = curvature_bloch_profile(traj, field)
+        want = curvature_bloch(traj.bloch, traj.h_nodes, [2.0, 0.0, 0.0])
+        assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+        assert got[-1] == pytest.approx(1.063, abs=5e-4)
+
+    @pytest.mark.parametrize("h", [[0.2, 0.5, 1.0], lambda t: [0.2, 0.5, 1.0]],
+                             ids=["constant", "callable"])
+    def test_a_stationary_field_has_the_bits_of_a_zero_derivative(self, h):
+        field = FieldSpec(h0=0.3, h=h)
+        traj = schrodinger_evolve(field, PSI0, TimeGrid(0.0, 1.0, 64))
+        assert curvature_bloch_profile(traj, field).tobytes() \
+            == curvature_bloch(traj.bloch, traj.h_nodes, np.zeros(3)).tobytes()
 
 
 class TestTransverseForm:

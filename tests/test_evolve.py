@@ -153,6 +153,15 @@ class TestSchrodingerEvolve:
             with pytest.raises(IntegrationError, match="not finite after step 0"):
                 schrodinger_evolve(huge, PSI0, TimeGrid(0.0, 1.0, 20))
 
+    def test_validate_rejects_a_half_grid_of_the_wrong_length(self):
+        traj = schrodinger_evolve(SIGMA_Z_FIELD, PSI0, TimeGrid(0.0, 1.0, 20))
+        assert traj.h_half.shape == (41, 3) and traj.h0_half.shape == (41,)
+        assert np.shares_memory(traj.h_nodes, traj.h_half)
+        for name, half in (("h_half", traj.h_half), ("h0_half", traj.h0_half)):
+            for rows in (half[:-1], half[::2]):
+                with pytest.raises(ShapeError, match=f"{name} has shape"):
+                    dataclasses.replace(traj, **{name: rows}).validate()
+
     def test_validate_rejects_non_finite_bloch_vectors(self):
         traj = schrodinger_evolve(SIGMA_Z_FIELD, PSI0, TimeGrid(0.0, 1.0, 20))
         bloch = traj.bloch.copy()
@@ -348,44 +357,56 @@ class TestParallelTransport:
 
 
 class TestTrapezoid:
-    X = np.array([0.0, 0.1, 0.35, 0.4, 1.0, 1.7, 2.0])
+    """The rule on a grid's nodes, over the offsets ``t - t_start``."""
+
+    GRID = TimeGrid(0.3, 2.0, 6)
 
     def test_exact_on_linear_samples(self):
-        x = self.X
+        x = self.GRID.times
         y = 3.0 * x - 1.0
-        antiderivative = 1.5 * x**2 - x
-        assert _trapezoid(y, x) == pytest.approx(antiderivative[-1], rel=1e-14)
-        assert np.allclose(_trapezoid(y, x, cumulative=True), antiderivative,
+        antiderivative = 1.5 * x**2 - x - (1.5 * x[0] ** 2 - x[0])
+        assert _trapezoid(y, self.GRID) == pytest.approx(antiderivative[-1], rel=1e-14)
+        assert np.allclose(_trapezoid(y, self.GRID, cumulative=True), antiderivative,
                            rtol=1e-14, atol=1e-15)
 
     def test_cumulative_starts_at_zero_and_ends_at_the_total(self):
-        rng = np.random.default_rng(5)
-        x = np.cumsum(rng.uniform(0.01, 0.2, 300))
-        y = np.cos(3.0 * x)
-        running = _trapezoid(y, x, cumulative=True)
-        assert running.shape == x.shape
+        grid = TimeGrid(0.05, 30.0, 299)
+        y = np.cos(3.0 * grid.times)
+        running = _trapezoid(y, grid, cumulative=True)
+        assert running.shape == grid.times.shape
         assert running[0] == 0.0
-        assert running[-1] == pytest.approx(_trapezoid(y, x), rel=1e-13)
+        assert running[-1] == pytest.approx(_trapezoid(y, grid), rel=1e-13)
 
     def test_complex_samples_integrate_each_part(self):
-        x = self.X
+        x = self.GRID.times - self.GRID.t_start
         y = (2.0 - 1.5j) * x + 0.5j
-        running = _trapezoid(y, x, cumulative=True)
+        running = _trapezoid(y, self.GRID, cumulative=True)
         assert running.dtype == complex
         assert np.allclose(running, (1.0 - 0.75j) * x**2 + 0.5j * x,
                            rtol=1e-14, atol=1e-15)
-        assert np.array_equal(running.real, _trapezoid(y.real, x, cumulative=True))
-        assert np.array_equal(running.imag, _trapezoid(y.imag, x, cumulative=True))
-        assert _trapezoid(y, x) == pytest.approx(running[-1], rel=1e-14)
+        assert np.array_equal(running.real, _trapezoid(y.real, self.GRID, cumulative=True))
+        assert np.array_equal(running.imag, _trapezoid(y.imag, self.GRID, cumulative=True))
+        assert _trapezoid(y, self.GRID) == pytest.approx(running[-1], rel=1e-14)
 
     @pytest.mark.parametrize("n", [2, 3, 17, 2001])
     def test_bitwise_equal_to_scipy(self, n):
+        # scipy on the offsets from t_start, which a far t_start leaves exact
         integrate = pytest.importorskip("scipy.integrate")
         rng = np.random.default_rng(n)
-        x = np.cumsum(rng.uniform(1e-3, 1.0, n))
-        for y in (rng.normal(size=n), rng.normal(size=n) + 1j * rng.normal(size=n)):
-            total = _trapezoid(y, x)
-            running = _trapezoid(y, x, cumulative=True)
+        t_start = rng.uniform(-1e6, 1e6)
+        grid = TimeGrid(t_start, t_start + rng.uniform(1e-3, 10.0), n)
+        x = np.linspace(0.0, grid.t_end - grid.t_start, grid.n_nodes)
+        for y in (rng.normal(size=n + 1), rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)):
+            total = _trapezoid(y, grid)
+            running = _trapezoid(y, grid, cumulative=True)
             assert total.tobytes() == integrate.trapezoid(y, x).tobytes()
             assert running.tobytes() == integrate.cumulative_trapezoid(
                 y, x, initial=0.0).tobytes()
+
+    def test_a_far_start_gives_the_bits_of_a_start_at_zero(self):
+        y = np.cos(np.linspace(0.0, 3.0, 2001))
+        for cumulative in (False, True):
+            at_zero = _trapezoid(y, TimeGrid(0.0, 1.0, 2000), cumulative)
+            for t_start in (1e5, 1e6, -1e6):
+                far = _trapezoid(y, TimeGrid(t_start, t_start + 1.0, 2000), cumulative)
+                assert np.asarray(far).tobytes() == np.asarray(at_zero).tobytes()

@@ -103,25 +103,21 @@ class TestCallableContract:
             assert np.array(rec.args).tobytes() == grid.half_times.tobytes()
             assert np.all(np.diff(rec.args) > 0.0)
 
-    def test_curvature_central_difference_adds_two_h_calls_per_node(self):
+    def test_curvature_makes_no_field_call(self):
+        # without h_dot, dh/dt comes from the samples the run already holds
         h0, h = self.recorders()
         field = FieldSpec(h0=h0, h=h, t_span=(0.2, 1.1))
         traj = schrodinger_evolve(field, PSI0, TimeGrid(0.2, 1.1, 25))
         n0, n = len(h0.args), len(h.args)
         curvature_bloch_profile(traj, field)
-        assert len(h0.args) == n0
-        assert len(h.args) == n + 2 * traj.n_nodes
-        extra = h.args[n:]
-        assert all(type(t) is float for t in extra)
-        assert np.array(extra[0::2]).tobytes() == (traj.times + traj.grid.dt).tobytes()
-        assert np.array(extra[1::2]).tobytes() == (traj.times - traj.grid.dt).tobytes()
+        assert (len(h0.args), len(h.args)) == (n0, n)
 
     def test_constant_fields_broadcast(self):
         h0, h = sample_field(FieldSpec(h0=0.25, h=[0.0, 0.5, 0.0]), TIMES)
         assert np.array_equal(h0, np.full(11, 0.25))
         assert np.array_equal(h, np.tile([0.0, 0.5, 0.0], (11, 1)))
         assert np.array_equal(FieldSpec(h0=0.0, h=[1.0, 0.0, 0.0])
-                              .sample_h_dot(TIMES, 1e-6), np.zeros((11, 3)))
+                              .sample_h_dot(TIMES), np.zeros((11, 3)))
 
 
 def one_at_a_time(fn, times, convert):
@@ -343,7 +339,7 @@ class TestPathCallContract:
         field = uzdin_suboptimal(UzdinFamily(**recs), "trace_nonzero",
                                  h_dot=h_dot)
         field.sample(TIMES)
-        field.sample_h_dot(TIMES, 1e-4)
+        field.sample_h_dot(TIMES)
         for rec in (*recs.values(), h_dot):
             self.called_once_with(rec, TIMES)
 
@@ -396,12 +392,10 @@ def batched_fields():
 def test_batched_rows_equal_single_samples(field):
     times = np.linspace(0.05, 0.95, 7)
     h0, h = field.sample(times)
-    h_dot = field.sample_h_dot(times, step=1e-4)
     for k, t in enumerate(times):
         one_h0, one_h = field.sample([t])
         assert h0[k] == one_h0[0]
         assert np.array_equal(h[k], one_h[0])
-        assert np.array_equal(h_dot[k], field.sample_h_dot([t], step=1e-4)[0])
 
 
 every_field_kind = pytest.mark.parametrize("field", [
@@ -416,7 +410,7 @@ every_field_kind = pytest.mark.parametrize("field", [
 
 def every_sampler(field, times):
     return (lambda: sample_field(field, times), lambda: field.sample(times),
-            lambda: field.sample_h_dot(times, 1e-4))
+            lambda: field.sample_h_dot(times))
 
 
 @pytest.mark.parametrize("times", [0.5, np.array(0.5), [[0.1, 0.2], [0.3, 0.4]]],
@@ -631,7 +625,7 @@ class TestBatchedChecks:
         field = uzdin_optimal(UzdinFamily(m_state=great_circle, m_dot=great_circle_dot),
                               h_dot=lambda t: np.zeros(t.shape + (2,)))
         with pytest.raises(ShapeError, match="h_dot"):
-            field.sample_h_dot(TIMES, 1e-4)
+            field.sample_h_dot(TIMES)
 
 
 def transported_path(t):
@@ -655,8 +649,8 @@ def transported_path_dot(t):
 
 
 def test_trace_zero_uzdin_drive_matches_golden_bytes(tmp_path):
-    # h_dot is omitted, so the curvature column pins the drive's central
-    # difference
+    # h_dot is omitted, so the curvature column pins dh/dt as differences
+    # of the drive's node and midpoint samples
     fam = UzdinFamily(m_state=transported_path, m_dot=transported_path_dot,
                       phase_dot=lambda t: 0.4 + 0.6 * np.cos(2.0 * t),
                       t_span=(0.1, 0.8))

@@ -241,8 +241,8 @@ class TestGoldenFiles:
             == (GOLDEN / "example4_gamma1.7_trajectory_n40.csv").read_bytes()
 
     def test_tabulated_trajectory_matches_golden_bytes(self, tmp_path):
-        # np.interp over whole time arrays; kappa_bloch's h_dot is a
-        # central difference of the interpolated table
+        # np.interp over whole time arrays; kappa_bloch's dh/dt is taken
+        # from the table's node and midpoint samples
         knots = np.linspace(0.0, 1.2, 9)
         table = {"times": knots.tolist(),
                  "h": np.stack([0.8 + 0.3 * np.sin(3.0 * knots),

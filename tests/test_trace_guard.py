@@ -47,8 +47,8 @@ def test_traced_layers_record_error_free_spans(tmp_path):
 
 def test_batched_fields_sample_once_per_evolve(tmp_path):
     # example2 is a prescribed-path drive, the custom one a table; both are
-    # sampled in one batch per evolve, and curvature's h_dot is sampled
-    # through the field itself, not through evolve.sample_field
+    # sampled in one batch per evolve, and curvature takes dh/dt from those
+    # samples, with no field call of its own
     trace = load_trace_module()
     tracer = trace.Tracer()
     n_steps = 20
