@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import operator
 import reprlib
-from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -352,7 +351,17 @@ def _column(value, times: np.ndarray, rows: Optional[str] = None):
     return np.broadcast_to(value, times.shape + shape).copy()
 
 
-@dataclass
+class _Frozen:
+    """Base of records whose attributes ``__init__`` sets once, through
+    ``__dict__``; assigning or deleting one later raises AttributeError."""
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
 class FieldSpec:
     """Time-dependent control field ``H(t) = h0(t) * I + h(t) . sigma``.
 
@@ -371,18 +380,17 @@ class FieldSpec:
     Fields built from tables or prescribed paths sample in batches instead.
     """
 
-    h0: Union[Callable[[float], float], float]
-    h: Union[Callable[[float], Sequence[float]], Sequence[float]]
-    h_dot: Optional[Callable[[float], Sequence[float]]] = None
-    t_span: Tuple[float, float] = (0.0, 1.0)
-
-    def __post_init__(self):
-        if not callable(self.h0):
-            self.h0 = _scalar(self.h0, "h0")
-        if not callable(self.h):
-            self.h = _as_vec3(self.h, "field").copy()
-            if self.h_dot is None:
-                self.h_dot = np.zeros(3)
+    def __init__(self, h0: Union[Callable[[float], float], float],
+                 h: Union[Callable[[float], Sequence[float]], Sequence[float]],
+                 h_dot: Optional[Callable[[float], Sequence[float]]] = None,
+                 t_span: Tuple[float, float] = (0.0, 1.0)):
+        if not callable(h0):
+            h0 = _scalar(h0, "h0")
+        if not callable(h):
+            h = _as_vec3(h, "field").copy()
+            if h_dot is None:
+                h_dot = np.zeros(3)
+        self.h0, self.h, self.h_dot, self.t_span = h0, h, h_dot, t_span
 
     def sample(self, times) -> Tuple[np.ndarray, np.ndarray]:
         """``(h0, h)`` at ``times``: arrays of shape ``(n,)`` and ``(n, 3)``."""
@@ -401,10 +409,9 @@ class FieldSpec:
         return _column(self.h_dot, times, "field derivative")
 
 
-@dataclass
 class _BatchedField(FieldSpec):
     """Base of fields that override :meth:`sample` with a batched
     evaluation; ``h0`` and ``h`` hold whatever that evaluation reads."""
 
-    def __post_init__(self):
-        pass
+    def __init__(self, h0, h, h_dot=None, t_span=(0.0, 1.0)):
+        self.h0, self.h, self.h_dot, self.t_span = h0, h, h_dot, t_span

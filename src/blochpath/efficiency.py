@@ -10,8 +10,8 @@ is 1, bounded by the smaller factor).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -162,8 +162,7 @@ def hybrid_efficiency(eta_ge_bar: float, eta_se_bar: float) -> float:
     return float(np.clip(eta_ge_bar, 0.0, 1.0) * np.clip(eta_se_bar, 0.0, 1.0))
 
 
-@dataclass(frozen=True)
-class EfficiencyReport:
+class EfficiencyReport(NamedTuple):
     """Per-node efficiency curves, their averages, and the classification."""
 
     eta_ge_t: np.ndarray

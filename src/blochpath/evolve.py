@@ -20,12 +20,12 @@ rule :func:`_trapezoid` on the same nodes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .core import (FieldSpec, _as_state, _as_times, _check_finite, _first, _numbers,
-                   energy_uncertainty, fubini_study_distance, pauli_compose)
+from .core import (FieldSpec, _as_state, _as_times, _check_finite, _first, _Frozen,
+                   _numbers, energy_uncertainty, fubini_study_distance, pauli_compose)
 from .errors import (ConfigError, IntegrationError, NormalizationError,
                      NumericalError, ShapeError)
 
@@ -80,24 +80,18 @@ def _trapezoid(y, grid: TimeGrid, cumulative: bool = False):
     return terms.sum()
 
 
-@dataclass(frozen=True)
-class TimeGrid:
-    """Uniform time grid with ``n_steps`` intervals."""
+class TimeGrid(_Frozen):
+    """Uniform time grid with ``n_steps`` intervals; its attributes are frozen."""
 
-    t_start: float
-    t_end: float
-    n_steps: int
-
-    def __post_init__(self):
+    def __init__(self, t_start: float, t_end: float, n_steps: int):
         bad = ConfigError("grid endpoints must be finite")
-        ends = [_numbers(t, "grid endpoint", error=bad) for t in (self.t_start, self.t_end)]
+        ends = [_numbers(t, "grid endpoint", error=bad) for t in (t_start, t_end)]
         if not all(t.shape == () and np.isfinite(t) for t in ends):
             raise bad
-        if self.t_end <= self.t_start:
-            raise ConfigError(
-                f"t_end ({self.t_end}) must exceed t_start ({self.t_start})"
-            )
-        object.__setattr__(self, "n_steps", _count(self.n_steps, "n_steps"))
+        if t_end <= t_start:
+            raise ConfigError(f"t_end ({t_end}) must exceed t_start ({t_start})")
+        vars(self).update(t_start=t_start, t_end=t_end,
+                          n_steps=_count(n_steps, "n_steps"))
 
     @classmethod
     def with_density(cls, t_start: float, t_end: float) -> "TimeGrid":
@@ -150,8 +144,7 @@ def _bloch_of(states: np.ndarray) -> np.ndarray:
                      np.abs(states[:, 0]) ** 2 - np.abs(states[:, 1]) ** 2], axis=1)
 
 
-@dataclass
-class Trajectory:
+class Trajectory(NamedTuple):
     """Sampled evolution: states, Bloch path, field and derived line data.
 
     ``h0_half`` and ``h_half`` hold the field at ``grid.half_times``, and

@@ -18,14 +18,13 @@ the byte-pinned golden artifacts check for the built-in scenarios.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Tuple
+from typing import Callable, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from .core import (TOL_HERM, TOL_NORM, FieldSpec, _as_times, _as_vec3, _BatchedField,
                    _bloch_rows, _check_finite, _field_error, _finite_reals, _first,
-                   _numbers, _scalar, fubini_study_distance)
+                   _Frozen, _numbers, _scalar, fubini_study_distance)
 from .evolve import TOL_NORM0
 from .errors import (
     ConfigError,
@@ -117,31 +116,24 @@ def _orbit(alpha, theta_ab):
     return radius, theta_ab + 2.0 * excess
 
 
-@dataclass(frozen=True)
-class SuboptimalStationary:
+class SuboptimalStationary(_Frozen):
     """Stationary drive rotating ``a_hat`` into ``b_hat`` about ``n(alpha)``.
 
     The geometry ``theta_ab``, ``n_hat``, ``phi`` and ``t_ab`` is derived and
     validated once, on construction: the axis is unit and equidistant from
     both endpoints, and a Rodrigues rotation by ``phi`` lands on ``b_hat``.
+    All eight attributes are frozen.
     """
 
-    alpha: float
-    a_hat: np.ndarray
-    b_hat: np.ndarray
-    E: float = 1.0
-    theta_ab: float = field(init=False)
-    n_hat: np.ndarray = field(init=False)
-    phi: float = field(init=False)
-    t_ab: float = field(init=False)
-
-    def __post_init__(self):
-        a = _as_vec3(self.a_hat, "a_hat").copy()
-        b = _as_vec3(self.b_hat, "b_hat").copy()
-        alpha = _scalar(self.alpha, "alpha")
+    def __init__(self, alpha: float, a_hat: np.ndarray, b_hat: np.ndarray,
+                 E: float = 1.0):
+        vars(self).update(alpha=alpha, E=E)  # kept as given
+        a = _as_vec3(a_hat, "a_hat").copy()
+        b = _as_vec3(b_hat, "b_hat").copy()
+        alpha = _scalar(alpha, "alpha")
         if not 0.0 < alpha < np.pi:
             raise RangeError(f"alpha must lie in (0, pi), got {alpha!r}")
-        if not 0.0 < (E := _scalar(self.E, "E")) < np.inf:
+        if not 0.0 < (E := _scalar(E, "E")) < np.inf:
             raise RangeError(f"energy scale must be positive and finite, got {E!r}")
         for name, v in (("a_hat", a), ("b_hat", b)):
             if abs(v @ v - 1.0) > TOL_NORM:
@@ -153,9 +145,8 @@ class SuboptimalStationary:
         phi = _orbit(alpha, theta_ab)[1]
         if np.max(np.abs(rodrigues_rotate(a, axis, phi) - b)) > 1e-10:
             raise NumericalError("rotation by phi does not reach b_hat")
-        for name, value in zip(("a_hat", "b_hat", "theta_ab", "n_hat", "phi", "t_ab"),
-                               (a, b, theta_ab, axis, phi, phi / (2.0 * self.E))):
-            object.__setattr__(self, name, value)
+        vars(self).update(a_hat=a, b_hat=b, theta_ab=theta_ab, n_hat=axis, phi=phi,
+                          t_ab=phi / (2.0 * self.E))
 
 
 def suboptimal_hamiltonian(family: SuboptimalStationary) -> FieldSpec:
@@ -189,8 +180,7 @@ def _path_rows(fn: Callable, name: str, times: np.ndarray, row: tuple = (),
     return rows
 
 
-@dataclass
-class UzdinFamily:
+class UzdinFamily(NamedTuple):
     """Prescribed state path ``|m(t)>``, its derivative, and optionally the
     rate ``phidot(t)`` of the phase the sub-optimal variants add.
 
@@ -205,7 +195,6 @@ class UzdinFamily:
     t_span: Tuple[float, float] = (0.0, 1.0)
 
 
-@dataclass
 class _PathField(_BatchedField):
     """Drive of an :class:`UzdinFamily` path, sampled in batches.
 
@@ -216,8 +205,10 @@ class _PathField(_BatchedField):
     ``variant`` is ``"optimal"``, ``"trace_nonzero"`` or ``"trace_zero"``.
     """
 
-    family: Optional[UzdinFamily] = None
-    variant: str = "optimal"
+    def __init__(self, h0, h, h_dot=None, t_span=(0.0, 1.0),
+                 family: Optional[UzdinFamily] = None, variant: str = "optimal"):
+        super().__init__(h0, h, h_dot, t_span)
+        self.family, self.variant = family, variant
 
     def sample(self, times) -> Tuple[np.ndarray, np.ndarray]:
         times = _as_times(times)

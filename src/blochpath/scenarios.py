@@ -23,9 +23,8 @@ import contextlib
 import csv
 import io
 import json
-from dataclasses import astuple, dataclass, fields
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -85,7 +84,6 @@ def _known_keys(mapping: dict, allowed, what: str) -> None:
         raise ConfigError(f"unknown {what} keys {sorted(bad, key=str)}")
 
 
-@dataclass
 class ScenarioConfig:
     """Everything needed to run one scenario.
 
@@ -97,54 +95,50 @@ class ScenarioConfig:
     ``curvature`` outputs without the ``trajectory`` file they add columns
     to raise :class:`ConfigError` on construction; parameter values,
     ``field`` and ``psi0`` are checked when the scenario is built.  Either
-    way no numerics have run yet.
+    way no numerics have run yet.  ``outputs`` is stored as a tuple, so an
+    iterator is read once.
     """
 
-    scenario: str
-    parameters: dict | None = None
-    t_span: tuple[float, float] = (0.0, 1.0)
-    n_steps: Optional[int] = None
-    outputs: Sequence[str] = ALL_OUTPUTS
-    field: dict | None = None
-    psi0: object = None
+    #: the attributes, in the order of the constructor's parameters
+    __slots__ = ("scenario", "parameters", "t_span", "n_steps", "outputs", "field", "psi0")
 
-    def __post_init__(self):
-        if self.scenario not in SCENARIOS:
-            raise ConfigError(
-                f"unknown scenario {self.scenario!r}; expected one of {SCENARIOS}"
-            )
-        params = {} if self.parameters is None else self.parameters
+    def __init__(self, scenario: str, parameters: dict | None = None,
+                 t_span: tuple[float, float] = (0.0, 1.0), n_steps: Optional[int] = None,
+                 outputs: Sequence[str] = ALL_OUTPUTS, field: dict | None = None,
+                 psi0: object = None):
+        if scenario not in SCENARIOS:
+            raise ConfigError(f"unknown scenario {scenario!r}; expected one of {SCENARIOS}")
+        params = {} if parameters is None else parameters
         if not isinstance(params, dict):
             raise ConfigError(f"parameters must be a mapping, got {params!r}")
-        self.parameters = dict(params)
         try:
-            start, end = self.t_span
+            start, end = t_span
         except (TypeError, ValueError):
             raise ConfigError(
-                f"t_span must be two numbers [t_start, t_end], got {self.t_span!r}"
+                f"t_span must be two numbers [t_start, t_end], got {t_span!r}"
             ) from None
-        self.t_span = (_finite(start, "t_span start"),
-                       _finite(end, "t_span end"))
-        if self.n_steps is not None:
-            self.n_steps = _count(self.n_steps, "n_steps")
+        t_span = (_finite(start, "t_span start"), _finite(end, "t_span end"))
+        if n_steps is not None:
+            n_steps = _count(n_steps, "n_steps")
         try:
-            if isinstance(self.outputs, str):
+            if isinstance(outputs, str):
                 raise TypeError
-            bad = set(self.outputs) - set(ALL_OUTPUTS)
+            names = tuple(outputs)
+            bad = set(names) - set(ALL_OUTPUTS)
         except TypeError:
-            raise ConfigError(
-                f"outputs must be a list of names, got {self.outputs!r}"
-            ) from None
+            raise ConfigError(f"outputs must be a list of names, got {outputs!r}") from None
         if bad:
             raise ConfigError(f"unknown outputs {sorted(bad)}")
-        columns = {"efficiency", "curvature"} & set(self.outputs)
-        if columns and "trajectory" not in self.outputs:
+        columns = {"efficiency", "curvature"} & set(names)
+        if columns and "trajectory" not in names:
             raise ConfigError(f"outputs {sorted(columns)} are columns of the "
                               "'trajectory' file, which is not asked for")
-        unread = [k for k in ("field", "psi0") if getattr(self, k) is not None]
-        if unread and self.scenario != "custom":
-            raise ConfigError(f"scenario {self.scenario!r} does not read {unread}; "
+        unread = [k for k, v in (("field", field), ("psi0", psi0)) if v is not None]
+        if unread and scenario != "custom":
+            raise ConfigError(f"scenario {scenario!r} does not read {unread}; "
                               "only 'custom' does")
+        self.scenario, self.parameters, self.t_span = scenario, dict(params), t_span
+        self.n_steps, self.outputs, self.field, self.psi0 = n_steps, names, field, psi0
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioConfig":
@@ -152,12 +146,11 @@ class ScenarioConfig:
             raise ConfigError("config must be a JSON object")
         if "scenario" not in data:
             raise ConfigError("config is missing the 'scenario' key")
-        _known_keys(data, [f.name for f in fields(cls)], "config")
+        _known_keys(data, cls.__slots__, "config")
         return cls(**data)
 
 
-@dataclass(frozen=True)
-class ReportRow:
+class ReportRow(NamedTuple):
     """One line of the summary table."""
 
     scenario: str
@@ -311,7 +304,6 @@ def _build_suboptimal_family(config: ScenarioConfig):
     return field, state_from_bloch(a), p
 
 
-@dataclass
 class _TableField(_BatchedField):
     """Field linear between tabulated knots and constant beyond them.
 
@@ -319,7 +311,10 @@ class _TableField(_BatchedField):
     with one ``np.interp`` over the whole time array.
     """
 
-    knots: Optional[np.ndarray] = None
+    def __init__(self, h0, h, h_dot=None, t_span=(0.0, 1.0),
+                 knots: Optional[np.ndarray] = None):
+        super().__init__(h0, h, h_dot, t_span)
+        self.knots = knots
 
     def sample(self, times):
         times = _as_times(times)
@@ -554,9 +549,9 @@ def table_rows(out_dir=None, n_steps: Optional[int] = None) -> list[ReportRow]:
         path = Path(out_dir) / "table2.csv"
         with _output(path), open(path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(f.name for f in fields(ReportRow))
-            writer.writerows([v if isinstance(v, str) else "%.15g" % v
-                              for v in astuple(row)] for row in rows)
+            writer.writerow(ReportRow._fields)
+            writer.writerows([v if isinstance(v, str) else "%.15g" % v for v in row]
+                             for row in rows)
     return rows
 
 

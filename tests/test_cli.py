@@ -4,6 +4,7 @@ import contextlib
 import csv
 import errno
 import gc
+import inspect
 import io
 import json
 import math
@@ -18,9 +19,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import blochpath
+from blochpath import (EfficiencyReport, FieldSpec, ReportRow, ScenarioConfig,
+                       SuboptimalStationary, TimeGrid, Trajectory, UzdinFamily)
 from blochpath.cli import EXIT_CONFIG, EXIT_ERROR, EXIT_NUMERICAL, EXIT_OK, main
+from blochpath.core import _BatchedField
 from blochpath.evolve import MAX_STEPS
-from blochpath.scenarios import SCENARIOS
+from blochpath.families import _PathField
+from blochpath.scenarios import SCENARIOS, _TableField
 
 PACKAGE_ROOT = Path(blochpath.__file__).resolve().parents[1]
 
@@ -32,6 +37,34 @@ def _child_env(*paths) -> dict:
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [*map(str, paths), str(PACKAGE_ROOT), env.get("PYTHONPATH")]))
     return env
+
+
+_NONE = inspect.Parameter.empty
+_FIELD = [("h0", _NONE), ("h", _NONE), ("h_dot", None), ("t_span", (0.0, 1.0))]
+
+#: every record's constructor parameters, in order, with their defaults
+RECORD_PARAMETERS = {
+    FieldSpec: _FIELD,
+    _BatchedField: _FIELD,
+    _TableField: _FIELD + [("knots", None)],
+    _PathField: _FIELD + [("family", None), ("variant", "optimal")],
+    UzdinFamily: [("m_state", _NONE), ("m_dot", _NONE), ("phase_dot", None),
+                  ("t_span", (0.0, 1.0))],
+    SuboptimalStationary: [("alpha", _NONE), ("a_hat", _NONE), ("b_hat", _NONE),
+                           ("E", 1.0)],
+    TimeGrid: [("t_start", _NONE), ("t_end", _NONE), ("n_steps", _NONE)],
+    Trajectory: [(name, _NONE) for name in ("grid", "times", "states", "bloch", "h0_half",
+                                             "h_half", "delta_e", "s_accum", "s0")],
+    EfficiencyReport: [(name, _NONE) for name in (
+        "eta_ge_t", "eta_se_t", "eta_ge_bar", "eta_se_bar", "eta_he", "classification",
+        "mean_length_loss", "mean_energy_loss", "s_total", "s0_total")],
+    ScenarioConfig: [("scenario", _NONE), ("parameters", None), ("t_span", (0.0, 1.0)),
+                     ("n_steps", None),
+                     ("outputs", ("trajectory", "efficiency", "curvature", "report")),
+                     ("field", None), ("psi0", None)],
+    ReportRow: [(name, _NONE) for name in ("scenario", "eta_ge_bar", "eta_se_bar",
+                                            "eta_he", "classification")],
+}
 
 
 class TestExamples:
@@ -801,7 +834,8 @@ class TestProcessInvocation:
     @pytest.mark.parametrize("argv", [["-c", "import blochpath"],
                                       ["-m", "blochpath", "--help"]])
     def test_cold_start_imports_no_scipy(self, argv):
-        # every module a fresh interpreter imports is listed by -X importtime
+        # every module a fresh interpreter imports is listed by -X importtime;
+        # the records are plain classes and named tuples, so no dataclasses
         proc = subprocess.run([sys.executable, "-X", "importtime", *argv],
                               capture_output=True, text=True, env=_child_env())
         assert proc.returncode == 0
@@ -811,6 +845,44 @@ class TestProcessInvocation:
         assert "blochpath.evolve" in imported
         assert not [m for m in imported
                     if m == "scipy" or m.startswith("scipy.")]
+        assert "dataclasses" not in imported
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    def test_import_leaves_the_collector_as_it_found_it(self, enabled):
+        # a collection may start only once the last module is in, when the
+        # collector is running again; the child collects first, so that the
+        # few objects made before the pause cannot start one
+        code = (f"import gc, sys\ngc.collect()\ngc.{'enable' if enabled else 'disable'}()\n"
+                "starts = []\n"
+                "gc.callbacks.append(lambda phase, info: phase == 'start' and\n"
+                "                    starts.append('blochpath.scenarios' in sys.modules))\n"
+                "import blochpath\n"
+                "print(gc.isenabled(), gc.get_freeze_count(), all(starts))\n")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True, env=_child_env())
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, f"{enabled} 0 True\n", "")
+
+    @pytest.mark.parametrize("record,parameters", list(RECORD_PARAMETERS.items()),
+                             ids=[r.__name__ for r in RECORD_PARAMETERS])
+    def test_record_constructors_keep_their_parameters(self, record, parameters):
+        params = inspect.signature(record).parameters.values()
+        assert [(p.name, p.default) for p in params] == parameters
+        assert {p.kind for p in params} == {inspect.Parameter.POSITIONAL_OR_KEYWORD}
+
+    @pytest.mark.parametrize("make,derived", [
+        (lambda: TimeGrid(0.0, 1.0, 10), []),
+        (lambda: SuboptimalStationary(1.0, [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]),
+         ["theta_ab", "n_hat", "phi", "t_ab"]),
+        (lambda: EfficiencyReport(*range(10)), []),
+        (lambda: ReportRow("example1", 1.0, 1.0, 1.0, "geodesic_unwasteful"), []),
+    ], ids=["TimeGrid", "SuboptimalStationary", "EfficiencyReport", "ReportRow"])
+    def test_frozen_records_refuse_assignment(self, make, derived):
+        record = make()
+        for name in [name for name, _ in RECORD_PARAMETERS[type(record)]] + derived:
+            before = getattr(record, name)
+            with pytest.raises(AttributeError):
+                setattr(record, name, 0.5)
+            assert getattr(record, name) is before
 
     def test_console_script_help(self, tmp_path):
         proc = subprocess.run([_launcher(tmp_path), "--help"],

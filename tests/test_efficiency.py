@@ -1,6 +1,5 @@
 """Geodesic/speed/hybrid efficiencies and the waste taxonomy."""
 
-import dataclasses
 import math
 
 import numpy as np
@@ -275,7 +274,7 @@ class TestReports:
                           t_span=(0.0, 1.0 / c))
         traj = schrodinger_evolve(field, state_from_bloch([0.6, 0.0, 0.8]),
                                   TimeGrid(0.0, 1.0 / c, 400))
-        report = dataclasses.asdict(efficiency_report(traj))
+        report = efficiency_report(traj)._asdict()
         del report["eta_ge_t"], report["eta_se_t"]
         return report, traj
 
@@ -303,7 +302,7 @@ class TestReports:
         delta_e = traj.delta_e.copy()
         delta_e[17] = np.nan
         with pytest.raises(NumericalError, match="finite"):
-            efficiency_report(dataclasses.replace(traj, delta_e=delta_e))
+            efficiency_report(traj._replace(delta_e=delta_e))
         with pytest.raises(NumericalError, match="finite"):
             speed_efficiency_tracezero(np.nan, 1.0)
 
@@ -315,18 +314,17 @@ class TestHandBuiltTrajectory:
     TRAJ = schrodinger_evolve(SIGMA_Z_FIELD, PSI0, TimeGrid(0.0, 1.0, 20))
 
     def test_a_short_delta_e_is_a_shape_error(self):
-        traj = dataclasses.replace(self.TRAJ, delta_e=self.TRAJ.delta_e[:-1])
+        traj = self.TRAJ._replace(delta_e=self.TRAJ.delta_e[:-1])
         with pytest.raises(ShapeError, match="delta_e"):
             efficiency_report(traj)
 
     def test_short_states_are_a_shape_error(self):
-        traj = dataclasses.replace(self.TRAJ, states=self.TRAJ.states[:-1])
+        traj = self.TRAJ._replace(states=self.TRAJ.states[:-1])
         with pytest.raises(ShapeError, match="states"):
             curvature_expectation_profile(traj)
 
     def test_a_nan_path_length_is_a_numerical_error(self):
-        traj = dataclasses.replace(self.TRAJ,
-                                   s_accum=np.full(self.TRAJ.n_nodes, np.nan))
+        traj = self.TRAJ._replace(s_accum=np.full(self.TRAJ.n_nodes, np.nan))
         with pytest.raises(NumericalError, match="finite"):
             geodesic_efficiency_profile(traj)
         with pytest.raises(NumericalError, match="finite"):

@@ -1,6 +1,5 @@
 """Time grids, RK4 integrators, parallel transport, path-length bookkeeping."""
 
-import dataclasses
 import re
 import tracemalloc
 
@@ -160,14 +159,14 @@ class TestSchrodingerEvolve:
         for name, half in (("h_half", traj.h_half), ("h0_half", traj.h0_half)):
             for rows in (half[:-1], half[::2]):
                 with pytest.raises(ShapeError, match=f"{name} has shape"):
-                    dataclasses.replace(traj, **{name: rows}).validate()
+                    traj._replace(**{name: rows}).validate()
 
     def test_validate_rejects_non_finite_bloch_vectors(self):
         traj = schrodinger_evolve(SIGMA_Z_FIELD, PSI0, TimeGrid(0.0, 1.0, 20))
         bloch = traj.bloch.copy()
         bloch[5, 1] = np.nan
         with pytest.raises(NumericalError, match="not finite"):
-            dataclasses.replace(traj, bloch=bloch).validate()
+            traj._replace(bloch=bloch).validate()
 
     def test_initial_state_validation(self):
         with pytest.raises(ShapeError):

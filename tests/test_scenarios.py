@@ -281,6 +281,18 @@ class TestArtifacts:
         assert not (tmp_path / "example1_trajectory.csv").exists()
         assert (tmp_path / "example1_report.json").exists()
 
+    @pytest.mark.parametrize("one_shot", [lambda names: (n for n in names), iter],
+                             ids=["generator", "iterator"])
+    def test_one_shot_outputs_are_read_once(self, tmp_path, one_shot):
+        cfg = ScenarioConfig(scenario="example1", n_steps=50,
+                             outputs=one_shot(["trajectory", "report"]))
+        assert cfg.outputs == ("trajectory", "report")
+        run_report(cfg, out_dir=tmp_path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "example1_report.json", "example1_trajectory.csv"]
+        with pytest.raises(ConfigError, match="columns of the 'trajectory' file"):
+            ScenarioConfig(scenario="example1", outputs=one_shot(["efficiency"]))
+
     def test_determinism_byte_identical_artifacts(self, tmp_path):
         cfg = ScenarioConfig(scenario="example3", n_steps=200)
         a, b = tmp_path / "a", tmp_path / "b"
