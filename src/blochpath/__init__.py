@@ -9,9 +9,9 @@ the curvature coefficient that vanishes exactly on geodesics.
 
 import gc
 
-# Everything these imports create, numpy's modules among them, lives until
-# exit, so a collection during them frees nothing: the collector is paused
-# for them and left as it was found.
+# The objects these imports create, numpy's modules among them, live until
+# exit, so a collection during them would walk them for nothing: the
+# collector is paused for them and left as it was found.
 _collecting = gc.isenabled()
 gc.disable()
 try:

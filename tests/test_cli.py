@@ -39,8 +39,8 @@ def _child_env(*paths) -> dict:
     return env
 
 
-_NONE = inspect.Parameter.empty
-_FIELD = [("h0", _NONE), ("h", _NONE), ("h_dot", None), ("t_span", (0.0, 1.0))]
+_REQUIRED = inspect.Parameter.empty
+_FIELD = [("h0", _REQUIRED), ("h", _REQUIRED), ("h_dot", None), ("t_span", (0.0, 1.0))]
 
 #: every record's constructor parameters, in order, with their defaults
 RECORD_PARAMETERS = {
@@ -48,21 +48,21 @@ RECORD_PARAMETERS = {
     _BatchedField: _FIELD,
     _TableField: _FIELD + [("knots", None)],
     _PathField: _FIELD + [("family", None), ("variant", "optimal")],
-    UzdinFamily: [("m_state", _NONE), ("m_dot", _NONE), ("phase_dot", None),
+    UzdinFamily: [("m_state", _REQUIRED), ("m_dot", _REQUIRED), ("phase_dot", None),
                   ("t_span", (0.0, 1.0))],
-    SuboptimalStationary: [("alpha", _NONE), ("a_hat", _NONE), ("b_hat", _NONE),
+    SuboptimalStationary: [("alpha", _REQUIRED), ("a_hat", _REQUIRED), ("b_hat", _REQUIRED),
                            ("E", 1.0)],
-    TimeGrid: [("t_start", _NONE), ("t_end", _NONE), ("n_steps", _NONE)],
-    Trajectory: [(name, _NONE) for name in ("grid", "times", "states", "bloch", "h0_half",
+    TimeGrid: [("t_start", _REQUIRED), ("t_end", _REQUIRED), ("n_steps", _REQUIRED)],
+    Trajectory: [(name, _REQUIRED) for name in ("grid", "times", "states", "bloch", "h0_half",
                                              "h_half", "delta_e", "s_accum", "s0")],
-    EfficiencyReport: [(name, _NONE) for name in (
+    EfficiencyReport: [(name, _REQUIRED) for name in (
         "eta_ge_t", "eta_se_t", "eta_ge_bar", "eta_se_bar", "eta_he", "classification",
         "mean_length_loss", "mean_energy_loss", "s_total", "s0_total")],
-    ScenarioConfig: [("scenario", _NONE), ("parameters", None), ("t_span", (0.0, 1.0)),
+    ScenarioConfig: [("scenario", _REQUIRED), ("parameters", None), ("t_span", (0.0, 1.0)),
                      ("n_steps", None),
                      ("outputs", ("trajectory", "efficiency", "curvature", "report")),
                      ("field", None), ("psi0", None)],
-    ReportRow: [(name, _NONE) for name in ("scenario", "eta_ge_bar", "eta_se_bar",
+    ReportRow: [(name, _REQUIRED) for name in ("scenario", "eta_ge_bar", "eta_se_bar",
                                             "eta_he", "classification")],
 }
 
