@@ -53,8 +53,8 @@ RECORD_PARAMETERS = {
     SuboptimalStationary: [("alpha", _REQUIRED), ("a_hat", _REQUIRED), ("b_hat", _REQUIRED),
                            ("E", 1.0)],
     TimeGrid: [("t_start", _REQUIRED), ("t_end", _REQUIRED), ("n_steps", _REQUIRED)],
-    Trajectory: [(name, _REQUIRED) for name in ("grid", "times", "states", "bloch", "h0_half",
-                                             "h_half", "delta_e", "s_accum", "s0")],
+    Trajectory: [(name, _REQUIRED) for name in (
+        "grid", "times", "states", "bloch", "h0_half", "h_half", "delta_e", "s_accum", "s0")],
     EfficiencyReport: [(name, _REQUIRED) for name in (
         "eta_ge_t", "eta_se_t", "eta_ge_bar", "eta_se_bar", "eta_he", "classification",
         "mean_length_loss", "mean_energy_loss", "s_total", "s0_total")],
@@ -62,8 +62,8 @@ RECORD_PARAMETERS = {
                      ("n_steps", None),
                      ("outputs", ("trajectory", "efficiency", "curvature", "report")),
                      ("field", None), ("psi0", None)],
-    ReportRow: [(name, _REQUIRED) for name in ("scenario", "eta_ge_bar", "eta_se_bar",
-                                            "eta_he", "classification")],
+    ReportRow: [(name, _REQUIRED) for name in (
+        "scenario", "eta_ge_bar", "eta_se_bar", "eta_he", "classification")],
 }
 
 
