@@ -12,7 +12,7 @@ import gc
 # The objects these imports create, numpy's modules among them, live until
 # exit, so a collection during them would walk them for nothing: the
 # collector is paused for them and left as it was found.
-_collecting = gc.isenabled()
+_collecting, _frozen = gc.isenabled(), gc.get_freeze_count()
 gc.disable()
 try:
     from .core import (
@@ -87,6 +87,13 @@ try:
     )
 finally:
     if _collecting:
+        # the pause left every new object young, and the first allocation
+        # after it would walk them all; freezing and thawing moves them to
+        # the oldest generation without a walk.  Thawing also thaws what the
+        # host froze, so it is done only when the host froze nothing
+        if not _frozen:
+            gc.freeze()
+            gc.unfreeze()
         gc.enable()
 
 __version__ = "0.1.0"

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import gc
-import json
 import os
 import sys
 
@@ -97,6 +96,8 @@ def _run(args) -> None:
         )
         scenarios.write_csv(sys.stdout if args.out is None else args.out, table)
     elif args.command == "report":
+        import json
+
         try:
             with open(args.config, encoding="utf-8") as fh:
                 data = json.load(fh)

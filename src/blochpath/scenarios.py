@@ -22,7 +22,6 @@ from __future__ import annotations
 import contextlib
 import csv
 import io
-import json
 from pathlib import Path
 from typing import NamedTuple, Optional, Sequence
 
@@ -461,6 +460,8 @@ def write_csv(path, columns: dict) -> None:
 
 
 def write_json(path, payload: dict) -> None:
+    import json
+
     with _output(path), open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -834,33 +834,70 @@ class TestProcessInvocation:
     @pytest.mark.parametrize("argv", [["-c", "import blochpath"],
                                       ["-m", "blochpath", "--help"]])
     def test_cold_start_imports_no_scipy(self, argv):
-        # every module a fresh interpreter imports is listed by -X importtime;
         # the records are plain classes and named tuples, so no dataclasses
-        proc = subprocess.run([sys.executable, "-X", "importtime", *argv],
-                              capture_output=True, text=True, env=_child_env())
-        assert proc.returncode == 0
-        imported = [line.rsplit("|", 1)[-1].strip()
-                    for line in proc.stderr.splitlines()
-                    if line.startswith("import time:")]
+        imported = _imported_modules(argv)
         assert "blochpath.evolve" in imported
         assert not [m for m in imported
                     if m == "scipy" or m.startswith("scipy.")]
         assert "dataclasses" not in imported
 
+    @pytest.mark.parametrize("argv", [
+        ["--help"],
+        ["sweep-alpha", "--theta-ab", "1.2", "--points", "9"],
+        ["phase-profiles", "--profile", "linear", "--phi0", "0.5", "--phidot0",
+         "1", "--omega0", "1", "--points", "9"],
+        ["table2", "--steps", "20"],
+    ], ids=["help", "sweep_alpha", "phase_profiles", "table2"])
+    def test_commands_without_json_files_import_no_json(self, argv):
+        # only a config read or a report written loads json
+        imported = _imported_modules(["-m", "blochpath", *argv])
+        assert "blochpath.evolve" in imported
+        assert "json" not in imported
+
     @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
     def test_import_leaves_the_collector_as_it_found_it(self, enabled):
         # a collection may start only once the last module is in, when the
         # collector is running again; the child collects first, so that the
-        # few objects made before the pause cannot start one
+        # few objects made before the pause cannot start one.  The freeze
+        # count is compared with the child's own: an interpreter may start
+        # with objects frozen (375 on CPython 3.12.1)
         code = (f"import gc, sys\ngc.collect()\ngc.{'enable' if enabled else 'disable'}()\n"
                 "starts = []\n"
                 "gc.callbacks.append(lambda phase, info: phase == 'start' and\n"
                 "                    starts.append('blochpath.scenarios' in sys.modules))\n"
+                "frozen = gc.get_freeze_count()\n"
                 "import blochpath\n"
-                "print(gc.isenabled(), gc.get_freeze_count(), all(starts))\n")
+                "print(gc.isenabled(), gc.get_freeze_count() - frozen, all(starts))\n")
         proc = subprocess.run([sys.executable, "-c", code],
                               capture_output=True, text=True, env=_child_env())
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, f"{enabled} 0 True\n", "")
+
+    def test_import_starts_no_collection_after_the_pause(self):
+        # with nothing frozen, import moves the objects it made to the oldest
+        # generation, so the allocations after it start no young collection.
+        # CPython 3.12's collections freeze the immortal objects they meet,
+        # so the child thaws them after its own collection
+        code = ("import gc\ngc.collect()\ngc.unfreeze()\n"
+                "starts = []\n"
+                "gc.callbacks.append(lambda phase, info: phase == 'start' and\n"
+                "                    starts.append(info['generation']))\n"
+                "import blochpath\n"
+                "for _ in range(10_000):\n"
+                "    [None]\n"
+                "print(starts, gc.isenabled(), gc.get_freeze_count())\n")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True, env=_child_env())
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[] True 0\n", "")
+
+    def test_import_keeps_what_the_host_froze(self):
+        # thawing would thaw the host's objects too, so import leaves them be
+        code = ("import gc\nkept = [[n] for n in range(10)]\ngc.freeze()\n"
+                "frozen = gc.get_freeze_count()\n"
+                "import blochpath\n"
+                "print(frozen > 0, gc.get_freeze_count() - frozen)\n")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True, env=_child_env())
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "True 0\n", "")
 
     @pytest.mark.parametrize("record,parameters", list(RECORD_PARAMETERS.items()),
                              ids=[r.__name__ for r in RECORD_PARAMETERS])
@@ -910,14 +947,14 @@ class TestProcessInvocation:
         proc = subprocess.run([*command, *argv], capture_output=True, text=True,
                               env=_child_env(_freeze_probe(tmp_path)))
         assert (proc.returncode, proc.stdout) == (code, want)
-        assert _frozen_at_exit(proc.stderr) > 0
+        assert _frozen_by_the_child(proc.stderr) > 0
 
     def test_importing_the_module_entry_freezes_nothing(self, tmp_path):
         proc = subprocess.run([sys.executable, "-c", "import blochpath.__main__"],
                               capture_output=True, text=True,
                               env=_child_env(_freeze_probe(tmp_path)))
         assert proc.returncode == 0
-        assert _frozen_at_exit(proc.stderr) == 0
+        assert _frozen_by_the_child(proc.stderr) == 0
 
 
 def _launcher(tmp_path) -> str:
@@ -942,18 +979,32 @@ def _launcher(tmp_path) -> str:
     return str(launcher)
 
 
+def _imported_modules(argv) -> list:
+    """Every module a fresh interpreter run with ``argv`` imports, as
+    ``-X importtime`` lists them; the run must exit 0."""
+    proc = subprocess.run([sys.executable, "-X", "importtime", *argv],
+                          capture_output=True, text=True, env=_child_env())
+    assert proc.returncode == 0
+    return [line.rsplit("|", 1)[-1].strip()
+            for line in proc.stderr.splitlines()
+            if line.startswith("import time:")]
+
+
 def _freeze_probe(tmp_path) -> Path:
     """A directory whose ``sitecustomize`` has a child write, at exit, how
-    many objects its collector holds frozen."""
+    many objects its collector holds frozen at site start-up and at exit."""
     probe = tmp_path / "probe"
     probe.mkdir(exist_ok=True)
     (probe / "sitecustomize.py").write_text(
         "import atexit, gc, sys\n"
+        "_start = gc.get_freeze_count()\n"
         "atexit.register(lambda: sys.stderr.write(\n"
-        "    f'frozen at exit: {gc.get_freeze_count()}\\n'))\n")
+        "    f'frozen at start: {_start}, at exit: {gc.get_freeze_count()}\\n'))\n")
     return probe
 
 
-def _frozen_at_exit(stderr: str) -> int:
-    """The probe's count, which must be all the child wrote to stderr."""
-    return int(re.fullmatch(r"frozen at exit: (\d+)\n", stderr).group(1))
+def _frozen_by_the_child(stderr: str) -> int:
+    """How many more objects the child held frozen at exit than at start-up,
+    from the probe's line, which must be all the child wrote to stderr."""
+    start, end = re.fullmatch(r"frozen at start: (\d+), at exit: (\d+)\n", stderr).groups()
+    return int(end) - int(start)
