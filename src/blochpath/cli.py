@@ -96,7 +96,7 @@ def _run(args) -> None:
         )
         scenarios.write_csv(sys.stdout if args.out is None else args.out, table)
     elif args.command == "report":
-        import json
+        import json  # here, so that the commands without JSON files skip it
 
         try:
             with open(args.config, encoding="utf-8") as fh:

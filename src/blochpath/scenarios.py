@@ -460,7 +460,7 @@ def write_csv(path, columns: dict) -> None:
 
 
 def write_json(path, payload: dict) -> None:
-    import json
+    import json  # here, so that the commands without JSON files skip it
 
     with _output(path), open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)

@@ -891,7 +891,7 @@ class TestProcessInvocation:
 
     def test_import_keeps_what_the_host_froze(self):
         # thawing would thaw the host's objects too, so import leaves them be
-        code = ("import gc\nkept = [[n] for n in range(10)]\ngc.freeze()\n"
+        code = ("import gc\ngc.freeze()\n"
                 "frozen = gc.get_freeze_count()\n"
                 "import blochpath\n"
                 "print(frozen > 0, gc.get_freeze_count() - frozen)\n")
