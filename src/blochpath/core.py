@@ -143,6 +143,17 @@ def pauli_compose(h0, h) -> np.ndarray:
     return out
 
 
+def _dot(x, y):
+    """Dot products of ``(..., 3)`` rows, summed in index order from elementwise
+    products: the same bits for a row alone or in a stack, on any BLAS kernel."""
+    return x[..., 0] * y[..., 0] + x[..., 1] * y[..., 1] + x[..., 2] * y[..., 2]
+
+
+def _norm_sq(rows: np.ndarray) -> np.ndarray:
+    """Squared norms of complex rows over the last axis."""
+    return (rows.real * rows.real + rows.imag * rows.imag).sum(axis=-1)
+
+
 def _bloch_rows(states):
     """Bloch vectors of ``(..., 2)`` states, rounded as scalar complex
     arithmetic rounds: ``conj(c0) c1`` spelled out in real parts and
@@ -167,7 +178,7 @@ def state_from_bloch(a) -> np.ndarray:
     choice deterministic; the south pole comes out as ``(0, 1)``.
     """
     a = _as_vec3(a, "Bloch vector")
-    norm = float(a @ a)
+    norm = float(_dot(a, a))
     if not abs(norm - 1.0) <= TOL_NORM:
         raise NormalizationError(f"Bloch norm^2 = {norm!r}, expected 1")
     ax, ay, az = float(a[0]), float(a[1]), float(a[2])
@@ -193,14 +204,15 @@ def energy_uncertainty(a, h):
     a = _as_rows(a, "Bloch vector")
     h = _as_rows(h, "field")
     _broadcast(a, h)
-    return np.linalg.norm(np.cross(a, h), axis=-1)
+    c = np.cross(a, h)
+    return np.sqrt(_dot(c, c))
 
 
 def spectral_norm(h0, h):
     """Spectral norm ``|h0| + |h|`` of ``h0 * I + h . sigma``."""
     h0, h = _finite_reals(h0, "h0"), _as_rows(h, "field")
     _broadcast(h0, h[..., 0])
-    return np.abs(h0) + np.linalg.norm(h, axis=-1)
+    return np.abs(h0) + np.sqrt(_dot(h, h))
 
 
 def fubini_study_distance(a, b):
@@ -208,17 +220,13 @@ def fubini_study_distance(a, b):
     the directions of the rows of ``a`` and of ``b``.
 
     Twice ``arccos |<A|B>|`` for the pure states, without the lost digits
-    of ``arccos(a . b)`` near 0 and pi.  A single pair gives a float; a
-    non-finite angle raises :class:`NumericalError`.
+    of ``arccos(a . b)`` near 0 and pi, from :func:`_dot` products.  A single
+    pair gives a float; a non-finite angle raises :class:`NumericalError`.
     """
     a = _as_rows(a, "Bloch vector")
     b = _as_vec3(b, "Bloch vector")
-    rows = a.reshape(-1, 3)
-    # numpy hands one row to BLAS dot and several to gemv, which round a.b
-    # differently; a single row goes in twice so that every call uses gemv
-    dot = (np.repeat(rows, 2, axis=0) if len(rows) == 1 else rows) @ b
-    out = np.arctan2(np.linalg.norm(np.cross(a, b), axis=-1),
-                     dot[:len(rows)].reshape(a.shape[:-1]))
+    c = np.cross(a, b)
+    out = np.arctan2(np.sqrt(_dot(c, c)), _dot(a, b))
     if not np.isfinite(out).all():
         raise NumericalError("Fubini-Study distance is not finite")
     return float(out) if out.ndim == 0 else out

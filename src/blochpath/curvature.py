@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import FieldSpec, _as_rows, _broadcast, _check_finite, _first, pauli_compose
+from .core import FieldSpec, _as_rows, _broadcast, _check_finite, _dot, _first, pauli_compose
 from .errors import NumericalError, SingularEvolutionError
 from .evolve import Trajectory, parallel_transport
 
@@ -44,11 +44,6 @@ def _clamp_nonneg(value):
         raise NumericalError(f"curvature {float(np.min(value))!r} is NaN or "
                              "negative beyond tolerance")
     return np.where(value < 0.0, 0.0, value)[()]
-
-
-def _dot(x, y):
-    """Row-wise dot product over the last axis, rounded like 1-D ``x @ y``."""
-    return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
 
 
 def curvature_bloch(a, h, h_dot):

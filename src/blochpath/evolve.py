@@ -24,8 +24,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import (FieldSpec, _as_state, _as_times, _check_finite, _first, _Frozen,
-                   _numbers, energy_uncertainty, fubini_study_distance, pauli_compose)
+from .core import (FieldSpec, _as_state, _as_times, _check_finite, _dot, _first, _Frozen,
+                   _norm_sq, _numbers, energy_uncertainty, fubini_study_distance, pauli_compose)
 from .errors import (ConfigError, IntegrationError, NormalizationError,
                      NumericalError, ShapeError)
 
@@ -184,7 +184,7 @@ class Trajectory(NamedTuple):
             got = np.asarray(getattr(self, name)).shape
             if got != want:
                 raise ShapeError(f"trajectory field {name} has shape {got}, want {want}")
-        norms = np.einsum("ij,ij->i", self.bloch, self.bloch)
+        norms = _dot(self.bloch, self.bloch)
         worst = np.max(np.abs(norms - 1.0))
         if not worst <= TOL_DRIFT:
             if not np.isfinite(worst):
@@ -251,7 +251,7 @@ def _propagate(psi0, h0_half, h_half, dt) -> np.ndarray:
         norms = np.linalg.norm(w, axis=0)
         states[lo + 1:hi + 1] = (w / norms).T
         # step k's growth |M_k y_k| is |P_k y| / |P_(k-1) y|, y = states[lo]
-        growth = norms / np.concatenate(([np.linalg.norm(states[lo])], norms[:-1]))
+        growth = norms / np.concatenate(([np.sqrt(_norm_sq(states[lo]))], norms[:-1]))
         drift = np.abs(growth - 1.0)
         k = _first(~(drift <= MAX_STEP_DRIFT))
         if k is not None:
@@ -281,7 +281,7 @@ def schrodinger_evolve(field: FieldSpec, psi0,
     if grid is None:
         grid = TimeGrid.with_density(*field.t_span)
     psi0 = _as_state(psi0)
-    norm0 = np.sqrt(np.vdot(psi0, psi0).real)
+    norm0 = np.sqrt(_norm_sq(psi0))
     if not abs(norm0 - 1.0) <= TOL_NORM0:
         raise NormalizationError(f"initial state norm {norm0!r}, expected 1")
 
@@ -306,6 +306,6 @@ def parallel_transport(traj: Trajectory) -> np.ndarray:
     stored on the trajectory are used.
     """
     traj.validate()
-    expect_h = traj.h0_nodes + np.einsum("ij,ij->i", traj.bloch, traj.h_nodes)
+    expect_h = traj.h0_nodes + _dot(traj.bloch, traj.h_nodes)
     beta = _trapezoid(expect_h, traj.grid, cumulative=True)
     return np.exp(1j * beta)[:, None] * traj.states

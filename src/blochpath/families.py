@@ -23,8 +23,8 @@ from typing import Callable, NamedTuple, Optional, Tuple
 import numpy as np
 
 from .core import (TOL_HERM, TOL_NORM, FieldSpec, _as_times, _as_vec3, _BatchedField,
-                   _bloch_rows, _check_finite, _field_error, _finite_reals, _first,
-                   _Frozen, _numbers, _scalar, fubini_study_distance)
+                   _bloch_rows, _check_finite, _dot, _field_error, _finite_reals, _first,
+                   _Frozen, _norm_sq, _numbers, _scalar, fubini_study_distance)
 from .evolve import TOL_NORM0
 from .errors import (
     ConfigError,
@@ -58,7 +58,7 @@ def rodrigues_rotate(v, axis, angle: float) -> np.ndarray:
     k = _as_vec3(axis, "axis")
     angle = _finite_reals(angle, "angle", scalar=True)
     c, s = np.cos(angle), np.sin(angle)
-    return v * c + np.cross(k, v) * s + k * (k @ v) * (1.0 - c)
+    return v * c + np.cross(k, v) * s + k * _dot(k, v) * (1.0 - c)
 
 
 def endpoint_angle(a, b) -> float:
@@ -85,11 +85,11 @@ def suboptimal_axis(alpha: float, a, b) -> np.ndarray:
     alpha = _finite_reals(alpha, "alpha", scalar=True)
     half = 0.5 * endpoint_angle(a, b)
     # a x b as a x (b -+ a): the short difference keeps its relative accuracy
-    normal = np.cross(a, b - np.sign(a @ b) * a)
+    normal = np.cross(a, b - np.sign(_dot(a, b)) * a)
     toward = np.cross(normal, a)
-    bisector = np.cos(half) * a + np.sin(half) / np.linalg.norm(toward) * toward
-    n = np.cos(alpha) * bisector + np.sin(alpha) / np.linalg.norm(normal) * normal
-    norm = np.linalg.norm(n)
+    bisector = np.cos(half) * a + np.sin(half) / np.sqrt(_dot(toward, toward)) * toward
+    n = np.cos(alpha) * bisector + np.sin(alpha) / np.sqrt(_dot(normal, normal)) * normal
+    norm = np.sqrt(_dot(n, n))
     if abs(norm - 1.0) > TOL_NORM:
         raise NumericalError(f"axis norm {norm!r} deviates from 1")
     return n / norm
@@ -136,10 +136,10 @@ class SuboptimalStationary(_Frozen):
         if not 0.0 < (E := _scalar(E, "E")) < np.inf:
             raise RangeError(f"energy scale must be positive and finite, got {E!r}")
         for name, v in (("a_hat", a), ("b_hat", b)):
-            if abs(v @ v - 1.0) > TOL_NORM:
+            if abs(_dot(v, v) - 1.0) > TOL_NORM:
                 raise NormalizationError(f"{name} must be a unit vector")
         axis = suboptimal_axis(alpha, a, b)
-        if abs(axis @ (a - b)) > TOL_NORM:
+        if abs(_dot(axis, a - b)) > TOL_NORM:
             raise NumericalError("axis is not equidistant from the endpoints")
         theta_ab = endpoint_angle(a, b)
         phi = _orbit(alpha, theta_ab)[1]
@@ -153,13 +153,6 @@ def suboptimal_hamiltonian(family: SuboptimalStationary) -> FieldSpec:
     """Constant traceless field ``h = E n(alpha)`` over ``[0, t_ab]``."""
     return FieldSpec(h0=0.0, h=family.E * family.n_hat,
                      t_span=(0.0, family.t_ab))
-
-
-def _norm_sq(rows: np.ndarray) -> np.ndarray:
-    """Squared norms of complex rows.  They may differ from ``np.vdot`` in
-    the last bit, so only a value exactly at a check's tolerance can land
-    on the other side of it."""
-    return (rows.real * rows.real + rows.imag * rows.imag).sum(axis=-1)
 
 
 def _path_rows(fn: Callable, name: str, times: np.ndarray, row: tuple = (),

@@ -27,7 +27,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .core import FieldSpec, _as_times, _BatchedField, _numbers, state_from_bloch
+from .core import FieldSpec, _as_times, _BatchedField, _norm_sq, _numbers, state_from_bloch
 from .csvtext import csv_rows
 from .curvature import curvature_bloch_profile
 from .efficiency import (
@@ -360,7 +360,7 @@ def _build_custom(config: ScenarioConfig):
         if pairs.shape != (2, 2):
             raise ConfigError("psi0 must be [[re0, im0], [re1, im1]] or {'bloch': [...]}")
         psi0 = pairs[:, 0] + 1j * pairs[:, 1]
-        norm = float(np.sqrt(np.vdot(psi0, psi0).real))
+        norm = float(np.sqrt(_norm_sq(psi0)))
         if abs(norm - 1.0) > TOL_NORM0:
             raise ConfigError(f"psi0 has norm {norm!r}, expected 1")
     return field, psi0, _resolve(config.parameters, "custom", {})

@@ -2,8 +2,13 @@
 
 Each formula has one implementation for single vectors and for stacks of
 rows, so row ``k`` of a batched call must equal the call on row ``k`` bit
-for bit, and a single vector must give a scalar back.
+for bit, and a single vector must give a scalar back.  No product in the
+package goes through BLAS, whose kernels round differently from one
+another and from one row to a stack of rows.
 """
+
+import ast
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -113,3 +118,36 @@ def test_family_closed_forms_batch_point_by_point(alphas, theta, energy):
              lambda r, phi: phi / (2.0 * energy), lambda r, phi: energy * r)
     for form in forms:
         assert_batches_row_by_row(lambda al: form(*_orbit(al, theta)), np.array(alphas))
+
+
+#: calls that numpy hands to BLAS, or rounds as BLAS does
+BLAS_CALLS = ("dot", "vdot", "inner", "matmul", "tensordot")
+
+
+def _blas_products(path: Path) -> list[str]:
+    """``path:line: what`` for each ``@``, each :data:`BLAS_CALLS` call and
+    each ``linalg.norm`` call without ``axis=`` in the module at ``path``."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            found.append((node.lineno, "@"))
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            name = node.func.attr
+            if name in BLAS_CALLS:
+                found.append((node.lineno, name))
+            elif name == "norm" and isinstance(node.func.value, ast.Attribute) \
+                    and node.func.value.attr == "linalg" \
+                    and "axis" not in {k.arg for k in node.keywords}:
+                found.append((node.lineno, "linalg.norm without axis"))
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                and node.func.id in BLAS_CALLS:
+            found.append((node.lineno, node.func.id))
+    return [f"{path.name}:{line}: {what}" for line, what in sorted(found)]
+
+
+def test_no_product_goes_through_blas():
+    # every 3-vector product is core._dot's index-order sum and every norm
+    # an elementwise one, so no artifact depends on the BLAS kernel
+    package = Path(__file__).resolve().parents[1] / "src" / "blochpath"
+    assert [hit for path in sorted(package.glob("*.py"))
+            for hit in _blas_products(path)] == []

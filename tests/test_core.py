@@ -1,5 +1,7 @@
 """Pauli algebra, state/Bloch conversions, and scalar helpers."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -161,12 +163,18 @@ class TestScalars:
                               expected[None])
 
     def test_fubini_study_distance_rows_match_a_trajectory_s0(self):
-        # s0 of a run is this distance from the first node, row by row
+        # s0 of a run is this distance from the first node, row by row; both
+        # products are summed in index order, so a row alone has the same bits
         rng = np.random.default_rng(3)
         a = rng.normal(size=(500, 3))
         a /= np.linalg.norm(a, axis=1)[:, None]
-        expected = np.arctan2(np.linalg.norm(np.cross(a, a[0]), axis=1), a @ a[0])
+        bx, by, bz = a[0].tolist()
+        lengths = [math.sqrt(x * x + y * y + z * z)
+                   for x, y, z in np.cross(a, a[0]).tolist()]
+        dots = [x * bx + y * by + z * bz for x, y, z in a.tolist()]
+        expected = np.arctan2(lengths, dots)
         assert np.array_equal(fubini_study_distance(a, a[0]), expected)
+        assert [fubini_study_distance(row, a[0]) for row in a] == expected.tolist()
 
 
 class TestFieldSpec:

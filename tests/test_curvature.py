@@ -65,7 +65,7 @@ class TestBlochForm:
 
 
 def _dot(x, y):
-    return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
+    return x[..., 0] * y[..., 0] + x[..., 1] * y[..., 1] + x[..., 2] * y[..., 2]
 
 
 def three_terms(a, h, h_dot):

@@ -11,9 +11,10 @@ errors, as one sample at a time.
 The byte goldens under ``tests/golden`` were written on x86-64 with Python
 3.11.7 and numpy 2.4.6 (SIMD baseline ``X86_V2``; ``X86_V3``, ``X86_V4``,
 ``AVX512_ICL`` and ``AVX512_SPR`` found) and the default kernel of its
-scipy-openblas (SkylakeX on that CPU).  Matrix products follow the BLAS
-kernel and array ``sin``/``cos``/``exp`` the SIMD dispatch, so on another
-profile a golden cell can move in its last bits.
+scipy-openblas (SkylakeX on that CPU).  No product goes through BLAS, so
+the kernel does not matter; the array ``sin``/``cos``/``exp``/``arctan2``
+follow the SIMD dispatch, so on a CPU without AVX-512 a golden cell can
+move in its last bits.
 """
 
 import copy
