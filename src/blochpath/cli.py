@@ -8,13 +8,11 @@ during a run, 4 for any other library error.
 from __future__ import annotations
 
 import argparse
-import gc
 import os
 import sys
 
-import numpy as np
-
-from . import scenarios
+from . import _load
+from .config import ScenarioConfig
 from .errors import BlochPathError, ConfigError, NumericalError
 
 EXIT_OK = 0
@@ -78,13 +76,24 @@ def _print_row(row) -> None:
           f"{row.classification}")
 
 
-def _run(args) -> None:
+def _config(args):
+    """The checked config that ``example`` or ``report`` runs, else ``None``."""
     if args.command == "example":
-        config = scenarios.ScenarioConfig(
-            scenario=f"example{args.number}",
-            t_span=(0.0, args.t_end),
-            n_steps=args.steps,
-        )
+        return ScenarioConfig(scenario=f"example{args.number}", t_span=(0.0, args.t_end),
+                              n_steps=args.steps)
+    if args.command == "report":
+        import json  # here, so that the commands without JSON files skip it
+
+        try:
+            with open(args.config, encoding="utf-8") as fh:
+                data = json.load(fh)
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+            raise ConfigError(f"cannot read config {args.config!r}: {exc}") from exc
+        return ScenarioConfig.from_dict(data)
+
+
+def _run(args, config, scenarios) -> None:
+    if config is not None:
         _print_row(scenarios.run_report(config, out_dir=args.out))
     elif args.command == "sweep-alpha":
         table = scenarios.sweep_alpha(args.theta_ab, args.points, args.energy)
@@ -95,16 +104,6 @@ def _run(args) -> None:
             t_end=args.t_end, n_points=args.points,
         )
         scenarios.write_csv(sys.stdout if args.out is None else args.out, table)
-    elif args.command == "report":
-        import json  # here, so that the commands without JSON files skip it
-
-        try:
-            with open(args.config, encoding="utf-8") as fh:
-                data = json.load(fh)
-        except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
-            raise ConfigError(f"cannot read config {args.config!r}: {exc}") from exc
-        config = scenarios.ScenarioConfig.from_dict(data)
-        _print_row(scenarios.run_report(config, out_dir=args.out))
     elif args.command == "table2":
         rows = scenarios.table_rows(out_dir=args.out, n_steps=args.steps)
         header = f"{'scenario':<12} {'eta_ge_bar':>10} {'eta_se_bar':>10} " \
@@ -117,15 +116,26 @@ def _run(args) -> None:
 
 
 def main(argv=None) -> int:
+    return _main(argv, freeze=False)
+
+
+def _main(argv, freeze: bool) -> int:
     args = build_parser().parse_args(argv)
     try:
+        config = _config(args)
+        # numpy and the numeric modules load once the checks that need no array
+        # have passed: on the first lookup in the package, or here to be frozen
+        if freeze:
+            _load(freeze)
+        import numpy as np
+        from . import scenarios
         # overflow and invalid values are caught by the explicit finiteness
         # checks and reported as typed errors; numpy's warnings would only
         # repeat them on stderr ahead of the message.  Every file is written
         # under a guard naming it, so an OS error that reaches the guard here
         # came from a print to stdout or its flush.
         with np.errstate(all="ignore"), scenarios._output("<stdout>"):
-            _run(args)
+            _run(args, config, scenarios)
             sys.stdout.flush()
         return EXIT_OK
     except ConfigError as exc:
@@ -150,11 +160,13 @@ def main(argv=None) -> int:
 def run() -> int:
     """Process entry of ``python -m blochpath`` and the ``blochpath`` script.
 
-    Everything imported so far lives until exit, so it is frozen out of
-    every later collection; the command's own objects are collected as
-    usual.  :func:`main` leaves its host process's collector alone."""
-    gc.freeze()
-    return main()
+    A command that computes loads the numeric modules with the collector
+    off.  All imported by then lives until exit, so it is frozen out of
+    every later collection before the collector runs again: nothing young is
+    left to walk, whatever the interpreter froze at start-up.  The command's
+    own objects are collected as usual.  :func:`main` leaves its host
+    process's collector alone."""
+    return _main(None, freeze=True)
 
 
 if __name__ == "__main__":

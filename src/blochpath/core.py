@@ -14,8 +14,8 @@ Conventions used throughout the package (hbar = 1):
 Nothing here takes a matrix apart: the one matrix the package decomposes,
 the Uzdin drive, is read off entry by entry where it is built
 (``families``).  Every argument, config value and callable result is read
-by one rule for what counts as a number, :func:`_numbers`, before its
-shape, range and finiteness are checked.
+by one rule for what counts as a number, :func:`_numbers` (``config`` applies
+it to JSON values without numpy), before shape, range and finiteness checks.
 """
 
 from __future__ import annotations

@@ -24,6 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .config import MAX_STEPS, _count, _ordered
 from .core import (FieldSpec, _as_state, _as_times, _check_finite, _dot, _first, _Frozen,
                    _norm_sq, _numbers, energy_uncertainty, fubini_study_distance, pauli_compose)
 from .errors import (ConfigError, IntegrationError, NormalizationError,
@@ -45,22 +46,8 @@ MAX_STEP_DRIFT = 1e-4
 TOL_DRIFT = 1e-8
 #: allowed deviation of an initial state's norm from 1
 TOL_NORM0 = 1e-10
-#: largest number of grid intervals (and of sweep points) accepted
-MAX_STEPS = 10**7
 #: steps whose matrices and prefix products are held at once
 _BLOCK = 1024
-
-
-def _count(value, what: str, least: int = 2) -> int:
-    """``value`` as an ``int``; :class:`ConfigError` unless it is one
-    integral number from ``least`` to ``MAX_STEPS``."""
-    n = _numbers(value, what)
-    # NaN and inf fail the range before int() could raise on them
-    if n.shape != () or not least <= n <= MAX_STEPS or n != int(n):
-        raise ConfigError(
-            f"{what} must be an integer from {least} to {MAX_STEPS}, got {value!r}"
-        )
-    return int(n)
 
 
 def _trapezoid(y, grid: TimeGrid, cumulative: bool = False):
@@ -88,8 +75,7 @@ class TimeGrid(_Frozen):
         ends = [_numbers(t, "grid endpoint", error=bad) for t in (t_start, t_end)]
         if not all(t.shape == () and np.isfinite(t) for t in ends):
             raise bad
-        if t_end <= t_start:
-            raise ConfigError(f"t_end ({t_end}) must exceed t_start ({t_start})")
+        _ordered(t_start, t_end)
         vars(self).update(t_start=t_start, t_end=t_end,
                           n_steps=_count(n_steps, "n_steps"))
 

@@ -23,10 +23,11 @@ import contextlib
 import csv
 import io
 from pathlib import Path
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional
 
 import numpy as np
 
+from .config import ALL_OUTPUTS, SCENARIOS, ScenarioConfig, _count, _finite, _known_keys, _resolve
 from .core import FieldSpec, _as_times, _BatchedField, _norm_sq, _numbers, state_from_bloch
 from .csvtext import csv_rows
 from .curvature import curvature_bloch_profile
@@ -37,7 +38,7 @@ from .efficiency import (
     speed_efficiency_tracezero,
 )
 from .errors import BlochPathError, ConfigError, NumericalError, ShapeError
-from .evolve import TOL_NORM0, TimeGrid, _count, schrodinger_evolve
+from .evolve import TOL_NORM0, TimeGrid, schrodinger_evolve
 from .families import (
     TOL_DEG,
     SuboptimalStationary,
@@ -61,92 +62,16 @@ __all__ = [
     "write_json",
 ]
 
-ALL_OUTPUTS = ("trajectory", "efficiency", "curvature", "report")
-
 #: sweep grids stay this far away from the degenerate alpha boundary
 ALPHA_EPS = 1e-6
 
 
-def _finite(value, what: str, array: bool = False):
-    """``value`` as a float, or with ``array`` as a float array; else :class:`ConfigError`."""
+def _finite_array(value, what: str) -> np.ndarray:
+    """``value`` as a float array; :class:`ConfigError` unless it is finite numbers."""
     arr = _numbers(value, what)
-    if (arr.shape != () and not array) or not np.isfinite(arr).all():
-        raise ConfigError(f"{what} must be {'finite numbers' if array else 'a finite number'}"
-                          f", got {value!r}")
-    return arr if array else float(arr)
-
-
-def _known_keys(mapping: dict, allowed, what: str) -> None:
-    """:class:`ConfigError` naming the keys of ``mapping`` not ``allowed``."""
-    bad = set(mapping) - set(allowed)
-    if bad:
-        raise ConfigError(f"unknown {what} keys {sorted(bad, key=str)}")
-
-
-class ScenarioConfig:
-    """Everything needed to run one scenario.
-
-    ``parameters`` holds named reals (which names depend on the scenario);
-    ``field`` and ``psi0`` are read by the ``custom`` scenario only.
-    ``n_steps = None`` means the default density of 2000 steps per unit
-    time.  Malformed ``t_span``, ``n_steps``, ``parameters`` or ``outputs``,
-    a ``field`` or ``psi0`` for another scenario, and ``efficiency`` or
-    ``curvature`` outputs without the ``trajectory`` file they add columns
-    to raise :class:`ConfigError` on construction; parameter values,
-    ``field`` and ``psi0`` are checked when the scenario is built.  Either
-    way no numerics have run yet.  ``outputs`` is stored as a tuple, so an
-    iterator is read once.
-    """
-
-    #: the attributes, in the order of the constructor's parameters
-    __slots__ = ("scenario", "parameters", "t_span", "n_steps", "outputs", "field", "psi0")
-
-    def __init__(self, scenario: str, parameters: dict | None = None,
-                 t_span: tuple[float, float] = (0.0, 1.0), n_steps: Optional[int] = None,
-                 outputs: Sequence[str] = ALL_OUTPUTS, field: dict | None = None,
-                 psi0: object = None):
-        if scenario not in SCENARIOS:
-            raise ConfigError(f"unknown scenario {scenario!r}; expected one of {SCENARIOS}")
-        params = {} if parameters is None else parameters
-        if not isinstance(params, dict):
-            raise ConfigError(f"parameters must be a mapping, got {params!r}")
-        try:
-            start, end = t_span
-        except (TypeError, ValueError):
-            raise ConfigError(
-                f"t_span must be two numbers [t_start, t_end], got {t_span!r}"
-            ) from None
-        t_span = (_finite(start, "t_span start"), _finite(end, "t_span end"))
-        if n_steps is not None:
-            n_steps = _count(n_steps, "n_steps")
-        try:
-            if isinstance(outputs, str):
-                raise TypeError
-            names = tuple(outputs)
-            bad = set(names) - set(ALL_OUTPUTS)
-        except TypeError:
-            raise ConfigError(f"outputs must be a list of names, got {outputs!r}") from None
-        if bad:
-            raise ConfigError(f"unknown outputs {sorted(bad)}")
-        columns = {"efficiency", "curvature"} & set(names)
-        if columns and "trajectory" not in names:
-            raise ConfigError(f"outputs {sorted(columns)} are columns of the "
-                              "'trajectory' file, which is not asked for")
-        unread = [k for k, v in (("field", field), ("psi0", psi0)) if v is not None]
-        if unread and scenario != "custom":
-            raise ConfigError(f"scenario {scenario!r} does not read {unread}; "
-                              "only 'custom' does")
-        self.scenario, self.parameters, self.t_span = scenario, dict(params), t_span
-        self.n_steps, self.outputs, self.field, self.psi0 = n_steps, names, field, psi0
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ScenarioConfig":
-        if not isinstance(data, dict):
-            raise ConfigError("config must be a JSON object")
-        if "scenario" not in data:
-            raise ConfigError("config is missing the 'scenario' key")
-        _known_keys(data, cls.__slots__, "config")
-        return cls(**data)
+    if not np.isfinite(arr).all():
+        raise ConfigError(f"{what} must be finite numbers, got {value!r}")
+    return arr
 
 
 class ReportRow(NamedTuple):
@@ -157,32 +82,6 @@ class ReportRow(NamedTuple):
     eta_se_bar: float
     eta_he: float
     classification: str
-
-
-def _resolve(params: dict, scenario: str, spec: dict, aliases: dict | None = None) -> dict:
-    """Fill defaults, apply aliases, and reject unknown or missing keys."""
-    params = dict(params)
-    for alias, target in (aliases or {}).items():
-        if alias in params:
-            if target in params:
-                raise ConfigError(
-                    f"scenario {scenario!r} got both {alias!r} and {target!r}"
-                )
-            params[target] = params.pop(alias)
-    unknown = set(params) - set(spec)
-    if unknown:
-        raise ConfigError(
-            f"unknown parameter(s) {sorted(unknown)} for scenario {scenario!r}"
-        )
-    out = {}
-    for name, default in spec.items():
-        if name in params:
-            out[name] = _finite(params[name], f"parameter {name!r}")
-        elif default is None:
-            raise ConfigError(f"scenario {scenario!r} is missing parameter {name!r}")
-        else:
-            out[name] = float(default)
-    return out
 
 
 def _polar_path(omega0: float, theta0: float, varphi0: float):
@@ -209,23 +108,16 @@ def _polar_path(omega0: float, theta0: float, varphi0: float):
     return m, m_dot
 
 
-def _build_example1(config: ScenarioConfig):
-    p = _resolve(config.parameters, "example1",
-                 {"omega0": 1.0, "varphi0": 0.0, "theta0": 0.0})
+def _build_example1(config: ScenarioConfig, p: dict):
     omega0, varphi0, theta0 = p["omega0"], p["varphi0"], p["theta0"]
     h = np.array([-0.5 * omega0 * np.sin(varphi0),
                   0.5 * omega0 * np.cos(varphi0), 0.0])
     field = FieldSpec(h0=0.0, h=h, t_span=config.t_span)
     m, _ = _polar_path(omega0, theta0, varphi0)
-    return field, m(config.t_span[0]), p
+    return field, m(config.t_span[0])
 
 
-def _build_example2(config: ScenarioConfig):
-    p = _resolve(
-        config.parameters, "example2",
-        {"omega0": 1.0, "nu0": 0.1, "varphi0": 0.0, "theta0": 0.0, "phi0": 0.0},
-        aliases={"Omega0": "nu0"},
-    )
+def _build_example2(config: ScenarioConfig, p: dict):
     omega0, nu0 = p["omega0"], p["nu0"]
     varphi0, theta0, phi0 = p["varphi0"], p["theta0"], p["phi0"]
     m, m_dot = _polar_path(omega0, theta0, varphi0)
@@ -246,19 +138,17 @@ def _build_example2(config: ScenarioConfig):
     field = uzdin_suboptimal(fam, "trace_nonzero", h_dot=h_dot)
     t0 = config.t_span[0]
     psi0 = np.exp(-1j * (phi0 + nu0 * t0)) * m(t0)
-    return field, psi0, p
+    return field, psi0
 
 
-def _build_example3(config: ScenarioConfig):
-    p = _resolve(config.parameters, "example3", {"gamma": 1.0})
+def _build_example3(config: ScenarioConfig, p: dict):
     gamma = p["gamma"]
     field = FieldSpec(h0=0.0, h=np.array([0.0, 0.0, gamma]), t_span=config.t_span)
     psi0 = np.array([np.sqrt(3.0) / 2.0, 0.5], dtype=complex)
-    return field, psi0, p
+    return field, psi0
 
 
-def _build_example4(config: ScenarioConfig):
-    p = _resolve(config.parameters, "example4", {"gamma": 1.0})
+def _build_example4(config: ScenarioConfig, p: dict):
     gamma = p["gamma"]
     root3 = np.sqrt(3.0)
 
@@ -278,7 +168,7 @@ def _build_example4(config: ScenarioConfig):
 
     fam = UzdinFamily(m_state=m, m_dot=m_dot, t_span=config.t_span)
     field = uzdin_optimal(fam, h_dot=h_dot)
-    return field, m(config.t_span[0]), p
+    return field, m(config.t_span[0])
 
 
 def _check_family_domain(theta_ab: float, E: float) -> None:
@@ -290,9 +180,7 @@ def _check_family_domain(theta_ab: float, E: float) -> None:
         raise ConfigError("energy scale must be positive")
 
 
-def _build_suboptimal_family(config: ScenarioConfig):
-    p = _resolve(config.parameters, "suboptimal_family",
-                 {"alpha": None, "theta_ab": None, "E": 1.0})
+def _build_suboptimal_family(config: ScenarioConfig, p: dict):
     if not 0.0 < p["alpha"] < np.pi:
         raise ConfigError(f"alpha must lie in (0, pi), got {p['alpha']!r}")
     _check_family_domain(p["theta_ab"], p["E"])
@@ -300,7 +188,7 @@ def _build_suboptimal_family(config: ScenarioConfig):
     b = np.array([np.sin(p["theta_ab"]), 0.0, np.cos(p["theta_ab"])])
     family = SuboptimalStationary(alpha=p["alpha"], a_hat=a, b_hat=b, E=p["E"])
     field = suboptimal_hamiltonian(family)
-    return field, state_from_bloch(a), p
+    return field, state_from_bloch(a)
 
 
 class _TableField(_BatchedField):
@@ -323,15 +211,13 @@ class _TableField(_BatchedField):
         return np.interp(times, self.knots, self.h0), h
 
 
-def _build_custom(config: ScenarioConfig):
+def _build_custom(config: ScenarioConfig, p: dict):
     spec = config.field
-    if not isinstance(spec, dict):
-        raise ConfigError("custom scenario needs a 'field' mapping")
     _known_keys(spec, ("times", "h", "h0"), "field")
     if "times" in spec:
-        times = _finite(spec["times"], "field 'times'", array=True)
-        h0_tab = _finite(spec.get("h0", np.zeros_like(times)), "field 'h0'", array=True)
-        h_tab = _finite(spec.get("h"), "field 'h'", array=True)
+        times = _finite_array(spec["times"], "field 'times'")
+        h0_tab = _finite_array(spec.get("h0", np.zeros_like(times)), "field 'h0'")
+        h_tab = _finite_array(spec.get("h"), "field 'h'")
         if h_tab.shape != (times.shape[0], 3) or h0_tab.shape != times.shape:
             raise ConfigError("field table shapes do not line up with 'times'")
         if times.shape[0] < 2 or np.any(np.diff(times) <= 0):
@@ -340,7 +226,7 @@ def _build_custom(config: ScenarioConfig):
     else:
         if "h" not in spec:
             raise ConfigError("custom field needs 'h' (and optionally 'h0')")
-        h_const = _finite(spec["h"], "field 'h'", array=True)
+        h_const = _finite_array(spec["h"], "field 'h'")
         if h_const.shape != (3,):
             raise ConfigError("custom field 'h' must be a 3-vector")
         field = FieldSpec(h0=_finite(spec.get("h0", 0.0), "field 'h0'"),
@@ -350,20 +236,20 @@ def _build_custom(config: ScenarioConfig):
         psi0 = np.array([1.0, 0.0], dtype=complex)
     elif isinstance(config.psi0, dict):
         _known_keys(config.psi0, ("bloch",), "psi0")
-        bloch = _finite(config.psi0.get("bloch"), "psi0 'bloch'", array=True)
+        bloch = _finite_array(config.psi0.get("bloch"), "psi0 'bloch'")
         try:
             psi0 = state_from_bloch(bloch)
         except BlochPathError as exc:
             raise ConfigError(f"psi0 'bloch': {exc}") from exc
     else:
-        pairs = _finite(config.psi0, "psi0", array=True)
+        pairs = _finite_array(config.psi0, "psi0")
         if pairs.shape != (2, 2):
             raise ConfigError("psi0 must be [[re0, im0], [re1, im1]] or {'bloch': [...]}")
         psi0 = pairs[:, 0] + 1j * pairs[:, 1]
         norm = float(np.sqrt(_norm_sq(psi0)))
         if abs(norm - 1.0) > TOL_NORM0:
             raise ConfigError(f"psi0 has norm {norm!r}, expected 1")
-    return field, psi0, _resolve(config.parameters, "custom", {})
+    return field, psi0
 
 
 _BUILDERS = {
@@ -375,12 +261,11 @@ _BUILDERS = {
     "custom": _build_custom,
 }
 
-SCENARIOS = tuple(_BUILDERS)
-
 
 def _build(config: ScenarioConfig):
-    """:func:`build_scenario` plus the builder's resolved parameters."""
-    field, psi0, params = _BUILDERS[config.scenario](config)
+    """:func:`build_scenario` plus the resolved parameters."""
+    params = _resolve(config.scenario, config.parameters)
+    field, psi0 = _BUILDERS[config.scenario](config, params)
     if config.n_steps is None:
         grid = TimeGrid.with_density(*field.t_span)
     else:

@@ -3,6 +3,7 @@ every export has a caller in the package or the demos."""
 
 import ast
 import functools
+import pydoc
 import re
 import sys
 import types
@@ -13,6 +14,10 @@ import pytest
 import blochpath
 
 ROOT = Path(__file__).resolve().parents[1]
+
+# the package loads lazily, and the cases below are read from its namespace:
+# looking up one export loads every module and binds every export
+blochpath.FieldSpec
 
 #: names and parameters taken out of the package; none may be referred to
 #: again
@@ -55,6 +60,21 @@ def test_every_export_is_in_the_api_map(name):
 @pytest.mark.parametrize("module,name", _module_all())
 def test_every_public_name_of_a_module_is_exported(module, name):
     assert getattr(blochpath, name, None) is getattr(sys.modules[module], name)
+
+
+def test_the_cases_cover_every_export():
+    # as many as before the package loaded lazily, so none went missing
+    assert _exports() == sorted(blochpath.__all__)
+    assert (len(_exports()), len(_module_all())) == (56, 42)
+
+
+def test_star_import_dir_and_help_give_the_exports():
+    names = {}
+    exec("from blochpath import *", names)
+    assert sorted(set(names) - {"__builtins__"}) == _exports()
+    assert set(_exports()) <= set(dir(blochpath))
+    text = pydoc.render_doc(blochpath, renderer=pydoc.plaintext)
+    assert [name for name in _exports() if not re.search(rf"\b{name}\b", text)] == []
 
 
 @functools.cache

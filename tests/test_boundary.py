@@ -13,9 +13,13 @@ message prints as a plain float, whatever numpy's version.
 
 import math
 import re
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
+
+from blochpath import config, core
 
 from blochpath import (
     BlochPathError,
@@ -266,3 +270,53 @@ def test_messages_print_plain_floats(case):
         call()
     assert "np." not in str(exc.value)
     assert re.search(r"\d", str(exc.value))
+
+
+def _nested(depth):
+    value = [1.0]
+    for _ in range(depth - 1):
+        value = [value]
+    return value
+
+
+#: values read as numbers or refused, by the config layer's rule without
+#: numpy for the JSON types and by ``core._numbers`` for the others
+NUMBER_CORPUS = {
+    "int64_max": 2**63 - 1, "uint64_min": 2**63, "uint64_max": 2**64 - 1,
+    "past_uint64": 2**64, "below_int64": -2**63 - 1, "1e30_int": 10**30,
+    "nan": math.nan, "inf": math.inf, "negative_zero": -0.0, "bool": True,
+    "str_number": "1.0", "str": "abc", "None": None, "list": [1.0], "dict": {},
+    "fraction": Fraction(1, 2), "decimal": Decimal("1"), "complex": 1j,
+    "float32": np.float32(1), "numpy_bool": np.bool_(True), "0d_array": np.array(2.5),
+    "empty_list": [], "matrix": [[1, 2], [3, 4.5]], "ragged": [[1, 2], [3]],
+    "ragged_depth": [[1], 2], "int64_with_uint64": [2**63, -1],
+    "bool_entry": [1, True], "str_entry": [1.0, "a"], "None_entry": [1.0, None],
+    "past_uint64_entry": [1.0, 2**64], "tuple_entry": [(1.0, 2.0)],
+    "depth_32": _nested(32), "depth_33": _nested(33), "depth_70": _nested(70),
+}
+
+
+def _json_built(value):
+    return type(value) in (int, float, bool, str, type(None), dict) or (
+        type(value) is list and all(map(_json_built, value)))
+
+
+@pytest.mark.parametrize("value", NUMBER_CORPUS.values(), ids=list(NUMBER_CORPUS))
+def test_the_config_number_rule_agrees_with_the_one_rule(monkeypatch, value):
+    try:
+        arr = core._numbers(value, "x")
+    except ConfigError as exc:
+        want = f"ConfigError: {exc}"
+    else:
+        want = repr(float(arr) if arr.shape == () else None)
+    calls, numbers = [], core._numbers
+    monkeypatch.setattr(core, "_numbers", lambda *args: calls.append(args) or numbers(*args))
+    try:
+        got = repr(config._number(value, "x"))
+    except ConfigError as exc:
+        got = f"ConfigError: {exc}"
+    assert got == want
+    # lists nested past 32 levels are read by numpy, like every value not
+    # built of JSON types
+    assert bool(calls) == (not _json_built(value) or value is NUMBER_CORPUS["depth_33"]
+                           or value is NUMBER_CORPUS["depth_70"])

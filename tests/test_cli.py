@@ -410,6 +410,29 @@ _SLOW_AND_LONG = {"scenario": "custom", "field": {"h": [1e-3, 0.0, 0.0]},
                   "t_span": [0, 6000]}
 _SWEEP = ["sweep-alpha", "--theta-ab", "1.2", "--points", "9"]
 _PROFILE = ["phase-profiles", "--profile", "log", "--points", "9"]
+#: configs that ``report`` refuses with exit 2, by id: the file's text or
+#: JSON object, and the message naming the fault
+_CONFIG_ERRORS = {
+    "invalid_json": (
+        "not json", "cannot read config 'c.json': Expecting value: line 1 column 1 (char 0)"),
+    "gamma_not_a_number": ({"scenario": "example3", "parameters": {"gamma": "abc"}},
+                           "parameter 'gamma' must be real numbers, got 'abc'"),
+    "unknown_key": ({"scenario": "example3", "colour": "red"},
+                    "unknown config keys ['colour']"),
+    "t_span_one_value": ({"scenario": "example3", "t_span": [0]},
+                         "t_span must be two numbers [t_start, t_end], got [0]"),
+    "n_steps_one": ({"scenario": "example3", "n_steps": 1},
+                    "n_steps must be an integer from 2 to 10000000, got 1"),
+    "unknown_scenario": ({"scenario": "example9"},
+                         "unknown scenario 'example9'; expected one of ('example1', "
+                         "'example2', 'example3', 'example4', 'suboptimal_family', 'custom')"),
+    "missing_scenario": ({"parameters": {"gamma": 1.0}}, "config is missing the 'scenario' key"),
+    "unknown_parameter": ({"scenario": "example3", "parameters": {"delta": 1.0}},
+                          "unknown parameter(s) ['delta'] for scenario 'example3'"),
+    "reversed_span": ({"scenario": "example3", "t_span": [1, 0]},
+                      "t_end (0.0) must exceed t_start (1.0)"),
+    "custom_without_field": ({"scenario": "custom"}, "custom scenario needs a 'field' mapping"),
+}
 
 
 class TestConfigBoundary:
@@ -831,8 +854,8 @@ class TestProcessInvocation:
         assert proc.stderr.splitlines()[0].startswith("numerical error")
         assert "Warning" not in proc.stderr
 
-    @pytest.mark.parametrize("argv", [["-c", "import blochpath"],
-                                      ["-m", "blochpath", "--help"]])
+    @pytest.mark.parametrize("argv", [["-c", "import blochpath; blochpath.FieldSpec"],
+                                      ["-m", "blochpath", *_SWEEP]])
     def test_cold_start_imports_no_scipy(self, argv):
         # the records are plain classes and named tuples, so no dataclasses
         imported = _imported_modules(argv)
@@ -849,10 +872,27 @@ class TestProcessInvocation:
         ["table2", "--steps", "20"],
     ], ids=["help", "sweep_alpha", "phase_profiles", "table2"])
     def test_commands_without_json_files_import_no_json(self, argv):
-        # only a config read or a report written loads json
+        # only a config read or a report written loads json, and only a
+        # command that computes loads the numeric modules
         imported = _imported_modules(["-m", "blochpath", *argv])
-        assert "blochpath.evolve" in imported
+        assert ("blochpath.evolve" in imported) == (argv != ["--help"])
         assert "json" not in imported
+
+    @pytest.mark.parametrize("argv, config, code, err", [
+        (["--help"], None, EXIT_OK, None),
+        (["sweep-alpha", "--theta-ab", "1.2"], None, EXIT_CONFIG,
+         "blochpath sweep-alpha: error: the following arguments are required: --points"),
+        *[(["report", "--config", "c.json"], config, EXIT_CONFIG, f"config error: {message}")
+          for config, message in _CONFIG_ERRORS.values()],
+    ], ids=["help", "usage_error", *_CONFIG_ERRORS])
+    def test_help_usage_and_config_errors_import_no_numpy(self, tmp_path, argv, config,
+                                                          code, err):
+        if config is not None:
+            (tmp_path / "c.json").write_text(
+                config if isinstance(config, str) else json.dumps(config))
+        imported = _imported_modules(["-m", "blochpath", *argv], code, err, cwd=tmp_path)
+        assert "blochpath.cli" in imported
+        assert not [m for m in imported if m == "numpy" or m.startswith("numpy.")]
 
     @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
     def test_import_leaves_the_collector_as_it_found_it(self, enabled):
@@ -866,11 +906,12 @@ class TestProcessInvocation:
                 "gc.callbacks.append(lambda phase, info: phase == 'start' and\n"
                 "                    starts.append('blochpath.scenarios' in sys.modules))\n"
                 "frozen = gc.get_freeze_count()\n"
-                "import blochpath\n"
-                "print(gc.isenabled(), gc.get_freeze_count() - frozen, all(starts))\n")
+                "import blochpath\nblochpath.FieldSpec\n"
+                "print(gc.isenabled(), gc.get_freeze_count() - frozen, all(starts),\n"
+                "      'numpy' in sys.modules)\n")
         proc = subprocess.run([sys.executable, "-c", code],
                               capture_output=True, text=True, env=_child_env())
-        assert (proc.returncode, proc.stdout, proc.stderr) == (0, f"{enabled} 0 True\n", "")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, f"{enabled} 0 True True\n", "")
 
     def test_import_starts_no_collection_after_the_pause(self):
         # with nothing frozen, import moves the objects it made to the oldest
@@ -881,7 +922,7 @@ class TestProcessInvocation:
                 "starts = []\n"
                 "gc.callbacks.append(lambda phase, info: phase == 'start' and\n"
                 "                    starts.append(info['generation']))\n"
-                "import blochpath\n"
+                "import blochpath\nblochpath.FieldSpec\n"
                 "for _ in range(10_000):\n"
                 "    [None]\n"
                 "print(starts, gc.isenabled(), gc.get_freeze_count())\n")
@@ -893,7 +934,7 @@ class TestProcessInvocation:
         # thawing would thaw the host's objects too, so import leaves them be
         code = ("import gc\ngc.freeze()\n"
                 "frozen = gc.get_freeze_count()\n"
-                "import blochpath\n"
+                "import blochpath\nblochpath.FieldSpec\n"
                 "print(frozen > 0, gc.get_freeze_count() - frozen)\n")
         proc = subprocess.run([sys.executable, "-c", code],
                               capture_output=True, text=True, env=_child_env())
@@ -949,6 +990,25 @@ class TestProcessInvocation:
         assert (proc.returncode, proc.stdout) == (code, want)
         assert _frozen_by_the_child(proc.stderr) > 0
 
+    def test_process_entry_leaves_nothing_young_after_a_start_up_freeze(self, tmp_path):
+        # CPython 3.12 starts with objects frozen, which the import pause must
+        # not thaw; the entry freezes the numeric load itself, so no collection
+        # walks it, whatever was frozen at start-up
+        probe = tmp_path / "probe"
+        probe.mkdir()
+        (probe / "sitecustomize.py").write_text(
+            "import atexit, gc, sys\n"
+            "gc.freeze()\n"
+            "young = []\n"
+            "gc.callbacks.append(lambda phase, info: phase == 'start' and 'numpy' in sys.modules\n"
+            "    and young.append(sum(map(len, map(gc.get_objects, range(info['generation'] + 1))))))\n"
+            "atexit.register(lambda: sys.stderr.write(f\"{'numpy' in sys.modules} {young}\\n\"))\n")
+        proc = subprocess.run([sys.executable, "-m", "blochpath", "table2", "--steps", "20"],
+                              capture_output=True, text=True, env=_child_env(probe))
+        loaded, young = proc.stderr.split(" ", 1)
+        assert (proc.returncode, loaded) == (0, "True")
+        assert max(json.loads(young), default=0) < 5000
+
     def test_importing_the_module_entry_freezes_nothing(self, tmp_path):
         proc = subprocess.run([sys.executable, "-c", "import blochpath.__main__"],
                               capture_output=True, text=True,
@@ -979,15 +1039,17 @@ def _launcher(tmp_path) -> str:
     return str(launcher)
 
 
-def _imported_modules(argv) -> list:
-    """Every module a fresh interpreter run with ``argv`` imports, as
-    ``-X importtime`` lists them; the run must exit 0."""
-    proc = subprocess.run([sys.executable, "-X", "importtime", *argv],
+def _imported_modules(argv, code=EXIT_OK, err=None, cwd=None) -> list:
+    """Every module a fresh interpreter run with ``argv`` in ``cwd`` imports,
+    as ``-X importtime`` lists them; the run must exit with ``code`` and
+    write to stderr nothing else, or ``err`` as its last line."""
+    proc = subprocess.run([sys.executable, "-X", "importtime", *argv], cwd=cwd,
                           capture_output=True, text=True, env=_child_env())
-    assert proc.returncode == 0
+    lines = proc.stderr.splitlines()
+    rest = [line for line in lines if not line.startswith("import time:")]
+    assert (proc.returncode, rest[-1:]) == (code, [err] if err else [])
     return [line.rsplit("|", 1)[-1].strip()
-            for line in proc.stderr.splitlines()
-            if line.startswith("import time:")]
+            for line in lines if line.startswith("import time:")]
 
 
 def _freeze_probe(tmp_path) -> Path:

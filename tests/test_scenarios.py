@@ -94,15 +94,13 @@ class TestConfigValidation:
             ScenarioConfig.from_dict({"scenario": "example1", "mystery": 1})
 
     def test_missing_required_parameter_is_named(self):
-        cfg = ScenarioConfig(scenario="suboptimal_family",
-                             parameters={"theta_ab": 1.0})
         with pytest.raises(ConfigError, match="alpha"):
-            build_scenario(cfg)
+            build_scenario(ScenarioConfig(scenario="suboptimal_family",
+                                          parameters={"theta_ab": 1.0}))
 
     def test_unknown_parameter_rejected(self):
-        cfg = ScenarioConfig(scenario="example3", parameters={"gamm": 1.0})
         with pytest.raises(ConfigError):
-            build_scenario(cfg)
+            build_scenario(ScenarioConfig(scenario="example3", parameters={"gamm": 1.0}))
 
     def test_nu0_alias(self, tmp_path):
         cfg = ScenarioConfig(scenario="example2",
