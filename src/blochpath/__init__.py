@@ -11,7 +11,6 @@ imports every module, numpy with them, and binds the exports as attributes.
 """
 
 import gc
-from importlib import import_module as _import_module
 
 __version__ = "0.1.0"
 
@@ -46,7 +45,8 @@ def _load(freeze: bool = False) -> None:
     gc.disable()
     try:
         for module, names in _EXPORTS.items():
-            loaded = _import_module(f".{module}", __name__)
+            # __import__, not importlib's, so that -X importtime lists them
+            loaded = __import__(f"{__name__}.{module}", fromlist=names)
             globals().update((name, getattr(loaded, name)) for name in names)
     finally:
         # the pause left every new object young, for the next collection to walk;

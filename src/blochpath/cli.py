@@ -127,8 +127,8 @@ def _main(argv, freeze: bool) -> int:
         # have passed: on the first lookup in the package, or here to be frozen
         if freeze:
             _load(freeze)
-        import numpy as np
         from . import scenarios
+        import numpy as np
         # overflow and invalid values are caught by the explicit finiteness
         # checks and reported as typed errors; numpy's warnings would only
         # repeat them on stderr ahead of the message.  Every file is written

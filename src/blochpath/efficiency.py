@@ -8,8 +8,6 @@ combination satisfying the obvious axioms (range, reduction when one factor
 is 1, bounded by the smaller factor).
 """
 
-from __future__ import annotations
-
 from enum import Enum
 from typing import NamedTuple
 

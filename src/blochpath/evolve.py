@@ -18,8 +18,6 @@ states have the same bits either way.  Line integrals use the trapezoid
 rule :func:`_trapezoid` on the same nodes.
 """
 
-from __future__ import annotations
-
 from typing import NamedTuple
 
 import numpy as np
@@ -50,7 +48,7 @@ TOL_NORM0 = 1e-10
 _BLOCK = 1024
 
 
-def _trapezoid(y, grid: TimeGrid, cumulative: bool = False):
+def _trapezoid(y, grid: "TimeGrid", cumulative: bool = False):
     """Trapezoid rule for samples ``y`` (real or complex) on the nodes of ``grid``.
 
     Returns the integral over the grid, or with ``cumulative`` the running

@@ -16,8 +16,6 @@ An array closure must give the same bits as elementwise calls would, which
 the byte-pinned golden artifacts check for the built-in scenarios.
 """
 
-from __future__ import annotations
-
 from typing import Callable, NamedTuple, Optional, Tuple
 
 import numpy as np

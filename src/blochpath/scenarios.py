@@ -17,8 +17,6 @@ Artifacts are CSV curves (RFC 4180, 15 significant digits) and JSON
 reports; identical configs produce byte-identical files.
 """
 
-from __future__ import annotations
-
 import contextlib
 import csv
 import io

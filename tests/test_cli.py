@@ -930,6 +930,20 @@ class TestProcessInvocation:
                               capture_output=True, text=True, env=_child_env())
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[] True 0\n", "")
 
+    def test_load_compiles_no_annotation(self):
+        # the records' modules evaluate their annotations, so typing.NamedTuple
+        # compiles no string annotation into a ForwardRef (28 calls before)
+        code = ("import builtins\n"
+                "strings, compile = [], builtins.compile\n"
+                "builtins.compile = lambda source, *args, **kwargs: (\n"
+                "    isinstance(source, str) and strings.append(source),\n"
+                "    compile(source, *args, **kwargs))[1]\n"
+                "import blochpath\nblochpath.FieldSpec\n"
+                "print(strings)\n")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True, env=_child_env())
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
     def test_import_keeps_what_the_host_froze(self):
         # thawing would thaw the host's objects too, so import leaves them be
         code = ("import gc\ngc.freeze()\n"
