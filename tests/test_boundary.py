@@ -18,6 +18,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blochpath import config, core
 
@@ -301,22 +303,40 @@ def _json_built(value):
         type(value) is list and all(map(_json_built, value)))
 
 
+def _verdict(read, value):
+    try:
+        return repr(read(value))
+    except ConfigError as exc:
+        return f"ConfigError: {exc}"
+
+
+def _numpy_rule(value):
+    """What ``core._numbers`` makes of ``value`` in a scalar context."""
+    arr = core._numbers(value, "x")
+    return float(arr) if arr.shape == () else None
+
+
 @pytest.mark.parametrize("value", NUMBER_CORPUS.values(), ids=list(NUMBER_CORPUS))
 def test_the_config_number_rule_agrees_with_the_one_rule(monkeypatch, value):
-    try:
-        arr = core._numbers(value, "x")
-    except ConfigError as exc:
-        want = f"ConfigError: {exc}"
-    else:
-        want = repr(float(arr) if arr.shape == () else None)
+    want = _verdict(_numpy_rule, value)
     calls, numbers = [], core._numbers
     monkeypatch.setattr(core, "_numbers", lambda *args: calls.append(args) or numbers(*args))
-    try:
-        got = repr(config._number(value, "x"))
-    except ConfigError as exc:
-        got = f"ConfigError: {exc}"
-    assert got == want
+    assert _verdict(lambda v: config._number(v, "x"), value) == want
     # lists nested past 32 levels are read by numpy, like every value not
     # built of JSON types
     assert bool(calls) == (not _json_built(value) or value is NUMBER_CORPUS["depth_33"]
                            or value is NUMBER_CORPUS["depth_70"])
+
+
+_LEAVES = (st.integers(-2**65, 2**65) | st.sampled_from([2**63, 2**64 - 1, 2**64, -2**63 - 1])
+           | st.floats() | st.booleans() | st.text(max_size=2) | st.none())
+_JSON = st.recursive(_LEAVES, lambda inner: st.lists(inner, max_size=3)
+                     | st.dictionaries(st.text(max_size=2), inner, max_size=2), max_leaves=10)
+_TABLES = st.integers(0, 3).flatmap(lambda n: st.lists(
+    st.lists(st.floats(-3.0, 3.0) | st.integers(-5, 5), min_size=n, max_size=n), max_size=3))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_JSON | _TABLES)
+def test_the_config_number_rule_agrees_on_nested_json(value):
+    assert _verdict(lambda v: config._number(v, "x"), value) == _verdict(_numpy_rule, value)
