@@ -134,10 +134,10 @@ class ScenarioConfig:
     ``curvature`` outputs without the ``trajectory`` file they are columns
     of; parameters that are not a mapping, or are unknown, missing, aliased
     twice or not finite numbers; a ``field`` or ``psi0`` for another
-    scenario, and a ``custom`` one without a ``field`` mapping.  The arrays
-    of ``field`` and ``psi0`` and the family's domain are checked when the
-    scenario is built.  Either way no numerics have run yet.  ``outputs``
-    is stored as a tuple, so an iterator is read once.
+    scenario, and a ``custom`` one without a ``field`` mapping.  The keys
+    and arrays of ``field`` and ``psi0`` and the family's domain are checked
+    when the scenario is built.  Either way no numerics have run yet.
+    ``outputs`` is stored as a tuple, so an iterator is read once.
     """
 
     #: the attributes, in the order of the constructor's parameters
