@@ -51,9 +51,9 @@ TOL_HERM = 1e-12
 
 
 def _holds_bool(v) -> bool:
-    """Whether ``v`` is a list or tuple with a bool at any depth, which
-    ``np.asarray`` would read as 0 or 1 beside numbers."""
-    return isinstance(v, (list, tuple)) and any(
+    """Whether ``v`` is a list or tuple with a bool at any depth, which ``np.asarray``
+    would read as 0 or 1 beside numbers; one of Python reals alone is told by its types."""
+    return isinstance(v, (list, tuple)) and not set(map(type, v)) <= {float, int} and any(
         isinstance(x, (bool, np.bool_)) or _holds_bool(x) for x in v)
 
 
@@ -150,8 +150,18 @@ def _dot(x, y):
 
 
 def _norm_sq(rows: np.ndarray) -> np.ndarray:
-    """Squared norms of complex rows over the last axis."""
-    return (rows.real * rows.real + rows.imag * rows.imag).sum(axis=-1)
+    """Squared norms of complex 2-vector rows: the two squares added, as a sum does."""
+    sq = rows.real * rows.real + rows.imag * rows.imag
+    return sq[..., 0] + sq[..., 1]
+
+
+def _cross(x, y):
+    """``np.cross`` of broadcast ``(..., 3)`` rows: its products and differences."""
+    out = np.empty(np.broadcast(x, y).shape)
+    out[..., 0] = x[..., 1] * y[..., 2] - x[..., 2] * y[..., 1]
+    out[..., 1] = x[..., 2] * y[..., 0] - x[..., 0] * y[..., 2]
+    out[..., 2] = x[..., 0] * y[..., 1] - x[..., 1] * y[..., 0]
+    return out
 
 
 def _bloch_rows(states):
@@ -204,7 +214,7 @@ def energy_uncertainty(a, h):
     a = _as_rows(a, "Bloch vector")
     h = _as_rows(h, "field")
     _broadcast(a, h)
-    c = np.cross(a, h)
+    c = _cross(a, h)
     return np.sqrt(_dot(c, c))
 
 
@@ -225,7 +235,7 @@ def fubini_study_distance(a, b):
     """
     a = _as_rows(a, "Bloch vector")
     b = _as_vec3(b, "Bloch vector")
-    c = np.cross(a, b)
+    c = _cross(a, b)
     out = np.arctan2(np.sqrt(_dot(c, c)), _dot(a, b))
     if not np.isfinite(out).all():
         raise NumericalError("Fubini-Study distance is not finite")
@@ -263,10 +273,12 @@ def _field_error(what: str, exc: Exception):
 def _plain_reals(values) -> bool:
     """Whether a block holds only float64 arrays, plain reals, or lists or tuples of
     plain reals: one ``np.array`` of it then reads no bool as 0 or 1 beside reals."""
+    types = set(map(type, values))
     try:
-        return set(map(operator.attrgetter("dtype"), values)) == {np.dtype(float)}
-    except AttributeError:  # Python numbers, lists or tuples
-        types = set(map(type, values))
+        if not types <= {float, int, list, tuple}:  # arrays or numpy scalars among them
+            return set(map(operator.attrgetter("dtype"), values)) == {np.dtype(float)}
+    except AttributeError:  # mixed with Python numbers, lists or tuples
+        pass
     if types <= {list, tuple}:
         types = {type(x) for value in values for x in value}
     return types <= {float, int, np.float64}

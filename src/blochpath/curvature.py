@@ -22,7 +22,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import FieldSpec, _as_rows, _broadcast, _check_finite, _dot, _first, pauli_compose
+from .core import (FieldSpec, _as_rows, _broadcast, _check_finite, _cross, _dot, _first,
+                   pauli_compose)
 from .errors import NumericalError, SingularEvolutionError
 from .evolve import Trajectory, parallel_transport
 
@@ -78,7 +79,7 @@ def curvature_bloch(a, h, h_dot):
     with np.errstate(over="ignore"):
         term2 = (hh * _dot(hd, hd) - np.float_power(_dot(h, hd), 2)
                  - _dot(w, w)) / np.float_power(d, 3)
-        term3 = 4.0 * ah * _dot(a, np.cross(h, hd)) / np.float_power(d, 2)
+        term3 = 4.0 * ah * _dot(a, _cross(h, hd)) / np.float_power(d, 2)
     return _clamp_nonneg(term1 + term2 + term3)
 
 

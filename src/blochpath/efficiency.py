@@ -141,11 +141,11 @@ def speed_efficiency_tracezero(cdot_sq, phidot):
 
 def _check_factors(eta_ge_bar, eta_se_bar) -> None:
     """:class:`RangeError` unless both are single numbers in
-    ``[-TOL_EXCESS, 1 + TOL_EXCESS]`` (NaN is not)."""
+    ``[-TOL_EXCESS, 1 + TOL_EXCESS]`` (NaN is not); a Python float as it is."""
     for name, value in (("eta_ge_bar", eta_ge_bar), ("eta_se_bar", eta_se_bar)):
         bad = RangeError(f"{name} = {value!r} is not a real number in [0, 1]")
-        factor = _numbers(value, name, error=bad)
-        if factor.shape != () or not -TOL_EXCESS <= factor <= 1.0 + TOL_EXCESS:
+        factor = value if type(value) is float else _numbers(value, name, error=bad)
+        if getattr(factor, "shape", ()) != () or not -TOL_EXCESS <= factor <= 1.0 + TOL_EXCESS:
             raise bad
 
 

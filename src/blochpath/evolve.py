@@ -4,27 +4,29 @@ The Schrodinger equation ``i dpsi/dt = H psi`` is integrated with classic
 RK4 on a uniform grid, renormalizing after every step.  A linear RK4 step
 is the matrix ``M = I + dt/6 (A0 + 2 K2 + 2 K3 + K4)`` with ``A = -iH``,
 ``K2 = Am (I + dt/2 A0)``, ``K3 = Am (I + dt/2 K2)``, ``K4 = A1 (I + dt K3)``.
-The matrices of ``_BLOCK`` steps are built at once, and their Hillis-Steele
-prefix products ``P_k = M_k ... M_0`` (Blelloch, CMU-CS-90-190) carry the
-block's first state ``y`` to every node.  Renormalizing, a scalar, commutes
-with them, so the drifts ``|M_k y_k| - 1`` are the growths
+The matrices of ``_BLOCK`` steps are built at once, entry-major (``-iH`` as
+``pauli_compose``'s entries times ``-1j``), and their Hillis-Steele prefix
+products ``P_k = M_k ... M_0`` (Blelloch, CMU-CS-90-190) carry the block's
+first state ``y`` to every node.  Renormalizing, a scalar, commutes with
+them, so the drifts ``|M_k y_k| - 1`` are the growths
 ``|P_k y| / |P_(k-1) y| - 1``, checked at once.  When every node and
 midpoint sample of the field has the same bits (a stationary field, given
 as a constant or as a callable of one value), all steps share one matrix
 ``M``: it is built once, its powers ``P_k = M^(k+1)`` for one block are
 formed by doubling, ``P_(s+i) = P_(s-1) P_i``, and every block reuses them.
 Hillis-Steele forms exactly these products from equal matrices, so the
-states have the same bits either way.  Line integrals use the trapezoid
-rule :func:`_trapezoid` on the same nodes.
+states have the same bits either way.  Line integrals are trapezoid sums on
+the nodes (:func:`_trapezoid`), whose intervals each grid forms once.
 """
 
+import functools
 from typing import NamedTuple
 
 import numpy as np
 
 from .config import MAX_STEPS, _count, _ordered
 from .core import (FieldSpec, _as_state, _as_times, _check_finite, _dot, _first, _Frozen,
-                   _norm_sq, _numbers, energy_uncertainty, fubini_study_distance, pauli_compose)
+                   _norm_sq, _numbers, energy_uncertainty, fubini_study_distance)
 from .errors import (ConfigError, IntegrationError, NormalizationError,
                      NumericalError, ShapeError)
 
@@ -58,8 +60,7 @@ def _trapezoid(y, grid: "TimeGrid", cumulative: bool = False):
     sequential one, so ``cumulative[-1]`` may differ from the total in the
     last bits.
     """
-    terms = np.diff(np.linspace(0.0, grid.t_end - grid.t_start, grid.n_nodes)) \
-        * (y[1:] + y[:-1]) / 2.0
+    terms = grid._widths * (y[1:] + y[:-1]) / 2.0
     if cumulative:
         return np.concatenate(([0.0], np.cumsum(terms)))
     return terms.sum()
@@ -102,6 +103,10 @@ class TimeGrid(_Frozen):
     @property
     def times(self) -> np.ndarray:
         return np.linspace(self.t_start, self.t_end, self.n_steps + 1)
+
+    @functools.cached_property
+    def _widths(self) -> np.ndarray:  # the intervals of t - t_start that _trapezoid uses
+        return np.diff(np.linspace(0.0, self.t_end - self.t_start, self.n_nodes))
 
     @property
     def half_times(self) -> np.ndarray:
@@ -183,7 +188,9 @@ def _mul(a, b):
 
 def _step_matrices(h0, h, dt):
     """Entry-major RK4 step matrices from ``2n + 1`` node and midpoint samples."""
-    gen = (-1j * pauli_compose(h0, h)).transpose(1, 2, 0).copy()  # -iH
+    gen = np.array([[h0 + h[:, 2], h[:, 0] - 1j * h[:, 1]],
+                    [h[:, 0] + 1j * h[:, 1], h0 - h[:, 2]]], dtype=complex)
+    gen *= -1j  # -iH
     a0, am, a1 = gen[..., :-2:2], gen[..., 1::2], gen[..., 2::2]
     eye = np.eye(2)[..., None]
     k2 = _mul(am, eye + (0.5 * dt) * a0)

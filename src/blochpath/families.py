@@ -21,7 +21,7 @@ from typing import Callable, NamedTuple, Optional, Tuple
 import numpy as np
 
 from .core import (TOL_HERM, TOL_NORM, FieldSpec, _as_times, _as_vec3, _BatchedField,
-                   _bloch_rows, _check_finite, _dot, _field_error, _finite_reals, _first,
+                   _bloch_rows, _check_finite, _cross, _dot, _field_error, _finite_reals, _first,
                    _Frozen, _norm_sq, _numbers, _scalar, fubini_study_distance)
 from .evolve import TOL_NORM0
 from .errors import (
@@ -56,7 +56,7 @@ def rodrigues_rotate(v, axis, angle: float) -> np.ndarray:
     k = _as_vec3(axis, "axis")
     angle = _finite_reals(angle, "angle", scalar=True)
     c, s = np.cos(angle), np.sin(angle)
-    return v * c + np.cross(k, v) * s + k * _dot(k, v) * (1.0 - c)
+    return v * c + _cross(k, v) * s + k * _dot(k, v) * (1.0 - c)
 
 
 def endpoint_angle(a, b) -> float:
@@ -83,8 +83,8 @@ def suboptimal_axis(alpha: float, a, b) -> np.ndarray:
     alpha = _finite_reals(alpha, "alpha", scalar=True)
     half = 0.5 * endpoint_angle(a, b)
     # a x b as a x (b -+ a): the short difference keeps its relative accuracy
-    normal = np.cross(a, b - np.sign(_dot(a, b)) * a)
-    toward = np.cross(normal, a)
+    normal = _cross(a, b - np.sign(_dot(a, b)) * a)
+    toward = _cross(normal, a)
     bisector = np.cos(half) * a + np.sin(half) / np.sqrt(_dot(toward, toward)) * toward
     n = np.cos(alpha) * bisector + np.sin(alpha) / np.sqrt(_dot(normal, normal)) * normal
     norm = np.sqrt(_dot(n, n))

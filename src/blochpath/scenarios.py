@@ -362,8 +362,8 @@ def run_report(config: ScenarioConfig, out_dir=".") -> ReportRow:
     """Run a scenario end to end and emit its artifact files.
 
     Writes ``<scenario>_trajectory.csv`` and ``<scenario>_report.json``
-    into ``out_dir`` (subject to ``config.outputs``) and returns the
-    summary row.
+    into ``out_dir``, created only then (subject to ``config.outputs``; with
+    none, no directory is touched), and returns the summary row.
     """
     field, psi0, grid, params = _build(config)
     traj = schrodinger_evolve(field, psi0, grid)
@@ -376,10 +376,10 @@ def run_report(config: ScenarioConfig, out_dir=".") -> ReportRow:
         classification=report.classification.value,
     )
 
-    out = Path(out_dir)
-    with _output(out):
-        out.mkdir(parents=True, exist_ok=True)
-    outputs = set(config.outputs)
+    out, outputs = Path(out_dir), set(config.outputs)
+    if outputs:
+        with _output(out):
+            out.mkdir(parents=True, exist_ok=True)
 
     if "trajectory" in outputs:
         columns = {

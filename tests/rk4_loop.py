@@ -9,7 +9,11 @@ the step an integration fails, checks that rewrite.
 :func:`hillis_steele_rk4` is that blocked propagator as it was before fields
 with equal samples got one step matrix and its doubled powers: it builds
 every step's matrix and takes their Hillis-Steele prefix products in every
-block.  The library must give its states bit for bit.
+block.  It forms ``-iH`` as the library once did, from
+:func:`blochpath.pauli_compose` multiplied into a new array and transposed
+to entry-major order, not with the library's step build, which writes the
+same entries entry-major directly.  The library must give its states bit
+for bit.
 """
 
 import numpy as np
@@ -24,7 +28,7 @@ from blochpath import (
     sample_field,
 )
 from blochpath.core import _first
-from blochpath.evolve import _BLOCK, MAX_STEP_DRIFT, TOL_NORM0, _mul, _step_matrices
+from blochpath.evolve import _BLOCK, MAX_STEP_DRIFT, TOL_NORM0, _mul
 
 
 def sequential_rk4(field: FieldSpec, psi0, grid: TimeGrid) -> np.ndarray:
@@ -68,6 +72,18 @@ def sequential_rk4(field: FieldSpec, psi0, grid: TimeGrid) -> np.ndarray:
     return states
 
 
+def step_matrices(h0, h, dt) -> np.ndarray:
+    """Entry-major ``(2, 2, n)`` RK4 step matrices from ``2n + 1`` node and
+    midpoint samples, with ``-iH`` built through :func:`pauli_compose`."""
+    gen = (-1j * pauli_compose(h0, h)).transpose(1, 2, 0).copy()
+    a0, am, a1 = gen[..., :-2:2], gen[..., 1::2], gen[..., 2::2]
+    eye = np.eye(2)[..., None]
+    k2 = _mul(am, eye + (0.5 * dt) * a0)
+    k3 = _mul(am, eye + (0.5 * dt) * k2)
+    k4 = _mul(a1, eye + dt * k3)
+    return eye + (dt / 6.0) * (a0 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
 def hillis_steele_rk4(field: FieldSpec, psi0, grid: TimeGrid) -> np.ndarray:
     """The ``(n_nodes, 2)`` states of the blocked propagator with a
     Hillis-Steele scan over every block's own step matrices."""
@@ -77,8 +93,8 @@ def hillis_steele_rk4(field: FieldSpec, psi0, grid: TimeGrid) -> np.ndarray:
     states[0] = psi0
     for lo in range(0, n_steps, _BLOCK):
         hi = min(lo + _BLOCK, n_steps)
-        p, shift = _step_matrices(h0_half[2 * lo:2 * hi + 1],
-                                  h_half[2 * lo:2 * hi + 1], dt), 1
+        p, shift = step_matrices(h0_half[2 * lo:2 * hi + 1],
+                                 h_half[2 * lo:2 * hi + 1], dt), 1
         while shift < hi - lo:  # P_k = M_k ... M_0
             p[..., shift:] = _mul(p[..., shift:], p[..., :-shift])
             shift *= 2

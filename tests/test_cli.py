@@ -194,7 +194,7 @@ class TestPhaseProfiles:
 
 class TestUnusableOut:
     """An --out that cannot be written is a configuration error (exit 2)
-    naming the path, in every subcommand."""
+    naming the path, in every subcommand that writes."""
 
     SWEEP = ["sweep-alpha", "--theta-ab", "1.2", "--points", "5"]
 
@@ -215,6 +215,17 @@ class TestUnusableOut:
         assert str(target) in err
         assert "Traceback" not in err
         assert existing.read_text() == ""
+
+    def test_a_report_that_writes_nothing_leaves_its_out_alone(self, tmp_path, capsys):
+        existing = tmp_path / "taken"
+        existing.write_text("")
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"scenario": "example3", "n_steps": 20, "outputs": []}))
+        assert main(["report", "--config", str(config), "--out", str(existing)]) == EXIT_OK
+        out, err = capsys.readouterr()
+        assert out.startswith("example3") and err == ""
+        assert existing.read_text() == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.json", "taken"]
 
     @pytest.mark.parametrize("unbuffered", [False, True])
     @pytest.mark.parametrize("command", ["table2", "example", "report",

@@ -19,7 +19,7 @@ from blochpath import (
     spectral_norm,
     state_from_bloch,
 )
-from blochpath.core import _bloch_rows
+from blochpath.core import _bloch_rows, _cross, _norm_sq
 
 #: the Pauli matrices sigma_x, sigma_y, sigma_z
 SIGMA = (np.array([[0.0, 1.0], [1.0, 0.0]]),
@@ -175,6 +175,46 @@ class TestScalars:
         expected = np.arctan2(lengths, dots)
         assert np.array_equal(fubini_study_distance(a, a[0]), expected)
         assert [fubini_study_distance(row, a[0]) for row in a] == expected.tolist()
+
+
+#: entries a kernel must carry through as the numpy function it replaces does
+SPECIAL = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, np.inf, -np.inf, np.nan, 1e200])
+
+
+def _with_specials(rng, shape):
+    """Seeded normal entries of ``shape``, about a third of them replaced by
+    :data:`SPECIAL` values."""
+    out = rng.normal(size=shape) * 10.0 ** rng.integers(-3, 4, size=shape)
+    hit = rng.random(shape) < 0.35
+    out[hit] = rng.choice(SPECIAL, size=int(hit.sum()))
+    return out
+
+
+class TestKernelBits:
+    """The library's spelled-out kernels give the bits of the numpy functions
+    they replace, on every row: signed zeros, subnormals, infinities, NaN
+    and products that overflow included."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_norm_sq_adds_the_squares_as_a_sum_does(self, seed):
+        rng = np.random.default_rng(seed)
+        rows = np.empty((301, 2), dtype=complex)  # no 1j * inf, which is NaN + inf j
+        rows.real, rows.imag = _with_specials(rng, (301, 2)), _with_specials(rng, (301, 2))
+        with np.errstate(over="ignore", invalid="ignore"):
+            for r in (rows, rows[0], rows[5:9]):
+                want = (r.real * r.real + r.imag * r.imag).sum(axis=-1)
+                assert np.asarray(_norm_sq(r)).tobytes() == np.asarray(want).tobytes()
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_cross_gives_the_bits_of_np_cross(self, seed):
+        rng = np.random.default_rng(seed)
+        a, b = _with_specials(rng, (301, 3)), _with_specials(rng, (301, 3))
+        row = _with_specials(rng, (3,))
+        pairs = [(a, b), (a, row), (row, a), (row, b[7]), (a[None], b[:4, None])]
+        with np.errstate(over="ignore", invalid="ignore"):
+            for x, y in pairs:
+                got, want = _cross(x, y), np.cross(x, y)
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 class TestFieldSpec:

@@ -293,7 +293,9 @@ def _switching(lo: int, hi: int, grid: TimeGrid):
 class TestEqualSamples:
     """A field whose samples are all equal is propagated with one step
     matrix and its powers; the states keep the bits of the blocked
-    Hillis-Steele scan over every step's own matrix."""
+    Hillis-Steele scan over every step's own matrix, each built through
+    ``pauli_compose``.  So does a field whose samples all differ, whose step
+    matrices the library builds without it."""
 
     @staticmethod
     def assert_same_bits(field, grid):
@@ -317,6 +319,12 @@ class TestEqualSamples:
             self, n_steps, lo, hi):
         grid = TimeGrid(0.25, 0.25 + 5e-4 * n_steps, n_steps)
         self.assert_same_bits(_switching(lo, hi, grid), grid)
+
+    @pytest.mark.parametrize("n_steps", [2, 1025, 2049])
+    def test_time_varying_fields_keep_the_hillis_steele_bits(self, n_steps):
+        field = FieldSpec(h0=lambda t: 0.3 * np.sin(t),
+                          h=lambda t: np.array([1.0, 0.5 * np.cos(2.0 * t), -0.0]))
+        self.assert_same_bits(field, TimeGrid(0.25, 0.25 + 5e-4 * n_steps, n_steps))
 
 
 class TestFeynmanEvolve:

@@ -280,6 +280,12 @@ class TestArtifacts:
         assert not (tmp_path / "example1_trajectory.csv").exists()
         assert (tmp_path / "example1_report.json").exists()
 
+    def test_a_run_that_writes_nothing_touches_no_directory(self, tmp_path):
+        row = run_report(ScenarioConfig(scenario="example3", n_steps=50, outputs=()),
+                         out_dir=tmp_path / "missing" / "runs")
+        assert row.scenario == "example3"
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("one_shot", [lambda names: (n for n in names), iter],
                              ids=["generator", "iterator"])
     def test_one_shot_outputs_are_read_once(self, tmp_path, one_shot):

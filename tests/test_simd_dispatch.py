@@ -5,8 +5,10 @@ numpy picks its vectorized loops at import from the CPU's features, and
 ``NPY_DISABLE_CPU_FEATURES`` turns dispatched features off for one process.
 The fast paths for equal field samples (one RK4 step matrix and its
 doubled powers) and for ``dh/dt = 0`` (the first curvature term alone)
-must give the bits of the general paths whichever loops run, so their
-tests are rerun in a child with AVX-512, and then also AVX2, turned off.
+must give the bits of the general paths whichever loops run, and the
+spelled-out kernels (``core._norm_sq`` and ``core._cross``) those of the
+numpy functions they replace, so their tests are rerun in a child with
+AVX-512, and then also AVX2, turned off.
 
 A feature the CPU lacks is already off, and numpy accepts a request to
 disable it, so these children run on every x86-64 runner.  numpy refuses
@@ -39,7 +41,8 @@ except ImportError:  # numpy 1.x
 
 TESTS = Path(__file__).resolve().parent
 PACKAGE_ROOT = Path(blochpath.__file__).resolve().parents[1]
-BIT_TESTS = ["test_evolve.py::TestEqualSamples", "test_curvature.py::TestStationaryBits"]
+BIT_TESTS = ["test_evolve.py::TestEqualSamples", "test_curvature.py::TestStationaryBits",
+             "test_core.py::TestKernelBits"]
 GOLDEN_TESTS = [
     "test_scenarios.py::TestGoldenFiles::test_sweep_alpha_csv_matches_golden_bytes",
     "test_scenarios.py::TestGoldenFiles::test_phased_example2_trajectory_matches_golden_bytes",
