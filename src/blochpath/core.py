@@ -397,7 +397,9 @@ class FieldSpec:
     up to a block of later samples may already have been evaluated, and a
     callable must not change an object it has returned (one output buffer,
     returned at every call, is allowed).
-    Fields built from tables or prescribed paths sample in batches instead.
+    Two private kinds sample in batches instead, ``scenarios._TableField(knots,
+    h0, h, t_span)`` and ``families._PathField(family, variant, h_dot)``; every
+    kind sets the ``t_span`` and ``h_dot`` the library reads.
     """
 
     def __init__(self, h0: Union[Callable[[float], float], float],
@@ -428,10 +430,3 @@ class FieldSpec:
     def _h_dot_rows(self, times: np.ndarray) -> np.ndarray:
         return _column(self.h_dot, times, "field derivative")
 
-
-class _BatchedField(FieldSpec):
-    """Base of fields that override :meth:`sample` with a batched
-    evaluation; ``h0`` and ``h`` hold whatever that evaluation reads."""
-
-    def __init__(self, h0, h, h_dot=None, t_span=(0.0, 1.0)):
-        self.h0, self.h, self.h_dot, self.t_span = h0, h, h_dot, t_span

@@ -157,7 +157,7 @@ def hybrid_efficiency(eta_ge_bar: float, eta_se_bar: float) -> float:
     Arithmetic and geometric means violate all three (see the tests).
     """
     _check_factors(eta_ge_bar, eta_se_bar)
-    return float(np.clip(eta_ge_bar, 0.0, 1.0) * np.clip(eta_se_bar, 0.0, 1.0))
+    return float(min(max(eta_ge_bar, 0.0), 1.0) * min(max(eta_se_bar, 0.0), 1.0))
 
 
 class EfficiencyReport(NamedTuple):

@@ -26,7 +26,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .config import ALL_OUTPUTS, SCENARIOS, ScenarioConfig, _count, _finite, _known_keys, _resolve
-from .core import FieldSpec, _as_times, _BatchedField, _norm_sq, _numbers, state_from_bloch
+from .core import FieldSpec, _as_times, _norm_sq, _numbers, state_from_bloch
 from .csvtext import csv_rows
 from .curvature import curvature_bloch_profile
 from .efficiency import (
@@ -189,23 +189,20 @@ def _build_suboptimal_family(config: ScenarioConfig, p: dict):
     return field, state_from_bloch(a)
 
 
-class _TableField(_BatchedField):
+class _TableField(FieldSpec):
     """Field linear between tabulated knots and constant beyond them.
 
-    ``h0`` and ``h`` hold the table at ``knots``; each column is sampled
-    with one ``np.interp`` over the whole time array.
+    ``h0`` ``(k,)`` and ``h`` ``(k, 3)`` hold the table at the ``k`` ``knots``;
+    each column is sampled with one ``np.interp`` over the whole time array.
+    It has no ``h_dot``: curvature takes ``dh/dt`` from the run's samples.
     """
 
-    def __init__(self, h0, h, h_dot=None, t_span=(0.0, 1.0),
-                 knots: Optional[np.ndarray] = None):
-        super().__init__(h0, h, h_dot, t_span)
-        self.knots = knots
+    def __init__(self, knots, h0, h, t_span):
+        self.knots, self.h0, self.h, self.h_dot, self.t_span = knots, h0, h, None, t_span
 
     def sample(self, times):
         times = _as_times(times)
-        h = np.empty(times.shape + (3,))
-        for i in range(3):
-            h[:, i] = np.interp(times, self.knots, self.h[:, i])
+        h = np.stack([np.interp(times, self.knots, col) for col in self.h.T], axis=-1)
         return np.interp(times, self.knots, self.h0), h
 
 
@@ -220,7 +217,7 @@ def _build_custom(config: ScenarioConfig, p: dict):
             raise ConfigError("field table shapes do not line up with 'times'")
         if times.shape[0] < 2 or np.any(np.diff(times) <= 0):
             raise ConfigError("'times' must be strictly increasing, length >= 2")
-        field = _TableField(h0=h0_tab, h=h_tab, t_span=config.t_span, knots=times)
+        field = _TableField(times, h0_tab, h_tab, config.t_span)
     else:
         if "h" not in spec:
             raise ConfigError("custom field needs 'h' (and optionally 'h0')")

@@ -1,5 +1,6 @@
 """The README's Python API map names every export and no removed name;
-every export has a caller in the package or the demos."""
+every export has a caller in the package or the demos, and every private
+module-level name a reader in the package."""
 
 import ast
 import functools
@@ -28,7 +29,7 @@ REMOVED = ("curvature_expectation", "curvature_numeric_oracle",
            "PAULI_Z", "IDENTITY2", "orbit_radius", "rotation_angle",
            "travel_time", "arc_length_alpha", "delta_e_alpha",
            "bloch_from_state", "speed_efficiency", "FD_STEP",
-           "_central_difference", "_sample_h")
+           "_central_difference", "_sample_h", "_BatchedField")
 
 
 def _exports() -> list[str]:
@@ -96,6 +97,53 @@ def _used_names() -> frozenset[str]:
 @pytest.mark.parametrize("name", _exports())
 def test_every_export_has_a_caller_outside_the_tests(name):
     assert name in _used_names()
+
+
+@functools.cache
+def _package_modules() -> list[tuple[str, ast.Module]]:
+    return [(path.name, ast.parse(path.read_text(encoding="utf-8")))
+            for path in sorted((ROOT / "src" / "blochpath").glob("*.py"))]
+
+
+def _private_definitions() -> dict[str, list[str]]:
+    """Each module-level private function, class and constant of the package,
+    by name, and where it is defined."""
+    found = {}
+    for file, module in _package_modules():
+        for node in module.body:
+            for name in _defined(node):
+                if name.startswith("_") and not name.startswith("__"):
+                    found.setdefault(name, []).append(f"{file}:{node.lineno}")
+    return found
+
+
+def _defined(node: ast.stmt) -> list[str]:
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    targets = node.targets if isinstance(node, ast.Assign) else \
+        [node.target] if isinstance(node, ast.AnnAssign) else []
+    return [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+
+
+@functools.cache
+def _package_reads() -> frozenset[str]:
+    """Names read in the package, as a ``Load`` ``Name`` or an ``Attribute``,
+    each outside the top-level statement that defines it."""
+    reads = set()
+    for _, module in _package_modules():
+        for stmt in module.body:
+            own = set(_defined(stmt))
+            for node in ast.walk(stmt):
+                name = (node.id if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+                        else node.attr if isinstance(node, ast.Attribute) else None)
+                if name is not None and name not in own:
+                    reads.add(name)
+    return frozenset(reads)
+
+
+@pytest.mark.parametrize("name", sorted(_private_definitions()))
+def test_every_private_definition_is_read_in_the_package(name):
+    assert name in _package_reads(), _private_definitions()[name]
 
 
 def test_no_removed_name_is_left_behind():

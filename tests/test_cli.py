@@ -22,7 +22,6 @@ import blochpath
 from blochpath import (EfficiencyReport, FieldSpec, ReportRow, ScenarioConfig,
                        SuboptimalStationary, TimeGrid, Trajectory, UzdinFamily)
 from blochpath.cli import EXIT_CONFIG, EXIT_ERROR, EXIT_NUMERICAL, EXIT_OK, main
-from blochpath.core import _BatchedField
 from blochpath.evolve import MAX_STEPS
 from blochpath.families import _PathField
 from blochpath.scenarios import SCENARIOS, _TableField
@@ -45,9 +44,9 @@ _FIELD = [("h0", _REQUIRED), ("h", _REQUIRED), ("h_dot", None), ("t_span", (0.0,
 #: every record's constructor parameters, in order, with their defaults
 RECORD_PARAMETERS = {
     FieldSpec: _FIELD,
-    _BatchedField: _FIELD,
-    _TableField: _FIELD + [("knots", None)],
-    _PathField: _FIELD + [("family", None), ("variant", "optimal")],
+    _TableField: [("knots", _REQUIRED), ("h0", _REQUIRED), ("h", _REQUIRED),
+                  ("t_span", _REQUIRED)],
+    _PathField: [("family", _REQUIRED), ("variant", _REQUIRED), ("h_dot", _REQUIRED)],
     UzdinFamily: [("m_state", _REQUIRED), ("m_dot", _REQUIRED), ("phase_dot", None),
                   ("t_span", (0.0, 1.0))],
     SuboptimalStationary: [("alpha", _REQUIRED), ("a_hat", _REQUIRED), ("b_hat", _REQUIRED),

@@ -27,6 +27,7 @@ from blochpath import (
     speed_efficiency_tracezero,
     state_from_bloch,
 )
+from blochpath.efficiency import TOL_EXCESS
 from feynman import feynman_evolve
 
 PSI0 = np.array([np.sqrt(3) / 2, 0.5], dtype=complex)
@@ -170,6 +171,22 @@ class TestHybridEfficiency:
         he = hybrid_efficiency(ge, se)
         assert 0.0 <= he <= 1.0
         assert he <= min(ge, se) + 1e-12
+
+    def test_clips_as_np_clip_bit_for_bit(self):
+        # signed zeros, the tolerance's edges, subnormals and 0-d arrays; two
+        # float32 factors multiply in float32 as np.clip's did
+        rng = np.random.default_rng(75)
+        edges = [0.0, -0.0, TOL_EXCESS, -TOL_EXCESS, 1.0, 1.0 + TOL_EXCESS,
+                 1.0 - TOL_EXCESS, 5e-324, -5e-324]
+        values = edges + [*rng.uniform(0.0, 1.0, 40), *rng.uniform(-TOL_EXCESS, TOL_EXCESS, 20),
+                          *(1.0 + rng.uniform(-TOL_EXCESS, TOL_EXCESS, 20))]
+        for ge in values:
+            for se in [*values, np.array(-0.0), np.array(0.5)]:
+                for a, b in ((ge, se), (np.array(ge), se),
+                             (np.float32(ge), np.float32(se))):
+                    want = float(np.clip(a, 0.0, 1.0) * np.clip(b, 0.0, 1.0))
+                    got = hybrid_efficiency(a, b)
+                    assert type(got) is float and got.hex() == want.hex(), (a, b)
 
     def test_means_violate_the_bound_where_the_product_does_not(self):
         ge, se = 0.5, 1.0

@@ -18,6 +18,7 @@ move in its last bits.
 """
 
 import copy
+import hashlib
 import itertools
 import math
 import tracemalloc
@@ -512,10 +513,36 @@ class TestBatchedChecks:
         names_first_failure(exc)
 
     def test_bloch_map_normalization(self):
-        # the phase term's Bloch map holds the path to 1e-12
-        fam = UzdinFamily(m_state=self.scaled(2e-11), m_dot=great_circle_dot,
+        # the phase term's Bloch map holds the path to 1e-12: norm^2 1 + 1e-11
+        # passes as an optimal drive and fails as a variant
+        fam = UzdinFamily(m_state=self.scaled(5e-12), m_dot=great_circle_dot,
                           phase_dot=lambda t: np.full(t.shape, 0.5))
-        with pytest.raises(NormalizationError, match="state norm") as exc:
+        sample_field(uzdin_optimal(fam), TIMES)
+        with pytest.raises(NormalizationError, match=r"has norm\^2 = 1\.00000000001") as exc:
+            sample_field(uzdin_suboptimal(fam, "trace_zero"), TIMES)
+        names_first_failure(exc)
+
+    def test_a_variant_names_the_first_row_past_its_tolerance(self):
+        # norm^2 1 + 4e-11 from t = 0.6 and 1 + 4e-10 from t = 0.8: the one
+        # check, at the variant's tolerance, names t = 0.6, not the first row
+        # past the optimal drive's tolerance
+        def m_state(t):
+            return (1.0 + np.where(t > 0.75, 2e-10, np.where(late(t), 2e-11, 0.0)))[..., None] \
+                * great_circle(t)
+
+        fam = UzdinFamily(m_state=m_state, m_dot=great_circle_dot,
+                          phase_dot=lambda t: np.full(t.shape, 0.5))
+        with pytest.raises(NormalizationError) as exc:
+            sample_field(uzdin_suboptimal(fam, "trace_nonzero"), TIMES)
+        names_first_failure(exc)
+
+    def test_the_path_norm_is_checked_before_the_phase_is_read(self):
+        def phase_dot(t):
+            raise AssertionError("phase_dot read before the path norm was checked")
+
+        fam = UzdinFamily(m_state=self.scaled(2e-11), m_dot=great_circle_dot,
+                          phase_dot=phase_dot)
+        with pytest.raises(NormalizationError) as exc:
             sample_field(uzdin_suboptimal(fam, "trace_zero"), TIMES)
         names_first_failure(exc)
 
@@ -665,3 +692,30 @@ def test_trace_zero_uzdin_drive_matches_golden_bytes(tmp_path):
         "kappa_bloch": curvature_bloch_profile(traj, field)})
     assert (tmp_path / "uzdin.csv").read_bytes() \
         == (GOLDEN / "uzdin_trace_zero_n30.csv").read_bytes()
+
+
+#: sha256 of ``curvature_bloch_profile``'s bytes on a 40-step run: a table
+#: (``dh/dt`` from its samples) and ``example4``'s path drive with and without
+#: its analytic ``h_dot``; a change to how fields are built must not move them
+CURVATURE_DIGESTS = {"table": "1989ca9cb275caaa", "path_h_dot": "2ece6aca88461628",
+                     "path_no_h_dot": "6895b4dc31469a91"}
+
+
+@pytest.mark.parametrize("kind", list(CURVATURE_DIGESTS))
+def test_curvature_profile_bytes_are_pinned(kind):
+    knots = np.linspace(0.0, 1.2, 9)
+    table = {"times": knots.tolist(), "h0": (0.2 * np.cos(4.0 * knots)).tolist(),
+             "h": np.stack([0.8 + 0.3 * np.sin(3.0 * knots), 0.4 * np.cos(2.0 * knots),
+                            0.5 - 0.6 * knots], axis=1).tolist()}
+    if kind == "table":
+        config = ScenarioConfig(scenario="custom", field=table, t_span=(0.05, 1.1),
+                                psi0={"bloch": [0.0, 0.6, 0.8]})
+    else:
+        config = ScenarioConfig(scenario="example4", parameters={"gamma": 1.7},
+                                t_span=(0.1, 0.9))
+    field, psi0, _ = build_scenario(config)
+    if kind == "path_no_h_dot":
+        field = uzdin_optimal(field.family)
+    traj = schrodinger_evolve(field, psi0, TimeGrid(*field.t_span, 40))
+    digest = hashlib.sha256(curvature_bloch_profile(traj, field).tobytes()).hexdigest()
+    assert digest[:16] == CURVATURE_DIGESTS[kind]
