@@ -84,6 +84,15 @@ def _count(value, what: str, least: int = 2) -> int:
     return int(n)
 
 
+def _span(t_span) -> tuple:
+    """``t_span`` unpacked into its two ends; :class:`ConfigError` unless it holds two."""
+    try:
+        start, end = t_span
+    except (TypeError, ValueError):
+        raise ConfigError(f"t_span must be two numbers [t_start, t_end], got {t_span!r}") from None
+    return start, end
+
+
 def _ordered(t_start, t_end) -> None:
     """:class:`ConfigError` unless ``t_start < t_end``."""
     if t_end <= t_start:
@@ -152,11 +161,7 @@ class ScenarioConfig:
         params = {} if parameters is None else parameters
         if not isinstance(params, dict):
             raise ConfigError(f"parameters must be a mapping, got {params!r}")
-        try:
-            start, end = t_span
-        except (TypeError, ValueError):
-            raise ConfigError("t_span must be two numbers [t_start, t_end], "
-                              f"got {t_span!r}") from None
+        start, end = _span(t_span)
         t_span = (_finite(start, "t_span start"), _finite(end, "t_span end"))
         if n_steps is not None:
             n_steps = _count(n_steps, "n_steps")

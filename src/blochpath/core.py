@@ -20,7 +20,6 @@ it to JSON values without numpy), before shape, range and finiteness checks.
 
 from __future__ import annotations
 
-import operator
 import reprlib
 from typing import Callable, Optional, Sequence, Tuple, Union
 
@@ -258,7 +257,7 @@ def _check_finite(times: np.ndarray, what: str, *columns) -> None:
     raise FieldError(f"{what} returned non-finite values at t = {float(times[k])!r}")
 
 
-#: samples of a scalar callable whose results are converted together
+#: samples of a scalar callable copied into the output together
 _BLOCK = 256
 
 
@@ -270,95 +269,34 @@ def _field_error(what: str, exc: Exception):
     raise FieldError(f"{what}: {exc}") from exc
 
 
-def _plain_reals(values) -> bool:
-    """Whether a block holds only float64 arrays, plain reals, or lists or tuples of
-    plain reals: one ``np.array`` of it then reads no bool as 0 or 1 beside reals."""
-    types = set(map(type, values))
-    try:
-        if not types <= {float, int, list, tuple}:  # arrays or numpy scalars among them
-            return set(map(operator.attrgetter("dtype"), values)) == {np.dtype(float)}
-    except AttributeError:  # mixed with Python numbers, lists or tuples
-        pass
-    if types <= {list, tuple}:
-        types = {type(x) for value in values for x in value}
-    return types <= {float, int, np.float64}
-
-
-def _stack(values, row: tuple) -> np.ndarray:
-    """``np.array(values)`` of :func:`_plain_reals` ``values``; when every one
-    is a contiguous 1-D float64 array of length ``row``, the same rows read
-    from their joined bytes, which skips ``np.array``'s per-element shape
-    discovery.  A ``len`` and an ``ndim`` scan cost less than a ``shape`` one."""
-    if len(row) == 1 and hasattr(values[0], "ndim") and set(map(len, values)) == set(row) \
-            and set(map(operator.attrgetter("ndim"), values)) == {1}:
-        try:
-            return np.frombuffer(b"".join(values)).reshape(len(values), -1)
-        except TypeError:  # bytes.join refuses a non-contiguous array
-            pass
-    return np.array(values)
-
-
-def _fill(fn: Callable, times: np.ndarray, convert: Callable, out: np.ndarray) -> list:
-    """Call ``fn`` at each of ``times``, as Python floats, write the converted
-    results into ``out`` and return them raw.
-
-    Several results are converted by one :func:`_stack` call when they are
-    :func:`_plain_reals` stacking to float64 rows of ``out``'s shape; else
-    each goes through ``convert``, which accepts, rejects and names the
-    first failing ``t`` as one sample at a time does.  Values returned
-    before ``fn`` raises are converted first, so an earlier invalid one wins.
-    """
-    values, failure = [], None
-    try:
-        for t in times.tolist():
-            values.append(fn(t))
-    except Exception as exc:
-        failure = exc
-    rows = None
-    if len(values) > 1 and _plain_reals(values):
-        try:
-            rows = _stack(values, out.shape[1:])
-        except Exception:  # whatever _stack rejects, ``convert`` judges below
-            pass
-    if rows is not None and rows.dtype == np.float64 \
-            and rows.shape == (len(values),) + out.shape[1:]:
-        out[:len(values)] = rows
-    else:
-        for k, value in enumerate(values):
-            try:
-                out[k] = convert(value)
-            except Exception as exc:
-                _field_error(f"field evaluation failed at t = {float(times[k])!r}", exc)
-    if failure is not None:
-        _field_error(f"field evaluation failed at t = {float(times[len(values)])!r}",
-                     failure)
-    return values
-
-
 def _per_sample(fn: Callable, times: np.ndarray, convert: Callable,
                 shape: tuple = ()) -> np.ndarray:
     """``convert(fn(t))`` for every ``t`` of ``times``, stacked.
 
     ``fn`` is called once per sample, in the order of ``times``, with its
-    element as a Python float (the same double).  Its results are converted
-    ``_BLOCK`` samples at a time (see :func:`_fill`), so every accepted
-    value and every error is the one-sample-at-a-time one, except that
-    after an invalid value up to a block of later samples may already have
-    been evaluated.  Exceptions other than :class:`BlochPathError` surface
-    as :class:`FieldError` naming the failing ``t``.
-
-    A result is read after later calls, so ``fn`` must not change an object
-    it has returned.  The first two samples are converted as they return;
-    a callable that returns the same array or list for both (a reused
-    output buffer) is converted that way throughout.
+    element as a Python float (the same double), and each result is read
+    as soon as it returns: a Python float, or a float64 array of the row's
+    shape, as it is (the array by its bytes), anything else by ``convert``.
+    The first exception or invalid result raises at once, and no later
+    sample is evaluated; exceptions other than :class:`BlochPathError`
+    surface as :class:`FieldError` naming the failing ``t``.  The rows are
+    copied into the output ``_BLOCK`` samples at a time.
     """
     out = np.empty(times.shape + shape)
-    head = [_fill(fn, times[k:k + 1], convert, out[k:k + 1])[0]
-            for k in range(min(2, len(times)))]
-    reused = len(head) == 2 and head[0] is head[1] and isinstance(head[0], (np.ndarray, list))
-    size = 1 if reused else _BLOCK
-    for start in range(len(head), len(times), size):
-        _fill(fn, times[start:start + size], convert, out[start:start + size])
+    plain = np.ndarray if shape else float
+    for lo in range(0, len(times), _BLOCK):
+        rows = []
+        for t in times[lo:lo + _BLOCK].tolist():
+            try:
+                v = fn(t)
+                if not isinstance(v, plain) or shape and (v.dtype != float or v.shape != shape):
+                    v = convert(v)
+            except Exception as exc:
+                _field_error(f"field evaluation failed at t = {t!r}", exc)
+            rows.append(v.tobytes() if shape else v)
+        if shape:
+            rows = np.frombuffer(b"".join(rows)).reshape(-1, *shape)
+        out[lo:lo + len(rows)] = rows
     return out
 
 
@@ -391,12 +329,12 @@ class FieldSpec:
 
     :meth:`sample` and :meth:`sample_h_dot` evaluate a whole array of times:
     constants broadcast, and a callable is called once per sample, in time
-    order, with a Python float.  Its results are converted to arrays a
-    block of samples at a time (float64 array rows by their bytes), with
-    the values and errors of one sample at a time; after an invalid result
-    up to a block of later samples may already have been evaluated, and a
-    callable must not change an object it has returned (one output buffer,
-    returned at every call, is allowed).
+    order, with a Python float.  Each result is read as soon as it returns,
+    so the callable may reuse or change an object it has returned; the
+    first invalid result or exception raises, naming its ``t``, before any
+    later call.  A Python float, or a float64 array row of length 3, is
+    taken as it is; any other result is checked and converted on its own.
+    A constant ``h_dot`` is checked as a constant ``h`` is.
     Two private kinds sample in batches instead, ``scenarios._TableField(knots,
     h0, h, t_span)`` and ``families._PathField(family, variant, h_dot)``; every
     kind sets the ``t_span`` and ``h_dot`` the library reads.
@@ -404,7 +342,7 @@ class FieldSpec:
 
     def __init__(self, h0: Union[Callable[[float], float], float],
                  h: Union[Callable[[float], Sequence[float]], Sequence[float]],
-                 h_dot: Optional[Callable[[float], Sequence[float]]] = None,
+                 h_dot: Union[Callable[[float], Sequence[float]], Sequence[float], None] = None,
                  t_span: Tuple[float, float] = (0.0, 1.0)):
         if not callable(h0):
             h0 = _scalar(h0, "h0")
@@ -412,6 +350,8 @@ class FieldSpec:
             h = _as_vec3(h, "field").copy()
             if h_dot is None:
                 h_dot = np.zeros(3)
+        if not (h_dot is None or callable(h_dot)):
+            h_dot = _as_vec3(h_dot, "field derivative").copy()
         self.h0, self.h, self.h_dot, self.t_span = h0, h, h_dot, t_span
 
     def sample(self, times) -> Tuple[np.ndarray, np.ndarray]:

@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .config import MAX_STEPS, _count, _ordered
+from .config import MAX_STEPS, _count, _ordered, _span
 from .core import (FieldSpec, _as_state, _as_times, _check_finite, _dot, _first, _Frozen,
                    _norm_sq, _numbers, energy_uncertainty, fubini_study_distance)
 from .errors import (ConfigError, IntegrationError, NormalizationError,
@@ -270,7 +270,7 @@ def schrodinger_evolve(field: FieldSpec, psi0,
         Defaults to ``field.t_span`` with 2000 steps per unit time.
     """
     if grid is None:
-        grid = TimeGrid.with_density(*field.t_span)
+        grid = TimeGrid.with_density(*_span(field.t_span))
     psi0 = _as_state(psi0)
     norm0 = np.sqrt(_norm_sq(psi0))
     if not abs(norm0 - 1.0) <= TOL_NORM0:

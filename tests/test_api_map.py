@@ -29,7 +29,8 @@ REMOVED = ("curvature_expectation", "curvature_numeric_oracle",
            "PAULI_Z", "IDENTITY2", "orbit_radius", "rotation_angle",
            "travel_time", "arc_length_alpha", "delta_e_alpha",
            "bloch_from_state", "speed_efficiency", "FD_STEP",
-           "_central_difference", "_sample_h", "_BatchedField")
+           "_central_difference", "_sample_h", "_BatchedField", "_plain_reals",
+           "_stack", "_fill")
 
 
 def _exports() -> list[str]:

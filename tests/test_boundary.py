@@ -202,6 +202,38 @@ def test_constant_h0_must_be_a_scalar(h0):
         FieldSpec(h0, X)
 
 
+@pytest.mark.parametrize("h_dot, error", [(["a", "b", "c"], ConfigError),
+                                          ([0.0, 1.0], ShapeError), (1.0, ShapeError)],
+                         ids=["strings", "two_entries", "scalar"])
+def test_a_constant_h_dot_is_checked_as_a_constant_h(h_dot, error):
+    # a scalar is not broadcast to a row
+    with pytest.raises(error, match="field derivative"):
+        FieldSpec(0.0, X, h_dot=h_dot)
+
+
+def great_circle_family(t_span):
+    def m(t):
+        return np.stack([np.cos(t), np.sin(t)], axis=-1).astype(complex)
+
+    def m_dot(t):
+        return np.stack([-np.sin(t), np.cos(t)], axis=-1).astype(complex)
+    return UzdinFamily(m_state=m, m_dot=m_dot, t_span=t_span)
+
+
+@pytest.mark.parametrize("t_span", [(0, 1, 2), None, 1.0], ids=["three", "None", "scalar"])
+@pytest.mark.parametrize("make", [lambda span: FieldSpec(0.0, X, t_span=span),
+                                  lambda span: uzdin_optimal(great_circle_family(span))],
+                         ids=["FieldSpec", "UzdinFamily"])
+def test_a_span_that_is_not_two_numbers_is_a_config_error(make, t_span):
+    # the default grid is built from the span, with the config's message
+    with pytest.raises(ConfigError) as want:
+        config.ScenarioConfig("example1", t_span=t_span)
+    with pytest.raises(ConfigError) as got:
+        schrodinger_evolve(make(t_span), PSI0)
+    assert str(got.value) == str(want.value)
+    assert str(got.value).startswith("t_span must be two numbers [t_start, t_end], got ")
+
+
 @pytest.mark.parametrize("endpoint", ["0", None, 1j, math.nan, math.inf])
 def test_grid_endpoints_share_one_message(endpoint):
     for args in ((endpoint, 1.0, 10), (0.0, endpoint, 10)):

@@ -2,8 +2,8 @@
 
 ``FieldSpec.sample`` evaluates a whole time array.  Scalar user callables
 are still called once per sample, in time order, with a Python float (the
-grid's double, bit for bit), and their results are converted a block at a
-time, float64 array rows by their bytes; prescribed-path callables
+grid's double, bit for bit), and each result is read as soon as it returns,
+float64 array rows by their bytes; prescribed-path callables
 are called once with the whole array; tabulated and prescribed-path fields
 are evaluated in batches.  Each must give the same bits, and the same typed
 errors, as one sample at a time.
@@ -49,7 +49,7 @@ from blochpath import (
     uzdin_optimal,
     uzdin_suboptimal,
 )
-from blochpath.core import _BLOCK, _as_vec3, _scalar
+from blochpath.core import _as_vec3, _scalar
 from blochpath.scenarios import write_csv
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -123,8 +123,8 @@ class TestCallableContract:
 
 
 def one_at_a_time(fn, times, convert):
-    """The loop the block conversion replaced: ``convert(fn(t))`` sample by
-    sample, the first failure raised at once and named by its ``t``."""
+    """The reference loop: ``convert(fn(t))`` sample by sample, the first
+    failure raised at once and named by its ``t``."""
     rows = []
     for t in times:
         try:
@@ -174,12 +174,38 @@ def results_of(kinds, made):
     return fn
 
 
+def refilled(*buffers):
+    """A callable that fills and returns ``buffers`` in turn with the row
+    ``(cos t, sin t, t)``."""
+    ring = itertools.cycle(buffers)
+
+    def h(t):
+        out = next(ring)
+        out[:] = [math.cos(t), math.sin(t), t]
+        return out
+    return h
+
+
+def negating_the_last_list():
+    """A callable returning a new list ``(cos t, sin t, t)`` at each call,
+    after negating the list it returned last."""
+    returned = []
+
+    def h(t):
+        if returned:
+            returned[-1][:] = [-x for x in returned[-1]]
+        returned.append([math.cos(t), math.sin(t), t])
+        return returned[-1]
+    return h
+
+
 finite = st.floats(-1e6, 1e6, allow_nan=False)
 
 
 class TestBlockConversion:
-    """Results are converted ``_BLOCK`` samples at a time, to the bits,
-    errors and first failing ``t`` of one sample at a time."""
+    """Results are read as they return and copied into the output
+    ``_BLOCK`` samples at a time, with the bits, errors and first failing
+    ``t`` of one sample at a time, and no call after the first failure."""
 
     N = 600  # more than two blocks
 
@@ -190,8 +216,8 @@ class TestBlockConversion:
                             min_size=1, max_size=6),
            n=st.integers(1, N))
     def test_blocks_give_the_bits_of_one_sample_at_a_time(self, made, scalars, n):
-        # a block of one kind converts through np.array, a mixed or
-        # non-float64 block value by value
+        # float64 array rows and Python floats are taken as they are, every
+        # other kind through the one-sample converter
         times = np.linspace(0.0, 1.0, n)
         h0, h = FieldSpec(h0=results_of(SCALAR_KINDS, scalars),
                           h=results_of(ROW_KINDS, made)).sample(times)
@@ -231,9 +257,8 @@ class TestBlockConversion:
                              ids=["list", "array", "nested", "column", "two_or_four"])
     @pytest.mark.parametrize("where", ["h0", "h"])
     def test_a_block_of_wrong_shapes_is_never_broadcast(self, bad, where):
-        # every sample past the first two, which are converted alone, is
-        # wrong the same way, or in turn two ways: the block stacks, or its
-        # bytes join, but not to rows
+        # every sample past the first two is wrong the same way, or in turn
+        # two ways whose bytes would join to rows of 3
         times = np.linspace(0.0, 1.0, self.N)
         convert, good = ((as_scalar, float) if where == "h0"
                          else (as_row, lambda t: [t, 0.0, 1.0]))
@@ -253,7 +278,8 @@ class TestBlockConversion:
 
     @pytest.mark.parametrize("bad", [[1.0, 2.0], "x"])
     def test_an_earlier_invalid_value_wins_over_a_later_raise(self, bad):
-        # sample 30 is invalid and the call at sample 39 raises, in one block
+        # sample 30 is invalid and the call at sample 39 would raise: the
+        # invalid value raises at once, and sample 31 is never called
         def counted(calls):
             def h(t):
                 calls.append(t)
@@ -270,7 +296,7 @@ class TestBlockConversion:
             FieldSpec(h0=0.0, h=counted(calls)).sample(times)
         assert str(got.value) == str(want.value)
         assert "boom" not in str(got.value)
-        assert len(calls) == 40
+        assert len(calls) == 31
 
     def test_a_raise_names_its_own_sample(self):
         times = np.linspace(0.0, 1.0, self.N)
@@ -287,7 +313,7 @@ class TestBlockConversion:
         assert f"t = {float(times[299])!r}" in str(exc.value)
         assert isinstance(exc.value.__cause__, ValueError)
 
-    def test_later_samples_evaluated_after_an_invalid_one_are_at_most_a_block(self):
+    def test_no_sample_is_evaluated_after_an_invalid_one(self):
         times = np.linspace(0.0, 1.0, self.N)
         calls = []
 
@@ -297,19 +323,20 @@ class TestBlockConversion:
 
         with pytest.raises(ShapeError):
             FieldSpec(h0=0.0, h=h).sample(times)
-        assert 5 <= len(calls) <= 5 + _BLOCK
+        assert len(calls) == 5
 
-    @pytest.mark.parametrize("buffer", [np.zeros(3), [0.0, 0.0, 0.0]], ids=["array", "list"])
-    def test_a_reused_output_buffer_is_read_as_it_returns(self, buffer):
-        # a callable that fills and returns one buffer sees it read before
-        # the next call changes it
-        def h(t):
-            buffer[:] = [math.cos(t), math.sin(t), t]
-            return buffer
-
+    @pytest.mark.parametrize("make", [lambda: refilled(np.zeros(3)),
+                                      lambda: refilled([0.0, 0.0, 0.0]),
+                                      lambda: refilled(np.zeros(3), np.zeros(3)),
+                                      negating_the_last_list],
+                             ids=["array", "list", "ring_of_two_arrays", "edited_list"])
+    def test_a_reused_output_buffer_is_read_as_it_returns(self, make):
+        # a callable that refills or edits an object it has returned sees
+        # each result read before the next call changes it
         times = np.linspace(0.0, 1.0, self.N)
         fresh = FieldSpec(h0=0.0, h=lambda t: [math.cos(t), math.sin(t), t]).sample(times)[1]
-        assert np.array_equal(FieldSpec(h0=0.0, h=h).sample(times)[1], fresh)
+        got = FieldSpec(h0=0.0, h=make()).sample(times)[1]
+        assert np.array_equal(got, fresh), np.abs(got - fresh).max()
 
     def test_memory_is_bounded_by_a_block(self):
         # results are held one block at a time, not for the whole run
