@@ -23,9 +23,9 @@ _EXPORTS = {module: tuple(names.split()) for module, names in {
     "efficiency": "Classification EfficiencyReport classify efficiency_report "
                   "geodesic_efficiency_profile hybrid_efficiency speed_efficiency_profile "
                   "speed_efficiency_tracenonzero speed_efficiency_tracezero",
-    "errors": "BlochPathError ConfigError DegenerateEndpointsError FieldError HermiticityError "
-              "IntegrationError NormalizationError NumericalError PreconditionError RangeError "
-              "ShapeError SingularEvolutionError ZeroHamiltonianError ZeroPathError",
+    "errors": "BlochPathError ConfigError DegenerateEndpointsError FieldError IntegrationError "
+              "NormalizationError NumericalError PreconditionError RangeError ShapeError "
+              "SingularEvolutionError ZeroHamiltonianError ZeroPathError",
     "evolve": "TimeGrid Trajectory parallel_transport sample_field schrodinger_evolve",
     "families": "SuboptimalStationary UzdinFamily endpoint_angle rodrigues_rotate "
                 "suboptimal_axis suboptimal_hamiltonian uzdin_optimal uzdin_suboptimal",

@@ -45,8 +45,6 @@ __all__ = [
 
 #: tolerance on norms of states and Bloch vectors
 TOL_NORM = 1e-12
-#: tolerance on Hermiticity of the Uzdin drive, relative to ``1 + |dm/dt|``
-TOL_HERM = 1e-12
 
 
 def _holds_bool(v) -> bool:
@@ -323,9 +321,11 @@ class _Frozen:
 class FieldSpec:
     """Time-dependent control field ``H(t) = h0(t) * I + h(t) . sigma``.
 
-    ``h0`` and ``h`` may be scalar callables of time or constants, called
-    only inside the span.  ``h_dot`` is the optional analytic derivative of
-    ``h`` used by curvature routines; a constant ``h`` has a zero one.
+    ``h0`` and ``h`` may be scalar callables of time or constants.
+    ``t_span`` is the span of the default grid; a run on an explicit grid
+    samples them at every time of that grid.  ``h_dot`` is the optional
+    analytic derivative of ``h`` used by curvature routines; a constant
+    ``h`` has a zero one.
 
     :meth:`sample` and :meth:`sample_h_dot` evaluate a whole array of times:
     constants broadcast, and a callable is called once per sample, in time

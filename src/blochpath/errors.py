@@ -21,10 +21,6 @@ class ShapeError(BlochPathError):
     """Array arguments with inconsistent lengths or shapes."""
 
 
-class HermiticityError(BlochPathError):
-    """Matrix expected to be Hermitian is not, beyond tolerance."""
-
-
 class NormalizationError(BlochPathError):
     """State vector or Bloch vector is not normalized, beyond tolerance."""
 

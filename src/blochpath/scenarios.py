@@ -360,7 +360,8 @@ def run_report(config: ScenarioConfig, out_dir=".") -> ReportRow:
 
     Writes ``<scenario>_trajectory.csv`` and ``<scenario>_report.json``
     into ``out_dir``, created only then (subject to ``config.outputs``; with
-    none, no directory is touched), and returns the summary row.
+    none, ``out_dir`` is not read and no directory is touched), and returns
+    the summary row.
     """
     field, psi0, grid, params = _build(config)
     traj = schrodinger_evolve(field, psi0, grid)
@@ -373,8 +374,9 @@ def run_report(config: ScenarioConfig, out_dir=".") -> ReportRow:
         classification=report.classification.value,
     )
 
-    out, outputs = Path(out_dir), set(config.outputs)
+    outputs = set(config.outputs)
     if outputs:
+        out = Path(out_dir)
         with _output(out):
             out.mkdir(parents=True, exist_ok=True)
 
@@ -423,8 +425,7 @@ def table_rows(out_dir=None, n_steps: Optional[int] = None) -> list[ReportRow]:
     """
     written = out_dir is not None
     rows = [run_report(ScenarioConfig(scenario=name, t_span=(0.0, 1.0), n_steps=n_steps,
-                                      outputs=ALL_OUTPUTS if written else ()),
-                       out_dir if written else ".")
+                                      outputs=ALL_OUTPUTS if written else ()), out_dir)
             for name in SCENARIOS[:4]]
     if written:
         path = Path(out_dir) / "table2.csv"

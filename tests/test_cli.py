@@ -184,6 +184,12 @@ class TestPhaseProfiles:
         assert main(argv + ["1.797693134862315e+308"]) == EXIT_OK
         assert "1.79769313486231e+308" in capsys.readouterr().out
 
+    def test_a_log_profile_leaving_its_domain_is_a_config_error(self, capsys):
+        ret = main(["phase-profiles", "--profile", "log", "--phi0", "1",
+                    "--phidot0=-1", "--omega0", "1", "--t-end", "2"])
+        assert ret == EXIT_CONFIG
+        assert "log profile leaves its domain" in capsys.readouterr().err
+
     def test_log_profile_needs_positive_phi0(self, capsys):
         ret = main(["phase-profiles", "--profile", "log", "--phi0", "-1.0",
                     "--phidot0", "1.0", "--omega0", "1.0"])

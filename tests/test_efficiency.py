@@ -346,3 +346,15 @@ class TestHandBuiltTrajectory:
             geodesic_efficiency_profile(traj)
         with pytest.raises(NumericalError, match="finite"):
             efficiency_report(traj)
+
+    def test_a_geodesic_shortened_past_its_length_is_a_numerical_error(self, example1):
+        # example1 runs along the geodesic, so s0 / s reads 1 / (1 - 1e-8)
+        traj = example1.traj._replace(s_accum=example1.traj.s_accum * (1.0 - 1e-8))
+        with pytest.raises(NumericalError, match=r"efficiency exceeds 1 by 1\.000e-08$"):
+            efficiency_report(traj)
+
+    def test_a_finite_bloch_norm_drift_is_a_numerical_error(self, example1):
+        traj = example1.traj._replace(bloch=example1.traj.bloch * (1.0 + 1e-7))
+        with pytest.raises(NumericalError,
+                           match=r"^Bloch norm drift 2\.000e-07 exceeds 1e-08$"):
+            efficiency_report(traj)

@@ -12,6 +12,8 @@ move in its last bits.
 import csv
 import io
 import json
+import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -193,6 +195,19 @@ class TestBuilders:
                                           field={"h0": 0.0, "h": [1.0, 0.0]}))
         with pytest.raises(ConfigError):
             build_scenario(ScenarioConfig(scenario="custom"))
+        table = {"times": [0.0, 0.5, 1.0], "h": [[0.0, 0.0, 1.0]] * 3}
+        for field, psi0, message in [
+                ({"h": [0.0, math.nan, 1.0]}, None, "field 'h' must be finite numbers"),
+                ({**table, "h": [[0.0, 0.0, 1.0]] * 2}, None,
+                 "field table shapes do not line up with 'times'"),
+                ({"times": [0.0], "h": [[0.0, 0.0, 1.0]]}, None,
+                 "'times' must be strictly increasing, length >= 2"),
+                ({**table, "times": [0.0, 0.5, 0.5]}, None,
+                 "'times' must be strictly increasing, length >= 2"),
+                ({"h": [0.0, 0.0, 1.0]}, [1.0, 0.0],
+                 "psi0 must be [[re0, im0], [re1, im1]] or {'bloch': [...]}")]:
+            with pytest.raises(ConfigError, match=f"^{re.escape(message)}"):
+                build_scenario(ScenarioConfig(scenario="custom", field=field, psi0=psi0))
 
 
 class TestGoldenFiles:
@@ -285,6 +300,10 @@ class TestArtifacts:
                          out_dir=tmp_path / "missing" / "runs")
         assert row.scenario == "example3"
         assert list(tmp_path.iterdir()) == []
+
+    def test_a_run_that_writes_nothing_needs_no_out_dir(self, tmp_path):
+        config = ScenarioConfig(scenario="example3", outputs=())
+        assert run_report(config, out_dir=None) == run_report(config, out_dir=tmp_path)
 
     @pytest.mark.parametrize("one_shot", [lambda names: (n for n in names), iter],
                              ids=["generator", "iterator"])
@@ -495,6 +514,8 @@ class TestPhaseProfiles:
             sweep_phase_profiles("cubic", 1.0, 1.0, 1.0)
         with pytest.raises(ConfigError):
             sweep_phase_profiles("linear", 1.0, 1.0, 1.0, n_points=1)
+        with pytest.raises(ConfigError, match="^log profile leaves its domain before t_end$"):
+            sweep_phase_profiles("log", 1.0, -1.0, 1.0, t_end=2.0)
 
     @pytest.mark.parametrize("points", ["5", 5.7, np.nan, np.inf, True, None])
     def test_point_count_is_an_integral_real(self, points):

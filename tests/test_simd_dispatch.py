@@ -49,6 +49,7 @@ GOLDEN_TESTS = [
     "test_scenarios.py::TestGoldenFiles::test_example4_trajectory_matches_golden_bytes",
     "test_scenarios.py::TestGoldenFiles::test_tabulated_trajectory_matches_golden_bytes",
     "test_field_protocol.py::test_trace_zero_uzdin_drive_matches_golden_bytes",
+    "test_field_protocol.py::test_curvature_profile_bytes_are_pinned",
 ]
 
 AVX2 = ["AVX512_ICL", "AVX512_SPR", "X86_V4"]
