@@ -27,8 +27,8 @@ _EXPORTS = {module: tuple(names.split()) for module, names in {
               "NormalizationError NumericalError PreconditionError RangeError ShapeError "
               "SingularEvolutionError ZeroHamiltonianError ZeroPathError",
     "evolve": "TimeGrid Trajectory parallel_transport sample_field schrodinger_evolve",
-    "families": "SuboptimalStationary UzdinFamily endpoint_angle rodrigues_rotate "
-                "suboptimal_axis suboptimal_hamiltonian uzdin_optimal uzdin_suboptimal",
+    "families": "SuboptimalStationary UzdinFamily endpoint_angle suboptimal_axis "
+                "suboptimal_hamiltonian uzdin_optimal uzdin_suboptimal",
     "scenarios": "SCENARIOS ReportRow ScenarioConfig build_scenario run_report sweep_alpha "
                  "sweep_phase_profiles table_rows write_csv write_json",
 }.items()}

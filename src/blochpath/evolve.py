@@ -274,7 +274,7 @@ def schrodinger_evolve(field: FieldSpec, psi0,
     psi0 = _as_state(psi0)
     norm0 = np.sqrt(_norm_sq(psi0))
     if not abs(norm0 - 1.0) <= TOL_NORM0:
-        raise NormalizationError(f"initial state norm {norm0!r}, expected 1")
+        raise NormalizationError(f"initial state norm {float(norm0)!r}, expected 1")
 
     h0_half, h_half = sample_field(field, grid.half_times)
     states = _propagate(psi0, h0_half, h_half, grid.dt)

@@ -20,6 +20,7 @@ reports; identical configs produce byte-identical files.
 import contextlib
 import csv
 import io
+import os
 from pathlib import Path
 from typing import NamedTuple, Optional
 
@@ -289,6 +290,13 @@ def _output(name):
         raise ConfigError(f"cannot write output {str(name)!r}: {exc}") from exc
 
 
+def _out_path(path) -> Path:
+    """``path`` as a Path if a str or os.PathLike; ``open`` reads an int as an fd."""
+    if not isinstance(path, (str, os.PathLike)):
+        raise ConfigError(f"output path must be a str or os.PathLike, got {path!r}")
+    return Path(path)
+
+
 def _csv_column(name, values) -> np.ndarray:
     """``values`` as a 1-D array of numbers (numpy kind ``b``, ``i``, ``u``
     or ``f``); any other array, strings among them, is a :class:`ShapeError`
@@ -331,7 +339,7 @@ def write_csv(path, columns: dict) -> None:
                           f"{exc}") from None
     # a stream is named by its ``name``, such as ``'<stdout>'``
     with _output(getattr(path, "name", path) if stream else path), \
-            (contextlib.nullcontext(path) if stream else open(path, "wb")) as fh:
+            (contextlib.nullcontext(path) if stream else open(_out_path(path), "wb")) as fh:
         write = ((lambda data: fh.write(data.decode("utf-8", "surrogatepass")))
                  if stream else fh.write)
         write(header)
@@ -342,7 +350,7 @@ def write_csv(path, columns: dict) -> None:
 def write_json(path, payload: dict) -> None:
     import json  # here, so that the commands without JSON files skip it
 
-    with _output(path), open(path, "w", encoding="utf-8") as fh:
+    with _output(path), open(_out_path(path), "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -363,6 +371,7 @@ def run_report(config: ScenarioConfig, out_dir=".") -> ReportRow:
     none, ``out_dir`` is not read and no directory is touched), and returns
     the summary row.
     """
+    out = _out_path(out_dir) if config.outputs else None
     field, psi0, grid, params = _build(config)
     traj = schrodinger_evolve(field, psi0, grid)
     report = efficiency_report(traj)
@@ -376,7 +385,6 @@ def run_report(config: ScenarioConfig, out_dir=".") -> ReportRow:
 
     outputs = set(config.outputs)
     if outputs:
-        out = Path(out_dir)
         with _output(out):
             out.mkdir(parents=True, exist_ok=True)
 

@@ -11,6 +11,8 @@
   :func:`blochpath.parallel_transport` removes the dynamical phase.
 * :func:`uzdin_drive` is the Uzdin drive as the library once built it: the
   full 2x2 matrices, then their Hermiticity defect and Pauli vector.
+* :func:`rodrigues_rotate` is the rotation about a unit axis that checks a
+  stationary family's axis and angle carry ``a`` onto ``b``.
 """
 
 import warnings
@@ -108,3 +110,10 @@ def uzdin_drive(m, md):
                   0.5 * (matrix[:, 1, 0].imag - matrix[:, 0, 1].imag),
                   0.5 * (matrix[:, 0, 0].real - matrix[:, 1, 1].real)], axis=-1)
     return matrix, defect, h
+
+
+def rodrigues_rotate(v, axis, angle: float) -> np.ndarray:
+    """Rotate ``v`` about the unit ``axis`` by ``angle`` (right-hand rule)."""
+    v, k = np.asarray(v, dtype=float), np.asarray(axis, dtype=float)
+    c, s = np.cos(angle), np.sin(angle)
+    return v * c + np.cross(k, v) * s + k * (k @ v) * (1.0 - c)

@@ -17,7 +17,6 @@ from blochpath import (
     curvature_bloch_profile,
     curvature_numeric_profile,
     hybrid_efficiency,
-    rodrigues_rotate,
     run_report,
     schrodinger_evolve,
     speed_efficiency_tracenonzero,
@@ -26,6 +25,7 @@ from blochpath import (
 )
 from blochpath.families import _orbit
 from feynman import feynman_evolve
+from geometry_oracles import rodrigues_rotate
 
 FOUR_THIRDS = 4.0 / 3.0
 

@@ -1,7 +1,7 @@
 """Invalid arguments at the library's boundary end as typed errors.
 
-Every argument below, array or real-valued (``h0``, an angle, ``alpha``,
-``theta_ab``, ``E``, ``cdot_sq``, a phase rate, a sweep's settings), grid
+Every argument below, array or real-valued (``h0``, ``alpha``, ``theta_ab``,
+``E``, ``cdot_sq``, a phase rate, a sweep's settings), grid
 endpoints, step and point counts and averaged factors included, is read
 by the one rule for what counts as a number; a string, ``None``, a complex
 scalar, an arbitrary object, a bool (alone or in a list) or an integer
@@ -44,7 +44,6 @@ from blochpath import (
     fubini_study_distance,
     hybrid_efficiency,
     pauli_compose,
-    rodrigues_rotate,
     sample_field,
     schrodinger_evolve,
     spectral_norm,
@@ -83,9 +82,6 @@ CALLS = {
     "suboptimal_axis.b": lambda v: suboptimal_axis(1.0, Z, v),
     "SuboptimalStationary.a_hat": lambda v: SuboptimalStationary(1.0, v, X),
     "SuboptimalStationary.b_hat": lambda v: SuboptimalStationary(1.0, Z, v),
-    "rodrigues_rotate.v": lambda v: rodrigues_rotate(v, Z, 1.0),
-    "rodrigues_rotate.axis": lambda v: rodrigues_rotate(X, v, 1.0),
-    "rodrigues_rotate.angle": lambda v: rodrigues_rotate(X, Z, v),
     "pauli_compose.h0": lambda v: pauli_compose(v, X),
     "spectral_norm.h0": lambda v: spectral_norm(v, X),
     "speed_efficiency_tracezero.cdot_sq": lambda v: speed_efficiency_tracezero(v, 0.5),
@@ -127,7 +123,7 @@ def test_only_typed_errors_escape(name, value):
 
 
 #: the real-valued arguments, named by the last part of a ``CALLS`` key
-REAL_ARGUMENTS = ("h0", "cdot_sq", "angle", "alpha", "theta_ab", "E", "phidot",
+REAL_ARGUMENTS = ("h0", "cdot_sq", "alpha", "theta_ab", "E", "phidot",
                   "phi0", "phidot0", "omega0")
 
 
@@ -154,9 +150,8 @@ def test_unconvertible_arrays_are_a_config_error(value):
 @pytest.mark.parametrize("call", [
     lambda: pauli_compose(math.nan, X),
     lambda: spectral_norm(math.nan, X),
-    lambda: rodrigues_rotate(X, Z, math.nan),
     lambda: suboptimal_axis(math.nan, Z, X),
-], ids=["pauli_compose", "spectral_norm", "rodrigues_rotate", "suboptimal_axis"])
+], ids=["pauli_compose", "spectral_norm", "suboptimal_axis"])
 def test_non_finite_real_arguments_are_a_numerical_error(call):
     with pytest.raises(NumericalError, match="must be finite"):
         call()
@@ -169,7 +164,6 @@ PAIRS, ROWS4 = np.ones((4, 2)), np.tile([0.0, 0.6, 0.8], (4, 1))
 @pytest.mark.parametrize("call", [
     lambda: SuboptimalStationary(1.0, Z, X, E=TWO),
     lambda: SuboptimalStationary(np.array(TWO), Z, X),
-    lambda: rodrigues_rotate(X, Z, TWO),
     lambda: suboptimal_axis(TWO, Z, X),
     lambda: pauli_compose(TWO, ROWS),
     lambda: spectral_norm(TWO, ROWS),
@@ -183,7 +177,7 @@ PAIRS, ROWS4 = np.ones((4, 2)), np.tile([0.0, 0.6, 0.8], (4, 1))
     lambda: fubini_study_distance(PAIRS, ROWS4[0]),
     lambda: curvature_bloch(ROWS4, PAIRS, ROWS4),
 ], ids=["SuboptimalStationary.E", "SuboptimalStationary.alpha",
-        "rodrigues_rotate.angle", "suboptimal_axis.alpha", "pauli_compose",
+        "suboptimal_axis.alpha", "pauli_compose",
         "spectral_norm", "speed_efficiency_tracezero",
         "speed_efficiency_tracenonzero", "energy_uncertainty", "curvature_bloch",
         "energy_uncertainty.pairs", "spectral_norm.pairs", "pauli_compose.pairs",
@@ -289,6 +283,8 @@ MESSAGES = {
     # and so non-finite rows of h
     "hermiticity": (FieldError, lambda: sample_field(
         _path([0.6, 0.8], [-1.7e308, 1.275e308]), TIMES)),
+    "initial_state": (NormalizationError, lambda: schrodinger_evolve(FIELD, [2.0, 0.0])),
+    "axis_endpoint": (NormalizationError, lambda: suboptimal_axis(1.0, [0.0, 0.0, 1.0001], X)),
     "family_alpha": (RangeError, lambda: SuboptimalStationary(np.float64(5.0), Z, X)),
     "family_energy": (RangeError, lambda: SuboptimalStationary(1.0, Z, X,
                                                                E=np.float64(-1.0))),

@@ -1,4 +1,6 @@
-"""Every script under ``demos/`` runs to completion in a fresh interpreter."""
+"""Every script under ``demos/`` runs to completion in a fresh interpreter,
+under the suite's own warning policy (``filterwarnings`` in
+``pyproject.toml``): a ``RuntimeWarning`` is an error."""
 
 import os
 import subprocess
@@ -17,7 +19,7 @@ def test_demo_runs(tmp_path, script):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, str(script)], cwd=tmp_path,
-                          capture_output=True, text=True, env=env)
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", str(script)],
+                          cwd=tmp_path, capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert "Traceback" not in proc.stderr

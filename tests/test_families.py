@@ -18,7 +18,6 @@ from blochpath import (
     UzdinFamily,
     endpoint_angle,
     pauli_compose,
-    rodrigues_rotate,
     schrodinger_evolve,
     state_from_bloch,
     suboptimal_axis,
@@ -26,9 +25,9 @@ from blochpath import (
     uzdin_optimal,
     uzdin_suboptimal,
 )
-from blochpath.core import _bloch_rows
+from blochpath.core import TOL_NORM, _bloch_rows, _dot
 from blochpath.families import TOL_DEG, _orbit
-from geometry_oracles import uzdin_drive
+from geometry_oracles import rodrigues_rotate, uzdin_drive
 
 # frozen oracles for alpha = pi/4, theta_AB = pi/2
 PHI_PI4 = 1.9106332362490186
@@ -47,10 +46,6 @@ def endpoint_pair(theta):
 
 
 class TestGeometryHelpers:
-    def test_rodrigues_reproduces_quarter_turn(self):
-        out = rodrigues_rotate([1.0, 0.0, 0.0], Z_HAT, np.pi / 2)
-        assert np.allclose(out, [0.0, 1.0, 0.0], atol=1e-15)
-
     def test_endpoint_angle_orthogonal(self):
         a, b = endpoint_pair(np.pi / 2)
         assert endpoint_angle(a, b) == pytest.approx(np.pi / 2)
@@ -76,6 +71,15 @@ class TestGeometryHelpers:
         n = suboptimal_axis(alpha, a, b)
         phi = _orbit(alpha, theta)[1]
         assert np.allclose(rodrigues_rotate(a, n, phi), b, atol=1e-9)
+
+    @pytest.mark.parametrize("alpha, a, b, name", [
+        (np.pi / 2, [0.0, 0.0, 1.001], [1.0, 0.0, 0.0], "a"),
+        (1.0, [0.0, 0.0, 1.0001], [1.0, 0.0, 0.0], "a"),
+        (1.0, [1.0, 0.0, 0.0], [0.0, 0.0, 1.0001], "b"),
+    ], ids=["geodesic", "tilted", "target"])
+    def test_non_unit_endpoints_are_a_normalization_error(self, alpha, a, b, name):
+        with pytest.raises(NormalizationError, match=f"endpoint {name} has norm"):
+            suboptimal_axis(alpha, a, b)
 
 
 class TestClosedForms:
@@ -134,6 +138,14 @@ class TestStationaryFamily:
         with pytest.raises(NormalizationError):
             SuboptimalStationary(np.pi / 4, 2.0 * a, b)
 
+    def test_endpoints_within_tol_norm_build_and_land(self):
+        # |a|^2 - 1 = 9.8e-13 and |b|^2 - 1 = -9.8e-13, both inside TOL_NORM,
+        # leave the axis 1.05e-12 from equidistant
+        a = np.array([0.0, 0.0, 1.0 + 4.9e-13])
+        b = np.array([np.sin(1.0), 0.0, np.cos(1.0)]) * (1.0 - 4.9e-13)
+        fam = SuboptimalStationary(0.1, a, b)
+        assert np.max(np.abs(rodrigues_rotate(a, fam.n_hat, fam.phi) - b)) <= 1e-10
+
     def test_derived_quantities(self):
         a, b = endpoint_pair(np.pi / 2)
         fam = SuboptimalStationary(np.pi / 4, a, b)
@@ -171,6 +183,9 @@ def crowded_theta(exponent, near_pi):
 crowded_thetas = st.builds(crowded_theta, st.floats(-6.0, np.log10(np.pi / 2)),
                            st.booleans())
 open_alphas = st.floats(0.0, np.pi, exclude_min=True, exclude_max=True)
+#: ``|v|^2 - 1`` anywhere in ``[-TOL_NORM, TOL_NORM]``, often within 1% of an end
+norm_offsets = st.floats(-TOL_NORM, TOL_NORM) | st.builds(
+    lambda sign, u: sign * u * TOL_NORM, st.sampled_from([-1.0, 1.0]), st.floats(0.99, 1.0))
 
 
 def frame(angles):
@@ -199,6 +214,22 @@ class TestWholeDomain:
             assert np.max(np.abs(rodrigues_rotate(a, fam.n_hat, fam.phi) - b)) <= 1e-10
             assert abs(fam.n_hat @ (a - b)) <= 1e-12
             assert fam.theta_ab <= fam.phi <= np.pi + 1e-15
+
+    @given(alpha=open_alphas, theta=crowded_thetas,
+           angles=st.tuples(*3 * [st.floats(-np.pi, np.pi)]),
+           offsets=st.tuples(norm_offsets, norm_offsets))
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_near_unit_endpoints_build_and_land(self, alpha, theta, angles, offsets):
+        inside = float(np.clip(theta, TOL_DEG + 1e-12, np.pi - TOL_DEG - 1e-12))
+        a, b = (frame(angles) @ v * np.sqrt(1.0 + offset)
+                for v, offset in zip(endpoint_pair(inside), offsets))
+        if max(abs(_dot(a, a) - 1.0), abs(_dot(b, b) - 1.0)) > TOL_NORM:
+            # an offset at the bound that rounding carried past it
+            with pytest.raises(NormalizationError):
+                SuboptimalStationary(alpha, a, b)
+            return
+        fam = SuboptimalStationary(alpha, a, b)
+        assert np.max(np.abs(rodrigues_rotate(a, fam.n_hat, fam.phi) - b)) <= 1e-10
 
     @pytest.mark.parametrize("theta", [TOL_DEG, np.pi - TOL_DEG])
     def test_domain_is_closed(self, theta):

@@ -9,10 +9,12 @@ follow the SIMD dispatch, so on a CPU without AVX-512 a golden cell can
 move in its last bits.
 """
 
+import contextlib
 import csv
 import io
 import json
 import math
+import os
 import re
 from pathlib import Path
 
@@ -21,6 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from blochpath import scenarios
 from blochpath import (
     ConfigError,
     ScenarioConfig,
@@ -304,6 +307,32 @@ class TestArtifacts:
     def test_a_run_that_writes_nothing_needs_no_out_dir(self, tmp_path):
         config = ScenarioConfig(scenario="example3", outputs=())
         assert run_report(config, out_dir=None) == run_report(config, out_dir=tmp_path)
+
+    @pytest.mark.parametrize("out_dir", [None, 123, b"x"], ids=["None", "int", "bytes"])
+    def test_an_out_dir_that_is_not_a_path_fails_before_the_run(self, monkeypatch, out_dir):
+        monkeypatch.setattr(scenarios, "_build", lambda config: pytest.fail("built"))
+        config = ScenarioConfig(scenario="example3", n_steps=20, outputs=("report",))
+        with pytest.raises(ConfigError, match="str or os.PathLike"):
+            run_report(config, out_dir=out_dir)
+        if out_dir is not None:  # None asks table_rows for no files
+            with pytest.raises(ConfigError, match="str or os.PathLike"):
+                table_rows(out_dir=out_dir)
+
+    @pytest.mark.parametrize("write", [write_csv, write_json])
+    def test_a_writer_path_that_is_not_a_path_is_a_config_error(self, write):
+        with pytest.raises(ConfigError, match="str or os.PathLike"):
+            write(None, {"x": [1.0]})
+
+    def test_an_int_path_is_not_opened_as_a_file_descriptor(self):
+        read_end, write_end = os.pipe()
+        try:
+            with pytest.raises(ConfigError, match="str or os.PathLike"):
+                write_csv(write_end, {"x": [1.0]})
+            os.fstat(write_end)  # still open
+        finally:
+            os.close(read_end)
+            with contextlib.suppress(OSError):
+                os.close(write_end)
 
     @pytest.mark.parametrize("one_shot", [lambda names: (n for n in names), iter],
                              ids=["generator", "iterator"])
