@@ -157,6 +157,29 @@ def test_non_finite_real_arguments_are_a_numerical_error(call):
         call()
 
 
+#: endpoints that are not unit 3-vectors, the error each ends in and its message
+BAD_ENDPOINTS = {
+    "nan": ([math.nan, 0.0, 1.0], NumericalError, "not finite"),
+    "inf": ([math.inf, 0.0, 0.0], NormalizationError, "endpoint {} has norm"),
+    "zero": ([0.0, 0.0, 0.0], NormalizationError, "endpoint {} has norm"),
+    "past_tol_norm": ([0.0, 0.0, 1.0 + core.TOL_NORM], NormalizationError,
+                      "endpoint {} has norm"),
+    "two_entries": ([0.0, 1.0], ShapeError, "expected a length-3"),
+}
+
+
+@pytest.mark.parametrize("kind", list(BAD_ENDPOINTS))
+@pytest.mark.parametrize("name", ["suboptimal_axis.a", "suboptimal_axis.b",
+                                  "SuboptimalStationary.a_hat",
+                                  "SuboptimalStationary.b_hat"])
+def test_endpoints_that_are_not_unit_3_vectors_are_typed_errors(name, kind):
+    # the family's one endpoint check is suboptimal_axis's, which names the
+    # endpoint; a NaN passes the unit rule and ends at the endpoint angle
+    value, error, message = BAD_ENDPOINTS[kind]
+    with pytest.raises(error, match=message.format(name.rsplit(".", 1)[-1][0])):
+        CALLS[name](value)
+
+
 TWO, THREE, ROWS = [1.0, 2.0], [1.0, 2.0, 3.0], np.ones((3, 3))
 PAIRS, ROWS4 = np.ones((4, 2)), np.tile([0.0, 0.6, 0.8], (4, 1))
 
