@@ -35,7 +35,7 @@ def build_parser() -> argparse.ArgumentParser:
     ex.add_argument("--t-end", type=float, default=1.0,
                     help="end of the time interval (default 1.0)")
     ex.add_argument("--steps", type=int, default=None,
-                    help="RK4 steps (default 2000 per unit time)")
+                    help="time steps (default 2000 per unit time)")
     ex.add_argument("--out", default=".", help="artifact directory")
 
     sa = sub.add_parser("sweep-alpha",

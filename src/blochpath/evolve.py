@@ -11,12 +11,12 @@ first state ``y`` to every node.  Renormalizing, a scalar, commutes with
 them, so the drifts ``|M_k y_k| - 1`` are the growths
 ``|P_k y| / |P_(k-1) y| - 1``, checked at once.  When every node and
 midpoint sample of the field has the same bits (a stationary field, given
-as a constant or as a callable of one value), all steps share one matrix
-``M``: it is built once, its powers ``P_k = M^(k+1)`` for one block are
-formed by doubling, ``P_(s+i) = P_(s-1) P_i``, and every block reuses them.
-Hillis-Steele forms exactly these products from equal matrices, so the
-states have the same bits either way.  Line integrals are trapezoid sums on
-the nodes (:func:`_trapezoid`), whose intervals each grid forms once.
+as a constant or as a callable of one value), the products are the exact
+propagators ``P_k = exp(-i t_k H)``, ``t_k = (k + 1) dt``, taken in closed
+form for one block (:func:`_exponentials`), and every block reuses them: a
+stationary field has no step bound, and its states are exact to rounding.
+Line integrals are trapezoid sums on the nodes (:func:`_trapezoid`), whose
+intervals each grid forms once.
 """
 
 import functools
@@ -38,7 +38,7 @@ __all__ = [
     "parallel_transport",
 ]
 
-#: default number of RK4 steps per unit time
+#: default number of steps per unit time
 STEPS_PER_UNIT = 2000
 #: per-step norm drift (before renormalization) that aborts the integration
 MAX_STEP_DRIFT = 1e-4
@@ -205,18 +205,20 @@ def _same_rows(x) -> bool:
     return bool((bits == bits[0]).all())
 
 
-def _powers(m, count):
-    """Prefix products ``P_k = M^(k+1)``, ``k < count``, of one step matrix
-    ``m`` of shape ``(2, 2, 1)``, formed by doubling:
-    ``P_(s+i) = P_(s-1) P_i``.  Hillis-Steele forms these very products
-    when all its matrices equal ``m``, so they have the same bits."""
-    p = np.empty((2, 2, count), dtype=complex)
-    p[..., :1], s = m, 1
-    while s < count:
-        k = min(s, count - s)
-        p[..., s:s + k] = _mul(p[..., s - 1:s], p[..., :k])
-        s *= 2
-    return p
+def _exponentials(h0, h, t):
+    """Entry-major ``exp(-i t_k (h0 + h.sigma))`` at the times ``t``, in closed
+    form: ``exp(-i t_k h0) (cos(t_k |h|) I - i sin(t_k |h|) n.sigma)`` with
+    ``n = h / |h|``.  An ``|h|`` whose square overflows gives NaN."""
+    size = np.sqrt(_dot(h, h))
+    n, angle = (h / size if size > 0.0 else h), t * size
+    u = np.empty((2, 2, len(t)), dtype=complex)
+    re, im, s = u.real, u.imag, np.sin(angle)
+    re[0, 0] = re[1, 1] = np.cos(angle)
+    im[0, 0], im[1, 1] = -s * n[2], s * n[2]
+    re[0, 1], re[1, 0] = -s * n[1], s * n[1]
+    im[0, 1] = im[1, 0] = -s * n[0]
+    u *= np.exp(-1j * t * h0)
+    return u
 
 
 def _propagate(psi0, h0_half, h_half, dt) -> np.ndarray:
@@ -224,14 +226,14 @@ def _propagate(psi0, h0_half, h_half, dt) -> np.ndarray:
     n_steps = (len(h0_half) - 1) // 2
     states = np.empty((n_steps + 1, 2), dtype=complex)
     states[0] = psi0
-    powers = None
-    if _same_rows(h0_half) and _same_rows(h_half):  # one step matrix
-        powers = _powers(_step_matrices(h0_half[:3], h_half[:3], dt),
-                         min(_BLOCK, n_steps))
+    carry = None
+    if _same_rows(h0_half) and _same_rows(h_half):  # exp(-i t_k H), t_k = (k + 1) dt
+        carry = _exponentials(h0_half[0], h_half[0],
+                              dt * np.arange(1, min(_BLOCK, n_steps) + 1))
     for lo in range(0, n_steps, _BLOCK):
         hi = min(lo + _BLOCK, n_steps)
-        if powers is not None:
-            p = powers[..., :hi - lo]
+        if carry is not None:
+            p = carry[..., :hi - lo]
         else:
             p, shift = _step_matrices(h0_half[2 * lo:2 * hi + 1],
                                       h_half[2 * lo:2 * hi + 1], dt), 1
@@ -259,6 +261,7 @@ def schrodinger_evolve(field: FieldSpec, psi0,
     Blocked step matrices and prefix products (see the module notes) give a
     step-by-step RK4's states to about 1e-15; the first step whose norm
     drifts by more than ``MAX_STEP_DRIFT`` raises :class:`IntegrationError`.
+    A stationary field is propagated exactly, with ``exp(-i t H)``.
 
     Parameters
     ----------

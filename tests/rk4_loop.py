@@ -6,10 +6,10 @@ each.  The library builds every step matrix at once and propagates them with
 a blocked prefix product; agreement with this loop, state by state and in
 the step an integration fails, checks that rewrite.
 
-:func:`hillis_steele_rk4` is that blocked propagator as it was before fields
-with equal samples got one step matrix and its doubled powers: it builds
-every step's matrix and takes their Hillis-Steele prefix products in every
-block.  It forms ``-iH`` as the library once did, from
+:func:`hillis_steele_rk4` is that blocked propagator for fields whose
+samples differ (equal samples take ``exp(-i t H)`` in closed form): it
+builds every step's matrix and takes their Hillis-Steele prefix products in
+every block.  It forms ``-iH`` as the library once did, from
 :func:`blochpath.pauli_compose` multiplied into a new array and transposed
 to entry-major order, not with the library's step build, which writes the
 same entries entry-major directly.  The library must give its states bit

@@ -30,7 +30,8 @@ REMOVED = ("curvature_expectation", "curvature_numeric_oracle",
            "travel_time", "arc_length_alpha", "delta_e_alpha",
            "bloch_from_state", "speed_efficiency", "FD_STEP",
            "_central_difference", "_sample_h", "_BatchedField", "_plain_reals",
-           "_stack", "_fill", "HermiticityError", "TOL_HERM", "rodrigues_rotate")
+           "_stack", "_fill", "HermiticityError", "TOL_HERM", "rodrigues_rotate",
+           "_powers")
 
 
 def _exports() -> list[str]:

@@ -14,6 +14,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,6 +26,7 @@ from blochpath.cli import EXIT_CONFIG, EXIT_ERROR, EXIT_NUMERICAL, EXIT_OK, main
 from blochpath.evolve import MAX_STEPS
 from blochpath.families import _PathField
 from blochpath.scenarios import SCENARIOS, _TableField
+from exact_paths import fixed_axis_bloch
 
 PACKAGE_ROOT = Path(blochpath.__file__).resolve().parents[1]
 
@@ -775,12 +777,12 @@ class TestArgvFuzz:
 
 
 def _constant_run(tmp_path, h0, h, t_span=(0.0, 1.0), n_steps=None,
-                  bloch=(0.0, 0.0, 1.0)):
+                  bloch=(0.0, 0.0, 1.0), outputs=("report",)):
     """``report`` on a constant ``custom`` field: the exit code and the
     report JSON, or None when the run failed."""
     config = {"scenario": "custom", "field": {"h0": h0, "h": list(h)},
               "psi0": {"bloch": list(bloch)}, "t_span": list(t_span),
-              "outputs": ["report"]}
+              "outputs": list(outputs)}
     if n_steps is not None:
         config["n_steps"] = n_steps
     path = tmp_path / "run.json"
@@ -809,30 +811,54 @@ class TestDomain:
         assert run(c) == run(1.0)
         assert capsys.readouterr().err == ""
 
-    @pytest.mark.parametrize("magnitude, code", [(991.0, EXIT_OK), (992.0, EXIT_NUMERICAL),
+    @pytest.mark.parametrize("magnitude, code", [(990.0, EXIT_OK), (992.0, EXIT_NUMERICAL),
                                                  (1000.0, EXIT_NUMERICAL)])
     def test_default_grid_takes_a_field_up_to_the_rk4_step_bound(self, tmp_path, capsys,
                                                                   magnitude, code):
-        # 2000 steps per unit time: |h| dt = 0.4955 runs, 0.496 and 0.5 drift
-        assert _constant_run(tmp_path, 0.0, [magnitude, 0.0, 0.0])[0] == code
+        # 2000 steps per unit time: |h| dt up to 0.4955 runs, 0.496 and 0.5 drift
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({
+            "scenario": "custom", "psi0": {"bloch": [0.0, 0.0, 1.0]}, "outputs": ["report"],
+            "field": {"times": [0.0, 1.0], "h0": [0.0, 0.0],
+                      "h": [[magnitude, 0.0, 0.0], [magnitude + 1.0, 0.0, 0.0]]}}))
+        assert main(["report", "--config", str(path), "--out", str(tmp_path)]) == code
         err = capsys.readouterr().err
         assert err == "" if code == EXIT_OK else \
             re.fullmatch(r"numerical error: norm drift \S+ in step 0; reduce dt\n", err)
 
-    @pytest.mark.parametrize("share", [-0.999, -0.6, -0.2, 0.0, 0.3, 0.7, 0.999])
-    @pytest.mark.parametrize("bloch", [(0.0, 0.0, 1.0), (0.0, 1.0, 0.0), (0.6, 0.0, -0.8)])
-    def test_the_stated_step_rule_is_sufficient(self, tmp_path, share, bloch):
+    @pytest.mark.parametrize("h0, h, bloch, n_steps", [
+        # about the RK4 step bound on the default grid, |h| dt = 0.4955 to 0.5,
+        # which a constant field does not have
+        *((0.0, (m, 0.0, 0.0), (0.0, 0.0, 1.0), None) for m in (991.0, 992.0, 1000.0)),
         # (|h0| + |h|) dt = 0.49, any split between h0 and |h|, any state
         # that is not an eigenstate of h along x
-        total = 0.49 * 2000
-        h0 = share * total
-        assert _constant_run(tmp_path, h0, [total - abs(h0), 0.0, 0.0],
-                             bloch=bloch)[0] == EXIT_OK
+        *((share * 980.0, (980.0 - abs(share) * 980.0, 0.0, 0.0), bloch, None)
+          for share in (-0.999, -0.6, -0.2, 0.0, 0.3, 0.7, 0.999)
+          for bloch in ((0.0, 0.0, 1.0), (0.0, 1.0, 0.0), (0.6, 0.0, -0.8))),
+        (0.0, (992.0, 0.0, 0.0), (0.0, 0.0, 1.0), math.ceil(992.0 / 0.49)),
+        (0.0, (1e4, 0.0, 0.0), (0.0, 0.0, 1.0), None),
+        (-3e3, (4.8e3, -6e3, 6.4e3), (0.6, 0.0, -0.8), None),
+    ])
+    def test_strong_constant_fields_precess_exactly(self, tmp_path, capsys, h0, h, bloch,
+                                                    n_steps):
+        # no step bound: the error is about eps |h| T at any |h| dt
+        code, _ = _constant_run(tmp_path, h0, h, n_steps=n_steps, bloch=bloch,
+                                outputs=["report", "trajectory"])
+        assert code == EXIT_OK and capsys.readouterr().err == ""
+        with open(tmp_path / "custom_trajectory.csv", newline="") as f:
+            got = np.array([[float(row[k]) for k in ("a_x", "a_y", "a_z")]
+                            for row in csv.DictReader(f)])
+        # the grid's own times: the CSV's 15 digits would cost |h| 1e-15
+        times = TimeGrid(0.0, 1.0, len(got) - 1).times
+        norm = np.linalg.norm(h)
+        exact = fixed_axis_bloch(bloch, np.array(h) / norm, norm * times)
+        assert np.max(np.abs(got - exact)) <= 1e-14 + 1e-15 * norm
 
-    def test_the_stated_step_count_is_the_remedy(self, tmp_path):
-        n_steps = math.ceil((0.0 + 992.0) * 1.0 / 0.49)
-        assert _constant_run(tmp_path, 0.0, [992.0, 0.0, 0.0], n_steps=n_steps)[0] \
-            == EXIT_OK
+    def test_a_short_span_of_two_steps_runs(self, tmp_path, capsys):
+        # the h = 1 run on [0, 1], scaled by 1000: its default grid has 2 steps
+        code, report = _constant_run(tmp_path, 0.0, [1000.0, 0.0, 0.0], (0.0, 1e-3))
+        assert code == EXIT_OK and capsys.readouterr().err == ""
+        assert report["classification"] == "GeodesicUnwasteful"
 
     @pytest.mark.parametrize("c", [1.0, 2.0**20, 2.0**-20])
     def test_a_path_within_tol_s_exits_3_at_every_scale(self, tmp_path, capsys, c):

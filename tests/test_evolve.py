@@ -25,7 +25,8 @@ from blochpath import (
     state_from_bloch,
 )
 from blochpath.core import _bloch_rows
-from blochpath.evolve import MAX_STEPS, _trapezoid
+from blochpath.evolve import MAX_STEPS, _same_rows, _trapezoid
+from exact_paths import fixed_axis_bloch, fixed_axis_states, wobbling_drive
 from feynman import feynman_evolve
 from geometry_oracles import transport_residual
 from rk4_loop import hillis_steele_rk4, sequential_rk4
@@ -34,9 +35,16 @@ PSI0 = np.array([np.sqrt(3) / 2, 0.5], dtype=complex)
 SIGMA_Z_FIELD = FieldSpec(h0=0.0, h=np.array([0.0, 0.0, 1.0]))
 
 
-def analytic_sigma_z(t, gamma=1.0):
-    return np.array([np.sqrt(3) / 2 * np.exp(-1j * gamma * t),
-                     0.5 * np.exp(1j * gamma * t)])
+def analytic_sigma_z(t):
+    return np.array([np.sqrt(3) / 2 * np.exp(-1j * t), 0.5 * np.exp(1j * t)])
+
+
+def exact_states(h0, h, psi0, times):
+    """``exp(-i t (h0 + h.sigma)) psi0`` at ``t = times - times[0]``."""
+    norm = np.linalg.norm(h)
+    axis = np.asarray(h) / norm if norm > 0.0 else np.array([0.0, 0.0, 1.0])
+    t = times - times[0]
+    return fixed_axis_states(psi0, axis, norm * t, h0 * t)
 
 
 class TestTimeGrid:
@@ -123,14 +131,25 @@ class TestSchrodingerEvolve:
         assert err < 1e-7
 
     def test_fourth_order_convergence(self):
-        field = FieldSpec(h0=0.0, h=np.array([0.0, 0.0, 3.0]))
-        errs = []
-        for n in (100, 200, 400):
-            traj = schrodinger_evolve(field, PSI0, TimeGrid(0.0, 1.0, n))
-            errs.append(np.linalg.norm(traj.states[-1]
-                                       - analytic_sigma_z(1.0, gamma=3.0)))
+        # a drive about a fixed axis whose magnitude varies: a constant field
+        # is solved in closed form, to rounding
+        axis, f, h0, turn, phase = wobbling_drive(0.0, 1.0)
+        field = FieldSpec(h0=h0, h=lambda t: f(t) * axis)
+        exact = fixed_axis_states(PSI0, axis, [turn(1.0)], phase(1.0))[0]
+        errs = [np.linalg.norm(schrodinger_evolve(field, PSI0, TimeGrid(0.0, 1.0, n))
+                               .states[-1] - exact) for n in (100, 200, 400)]
         assert errs[0] / errs[1] > 8.0
         assert errs[1] / errs[2] > 8.0
+
+    @pytest.mark.parametrize("magnitude", [1.0, 1e3, 1e4])
+    def test_constant_fields_precess_to_rounding(self, magnitude):
+        # no step bound: the error of exp(-i t H) is about eps |h| t at any |h| dt
+        axis = np.array([0.48, -0.6, 0.64])
+        traj = schrodinger_evolve(FieldSpec(h0=0.7 * magnitude, h=magnitude * axis), PSI0)
+        exact = exact_states(0.7 * magnitude, magnitude * axis, PSI0, traj.times)
+        assert np.max(np.abs(traj.states - exact)) <= 1e-15 * max(1.0, 1.7 * magnitude)
+        bloch = fixed_axis_bloch(traj.bloch[0], axis, magnitude * traj.times)
+        assert np.max(np.abs(traj.bloch - bloch)) <= 3e-15 * max(1.0, magnitude)
 
     def test_renormalized_states_stay_unit(self):
         traj = schrodinger_evolve(SIGMA_Z_FIELD, PSI0, TimeGrid(0.0, 1.0, 500))
@@ -140,7 +159,8 @@ class TestSchrodingerEvolve:
                                        traj.bloch) - 1.0)) < 1e-8
 
     def test_violent_step_raises(self):
-        field = FieldSpec(h0=0.0, h=np.array([80.0, 0.0, 0.0]))
+        # a time-varying field; a constant one has no step bound
+        field = FieldSpec(h0=0.0, h=lambda t: np.array([80.0 + t, 0.0, 0.0]))
         with pytest.raises(IntegrationError):
             schrodinger_evolve(field, np.array([1.0, 0.0], dtype=complex),
                                TimeGrid(0.0, 1.0, 2))
@@ -238,6 +258,12 @@ class TestBlockedPropagator:
     @settings(max_examples=20, deadline=None)
     def test_states_match_the_sequential_loop(self, drive):
         field, psi0, grid = drive
+        h0, h = sample_field(field, grid.half_times)
+        if _same_rows(h0) and _same_rows(h):  # a stationary field: exp(-i t H)
+            got = schrodinger_evolve(field, psi0, grid).states
+            want = exact_states(h0[0], h[0], psi0, grid.times)
+            assert np.max(np.abs(got - want)) <= 1e-14
+            return
         want = _failing_step(sequential_rk4, field, psi0, grid)
         got = _failing_step(lambda *a: schrodinger_evolve(*a).states,
                             field, psi0, grid)
@@ -252,8 +278,6 @@ class TestBlockedPropagator:
         *(pytest.param(FieldSpec(h0=0.0, h=lambda t, late=late: np.array(
             [1.0 if t < 0.75 else late, 0.3, 0.0])), 1499, id=str(late))
           for late in (5e3, 1e300)),
-        # a constant field too strong for the grid: one step matrix drifts
-        pytest.param(FieldSpec(h0=0.0, h=[1000.0, 0.0, 0.0]), 0, id="constant"),
     ])
     def test_late_block_divergence_names_the_reference_step(self, field, step):
         grid = TimeGrid(0.0, 1.0, 2000)
@@ -291,11 +315,11 @@ def _switching(lo: int, hi: int, grid: TimeGrid):
 
 
 class TestEqualSamples:
-    """A field whose samples are all equal is propagated with one step
-    matrix and its powers; the states keep the bits of the blocked
-    Hillis-Steele scan over every step's own matrix, each built through
-    ``pauli_compose``.  So does a field whose samples all differ, whose step
-    matrices the library builds without it."""
+    """A field whose samples are all equal is propagated as ``exp(-i t H)``
+    in closed form, and its states are held to that exponential.  A field
+    whose samples differ keeps the bits of the blocked Hillis-Steele scan
+    over every step's own RK4 matrix, each built through ``pauli_compose``,
+    which the library's step build does not use."""
 
     @staticmethod
     def assert_same_bits(field, grid):
@@ -307,11 +331,14 @@ class TestEqualSamples:
     @pytest.mark.parametrize("field", [
         FieldSpec(h0=0.7, h=np.array([0.4, -1.1, 0.9])),
         FieldSpec(h0=-1.3, h=[-0.0, 2.5, 0.0]),
-        # a callable of one value gives the same step matrix bits
+        # a callable of one value takes the same path
         FieldSpec(h0=lambda t: 0.7, h=lambda t: np.array([0.4, -1.1, 0.9])),
     ], ids=["constant", "signed-zeros", "callable"])
-    def test_constant_fields_keep_the_hillis_steele_bits(self, field, n_steps):
-        self.assert_same_bits(field, TimeGrid(0.25, 0.25 + 5e-4 * n_steps, n_steps))
+    def test_constant_fields_follow_the_exponential(self, field, n_steps):
+        grid = TimeGrid(0.25, 0.25 + 5e-4 * n_steps, n_steps)
+        got = schrodinger_evolve(field, PSI0, grid).states
+        h0, h = sample_field(field, grid.times[:1])
+        assert np.max(np.abs(got - exact_states(h0[0], h[0], PSI0, grid.times))) <= 1e-14
 
     @pytest.mark.parametrize("n_steps, lo, hi", [
         (1025, 1024, 1025), (2049, 1024, 2000), (5000, 1024, 4999), (2049, 2048, 2049)])

@@ -3,12 +3,13 @@ other BLAS kernels.
 
 numpy picks its vectorized loops at import from the CPU's features, and
 ``NPY_DISABLE_CPU_FEATURES`` turns dispatched features off for one process.
-The fast paths for equal field samples (one RK4 step matrix and its
-doubled powers) and for ``dh/dt = 0`` (the first curvature term alone)
-must give the bits of the general paths whichever loops run, and the
+The closed form for equal field samples (``exp(-i t H)``) must stay within
+rounding of the exponential, fields constant only on the first block must
+keep the bits of the blocked RK4 scan, the fast path for ``dh/dt = 0``
+(the first curvature term alone) those of the general path, and the
 spelled-out kernels (``core._norm_sq`` and ``core._cross``) those of the
-numpy functions they replace, so their tests are rerun in a child with
-AVX-512, and then also AVX2, turned off.
+numpy functions they replace, whichever loops run; so their tests are
+rerun in a child with AVX-512, and then also AVX2, turned off.
 
 A feature the CPU lacks is already off, and numpy accepts a request to
 disable it, so these children run on every x86-64 runner.  numpy refuses
