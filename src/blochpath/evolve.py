@@ -20,6 +20,7 @@ intervals each grid forms once.
 """
 
 import functools
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -228,8 +229,13 @@ def _propagate(psi0, h0_half, h_half, dt) -> np.ndarray:
     states[0] = psi0
     carry = None
     if _same_rows(h0_half) and _same_rows(h_half):  # exp(-i t_k H), t_k = (k + 1) dt
-        carry = _exponentials(h0_half[0], h_half[0],
-                              dt * np.arange(1, min(_BLOCK, n_steps) + 1))
+        h0, h = h0_half[0], h_half[0]
+        carry = _exponentials(h0, h, dt * np.arange(1, min(_BLOCK, n_steps) + 1))
+        k = _first(~np.isfinite(carry).all(axis=(0, 1)))
+        if k is not None:  # no dt helps: only a field past the float range fails
+            raise IntegrationError(f"state norm is not finite after step {k}; field "
+                                   f"magnitude {abs(h0) + math.hypot(*h):.3e} "
+                                   "overflows exp(-itH)")
     for lo in range(0, n_steps, _BLOCK):
         hi = min(lo + _BLOCK, n_steps)
         if carry is not None:

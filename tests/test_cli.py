@@ -793,6 +793,19 @@ def _constant_run(tmp_path, h0, h, t_span=(0.0, 1.0), n_steps=None,
     return code, json.loads(report.read_text()) if code == EXIT_OK else None
 
 
+def _ramp_run(tmp_path, h0, start, end, n_steps=None, bloch=(0.0, 0.0, 1.0)):
+    """The exit code of ``report`` on a two-knot ``custom`` table on [0, 1]
+    from ``h = start`` to ``end`` at a constant ``h0``: a field that varies
+    in time, which RK4 propagates."""
+    config = {"scenario": "custom", "psi0": {"bloch": list(bloch)}, "outputs": ["report"],
+              "field": {"times": [0.0, 1.0], "h0": [h0, h0], "h": [list(start), list(end)]}}
+    if n_steps is not None:
+        config["n_steps"] = n_steps
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(config))
+    return main(["report", "--config", str(path), "--out", str(tmp_path)])
+
+
 class TestDomain:
     """The valid domain the README states, both sides of each boundary."""
 
@@ -816,15 +829,38 @@ class TestDomain:
     def test_default_grid_takes_a_field_up_to_the_rk4_step_bound(self, tmp_path, capsys,
                                                                   magnitude, code):
         # 2000 steps per unit time: |h| dt up to 0.4955 runs, 0.496 and 0.5 drift
-        path = tmp_path / "run.json"
-        path.write_text(json.dumps({
-            "scenario": "custom", "psi0": {"bloch": [0.0, 0.0, 1.0]}, "outputs": ["report"],
-            "field": {"times": [0.0, 1.0], "h0": [0.0, 0.0],
-                      "h": [[magnitude, 0.0, 0.0], [magnitude + 1.0, 0.0, 0.0]]}}))
-        assert main(["report", "--config", str(path), "--out", str(tmp_path)]) == code
+        assert _ramp_run(tmp_path, 0.0, (magnitude, 0.0, 0.0),
+                         (magnitude + 1.0, 0.0, 0.0)) == code
         err = capsys.readouterr().err
         assert err == "" if code == EXIT_OK else \
             re.fullmatch(r"numerical error: norm drift \S+ in step 0; reduce dt\n", err)
+
+    @pytest.mark.parametrize("share", [-0.999, -0.6, -0.2, 0.0, 0.3, 0.7, 0.999])
+    @pytest.mark.parametrize("bloch", [(0.0, 0.0, 1.0), (0.0, 1.0, 0.0), (0.6, 0.0, -0.8)])
+    def test_the_stated_step_rule_is_sufficient(self, tmp_path, share, bloch):
+        # (|h0| + |h|) dt reaches 0.49 at t = 1, any split between h0 and |h|,
+        # any state that is not an eigenstate of h along x
+        total = 0.49 * 2000
+        h0 = share * total
+        top = total - abs(h0)
+        assert _ramp_run(tmp_path, h0, (top - 1.0, 0.0, 0.0), (top, 0.0, 0.0),
+                         bloch=bloch) == EXIT_OK
+
+    def test_the_stated_step_count_is_the_remedy(self, tmp_path):
+        ramp = (991.0, 0.0, 0.0), (992.0, 0.0, 0.0)
+        assert _ramp_run(tmp_path, 0.0, *ramp) == EXIT_NUMERICAL
+        n_steps = math.ceil((0.0 + 992.0) * 1.0 / 0.49)
+        assert _ramp_run(tmp_path, 0.0, *ramp, n_steps=n_steps) == EXIT_OK
+
+    def test_a_field_one_ulp_from_constant_keeps_the_step_bound(self, tmp_path, capsys):
+        # only a field whose samples share their bits is propagated exactly
+        assert _constant_run(tmp_path, 0.0, (1000.0, 0.0, 0.0))[0] == EXIT_OK
+        assert capsys.readouterr().err == ""
+        ulp = np.nextafter(1000.0, np.inf)
+        assert _ramp_run(tmp_path, 0.0, (1000.0, 0.0, 0.0), (ulp, 0.0, 0.0)) \
+            == EXIT_NUMERICAL
+        assert re.fullmatch(r"numerical error: norm drift \S+ in step 0; reduce dt\n",
+                            capsys.readouterr().err)
 
     @pytest.mark.parametrize("h0, h, bloch, n_steps", [
         # about the RK4 step bound on the default grid, |h| dt = 0.4955 to 0.5,

@@ -172,6 +172,18 @@ class TestSchrodingerEvolve:
             with pytest.raises(IntegrationError, match="not finite after step 0"):
                 schrodinger_evolve(huge, PSI0, TimeGrid(0.0, 1.0, 20))
 
+    @pytest.mark.parametrize("h0, h, size", [(0.0, (0.0, 1e300, 0.0), "1.000e+300"),
+                                             (0.0, (1e160, 0.0, 0.0), "1.000e+160"),
+                                             (1e200, (0.0, 6e199, 8e199), "2.000e+200")])
+    def test_overflowing_stationary_field_names_its_magnitude(self, h0, h, size):
+        # exp(-itH) has no step bound, so the remedy is not a smaller dt
+        field = FieldSpec(h0=h0, h=np.array(h))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(IntegrationError) as err:
+                schrodinger_evolve(field, PSI0, TimeGrid(0.0, 1.0, 2000))
+        assert str(err.value) == ("state norm is not finite after step 0; field magnitude "
+                                  f"{size} overflows exp(-itH)")
+
     def test_validate_rejects_a_half_grid_of_the_wrong_length(self):
         traj = schrodinger_evolve(SIGMA_Z_FIELD, PSI0, TimeGrid(0.0, 1.0, 20))
         assert traj.h_half.shape == (41, 3) and traj.h0_half.shape == (41,)
