@@ -143,9 +143,10 @@ class ScenarioConfig:
     ``curvature`` outputs without the ``trajectory`` file they are columns
     of; parameters that are not a mapping, or are unknown, missing, aliased
     twice or not finite numbers; a ``field`` or ``psi0`` for another
-    scenario, and a ``custom`` one without a ``field`` mapping.  The keys
-    and arrays of ``field`` and ``psi0`` and the family's domain are checked
-    when the scenario is built.  Either way no numerics have run yet.
+    scenario, a ``custom`` one without a ``field`` mapping, and unknown keys
+    of ``field`` or of a ``psi0`` mapping.  Their values (a table's numbers,
+    shapes and order), the family's domain and the default grid's step cap
+    are checked when the scenario is built.  Either way no numerics have run yet.
     ``outputs`` is stored as a tuple, so an iterator is read once.
     """
 
@@ -187,6 +188,12 @@ class ScenarioConfig:
         _resolve(scenario, params)
         if scenario != "suboptimal_family":
             _ordered(*t_span)
+        if scenario == "custom":  # copied, as parameters are: a later edit adds no key
+            field = dict(field)
+            _known_keys(field, ("times", "h", "h0"), "field")
+            if isinstance(psi0, dict):
+                psi0 = dict(psi0)
+                _known_keys(psi0, ("bloch",), "psi0")
         self.scenario, self.parameters, self.t_span = scenario, dict(params), t_span
         self.n_steps, self.outputs, self.field, self.psi0 = n_steps, names, field, psi0
 

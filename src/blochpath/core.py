@@ -298,6 +298,24 @@ def _per_sample(fn: Callable, times: np.ndarray, convert: Callable,
     return out
 
 
+def _path_rows(fn: Callable, name: str, times: np.ndarray, row: tuple = (),
+               dtype=float) -> np.ndarray:
+    """``fn(times)`` as an array of shape ``times.shape + row``: one call on the
+    whole time array, where :func:`_per_sample` makes one per sample.  Any other
+    shape is a :class:`ShapeError`; an exception inside ``fn``, values that are
+    not numbers of ``dtype``'s kind, or a non-finite row raise :class:`FieldError`
+    naming ``name`` (and the row's ``t``)."""
+    try:
+        rows = _numbers(fn(times), name, dtype)
+    except Exception as exc:
+        _field_error(f"{name} failed on the time array", exc)
+    if rows.shape != times.shape + row:
+        raise ShapeError(f"{name} returned shape {rows.shape}, "
+                         f"expected {times.shape + row}")
+    _check_finite(times, name, rows)
+    return rows
+
+
 def _column(value, times: np.ndarray, rows: Optional[str] = None):
     """A constant broadcast over ``times``, or a callable sampled per sample:
     scalars, or with ``rows`` naming the quantity, checked 3-vector rows."""
@@ -335,9 +353,8 @@ class FieldSpec:
     later call.  A Python float, or a float64 array row of length 3, is
     taken as it is; any other result is checked and converted on its own.
     A constant ``h_dot`` is checked as a constant ``h`` is.
-    Two private kinds sample in batches instead, ``scenarios._TableField(knots,
-    h0, h, t_span)`` and ``families._PathField(family, variant, h_dot)``; every
-    kind sets the ``t_span`` and ``h_dot`` the library reads.
+    The private kind :class:`_ArrayField` samples whole arrays instead; it
+    sets the ``t_span`` and ``h_dot`` the library reads, as this class does.
     """
 
     def __init__(self, h0: Union[Callable[[float], float], float],
@@ -370,3 +387,17 @@ class FieldSpec:
     def _h_dot_rows(self, times: np.ndarray) -> np.ndarray:
         return _column(self.h_dot, times, "field derivative")
 
+
+class _ArrayField(FieldSpec):
+    """A tabulated ``custom`` field or an Uzdin drive: ``rows(times)`` maps the
+    checked time array to ``(h0, h)`` in one call, and ``h_dot``, if not None,
+    is read by :func:`_path_rows`, also one call per batch."""
+
+    def __init__(self, rows: Callable, h_dot: Optional[Callable], t_span: Tuple[float, float]):
+        self.rows, self.h_dot, self.t_span = rows, h_dot, t_span
+
+    def sample(self, times) -> Tuple[np.ndarray, np.ndarray]:
+        return self.rows(_as_times(times))
+
+    def _h_dot_rows(self, times: np.ndarray) -> np.ndarray:
+        return _path_rows(self.h_dot, "h_dot", times, (3,))

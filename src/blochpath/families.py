@@ -9,29 +9,25 @@ prescribed normalized path ``|m(t)>`` into the traceless driving
 Hamiltonian ``H = i|dm><m| - i|m><dm|``, plus its sub-optimal variants that
 add a phase term ``phidot |m><m|`` (kept or made traceless).
 
-The path callables (``m_state``, ``m_dot``, ``phase_dot``) and a
-drive's ``h_dot`` take the whole time array and are called once per batch;
-scalar callables, one call per sample, belong to :class:`FieldSpec` only.
+A drive is a :class:`core._ArrayField` over :func:`_path_drive`: the path
+callables (``m_state``, ``m_dot``, ``phase_dot``) and its ``h_dot`` take the
+whole time array and are called once per batch; scalar callables, one call
+per sample, belong to :class:`FieldSpec` only.
 An array closure must give the same bits as elementwise calls would, which
 the byte-pinned golden artifacts check for the built-in scenarios.
 """
 
+import functools
 from typing import Callable, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .core import (TOL_NORM, FieldSpec, _as_times, _as_vec3, _bloch_rows,
-                   _check_finite, _cross, _dot, _field_error, _finite_reals, _first, _Frozen,
-                   _norm_sq, _numbers, _scalar, fubini_study_distance)
+from .core import (TOL_NORM, FieldSpec, _ArrayField, _as_vec3, _bloch_rows, _cross, _dot,
+                   _finite_reals, _first, _Frozen, _norm_sq, _path_rows, _scalar,
+                   fubini_study_distance)
 from .evolve import TOL_NORM0
-from .errors import (
-    ConfigError,
-    DegenerateEndpointsError,
-    NormalizationError,
-    PreconditionError,
-    RangeError,
-    ShapeError,
-)
+from .errors import (ConfigError, DegenerateEndpointsError, NormalizationError,
+                     PreconditionError, RangeError)
 
 __all__ = [
     "SuboptimalStationary",
@@ -70,9 +66,10 @@ def suboptimal_axis(alpha: float, a, b) -> np.ndarray:
     a = _as_vec3(a, "Bloch vector")
     b = _as_vec3(b, "Bloch vector")
     alpha = _finite_reals(alpha, "alpha", scalar=True)
-    for name, norm_sq in (("a", _dot(a, a)), ("b", _dot(b, b))):
-        if abs(norm_sq - 1.0) > TOL_NORM:
-            raise NormalizationError(f"endpoint {name} has norm^2 {float(norm_sq)!r}")
+    for name, (x, y, z) in (("a", a.tolist()), ("b", b.tolist())):
+        # Python floats: the bits of _dot, and inf without a warning past ~1e154
+        if abs((norm_sq := x * x + y * y + z * z) - 1.0) > TOL_NORM:
+            raise NormalizationError(f"endpoint {name} has norm^2 {norm_sq!r}")
     half = 0.5 * endpoint_angle(a, b)
     # a x b as a x (b -+ a): the short difference keeps its relative accuracy
     normal = _cross(a, b - np.sign(_dot(a, b)) * a)
@@ -136,24 +133,6 @@ def suboptimal_hamiltonian(family: SuboptimalStationary) -> FieldSpec:
                      t_span=(0.0, family.t_ab))
 
 
-def _path_rows(fn: Callable, name: str, times: np.ndarray, row: tuple = (),
-               dtype=float) -> np.ndarray:
-    """``fn(times)``, called once on the whole time array, as an array of
-    shape ``times.shape + row``.  Any other shape raises
-    :class:`ShapeError`; an exception inside ``fn``, values that are not
-    numbers of ``dtype``'s kind (see :func:`core._numbers`), or a non-finite
-    row raise :class:`FieldError` naming ``name`` (and the row's ``t``)."""
-    try:
-        rows = _numbers(fn(times), name, dtype)
-    except Exception as exc:
-        _field_error(f"{name} failed on the time array", exc)
-    if rows.shape != times.shape + row:
-        raise ShapeError(f"{name} returned shape {rows.shape}, "
-                         f"expected {times.shape + row}")
-    _check_finite(times, name, rows)
-    return rows
-
-
 class UzdinFamily(NamedTuple):
     """Prescribed state path ``|m(t)>``, its derivative, and optionally the
     rate ``phidot(t)`` of the phase the sub-optimal variants add.
@@ -169,58 +148,42 @@ class UzdinFamily(NamedTuple):
     t_span: Tuple[float, float] = (0.0, 1.0)
 
 
-class _PathField(FieldSpec):
-    """Drive of an :class:`UzdinFamily` path over ``family.t_span``.
-
-    ``variant`` is ``"optimal"``, ``"trace_nonzero"`` or ``"trace_zero"``
-    and ``h_dot`` an array callable or None.  The family's callables and
-    ``h_dot`` are called once on the whole time array; the checks, the
-    drive's matrix entries, its Pauli vector and the Bloch map then run once
-    over all rows.  The path's norm^2 must lie within ``TOL_NORM0`` of 1, or
-    ``TOL_NORM`` for a variant, whose phase term maps it to a Bloch vector.
-    """
-
-    def __init__(self, family: UzdinFamily, variant: str, h_dot: Optional[Callable]):
-        self.family, self.variant, self.h_dot = family, variant, h_dot
-        self.t_span = family.t_span
-
-    def sample(self, times) -> Tuple[np.ndarray, np.ndarray]:
-        times = _as_times(times)
-        fam = self.family
-        m = _path_rows(fam.m_state, "m_state", times, (2,), complex)
-        norm = _norm_sq(m)
-        k = _first(np.abs(norm - 1.0) > (TOL_NORM0 if self.variant == "optimal" else TOL_NORM))
-        if k is not None:
-            raise NormalizationError(f"m({float(times[k])!r}) has norm^2 = "
-                                     f"{float(norm[k])!r}")
-        md = _path_rows(fam.m_dot, "m_dot", times, (2,), complex)
-        if self.variant != "optimal":
-            phase_dot = _path_rows(fam.phase_dot, "phase_dot", times)
-        # the check scales with |dm/dt|, as the rounding of the products does
-        gauge = np.abs(np.einsum("ij,ij->i", m.conj(), md))
-        k = _first(gauge > 1e-8 * (1.0 + np.sqrt(_norm_sq(md))))
-        if k is not None:
-            raise PreconditionError(
-                f"<m|dm/dt| = {gauge[k]:.3e} at t = {float(times[k])!r}; the path must be "
-                "parallel transported (phase-fixed) before constructing the drive"
-            )
-        # the entries of i(|dm><m| - |m><dm|), each rounded as in the 2x2
-        # product; the Pauli vector is read off them, so an entry that
-        # overflows leaves its row non-finite for sample_field to name
-        e = [[1j * (md[:, i] * m[:, j].conj() - m[:, i] * md[:, j].conj())
-              for j in (0, 1)] for i in (0, 1)]
-        (e00, e01), (e10, e11) = e
-        h = np.stack([0.5 * (e01.real + e10.real), 0.5 * (e10.imag - e01.imag),
-                      0.5 * (e00.real - e11.real)], axis=-1)
-        if self.variant == "optimal":
-            return np.zeros(times.shape), h
-        h = h + (0.5 * phase_dot)[:, None] * _bloch_rows(m)
-        h0 = 0.5 * phase_dot if self.variant == "trace_nonzero" else np.zeros(times.shape)
-        return h0, h
-
-    def _h_dot_rows(self, times: np.ndarray) -> np.ndarray:
-        """One call of ``h_dot`` on the whole time array."""
-        return _path_rows(self.h_dot, "h_dot", times, (3,))
+def _path_drive(fam: UzdinFamily, variant: str, times: np.ndarray):
+    """``(h0, h)`` at ``times`` of ``fam``'s ``"optimal"``, ``"trace_nonzero"``
+    or ``"trace_zero"`` drive: the checks, the matrix entries, the Pauli vector
+    and the Bloch map each run once over all rows.  The path's norm^2 must lie
+    within ``TOL_NORM0`` of 1, or ``TOL_NORM`` for a variant, whose phase term
+    maps it to a Bloch vector."""
+    m = _path_rows(fam.m_state, "m_state", times, (2,), complex)
+    norm = _norm_sq(m)
+    k = _first(np.abs(norm - 1.0) > (TOL_NORM0 if variant == "optimal" else TOL_NORM))
+    if k is not None:
+        raise NormalizationError(f"m({float(times[k])!r}) has norm^2 = "
+                                 f"{float(norm[k])!r}")
+    md = _path_rows(fam.m_dot, "m_dot", times, (2,), complex)
+    if variant != "optimal":
+        phase_dot = _path_rows(fam.phase_dot, "phase_dot", times)
+    # the check scales with |dm/dt|, as the rounding of the products does
+    gauge = np.abs(np.einsum("ij,ij->i", m.conj(), md))
+    k = _first(gauge > 1e-8 * (1.0 + np.sqrt(_norm_sq(md))))
+    if k is not None:
+        raise PreconditionError(
+            f"<m|dm/dt| = {gauge[k]:.3e} at t = {float(times[k])!r}; the path must be "
+            "parallel transported (phase-fixed) before constructing the drive"
+        )
+    # the entries of i(|dm><m| - |m><dm|), each rounded as in the 2x2
+    # product; the Pauli vector is read off them, so an entry that
+    # overflows leaves its row non-finite for sample_field to name
+    e = [[1j * (md[:, i] * m[:, j].conj() - m[:, i] * md[:, j].conj())
+          for j in (0, 1)] for i in (0, 1)]
+    (e00, e01), (e10, e11) = e
+    h = np.stack([0.5 * (e01.real + e10.real), 0.5 * (e10.imag - e01.imag),
+                  0.5 * (e00.real - e11.real)], axis=-1)
+    if variant == "optimal":
+        return np.zeros(times.shape), h
+    h = h + (0.5 * phase_dot)[:, None] * _bloch_rows(m)
+    h0 = 0.5 * phase_dot if variant == "trace_nonzero" else np.zeros(times.shape)
+    return h0, h
 
 
 def uzdin_optimal(fam: UzdinFamily, h_dot: Optional[Callable] = None) -> FieldSpec:
@@ -231,7 +194,7 @@ def uzdin_optimal(fam: UzdinFamily, h_dot: Optional[Callable] = None) -> FieldSp
     the path, so no energy sits in the parallel component.  ``h_dot``, when
     given, maps the time array to ``(n, 3)`` rows of ``dh/dt``.
     """
-    return _PathField(fam, "optimal", h_dot)
+    return _ArrayField(functools.partial(_path_drive, fam, "optimal"), h_dot, fam.t_span)
 
 
 def uzdin_suboptimal(fam: UzdinFamily, variant: str,
@@ -250,4 +213,4 @@ def uzdin_suboptimal(fam: UzdinFamily, variant: str,
         )
     if fam.phase_dot is None:
         raise ConfigError("sub-optimal variants need phase_dot")
-    return _PathField(fam, variant, h_dot)
+    return _ArrayField(functools.partial(_path_drive, fam, variant), h_dot, fam.t_span)

@@ -26,8 +26,8 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .config import ALL_OUTPUTS, SCENARIOS, ScenarioConfig, _count, _finite, _known_keys, _resolve
-from .core import FieldSpec, _as_times, _norm_sq, _numbers, state_from_bloch
+from .config import ALL_OUTPUTS, SCENARIOS, ScenarioConfig, _count, _finite, _resolve
+from .core import FieldSpec, _ArrayField, _norm_sq, _numbers, state_from_bloch
 from .csvtext import csv_rows
 from .curvature import curvature_bloch_profile
 from .efficiency import (
@@ -190,26 +190,8 @@ def _build_suboptimal_family(config: ScenarioConfig, p: dict):
     return field, state_from_bloch(a)
 
 
-class _TableField(FieldSpec):
-    """Field linear between tabulated knots and constant beyond them.
-
-    ``h0`` ``(k,)`` and ``h`` ``(k, 3)`` hold the table at the ``k`` ``knots``;
-    each column is sampled with one ``np.interp`` over the whole time array.
-    It has no ``h_dot``: curvature takes ``dh/dt`` from the run's samples.
-    """
-
-    def __init__(self, knots, h0, h, t_span):
-        self.knots, self.h0, self.h, self.h_dot, self.t_span = knots, h0, h, None, t_span
-
-    def sample(self, times):
-        times = _as_times(times)
-        h = np.stack([np.interp(times, self.knots, col) for col in self.h.T], axis=-1)
-        return np.interp(times, self.knots, self.h0), h
-
-
 def _build_custom(config: ScenarioConfig, p: dict):
     spec = config.field
-    _known_keys(spec, ("times", "h", "h0"), "field")
     if "times" in spec:
         times = _finite_array(spec["times"], "field 'times'")
         h0_tab = _finite_array(spec.get("h0", np.zeros_like(times)), "field 'h0'")
@@ -218,7 +200,10 @@ def _build_custom(config: ScenarioConfig, p: dict):
             raise ConfigError("field table shapes do not line up with 'times'")
         if times.shape[0] < 2 or np.any(np.diff(times) <= 0):
             raise ConfigError("'times' must be strictly increasing, length >= 2")
-        field = _TableField(times, h0_tab, h_tab, config.t_span)
+        def table(t):  # linear between the knots, constant beyond them
+            h = np.stack([np.interp(t, times, col) for col in h_tab.T], axis=-1)
+            return np.interp(t, times, h0_tab), h
+        field = _ArrayField(table, None, config.t_span)
     else:
         if "h" not in spec:
             raise ConfigError("custom field needs 'h' (and optionally 'h0')")
@@ -231,7 +216,6 @@ def _build_custom(config: ScenarioConfig, p: dict):
     if config.psi0 is None:
         psi0 = np.array([1.0, 0.0], dtype=complex)
     elif isinstance(config.psi0, dict):
-        _known_keys(config.psi0, ("bloch",), "psi0")
         bloch = _finite_array(config.psi0.get("bloch"), "psi0 'bloch'")
         try:
             psi0 = state_from_bloch(bloch)

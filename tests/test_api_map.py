@@ -31,7 +31,7 @@ REMOVED = ("curvature_expectation", "curvature_numeric_oracle",
            "bloch_from_state", "speed_efficiency", "FD_STEP",
            "_central_difference", "_sample_h", "_BatchedField", "_plain_reals",
            "_stack", "_fill", "HermiticityError", "TOL_HERM", "rodrigues_rotate",
-           "_powers")
+           "_powers", "_TableField", "_PathField")
 
 
 def _exports() -> list[str]:

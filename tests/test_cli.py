@@ -24,8 +24,8 @@ from blochpath import (EfficiencyReport, FieldSpec, ReportRow, ScenarioConfig,
                        SuboptimalStationary, TimeGrid, Trajectory, UzdinFamily)
 from blochpath.cli import EXIT_CONFIG, EXIT_ERROR, EXIT_NUMERICAL, EXIT_OK, main
 from blochpath.evolve import MAX_STEPS
-from blochpath.families import _PathField
-from blochpath.scenarios import SCENARIOS, _TableField
+from blochpath.core import _ArrayField
+from blochpath.scenarios import SCENARIOS
 from exact_paths import fixed_axis_bloch
 
 PACKAGE_ROOT = Path(blochpath.__file__).resolve().parents[1]
@@ -46,9 +46,7 @@ _FIELD = [("h0", _REQUIRED), ("h", _REQUIRED), ("h_dot", None), ("t_span", (0.0,
 #: every record's constructor parameters, in order, with their defaults
 RECORD_PARAMETERS = {
     FieldSpec: _FIELD,
-    _TableField: [("knots", _REQUIRED), ("h0", _REQUIRED), ("h", _REQUIRED),
-                  ("t_span", _REQUIRED)],
-    _PathField: [("family", _REQUIRED), ("variant", _REQUIRED), ("h_dot", _REQUIRED)],
+    _ArrayField: [("rows", _REQUIRED), ("h_dot", _REQUIRED), ("t_span", _REQUIRED)],
     UzdinFamily: [("m_state", _REQUIRED), ("m_dot", _REQUIRED), ("phase_dot", None),
                   ("t_span", (0.0, 1.0))],
     SuboptimalStationary: [("alpha", _REQUIRED), ("a_hat", _REQUIRED), ("b_hat", _REQUIRED),
@@ -450,6 +448,11 @@ _CONFIG_ERRORS = {
     "reversed_span": ({"scenario": "example3", "t_span": [1, 0]},
                       "t_end (0.0) must exceed t_start (1.0)"),
     "custom_without_field": ({"scenario": "custom"}, "custom scenario needs a 'field' mapping"),
+    "unknown_field_key": ({"scenario": "custom", "field": {"h": [0, 0, 1], "colour": 1}},
+                          "unknown field keys ['colour']"),
+    "unknown_psi0_key": ({"scenario": "custom", "field": {"h": [0, 0, 1]},
+                          "psi0": {"bloch": [1, 0, 0], "phase": 0.5}},
+                         "unknown psi0 keys ['phase']"),
 }
 
 

@@ -1,5 +1,7 @@
 """Stationary one-parameter drives and prescribed-path constructions."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -80,6 +82,19 @@ class TestGeometryHelpers:
     def test_non_unit_endpoints_are_a_normalization_error(self, alpha, a, b, name):
         with pytest.raises(NormalizationError, match=f"endpoint {name} has norm"):
             suboptimal_axis(alpha, a, b)
+
+    @pytest.mark.parametrize("entry", [1e160, 1e200, -1e300])
+    @pytest.mark.parametrize("name", ["a", "b"])
+    @pytest.mark.parametrize("build", [lambda a, b: suboptimal_axis(1.0, a, b),
+                                       lambda a, b: SuboptimalStationary(1.0, a, b)],
+                             ids=["suboptimal_axis", "SuboptimalStationary"])
+    def test_an_overflowing_norm_is_a_normalization_error(self, build, name, entry):
+        ends = {"a": [0.0, 0.0, 1.0], "b": [1.0, 0.0, 0.0]}
+        ends[name] = [0.0, entry, 0.0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NormalizationError, match=f"^endpoint {name} has norm\\^2 inf$"):
+                build(ends["a"], ends["b"])
 
 
 class TestClosedForms:

@@ -351,8 +351,8 @@ class TestBlockConversion:
 
 
 class TestPathCallContract:
-    """Every prescribed-path callable is called once per batch with the
-    whole float64 time array."""
+    """Every prescribed-path callable, and a table's interpolation, is called
+    once per batch with the whole float64 time array."""
 
     @staticmethod
     def called_once_with(rec, times):
@@ -371,11 +371,20 @@ class TestPathCallContract:
         for rec in (*recs.values(), h_dot):
             self.called_once_with(rec, TIMES)
 
+    def test_a_table_is_read_once_per_sample_call(self):
+        field, _, _ = build_scenario(ScenarioConfig(scenario="custom", field={
+            "times": [0.0, 0.4, 1.0], "h": [[1.0, 0.0, 0.2], [0.5, 0.4, 0.0], [0.2, 0.1, 0.9]]}))
+        field.rows = rows = Recorder(field.rows)
+        field.sample(TIMES.tolist())
+        self.called_once_with(rows, TIMES)
+        sample_field(field, TIMES)
+        assert len(rows.args) == 2
+
 
 def builtin_closures(scenario, params):
     """The path closures of a built-in prescribed-path scenario, by name."""
     field, _, _ = build_scenario(ScenarioConfig(scenario=scenario, parameters=params))
-    fam = field.family
+    fam = field.rows.args[0]
     closures = {"m": fam.m_state, "m_dot": fam.m_dot, "h_dot": field.h_dot}
     if fam.phase_dot is not None:
         closures["phase_dot"] = fam.phase_dot
@@ -493,7 +502,7 @@ def test_batched_path_drive_rounds_as_scalar_arithmetic(variant):
         field, _, grid = build_scenario(ScenarioConfig(
             scenario="example2", t_span=(0.0, 1.0), n_steps=1000, parameters={
                 "omega0": omega0, "nu0": nu0, "varphi0": varphi0, "theta0": theta0}))
-        fam = field.family
+        fam = field.rows.args[0]
         field = (uzdin_optimal(fam) if variant == "optimal"
                  else uzdin_suboptimal(fam, variant))
         h0, h = field.sample(grid.half_times)
@@ -742,7 +751,7 @@ def test_curvature_profile_bytes_are_pinned(kind):
                                 t_span=(0.1, 0.9))
     field, psi0, _ = build_scenario(config)
     if kind == "path_no_h_dot":
-        field = uzdin_optimal(field.family)
+        field = uzdin_optimal(field.rows.args[0])
     traj = schrodinger_evolve(field, psi0, TimeGrid(*field.t_span, 40))
     digest = hashlib.sha256(curvature_bloch_profile(traj, field).tobytes()).hexdigest()
     assert digest[:16] == CURVATURE_DIGESTS[kind]

@@ -98,6 +98,16 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             ScenarioConfig.from_dict({"scenario": "example1", "mystery": 1})
 
+    def test_custom_keys_are_checked_on_the_config_and_kept_from_later_edits(self):
+        field, psi0 = {"h": [0.0, 0.0, 1.0]}, {"bloch": [1.0, 0.0, 0.0]}
+        cfg = ScenarioConfig(scenario="custom", field=field, psi0=psi0)
+        field["colour"], psi0["phase"] = 1, 0.5
+        assert (cfg.field, cfg.psi0) == ({"h": [0.0, 0.0, 1.0]}, {"bloch": [1.0, 0.0, 0.0]})
+        with pytest.raises(ConfigError, match=r"unknown field keys \['colour'\]"):
+            ScenarioConfig(scenario="custom", field=field)
+        with pytest.raises(ConfigError, match=r"unknown psi0 keys \['phase'\]"):
+            ScenarioConfig(scenario="custom", field=cfg.field, psi0=psi0)
+
     def test_missing_required_parameter_is_named(self):
         with pytest.raises(ConfigError, match="alpha"):
             build_scenario(ScenarioConfig(scenario="suboptimal_family",
