@@ -14,7 +14,7 @@ import gc
 
 __version__ = "0.1.0"
 
-#: the exports, by the module that defines them
+#: the exports, by the module that defines them and reads them as its ``__all__``
 _EXPORTS = {module: tuple(names.split()) for module, names in {
     "core": "FieldSpec energy_uncertainty fubini_study_distance pauli_compose spectral_norm "
             "state_from_bloch",
@@ -34,6 +34,11 @@ _EXPORTS = {module: tuple(names.split()) for module, names in {
 }.items()}
 
 __all__ = [name for names in _EXPORTS.values() for name in names]
+
+
+def _exports(module: str) -> list:
+    """The ``__all__`` of the package module named ``module``: its row of the table."""
+    return list(_EXPORTS[module.rpartition(".")[2]])
 
 
 def _load(freeze: bool = False) -> None:

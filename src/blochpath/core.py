@@ -25,6 +25,7 @@ from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from . import _exports
 from .errors import (
     BlochPathError,
     ConfigError,
@@ -34,17 +35,12 @@ from .errors import (
     ShapeError,
 )
 
-__all__ = [
-    "FieldSpec",
-    "pauli_compose",
-    "state_from_bloch",
-    "energy_uncertainty",
-    "spectral_norm",
-    "fubini_study_distance",
-]
+__all__ = _exports(__name__)
 
 #: tolerance on norms of states and Bloch vectors
 TOL_NORM = 1e-12
+#: entries this large or larger can overflow a sum of squares
+_HUGE = 2.0**510
 
 
 def _holds_bool(v) -> bool:
@@ -146,6 +142,22 @@ def _dot(x, y):
     return x[..., 0] * y[..., 0] + x[..., 1] * y[..., 1] + x[..., 2] * y[..., 2]
 
 
+def _shifts(peak: np.ndarray) -> np.ndarray:
+    """Per entry of ``peak``, the exponent of the power of two that scales it into
+    ``[_HUGE / 2, _HUGE)`` if finite and at least ``_HUGE``, else 0 (Blue's scaled norm)."""
+    return np.minimum(510 - np.frexp(peak)[1], 0)
+
+
+def _norms(rows: np.ndarray) -> np.ndarray:
+    """``sqrt(_dot(rows, rows))``; a row with an entry at least ``_HUGE`` is
+    scaled by :func:`_shifts` before squaring and back after."""
+    if -_HUGE < rows.min(initial=0.0) and rows.max(initial=0.0) < _HUGE:
+        return np.sqrt(_dot(rows, rows))
+    shift = _shifts(np.abs(rows).max(axis=-1))
+    rows = np.ldexp(rows, shift[..., None])
+    return np.ldexp(np.sqrt(_dot(rows, rows)), -shift)
+
+
 def _norm_sq(rows: np.ndarray) -> np.ndarray:
     """Squared norms of complex 2-vector rows: the two squares added, as a sum does."""
     sq = rows.real * rows.real + rows.imag * rows.imag
@@ -211,15 +223,14 @@ def energy_uncertainty(a, h):
     a = _as_rows(a, "Bloch vector")
     h = _as_rows(h, "field")
     _broadcast(a, h)
-    c = _cross(a, h)
-    return np.sqrt(_dot(c, c))
+    return _norms(_cross(a, h))
 
 
 def spectral_norm(h0, h):
     """Spectral norm ``|h0| + |h|`` of ``h0 * I + h . sigma``."""
     h0, h = _finite_reals(h0, "h0"), _as_rows(h, "field")
     _broadcast(h0, h[..., 0])
-    return np.abs(h0) + np.sqrt(_dot(h, h))
+    return np.abs(h0) + _norms(h)
 
 
 def fubini_study_distance(a, b):

@@ -22,17 +22,13 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import _exports
 from .core import (FieldSpec, _as_rows, _broadcast, _check_finite, _cross, _dot, _first,
                    pauli_compose)
 from .errors import NumericalError, SingularEvolutionError
 from .evolve import Trajectory, parallel_transport
 
-__all__ = [
-    "curvature_bloch",
-    "curvature_bloch_profile",
-    "curvature_expectation_profile",
-    "curvature_numeric_profile",
-]
+__all__ = _exports(__name__)
 
 #: dispersion denominators below this are singular (eigenstate evolution)
 TOL_SING = 1e-12

@@ -13,7 +13,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import _broadcast, _numbers, spectral_norm
+from . import _exports
+from .core import _HUGE, _broadcast, _numbers, _shifts, spectral_norm
 from .errors import (
     NumericalError,
     RangeError,
@@ -22,17 +23,7 @@ from .errors import (
 )
 from .evolve import Trajectory, _trapezoid
 
-__all__ = [
-    "Classification",
-    "EfficiencyReport",
-    "geodesic_efficiency_profile",
-    "speed_efficiency_profile",
-    "speed_efficiency_tracenonzero",
-    "speed_efficiency_tracezero",
-    "hybrid_efficiency",
-    "classify",
-    "efficiency_report",
-]
+__all__ = _exports(__name__)
 
 #: path lengths below this are treated as zero (0/0 anchor convention)
 TOL_S = 1e-9
@@ -108,11 +99,15 @@ def speed_efficiency_profile(traj: Trajectory) -> np.ndarray:
 
 
 def _closed_form_ratio(cdot_sq, phidot, denom_sq):
-    """``sqrt(c^2 / denom_sq(c^2, phidot))`` after the shared domain checks."""
+    """``sqrt(c^2 / denom_sq(c^2, phidot))`` after the shared domain checks, with a huge
+    point scaled first by :func:`_shifts` (``c^2`` twice), which keeps the ratio."""
     c2, pd = _numbers(cdot_sq, "cdot_sq"), _numbers(phidot, "phidot")
     _broadcast(c2, pd)
     if np.any(c2 < 0.0):
         raise RangeError("cdot_sq must be nonnegative")
+    if not (np.abs(pd).max(initial=0.0) < _HUGE and c2.max(initial=0.0) < _HUGE * _HUGE):
+        shift = _shifts(np.maximum(np.abs(pd), np.sqrt(c2)))
+        c2, pd = np.ldexp(c2, 2 * shift), np.ldexp(pd, shift)
     denom = denom_sq(c2, pd)
     if np.any(denom == 0.0):
         raise ZeroHamiltonianError("speed efficiency undefined for H = 0")

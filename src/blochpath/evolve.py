@@ -25,19 +25,14 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import _exports
 from .config import MAX_STEPS, _count, _ordered, _span
 from .core import (FieldSpec, _as_state, _as_times, _check_finite, _dot, _first, _Frozen,
                    _norm_sq, _numbers, energy_uncertainty, fubini_study_distance)
 from .errors import (ConfigError, IntegrationError, NormalizationError,
                      NumericalError, ShapeError)
 
-__all__ = [
-    "TimeGrid",
-    "Trajectory",
-    "sample_field",
-    "schrodinger_evolve",
-    "parallel_transport",
-]
+__all__ = _exports(__name__)
 
 #: default number of steps per unit time
 STEPS_PER_UNIT = 2000

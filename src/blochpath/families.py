@@ -22,6 +22,7 @@ from typing import Callable, NamedTuple, Optional, Tuple
 
 import numpy as np
 
+from . import _exports
 from .core import (TOL_NORM, FieldSpec, _ArrayField, _as_vec3, _bloch_rows, _cross, _dot,
                    _finite_reals, _first, _Frozen, _norm_sq, _path_rows, _scalar,
                    fubini_study_distance)
@@ -29,15 +30,7 @@ from .evolve import TOL_NORM0
 from .errors import (ConfigError, DegenerateEndpointsError, NormalizationError,
                      PreconditionError, RangeError)
 
-__all__ = [
-    "SuboptimalStationary",
-    "UzdinFamily",
-    "endpoint_angle",
-    "suboptimal_axis",
-    "suboptimal_hamiltonian",
-    "uzdin_optimal",
-    "uzdin_suboptimal",
-]
+__all__ = _exports(__name__)
 
 #: endpoint separations closer than this to 0 or pi are rejected
 TOL_DEG = 1e-6

@@ -26,6 +26,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
+from . import _exports
 from .config import ALL_OUTPUTS, SCENARIOS, ScenarioConfig, _count, _finite, _resolve
 from .core import FieldSpec, _ArrayField, _norm_sq, _numbers, state_from_bloch
 from .csvtext import csv_rows
@@ -48,18 +49,7 @@ from .families import (
     uzdin_suboptimal,
 )
 
-__all__ = [
-    "SCENARIOS",
-    "ScenarioConfig",
-    "ReportRow",
-    "build_scenario",
-    "run_report",
-    "table_rows",
-    "sweep_alpha",
-    "sweep_phase_profiles",
-    "write_csv",
-    "write_json",
-]
+__all__ = _exports(__name__)
 
 #: sweep grids stay this far away from the degenerate alpha boundary
 ALPHA_EPS = 1e-6

@@ -71,6 +71,27 @@ def test_the_cases_cover_every_export():
     assert (len(_exports()), len(_module_all())) == (54, 41)
 
 
+def test_each_module_all_is_its_row_of_the_export_table():
+    for name, names in blochpath._EXPORTS.items():
+        module = sys.modules[f"blochpath.{name}"]
+        assert getattr(module, "__all__", list(names)) == list(names), name
+
+
+def test_no_module_but_the_package_spells_out_its_all():
+    # one list of exports: each module reads its __all__ from the package's table
+    assignments = []
+    for file, module in _package_modules():
+        if file == "__init__.py":
+            continue
+        for node in ast.walk(module):
+            targets = node.targets if isinstance(node, ast.Assign) else \
+                [node.target] if isinstance(node, (ast.AugAssign, ast.AnnAssign)) else []
+            if any(getattr(target, "id", None) == "__all__" for target in targets):
+                assignments.append((file, ast.unparse(node.value)))
+    assert assignments == [(f"{name}.py", "_exports(__name__)")
+                           for name in sorted(blochpath._EXPORTS) if name != "errors"]
+
+
 def test_star_import_dir_and_help_give_the_exports():
     names = {}
     exec("from blochpath import *", names)

@@ -76,6 +76,14 @@ def test_spectral_norm_batches_row_by_row(data):
     assert_batches_row_by_row(spectral_norm, h0, h)
 
 
+def test_float_edge_norms_batch_row_by_row():
+    # a row scaled against overflow leaves the other rows as they are alone
+    a = np.array([[1.0, 0.0, 0.0], [0.0, 0.6, 0.8], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
+    h = np.array([[0.0, 1e300, 1e300], [3.0, 4.0, 5e-324], [2.0**510, 1.0, 0.0], [7.0, 0.0, -2.0]])
+    assert_batches_row_by_row(energy_uncertainty, a, h)
+    assert_batches_row_by_row(spectral_norm, np.array([1e300, -0.5, 1.0, 0.0]), h)
+
+
 @given(rows())
 @settings(max_examples=80, deadline=None)
 def test_curvature_batches_row_by_row(data):

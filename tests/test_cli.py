@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import blochpath
-from blochpath import (EfficiencyReport, FieldSpec, ReportRow, ScenarioConfig,
+from blochpath import (EfficiencyReport, FieldSpec, ReportRow, ScenarioConfig, ShapeError,
                        SuboptimalStationary, TimeGrid, Trajectory, UzdinFamily)
 from blochpath.cli import EXIT_CONFIG, EXIT_ERROR, EXIT_NUMERICAL, EXIT_OK, main
 from blochpath.evolve import MAX_STEPS
@@ -453,6 +453,9 @@ _CONFIG_ERRORS = {
     "unknown_psi0_key": ({"scenario": "custom", "field": {"h": [0, 0, 1]},
                           "psi0": {"bloch": [1, 0, 0], "phase": 0.5}},
                          "unknown psi0 keys ['phase']"),
+    "config_an_array": ([{"scenario": "example3"}], "config must be a JSON object"),
+    "config_a_number": ("3", "config must be a JSON object"),
+    "config_a_string": ('"example3"', "config must be a JSON object"),
 }
 
 
@@ -1055,7 +1058,19 @@ class TestProcessInvocation:
             before = getattr(record, name)
             with pytest.raises(AttributeError):
                 setattr(record, name, 0.5)
+            with pytest.raises(AttributeError):
+                delattr(record, name)
             assert getattr(record, name) is before
+
+    def test_any_other_library_error_exits_4(self, monkeypatch, capsys):
+        # neither a ConfigError nor a NumericalError: no known input reaches
+        # this exit through the CLI's own checks, so the run is made to raise
+        def run_report(config, out_dir=None):
+            raise ShapeError("rows of length 3 expected")
+
+        monkeypatch.setattr(blochpath.scenarios, "run_report", run_report)
+        assert main(["example", "1"]) == EXIT_ERROR
+        assert capsys.readouterr() == ("", "error: rows of length 3 expected\n")
 
     def test_console_script_help(self, tmp_path):
         proc = subprocess.run([_launcher(tmp_path), "--help"],

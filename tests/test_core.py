@@ -1,6 +1,7 @@
 """Pauli algebra, state/Bloch conversions, and scalar helpers."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -97,6 +98,17 @@ class TestScalars:
         a, h = [0.96695834, 0.0, 0.25493443], [7.5859375, 0.0, 2.0]
         assert energy_uncertainty(a, h) \
             == pytest.approx(abs(a[2] * h[0] - a[0] * h[2]), rel=1e-9)
+
+    @pytest.mark.parametrize("norm,args,true", [
+        (spectral_norm, (1e300, [1e300, 1e300, 0.0]), 2.414213562373095e300),
+        (energy_uncertainty, ([1.0, 0.0, 0.0], [0.0, 1e300, 1e300]), 1.4142135623730951e300),
+    ], ids=["spectral_norm", "energy_uncertainty"])
+    def test_float_edge_norms_are_finite(self, norm, args, true):
+        # the squares of these entries overflow: the row is scaled before squaring
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = norm(*args)
+        assert abs(got - true) <= 4 * np.spacing(true)
 
     @given(theta=angles, phi=phases)
     @settings(max_examples=60, deadline=None)

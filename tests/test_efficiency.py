@@ -1,6 +1,7 @@
 """Geodesic/speed/hybrid efficiencies and the waste taxonomy."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -112,6 +113,20 @@ class TestSpeedEfficiency:
         assert got == pytest.approx(1.0 - 0.1 ** 2 / 8.0, abs=3e-6)
         got = speed_efficiency_tracezero(1.0, 0.01)
         assert got == pytest.approx(1.0 - 0.01 ** 2 / 8.0, abs=1e-9)
+
+    @pytest.mark.parametrize("form,true", [(speed_efficiency_tracezero, 2e-150),
+                                           (speed_efficiency_tracenonzero, 1e-150)])
+    def test_float_edge_closed_forms_are_exact(self, form, true):
+        # the squares of these arguments overflow: both are scaled first
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = form(1e300, 1e300)
+            # phidot^2 + 4 c^2 overflows from below 2**511: the ratio is that of
+            # the point scaled down by a power of two
+            edge = form(2.0**1021.9, 2.0**510.95)
+            scaled = form(np.ldexp(2.0**1021.9, -1100), np.ldexp(2.0**510.95, -550))
+        assert abs(got - true) <= 4 * np.spacing(true)
+        assert abs(edge - scaled) <= 4 * np.spacing(scaled)
 
     def test_array_broadcasting(self):
         phidot = np.linspace(-2.0, 2.0, 11)
