@@ -31,7 +31,7 @@ def main() -> None:
     field, psi0, grid = build_scenario(ScenarioConfig(scenario="example3"))
     traj = schrodinger_evolve(field, psi0, grid)
 
-    closed = curvature_bloch_profile(traj, field)
+    closed = curvature_bloch_profile(traj)
     expect = curvature_expectation_profile(traj)
     numeric = curvature_numeric_profile(traj)
     print("constant sigma_z drive (expected coefficient 4/3):")
@@ -47,7 +47,7 @@ def main() -> None:
 
     field1, psi1, grid1 = build_scenario(ScenarioConfig(scenario="example1"))
     traj1 = schrodinger_evolve(field1, psi1, grid1)
-    flat = curvature_bloch_profile(traj1, field1)
+    flat = curvature_bloch_profile(traj1)
     print(f"great-circle drive stays flat: max |coefficient| = "
           f"{np.max(np.abs(flat)):.2e}")
 
@@ -55,7 +55,7 @@ def main() -> None:
     # the same small circle with a fully efficient field and still reads 4/3
     field4, psi4, grid4 = build_scenario(ScenarioConfig(scenario="example4"))
     traj4 = schrodinger_evolve(field4, psi4, grid4)
-    curved = curvature_bloch_profile(traj4, field4)
+    curved = curvature_bloch_profile(traj4)
     print(f"transverse drive on the same small circle: coefficient = "
           f"{np.mean(curved):.12f}")
 

@@ -41,6 +41,9 @@ __all__ = _exports(__name__)
 TOL_NORM = 1e-12
 #: entries this large or larger can overflow a sum of squares
 _HUGE = 2.0**510
+#: a row whose largest entry lies outside ``[1 / _WIDE, _WIDE)`` can overflow, or
+#: lose digits to underflow, in the squared cross product of two rows
+_WIDE = 2.0**250
 
 
 def _holds_bool(v) -> bool:
@@ -158,6 +161,18 @@ def _norms(rows: np.ndarray) -> np.ndarray:
     return np.ldexp(np.sqrt(_dot(rows, rows)), -shift)
 
 
+def _in_range(rows: np.ndarray) -> np.ndarray:
+    """``rows``, with each row whose largest entry in size lies outside
+    ``[1 / _WIDE, _WIDE)`` scaled by a power of two to one in ``[1/2, 1)``:
+    exact, so its direction is kept; every other row keeps its bits."""
+    x = np.abs(rows)
+    peak = np.maximum(np.maximum(x[..., 0], x[..., 1]), x[..., 2])
+    inside = (1.0 / _WIDE <= peak) & (peak < _WIDE)
+    if inside.all():
+        return rows
+    return np.ldexp(rows, np.where(inside, 0, -np.frexp(peak)[1])[..., None])
+
+
 def _norm_sq(rows: np.ndarray) -> np.ndarray:
     """Squared norms of complex 2-vector rows: the two squares added, as a sum does."""
     sq = rows.real * rows.real + rows.imag * rows.imag
@@ -238,11 +253,13 @@ def fubini_study_distance(a, b):
     the directions of the rows of ``a`` and of ``b``.
 
     Twice ``arccos |<A|B>|`` for the pure states, without the lost digits
-    of ``arccos(a . b)`` near 0 and pi, from :func:`_dot` products.  A single
+    of ``arccos(a . b)`` near 0 and pi, from :func:`_dot` products.  Only
+    directions matter: a row whose entries would overflow or underflow in the
+    products is first scaled by a power of two (:func:`_in_range`).  A single
     pair gives a float; a non-finite angle raises :class:`NumericalError`.
     """
-    a = _as_rows(a, "Bloch vector")
-    b = _as_vec3(b, "Bloch vector")
+    a = _in_range(_as_rows(a, "Bloch vector"))
+    b = _in_range(_as_vec3(b, "Bloch vector"))
     c = _cross(a, b)
     out = np.arctan2(np.sqrt(_dot(c, c)), _dot(a, b))
     if not np.isfinite(out).all():
@@ -352,63 +369,40 @@ class FieldSpec:
 
     ``h0`` and ``h`` may be scalar callables of time or constants.
     ``t_span`` is the span of the default grid; a run on an explicit grid
-    samples them at every time of that grid.  ``h_dot`` is the optional
-    analytic derivative of ``h`` used by curvature routines; a constant
-    ``h`` has a zero one.
+    samples them at every time of that grid.
 
-    :meth:`sample` and :meth:`sample_h_dot` evaluate a whole array of times:
-    constants broadcast, and a callable is called once per sample, in time
-    order, with a Python float.  Each result is read as soon as it returns,
-    so the callable may reuse or change an object it has returned; the
-    first invalid result or exception raises, naming its ``t``, before any
-    later call.  A Python float, or a float64 array row of length 3, is
-    taken as it is; any other result is checked and converted on its own.
-    A constant ``h_dot`` is checked as a constant ``h`` is.
+    :meth:`sample` evaluates a whole array of times: constants broadcast,
+    and a callable is called once per sample, in time order, with a Python
+    float.  Each result is read as soon as it returns, so the callable may
+    reuse or change an object it has returned; the first invalid result or
+    exception raises, naming its ``t``, before any later call.  A Python
+    float, or a float64 array row of length 3, is taken as it is; any other
+    result is checked and converted on its own.
     The private kind :class:`_ArrayField` samples whole arrays instead; it
-    sets the ``t_span`` and ``h_dot`` the library reads, as this class does.
+    sets the ``t_span`` the library reads, as this class does.
     """
 
     def __init__(self, h0: Union[Callable[[float], float], float],
                  h: Union[Callable[[float], Sequence[float]], Sequence[float]],
-                 h_dot: Union[Callable[[float], Sequence[float]], Sequence[float], None] = None,
                  t_span: Tuple[float, float] = (0.0, 1.0)):
         if not callable(h0):
             h0 = _scalar(h0, "h0")
         if not callable(h):
             h = _as_vec3(h, "field").copy()
-            if h_dot is None:
-                h_dot = np.zeros(3)
-        if not (h_dot is None or callable(h_dot)):
-            h_dot = _as_vec3(h_dot, "field derivative").copy()
-        self.h0, self.h, self.h_dot, self.t_span = h0, h, h_dot, t_span
+        self.h0, self.h, self.t_span = h0, h, t_span
 
     def sample(self, times) -> Tuple[np.ndarray, np.ndarray]:
         """``(h0, h)`` at ``times``: arrays of shape ``(n,)`` and ``(n, 3)``."""
         times = _as_times(times)
         return _column(self.h0, times), _column(self.h, times, "field")
 
-    def sample_h_dot(self, times) -> np.ndarray:
-        """The analytic ``dh/dt`` at ``times``, shape ``(n, 3)``;
-        :class:`ConfigError` on a field without ``h_dot``."""
-        times = _as_times(times)
-        if self.h_dot is None:
-            raise ConfigError("the field has no h_dot to sample")
-        return self._h_dot_rows(times)
-
-    def _h_dot_rows(self, times: np.ndarray) -> np.ndarray:
-        return _column(self.h_dot, times, "field derivative")
-
 
 class _ArrayField(FieldSpec):
     """A tabulated ``custom`` field or an Uzdin drive: ``rows(times)`` maps the
-    checked time array to ``(h0, h)`` in one call, and ``h_dot``, if not None,
-    is read by :func:`_path_rows`, also one call per batch."""
+    checked time array to ``(h0, h)`` in one call."""
 
-    def __init__(self, rows: Callable, h_dot: Optional[Callable], t_span: Tuple[float, float]):
-        self.rows, self.h_dot, self.t_span = rows, h_dot, t_span
+    def __init__(self, rows: Callable, t_span: Tuple[float, float]):
+        self.rows, self.t_span = rows, t_span
 
     def sample(self, times) -> Tuple[np.ndarray, np.ndarray]:
         return self.rows(_as_times(times))
-
-    def _h_dot_rows(self, times: np.ndarray) -> np.ndarray:
-        return _path_rows(self.h_dot, "h_dot", times, (3,))

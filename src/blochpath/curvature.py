@@ -6,7 +6,8 @@ exactly on geodesics.  Three equivalent profiles, each one broadcast over
 every node of a trajectory, are provided:
 
 * :func:`curvature_bloch_profile`, a closed form in Bloch-space data
-  ``(a, h, dh/dt)`` (:func:`curvature_bloch` on any rows);
+  ``(a, h, dh/dt)``, ``dh/dt`` a stencil of the run's field samples
+  (:func:`curvature_bloch` on any rows);
 * :func:`curvature_expectation_profile`, expectation values of the
   normalized dispersion operator ``Dh = (H - <H>) / dE`` and its
   transported derivative;
@@ -23,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import _exports
-from .core import (FieldSpec, _as_rows, _broadcast, _check_finite, _cross, _dot, _first,
+from .core import (_as_rows, _broadcast, _check_finite, _cross, _dot, _first,
                    pauli_compose)
 from .errors import NumericalError, SingularEvolutionError
 from .evolve import Trajectory, parallel_transport
@@ -79,25 +80,27 @@ def curvature_bloch(a, h, h_dot):
     return _clamp_nonneg(term1 + term2 + term3)
 
 
-def curvature_bloch_profile(traj: Trajectory, field: FieldSpec) -> np.ndarray:
+def curvature_bloch_profile(traj: Trajectory) -> np.ndarray:
     """Node-wise :func:`curvature_bloch` along a trajectory.
 
-    ``dh/dt`` comes from ``field.h_dot`` when supplied, else, with no field
-    call, from differences of the run's samples ``traj.h_half``, exact zeros
-    on equal samples: ``(h(t + dt/2) - h(t - dt/2)) / dt`` at inner nodes,
-    one-sided second-order ones at the ends.  A non-finite ``dh/dt`` is a
-    :class:`FieldError` naming the node's time.
+    ``dh/dt`` is a fourth-order stencil of the run's own samples
+    ``traj.h_half``, spaced ``dt/2`` (Fornberg, Math. Comp. 51 (1988) 699),
+    with no field call: ``(8 (h(t + dt/2) - h(t - dt/2)) - (h(t + dt) - h(t - dt)))
+    / (6 dt)`` at inner nodes, and the one-sided five-point rule
+    ``(48 (h_1 - h_0) - 36 (h_2 - h_0) + 16 (h_3 - h_0) - 3 (h_4 - h_0)) / (6 dt)``
+    on the first five samples, mirrored on the last five.  Sums of sample
+    differences, they are exact zeros on equal samples.  A non-finite
+    ``dh/dt`` is a :class:`FieldError` naming the node's time.
     """
-    if field.h_dot is None:
-        h, h_dot = traj.h_half, np.empty(traj.h_nodes.shape)
-        h_dot[0] = 4.0 * (h[1] - h[0]) - (h[2] - h[0])
-        h_dot[1:-1] = h[3::2] - h[1:-2:2]
-        h_dot[-1] = 4.0 * (h[-1] - h[-2]) - (h[-1] - h[-3])
-        h_dot /= traj.grid.dt
-    else:
-        h_dot = field.sample_h_dot(traj.times)
-    _check_finite(traj.times, "field derivative", h_dot)
-    return curvature_bloch(traj.bloch, traj.h_nodes, h_dot)
+    # component-major, so that each term is one long loop, not one per row
+    h, dh_dt = traj.h_half.T.copy(), np.empty((3, traj.n_nodes))
+    dh_dt[:, 1:-1] = 8.0 * (h[:, 3::2] - h[:, 1:-2:2]) - (h[:, 4::2] - h[:, :-4:2])
+    # h_k - h_0 at the first node and h_(-1) - h_(-1-k) at the last, k = 1..4
+    e = (h[:, [1, 2, 3, 4, -1, -1, -1, -1]] - h[:, [0, 0, 0, 0, -2, -3, -4, -5]]).reshape(3, 2, 4)
+    dh_dt[:, [0, -1]] = 48.0 * e[..., 0] - 36.0 * e[..., 1] + 16.0 * e[..., 2] - 3.0 * e[..., 3]
+    dh_dt /= 6.0 * traj.grid.dt
+    _check_finite(traj.times, "field derivative", dh_dt.T)
+    return curvature_bloch(traj.bloch, traj.h_nodes, dh_dt.T)
 
 
 def curvature_expectation_profile(traj: Trajectory) -> np.ndarray:

@@ -100,7 +100,8 @@ def speed_efficiency_profile(traj: Trajectory) -> np.ndarray:
 
 def _closed_form_ratio(cdot_sq, phidot, denom_sq):
     """``sqrt(c^2 / denom_sq(c^2, phidot))`` after the shared domain checks, with a huge
-    point scaled first by :func:`_shifts` (``c^2`` twice), which keeps the ratio."""
+    point scaled first by :func:`_shifts` (``c^2`` twice), which keeps the ratio.  Where
+    ``c^2 / denom`` is below the normal range, the ratio is ``sqrt(c^2) / sqrt(denom)``."""
     c2, pd = _numbers(cdot_sq, "cdot_sq"), _numbers(phidot, "phidot")
     _broadcast(c2, pd)
     if np.any(c2 < 0.0):
@@ -111,7 +112,12 @@ def _closed_form_ratio(cdot_sq, phidot, denom_sq):
     denom = denom_sq(c2, pd)
     if np.any(denom == 0.0):
         raise ZeroHamiltonianError("speed efficiency undefined for H = 0")
-    return _unit_ratio(np.sqrt(c2 / denom))
+    sq = c2 / denom
+    ratio = np.sqrt(sq)
+    low = sq < 2.0**-1022  # subnormal or 0: the quotient of the roots keeps the digits
+    if low.any():
+        ratio = np.where(low, np.sqrt(c2) / np.sqrt(denom), ratio)
+    return _unit_ratio(ratio)
 
 
 def speed_efficiency_tracenonzero(cdot_sq, phidot):

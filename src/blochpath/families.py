@@ -10,8 +10,8 @@ Hamiltonian ``H = i|dm><m| - i|m><dm|``, plus its sub-optimal variants that
 add a phase term ``phidot |m><m|`` (kept or made traceless).
 
 A drive is a :class:`core._ArrayField` over :func:`_path_drive`: the path
-callables (``m_state``, ``m_dot``, ``phase_dot``) and its ``h_dot`` take the
-whole time array and are called once per batch; scalar callables, one call
+callables (``m_state``, ``m_dot``, ``phase_dot``) take the whole time array
+and are called once per batch; scalar callables, one call
 per sample, belong to :class:`FieldSpec` only.
 An array closure must give the same bits as elementwise calls would, which
 the byte-pinned golden artifacts check for the built-in scenarios.
@@ -179,19 +179,17 @@ def _path_drive(fam: UzdinFamily, variant: str, times: np.ndarray):
     return h0, h
 
 
-def uzdin_optimal(fam: UzdinFamily, h_dot: Optional[Callable] = None) -> FieldSpec:
+def uzdin_optimal(fam: UzdinFamily) -> FieldSpec:
     """Traceless field driving ``|m(t)>`` exactly, with unit speed efficiency.
 
     Implements ``H(t) = i|dm><m| - i|m><dm|``.  Requires the transported
     gauge ``<m|dm/dt> = 0``; the resulting field satisfies ``a.h = 0`` along
-    the path, so no energy sits in the parallel component.  ``h_dot``, when
-    given, maps the time array to ``(n, 3)`` rows of ``dh/dt``.
+    the path, so no energy sits in the parallel component.
     """
-    return _ArrayField(functools.partial(_path_drive, fam, "optimal"), h_dot, fam.t_span)
+    return _ArrayField(functools.partial(_path_drive, fam, "optimal"), fam.t_span)
 
 
-def uzdin_suboptimal(fam: UzdinFamily, variant: str,
-                     h_dot: Optional[Callable] = None) -> FieldSpec:
+def uzdin_suboptimal(fam: UzdinFamily, variant: str) -> FieldSpec:
     """Sub-optimal drive obtained by adding the phase term ``phidot |m><m|``.
 
     ``variant = "trace_nonzero"`` keeps the trace (``h0 = phidot/2``) and
@@ -206,4 +204,4 @@ def uzdin_suboptimal(fam: UzdinFamily, variant: str,
         )
     if fam.phase_dot is None:
         raise ConfigError("sub-optimal variants need phase_dot")
-    return _ArrayField(functools.partial(_path_drive, fam, variant), h_dot, fam.t_span)
+    return _ArrayField(functools.partial(_path_drive, fam, variant), fam.t_span)

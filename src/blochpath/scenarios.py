@@ -116,15 +116,7 @@ def _build_example2(config: ScenarioConfig, p: dict):
         phase_dot=lambda t: np.full(np.shape(t), nu0),
         t_span=config.t_span,
     )
-
-    def h_dot(t):
-        th = theta0 + omega0 * t
-        rate = 0.5 * nu0 * omega0
-        return np.stack([rate * np.cos(th) * np.cos(varphi0),
-                         rate * np.cos(th) * np.sin(varphi0),
-                         -rate * np.sin(th)], axis=-1)
-
-    field = uzdin_suboptimal(fam, "trace_nonzero", h_dot=h_dot)
+    field = uzdin_suboptimal(fam, "trace_nonzero")
     t0 = config.t_span[0]
     psi0 = np.exp(-1j * (phi0 + nu0 * t0)) * m(t0)
     return field, psi0
@@ -149,14 +141,8 @@ def _build_example4(config: ScenarioConfig, p: dict):
         return np.stack([-0.25j * gamma * root3 * np.exp(-0.5j * gamma * t),
                          0.75j * gamma * np.exp(1.5j * gamma * t)], axis=-1)
 
-    def h_dot(t):
-        rate = 0.5 * root3 * gamma * gamma
-        return np.stack([rate * np.sin(2.0 * gamma * t),
-                         -rate * np.cos(2.0 * gamma * t), np.zeros(np.shape(t))],
-                        axis=-1)
-
     fam = UzdinFamily(m_state=m, m_dot=m_dot, t_span=config.t_span)
-    field = uzdin_optimal(fam, h_dot=h_dot)
+    field = uzdin_optimal(fam)
     return field, m(config.t_span[0])
 
 
@@ -193,7 +179,7 @@ def _build_custom(config: ScenarioConfig, p: dict):
         def table(t):  # linear between the knots, constant beyond them
             h = np.stack([np.interp(t, times, col) for col in h_tab.T], axis=-1)
             return np.interp(t, times, h0_tab), h
-        field = _ArrayField(table, None, config.t_span)
+        field = _ArrayField(table, config.t_span)
     else:
         if "h" not in spec:
             raise ConfigError("custom field needs 'h' (and optionally 'h0')")
@@ -376,7 +362,7 @@ def run_report(config: ScenarioConfig, out_dir=".") -> ReportRow:
             columns["eta_ge"] = report.eta_ge_t
             columns["eta_se"] = report.eta_se_t
         if "curvature" in outputs:
-            columns["kappa_bloch"] = curvature_bloch_profile(traj, field)
+            columns["kappa_bloch"] = curvature_bloch_profile(traj)
         write_csv(out / f"{config.scenario}_trajectory.csv", columns)
 
     if "report" in outputs:

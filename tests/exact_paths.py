@@ -5,6 +5,9 @@ A drive about a fixed unit axis, ``h(t) = f(t) n``, commutes with itself at
 all times, so its propagator is ``exp(-i B(t)) exp(-i F(t) n.sigma)`` with
 ``F = integral f`` and ``B = integral h0``: the Bloch vector turns about
 ``n`` by the angle ``2 F(t)``.  A constant field is the case ``f = |h|``.
+With the initial Bloch vector ``a0`` perpendicular to ``n`` the path is a
+great circle, a geodesic, whatever the magnitude ``f > 0``: the paper's
+optimal class of nonstationary drives, with curvature coefficient 0.
 """
 
 import numpy as np
@@ -41,3 +44,20 @@ def wobbling_drive(t_start, t_end, rate=5.0):
             lambda t: 3.0 * (t - t_start) - 2.0 / rate * (np.cos(rate * t)
                                                           - np.cos(rate * t_start)),
             lambda t: 0.5 * (np.sin(2.0 * t) - np.sin(2.0 * t_start)))
+
+
+def fixed_axis_path(psi0, axis, f, turn):
+    """The path ``m(t) = exp(-i F(t) n.sigma) psi0`` of the drive ``f(t) n``
+    and its derivative ``-i f(t) (n.sigma) m(t)``, as two callables mapping a
+    time array to ``(n, 2)`` rows; ``turn`` is ``F``.  If the Bloch vector of
+    ``psi0`` is perpendicular to ``n``, ``<m|dm/dt> = 0``: the path is
+    parallel transported, and its optimal (Uzdin) drive is ``f(t) n``."""
+    nx, ny, nz = np.asarray(axis, dtype=float)
+    n_sigma = np.array([[nz, nx - 1j * ny], [nx + 1j * ny, -nz]])
+
+    def m_state(t):
+        return fixed_axis_states(psi0, axis, turn(t))
+
+    def m_dot(t):
+        return -1j * f(t)[:, None] * (m_state(t) @ n_sigma.T)
+    return m_state, m_dot

@@ -80,7 +80,7 @@ def test_criterion_05_curvature_fixtures(example1, example2, example3,
                                          example4):
     worst_bloch = 0.0
     for run in (example3, example4):
-        prof = curvature_bloch_profile(run.traj, run.field)
+        prof = curvature_bloch_profile(run.traj)
         worst_bloch = max(worst_bloch, np.max(np.abs(prof - FOUR_THIRDS)))
         k = run.traj.grid.n_steps // 2
         numeric = curvature_numeric_profile(run.traj)[k]
@@ -89,7 +89,7 @@ def test_criterion_05_curvature_fixtures(example1, example2, example3,
 
     worst_flat = 0.0
     for run in (example1, example2):
-        prof = curvature_bloch_profile(run.traj, run.field)
+        prof = curvature_bloch_profile(run.traj)
         worst_flat = max(worst_flat, np.max(np.abs(prof[1:-1])))
     assert worst_flat < 1e-5
     print(f"[criterion 05] PASS - curvature 4/3 within {worst_bloch:.2e} "

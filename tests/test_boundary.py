@@ -218,13 +218,16 @@ def test_constant_h0_must_be_a_scalar(h0):
         FieldSpec(h0, X)
 
 
-@pytest.mark.parametrize("h_dot, error", [(["a", "b", "c"], ConfigError),
-                                          ([0.0, 1.0], ShapeError), (1.0, ShapeError)],
-                         ids=["strings", "two_entries", "scalar"])
-def test_a_constant_h_dot_is_checked_as_a_constant_h(h_dot, error):
-    # a scalar is not broadcast to a row
-    with pytest.raises(error, match="field derivative"):
-        FieldSpec(0.0, X, h_dot=h_dot)
+@pytest.mark.parametrize("make", [
+    lambda: FieldSpec(0.0, X, h_dot=Z),
+    lambda: FieldSpec(0.0, X, Z, (0.0, 1.0)),
+    lambda: uzdin_optimal(great_circle_family((0.0, 1.0)), h_dot=lambda t: t),
+    lambda: uzdin_suboptimal(great_circle_family((0.0, 1.0)), "trace_zero", h_dot=None),
+], ids=["FieldSpec", "FieldSpec_positional", "uzdin_optimal", "uzdin_suboptimal"])
+def test_a_field_takes_no_h_dot(make):
+    # dh/dt is taken from the run's own samples; no derivative is passed in
+    with pytest.raises(TypeError, match="h_dot|positional"):
+        make()
 
 
 def great_circle_family(t_span):
@@ -266,11 +269,13 @@ def test_classify_checks_factors_as_hybrid_efficiency_does(factor):
 
 
 def test_late_non_finite_derivative_names_its_node():
-    field = FieldSpec(h0=0.0, h=lambda t: np.array([1.0, 0.0, 0.2]),
-                      h_dot=lambda t: np.array([np.nan if t > 0.65 else 0.0, 0.0, 0.0]))
-    traj = schrodinger_evolve(field, PSI0, TimeGrid(0.0, 1.0, 10))
+    # a NaN midpoint sample between nodes 7 and 8 enters the stencil of both
+    traj = schrodinger_evolve(FieldSpec(h0=0.0, h=[1.0, 0.0, 0.2]), PSI0,
+                              TimeGrid(0.0, 1.0, 10))
+    h_half = traj.h_half.copy()
+    h_half[15, 0] = np.nan
     with pytest.raises(FieldError, match="field derivative returned non-finite") as exc:
-        curvature_bloch_profile(traj, field)
+        curvature_bloch_profile(traj._replace(h_half=h_half))
     assert f"t = {float(traj.times[7])!r}" in str(exc.value)
 
 

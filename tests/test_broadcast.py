@@ -19,6 +19,7 @@ from blochpath import (
     BlochPathError,
     curvature_bloch,
     energy_uncertainty,
+    fubini_study_distance,
     pauli_compose,
     spectral_norm,
 )
@@ -82,6 +83,14 @@ def test_float_edge_norms_batch_row_by_row():
     h = np.array([[0.0, 1e300, 1e300], [3.0, 4.0, 5e-324], [2.0**510, 1.0, 0.0], [7.0, 0.0, -2.0]])
     assert_batches_row_by_row(energy_uncertainty, a, h)
     assert_batches_row_by_row(spectral_norm, np.array([1e300, -0.5, 1.0, 0.0]), h)
+
+
+def test_float_edge_fubini_study_distance_batches_row_by_row():
+    # rows scaled against overflow or underflow leave the other rows as they are alone
+    a = np.array([[1e160, 2e160, 0.0], [0.0, 0.6, 0.8], [1e-150, 2e-150, 0.0],
+                  [2.0**250, 1.0, 0.0], [0.3, -0.4, 2.0**-250], [0.0, 0.0, 0.0]])
+    for b in ([1.0, 0.0, 0.0], [1e-200, 0.0, 3e-200]):
+        assert_batches_row_by_row(lambda rows: fubini_study_distance(rows, b), a)
 
 
 @given(rows())

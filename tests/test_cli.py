@@ -41,12 +41,12 @@ def _child_env(*paths) -> dict:
 
 
 _REQUIRED = inspect.Parameter.empty
-_FIELD = [("h0", _REQUIRED), ("h", _REQUIRED), ("h_dot", None), ("t_span", (0.0, 1.0))]
+_FIELD = [("h0", _REQUIRED), ("h", _REQUIRED), ("t_span", (0.0, 1.0))]
 
 #: every record's constructor parameters, in order, with their defaults
 RECORD_PARAMETERS = {
     FieldSpec: _FIELD,
-    _ArrayField: [("rows", _REQUIRED), ("h_dot", _REQUIRED), ("t_span", _REQUIRED)],
+    _ArrayField: [("rows", _REQUIRED), ("t_span", _REQUIRED)],
     UzdinFamily: [("m_state", _REQUIRED), ("m_dot", _REQUIRED), ("phase_dot", None),
                   ("t_span", (0.0, 1.0))],
     SuboptimalStationary: [("alpha", _REQUIRED), ("a_hat", _REQUIRED), ("b_hat", _REQUIRED),

@@ -6,6 +6,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blochpath import (
     FieldError,
@@ -14,13 +16,17 @@ from blochpath import (
     ScenarioConfig,
     SingularEvolutionError,
     TimeGrid,
+    UzdinFamily,
     build_scenario,
     curvature_bloch,
     curvature_bloch_profile,
     curvature_expectation_profile,
     curvature_numeric_profile,
     schrodinger_evolve,
+    state_from_bloch,
+    uzdin_optimal,
 )
+from exact_paths import fixed_axis_path
 from geometry_oracles import curvature_expectation, curvature_transverse
 
 PSI0 = np.array([np.sqrt(3) / 2, 0.5], dtype=complex)
@@ -35,11 +41,11 @@ class TestBlochForm:
             == pytest.approx(FOUR_THIRDS, abs=1e-12)
 
     def test_profile_is_constant_for_stationary_precession(self, example3):
-        prof = curvature_bloch_profile(example3.traj, example3.field)
+        prof = curvature_bloch_profile(example3.traj)
         assert np.max(np.abs(prof - FOUR_THIRDS)) < 1e-10
 
     def test_great_circle_drive_is_flat(self, example1):
-        prof = curvature_bloch_profile(example1.traj, example1.field)
+        prof = curvature_bloch_profile(example1.traj)
         assert np.max(np.abs(prof)) < 1e-12
 
     def test_parallel_field_is_singular(self):
@@ -47,11 +53,13 @@ class TestBlochForm:
             curvature_bloch([0.0, 0.0, 1.0], [0.0, 0.0, 2.0], np.zeros(3))
 
     def test_nan_field_derivative_raises(self):
-        field = FieldSpec(h0=0.0, h=lambda t: np.array([1.0, 0.0, 0.2]),
-                          h_dot=lambda t: np.array([np.nan, 0.0, 0.0]))
-        traj = schrodinger_evolve(field, PSI0, TimeGrid(0.0, 1.0, 10))
+        # the first midpoint sample is in the stencils of nodes 0 and 1
+        traj = schrodinger_evolve(FieldSpec(h0=0.0, h=[1.0, 0.0, 0.2]), PSI0,
+                                  TimeGrid(0.0, 1.0, 10))
+        h_half = traj.h_half.copy()
+        h_half[1, 0] = np.nan
         with pytest.raises(FieldError, match="derivative returned non-finite") as exc:
-            curvature_bloch_profile(traj, field)
+            curvature_bloch_profile(traj._replace(h_half=h_half))
         assert f"t = {float(traj.times[0])!r}" in str(exc.value)
 
     def test_scale_invariance_for_static_fields(self):
@@ -132,9 +140,10 @@ class TestStationaryBits:
 
 
 def errors_against_analytic(h, h_dot, t_span, steps, first=0.0):
-    """Largest ``|kappa - kappa_exact|`` at the nodes from ``first`` on, for
-    each of ``steps``: the profile of a field without ``h_dot`` against the
-    closed form fed the analytic ``h_dot`` on the same trajectory."""
+    """``|kappa - kappa_exact|`` for each of ``steps`` at the first node from
+    ``first`` on, the largest at the nodes after it but the last, and at the
+    last node (columns 0, 1 and 2): the profile against the closed form fed
+    the analytic ``h_dot`` on the same trajectory."""
     out = []
     for n in steps:
         field = FieldSpec(h0=0.0, h=h, t_span=t_span)
@@ -142,23 +151,29 @@ def errors_against_analytic(h, h_dot, t_span, steps, first=0.0):
         keep = traj.times >= first
         exact = curvature_bloch(traj.bloch[keep], traj.h_nodes[keep],
                                 np.array([h_dot(t) for t in traj.times[keep]]))
-        out.append(np.max(np.abs(curvature_bloch_profile(traj, field)[keep] - exact)))
+        error = np.abs(curvature_bloch_profile(traj)[keep] - exact)
+        out.append([error[0], np.max(error[1:-1]), error[-1]])
     return np.array(out)
 
 
+def observed_order(errors):
+    """``log2`` of the error ratios of successive grid doublings."""
+    return np.log2(errors[:-1] / errors[1:])
+
+
 class TestDerivativeFromSamples:
-    """Without ``h_dot``, ``dh/dt`` is a difference of the run's own node and
-    midpoint samples: second order, and no field call."""
+    """``dh/dt`` is a five-point stencil of the run's own node and midpoint
+    samples: fourth order at every node, and no field call."""
 
     def test_a_field_defined_only_on_its_span_gets_its_curvature(self):
-        # sqrt(t) raises for any t < 0; its h_dot is infinite at t = 0
+        # sqrt(t) raises for any t < 0; its dh/dt is infinite at t = 0
         errors = errors_against_analytic(
             lambda t: (math.sqrt(t), 0.0, 1.0), lambda t: (0.5 / math.sqrt(t), 0.0, 0.0),
             (0.0, 1.0), (100, 200, 400), first=0.25)
-        assert errors[0] < 1e-4
-        assert np.all((3.8 < errors[:-1] / errors[1:]) & (errors[:-1] / errors[1:] < 4.2))
+        assert np.all(errors[0] < 1e-7)
+        assert np.all((3.8 < observed_order(errors)) & (observed_order(errors) < 4.2))
 
-    def test_a_smooth_field_that_raises_outside_its_span_is_second_order(self):
+    def test_a_smooth_field_that_raises_outside_its_span_is_fourth_order(self):
         def h(t):
             if not 0.2 <= t <= 0.9:
                 raise ValueError(f"t = {t} is outside the span")
@@ -166,9 +181,25 @@ class TestDerivativeFromSamples:
 
         errors = errors_against_analytic(
             h, lambda t: (3.0 * math.cos(3.0 * t), -2.0 * math.sin(2.0 * t), 1.0),
-            (0.2, 0.9), (100, 200, 400))  # the end nodes included
-        assert errors[0] < 1e-4
-        assert np.all((3.8 < errors[:-1] / errors[1:]) & (errors[:-1] / errors[1:] < 4.2))
+            (0.2, 0.9), (50, 100, 200))  # the end nodes included
+        assert np.all(errors[0] < 1e-7)
+        assert np.all((3.8 < observed_order(errors)) & (observed_order(errors) < 4.2))
+
+    def test_a_rotating_drive_is_fourth_order_at_inner_and_end_nodes(self):
+        errors = errors_against_analytic(
+            lambda t: (1.2 * math.cos(3.0 * t), 1.2 * math.sin(3.0 * t), 0.5),
+            lambda t: (-3.6 * math.sin(3.0 * t), 3.6 * math.cos(3.0 * t), 0.0),
+            (0.0, 1.0), (50, 100, 200))
+        assert np.all(observed_order(errors) >= 3.8)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_the_fewest_steps_give_finite_values(self, n):
+        # two steps hold five samples, as many as the end rule reads
+        field = FieldSpec(h0=0.0, h=lambda t: (1.2 * math.cos(3.0 * t),
+                                               1.2 * math.sin(3.0 * t), 0.5))
+        traj = schrodinger_evolve(field, PSI0, TimeGrid(0.0, 0.05, n))
+        got = curvature_bloch_profile(traj)
+        assert got.shape == (n + 1,) and np.all(np.isfinite(got))
 
     def test_a_tables_end_nodes_take_the_slope_of_their_piece(self):
         # one piece from (0, 0, 1) to (2, 0, 1): dh/dt = (2, 0, 0) everywhere,
@@ -178,7 +209,7 @@ class TestDerivativeFromSamples:
                                                                 [2.0, 0.0, 1.0]]},
             psi0={"bloch": [1.0, 0.0, 0.0]}, n_steps=100))
         traj = schrodinger_evolve(field, psi0, grid)
-        got = curvature_bloch_profile(traj, field)
+        got = curvature_bloch_profile(traj)
         want = curvature_bloch(traj.bloch, traj.h_nodes, [2.0, 0.0, 0.0])
         assert np.allclose(got, want, rtol=1e-12, atol=0.0)
         assert got[-1] == pytest.approx(1.063, abs=5e-4)
@@ -188,8 +219,63 @@ class TestDerivativeFromSamples:
     def test_a_stationary_field_has_the_bits_of_a_zero_derivative(self, h):
         field = FieldSpec(h0=0.3, h=h)
         traj = schrodinger_evolve(field, PSI0, TimeGrid(0.0, 1.0, 64))
-        assert curvature_bloch_profile(traj, field).tobytes() \
+        assert curvature_bloch_profile(traj).tobytes() \
             == curvature_bloch(traj.bloch, traj.h_nodes, np.zeros(3)).tobytes()
+
+
+@st.composite
+def fixed_axis_geodesics(draw):
+    """A traceless drive ``h(t) = f(t) n``, ``f = A + B sin(w t + p) > 0``,
+    about a unit axis ``n`` perpendicular to the initial Bloch vector, as a
+    callable field, a table of ``f n`` or the optimal drive of the path
+    (:func:`exact_paths.fixed_axis_path`), on a grid of 2 to 10^4 steps short
+    enough for the propagator; and ``(field, psi0, grid, scale)`` with
+    ``scale = 1 + max (f' / f^2)^2``, the size of the coefficient's terms.
+
+    A trace part ``h0`` is left out: the RK4 step couples it into the Bloch
+    path, which then leaves the great circle by a discretization error."""
+    theta, phi, turn = (draw(st.floats(0.0, bound)) for bound in (np.pi, 2 * np.pi, 2 * np.pi))
+    n = np.array([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)])
+    u = np.cross(n, [1.0, 0.0, 0.0] if abs(n[0]) < 0.9 else [0.0, 1.0, 0.0])
+    u /= np.linalg.norm(u)
+    a0 = np.cos(turn) * u + np.sin(turn) * np.cross(n, u)
+    amp, wobble = draw(st.floats(0.2, 3.0)), draw(st.floats(0.0, 0.9))
+    w, p = draw(st.floats(0.1, 8.0)), draw(st.floats(0.0, 2 * np.pi))
+    b = wobble * amp
+    steps = draw(st.integers(2, 10_000))
+    t0 = draw(st.floats(-5.0, 5.0))
+    t1 = t0 + min(draw(st.floats(0.1, 10.0)), 0.2 * steps / max(amp + b, w))
+
+    def f(t):
+        return amp + b * np.sin(w * t + p)
+
+    psi0, grid = state_from_bloch(a0), TimeGrid(t0, t1, steps)
+    kind = draw(st.sampled_from(["callable", "tabulated", "path"]))
+    if kind == "callable":
+        field = FieldSpec(h0=0.0, h=lambda t: f(t) * n)
+    elif kind == "tabulated":
+        # a table's slopes are those of f at points between its knots
+        knots = np.linspace(t0, t1, draw(st.integers(2, 12)))
+        field, psi0, grid = build_scenario(ScenarioConfig(
+            scenario="custom", t_span=(t0, t1), n_steps=steps, psi0={"bloch": a0.tolist()},
+            field={"times": knots.tolist(), "h": (f(knots)[:, None] * n).tolist()}))
+    else:
+        def turned(t):
+            return amp * (t - t0) - b / w * (np.cos(w * t + p) - np.cos(w * t0 + p))
+
+        m_state, m_dot = fixed_axis_path(psi0, n, f, turned)
+        field = uzdin_optimal(UzdinFamily(m_state=m_state, m_dot=m_dot))
+    return field, psi0, grid, 1.0 + (b * w / (amp - b) ** 2) ** 2
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(fixed_axis_geodesics())
+def test_a_fixed_axis_drive_is_flat_at_every_node(drive):
+    # the paper's optimal nonstationary class: kappa^2 = 0 however f varies;
+    # the stencil's dh/dt lies along n as the samples do, so only rounding is left
+    field, psi0, grid, scale = drive
+    kappa = curvature_bloch_profile(schrodinger_evolve(field, psi0, grid))
+    assert np.all(kappa <= 16 * np.finfo(float).eps * scale)
 
 
 class TestTransverseForm:
@@ -205,7 +291,7 @@ class TestTransverseForm:
 
     def test_prescribed_path_drive_matches_the_closed_form(self, example4):
         traj, field = example4.traj, example4.field
-        closed = curvature_bloch_profile(traj, field)
+        closed = curvature_bloch_profile(traj)
         for k in (200, 1000, 1800):
             # the transverse formula holds only while a.h = 0
             assert abs(traj.bloch[k] @ traj.h_nodes[k]) < 1e-9
@@ -237,7 +323,7 @@ class TestExpectationForm:
     def test_agrees_with_the_closed_form_at_interior_nodes(self, name, request):
         run = request.getfixturevalue(name)
         prof = curvature_expectation_profile(run.traj)
-        closed = curvature_bloch_profile(run.traj, run.field)
+        closed = curvature_bloch_profile(run.traj)
         assert np.max(np.abs(prof[1:-1] - closed[1:-1])) < 1e-6
 
     def test_zero_dispersion_names_a_node(self):
@@ -283,10 +369,10 @@ class TestDiagnosticBundle:
     def test_curvature_detects_geodesy_not_waste(self, example2, example4):
         # a wasteful drive along a great circle stays flat, while an
         # unwasteful drive along a small circle stays curved
-        flat = curvature_bloch_profile(example2.traj, example2.field)
+        flat = curvature_bloch_profile(example2.traj)
         assert np.max(np.abs(flat)) < 1e-10
         assert example2.report.eta_se_bar < 0.95
 
-        curved = curvature_bloch_profile(example4.traj, example4.field)
+        curved = curvature_bloch_profile(example4.traj)
         assert np.min(np.abs(curved)) > 1.0
         assert example4.report.eta_se_bar == pytest.approx(1.0, abs=1e-9)

@@ -128,6 +128,23 @@ class TestSpeedEfficiency:
         assert abs(got - true) <= 4 * np.spacing(true)
         assert abs(edge - scaled) <= 4 * np.spacing(scaled)
 
+    @pytest.mark.parametrize("form,args,true", [
+        (speed_efficiency_tracezero, (1.0, 1e170), 2e-170),
+        (speed_efficiency_tracenonzero, (1.0, 1e170), 1e-170),
+        (speed_efficiency_tracezero, (1.0, 1e155), 2e-155),
+        # the double nearest 1e-310 is subnormal, 9.99999999999997e-311: the
+        # true value at that input
+        (speed_efficiency_tracezero, (1e-310, 1e10), 1.999999999999997e-165),
+    ], ids=["tracezero", "tracenonzero", "tracezero_subnormal_square", "tracezero_subnormal_c2"])
+    def test_float_edge_ratios_below_the_normal_range_keep_their_digits(self, form, args, true):
+        # c^2 / denom is subnormal or 0 here: the ratio is sqrt(c^2) / sqrt(denom)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = form(*args)
+            both = form(args[0], np.array([args[1], 0.5]))
+        assert abs(got - true) <= 4 * np.spacing(true)
+        assert both[0] == got and both[1] == form(args[0], 0.5)
+
     def test_array_broadcasting(self):
         phidot = np.linspace(-2.0, 2.0, 11)
         out = speed_efficiency_tracezero(1.0, phidot)

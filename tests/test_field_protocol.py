@@ -105,20 +105,18 @@ class TestCallableContract:
             assert np.all(np.diff(rec.args) > 0.0)
 
     def test_curvature_makes_no_field_call(self):
-        # without h_dot, dh/dt comes from the samples the run already holds
+        # dh/dt comes from the samples the run already holds
         h0, h = self.recorders()
         field = FieldSpec(h0=h0, h=h, t_span=(0.2, 1.1))
         traj = schrodinger_evolve(field, PSI0, TimeGrid(0.2, 1.1, 25))
         n0, n = len(h0.args), len(h.args)
-        curvature_bloch_profile(traj, field)
+        curvature_bloch_profile(traj)
         assert (len(h0.args), len(h.args)) == (n0, n)
 
     def test_constant_fields_broadcast(self):
         h0, h = sample_field(FieldSpec(h0=0.25, h=[0.0, 0.5, 0.0]), TIMES)
         assert np.array_equal(h0, np.full(11, 0.25))
         assert np.array_equal(h, np.tile([0.0, 0.5, 0.0], (11, 1)))
-        assert np.array_equal(FieldSpec(h0=0.0, h=[1.0, 0.0, 0.0])
-                              .sample_h_dot(TIMES), np.zeros((11, 3)))
 
 
 def one_at_a_time(fn, times, convert):
@@ -363,12 +361,9 @@ class TestPathCallContract:
     def test_each_callable_is_called_once_with_the_full_array(self):
         recs = {"m_state": Recorder(great_circle), "m_dot": Recorder(great_circle_dot),
                 "phase_dot": Recorder(lambda t: np.full(t.shape, 0.5))}
-        h_dot = Recorder(lambda t: np.zeros(t.shape + (3,)))
-        field = uzdin_suboptimal(UzdinFamily(**recs), "trace_nonzero",
-                                 h_dot=h_dot)
+        field = uzdin_suboptimal(UzdinFamily(**recs), "trace_nonzero")
         field.sample(TIMES)
-        field.sample_h_dot(TIMES)
-        for rec in (*recs.values(), h_dot):
+        for rec in recs.values():
             self.called_once_with(rec, TIMES)
 
     def test_a_table_is_read_once_per_sample_call(self):
@@ -385,7 +380,7 @@ def builtin_closures(scenario, params):
     """The path closures of a built-in prescribed-path scenario, by name."""
     field, _, _ = build_scenario(ScenarioConfig(scenario=scenario, parameters=params))
     fam = field.rows.args[0]
-    closures = {"m": fam.m_state, "m_dot": fam.m_dot, "h_dot": field.h_dot}
+    closures = {"m": fam.m_state, "m_dot": fam.m_dot}
     if fam.phase_dot is not None:
         closures["phase_dot"] = fam.phase_dot
     return closures
@@ -439,15 +434,11 @@ every_field_kind = pytest.mark.parametrize("field", [
     FieldSpec(h0=0.2, h=[0.0, 0.0, 1.0]),
     FieldSpec(h0=lambda t: 0.1 * t, h=lambda t: [t, 0.0, 1.0]),
     *batched_fields(),
-    uzdin_optimal(UzdinFamily(m_state=great_circle, m_dot=great_circle_dot),
-                  h_dot=lambda t: np.zeros(np.shape(t) + (3,))),
-], ids=["constant", "callable", "uzdin_optimal", "uzdin_trace_nonzero",
-        "tabulated", "path_with_h_dot"])
+], ids=["constant", "callable", "uzdin_optimal", "uzdin_trace_nonzero", "tabulated"])
 
 
 def every_sampler(field, times):
-    return (lambda: sample_field(field, times), lambda: field.sample(times),
-            lambda: field.sample_h_dot(times))
+    return (lambda: sample_field(field, times), lambda: field.sample(times))
 
 
 @pytest.mark.parametrize("times", [0.5, np.array(0.5), [[0.1, 0.2], [0.3, 0.4]]],
@@ -685,12 +676,6 @@ class TestBatchedChecks:
         with pytest.raises(ShapeError, match="m_state"):
             sample_field(field, TIMES)
 
-    def test_h_dot_of_wrong_shape(self):
-        field = uzdin_optimal(UzdinFamily(m_state=great_circle, m_dot=great_circle_dot),
-                              h_dot=lambda t: np.zeros(t.shape + (2,)))
-        with pytest.raises(ShapeError, match="h_dot"):
-            field.sample_h_dot(TIMES)
-
 
 def transported_path(t):
     """Parallel-transported path at polar angle 0.4 + 1.3 t and azimuth
@@ -713,8 +698,8 @@ def transported_path_dot(t):
 
 
 def test_trace_zero_uzdin_drive_matches_golden_bytes(tmp_path):
-    # h_dot is omitted, so the curvature column pins dh/dt as differences
-    # of the drive's node and midpoint samples
+    # the curvature column pins dh/dt as the stencil of the drive's node and
+    # midpoint samples
     fam = UzdinFamily(m_state=transported_path, m_dot=transported_path_dot,
                       phase_dot=lambda t: 0.4 + 0.6 * np.cos(2.0 * t),
                       t_span=(0.1, 0.8))
@@ -725,16 +710,15 @@ def test_trace_zero_uzdin_drive_matches_golden_bytes(tmp_path):
         "h_y": traj.h_nodes[:, 1], "h_z": traj.h_nodes[:, 2],
         "re_c0": traj.states[:, 0].real, "im_c0": traj.states[:, 0].imag,
         "re_c1": traj.states[:, 1].real, "im_c1": traj.states[:, 1].imag,
-        "kappa_bloch": curvature_bloch_profile(traj, field)})
+        "kappa_bloch": curvature_bloch_profile(traj)})
     assert (tmp_path / "uzdin.csv").read_bytes() \
         == (GOLDEN / "uzdin_trace_zero_n30.csv").read_bytes()
 
 
-#: sha256 of ``curvature_bloch_profile``'s bytes on a 40-step run: a table
-#: (``dh/dt`` from its samples) and ``example4``'s path drive with and without
-#: its analytic ``h_dot``; a change to how fields are built must not move them
-CURVATURE_DIGESTS = {"table": "1989ca9cb275caaa", "path_h_dot": "2ece6aca88461628",
-                     "path_no_h_dot": "6895b4dc31469a91"}
+#: sha256 of ``curvature_bloch_profile``'s bytes on a 40-step run, ``dh/dt``
+#: the stencil of the run's samples: a table and ``example4``'s path drive; a
+#: change to how fields are built must not move them
+CURVATURE_DIGESTS = {"table": "d2c1b764893387b5", "path": "df1c911fc8ffb521"}
 
 
 @pytest.mark.parametrize("kind", list(CURVATURE_DIGESTS))
@@ -750,8 +734,6 @@ def test_curvature_profile_bytes_are_pinned(kind):
         config = ScenarioConfig(scenario="example4", parameters={"gamma": 1.7},
                                 t_span=(0.1, 0.9))
     field, psi0, _ = build_scenario(config)
-    if kind == "path_no_h_dot":
-        field = uzdin_optimal(field.rows.args[0])
     traj = schrodinger_evolve(field, psi0, TimeGrid(*field.t_span, 40))
-    digest = hashlib.sha256(curvature_bloch_profile(traj, field).tobytes()).hexdigest()
+    digest = hashlib.sha256(curvature_bloch_profile(traj).tobytes()).hexdigest()
     assert digest[:16] == CURVATURE_DIGESTS[kind]

@@ -261,7 +261,8 @@ class TestGoldenFiles:
             == (GOLDEN / "example2_phased_trajectory_n40.csv").read_bytes()
 
     def test_example4_trajectory_matches_golden_bytes(self, tmp_path):
-        # the batched prescribed-path drive with its analytic h_dot
+        # the batched prescribed-path drive; kappa_bloch's dh/dt is taken
+        # from its node and midpoint samples
         run_report(ScenarioConfig(scenario="example4", parameters={"gamma": 1.7},
                                   t_span=(0.1, 0.9), n_steps=40), out_dir=tmp_path)
         assert (tmp_path / "example4_trajectory.csv").read_bytes() \
