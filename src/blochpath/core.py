@@ -39,10 +39,8 @@ __all__ = _exports(__name__)
 
 #: tolerance on norms of states and Bloch vectors
 TOL_NORM = 1e-12
-#: entries this large or larger can overflow a sum of squares
-_HUGE = 2.0**510
 #: a row whose largest entry lies outside ``[1 / _WIDE, _WIDE)`` can overflow, or
-#: lose digits to underflow, in the squared cross product of two rows
+#: lose digits to underflow, in a sum of squares or the squared cross product of two rows
 _WIDE = 2.0**250
 
 
@@ -145,32 +143,24 @@ def _dot(x, y):
     return x[..., 0] * y[..., 0] + x[..., 1] * y[..., 1] + x[..., 2] * y[..., 2]
 
 
-def _shifts(peak: np.ndarray) -> np.ndarray:
-    """Per entry of ``peak``, the exponent of the power of two that scales it into
-    ``[_HUGE / 2, _HUGE)`` if finite and at least ``_HUGE``, else 0 (Blue's scaled norm)."""
-    return np.minimum(510 - np.frexp(peak)[1], 0)
-
-
-def _norms(rows: np.ndarray) -> np.ndarray:
-    """``sqrt(_dot(rows, rows))``; a row with an entry at least ``_HUGE`` is
-    scaled by :func:`_shifts` before squaring and back after."""
-    if -_HUGE < rows.min(initial=0.0) and rows.max(initial=0.0) < _HUGE:
-        return np.sqrt(_dot(rows, rows))
-    shift = _shifts(np.abs(rows).max(axis=-1))
-    rows = np.ldexp(rows, shift[..., None])
-    return np.ldexp(np.sqrt(_dot(rows, rows)), -shift)
-
-
-def _in_range(rows: np.ndarray) -> np.ndarray:
-    """``rows``, with each row whose largest entry in size lies outside
-    ``[1 / _WIDE, _WIDE)`` scaled by a power of two to one in ``[1/2, 1)``:
-    exact, so its direction is kept; every other row keeps its bits."""
+def _in_range(rows: np.ndarray):
+    """``(scaled, shift)``: ``rows`` with each row whose largest entry in size lies
+    outside ``[1 / _WIDE, _WIDE)`` scaled by ``2**-shift`` into ``[1/2, 1)``: exact,
+    so its direction is kept.  Every other row, and a zero or non-finite one
+    (``frexp`` gives its peak exponent 0), keeps its bits and gets shift 0."""
     x = np.abs(rows)
     peak = np.maximum(np.maximum(x[..., 0], x[..., 1]), x[..., 2])
     inside = (1.0 / _WIDE <= peak) & (peak < _WIDE)
     if inside.all():
-        return rows
-    return np.ldexp(rows, np.where(inside, 0, -np.frexp(peak)[1])[..., None])
+        return rows, 0
+    shift = np.where(inside, 0, np.frexp(peak)[1])
+    return np.ldexp(rows, -shift[..., None]), shift
+
+
+def _norms(rows: np.ndarray) -> np.ndarray:
+    """``sqrt(_dot(rows, rows))`` over the :func:`_in_range` rows, scaled back."""
+    rows, shift = _in_range(rows)
+    return np.ldexp(np.sqrt(_dot(rows, rows)), shift)
 
 
 def _norm_sq(rows: np.ndarray) -> np.ndarray:
@@ -256,14 +246,14 @@ def fubini_study_distance(a, b):
     of ``arccos(a . b)`` near 0 and pi, from :func:`_dot` products.  Only
     directions matter: a row whose entries would overflow or underflow in the
     products is first scaled by a power of two (:func:`_in_range`).  A single
-    pair gives a float; a non-finite angle raises :class:`NumericalError`.
+    pair gives a float; a non-finite entry raises :class:`NumericalError`.
     """
-    a = _in_range(_as_rows(a, "Bloch vector"))
-    b = _in_range(_as_vec3(b, "Bloch vector"))
+    a, b = _as_rows(a, "Bloch vector"), _as_vec3(b, "Bloch vector")
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise NumericalError("Fubini-Study distance is not finite")
+    (a, _), (b, _) = _in_range(a), _in_range(b)
     c = _cross(a, b)
     out = np.arctan2(np.sqrt(_dot(c, c)), _dot(a, b))
-    if not np.isfinite(out).all():
-        raise NumericalError("Fubini-Study distance is not finite")
     return float(out) if out.ndim == 0 else out
 
 

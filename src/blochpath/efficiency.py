@@ -14,7 +14,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _exports
-from .core import _HUGE, _broadcast, _numbers, _shifts, spectral_norm
+from .core import _broadcast, _numbers, spectral_norm
 from .errors import (
     NumericalError,
     RangeError,
@@ -98,26 +98,19 @@ def speed_efficiency_profile(traj: Trajectory) -> np.ndarray:
     return _unit_ratio(traj.delta_e / norm)
 
 
-def _closed_form_ratio(cdot_sq, phidot, denom_sq):
-    """``sqrt(c^2 / denom_sq(c^2, phidot))`` after the shared domain checks, with a huge
-    point scaled first by :func:`_shifts` (``c^2`` twice), which keeps the ratio.  Where
-    ``c^2 / denom`` is below the normal range, the ratio is ``sqrt(c^2) / sqrt(denom)``."""
+def _closed_form_ratio(cdot_sq, phidot, trace: bool):
+    """``c / r``, or ``c / (r + |phidot|/2)`` with ``trace``, where ``c = sqrt(cdot_sq)``
+    and ``r = hypot(|phidot|/2, c)``, after the shared domain checks.  No argument is
+    squared, so neither overflows nor underflows where the ratio itself does not."""
     c2, pd = _numbers(cdot_sq, "cdot_sq"), _numbers(phidot, "phidot")
     _broadcast(c2, pd)
     if np.any(c2 < 0.0):
         raise RangeError("cdot_sq must be nonnegative")
-    if not (np.abs(pd).max(initial=0.0) < _HUGE and c2.max(initial=0.0) < _HUGE * _HUGE):
-        shift = _shifts(np.maximum(np.abs(pd), np.sqrt(c2)))
-        c2, pd = np.ldexp(c2, 2 * shift), np.ldexp(pd, shift)
-    denom = denom_sq(c2, pd)
-    if np.any(denom == 0.0):
+    c, half = np.sqrt(c2), 0.5 * np.abs(pd)
+    r = np.hypot(half, c)
+    if np.any(r == 0.0):
         raise ZeroHamiltonianError("speed efficiency undefined for H = 0")
-    sq = c2 / denom
-    ratio = np.sqrt(sq)
-    low = sq < 2.0**-1022  # subnormal or 0: the quotient of the roots keeps the digits
-    if low.any():
-        ratio = np.where(low, np.sqrt(c2) / np.sqrt(denom), ratio)
-    return _unit_ratio(ratio)
+    return _unit_ratio(c / (r + half) if trace else c / r)
 
 
 def speed_efficiency_tracenonzero(cdot_sq, phidot):
@@ -125,19 +118,21 @@ def speed_efficiency_tracenonzero(cdot_sq, phidot):
 
     ``sqrt(c^2) / sqrt(phidot^2/2 + c^2 + (|phidot|/2) sqrt(phidot^2 + 4c^2))``
     where ``c^2 = |dc0/dt|^2 + |dc1/dt|^2`` for the driven path amplitudes.
+    With ``r = hypot(|phidot|/2, c)`` the radicand is ``(r + |phidot|/2)^2``,
+    so the ratio is ``c / (r + |phidot|/2)``.
     Accepts scalars or arrays in ``phidot``.
     """
-    return _closed_form_ratio(cdot_sq, phidot, lambda c2, pd: (
-        0.5 * pd**2 + c2 + 0.5 * np.abs(pd) * np.sqrt(pd**2 + 4.0 * c2)))
+    return _closed_form_ratio(cdot_sq, phidot, trace=True)
 
 
 def speed_efficiency_tracezero(cdot_sq, phidot):
     """Closed-form speed efficiency of the traceless sub-optimal drive.
 
-    ``sqrt(c^2) / sqrt(phidot^2/4 + c^2)``; for small ``phidot`` behaves as
+    ``sqrt(c^2) / sqrt(phidot^2/4 + c^2)``, that is ``c / r`` with the radicand
+    ``r^2``, ``r = hypot(|phidot|/2, c)``; for small ``phidot`` behaves as
     ``1 - phidot^2 / (8 c^2)``.
     """
-    return _closed_form_ratio(cdot_sq, phidot, lambda c2, pd: 0.25 * pd**2 + c2)
+    return _closed_form_ratio(cdot_sq, phidot, trace=False)
 
 
 def _check_factors(eta_ge_bar, eta_se_bar) -> None:

@@ -106,8 +106,9 @@ class TimeGrid(_Frozen):
 
     @property
     def half_times(self) -> np.ndarray:
-        """Nodes and midpoints interleaved: ``t_start + k dt/2``."""
-        return self.t_start + 0.5 * self.dt * np.arange(2 * self.n_steps + 1)
+        """Nodes and midpoints interleaved: the even entries are :attr:`times` bit
+        for bit, and the last is ``t_end``."""
+        return np.linspace(self.t_start, self.t_end, 2 * self.n_steps + 1)
 
 
 def sample_field(field: FieldSpec, times) -> tuple[np.ndarray, np.ndarray]:

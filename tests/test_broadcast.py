@@ -8,6 +8,7 @@ another and from one row to a stack of rows.
 """
 
 import ast
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -78,11 +79,20 @@ def test_spectral_norm_batches_row_by_row(data):
 
 
 def test_float_edge_norms_batch_row_by_row():
-    # a row scaled against overflow leaves the other rows as they are alone
-    a = np.array([[1.0, 0.0, 0.0], [0.0, 0.6, 0.8], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
-    h = np.array([[0.0, 1e300, 1e300], [3.0, 4.0, 5e-324], [2.0**510, 1.0, 0.0], [7.0, 0.0, -2.0]])
-    assert_batches_row_by_row(energy_uncertainty, a, h)
-    assert_batches_row_by_row(spectral_norm, np.array([1e300, -0.5, 1.0, 0.0]), h)
+    # a row scaled against overflow or underflow leaves the other rows as they
+    # are alone; the last three rows keep their true norms, 1e-200, 5e-324 and 0
+    a = np.array([[1.0, 0.0, 0.0], [0.0, 0.6, 0.8], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0],
+                  [1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 1.0]])
+    h = np.array([[0.0, 1e300, 1e300], [3.0, 4.0, 5e-324], [2.0**510, 1.0, 0.0], [7.0, 0.0, -2.0],
+                  [0.0, 1e-200, 0.0], [5e-324, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    true = np.array([1e-200, 5e-324, 0.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert_batches_row_by_row(energy_uncertainty, a, h)
+        assert_batches_row_by_row(spectral_norm, np.array([1e300, -0.5, 1.0, 0.0, 0.0, 0.0, 0.0]), h)
+        tiny = [energy_uncertainty(a, h)[4:], spectral_norm(0.0, h)[4:]]
+    for got in tiny:
+        assert np.all(np.abs(got - true) <= 4 * np.spacing(true))
 
 
 def test_float_edge_fubini_study_distance_batches_row_by_row():

@@ -13,6 +13,7 @@ from blochpath import (
     NormalizationError,
     NumericalError,
     ShapeError,
+    endpoint_angle,
     energy_uncertainty,
     fubini_study_distance,
     pauli_compose,
@@ -101,9 +102,17 @@ class TestScalars:
     @pytest.mark.parametrize("norm,args,true", [
         (spectral_norm, (1e300, [1e300, 1e300, 0.0]), 2.414213562373095e300),
         (energy_uncertainty, ([1.0, 0.0, 0.0], [0.0, 1e300, 1e300]), 1.4142135623730951e300),
-    ], ids=["spectral_norm", "energy_uncertainty"])
+        (spectral_norm, (0.0, [3.0 * 2.0**-700, 4.0 * 2.0**-700, 0.0]), 5.0 * 2.0**-700),
+        (energy_uncertainty, ([1.0, 0.0, 0.0], [0.0, 1e-200, 0.0]), 1e-200),
+        (spectral_norm, (0.0, [0.0, 0.0, -5e-324]), 5e-324),
+        (energy_uncertainty, ([0.0, 0.0, 1.0], [5e-324, 0.0, 0.0]), 5e-324),
+        (spectral_norm, (0.0, [0.0, 0.0, 0.0]), 0.0),
+    ], ids=["spectral_norm", "energy_uncertainty", "spectral_norm_tiny",
+            "energy_uncertainty_tiny", "spectral_norm_subnormal",
+            "energy_uncertainty_subnormal", "spectral_norm_zero"])
     def test_float_edge_norms_are_finite(self, norm, args, true):
-        # the squares of these entries overflow: the row is scaled before squaring
+        # the squares of these entries overflow or underflow: the row is scaled
+        # by a power of two before squaring and back after
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = norm(*args)
@@ -120,6 +129,19 @@ class TestScalars:
             huge = fubini_study_distance([1e154, 0.0, 0.0], [0.6, 0.8, 0.0])
         assert abs(got - true) <= 4 * np.spacing(true)
         assert abs(huge - math.atan2(0.8, 0.6)) <= 4 * np.spacing(huge)
+
+    @pytest.mark.parametrize("a,b", [([np.inf, 0.0, 0.0], [1.0, 0.0, 0.0]),
+                                     ([1.0, 0.0, 0.0], [np.nan, 0.0, 0.0]),
+                                     ([0.0, -np.inf, 0.0], [0.0, 0.0, 1.0])],
+                             ids=["inf_a", "nan_b", "minus_inf_a"])
+    def test_float_edge_fubini_study_distance_rejects_non_finite_rows(self, a, b):
+        # the entries are checked before any product, so no RuntimeWarning comes first
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="not finite"):
+                fubini_study_distance(a, b)
+            with pytest.raises(NumericalError, match="not finite"):
+                endpoint_angle(a, b)
 
     @given(theta=angles, phi=phases)
     @settings(max_examples=60, deadline=None)
@@ -155,7 +177,6 @@ class TestScalars:
 
     @pytest.mark.parametrize("b", [[np.nan, 0.0, 1.0], [np.inf, 0.0, 0.0],
                                    [0.0, -np.inf, 0.0]])
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_fubini_study_distance_rejects_non_finite_vectors(self, b):
         with pytest.raises(NumericalError, match="not finite"):
             fubini_study_distance([0.0, 0.0, 1.0], b)

@@ -117,7 +117,7 @@ class TestSpeedEfficiency:
     @pytest.mark.parametrize("form,true", [(speed_efficiency_tracezero, 2e-150),
                                            (speed_efficiency_tracenonzero, 1e-150)])
     def test_float_edge_closed_forms_are_exact(self, form, true):
-        # the squares of these arguments overflow: both are scaled first
+        # the squares of these arguments overflow; c / r squares neither
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = form(1e300, 1e300)
@@ -137,7 +137,7 @@ class TestSpeedEfficiency:
         (speed_efficiency_tracezero, (1e-310, 1e10), 1.999999999999997e-165),
     ], ids=["tracezero", "tracenonzero", "tracezero_subnormal_square", "tracezero_subnormal_c2"])
     def test_float_edge_ratios_below_the_normal_range_keep_their_digits(self, form, args, true):
-        # c^2 / denom is subnormal or 0 here: the ratio is sqrt(c^2) / sqrt(denom)
+        # c^2 / denom is subnormal or 0 here; the ratio c / r squares nothing
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = form(*args)
@@ -167,18 +167,25 @@ class TestSpeedEfficiency:
         if phidot == 0.0:
             assert lo == hi == 1.0
 
-    def test_closed_form_matches_spectral_form(self):
-        # drive a great circle with the trace-kept construction and compare
-        # the field-level ratio against the closed form node by node
+    @pytest.mark.parametrize("nu,omega", [(0.4, 1.0), (1.3, 0.7)])
+    @pytest.mark.parametrize("variant,form", [
+        ("trace_nonzero", speed_efficiency_tracenonzero),
+        ("trace_zero", speed_efficiency_tracezero),
+    ], ids=["trace_nonzero", "trace_zero"])
+    def test_closed_form_matches_spectral_form(self, variant, form, nu, omega):
+        # drive a great circle at angular speed omega (cdot_sq = omega^2) with
+        # each construction and compare the field-level ratio against the
+        # closed form node by node
         from blochpath import UzdinFamily, uzdin_suboptimal
 
-        nu = 0.4
         fam = UzdinFamily(
-            m_state=lambda t: np.stack([np.cos(t), np.sin(t)], axis=-1).astype(complex),
-            m_dot=lambda t: np.stack([-np.sin(t), np.cos(t)], axis=-1).astype(complex),
+            m_state=lambda t: np.stack([np.cos(omega * t), np.sin(omega * t)],
+                                       axis=-1).astype(complex),
+            m_dot=lambda t: omega * np.stack([-np.sin(omega * t), np.cos(omega * t)],
+                                             axis=-1).astype(complex),
             phase_dot=lambda t: np.full(t.shape, nu))
-        field = uzdin_suboptimal(fam, "trace_nonzero")
-        expected = speed_efficiency_tracenonzero(1.0, nu)
+        field = uzdin_suboptimal(fam, variant)
+        expected = form(omega**2, nu)
         traj = schrodinger_evolve(field, UP, TimeGrid(0.0, 0.81, 200))
         assert speed_efficiency_profile(traj) == pytest.approx(expected, abs=1e-10)
 

@@ -56,6 +56,15 @@ class TestTimeGrid:
         assert g.half_times.shape == (9,)
         assert np.allclose(g.half_times[::2], g.times)
 
+    @given(start=st.floats(-10.0, 10.0), length=st.floats(1e-3, 10.0),
+           n=st.integers(2, 4999))
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    def test_half_times_hold_the_nodes_and_end_at_t_end(self, start, length, n):
+        # no sample lies past the span, and the node samples are the run's times
+        g = TimeGrid(start, start + length, n)
+        assert g.half_times[-1] == g.t_end
+        assert g.half_times[::2].tobytes() == g.times.tobytes()
+
     def test_default_density(self):
         g = TimeGrid.with_density(0.0, 1.0)
         assert g.n_steps == 2000

@@ -113,6 +113,15 @@ class TestCallableContract:
         curvature_bloch_profile(traj)
         assert (len(h0.args), len(h.args)) == (n0, n)
 
+    def test_default_grid_calls_the_field_only_inside_its_span(self):
+        # the last sample of the default grid on [0, 0.7] is 0.7 itself, not an ulp past it
+        def h(t):
+            if not 0.0 <= t <= 0.7:
+                raise ValueError(f"t = {t!r} is outside [0, 0.7]")
+            return [0.3, 0.0, 1.0]
+        traj = schrodinger_evolve(FieldSpec(h0=0.0, h=h, t_span=(0.0, 0.7)), PSI0)
+        assert traj.grid.n_steps == 1400
+
     def test_constant_fields_broadcast(self):
         h0, h = sample_field(FieldSpec(h0=0.25, h=[0.0, 0.5, 0.0]), TIMES)
         assert np.array_equal(h0, np.full(11, 0.25))
