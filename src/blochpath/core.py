@@ -11,11 +11,12 @@ Conventions used throughout the package (hbar = 1):
 
 ``pauli_compose``, ``energy_uncertainty``, ``spectral_norm`` and
 ``fubini_study_distance`` broadcast over leading axes of ``(..., 3)`` rows.
-Nothing here takes a matrix apart: the one matrix the package decomposes,
-the Uzdin drive, is read off entry by entry where it is built
-(``families``).  Every argument, config value and callable result is read
-by one rule for what counts as a number, :func:`_numbers` (``config`` applies
-it to JSON values without numpy), before shape, range and finiteness checks.
+Every map from states to Pauli vectors is one kernel, :func:`_pauli_re`
+(``Re <x|sigma|y>``): the Bloch vectors of a run, and the Uzdin drive
+(``families``), whose field ``Re <m|sigma|i dm/dt>`` forms no matrix.
+Every argument, config value and callable result is read by one rule for
+what counts as a number, :func:`_numbers` (``config`` applies it to JSON
+values without numpy), before shape, range and finiteness checks.
 """
 
 from __future__ import annotations
@@ -178,21 +179,16 @@ def _cross(x, y):
     return out
 
 
-def _bloch_rows(states):
-    """Bloch vectors of ``(..., 2)`` states, rounded as scalar complex
-    arithmetic rounds: ``conj(c0) c1`` spelled out in real parts and
-    ``|c|^2`` as ``float_power(hypot, 2)`` (libm ``pow``), not as the
-    array complex multiply and square, which round differently."""
-    xr, xi = states[..., 0].real, -states[..., 0].imag
-    yr, yi = states[..., 1].real, states[..., 1].imag
-    return np.stack(
-        [
-            2.0 * (xr * yr - xi * yi),
-            2.0 * (xr * yi + xi * yr),
-            np.float_power(np.hypot(xr, xi), 2) - np.float_power(np.hypot(yr, yi), 2),
-        ],
-        axis=-1,
-    )
+def _pauli_re(x, y):
+    """``Re <x|sigma_k|y>`` of ``(..., 2)`` complex rows, ``k = x, y, z``: each
+    entry two sums of two real products, rounded alike on every SIMD loop.
+    ``_pauli_re(psi, psi)`` is the Bloch vector of ``psi``."""
+    (x0, x1), (y0, y1) = np.moveaxis(x, -1, 0), np.moveaxis(y, -1, 0)
+    re00, re01 = x0.real * y0.real + x0.imag * y0.imag, x0.real * y1.real + x0.imag * y1.imag
+    re10, re11 = x1.real * y0.real + x1.imag * y0.imag, x1.real * y1.real + x1.imag * y1.imag
+    im01 = x0.real * y1.imag - x0.imag * y1.real
+    im10 = x1.real * y0.imag - x1.imag * y0.real
+    return np.stack([re01 + re10, im01 - im10, re00 - re11], axis=-1)
 
 
 def state_from_bloch(a) -> np.ndarray:

@@ -100,12 +100,15 @@ def speed_efficiency_profile(traj: Trajectory) -> np.ndarray:
 
 def _closed_form_ratio(cdot_sq, phidot, trace: bool):
     """``c / r``, or ``c / (r + |phidot|/2)`` with ``trace``, where ``c = sqrt(cdot_sq)``
-    and ``r = hypot(|phidot|/2, c)``, after the shared domain checks.  No argument is
-    squared, so neither overflows nor underflows where the ratio itself does not."""
+    and ``r = hypot(|phidot|/2, c)``, once ``cdot_sq`` is checked nonnegative and
+    finite.  No argument is squared, so neither overflows nor underflows where
+    the ratio itself does not."""
     c2, pd = _numbers(cdot_sq, "cdot_sq"), _numbers(phidot, "phidot")
     _broadcast(c2, pd)
     if np.any(c2 < 0.0):
         raise RangeError("cdot_sq must be nonnegative")
+    if not np.isfinite(c2).all():  # before any arithmetic: inf / inf warns
+        raise NumericalError(f"cdot_sq = {float(c2[~np.isfinite(c2)][0])!r} is not finite")
     c, half = np.sqrt(c2), 0.5 * np.abs(pd)
     r = np.hypot(half, c)
     if np.any(r == 0.0):

@@ -28,7 +28,7 @@ import numpy as np
 from . import _exports
 from .config import MAX_STEPS, _count, _ordered, _span
 from .core import (FieldSpec, _as_state, _as_times, _check_finite, _dot, _first, _Frozen,
-                   _norm_sq, _numbers, energy_uncertainty, fubini_study_distance)
+                   _norm_sq, _numbers, _pauli_re, energy_uncertainty, fubini_study_distance)
 from .errors import (ConfigError, IntegrationError, NormalizationError,
                      NumericalError, ShapeError)
 
@@ -122,12 +122,6 @@ def sample_field(field: FieldSpec, times) -> tuple[np.ndarray, np.ndarray]:
     h0, h = field.sample(times)
     _check_finite(times, "field", h0, h)
     return h0, h
-
-
-def _bloch_of(states: np.ndarray) -> np.ndarray:
-    cross = np.conj(states[:, 0]) * states[:, 1]
-    return np.stack([2.0 * cross.real, 2.0 * cross.imag,
-                     np.abs(states[:, 0]) ** 2 - np.abs(states[:, 1]) ** 2], axis=1)
 
 
 class Trajectory(NamedTuple):
@@ -243,7 +237,7 @@ def _propagate(psi0, h0_half, h_half, dt) -> np.ndarray:
                 p[..., shift:] = _mul(p[..., shift:], p[..., :-shift])
                 shift *= 2
         w = _mul(p, states[lo, :, None, None])[:, 0]
-        norms = np.linalg.norm(w, axis=0)
+        norms = np.sqrt(_norm_sq(w.T))
         states[lo + 1:hi + 1] = (w / norms).T
         # step k's growth |M_k y_k| is |P_k y| / |P_(k-1) y|, y = states[lo]
         growth = norms / np.concatenate(([np.sqrt(_norm_sq(states[lo]))], norms[:-1]))
@@ -283,7 +277,7 @@ def schrodinger_evolve(field: FieldSpec, psi0,
 
     h0_half, h_half = sample_field(field, grid.half_times)
     states = _propagate(psi0, h0_half, h_half, grid.dt)
-    bloch = _bloch_of(states)
+    bloch = _pauli_re(states, states)
     delta_e = energy_uncertainty(bloch, h_half[::2])
     s_accum = _trapezoid(2.0 * delta_e, grid, cumulative=True)
     s0 = fubini_study_distance(bloch, bloch[0])

@@ -7,7 +7,9 @@ rotation angle come from one closed form, which broadcasts over arrays of
 ``alpha`` for :func:`scenarios.sweep_alpha`.  The Uzdin construction turns a
 prescribed normalized path ``|m(t)>`` into the traceless driving
 Hamiltonian ``H = i|dm><m| - i|m><dm|``, plus its sub-optimal variants that
-add a phase term ``phidot |m><m|`` (kept or made traceless).
+add a phase term ``phidot |m><m|`` (kept or made traceless).  No matrix is
+formed: the field ``h = -Im <m|sigma|dm/dt>`` and the phase term's Bloch
+vector ``<m|sigma|m>`` both come from :func:`core._pauli_re`.
 
 A drive is a :class:`core._ArrayField` over :func:`_path_drive`: the path
 callables (``m_state``, ``m_dot``, ``phase_dot``) take the whole time array
@@ -23,8 +25,8 @@ from typing import Callable, NamedTuple, Optional, Tuple
 import numpy as np
 
 from . import _exports
-from .core import (TOL_NORM, FieldSpec, _ArrayField, _as_vec3, _bloch_rows, _cross, _dot,
-                   _finite_reals, _first, _Frozen, _norm_sq, _path_rows, _scalar,
+from .core import (TOL_NORM, FieldSpec, _ArrayField, _as_vec3, _cross, _dot, _finite_reals,
+                   _first, _Frozen, _norm_sq, _path_rows, _pauli_re, _scalar,
                    fubini_study_distance)
 from .evolve import TOL_NORM0
 from .errors import (ConfigError, DegenerateEndpointsError, NormalizationError,
@@ -143,10 +145,9 @@ class UzdinFamily(NamedTuple):
 
 def _path_drive(fam: UzdinFamily, variant: str, times: np.ndarray):
     """``(h0, h)`` at ``times`` of ``fam``'s ``"optimal"``, ``"trace_nonzero"``
-    or ``"trace_zero"`` drive: the checks, the matrix entries, the Pauli vector
-    and the Bloch map each run once over all rows.  The path's norm^2 must lie
-    within ``TOL_NORM0`` of 1, or ``TOL_NORM`` for a variant, whose phase term
-    maps it to a Bloch vector."""
+    or ``"trace_zero"`` drive: the checks and the two Pauli maps each run once
+    over all rows.  The path's norm^2 must lie within ``TOL_NORM0`` of 1, or
+    ``TOL_NORM`` for a variant, whose phase term maps it to a Bloch vector."""
     m = _path_rows(fam.m_state, "m_state", times, (2,), complex)
     norm = _norm_sq(m)
     k = _first(np.abs(norm - 1.0) > (TOL_NORM0 if variant == "optimal" else TOL_NORM))
@@ -164,17 +165,12 @@ def _path_drive(fam: UzdinFamily, variant: str, times: np.ndarray):
             f"<m|dm/dt| = {gauge[k]:.3e} at t = {float(times[k])!r}; the path must be "
             "parallel transported (phase-fixed) before constructing the drive"
         )
-    # the entries of i(|dm><m| - |m><dm|), each rounded as in the 2x2
-    # product; the Pauli vector is read off them, so an entry that
-    # overflows leaves its row non-finite for sample_field to name
-    e = [[1j * (md[:, i] * m[:, j].conj() - m[:, i] * md[:, j].conj())
-          for j in (0, 1)] for i in (0, 1)]
-    (e00, e01), (e10, e11) = e
-    h = np.stack([0.5 * (e01.real + e10.real), 0.5 * (e10.imag - e01.imag),
-                  0.5 * (e00.real - e11.real)], axis=-1)
+    # h = -Im <m|sigma|dm/dt> = Re <m|sigma|i dm/dt>, where 1j only swaps parts;
+    # a product that overflows leaves its row non-finite for sample_field to name
+    h = _pauli_re(m, 1j * md)
     if variant == "optimal":
         return np.zeros(times.shape), h
-    h = h + (0.5 * phase_dot)[:, None] * _bloch_rows(m)
+    h = h + (0.5 * phase_dot)[:, None] * _pauli_re(m, m)
     h0 = 0.5 * phase_dot if variant == "trace_nonzero" else np.zeros(times.shape)
     return h0, h
 

@@ -9,8 +9,10 @@
   central difference of the user's field.
 * :func:`transport_residual` measures how well
   :func:`blochpath.parallel_transport` removes the dynamical phase.
-* :func:`uzdin_drive` is the Uzdin drive as the library once built it: the
-  full 2x2 matrices, then their Hermiticity defect and Pauli vector.
+* :func:`uzdin_drive` is the Uzdin drive as a full 2x2 matrix per row,
+  with its Hermiticity defect.
+* :func:`pauli_re` is ``Re <x|sigma|y>`` in Python floats, one row at a
+  time, with the products and sums of the library's kernel.
 * :func:`rodrigues_rotate` is the rotation about a unit axis that checks a
   stationary family's axis and angle carry ``a`` onto ``b``.
 """
@@ -101,15 +103,29 @@ def transport_residual(m_states, times) -> np.ndarray:
 
 def uzdin_drive(m, md):
     """Matrices ``i(|dm><m| - |m><dm|)`` of ``(n, 2)`` rows of the path ``m``
-    and its derivative ``md``, their Hermiticity defect (the entrywise max
-    of ``|H - H^dagger|``) and their Pauli vectors."""
+    and its derivative ``md``, and their Hermiticity defect (the entrywise
+    max of ``|H - H^dagger|``)."""
     matrix = 1j * (md[:, :, None] * m.conj()[:, None, :]
                    - m[:, :, None] * md.conj()[:, None, :])
     defect = np.abs(matrix - np.swapaxes(matrix.conj(), -1, -2)).max(axis=(-2, -1))
-    h = np.stack([0.5 * (matrix[:, 0, 1].real + matrix[:, 1, 0].real),
-                  0.5 * (matrix[:, 1, 0].imag - matrix[:, 0, 1].imag),
-                  0.5 * (matrix[:, 0, 0].real - matrix[:, 1, 1].real)], axis=-1)
-    return matrix, defect, h
+    return matrix, defect
+
+
+def pauli_re(x, y) -> np.ndarray:
+    """``Re <x|sigma_k|y>``, ``k = x, y, z``, of broadcast ``(..., 2)`` complex
+    rows, one row at a time in Python floats: the products and sums that
+    :func:`blochpath.core._pauli_re` spells out, in the same order."""
+    x, y = np.broadcast_arrays(np.asarray(x, dtype=complex), np.asarray(y, dtype=complex))
+    out = []
+    for (x0, x1), (y0, y1) in zip(x.reshape(-1, 2).tolist(), y.reshape(-1, 2).tolist()):
+        re00 = x0.real * y0.real + x0.imag * y0.imag
+        re01 = x0.real * y1.real + x0.imag * y1.imag
+        re10 = x1.real * y0.real + x1.imag * y0.imag
+        re11 = x1.real * y1.real + x1.imag * y1.imag
+        im01 = x0.real * y1.imag - x0.imag * y1.real
+        im10 = x1.real * y0.imag - x1.imag * y0.real
+        out.append([re01 + re10, im01 - im10, re00 - re11])
+    return np.array(out).reshape(x.shape[:-1] + (3,))
 
 
 def rodrigues_rotate(v, axis, angle: float) -> np.ndarray:

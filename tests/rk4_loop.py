@@ -27,7 +27,7 @@ from blochpath import (
     pauli_compose,
     sample_field,
 )
-from blochpath.core import _first
+from blochpath.core import _first, _norm_sq
 from blochpath.evolve import _BLOCK, MAX_STEP_DRIFT, TOL_NORM0, _mul
 
 
@@ -99,9 +99,9 @@ def hillis_steele_rk4(field: FieldSpec, psi0, grid: TimeGrid) -> np.ndarray:
             p[..., shift:] = _mul(p[..., shift:], p[..., :-shift])
             shift *= 2
         w = _mul(p, states[lo, :, None, None])[:, 0]
-        norms = np.linalg.norm(w, axis=0)
+        norms = np.sqrt(_norm_sq(w.T))
         states[lo + 1:hi + 1] = (w / norms).T
-        growth = norms / np.concatenate(([np.linalg.norm(states[lo])], norms[:-1]))
+        growth = norms / np.concatenate(([np.sqrt(_norm_sq(states[lo]))], norms[:-1]))
         drift = np.abs(growth - 1.0)
         k = _first(~(drift <= MAX_STEP_DRIFT))
         if k is not None:

@@ -20,7 +20,8 @@ from blochpath import (
     spectral_norm,
     state_from_bloch,
 )
-from blochpath.core import _bloch_rows, _cross, _norm_sq
+from blochpath.core import _cross, _norm_sq, _pauli_re
+from geometry_oracles import pauli_re
 
 #: the Pauli matrices sigma_x, sigma_y, sigma_z
 SIGMA = (np.array([[0.0, 1.0], [1.0, 0.0]]),
@@ -43,12 +44,18 @@ class TestPauliAlgebra:
         assert np.allclose(m, expected, atol=1e-15)
 
 
+def bloch(psi):
+    """The Bloch vector of ``psi``: ``<psi|sigma|psi>``, real by Hermiticity."""
+    psi = np.asarray(psi, dtype=complex)
+    return _pauli_re(psi, psi)
+
+
 class TestStateBlochMaps:
     def test_poles_and_equator(self):
-        assert np.allclose(_bloch_rows(np.array([1.0, 0.0])), [0.0, 0.0, 1.0])
-        assert np.allclose(_bloch_rows(np.array([0.0, 1.0])), [0.0, 0.0, -1.0])
+        assert np.allclose(bloch([1.0, 0.0]), [0.0, 0.0, 1.0])
+        assert np.allclose(bloch([0.0, 1.0]), [0.0, 0.0, -1.0])
         plus = np.array([1.0, 1.0]) / np.sqrt(2.0)
-        assert np.allclose(_bloch_rows(plus), [1.0, 0.0, 0.0], atol=1e-15)
+        assert np.allclose(bloch(plus), [1.0, 0.0, 0.0], atol=1e-15)
 
     @given(theta=angles, phi=phases)
     @settings(max_examples=60, deadline=None)
@@ -56,7 +63,7 @@ class TestStateBlochMaps:
         a = np.array([np.sin(theta) * np.cos(phi),
                       np.sin(theta) * np.sin(phi),
                       np.cos(theta)])
-        back = _bloch_rows(state_from_bloch(a))
+        back = bloch(state_from_bloch(a))
         assert np.allclose(back, a, atol=1e-12)
 
     @given(theta=angles, phi=phases, chi=phases)
@@ -64,10 +71,19 @@ class TestStateBlochMaps:
     def test_bloch_rows_match_density_matrix(self, theta, phi, chi):
         psi = np.exp(1j * chi) * np.array(
             [np.cos(theta / 2.0), np.exp(1j * phi) * np.sin(theta / 2.0)])
-        a = _bloch_rows(psi)
+        a = bloch(psi)
         rho = np.outer(psi, psi.conj())
         expected = [np.trace(rho @ p).real for p in SIGMA]
         assert np.allclose(a, expected, atol=1e-12)
+
+    @given(parts=st.lists(reals, min_size=8, max_size=8))
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_pauli_re_matches_the_transition_matrix_trace(self, parts):
+        # Re <x|sigma|y> = Re Tr(|y><x| sigma) for any two rows, not only x = y
+        x, y = (np.array(parts[:4:2]) + 1j * np.array(parts[1:4:2]),
+                np.array(parts[4::2]) + 1j * np.array(parts[5::2]))
+        expected = [np.trace(np.outer(y, x.conj()) @ p).real for p in SIGMA]
+        assert np.allclose(_pauli_re(x, y), expected, rtol=1e-13, atol=1e-13)
 
     @pytest.mark.parametrize("value", [np.nan, 2.0])
     def test_state_from_bloch_rejects_unnormalized_and_nan_inputs(self, value):
@@ -148,7 +164,7 @@ class TestScalars:
     def test_dispersion_matches_matrix_variance(self, theta, phi):
         psi = np.array([np.cos(theta / 2.0),
                         np.exp(1j * phi) * np.sin(theta / 2.0)])
-        a = _bloch_rows(psi)
+        a = bloch(psi)
         h0, h = -0.7, np.array([1.0, -2.0, 0.5])
         m = pauli_compose(h0, h)
         mean = np.vdot(psi, m @ psi).real
@@ -172,7 +188,7 @@ class TestScalars:
         sa, sb = state(t1, p1), state(t2, p2)
         overlap = min(abs(np.vdot(sa, sb)), 1.0)
         expected = 2.0 * np.arccos(overlap)
-        got = fubini_study_distance(_bloch_rows(sa), _bloch_rows(sb))
+        got = fubini_study_distance(bloch(sa), bloch(sb))
         assert got == pytest.approx(expected, abs=1e-7)
 
     @pytest.mark.parametrize("b", [[np.nan, 0.0, 1.0], [np.inf, 0.0, 0.0],
@@ -236,8 +252,9 @@ def _with_specials(rng, shape):
 
 class TestKernelBits:
     """The library's spelled-out kernels give the bits of the numpy functions
-    they replace, on every row: signed zeros, subnormals, infinities, NaN
-    and products that overflow included."""
+    they replace, or of the same products in Python floats, on every row:
+    signed zeros, subnormals, infinities, NaN and products that overflow
+    included."""
 
     @pytest.mark.parametrize("seed", range(4))
     def test_norm_sq_adds_the_squares_as_a_sum_does(self, seed):
@@ -258,6 +275,24 @@ class TestKernelBits:
         with np.errstate(over="ignore", invalid="ignore"):
             for x, y in pairs:
                 got, want = _cross(x, y), np.cross(x, y)
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_pauli_re_gives_the_bits_of_scalar_products(self, seed):
+        # the kernel's elementwise products and sums round as Python floats do,
+        # whichever SIMD loop numpy picks: no complex multiply to fuse.  A NaN's
+        # sign follows the order the hardware met the operands, which IEEE 754
+        # leaves open, so NaNs compare as one value; every other entry by its bits
+        rng = np.random.default_rng(seed)
+        x, y = (np.empty((301, 2), dtype=complex) for _ in range(2))
+        for rows in (x, y):
+            rows.real, rows.imag = _with_specials(rng, (301, 2)), _with_specials(rng, (301, 2))
+        pairs = [(x, y), (x, x), (x[0], y[0]), (x[5:9], y[5:9]), (x, y[3]),
+                 (x[:4, None], y[None, :6])]
+        with np.errstate(over="ignore", invalid="ignore"):
+            for a, b in pairs:
+                got, want = (np.where(np.isnan(v), np.nan, v)
+                             for v in (_pauli_re(a, b), pauli_re(a, b)))
                 assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 

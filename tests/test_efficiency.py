@@ -27,6 +27,7 @@ from blochpath import (
     speed_efficiency_tracenonzero,
     speed_efficiency_tracezero,
     state_from_bloch,
+    sweep_phase_profiles,
 )
 from blochpath.efficiency import TOL_EXCESS
 from feynman import feynman_evolve
@@ -144,6 +145,24 @@ class TestSpeedEfficiency:
             both = form(args[0], np.array([args[1], 0.5]))
         assert abs(got - true) <= 4 * np.spacing(true)
         assert both[0] == got and both[1] == form(args[0], 0.5)
+
+    @pytest.mark.parametrize("form", [speed_efficiency_tracezero,
+                                      speed_efficiency_tracenonzero])
+    @pytest.mark.parametrize("cdot_sq", [np.inf, np.nan, [1.0, np.inf]],
+                             ids=["inf", "nan", "inf_row"])
+    def test_float_edge_non_finite_cdot_sq_is_a_numerical_error(self, form, cdot_sq):
+        # checked before any arithmetic, where c / r would be inf / inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match=r"cdot_sq = (inf|nan) is not finite"):
+                form(cdot_sq, 1.0)
+
+    def test_float_edge_phase_profiles_with_an_overflowing_omega0_raise(self):
+        # cdot_sq = omega0^2 overflows to inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="cdot_sq = inf is not finite"):
+                sweep_phase_profiles("linear", 0.0, 1.0, 1e300)
 
     def test_array_broadcasting(self):
         phidot = np.linspace(-2.0, 2.0, 11)

@@ -24,7 +24,7 @@ from blochpath import (
     schrodinger_evolve,
     state_from_bloch,
 )
-from blochpath.core import _bloch_rows
+from blochpath.core import _pauli_re
 from blochpath.evolve import MAX_STEPS, _same_rows, _trapezoid
 from exact_paths import fixed_axis_bloch, fixed_axis_states, wobbling_drive
 from feynman import feynman_evolve
@@ -407,7 +407,7 @@ class TestParallelTransport:
     def test_transport_preserves_the_bloch_path(self):
         traj = schrodinger_evolve(SIGMA_Z_FIELD, PSI0, TimeGrid(0.0, 1.0, 500))
         m = parallel_transport(traj)
-        bloch = _bloch_rows(m)
+        bloch = _pauli_re(m, m)
         assert np.max(np.abs(bloch - traj.bloch)) < 1e-12
 
 

@@ -27,9 +27,9 @@ from blochpath import (
     uzdin_optimal,
     uzdin_suboptimal,
 )
-from blochpath.core import TOL_NORM, _bloch_rows, _dot
+from blochpath.core import TOL_NORM, _dot
 from blochpath.families import TOL_DEG, _orbit
-from geometry_oracles import rodrigues_rotate, uzdin_drive
+from geometry_oracles import pauli_re, rodrigues_rotate, uzdin_drive
 
 # frozen oracles for alpha = pi/4, theta_AB = pi/2
 PHI_PI4 = 1.9106332362490186
@@ -328,13 +328,15 @@ class TestUzdinConstructions:
         times = np.linspace(0.0, 1.0, n)
         h0, h = field.sample(times)
         m, md = m_state(times), m_dot(times)
-        matrix, defect, want = uzdin_drive(m, md)
+        matrix, defect = uzdin_drive(m, md)
         eps = np.finfo(float).eps
         assert np.all(defect <= 4.0 * eps * (1.0 + np.linalg.norm(md, axis=1)))
+        # h = Re <m|sigma|i dm/dt> in scalar products composes to the matrix
+        want = pauli_re(m, 1j * md)
         assert np.allclose(pauli_compose(0.0, want), matrix, rtol=0.0, atol=1e-14)
         half_phase_dot = 0.5 * (nu[0] + nu[1] * times)
         if variant != "optimal":
-            want = want + half_phase_dot[:, None] * _bloch_rows(m)
+            want = want + half_phase_dot[:, None] * pauli_re(m, m)
         assert np.array_equal(h, want)
         assert np.array_equal(h0, half_phase_dot if variant == "trace_nonzero"
                               else np.zeros(n))

