@@ -270,7 +270,7 @@ def _check_finite(times: np.ndarray, what: str, *columns) -> None:
 
 
 #: samples of a scalar callable copied into the output together
-_BLOCK = 256
+_BLOCK = 1024
 
 
 def _field_error(what: str, exc: Exception):
@@ -281,34 +281,35 @@ def _field_error(what: str, exc: Exception):
     raise FieldError(f"{what}: {exc}") from exc
 
 
-def _per_sample(fn: Callable, times: np.ndarray, convert: Callable,
-                shape: tuple = ()) -> np.ndarray:
-    """``convert(fn(t))`` for every ``t`` of ``times``, stacked.
+def _per_sample(fn: Callable, times: np.ndarray, name: Optional[str] = None) -> np.ndarray:
+    """``fn(t)`` for every ``t`` of ``times``, stacked: scalars, or with ``name``
+    naming the quantity, 3-vector rows; the loop :class:`FieldSpec` describes.
 
-    ``fn`` is called once per sample, in the order of ``times``, with its
-    element as a Python float (the same double), and each result is read
-    as soon as it returns: a Python float, or a float64 array of the row's
-    shape, as it is (the array by its bytes), anything else by ``convert``.
-    The first exception or invalid result raises at once, and no later
-    sample is evaluated; exceptions other than :class:`BlochPathError`
-    surface as :class:`FieldError` naming the failing ``t``.  The rows are
-    copied into the output ``_BLOCK`` samples at a time.
+    ``fn`` gets each element as a Python float, in order, and each result is
+    read as it returns: a ``float``, or a native float64 ``ndarray`` of shape
+    ``(3,)`` (by its bytes), as it is, else through :func:`_scalar` or
+    :func:`_as_vec3`.  The first exception or invalid result raises at once,
+    one other than :class:`BlochPathError` as a :class:`FieldError` naming
+    its ``t``.  Results are copied out ``_BLOCK`` samples at a time.
     """
-    out = np.empty(times.shape + shape)
-    plain = np.ndarray if shape else float
+    out = np.empty(times.shape + ((3,) if name else ()))
+    f8, ndarray = out.dtype, np.ndarray
     for lo in range(0, len(times), _BLOCK):
-        rows = []
-        for t in times[lo:lo + _BLOCK].tolist():
-            try:
+        block, rows = times[lo:lo + _BLOCK].tolist(), []
+        append = rows.append
+        try:
+            for t in block:
                 v = fn(t)
-                if not isinstance(v, plain) or shape and (v.dtype != float or v.shape != shape):
-                    v = convert(v)
-            except Exception as exc:
-                _field_error(f"field evaluation failed at t = {t!r}", exc)
-            rows.append(v.tobytes() if shape else v)
-        if shape:
-            rows = np.frombuffer(b"".join(rows)).reshape(-1, *shape)
-        out[lo:lo + len(rows)] = rows
+                if name:
+                    if not (isinstance(v, ndarray) and v.dtype is f8 and v.shape == (3,)):
+                        v = _as_vec3(v, name)
+                    v = v.tobytes()
+                elif not isinstance(v, float):
+                    v = _scalar(v, "h0")
+                append(v)
+        except Exception as exc:
+            _field_error(f"field evaluation failed at t = {block[len(rows)]!r}", exc)
+        out[lo:lo + len(rows)] = np.frombuffer(b"".join(rows)).reshape(-1, 3) if name else rows
     return out
 
 
@@ -328,15 +329,6 @@ def _path_rows(fn: Callable, name: str, times: np.ndarray, row: tuple = (),
                          f"expected {times.shape + row}")
     _check_finite(times, name, rows)
     return rows
-
-
-def _column(value, times: np.ndarray, rows: Optional[str] = None):
-    """A constant broadcast over ``times``, or a callable sampled per sample:
-    scalars, or with ``rows`` naming the quantity, checked 3-vector rows."""
-    shape, convert = ((), _scalar) if rows is None else ((3,), _as_vec3)
-    if callable(value):
-        return _per_sample(value, times, lambda v: convert(v, rows or "h0"), shape)
-    return np.broadcast_to(value, times.shape + shape).copy()
 
 
 class _Frozen:
@@ -361,9 +353,11 @@ class FieldSpec:
     and a callable is called once per sample, in time order, with a Python
     float.  Each result is read as soon as it returns, so the callable may
     reuse or change an object it has returned; the first invalid result or
-    exception raises, naming its ``t``, before any later call.  A Python
-    float, or a float64 array row of length 3, is taken as it is; any other
-    result is checked and converted on its own.
+    exception raises, naming its ``t``, before any later call.  A ``float``
+    (numpy float64 too), or an ``ndarray`` of the native float64 dtype and
+    shape ``(3,)``, is taken as it is; any other result is checked and
+    converted on its own.  :func:`_per_sample` is that loop, over blocks of
+    ``_BLOCK`` (1024) samples.
     The private kind :class:`_ArrayField` samples whole arrays instead; it
     sets the ``t_span`` the library reads, as this class does.
     """
@@ -380,7 +374,9 @@ class FieldSpec:
     def sample(self, times) -> Tuple[np.ndarray, np.ndarray]:
         """``(h0, h)`` at ``times``: arrays of shape ``(n,)`` and ``(n, 3)``."""
         times = _as_times(times)
-        return _column(self.h0, times), _column(self.h, times, "field")
+        h0, h, n = self.h0, self.h, len(times)
+        return (_per_sample(h0, times) if callable(h0) else np.full(n, h0),
+                _per_sample(h, times, "field") if callable(h) else np.tile(h, (n, 1)))
 
 
 class _ArrayField(FieldSpec):

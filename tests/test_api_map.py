@@ -32,7 +32,7 @@ REMOVED = ("curvature_expectation", "curvature_numeric_oracle",
            "_central_difference", "_sample_h", "_BatchedField", "_plain_reals",
            "_stack", "_fill", "HermiticityError", "TOL_HERM", "rodrigues_rotate",
            "_powers", "_TableField", "_PathField", "sample_h_dot", "_h_dot_rows",
-           "_shifts", "_HUGE", "_bloch_of", "_bloch_rows")
+           "_shifts", "_HUGE", "_bloch_of", "_bloch_rows", "_column")
 
 
 def _exports() -> list[str]:

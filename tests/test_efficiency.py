@@ -158,11 +158,20 @@ class TestSpeedEfficiency:
                 form(cdot_sq, 1.0)
 
     def test_float_edge_phase_profiles_with_an_overflowing_omega0_raise(self):
-        # cdot_sq = omega0^2 overflows to inf
+        # cdot_sq = omega0^2 overflows to inf: the error names the caller's omega0
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(NumericalError, match="cdot_sq = inf is not finite"):
+            with pytest.raises(NumericalError, match=r"omega0 = 1e\+300 is too large"):
                 sweep_phase_profiles("linear", 0.0, 1.0, 1e300)
+
+    @pytest.mark.parametrize("args", [("exp", 0.5, 1000.0, 1.0), ("log", 1e-300, 1e300, 1.0)],
+                             ids=["exp_expm1_overflows", "log_rate_overflows"])
+    def test_float_edge_phase_profiles_with_an_overflowing_phase_raise(self, args):
+        # expm1(phidot0 t) overflows; phidot0 / phi0 = inf makes inf * 0 at t = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="sweep column 'phi' is not finite"):
+                sweep_phase_profiles(*args)
 
     def test_array_broadcasting(self):
         phidot = np.linspace(-2.0, 2.0, 11)

@@ -48,7 +48,8 @@ from blochpath import (
     uzdin_optimal,
     uzdin_suboptimal,
 )
-from blochpath.core import _as_vec3, _scalar
+from blochpath import core
+from blochpath.core import _BLOCK, _as_vec3, _scalar
 from blochpath.scenarios import write_csv
 from geometry_oracles import pauli_re
 
@@ -151,9 +152,18 @@ def as_row(v):
     return _as_vec3(v, "field")
 
 
-#: accepted results of a scalar ``h0`` and of a row ``h``, by kind
+class SubFloat(float):
+    pass
+
+
+class SubArray(np.ndarray):
+    pass
+
+
+#: accepted results of a scalar ``h0`` and of a row ``h``, by kind: each
+#: branch of the take-as-is check, and kinds that go through the converter
 SCALAR_KINDS = {
-    "float": float, "int": lambda x: int(x * 1e12),
+    "float": float, "int": lambda x: int(x * 1e12), "float_subclass": SubFloat,
     "zero_d": np.array, "float32": np.float32, "float64": np.float64,
 }
 ROW_KINDS = {
@@ -161,7 +171,11 @@ ROW_KINDS = {
     "ints": lambda r: [int(x * 1e12) for x in r],
     "zero_ds": lambda r: [np.array(x) for x in r], "float32": lambda r: np.array(r, np.float32),
     "strided": lambda r: np.repeat(np.array(r), 2)[::2],
+    "big_endian": lambda r: np.array(r, ">f8"),
+    "array_subclass": lambda r: np.array(r).view(SubArray),
 }
+#: the kinds taken as they are: a ``float``, or a native float64 row of shape (3,)
+TAKEN_AS_IS = {"float", "float_subclass", "float64", "array", "strided", "array_subclass"}
 
 
 def two_or_four(t):
@@ -214,7 +228,7 @@ class TestBlockConversion:
     ``_BLOCK`` samples at a time, with the bits, errors and first failing
     ``t`` of one sample at a time, and no call after the first failure."""
 
-    N = 600  # more than two blocks
+    N = 2 * _BLOCK + 88  # more than two blocks
 
     @settings(max_examples=60, deadline=None)
     @given(made=st.lists(st.tuples(st.sampled_from(sorted(ROW_KINDS)),
@@ -233,12 +247,25 @@ class TestBlockConversion:
         assert h0.tobytes() == want_h0.tobytes()
         assert h.tobytes() == want_h.tobytes()
 
+    @pytest.mark.parametrize("where, kind", [("h0", k) for k in sorted(SCALAR_KINDS)]
+                             + [("h", k) for k in sorted(ROW_KINDS)])
+    def test_only_floats_and_native_float64_rows_skip_the_converter(self, where, kind,
+                                                                      monkeypatch):
+        kinds, value, converter = ((SCALAR_KINDS, 0.25, "_scalar") if where == "h0"
+                                   else (ROW_KINDS, (0.25, -0.5, 1.0), "_as_vec3"))
+        fn = results_of(kinds, [(kind, value)])
+        field = FieldSpec(h0=fn, h=np.ones(3)) if where == "h0" else FieldSpec(h0=0.0, h=fn)
+        calls, convert = [], getattr(core, converter)
+        monkeypatch.setattr(core, converter, lambda *a: calls.append(a) or convert(*a))
+        field.sample(TIMES)
+        assert len(calls) == (0 if kind in TAKEN_AS_IS else len(TIMES))
+
     @staticmethod
     def bad_at(k, bad, good):
         calls = itertools.count()
         return lambda t: bad if next(calls) == k else good(t)
 
-    @pytest.mark.parametrize("k", [0, 1, 2, 255, 256, 257, 258, N - 1])
+    @pytest.mark.parametrize("k", [0, 1, 2, _BLOCK - 1, _BLOCK, _BLOCK + 1, _BLOCK + 2, N - 1])
     @pytest.mark.parametrize("bad", [[1.0, 2.0], "x", 1j, [1j, 0.0, 0.0], np.array([1.0]),
                                      True, "0.5", [True, False, True], ["0.5", "1.0", "0.25"],
                                      [True, 0.0, 0.0], [0.5, False, 0.25]],
