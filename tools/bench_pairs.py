@@ -20,7 +20,7 @@ relative change, how many pairs the head won and whether the change is
 within the metric's bound.  Running the tool again with the same label and
 revisions adds runs to the file and recomputes the summary; other keys
 (``notes``, ``in_process``) are kept.  Base and head are called ``parent``
-and ``change`` in the file.
+and ``change`` in the file.  A failed run stops the tool before it writes.
 """
 
 from __future__ import annotations
