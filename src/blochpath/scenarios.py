@@ -482,13 +482,13 @@ def sweep_phase_profiles(profile: str, phi0: float, phidot0: float,
     t_end = _finite(t_end, "t_end")
     if t_end <= 0.0:
         raise ConfigError("t_end must be positive")
-    cdot_sq = omega0 * omega0
-    if np.isinf(cdot_sq):
-        raise NumericalError(f"omega0 = {omega0!r} is too large: cdot_sq = omega0**2 overflows")
     phase, phase_dot = _phase_functions(profile, phi0, phidot0)
     t = np.linspace(0.0, t_end, n_points)
     if profile == "log" and 1.0 + (phidot0 / phi0) * t_end <= 0.0:
         raise ConfigError("log profile leaves its domain before t_end")
+    cdot_sq = omega0 * omega0
+    if np.isinf(cdot_sq):
+        raise NumericalError(f"omega0 = {omega0!r} is too large: cdot_sq = omega0**2 overflows")
     with np.errstate(all="ignore"):  # an overflowing phase is a non-finite column
         columns = _finite_columns({"t": t, "phi": phase(t), "phi_dot": phase_dot(t)})
     phidot = columns["phi_dot"]

@@ -185,16 +185,19 @@ class TestPhaseProfiles:
         assert "1.79769313486231e+308" in capsys.readouterr().out
 
     def test_a_log_profile_leaving_its_domain_is_a_config_error(self, capsys):
-        ret = main(["phase-profiles", "--profile", "log", "--phi0", "1",
-                    "--phidot0=-1", "--omega0", "1", "--t-end", "2"])
-        assert ret == EXIT_CONFIG
-        assert "log profile leaves its domain" in capsys.readouterr().err
+        # a config error is reported before an overflowing omega0
+        for omega0 in ("1", "1e300"):
+            ret = main(["phase-profiles", "--profile", "log", "--phi0", "1",
+                        "--phidot0=-1", "--omega0", omega0, "--t-end", "2"])
+            assert ret == EXIT_CONFIG
+            assert "log profile leaves its domain" in capsys.readouterr().err
 
     def test_log_profile_needs_positive_phi0(self, capsys):
-        ret = main(["phase-profiles", "--profile", "log", "--phi0", "-1.0",
-                    "--phidot0", "1.0", "--omega0", "1.0"])
-        assert ret == EXIT_CONFIG
-        assert "config error" in capsys.readouterr().err
+        for omega0 in ("1.0", "1e300"):
+            ret = main(["phase-profiles", "--profile", "log", "--phi0", "-1.0",
+                        "--phidot0", "1.0", "--omega0", omega0])
+            assert ret == EXIT_CONFIG
+            assert "config error" in capsys.readouterr().err
 
 
 class TestUnusableOut:

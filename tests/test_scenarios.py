@@ -548,14 +548,17 @@ class TestPhaseProfiles:
                       <= table["eta_se_trace_zero"] + 1e-12)
 
     def test_validation(self):
-        with pytest.raises(ConfigError):
-            sweep_phase_profiles("log", 0.0, 1.0, 1.0)
-        with pytest.raises(ConfigError):
-            sweep_phase_profiles("cubic", 1.0, 1.0, 1.0)
-        with pytest.raises(ConfigError):
-            sweep_phase_profiles("linear", 1.0, 1.0, 1.0, n_points=1)
-        with pytest.raises(ConfigError, match="^log profile leaves its domain before t_end$"):
-            sweep_phase_profiles("log", 1.0, -1.0, 1.0, t_end=2.0)
+        # a config error is reported before an overflowing omega0
+        for omega0 in (1.0, 1e300):
+            with pytest.raises(ConfigError):
+                sweep_phase_profiles("log", 0.0, 1.0, omega0)
+            with pytest.raises(ConfigError):
+                sweep_phase_profiles("cubic", 1.0, 1.0, omega0)
+            with pytest.raises(ConfigError):
+                sweep_phase_profiles("linear", 1.0, 1.0, omega0, n_points=1)
+            with pytest.raises(ConfigError,
+                               match="^log profile leaves its domain before t_end$"):
+                sweep_phase_profiles("log", 1.0, -1.0, omega0, t_end=2.0)
 
     @pytest.mark.parametrize("points", ["5", 5.7, np.nan, np.inf, True, None])
     def test_point_count_is_an_integral_real(self, points):

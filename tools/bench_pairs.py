@@ -1,15 +1,16 @@
 """Paired benchmark runs of two revisions, written as ``BENCH_<label>.json``.
 
     python3 tools/bench_pairs.py --base REV --head REV --workload W --seed S \\
-        --pairs N --label L [--seconds 8] [--scratch DIR] [--what TEXT]
+        --pairs N --label L [--scratch DIR]
 
 Run from the root of the repository.  Each revision is exported with ``git
 archive`` into its own checkout, ``<scratch>/base`` and ``<scratch>/head``:
-paths of equal length, since the length of a source path moves the timings
-(the tool refuses paths that differ).  Both checkouts have their bytecode
+two names of one length, so the paths are of equal length, since the length
+of a source path moves the timings.  Both checkouts have their bytecode
 compiled first.  Each pair then runs the checkout's own, unchanged
-``perfbench/run.py --workload W --seed S --seconds T --trace 0`` once on each
-side, back to back: base first in even pairs, head first in odd ones.
+``perfbench/run.py --workload W --seed S --trace 0`` once on each side, back
+to back: base first in even pairs, head first in odd ones.  The run length is
+the checkout's own ``perfbench/spec.RUN_SECONDS``, ``run.py``'s default.
 
 The file keeps every run: its end-to-end metrics, its outcome, and the median
 raw op time of each op kind (``raw_ms_median_by_kind``, from
@@ -18,9 +19,10 @@ raw op time of each op kind (``raw_ms_median_by_kind``, from
 ``BENCHMARK.json``, both sides' medians, the base's inclusive quartiles, the
 relative change, how many pairs the head won and whether the change is
 within the metric's bound.  Running the tool again with the same label and
-revisions adds runs to the file and recomputes the summary; other keys
-(``notes``, ``in_process``) are kept.  Base and head are called ``parent``
-and ``change`` in the file.  A failed run stops the tool before it writes.
+revisions adds runs to the file and recomputes the summary; the other keys
+are kept, and ``what``, ``notes`` and ``in_process`` are written by hand.
+Base and head are called ``parent`` and ``change`` in the file.  A failed run
+stops the tool before it writes.
 """
 
 from __future__ import annotations
@@ -39,9 +41,9 @@ import tempfile
 import time
 from pathlib import Path
 
-KINDS = ("import json, sys; sys.path.insert(0, 'perfbench'); import workloads; "
+KINDS = ("import json, sys; sys.path.insert(0, 'perfbench'); import spec, workloads; "
          "print(json.dumps([op['kind'] for op in workloads.make_ops(sys.argv[1], "
-         "int(sys.argv[2]), float(sys.argv[3]))]))")
+         "int(sys.argv[2]), spec.RUN_SECONDS)]))")
 
 
 def checkout(rev: str, path: Path) -> str:
@@ -58,11 +60,11 @@ def checkout(rev: str, path: Path) -> str:
     return sha
 
 
-def run_once(root: Path, workload: str, seed: int, seconds: float, kinds: list) -> dict:
+def run_once(root: Path, workload: str, seed: int, kinds: list) -> dict:
     """One ``perfbench/run.py`` run in ``root``: its result line and op medians by kind."""
     start = time.perf_counter()
     proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
-                           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+                           "--seed", str(seed), "--trace", "0"],
                           cwd=root, capture_output=True, text=True, timeout=600)
     wall = time.perf_counter() - start
     lines = proc.stdout.strip().splitlines()
@@ -130,10 +132,8 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--label", required=True, help="the file is BENCH_<label>.json")
-    parser.add_argument("--seconds", type=float, default=8.0)
     parser.add_argument("--scratch", help="empty directory for the two checkouts "
                         "(default: a new temporary directory)")
-    parser.add_argument("--what", help="what the change is, for a new file")
     args = parser.parse_args(argv)
 
     scratch = Path(args.scratch or tempfile.mkdtemp(prefix="bench_pairs_")).resolve()
@@ -145,24 +145,21 @@ def main(argv=None) -> int:
 
 
 def _pairs(parser, args, scratch: Path) -> int:
-    roots = {"parent": scratch / "base", "change": scratch / "head"}
-    if len(str(roots["parent"])) != len(str(roots["change"])):
-        parser.error(f"checkout paths differ in length: {roots}")
+    roots = {"parent": scratch / "base", "change": scratch / "head"}  # equal lengths
     if any(p.exists() for p in roots.values()):
         parser.error(f"{scratch} already holds a base or head checkout")
     shas = {side: checkout(rev, roots[side])
             for side, rev in (("parent", args.base), ("change", args.head))}
     end_to_end = json.loads((roots["parent"] / "BENCHMARK.json").read_text())["end_to_end"]
     kinds = {side: json.loads(subprocess.run(
-        [sys.executable, "-c", KINDS, args.workload, str(args.seed), str(args.seconds)],
+        [sys.executable, "-c", KINDS, args.workload, str(args.seed)],
         cwd=root, check=True, capture_output=True, text=True).stdout)
         for side, root in roots.items()}
 
     out = Path(f"BENCH_{args.label}.json")
     bench = json.loads(out.read_text()) if out.exists() else {
-        "what": args.what or "", "machine": machine(),
-        "command": "python3 perfbench/run.py --workload <workload> --seed <seed> "
-                   f"--seconds {args.seconds:g} --trace 0",
+        "what": "", "machine": machine(),
+        "command": "python3 perfbench/run.py --workload <workload> --seed <seed> --trace 0",
         "method": "parent and change are git-archive checkouts of the two revisions at "
                   "paths of equal length, bytecode compiled first; each pair runs both "
                   "sides back to back, parent first in even pairs and change first in odd "
@@ -182,7 +179,7 @@ def _pairs(parser, args, scratch: Path) -> int:
     for pair in range(start, start + args.pairs):
         order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
         for side in order:
-            run = run_once(roots[side], args.workload, args.seed, args.seconds, kinds[side])
+            run = run_once(roots[side], args.workload, args.seed, kinds[side])
             runs.append({"workload": args.workload, "seed": args.seed, "pair": pair,
                          "side": side, "first": order[0], **run})
             print(f"{args.workload} seed {args.seed} pair {pair} {side}: "
