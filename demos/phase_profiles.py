@@ -18,7 +18,8 @@ trace-keeping variant, which is pointwise worse.
 
 import numpy as np
 
-from blochpath import sweep_phase_profiles
+from blochpath import (speed_efficiency_tracenonzero, speed_efficiency_tracezero,
+                       sweep_phase_profiles)
 from blochpath.scenarios import write_csv
 
 
@@ -35,9 +36,11 @@ def main() -> None:
                for name in ("log", "linear", "exp")]
         print(f"{t:5.2f} {row[0]:10.6f} {row[1]:10.6f} {row[2]:10.6f}")
 
+    # the closed forms at the amplitude speed c^2 = omega0^2 = 1 and the rate 1
+    shared = speed_efficiency_tracezero(1.0, 1.0)
     start = [tables[name]["eta_se_trace_zero"][0]
              for name in ("log", "linear", "exp")]
-    assert np.ptp(start) < 1e-12
+    assert start == [shared] * 3
     print()
     print(f"all three start at {start[0]:.6f} = 1/sqrt(1 + 1/4), fixed by "
           f"the shared initial rate")
@@ -49,8 +52,10 @@ def main() -> None:
     print(f"exp schedule collapses: "
           f"{tables['exp']['eta_se_trace_zero'][-1]:.6f} at t = 5")
 
-    gap = tables["linear"]["eta_se_trace_zero"] \
-        - tables["linear"]["eta_se_trace_nonzero"]
+    linear = tables["linear"]
+    assert (linear["eta_se_trace_zero"] == shared).all()
+    assert (linear["eta_se_trace_nonzero"] == speed_efficiency_tracenonzero(1.0, 1.0)).all()
+    gap = linear["eta_se_trace_zero"] - linear["eta_se_trace_nonzero"]
     print(f"keeping the trace always costs extra: gap in "
           f"[{gap.min():.6f}, {gap.max():.6f}]")
 

@@ -56,28 +56,29 @@ def curvature_bloch(a, h, h_dot):
     dropped by the caller (only ``h`` enters).  Broadcasts over ``(..., 3)``
     rows; ``float_power`` makes each row round as a lone 3-vector does.
     """
-    a = _as_rows(a, "Bloch vector")
-    h = _as_rows(h, "field")
-    hd = _as_rows(h_dot, "field derivative")
-    shape = _broadcast(a, h, hd)
-    ah = _dot(a, h)
-    hh = _dot(h, h)
-    d = hh - ah * ah
-    if not np.all(d > TOL_SING):
-        raise SingularEvolutionError(
-            "a is (anti)parallel to h; eigenstate evolutions have no "
-            "arc-length parameterization"
-        )
-    term1 = 4.0 * ah * ah / d
-    if not hd.any() and np.isfinite(hh).all():  # term2 and term3 are +-0
-        return _clamp_nonneg(np.broadcast_to(term1, shape[:-1]))
-    w = _dot(a, hd)[..., None] * h - ah[..., None] * hd
-    # past |h| ~ 1e51 the powers of d overflow to inf and the terms to 0
-    with np.errstate(over="ignore"):
+    # an overflow leaves a NaN, which _clamp_nonneg raises as a NumericalError
+    with np.errstate(all="ignore"):
+        a = _as_rows(a, "Bloch vector")
+        h = _as_rows(h, "field")
+        hd = _as_rows(h_dot, "field derivative")
+        shape = _broadcast(a, h, hd)
+        ah = _dot(a, h)
+        hh = _dot(h, h)
+        d = hh - ah * ah
+        if not np.all(d > TOL_SING):
+            raise SingularEvolutionError(
+                "a is (anti)parallel to h; eigenstate evolutions have no "
+                "arc-length parameterization"
+            )
+        term1 = 4.0 * ah * ah / d
+        if not hd.any() and np.isfinite(hh).all():  # term2 and term3 are +-0
+            return _clamp_nonneg(np.broadcast_to(term1, shape[:-1]))
+        w = _dot(a, hd)[..., None] * h - ah[..., None] * hd
+        # past |h| ~ 1e51 the powers of d overflow to inf and the terms to 0
         term2 = (hh * _dot(hd, hd) - np.float_power(_dot(h, hd), 2)
                  - _dot(w, w)) / np.float_power(d, 3)
         term3 = 4.0 * ah * _dot(a, _cross(h, hd)) / np.float_power(d, 2)
-    return _clamp_nonneg(term1 + term2 + term3)
+        return _clamp_nonneg(term1 + term2 + term3)
 
 
 def curvature_bloch_profile(traj: Trajectory) -> np.ndarray:

@@ -157,22 +157,25 @@ def _path_drive(fam: UzdinFamily, variant: str, times: np.ndarray):
     md = _path_rows(fam.m_dot, "m_dot", times, (2,), complex)
     if variant != "optimal":
         phase_dot = _path_rows(fam.phase_dot, "phase_dot", times)
-    # the check scales with |dm/dt|, as the rounding of the products does
-    gauge = np.abs(np.einsum("ij,ij->i", m.conj(), md))
-    k = _first(gauge > 1e-8 * (1.0 + np.sqrt(_norm_sq(md))))
-    if k is not None:
-        raise PreconditionError(
-            f"<m|dm/dt| = {gauge[k]:.3e} at t = {float(times[k])!r}; the path must be "
-            "parallel transported (phase-fixed) before constructing the drive"
-        )
-    # h = -Im <m|sigma|dm/dt> = Re <m|sigma|i dm/dt>, where 1j only swaps parts;
-    # a product that overflows leaves its row non-finite for sample_field to name
-    h = _pauli_re(m, 1j * md)
-    if variant == "optimal":
-        return np.zeros(times.shape), h
-    h = h + (0.5 * phase_dot)[:, None] * _pauli_re(m, m)
-    h0 = 0.5 * phase_dot if variant == "trace_nonzero" else np.zeros(times.shape)
-    return h0, h
+    # no path callable runs below; what overflows here ends in a typed error,
+    # from sample_field for a non-finite row or from the propagator
+    with np.errstate(all="ignore"):
+        # the check scales with |dm/dt|, as the rounding of the products does
+        gauge = np.abs(np.einsum("ij,ij->i", m.conj(), md))
+        k = _first(gauge > 1e-8 * (1.0 + np.sqrt(_norm_sq(md))))
+        if k is not None:
+            raise PreconditionError(
+                f"<m|dm/dt| = {gauge[k]:.3e} at t = {float(times[k])!r}; the path must be "
+                "parallel transported (phase-fixed) before constructing the drive"
+            )
+        # h = -Im <m|sigma|dm/dt> = Re <m|sigma|i dm/dt>, where 1j only swaps parts;
+        # a product that overflows leaves its row non-finite for sample_field to name
+        h = _pauli_re(m, 1j * md)
+        if variant == "optimal":
+            return np.zeros(times.shape), h
+        h = h + (0.5 * phase_dot)[:, None] * _pauli_re(m, m)
+        h0 = 0.5 * phase_dot if variant == "trace_nonzero" else np.zeros(times.shape)
+        return h0, h
 
 
 def uzdin_optimal(fam: UzdinFamily) -> FieldSpec:

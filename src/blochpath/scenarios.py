@@ -31,12 +31,7 @@ from .config import ALL_OUTPUTS, SCENARIOS, ScenarioConfig, _count, _finite, _re
 from .core import FieldSpec, _ArrayField, _norm_sq, _numbers, state_from_bloch
 from .csvtext import csv_rows
 from .curvature import curvature_bloch_profile
-from .efficiency import (
-    _unit_ratio,
-    efficiency_report,
-    speed_efficiency_tracenonzero,
-    speed_efficiency_tracezero,
-)
+from .efficiency import _speed_ratios, _unit_ratio, efficiency_report
 from .errors import BlochPathError, ConfigError, NumericalError, ShapeError
 from .evolve import TOL_NORM0, TimeGrid, schrodinger_evolve
 from .families import (
@@ -470,10 +465,11 @@ def sweep_phase_profiles(profile: str, phi0: float, phidot0: float,
     """Speed efficiency over time for a phase-modulated constant-speed path.
 
     The driven path is ``cos(omega0 t)|0> + sin(omega0 t)|1>`` so the
-    amplitude-speed term is constant, ``cdot_sq = omega0^2``.  Both
-    sub-optimal variants are emitted since they share the phase profile:
-    ``eta_se_trace_zero`` (the traceless drive) and ``eta_se_trace_nonzero``
-    (the trace-keeping drive, always the smaller of the two).
+    amplitude speed is constant, ``c = |omega0|``, and any finite ``omega0``
+    is valid.  Both sub-optimal variants are emitted since they share the
+    phase profile and ``r = hypot(|phi_dot|/2, c)``: ``eta_se_trace_zero``
+    (the traceless drive, ``c / r``) and ``eta_se_trace_nonzero`` (the
+    trace-keeping drive, ``c / (r + |phi_dot|/2)``, never the larger).
     """
     n_points = _count(n_points, "time points")
     phi0 = _finite(phi0, "phi0")
@@ -486,12 +482,8 @@ def sweep_phase_profiles(profile: str, phi0: float, phidot0: float,
     t = np.linspace(0.0, t_end, n_points)
     if profile == "log" and 1.0 + (phidot0 / phi0) * t_end <= 0.0:
         raise ConfigError("log profile leaves its domain before t_end")
-    cdot_sq = omega0 * omega0
-    if np.isinf(cdot_sq):
-        raise NumericalError(f"omega0 = {omega0!r} is too large: cdot_sq = omega0**2 overflows")
     with np.errstate(all="ignore"):  # an overflowing phase is a non-finite column
         columns = _finite_columns({"t": t, "phi": phase(t), "phi_dot": phase_dot(t)})
-    phidot = columns["phi_dot"]
-    columns["eta_se_trace_zero"] = speed_efficiency_tracezero(cdot_sq, phidot)
-    columns["eta_se_trace_nonzero"] = speed_efficiency_tracenonzero(cdot_sq, phidot)
+    columns["eta_se_trace_zero"], columns["eta_se_trace_nonzero"] = \
+        _speed_ratios(abs(omega0), columns["phi_dot"])
     return columns

@@ -185,7 +185,7 @@ class TestPhaseProfiles:
         assert "1.79769313486231e+308" in capsys.readouterr().out
 
     def test_a_log_profile_leaving_its_domain_is_a_config_error(self, capsys):
-        # a config error is reported before an overflowing omega0
+        # also at an omega0 whose square overflows
         for omega0 in ("1", "1e300"):
             ret = main(["phase-profiles", "--profile", "log", "--phi0", "1",
                         "--phidot0=-1", "--omega0", omega0, "--t-end", "2"])
@@ -940,6 +940,20 @@ class TestProcessInvocation:
         assert proc.returncode == EXIT_NUMERICAL
         assert proc.stderr.splitlines()[0].startswith("numerical error")
         assert "Warning" not in proc.stderr
+
+    @pytest.mark.parametrize("phidot0, omega0, etas", [
+        ("0", "1e-200", "1,1"), ("1", "1e-300", "2e-300,1e-300"), ("1", "1e300", "1,1"),
+    ], ids=["omega0_squared_underflows_to_0", "tiny_ratios", "omega0_squared_overflows"])
+    def test_float_edge_phase_profiles_take_any_finite_omega0(self, phidot0, omega0, etas):
+        # the closed forms read c = |omega0|, so omega0^2 leaving the float
+        # range changes nothing; -W error turns any numpy warning into a failure
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "blochpath", "phase-profiles", "--profile",
+             "linear", "--phi0", "0", "--phidot0", phidot0, "--omega0", omega0,
+             "--points", "3"], capture_output=True, text=True, env=_child_env())
+        assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
+        rows = proc.stdout.splitlines()[1:]
+        assert len(rows) == 3 and all(row.endswith("," + etas) for row in rows)
 
     @pytest.mark.parametrize("argv", [["-c", "import blochpath; blochpath.FieldSpec"],
                                       ["-m", "blochpath", *_SWEEP]])

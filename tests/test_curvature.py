@@ -126,9 +126,8 @@ class TestStationaryBits:
 
     def test_an_overflowing_field_square_still_raises(self):
         # |h|^2 = inf with a.h finite: the full form gives inf * 0 = NaN
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(NumericalError, match="NaN"):
-                curvature_bloch([0.0, 0.0, 1.0], [1e200, 0.0, 1e-3], np.zeros(3))
+        with pytest.raises(NumericalError, match="NaN"):
+            curvature_bloch([0.0, 0.0, 1.0], [1e200, 0.0, 1e-3], np.zeros(3))
 
     def test_a_huge_driven_field_gives_its_value_without_a_warning(self):
         # d^3 and d^2 overflow to inf, so the field-rotation and mixed terms
@@ -137,6 +136,15 @@ class TestStationaryBits:
             warnings.simplefilter("error")
             got = curvature_bloch([1.0, 0.0, 0.0], [0.0, 1e150, 1e150], [1.0, 0.0, 0.0])
         assert got == 0.0
+
+    @pytest.mark.parametrize("size", [1e200, 1e100])
+    def test_float_edge_an_overflowing_driven_field_is_a_numerical_error(self, size):
+        # |h|^2 overflows at 1e200; at 1e100 the numerator of the rotation
+        # term and d^3 both do, inf / inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="NaN"):
+                curvature_bloch([1.0, 0.0, 0.0], [0.0, size, 0.0], [0.0, 0.0, size])
 
 
 def errors_against_analytic(h, h_dot, t_span, steps, first=0.0):

@@ -29,7 +29,7 @@ from blochpath import (
     state_from_bloch,
     sweep_phase_profiles,
 )
-from blochpath.efficiency import TOL_EXCESS
+from blochpath.efficiency import TOL_EXCESS, _speed_ratios
 from feynman import feynman_evolve
 
 PSI0 = np.array([np.sqrt(3) / 2, 0.5], dtype=complex)
@@ -41,6 +41,13 @@ phidots = st.floats(min_value=-8.0, max_value=8.0,
                     allow_nan=False, allow_infinity=False)
 speeds = st.floats(min_value=1e-3, max_value=16.0,
                    allow_nan=False, allow_infinity=False)
+#: omega0 of either sign, log-uniform in size from 1e-300 to 1e300
+amplitude_speeds = st.builds(lambda e, sign: sign * 10.0 ** e,
+                             st.floats(-300.0, 300.0), st.sampled_from([1.0, -1.0]))
+#: phase rates in [-1e3, 1e3]: 0, or log-uniform in size from 1e-300
+phase_rates = st.one_of(st.just(0.0), st.builds(lambda e, sign: sign * 10.0 ** e,
+                                                st.floats(-300.0, 3.0),
+                                                st.sampled_from([1.0, -1.0])))
 
 
 class TestGeodesicEfficiency:
@@ -157,12 +164,43 @@ class TestSpeedEfficiency:
             with pytest.raises(NumericalError, match=r"cdot_sq = (inf|nan) is not finite"):
                 form(cdot_sq, 1.0)
 
-    def test_float_edge_phase_profiles_with_an_overflowing_omega0_raise(self):
-        # cdot_sq = omega0^2 overflows to inf: the error names the caller's omega0
+    @pytest.mark.parametrize("phidot0, omega0", [(1.0, 1e300), (1e-200, 1e-170)],
+                             ids=["omega0_squared_overflows", "omega0_squared_underflows"])
+    def test_float_edge_phase_profiles_take_any_finite_omega0(self, phidot0, omega0):
+        # c = |omega0| is squared nowhere: omega0^2 is inf in the first case and
+        # 0 in the second, where both true ratios are 1 to within 1e-30
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(NumericalError, match=r"omega0 = 1e\+300 is too large"):
-                sweep_phase_profiles("linear", 0.0, 1.0, 1e300)
+            columns = sweep_phase_profiles("linear", 0.0, phidot0, omega0)
+        assert np.all(columns["eta_se_trace_zero"] == 1.0)
+        assert np.all(columns["eta_se_trace_nonzero"] == 1.0)
+
+    @given(omega0=amplitude_speeds, phidot=phase_rates, k=st.integers(-1000, 1000))
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_float_edge_phase_profiles_are_the_speed_ratios_of_omega0(self, omega0,
+                                                                      phidot, k):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            columns = sweep_phase_profiles("linear", 0.0, phidot, omega0, 1.0, 3)
+            want = _speed_ratios(abs(omega0), columns["phi_dot"])
+            # within these bounds omega0^2 is a normal double whose root is |omega0|
+            square = omega0 * omega0 if 1.5e-154 < abs(omega0) < 1.3e154 else None
+            if square is not None:
+                public = (speed_efficiency_tracezero(square, columns["phi_dot"]),
+                          speed_efficiency_tracenonzero(square, columns["phi_dot"]))
+            # 2^k c and 2^k |phidot|/2 are exact, and so is every intermediate
+            # while it stays normal and finite: k is clamped to keep the
+            # larger of the two below 2^1021 and the smaller nonzero one above
+            # 2^-1022
+            c, half = abs(omega0), 0.5 * abs(phidot)
+            exponents = [np.frexp(x)[1] for x in (c, half) if x != 0.0]
+            k = min(max(k, -1021 - min(exponents)), 1021 - max(exponents))
+            scaled = _speed_ratios(np.ldexp(c, k), np.ldexp(columns["phi_dot"], k))
+        for i, name in enumerate(("eta_se_trace_zero", "eta_se_trace_nonzero")):
+            assert np.array_equal(columns[name], want[i]), name
+            assert np.array_equal(scaled[i], want[i]), (name, k)
+            if square is not None:
+                assert np.array_equal(public[i], want[i]), name
 
     @pytest.mark.parametrize("args", [("exp", 0.5, 1000.0, 1.0), ("log", 1e-300, 1e300, 1.0)],
                              ids=["exp_expm1_overflows", "log_rate_overflows"])

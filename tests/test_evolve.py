@@ -2,6 +2,7 @@
 
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from blochpath import (
     TimeGrid,
     build_scenario,
     parallel_transport,
+    run_report,
     sample_field,
     schrodinger_evolve,
     state_from_bloch,
@@ -177,9 +179,33 @@ class TestSchrodingerEvolve:
     def test_overflowing_field_raises_at_the_first_step(self):
         # the state turns into NaN, which a plain `drift > bound` lets pass
         huge = FieldSpec(h0=0.0, h=np.array([0.0, 1e300, 0.0]))
-        with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(IntegrationError, match="not finite after step 0"):
+            schrodinger_evolve(huge, PSI0, TimeGrid(0.0, 1.0, 20))
+
+    @pytest.mark.parametrize("field", [
+        FieldSpec(h0=0.0, h=lambda t: np.array([1e160 * (1.0 + 0.1 * t), 0.0, 0.0])),
+        FieldSpec(h0=lambda t: 1e160 * (1.0 + 0.1 * t), h=np.array([0.0, 0.0, 1.0])),
+    ], ids=["h", "h0"])
+    def test_float_edge_an_overflowing_varying_field_is_an_integration_error(self, field):
+        # the step matrices overflow: a typed error, not a numpy warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             with pytest.raises(IntegrationError, match="not finite after step 0"):
-                schrodinger_evolve(huge, PSI0, TimeGrid(0.0, 1.0, 20))
+                schrodinger_evolve(field, PSI0, TimeGrid(0.0, 1.0, 20))
+
+    @pytest.mark.parametrize("scenario, parameters, field", [
+        ("example1", {"omega0": 1e300}, None),
+        ("example3", {"gamma": 1e300}, None),
+        ("example4", {"gamma": 1e10}, None),
+        ("custom", {}, {"times": [0.0, 1.0], "h": [[1e300, 0.0, 0.0], [1e300, 0.0, 1e300]]}),
+    ], ids=["example1", "example3", "example4", "table"])
+    def test_float_edge_an_overflowing_run_is_an_integration_error(self, scenario,
+                                                                   parameters, field):
+        config = ScenarioConfig(scenario, parameters, field=field, outputs=())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(IntegrationError, match="after step 0|in step 0"):
+                run_report(config)
 
     @pytest.mark.parametrize("h0, h, size", [(0.0, (0.0, 1e300, 0.0), "1.000e+300"),
                                              (0.0, (1e160, 0.0, 0.0), "1.000e+160"),
@@ -187,9 +213,8 @@ class TestSchrodingerEvolve:
     def test_overflowing_stationary_field_names_its_magnitude(self, h0, h, size):
         # exp(-itH) has no step bound, so the remedy is not a smaller dt
         field = FieldSpec(h0=h0, h=np.array(h))
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(IntegrationError) as err:
-                schrodinger_evolve(field, PSI0, TimeGrid(0.0, 1.0, 2000))
+        with pytest.raises(IntegrationError) as err:
+            schrodinger_evolve(field, PSI0, TimeGrid(0.0, 1.0, 2000))
         assert str(err.value) == ("state norm is not finite after step 0; field magnitude "
                                   f"{size} overflows exp(-itH)")
 
@@ -305,8 +330,8 @@ class TestBlockedPropagator:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(IntegrationError) as want:
                 sequential_rk4(field, PSI0, grid)
-            with pytest.raises(IntegrationError) as got:
-                schrodinger_evolve(field, PSI0, grid)
+        with pytest.raises(IntegrationError) as got:
+            schrodinger_evolve(field, PSI0, grid)
         assert f"step {step};" in str(want.value)
         assert str(got.value) == str(want.value)
 

@@ -11,15 +11,18 @@ from blochpath import (
     ConfigError,
     DegenerateEndpointsError,
     FieldSpec,
+    IntegrationError,
     NormalizationError,
     NumericalError,
     PreconditionError,
     RangeError,
+    ScenarioConfig,
     SuboptimalStationary,
     TimeGrid,
     UzdinFamily,
     endpoint_angle,
     pauli_compose,
+    run_report,
     schrodinger_evolve,
     state_from_bloch,
     suboptimal_axis,
@@ -357,6 +360,15 @@ class TestUzdinConstructions:
         field = uzdin_optimal(spinning)
         with pytest.raises(PreconditionError):
             field.sample([0.5])
+
+    def test_float_edge_example2_with_an_overflowing_omega0_is_an_integration_error(self):
+        # the gauge bound's |dm/dt|^2 overflows to inf, which passes the check;
+        # the drive's rows of 1e300 then fail in the propagator, with no warning
+        config = ScenarioConfig("example2", {"omega0": 1e300}, outputs=())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(IntegrationError, match="not finite after step 0"):
+                run_report(config)
 
     def test_suboptimal_variant_validation(self):
         fam = UzdinFamily(m_state=great_circle, m_dot=great_circle_dot)
