@@ -41,13 +41,18 @@ phidots = st.floats(min_value=-8.0, max_value=8.0,
                     allow_nan=False, allow_infinity=False)
 speeds = st.floats(min_value=1e-3, max_value=16.0,
                    allow_nan=False, allow_infinity=False)
+
+
+def signed_powers(low, high):
+    """``+-10^e`` with ``e`` drawn from ``[low, high]``."""
+    return st.builds(lambda e, sign: sign * 10.0 ** e, st.floats(low, high),
+                     st.sampled_from([1.0, -1.0]))
+
+
 #: omega0 of either sign, log-uniform in size from 1e-300 to 1e300
-amplitude_speeds = st.builds(lambda e, sign: sign * 10.0 ** e,
-                             st.floats(-300.0, 300.0), st.sampled_from([1.0, -1.0]))
+amplitude_speeds = signed_powers(-300.0, 300.0)
 #: phase rates in [-1e3, 1e3]: 0, or log-uniform in size from 1e-300
-phase_rates = st.one_of(st.just(0.0), st.builds(lambda e, sign: sign * 10.0 ** e,
-                                                st.floats(-300.0, 3.0),
-                                                st.sampled_from([1.0, -1.0])))
+phase_rates = st.just(0.0) | signed_powers(-300.0, 3.0)
 
 
 class TestGeodesicEfficiency:

@@ -12,10 +12,12 @@ is over ``max(max |y|, 1)``, since a geodesic's is 0 up to rounding.
 A draw whose plain run raises a typed error must raise the same type
 transformed.
 
-Tolerances: the gaps were measured with :func:`relation_gaps` over 200
-drives of numpy's ``default_rng(0)``, and each bound is 10 times the
-largest gap seen, rounded up to one significant digit.  The curvature gets
-its own bound: its stencil divides the field's rounding by ``dt / 2``.
+Tolerances: the gaps of :func:`gaps` were measured over 200 drives of
+numpy's ``default_rng(0)`` (the nine amplitudes, ``w``, ``a0`` uniform on
+the sphere and three Euler angles drawn in that order), and each bound is
+10 times the largest gap seen, rounded up to one significant digit.
+The curvature gets its own bound: its stencil divides the field's rounding
+by ``dt / 2``.
 """
 
 import numpy as np
@@ -122,19 +124,6 @@ def bounds(relation, rate):
         return BOUNDS[relation]
     unit = np.spacing(SHIFT) * rate
     return SHIFT_BOUNDS[0] * unit, SHIFT_BOUNDS[1] * unit * N_STEPS
-
-
-def relation_gaps(amps, omega, a0, r):
-    """``{relation: (path gap, curvature gap)}`` for one drive, those of the
-    shift in the units of :data:`SHIFT_BOUNDS`: the measurement behind the
-    bounds."""
-    h, rate = trig_drive(amps, omega)
-    base = observe(h, a0)
-    out = {relation: gaps(transformed(relation, h, a0, r), base)
-           for relation in ("rotation", "rescaling", "shift")}
-    unit = np.spacing(SHIFT) * rate
-    out["shift"] = (out["shift"][0] / unit, out["shift"][1] / (unit * N_STEPS))
-    return out
 
 
 @pytest.mark.parametrize("relation", ["rotation", "rescaling", "shift"])
