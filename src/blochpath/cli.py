@@ -128,14 +128,11 @@ def _main(argv, freeze: bool) -> int:
         if freeze:
             _load(freeze)
         from . import scenarios
-        import numpy as np
-        # overflow and invalid values are caught by the explicit finiteness
-        # checks and reported as typed errors; numpy's warnings would only
-        # repeat them on stderr ahead of the message.  Every file is written
-        # under a guard naming it, so an OS error that reaches the guard here
-        # came from a print to stdout or its flush.
-        with np.errstate(all="ignore"), scenarios._output("<stdout>"):
-            _run(args, config, scenarios)
+        from .core import _quiet_fp
+        # every file is written under a guard naming it, so an OS error that
+        # reaches the guard here came from a print to stdout or its flush
+        with scenarios._output("<stdout>"):
+            _quiet_fp(_run)(args, config, scenarios)
             sys.stdout.flush()
         return EXIT_OK
     except ConfigError as exc:

@@ -21,6 +21,7 @@ values without numpy), before shape, range and finiteness checks.
 
 from __future__ import annotations
 
+import functools
 import reprlib
 from typing import Callable, Optional, Sequence, Tuple, Union
 
@@ -136,6 +137,18 @@ def pauli_compose(h0, h) -> np.ndarray:
     out[..., 1, 0] = h[..., 0] + 1j * h[..., 1]
     out[..., 1, 1] = h0 - h[..., 2]
     return out
+
+
+def _quiet_fp(fn: Callable) -> Callable:
+    """``fn`` under ``np.errstate(all="ignore")``: for library arithmetic whose
+    overflow or invalid value ends in the typed error of a finiteness check,
+    which numpy's warning would only repeat ahead of it, or, under
+    warnings-as-errors, replace.  It must not wrap a user's callable."""
+    @functools.wraps(fn)
+    def quiet(*args, **kwargs):
+        with np.errstate(all="ignore"):
+            return fn(*args, **kwargs)
+    return quiet
 
 
 def _dot(x, y):

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import _exports
 from .core import (_as_rows, _broadcast, _check_finite, _cross, _dot, _first,
-                   pauli_compose)
+                   _quiet_fp, pauli_compose)
 from .errors import NumericalError, SingularEvolutionError
 from .evolve import Trajectory, parallel_transport
 
@@ -44,41 +44,48 @@ def _clamp_nonneg(value):
     return np.where(value < 0.0, 0.0, value)[()]
 
 
+@_quiet_fp  # an overflow leaves a NaN, which _clamp_nonneg raises as a NumericalError
 def curvature_bloch(a, h, h_dot):
     """Closed-form curvature from Bloch-space data of a traceless field.
 
     Three terms: a parallel-component term ``4 (a.h)^2 / D``, a
     field-rotation term, and a mixed term, with ``D = h^2 - (a.h)^2``.
-    When ``h_dot`` is all zeros (a stationary field) and ``h^2`` is finite,
-    the last two are exact zeros of either sign and the first term alone
-    is returned: the same bits as the sum.
+    When ``h_dot`` is all zeros (a stationary field) the last two are exact
+    zeros of either sign and the first term alone is returned: the same
+    bits as the sum.
     The trace part of the Hamiltonian cannot bend the path and must be
     dropped by the caller (only ``h`` enters).  Broadcasts over ``(..., 3)``
     rows; ``float_power`` makes each row round as a lone 3-vector does.
+    The coefficient is unchanged by ``(h, dh/dt) -> (h / 2^k, dh/dt / 4^k)``,
+    as by a change of time unit: a row whose field passes ``2**160`` is
+    taken with its largest entry in ``[1/2, 1)`` (``D`` against
+    ``TOL_SING / 4^k``), so that no power of ``D`` overflows.
     """
-    # an overflow leaves a NaN, which _clamp_nonneg raises as a NumericalError
-    with np.errstate(all="ignore"):
-        a = _as_rows(a, "Bloch vector")
-        h = _as_rows(h, "field")
-        hd = _as_rows(h_dot, "field derivative")
-        shape = _broadcast(a, h, hd)
-        ah = _dot(a, h)
-        hh = _dot(h, h)
-        d = hh - ah * ah
-        if not np.all(d > TOL_SING):
-            raise SingularEvolutionError(
-                "a is (anti)parallel to h; eigenstate evolutions have no "
-                "arc-length parameterization"
-            )
-        term1 = 4.0 * ah * ah / d
-        if not hd.any() and np.isfinite(hh).all():  # term2 and term3 are +-0
-            return _clamp_nonneg(np.broadcast_to(term1, shape[:-1]))
-        w = _dot(a, hd)[..., None] * h - ah[..., None] * hd
-        # past |h| ~ 1e51 the powers of d overflow to inf and the terms to 0
-        term2 = (hh * _dot(hd, hd) - np.float_power(_dot(h, hd), 2)
-                 - _dot(w, w)) / np.float_power(d, 3)
-        term3 = 4.0 * ah * _dot(a, _cross(h, hd)) / np.float_power(d, 2)
-        return _clamp_nonneg(term1 + term2 + term3)
+    a = _as_rows(a, "Bloch vector")
+    h = _as_rows(h, "field")
+    hd = _as_rows(h_dot, "field derivative")
+    shape = _broadcast(a, h, hd)
+    peak, tol = np.abs(h).max(axis=-1), TOL_SING
+    if np.any(peak > 2.0**160):
+        k = np.where(peak > 2.0**160, np.frexp(peak)[1], 0)
+        h, hd = np.ldexp(h, -k[..., None]), np.ldexp(hd, -2 * k[..., None])
+        tol = np.ldexp(TOL_SING, -2 * k)
+    ah = _dot(a, h)
+    hh = _dot(h, h)
+    d = hh - ah * ah
+    if np.any(d <= tol):  # a NaN row is left to _clamp_nonneg
+        raise SingularEvolutionError(
+            "a is (anti)parallel to h; eigenstate evolutions have no "
+            "arc-length parameterization"
+        )
+    term1 = 4.0 * ah * ah / d
+    if not hd.any():  # term2 and term3 are +-0
+        return _clamp_nonneg(np.broadcast_to(term1, shape[:-1]))
+    w = _dot(a, hd)[..., None] * h - ah[..., None] * hd
+    term2 = (hh * _dot(hd, hd) - np.float_power(_dot(h, hd), 2)
+             - _dot(w, w)) / np.float_power(d, 3)
+    term3 = 4.0 * ah * _dot(a, _cross(h, hd)) / np.float_power(d, 2)
+    return _clamp_nonneg(term1 + term2 + term3)
 
 
 def curvature_bloch_profile(traj: Trajectory) -> np.ndarray:

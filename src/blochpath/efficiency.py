@@ -98,28 +98,31 @@ def speed_efficiency_profile(traj: Trajectory) -> np.ndarray:
     return _unit_ratio(traj.delta_e / norm)
 
 
-def _speed_ratios(c, phidot):
-    """``(c / r, c / (r + |phidot|/2))`` with ``r = hypot(|phidot|/2, c)``: the
-    traceless and trace-keeping closed forms at a nonnegative finite amplitude
-    speed ``c``, from one ``r``.  No argument is squared, so neither ratio
-    overflows nor underflows where its value does not."""
+def _radii(c, phidot):
+    """``(c, |phidot|/2, r = hypot(|phidot|/2, c))`` at a nonnegative finite ``c``, for
+    the closed forms ``c / r`` and ``c / (r + |phidot|/2)``: each a quarter where ``c``
+    or ``|phidot|/2`` reaches ``2**1021``, so that ``r + |phidot|/2`` is finite and the
+    ratios, scaled exactly, keep their bits.  Nothing is squared."""
     half = 0.5 * np.abs(phidot)
+    quarter = np.where(np.maximum(half, c) >= 2.0**1021, 0.25, 1.0)
+    c, half = c * quarter, half * quarter
     r = np.hypot(half, c)
     if np.any(r == 0.0):
         raise ZeroHamiltonianError("speed efficiency undefined for H = 0")
-    return _unit_ratio(c / r), _unit_ratio(c / (r + half))
+    return c, half, r
 
 
-def _closed_forms(cdot_sq, phidot):
-    """:func:`_speed_ratios` at ``c = sqrt(cdot_sq)``, once ``cdot_sq`` is
-    checked nonnegative and finite."""
+def _closed_form(cdot_sq, phidot, trace: bool):
+    """``c / (r + |phidot|/2)`` if ``trace``, else ``c / r``, of :func:`_radii` at
+    ``c = sqrt(cdot_sq)``, once ``cdot_sq`` is checked nonnegative and finite."""
     c2, pd = _numbers(cdot_sq, "cdot_sq"), _numbers(phidot, "phidot")
     _broadcast(c2, pd)
     if np.any(c2 < 0.0):
         raise RangeError("cdot_sq must be nonnegative")
     if not np.isfinite(c2).all():  # before any arithmetic: inf / inf warns
         raise NumericalError(f"cdot_sq = {float(c2[~np.isfinite(c2)][0])!r} is not finite")
-    return _speed_ratios(np.sqrt(c2), pd)
+    c, half, r = _radii(np.sqrt(c2), pd)
+    return _unit_ratio(c / (r + half) if trace else c / r)
 
 
 def speed_efficiency_tracenonzero(cdot_sq, phidot):
@@ -127,21 +130,19 @@ def speed_efficiency_tracenonzero(cdot_sq, phidot):
 
     ``sqrt(c^2) / sqrt(phidot^2/2 + c^2 + (|phidot|/2) sqrt(phidot^2 + 4c^2))``
     where ``c^2 = |dc0/dt|^2 + |dc1/dt|^2`` for the driven path amplitudes.
-    With ``c = sqrt(cdot_sq)`` and ``r = hypot(|phidot|/2, c)`` the radicand
-    is ``(r + |phidot|/2)^2``, so the ratio is ``c / (r + |phidot|/2)``.
-    Accepts scalars or arrays in ``phidot``.
+    With ``c = sqrt(cdot_sq)`` and ``r = hypot(|phidot|/2, c)`` the radicand is
+    ``(r + |phidot|/2)^2``: the ratio is ``c / (r + |phidot|/2)``, for any shape of ``phidot``.
     """
-    return _closed_forms(cdot_sq, phidot)[1]
+    return _closed_form(cdot_sq, phidot, trace=True)
 
 
 def speed_efficiency_tracezero(cdot_sq, phidot):
     """Closed-form speed efficiency of the traceless sub-optimal drive.
 
-    ``sqrt(c^2) / sqrt(phidot^2/4 + c^2)``, that is ``c / r`` with
-    ``c = sqrt(cdot_sq)`` and the radicand ``r^2``, ``r = hypot(|phidot|/2, c)``;
-    for small ``phidot`` behaves as ``1 - phidot^2 / (8 c^2)``.
+    ``sqrt(c^2) / sqrt(phidot^2/4 + c^2) = c / r``, ``r = hypot(|phidot|/2, c)`` and
+    ``c = sqrt(cdot_sq)``; for small ``phidot`` it behaves as ``1 - phidot^2 / (8 c^2)``.
     """
-    return _closed_forms(cdot_sq, phidot)[0]
+    return _closed_form(cdot_sq, phidot, trace=False)
 
 
 def _check_factors(eta_ge_bar, eta_se_bar) -> None:

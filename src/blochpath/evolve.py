@@ -28,7 +28,8 @@ import numpy as np
 from . import _exports
 from .config import MAX_STEPS, _count, _ordered, _span
 from .core import (FieldSpec, _as_state, _as_times, _check_finite, _dot, _first, _Frozen,
-                   _norm_sq, _numbers, _pauli_re, energy_uncertainty, fubini_study_distance)
+                   _norm_sq, _numbers, _pauli_re, _quiet_fp, energy_uncertainty,
+                   fubini_study_distance)
 from .errors import (ConfigError, IntegrationError, NormalizationError,
                      NumericalError, ShapeError)
 
@@ -212,45 +213,43 @@ def _exponentials(h0, h, t):
     return u
 
 
+@_quiet_fp  # the finiteness and drift checks raise an overflow as an IntegrationError
 def _propagate(psi0, h0_half, h_half, dt) -> np.ndarray:
     """States on the nodes, propagated ``_BLOCK`` steps at a time."""
-    # no user callable runs here, and the finiteness and drift checks below
-    # raise an overflow as an IntegrationError
-    with np.errstate(all="ignore"):
-        n_steps = (len(h0_half) - 1) // 2
-        states = np.empty((n_steps + 1, 2), dtype=complex)
-        states[0] = psi0
-        carry = None
-        if _same_rows(h0_half) and _same_rows(h_half):  # exp(-i t_k H), t_k = (k + 1) dt
-            h0, h = h0_half[0], h_half[0]
-            carry = _exponentials(h0, h, dt * np.arange(1, min(_BLOCK, n_steps) + 1))
-            k = _first(~np.isfinite(carry).all(axis=(0, 1)))
-            if k is not None:  # no dt helps: only a field past the float range fails
-                raise IntegrationError(f"state norm is not finite after step {k}; field "
-                                       f"magnitude {abs(h0) + math.hypot(*h):.3e} "
-                                       "overflows exp(-itH)")
-        for lo in range(0, n_steps, _BLOCK):
-            hi = min(lo + _BLOCK, n_steps)
-            if carry is not None:
-                p = carry[..., :hi - lo]
-            else:
-                p, shift = _step_matrices(h0_half[2 * lo:2 * hi + 1],
-                                          h_half[2 * lo:2 * hi + 1], dt), 1
-                while shift < hi - lo:  # Hillis-Steele: P_k = M_k ... M_0
-                    p[..., shift:] = _mul(p[..., shift:], p[..., :-shift])
-                    shift *= 2
-            w = _mul(p, states[lo, :, None, None])[:, 0]
-            norms = np.sqrt(_norm_sq(w.T))
-            states[lo + 1:hi + 1] = (w / norms).T
-            # step k's growth |M_k y_k| is |P_k y| / |P_(k-1) y|, y = states[lo]
-            growth = norms / np.concatenate(([np.sqrt(_norm_sq(states[lo]))], norms[:-1]))
-            drift = np.abs(growth - 1.0)
-            k = _first(~(drift <= MAX_STEP_DRIFT))
-            if k is not None:
-                cause = (f"norm drift {drift[k]:.3e} in step" if np.isfinite(drift[k])
-                         else "state norm is not finite after step")
-                raise IntegrationError(f"{cause} {lo + k}; reduce dt")
-        return states
+    n_steps = (len(h0_half) - 1) // 2
+    states = np.empty((n_steps + 1, 2), dtype=complex)
+    states[0] = psi0
+    carry = None
+    if _same_rows(h0_half) and _same_rows(h_half):  # exp(-i t_k H), t_k = (k + 1) dt
+        h0, h = h0_half[0], h_half[0]
+        carry = _exponentials(h0, h, dt * np.arange(1, min(_BLOCK, n_steps) + 1))
+        k = _first(~np.isfinite(carry).all(axis=(0, 1)))
+        if k is not None:  # no dt helps: only a field past the float range fails
+            raise IntegrationError(f"state norm is not finite after step {k}; field "
+                                   f"magnitude {abs(h0) + math.hypot(*h):.3e} "
+                                   "overflows exp(-itH)")
+    for lo in range(0, n_steps, _BLOCK):
+        hi = min(lo + _BLOCK, n_steps)
+        if carry is not None:
+            p = carry[..., :hi - lo]
+        else:
+            p, shift = _step_matrices(h0_half[2 * lo:2 * hi + 1],
+                                      h_half[2 * lo:2 * hi + 1], dt), 1
+            while shift < hi - lo:  # Hillis-Steele: P_k = M_k ... M_0
+                p[..., shift:] = _mul(p[..., shift:], p[..., :-shift])
+                shift *= 2
+        w = _mul(p, states[lo, :, None, None])[:, 0]
+        norms = np.sqrt(_norm_sq(w.T))
+        states[lo + 1:hi + 1] = (w / norms).T
+        # step k's growth |M_k y_k| is |P_k y| / |P_(k-1) y|, y = states[lo]
+        growth = norms / np.concatenate(([np.sqrt(_norm_sq(states[lo]))], norms[:-1]))
+        drift = np.abs(growth - 1.0)
+        k = _first(~(drift <= MAX_STEP_DRIFT))
+        if k is not None:
+            cause = (f"norm drift {drift[k]:.3e} in step" if np.isfinite(drift[k])
+                     else "state norm is not finite after step")
+            raise IntegrationError(f"{cause} {lo + k}; reduce dt")
+    return states
 
 
 def schrodinger_evolve(field: FieldSpec, psi0,

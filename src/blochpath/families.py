@@ -26,7 +26,7 @@ import numpy as np
 
 from . import _exports
 from .core import (TOL_NORM, FieldSpec, _ArrayField, _as_vec3, _cross, _dot, _finite_reals,
-                   _first, _Frozen, _norm_sq, _path_rows, _pauli_re, _scalar,
+                   _first, _Frozen, _norm_sq, _path_rows, _pauli_re, _quiet_fp, _scalar,
                    fubini_study_distance)
 from .evolve import TOL_NORM0
 from .errors import (ConfigError, DegenerateEndpointsError, NormalizationError,
@@ -149,33 +149,37 @@ def _path_drive(fam: UzdinFamily, variant: str, times: np.ndarray):
     over all rows.  The path's norm^2 must lie within ``TOL_NORM0`` of 1, or
     ``TOL_NORM`` for a variant, whose phase term maps it to a Bloch vector."""
     m = _path_rows(fam.m_state, "m_state", times, (2,), complex)
-    norm = _norm_sq(m)
+    norm = _quiet_fp(_norm_sq)(m)  # an overflow is inf, far from 1
     k = _first(np.abs(norm - 1.0) > (TOL_NORM0 if variant == "optimal" else TOL_NORM))
     if k is not None:
         raise NormalizationError(f"m({float(times[k])!r}) has norm^2 = "
                                  f"{float(norm[k])!r}")
     md = _path_rows(fam.m_dot, "m_dot", times, (2,), complex)
-    if variant != "optimal":
-        phase_dot = _path_rows(fam.phase_dot, "phase_dot", times)
-    # no path callable runs below; what overflows here ends in a typed error,
-    # from sample_field for a non-finite row or from the propagator
-    with np.errstate(all="ignore"):
-        # the check scales with |dm/dt|, as the rounding of the products does
-        gauge = np.abs(np.einsum("ij,ij->i", m.conj(), md))
-        k = _first(gauge > 1e-8 * (1.0 + np.sqrt(_norm_sq(md))))
-        if k is not None:
-            raise PreconditionError(
-                f"<m|dm/dt| = {gauge[k]:.3e} at t = {float(times[k])!r}; the path must be "
-                "parallel transported (phase-fixed) before constructing the drive"
-            )
-        # h = -Im <m|sigma|dm/dt> = Re <m|sigma|i dm/dt>, where 1j only swaps parts;
-        # a product that overflows leaves its row non-finite for sample_field to name
-        h = _pauli_re(m, 1j * md)
-        if variant == "optimal":
-            return np.zeros(times.shape), h
-        h = h + (0.5 * phase_dot)[:, None] * _pauli_re(m, m)
-        h0 = 0.5 * phase_dot if variant == "trace_nonzero" else np.zeros(times.shape)
-        return h0, h
+    phase_dot = None if variant == "optimal" else _path_rows(fam.phase_dot, "phase_dot", times)
+    return _drive_rows(m, md, phase_dot, variant, times)
+
+
+@_quiet_fp
+def _drive_rows(m, md, phase_dot, variant: str, times: np.ndarray):
+    """:func:`_path_drive` from the path's rows; no path callable runs here, and
+    what overflows ends in a typed error, from sample_field for a non-finite row
+    or from the propagator."""
+    # the check scales with |dm/dt|, as the rounding of the products does
+    gauge = np.abs(np.einsum("ij,ij->i", m.conj(), md))
+    k = _first(gauge > 1e-8 * (1.0 + np.sqrt(_norm_sq(md))))
+    if k is not None:
+        raise PreconditionError(
+            f"<m|dm/dt| = {gauge[k]:.3e} at t = {float(times[k])!r}; the path must be "
+            "parallel transported (phase-fixed) before constructing the drive"
+        )
+    # h = -Im <m|sigma|dm/dt> = Re <m|sigma|i dm/dt>, where 1j only swaps parts;
+    # a product that overflows leaves its row non-finite for sample_field to name
+    h = _pauli_re(m, 1j * md)
+    if variant == "optimal":
+        return np.zeros(times.shape), h
+    h = h + (0.5 * phase_dot)[:, None] * _pauli_re(m, m)
+    h0 = 0.5 * phase_dot if variant == "trace_nonzero" else np.zeros(times.shape)
+    return h0, h
 
 
 def uzdin_optimal(fam: UzdinFamily) -> FieldSpec:

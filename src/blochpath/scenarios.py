@@ -28,10 +28,10 @@ import numpy as np
 
 from . import _exports
 from .config import ALL_OUTPUTS, SCENARIOS, ScenarioConfig, _count, _finite, _resolve
-from .core import FieldSpec, _ArrayField, _norm_sq, _numbers, state_from_bloch
+from .core import FieldSpec, _ArrayField, _norm_sq, _numbers, _quiet_fp, state_from_bloch
 from .csvtext import csv_rows
 from .curvature import curvature_bloch_profile
-from .efficiency import _speed_ratios, _unit_ratio, efficiency_report
+from .efficiency import _radii, _unit_ratio, efficiency_report
 from .errors import BlochPathError, ConfigError, NumericalError, ShapeError
 from .evolve import TOL_NORM0, TimeGrid, schrodinger_evolve
 from .families import (
@@ -414,6 +414,7 @@ def _finite_columns(columns: dict) -> dict:
     return columns
 
 
+@_quiet_fp  # an overflowing column is caught by _finite_columns
 def sweep_alpha(theta_ab: float, n_points: int, E: float = 1.0) -> dict:
     """Closed-form sweep of the stationary family over ``alpha``.
 
@@ -430,8 +431,7 @@ def sweep_alpha(theta_ab: float, n_points: int, E: float = 1.0) -> dict:
     alphas = np.linspace(0.0, np.pi, n_points)
     alphas[0] = ALPHA_EPS
     alphas[-1] = np.pi - ALPHA_EPS
-    # arc length, travel time and dispersion from one evaluation of the
-    # radius and the angle
+    # arc length, travel time and dispersion from one radius and angle each
     radius, phi = _orbit(alphas, theta_ab)
     s = radius * phi
     return _finite_columns({
@@ -459,17 +459,17 @@ def _phase_functions(profile: str, phi0: float, phidot0: float):
     raise ConfigError(f"unknown profile {profile!r}; expected log, linear, or exp")
 
 
+@_quiet_fp  # an overflowing phase is a non-finite column
 def sweep_phase_profiles(profile: str, phi0: float, phidot0: float,
                          omega0: float, t_end: float = 5.0,
                          n_points: int = 501) -> dict:
     """Speed efficiency over time for a phase-modulated constant-speed path.
 
-    The driven path is ``cos(omega0 t)|0> + sin(omega0 t)|1>`` so the
-    amplitude speed is constant, ``c = |omega0|``, and any finite ``omega0``
-    is valid.  Both sub-optimal variants are emitted since they share the
-    phase profile and ``r = hypot(|phi_dot|/2, c)``: ``eta_se_trace_zero``
-    (the traceless drive, ``c / r``) and ``eta_se_trace_nonzero`` (the
-    trace-keeping drive, ``c / (r + |phi_dot|/2)``, never the larger).
+    The driven path ``cos(omega0 t)|0> + sin(omega0 t)|1>`` has the constant amplitude
+    speed ``c = |omega0|``, so any finite ``omega0`` is valid.  Both sub-optimal
+    variants share the phase profile and ``r = hypot(|phi_dot|/2, c)``, so both are
+    emitted: ``eta_se_trace_zero`` (the traceless drive, ``c / r``) and
+    ``eta_se_trace_nonzero`` (trace-keeping, ``c / (r + |phi_dot|/2)``, never the larger).
     """
     n_points = _count(n_points, "time points")
     phi0 = _finite(phi0, "phi0")
@@ -482,8 +482,8 @@ def sweep_phase_profiles(profile: str, phi0: float, phidot0: float,
     t = np.linspace(0.0, t_end, n_points)
     if profile == "log" and 1.0 + (phidot0 / phi0) * t_end <= 0.0:
         raise ConfigError("log profile leaves its domain before t_end")
-    with np.errstate(all="ignore"):  # an overflowing phase is a non-finite column
-        columns = _finite_columns({"t": t, "phi": phase(t), "phi_dot": phase_dot(t)})
-    columns["eta_se_trace_zero"], columns["eta_se_trace_nonzero"] = \
-        _speed_ratios(abs(omega0), columns["phi_dot"])
+    columns = _finite_columns({"t": t, "phi": phase(t), "phi_dot": phase_dot(t)})
+    c, half, r = _radii(abs(omega0), columns["phi_dot"])
+    columns["eta_se_trace_zero"] = _unit_ratio(c / r)
+    columns["eta_se_trace_nonzero"] = _unit_ratio(c / (r + half))
     return columns

@@ -943,14 +943,18 @@ class TestProcessInvocation:
 
     @pytest.mark.parametrize("phidot0, omega0, etas", [
         ("0", "1e-200", "1,1"), ("1", "1e-300", "2e-300,1e-300"), ("1", "1e300", "1,1"),
-    ], ids=["omega0_squared_underflows_to_0", "tiny_ratios", "omega0_squared_overflows"])
+        ("1.2e308", "1.7e308", "0.94299033358289,0.70751508101882"),
+    ], ids=["omega0_squared_underflows_to_0", "tiny_ratios", "omega0_squared_overflows",
+            "hypot_past_the_float_range"])
     def test_float_edge_phase_profiles_take_any_finite_omega0(self, phidot0, omega0, etas):
         # the closed forms read c = |omega0|, so omega0^2 leaving the float
-        # range changes nothing; -W error turns any numpy warning into a failure
+        # range changes nothing, and c and |phidot|/2 near its top are taken at
+        # a quarter; -W error turns any numpy warning into a failure
         proc = subprocess.run(
             [sys.executable, "-W", "error", "-m", "blochpath", "phase-profiles", "--profile",
              "linear", "--phi0", "0", "--phidot0", phidot0, "--omega0", omega0,
-             "--points", "3"], capture_output=True, text=True, env=_child_env())
+             "--t-end", "1", "--points", "3"], capture_output=True, text=True,
+            env=_child_env())
         assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
         rows = proc.stdout.splitlines()[1:]
         assert len(rows) == 3 and all(row.endswith("," + etas) for row in rows)

@@ -124,10 +124,11 @@ class TestStationaryBits:
         assert got.shape == (5,)
         assert np.array_equal(got, np.full(5, curvature_bloch(a[0], h[0], np.zeros(3))))
 
-    def test_an_overflowing_field_square_still_raises(self):
-        # |h|^2 = inf with a.h finite: the full form gives inf * 0 = NaN
-        with pytest.raises(NumericalError, match="NaN"):
-            curvature_bloch([0.0, 0.0, 1.0], [1e200, 0.0, 1e-3], np.zeros(3))
+    def test_a_field_whose_square_overflows_gives_its_value(self):
+        # |h|^2 = 1e400 unscaled; the true value 4e-406 rounds to 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert curvature_bloch([0.0, 0.0, 1.0], [1e200, 0.0, 1e-3], np.zeros(3)) == 0.0
 
     def test_a_huge_driven_field_gives_its_value_without_a_warning(self):
         # d^3 and d^2 overflow to inf, so the field-rotation and mixed terms
@@ -137,14 +138,44 @@ class TestStationaryBits:
             got = curvature_bloch([1.0, 0.0, 0.0], [0.0, 1e150, 1e150], [1.0, 0.0, 0.0])
         assert got == 0.0
 
-    @pytest.mark.parametrize("size", [1e200, 1e100])
-    def test_float_edge_an_overflowing_driven_field_is_a_numerical_error(self, size):
-        # |h|^2 overflows at 1e200; at 1e100 the numerator of the rotation
-        # term and d^3 both do, inf / inf
+    @pytest.mark.parametrize("a, h, h_dot, true", [
+        ([1.0, 0.0, 0.0], [0.0, 1e200, 0.0], [0.0, 0.0, 1e200], 0.0),
+        ([1.0, 0.0, 0.0], [0.0, 1e100, 0.0], [0.0, 0.0, 1e100], 1e-200),
+        ([0.6, 0.8, 0.0], [1e200, 0.0, 1e200], [0.0, 0.0, 0.0], 36.0 / 41.0),
+    ], ids=["field_square_overflows", "rotation_term_overflows", "field_square_overflows_at_rest"])
+    def test_float_edge_a_large_field_gives_its_value(self, a, h, h_dot, true):
+        # unscaled, |h|^2 overflows at 1e200 (h^2 - (a.h)^2 is inf - inf at rest)
+        # and at 1e100 the rotation term is inf / inf; kappa^2 is 1 / |h|^2 in
+        # the first two, 1e-400 rounding to 0, and 4 (a.h)^2 / D at rest
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(NumericalError, match="NaN"):
-                curvature_bloch([1.0, 0.0, 0.0], [0.0, size, 0.0], [0.0, 0.0, size])
+            got = curvature_bloch(a, h, h_dot)
+        assert abs(got - true) <= 4 * np.spacing(true)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(k=st.integers(0, 500), seed=st.integers(0, 2**32 - 1))
+    def test_float_edge_a_change_of_time_unit_keeps_kappa(self, k, seed):
+        # (h, dh/dt) -> (2^k h, 4^k dh/dt) is exact and leaves kappa^2 as it is:
+        # to 1e-12 by the unscaled rounding, and to the bit between two fields
+        # past 2^160, which are taken at one scale.  k >= 0, since D is compared
+        # with an absolute TOL_SING, and 4^k dh/dt stays finite
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=3)
+        a /= np.linalg.norm(a)
+        h, h_dot = rng.normal(size=3), rng.normal(size=3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            want = curvature_bloch(a, h, h_dot)
+            got = curvature_bloch(a, np.ldexp(h, k), np.ldexp(h_dot, 2 * k))
+            big = curvature_bloch(a, np.ldexp(h, 300), np.ldexp(h_dot, 600))
+            bigger = curvature_bloch(a, np.ldexp(h, 500), np.ldexp(h_dot, 1000))
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-300)
+        assert bigger == big
+
+    def test_float_edge_an_overflow_is_not_a_parallel_field(self):
+        # a.h = 0.6 inf and |h|^2 = inf: D = inf - inf is NaN, not a small D
+        with pytest.raises(NumericalError, match="NaN"):
+            curvature_bloch([0.6, 0.8, 0.0], [np.inf, 0.0, 0.0], np.zeros(3))
 
 
 def errors_against_analytic(h, h_dot, t_span, steps, first=0.0):

@@ -1,5 +1,6 @@
 """Geodesic/speed/hybrid efficiencies and the waste taxonomy."""
 
+import decimal
 import math
 import warnings
 
@@ -29,7 +30,7 @@ from blochpath import (
     state_from_bloch,
     sweep_phase_profiles,
 )
-from blochpath.efficiency import TOL_EXCESS, _speed_ratios
+from blochpath.efficiency import TOL_EXCESS
 from feynman import feynman_evolve
 
 PSI0 = np.array([np.sqrt(3) / 2, 0.5], dtype=complex)
@@ -49,10 +50,21 @@ def signed_powers(low, high):
                      st.sampled_from([1.0, -1.0]))
 
 
-#: omega0 of either sign, log-uniform in size from 1e-300 to 1e300
-amplitude_speeds = signed_powers(-300.0, 300.0)
-#: phase rates in [-1e3, 1e3]: 0, or log-uniform in size from 1e-300
-phase_rates = st.just(0.0) | signed_powers(-300.0, 3.0)
+#: omega0 of either sign, log-uniform in size from 1e-300 to 10^308.25, near
+#: the top of the float range
+amplitude_speeds = signed_powers(-300.0, 308.25)
+#: phase rates: 0, or of either sign and log-uniform in size as omega0 is
+phase_rates = st.just(0.0) | signed_powers(-300.0, 308.25)
+
+
+def exact_speed_ratios(c, phidot):
+    """``(c / r, c / (r + |phidot|/2))``, ``r = sqrt(phidot^2/4 + c^2)``, in
+    40-digit decimals, whose exponents do not overflow, rounded to floats."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        c, half = abs(decimal.Decimal(c)), abs(decimal.Decimal(phidot)) / 2
+        r = (half * half + c * c).sqrt()
+        return float(c / r), float(c / (r + half))
 
 
 class TestGeodesicEfficiency:
@@ -169,43 +181,51 @@ class TestSpeedEfficiency:
             with pytest.raises(NumericalError, match=r"cdot_sq = (inf|nan) is not finite"):
                 form(cdot_sq, 1.0)
 
-    @pytest.mark.parametrize("phidot0, omega0", [(1.0, 1e300), (1e-200, 1e-170)],
-                             ids=["omega0_squared_overflows", "omega0_squared_underflows"])
+    @pytest.mark.parametrize("phidot0, omega0", [
+        (1.0, 1e300), (1e-200, 1e-170), (1.2e308, 1.7e308), (1e308, 1.7e308), (1.79e308, 1e308),
+    ], ids=["omega0_squared_overflows", "omega0_squared_underflows", "r_past_the_float_range",
+            "r_plus_half_past_the_float_range", "phidot_near_the_top"])
     def test_float_edge_phase_profiles_take_any_finite_omega0(self, phidot0, omega0):
         # c = |omega0| is squared nowhere: omega0^2 is inf in the first case and
-        # 0 in the second, where both true ratios are 1 to within 1e-30
+        # 0 in the second, where both true ratios are 1 to within 1e-30.  In the
+        # last three r, or r + |phidot|/2, passes the largest double unless c
+        # and |phidot|/2 are taken at a quarter
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            columns = sweep_phase_profiles("linear", 0.0, phidot0, omega0)
-        assert np.all(columns["eta_se_trace_zero"] == 1.0)
-        assert np.all(columns["eta_se_trace_nonzero"] == 1.0)
+            columns = sweep_phase_profiles("linear", 0.0, phidot0, omega0, 1.0, 3)
+        for name, true in zip(("eta_se_trace_zero", "eta_se_trace_nonzero"),
+                              exact_speed_ratios(omega0, phidot0)):
+            assert np.all(np.abs(columns[name] - true) <= 4 * np.spacing(true)), name
+            if omega0 > 1e6 * phidot0:
+                assert np.all(columns[name] == 1.0), name
 
     @given(omega0=amplitude_speeds, phidot=phase_rates, k=st.integers(-1000, 1000))
     @settings(max_examples=300, deadline=None, derandomize=True)
-    def test_float_edge_phase_profiles_are_the_speed_ratios_of_omega0(self, omega0,
-                                                                      phidot, k):
+    def test_float_edge_phase_profiles_are_the_exact_ratios_at_any_scale(self, omega0,
+                                                                         phidot, k):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             columns = sweep_phase_profiles("linear", 0.0, phidot, omega0, 1.0, 3)
-            want = _speed_ratios(abs(omega0), columns["phi_dot"])
             # within these bounds omega0^2 is a normal double whose root is |omega0|
             square = omega0 * omega0 if 1.5e-154 < abs(omega0) < 1.3e154 else None
             if square is not None:
                 public = (speed_efficiency_tracezero(square, columns["phi_dot"]),
                           speed_efficiency_tracenonzero(square, columns["phi_dot"]))
-            # 2^k c and 2^k |phidot|/2 are exact, and so is every intermediate
-            # while it stays normal and finite: k is clamped to keep the
-            # larger of the two below 2^1021 and the smaller nonzero one above
-            # 2^-1022
-            c, half = abs(omega0), 0.5 * abs(phidot)
-            exponents = [np.frexp(x)[1] for x in (c, half) if x != 0.0]
-            k = min(max(k, -1021 - min(exponents)), 1021 - max(exponents))
-            scaled = _speed_ratios(np.ldexp(c, k), np.ldexp(columns["phi_dot"], k))
-        for i, name in enumerate(("eta_se_trace_zero", "eta_se_trace_nonzero")):
-            assert np.array_equal(columns[name], want[i]), name
-            assert np.array_equal(scaled[i], want[i]), (name, k)
+            # 2^k omega0 and 2^k phidot are exact, and so is every intermediate
+            # while it stays normal, a quarter of |phidot|/2 too, and finite: k
+            # keeps the larger below 2^1023, so that the phase column is written,
+            # and the smaller nonzero one at or above 2^-1019
+            exponents = [np.frexp(x)[1] for x in (omega0, phidot) if x != 0.0]
+            k = min(max(k, -1018 - min(exponents)), 1023 - max(exponents))
+            scaled = sweep_phase_profiles("linear", 0.0, np.ldexp(phidot, k),
+                                          np.ldexp(omega0, k), 1.0, 3)
+        for name, true in zip(("eta_se_trace_zero", "eta_se_trace_nonzero"),
+                              exact_speed_ratios(omega0, phidot)):
+            assert np.all(np.abs(columns[name] - true) <= 4 * np.spacing(true)), name
+            assert np.array_equal(scaled[name], columns[name]), (name, k)
             if square is not None:
-                assert np.array_equal(public[i], want[i]), name
+                i = name.endswith("nonzero")
+                assert np.array_equal(public[i], columns[name]), name
 
     @pytest.mark.parametrize("args", [("exp", 0.5, 1000.0, 1.0), ("log", 1e-300, 1e300, 1.0)],
                              ids=["exp_expm1_overflows", "log_rate_overflows"])

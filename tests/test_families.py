@@ -370,6 +370,15 @@ class TestUzdinConstructions:
             with pytest.raises(IntegrationError, match="not finite after step 0"):
                 run_report(config)
 
+    def test_float_edge_a_path_whose_norm_overflows_is_a_normalization_error(self):
+        # |m|^2 of entries 1e200 is inf, checked before m_dot is called
+        fam = UzdinFamily(m_state=lambda t: np.stack([1e200 + 0.0 * t, 0.0 * t], -1) + 0j,
+                          m_dot=lambda t: np.zeros((len(t), 2), complex))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NormalizationError, match=r"m\(0.5\) has norm\^2 = inf"):
+                uzdin_optimal(fam).sample([0.5])
+
     def test_suboptimal_variant_validation(self):
         fam = UzdinFamily(m_state=great_circle, m_dot=great_circle_dot)
         with pytest.raises(ConfigError):

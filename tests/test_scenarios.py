@@ -16,6 +16,7 @@ import json
 import math
 import os
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +27,7 @@ from hypothesis import strategies as st
 from blochpath import scenarios
 from blochpath import (
     ConfigError,
+    NumericalError,
     ScenarioConfig,
     ShapeError,
     build_scenario,
@@ -508,6 +510,13 @@ class TestSweepAlpha:
     def test_integral_float_point_count(self):
         table = sweep_alpha(1.2, 5.0)
         assert table["alpha"].tolist() == sweep_alpha(1.2, 5)["alpha"].tolist()
+
+    def test_float_edge_an_overflowing_travel_time_is_a_numerical_error(self):
+        # phi / (2 E) at a subnormal E overflows; no warning comes before the error
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="sweep column 't_ab' is not finite"):
+                sweep_alpha(1.2, 9, E=5e-309)
 
 
 class TestPhaseProfiles:
