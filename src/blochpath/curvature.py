@@ -41,6 +41,8 @@ def _clamp_nonneg(value):
     if not np.all(value >= -TOL_NEG):
         raise NumericalError(f"curvature {float(np.min(value))!r} is NaN or "
                              "negative beyond tolerance")
+    if not np.all(value < np.inf):
+        raise NumericalError("curvature is past the float range")
     return np.where(value < 0.0, 0.0, value)[()]
 
 
@@ -57,17 +59,20 @@ def curvature_bloch(a, h, h_dot):
     dropped by the caller (only ``h`` enters).  Broadcasts over ``(..., 3)``
     rows; ``float_power`` makes each row round as a lone 3-vector does.
     The coefficient is unchanged by ``(h, dh/dt) -> (h / 2^k, dh/dt / 4^k)``,
-    as by a change of time unit: a row whose field passes ``2**160`` is
-    taken with its largest entry in ``[1/2, 1)`` (``D`` against
-    ``TOL_SING / 4^k``), so that no power of ``D`` overflows.
+    as by a change of time unit: a row whose ``h`` passes ``2**160`` or whose
+    ``dh/dt`` passes ``2**320`` is taken with the largest entry of ``h`` in
+    ``[1/2, 1)`` (``D`` against ``TOL_SING / 4^k``), where each product is of
+    the size of the coefficient, so none overflows where the coefficient does
+    not.  A coefficient past the float range is a :class:`NumericalError`.
     """
     a = _as_rows(a, "Bloch vector")
     h = _as_rows(h, "field")
     hd = _as_rows(h_dot, "field derivative")
     shape = _broadcast(a, h, hd)
     peak, tol = np.abs(h).max(axis=-1), TOL_SING
-    if np.any(peak > 2.0**160):
-        k = np.where(peak > 2.0**160, np.frexp(peak)[1], 0)
+    big = (peak > 2.0**160) | (np.abs(hd).max(axis=-1) > 2.0**320)
+    if np.any(big):
+        k = np.where(big, np.frexp(peak)[1], 0)
         h, hd = np.ldexp(h, -k[..., None]), np.ldexp(hd, -2 * k[..., None])
         tol = np.ldexp(TOL_SING, -2 * k)
     ah = _dot(a, h)

@@ -131,8 +131,8 @@ class TestStationaryBits:
             assert curvature_bloch([0.0, 0.0, 1.0], [1e200, 0.0, 1e-3], np.zeros(3)) == 0.0
 
     def test_a_huge_driven_field_gives_its_value_without_a_warning(self):
-        # d^3 and d^2 overflow to inf, so the field-rotation and mixed terms
-        # are 0 and the parallel term, 0 here, is the whole value
+        # a.h = 0 and a.dh/dt = |dh/dt|: the mixed term and the rotation term's
+        # numerator are 0, and the parallel term, 0 here, is the whole value
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = curvature_bloch([1.0, 0.0, 0.0], [0.0, 1e150, 1e150], [1.0, 0.0, 0.0])
@@ -142,11 +142,14 @@ class TestStationaryBits:
         ([1.0, 0.0, 0.0], [0.0, 1e200, 0.0], [0.0, 0.0, 1e200], 0.0),
         ([1.0, 0.0, 0.0], [0.0, 1e100, 0.0], [0.0, 0.0, 1e100], 1e-200),
         ([0.6, 0.8, 0.0], [1e200, 0.0, 1e200], [0.0, 0.0, 0.0], 36.0 / 41.0),
-    ], ids=["field_square_overflows", "rotation_term_overflows", "field_square_overflows_at_rest"])
+        ([1.0, 0.0, 0.0], [0.0, 1e40, 0.0], [0.0, 0.0, 1e140], 1e120),
+    ], ids=["field_square_overflows", "rotation_term_overflows", "field_square_overflows_at_rest",
+            "derivative_square_overflows"])
     def test_float_edge_a_large_field_gives_its_value(self, a, h, h_dot, true):
-        # unscaled, |h|^2 overflows at 1e200 (h^2 - (a.h)^2 is inf - inf at rest)
-        # and at 1e100 the rotation term is inf / inf; kappa^2 is 1 / |h|^2 in
-        # the first two, 1e-400 rounding to 0, and 4 (a.h)^2 / D at rest
+        # unscaled, |h|^2 overflows at 1e200 (h^2 - (a.h)^2 is inf - inf at rest),
+        # at 1e100 the rotation term is inf / inf, and |h|^2 |dh/dt|^2 = 1e360;
+        # kappa^2 is |dh/dt|^2 / |h|^4 but at rest, 1e-400 rounding to 0 in the
+        # first, and 4 (a.h)^2 / D at rest
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = curvature_bloch(a, h, h_dot)
@@ -171,6 +174,13 @@ class TestStationaryBits:
             bigger = curvature_bloch(a, np.ldexp(h, 500), np.ldexp(h_dot, 1000))
         assert got == pytest.approx(want, rel=1e-12, abs=1e-300)
         assert bigger == big
+
+    def test_float_edge_a_curvature_past_the_float_range_is_a_numerical_error(self):
+        # kappa^2 = |dh/dt|^2 / |h|^4 = 1e340 is inf, which passes the sign check
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="past the float range"):
+                curvature_bloch([1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1e170])
 
     def test_float_edge_an_overflow_is_not_a_parallel_field(self):
         # a.h = 0.6 inf and |h|^2 = inf: D = inf - inf is NaN, not a small D
