@@ -46,7 +46,7 @@ def _clamp_nonneg(value):
     return np.where(value < 0.0, 0.0, value)[()]
 
 
-@_quiet_fp  # an overflow leaves a NaN, which _clamp_nonneg raises as a NumericalError
+@_quiet_fp  # an overflow leaves a NaN or inf, which _clamp_nonneg raises as a NumericalError
 def curvature_bloch(a, h, h_dot):
     """Closed-form curvature from Bloch-space data of a traceless field.
 

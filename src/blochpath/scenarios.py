@@ -431,7 +431,7 @@ def sweep_alpha(theta_ab: float, n_points: int, E: float = 1.0) -> dict:
     alphas = np.linspace(0.0, np.pi, n_points)
     alphas[0] = ALPHA_EPS
     alphas[-1] = np.pi - ALPHA_EPS
-    # arc length, travel time and dispersion from one radius and angle each
+    # s, t_ab and delta_e from one evaluation of the radius and the angle
     radius, phi = _orbit(alphas, theta_ab)
     s = radius * phi
     return _finite_columns({
