@@ -59,8 +59,8 @@ def curvature_bloch(a, h, h_dot):
     dropped by the caller (only ``h`` enters).  Broadcasts over ``(..., 3)``
     rows; ``float_power`` makes each row round as a lone 3-vector does.
     The coefficient is unchanged by ``(h, dh/dt) -> (h / 2^k, dh/dt / 4^k)``,
-    as by a change of time unit: a row whose ``h`` passes ``2**160`` or whose
-    ``dh/dt`` passes ``2**320`` is taken with the largest entry of ``h`` in
+    as by a change of time unit: a row whose ``h^2`` passes ``2**320`` or whose
+    ``(dh/dt)^2`` passes ``2**640`` is taken with the largest entry of ``h`` in
     ``[1/2, 1)`` (``D`` against ``TOL_SING / 4^k``), where each product is of
     the size of the coefficient, so none overflows where the coefficient does
     not.  A coefficient past the float range is a :class:`NumericalError`.
@@ -69,14 +69,13 @@ def curvature_bloch(a, h, h_dot):
     h = _as_rows(h, "field")
     hd = _as_rows(h_dot, "field derivative")
     shape = _broadcast(a, h, hd)
-    peak, tol = np.abs(h).max(axis=-1), TOL_SING
-    big = (peak > 2.0**160) | (np.abs(hd).max(axis=-1) > 2.0**320)
+    hh, hdhd, tol = _dot(h, h), _dot(hd, hd), TOL_SING
+    big = (hh > 2.0**320) | (hdhd > 2.0**640)
     if np.any(big):
-        k = np.where(big, np.frexp(peak)[1], 0)
+        k = np.where(big, np.frexp(np.abs(h).max(axis=-1))[1], 0)
         h, hd = np.ldexp(h, -k[..., None]), np.ldexp(hd, -2 * k[..., None])
-        tol = np.ldexp(TOL_SING, -2 * k)
+        hh, hdhd, tol = _dot(h, h), _dot(hd, hd), np.ldexp(TOL_SING, -2 * k)
     ah = _dot(a, h)
-    hh = _dot(h, h)
     d = hh - ah * ah
     if np.any(d <= tol):  # a NaN row is left to _clamp_nonneg
         raise SingularEvolutionError(
@@ -87,7 +86,7 @@ def curvature_bloch(a, h, h_dot):
     if not hd.any():  # term2 and term3 are +-0
         return _clamp_nonneg(np.broadcast_to(term1, shape[:-1]))
     w = _dot(a, hd)[..., None] * h - ah[..., None] * hd
-    term2 = (hh * _dot(hd, hd) - np.float_power(_dot(h, hd), 2)
+    term2 = (hh * hdhd - np.float_power(_dot(h, hd), 2)
              - _dot(w, w)) / np.float_power(d, 3)
     term3 = 4.0 * ah * _dot(a, _cross(h, hd)) / np.float_power(d, 2)
     return _clamp_nonneg(term1 + term2 + term3)
