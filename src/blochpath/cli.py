@@ -128,11 +128,10 @@ def _main(argv, freeze: bool) -> int:
         if freeze:
             _load(freeze)
         from . import scenarios
-        from .core import _quiet_fp
         # every file is written under a guard naming it, so an OS error that
         # reaches the guard here came from a print to stdout or its flush
         with scenarios._output("<stdout>"):
-            _quiet_fp(_run)(args, config, scenarios)
+            _run(args, config, scenarios)
             sys.stdout.flush()
         return EXIT_OK
     except ConfigError as exc:

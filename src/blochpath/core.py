@@ -127,18 +127,6 @@ def _as_rows(v, name: str) -> np.ndarray:
     return arr
 
 
-def pauli_compose(h0, h) -> np.ndarray:
-    """Assemble ``h0 * I + h . sigma`` as explicit 2x2 complex matrices."""
-    h0 = _finite_reals(h0, "h0")
-    h = _as_rows(h, "field")
-    out = np.empty(_broadcast(h0, h[..., 0]) + (2, 2), dtype=complex)
-    out[..., 0, 0] = h0 + h[..., 2]
-    out[..., 0, 1] = h[..., 0] - 1j * h[..., 1]
-    out[..., 1, 0] = h[..., 0] + 1j * h[..., 1]
-    out[..., 1, 1] = h0 - h[..., 2]
-    return out
-
-
 def _quiet_fp(fn: Callable) -> Callable:
     """``fn`` under ``np.errstate(all="ignore")``: for library arithmetic whose
     overflow or invalid value ends in the typed error of a finiteness check,
@@ -149,6 +137,21 @@ def _quiet_fp(fn: Callable) -> Callable:
         with np.errstate(all="ignore"):
             return fn(*args, **kwargs)
     return quiet
+
+
+@_quiet_fp  # an entry past the float range is inf, raised as a NumericalError
+def pauli_compose(h0, h) -> np.ndarray:
+    """Assemble ``h0 * I + h . sigma`` as explicit 2x2 complex matrices."""
+    h0 = _finite_reals(h0, "h0")
+    h = _as_rows(h, "field")
+    out = np.empty(_broadcast(h0, h[..., 0]) + (2, 2), dtype=complex)
+    out[..., 0, 0] = h0 + h[..., 2]
+    out[..., 0, 1] = h[..., 0] - 1j * h[..., 1]
+    out[..., 1, 0] = h[..., 0] + 1j * h[..., 1]
+    out[..., 1, 1] = h0 - h[..., 2]
+    if not np.isfinite(out).all():
+        raise NumericalError("Hamiltonian entry is not finite")
+    return out
 
 
 def _dot(x, y):
@@ -204,6 +207,7 @@ def _pauli_re(x, y):
     return np.stack([re01 + re10, im01 - im10, re00 - re11], axis=-1)
 
 
+@_quiet_fp  # a norm^2 past the float range is inf, far from 1
 def state_from_bloch(a) -> np.ndarray:
     """Pure state on the given Bloch direction, with ``c0`` real and >= 0.
 
@@ -227,6 +231,7 @@ def state_from_bloch(a) -> np.ndarray:
     return np.array([c0, c1], dtype=complex)
 
 
+@_quiet_fp  # a dispersion past the float range is inf, raised as a NumericalError
 def energy_uncertainty(a, h):
     """Instantaneous energy dispersion ``|a x h|`` of a unit Bloch vector.
 
@@ -237,14 +242,21 @@ def energy_uncertainty(a, h):
     a = _as_rows(a, "Bloch vector")
     h = _as_rows(h, "field")
     _broadcast(a, h)
-    return _norms(_cross(a, h))
+    out = _norms(_cross(a, h))
+    if not np.isfinite(out).all():
+        raise NumericalError("energy dispersion is not finite")
+    return out
 
 
+@_quiet_fp  # a norm past the float range is inf, raised as a NumericalError
 def spectral_norm(h0, h):
     """Spectral norm ``|h0| + |h|`` of ``h0 * I + h . sigma``."""
     h0, h = _finite_reals(h0, "h0"), _as_rows(h, "field")
     _broadcast(h0, h[..., 0])
-    return np.abs(h0) + _norms(h)
+    out = np.abs(h0) + _norms(h)
+    if not np.isfinite(out).all():
+        raise NumericalError("spectral norm is not finite")
+    return out
 
 
 def fubini_study_distance(a, b):

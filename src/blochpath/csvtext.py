@@ -321,5 +321,5 @@ def _pages(columns: list):
     keep = np.maximum.reduce(cells, axis=1).nonzero()[0]
     step = _PAGE // len(keep)
     for lo in range(0, n, step):
-        yield np.ascontiguousarray(cells[keep, lo:lo + step].T).tobytes().translate(
-            None, b"\0")
+        # the fancy index copies, and tobytes writes its transpose in C order
+        yield cells[keep, lo:lo + step].T.tobytes().translate(None, b"\0")

@@ -24,14 +24,15 @@ from __future__ import annotations
 import numpy as np
 
 from . import _exports
-from .core import (_as_rows, _broadcast, _check_finite, _cross, _dot, _first,
+from .core import (_as_rows, _broadcast, _check_finite, _cross, _dot, _first, _norms,
                    _quiet_fp, pauli_compose)
 from .errors import NumericalError, SingularEvolutionError
 from .evolve import Trajectory, parallel_transport
 
 __all__ = _exports(__name__)
 
-#: dispersion denominators below this are singular (eigenstate evolution)
+#: a node whose dispersion has ``dE^2 <= TOL_SING |h|^2`` is singular (an
+#: eigenstate evolution): ``a`` within 1e-6 rad of ``+-h``, at any field size
 TOL_SING = 1e-12
 #: squared-norm results may undershoot 0 by at most this
 TOL_NEG = 1e-9
@@ -46,38 +47,40 @@ def _clamp_nonneg(value):
     return np.where(value < 0.0, 0.0, value)[()]
 
 
-@_quiet_fp  # an overflow leaves a NaN or inf, which _clamp_nonneg raises as a NumericalError
+@_quiet_fp  # an overflow leaves a NaN or inf, which is raised as a NumericalError
 def curvature_bloch(a, h, h_dot):
     """Closed-form curvature from Bloch-space data of a traceless field.
 
     Three terms: a parallel-component term ``4 (a.h)^2 / D``, a
-    field-rotation term, and a mixed term, with ``D = h^2 - (a.h)^2``.
-    When ``h_dot`` is all zeros (a stationary field) the last two are exact
-    zeros of either sign and the first term alone is returned: the same
-    bits as the sum.
+    field-rotation term, and a mixed term, with ``D = h^2 - (a.h)^2``, which
+    is ``dE^2`` for a unit ``a``; a row with ``D <= TOL_SING h^2`` is
+    singular.  When ``h_dot`` is all zeros (a stationary field) the last two
+    are exact zeros of either sign and the first term alone is returned: the
+    same bits as the sum.
     The trace part of the Hamiltonian cannot bend the path and must be
     dropped by the caller (only ``h`` enters).  Broadcasts over ``(..., 3)``
     rows; ``float_power`` makes each row round as a lone 3-vector does.
     The coefficient is unchanged by ``(h, dh/dt) -> (h / 2^k, dh/dt / 4^k)``,
-    as by a change of time unit: a row whose ``h^2`` passes ``2**320`` or whose
-    ``(dh/dt)^2`` passes ``2**640`` is taken with the largest entry of ``h`` in
-    ``[1/2, 1)`` (``D`` against ``TOL_SING / 4^k``), where each product is of
-    the size of the coefficient, so none overflows where the coefficient does
-    not.  A coefficient past the float range is a :class:`NumericalError`.
+    as by a change of time unit: a row whose ``h^2`` lies outside
+    ``[2**-300, 2**300]`` or whose ``(dh/dt)^2`` passes ``2**600`` is taken
+    with the largest entry of ``h`` in ``[1/2, 1)``, where each product is of
+    the size of the coefficient, so none overflows, or loses digits to
+    underflow, where the coefficient does not.  A coefficient past the float
+    range is a :class:`NumericalError`.
     """
     a = _as_rows(a, "Bloch vector")
     h = _as_rows(h, "field")
     hd = _as_rows(h_dot, "field derivative")
-    shape = _broadcast(a, h, hd)
-    hh, hdhd, tol = _dot(h, h), _dot(hd, hd), TOL_SING
-    big = (hh > 2.0**320) | (hdhd > 2.0**640)
-    if np.any(big):
-        k = np.where(big, np.frexp(np.abs(h).max(axis=-1))[1], 0)
+    shape, given = _broadcast(a, h, hd), (a, h, hd)
+    hh, hdhd = _dot(h, h), _dot(hd, hd)
+    far = ~((2.0**-300 <= hh) & (hh <= 2.0**300) & (hdhd <= 2.0**600))
+    if np.any(far):  # a zero row is far too, and keeps its bits: frexp(0) is (0, 0)
+        k = np.where(far, np.frexp(np.abs(h).max(axis=-1))[1], 0)
         h, hd = np.ldexp(h, -k[..., None]), np.ldexp(hd, -2 * k[..., None])
-        hh, hdhd, tol = _dot(h, h), _dot(hd, hd), np.ldexp(TOL_SING, -2 * k)
+        hh, hdhd = _dot(h, h), _dot(hd, hd)
     ah = _dot(a, h)
     d = hh - ah * ah
-    if np.any(d <= tol):  # a NaN row is left to _clamp_nonneg
+    if np.any(d <= TOL_SING * hh):  # a NaN row is left to _clamp_nonneg
         raise SingularEvolutionError(
             "a is (anti)parallel to h; eigenstate evolutions have no "
             "arc-length parameterization"
@@ -89,9 +92,14 @@ def curvature_bloch(a, h, h_dot):
     term2 = (hh * hdhd - np.float_power(_dot(h, hd), 2)
              - _dot(w, w)) / np.float_power(d, 3)
     term3 = 4.0 * ah * _dot(a, _cross(h, hd)) / np.float_power(d, 2)
-    return _clamp_nonneg(term1 + term2 + term3)
+    kappa = term1 + term2 + term3
+    # finite rows whose products overflow leave inf - inf in the rotation term
+    if np.isnan(kappa).any() and all(np.isfinite(x).all() for x in given):
+        raise NumericalError("curvature is past the float range")
+    return _clamp_nonneg(kappa)
 
 
+@_quiet_fp  # a stencil past the float range is raised as a FieldError
 def curvature_bloch_profile(traj: Trajectory) -> np.ndarray:
     """Node-wise :func:`curvature_bloch` along a trajectory.
 
@@ -101,8 +109,12 @@ def curvature_bloch_profile(traj: Trajectory) -> np.ndarray:
     / (6 dt)`` at inner nodes, and the one-sided five-point rule
     ``(48 (h_1 - h_0) - 36 (h_2 - h_0) + 16 (h_3 - h_0) - 3 (h_4 - h_0)) / (6 dt)``
     on the first five samples, mirrored on the last five.  Sums of sample
-    differences, they are exact zeros on equal samples.  A non-finite
-    ``dh/dt`` is a :class:`FieldError` naming the node's time.
+    differences, they are exact zeros on equal samples.  ``h`` and ``dh/dt``
+    are taken in the time unit ``2^e`` of the step, ``dt`` in
+    ``(2^(e-1), 2^e]``, a change of time unit that keeps the coefficient: both
+    are then of the size of ``h dt``, so that ``dh/dt``, which scales as
+    ``h^2``, neither overflows nor underflows with a strong or weak field.  A
+    non-finite ``dh/dt`` is a :class:`FieldError` naming the node's time.
     """
     # component-major, so that each term is one long loop, not one per row
     h, dh_dt = traj.h_half.T.copy(), np.empty((3, traj.n_nodes))
@@ -110,11 +122,13 @@ def curvature_bloch_profile(traj: Trajectory) -> np.ndarray:
     # h_k - h_0 at the first node and h_(-1) - h_(-1-k) at the last, k = 1..4
     e = (h[:, [1, 2, 3, 4, -1, -1, -1, -1]] - h[:, [0, 0, 0, 0, -2, -3, -4, -5]]).reshape(3, 2, 4)
     dh_dt[:, [0, -1]] = 48.0 * e[..., 0] - 36.0 * e[..., 1] + 16.0 * e[..., 2] - 3.0 * e[..., 3]
-    dh_dt /= 6.0 * traj.grid.dt
+    unit = np.frexp(traj.grid.dt)[1]
+    dh_dt /= np.ldexp(6.0 * traj.grid.dt, -2 * unit)
     _check_finite(traj.times, "field derivative", dh_dt.T)
-    return curvature_bloch(traj.bloch, traj.h_nodes, dh_dt.T)
+    return curvature_bloch(traj.bloch, np.ldexp(traj.h_nodes, unit), dh_dt.T)
 
 
+@_quiet_fp  # an overflow leaves a NaN or inf, which _clamp_nonneg raises
 def curvature_expectation_profile(traj: Trajectory) -> np.ndarray:
     """Curvature at every node from moments of the dispersion operator.
 
@@ -124,12 +138,13 @@ def curvature_expectation_profile(traj: Trajectory) -> np.ndarray:
     applied to the states one operator at a time.  The time derivative is
     a central difference over the neighboring nodes (one-sided second
     order at the ends, which carries a larger error).
-    A node with ``dE <= TOL_SING`` raises :class:`SingularEvolutionError`
-    naming the first one.
+    A node with ``dE <= sqrt(TOL_SING) |h|``, the singular rule of
+    :func:`curvature_bloch`, raises :class:`SingularEvolutionError` naming
+    the first one.
     """
     traj.validate()
     de = traj.delta_e
-    first = _first(~(de > TOL_SING))
+    first = _first(~(de > np.sqrt(TOL_SING) * _norms(traj.h_nodes)))
     if first is not None:
         raise SingularEvolutionError(
             f"dE = {float(de[first])!r} at node {first}; eigenstate evolution")
@@ -140,7 +155,8 @@ def curvature_expectation_profile(traj: Trajectory) -> np.ndarray:
     ddh[0] = -3.0 * dh[0] + 4.0 * dh[1] - dh[2]
     ddh[1:-1] = dh[2:] - dh[:-2]
     ddh[-1] = 3.0 * dh[-1] - 4.0 * dh[-2] + dh[-3]
-    dh_prime = ddh / (2.0 * traj.grid.dt) / de[:, None, None]
+    # dt dE, an angle, is of one size at any field scale; ddh / dt alone can overflow
+    dh_prime = ddh / (2.0 * traj.grid.dt * de)[:, None, None]
 
     psi = traj.states
 

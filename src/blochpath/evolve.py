@@ -28,7 +28,7 @@ import numpy as np
 from . import _exports
 from .config import MAX_STEPS, _count, _ordered, _span
 from .core import (FieldSpec, _as_state, _as_times, _check_finite, _dot, _first, _Frozen,
-                   _norm_sq, _numbers, _pauli_re, _quiet_fp, energy_uncertainty,
+                   _norm_sq, _norms, _numbers, _pauli_re, _quiet_fp, energy_uncertainty,
                    fubini_study_distance)
 from .errors import (ConfigError, IntegrationError, NormalizationError,
                      NumericalError, ShapeError)
@@ -45,6 +45,9 @@ TOL_DRIFT = 1e-8
 TOL_NORM0 = 1e-10
 #: steps whose matrices and prefix products are held at once
 _BLOCK = 1024
+#: a grid's nodes: a span past the float range gives NaN times, which
+#: sample_field raises as a ConfigError
+_linspace = _quiet_fp(np.linspace)
 
 
 def _trapezoid(y, grid: "TimeGrid", cumulative: bool = False):
@@ -99,7 +102,7 @@ class TimeGrid(_Frozen):
 
     @property
     def times(self) -> np.ndarray:
-        return np.linspace(self.t_start, self.t_end, self.n_steps + 1)
+        return _linspace(self.t_start, self.t_end, self.n_steps + 1)
 
     @functools.cached_property
     def _widths(self) -> np.ndarray:  # the intervals of t - t_start that _trapezoid uses
@@ -109,7 +112,7 @@ class TimeGrid(_Frozen):
     def half_times(self) -> np.ndarray:
         """Nodes and midpoints interleaved: the even entries are :attr:`times` bit
         for bit, and the last is ``t_end``."""
-        return np.linspace(self.t_start, self.t_end, 2 * self.n_steps + 1)
+        return _linspace(self.t_start, self.t_end, 2 * self.n_steps + 1)
 
 
 def sample_field(field: FieldSpec, times) -> tuple[np.ndarray, np.ndarray]:
@@ -200,8 +203,10 @@ def _same_rows(x) -> bool:
 def _exponentials(h0, h, t):
     """Entry-major ``exp(-i t_k (h0 + h.sigma))`` at the times ``t``, in closed
     form: ``exp(-i t_k h0) (cos(t_k |h|) I - i sin(t_k |h|) n.sigma)`` with
-    ``n = h / |h|``.  An ``|h|`` whose square overflows gives NaN."""
-    size = np.sqrt(_dot(h, h))
+    ``n = h / |h|``.  An ``|h|`` whose square overflows gives NaN; one whose
+    square would lose digits to underflow is taken from the scaled row."""
+    hh = _dot(h, h)
+    size = _norms(h) if hh < 1.0 else np.sqrt(hh)
     n, angle = (h / size if size > 0.0 else h), t * size
     u = np.empty((2, 2, len(t)), dtype=complex)
     re, im, s = u.real, u.imag, np.sin(angle)

@@ -30,7 +30,7 @@ from .core import (TOL_NORM, FieldSpec, _ArrayField, _as_vec3, _cross, _dot, _fi
                    fubini_study_distance)
 from .evolve import TOL_NORM0
 from .errors import (ConfigError, DegenerateEndpointsError, NormalizationError,
-                     PreconditionError, RangeError)
+                     NumericalError, PreconditionError, RangeError)
 
 __all__ = _exports(__name__)
 
@@ -118,8 +118,12 @@ class SuboptimalStationary(_Frozen):
         axis = suboptimal_axis(alpha, a, b)
         theta_ab = endpoint_angle(a, b)
         phi = _orbit(alpha, theta_ab)[1]
+        # phi / 2 is exact, and 2 E may overflow where the travel time does not
+        t_ab = _quiet_fp(np.divide)(0.5 * phi, E)
+        if not np.isfinite(t_ab):
+            raise NumericalError(f"travel time phi / (2 E) at E = {E!r} is not finite")
         vars(self).update(a_hat=a, b_hat=b, theta_ab=theta_ab, n_hat=axis, phi=phi,
-                          t_ab=phi / (2.0 * self.E))
+                          t_ab=t_ab)
 
 
 def suboptimal_hamiltonian(family: SuboptimalStationary) -> FieldSpec:

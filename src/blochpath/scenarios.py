@@ -169,11 +169,18 @@ def _build_custom(config: ScenarioConfig, p: dict):
         h_tab = _finite_array(spec.get("h"), "field 'h'")
         if h_tab.shape != (times.shape[0], 3) or h0_tab.shape != times.shape:
             raise ConfigError("field table shapes do not line up with 'times'")
-        if times.shape[0] < 2 or np.any(np.diff(times) <= 0):
+        if times.shape[0] < 2 or np.any(times[1:] <= times[:-1]):
             raise ConfigError("'times' must be strictly increasing, length >= 2")
+        # np.interp's slopes are rates, which scale as h^2: in the time unit 2^e of
+        # the table's span they are of the size of h, and keep their bits
+        e = np.clip(np.frexp(0.5 * times[-1] - 0.5 * times[0])[1], -1000, 1000)
+        knots = np.ldexp(times, -e)
+
+        @_quiet_fp  # a time far beyond the knots is inf, which np.interp reads as such
         def table(t):  # linear between the knots, constant beyond them
-            h = np.stack([np.interp(t, times, col) for col in h_tab.T], axis=-1)
-            return np.interp(t, times, h0_tab), h
+            t = np.ldexp(t, -e)
+            h = np.stack([np.interp(t, knots, col) for col in h_tab.T], axis=-1)
+            return np.interp(t, knots, h0_tab), h
         field = _ArrayField(table, config.t_span)
     else:
         if "h" not in spec:
@@ -197,7 +204,7 @@ def _build_custom(config: ScenarioConfig, p: dict):
         if pairs.shape != (2, 2):
             raise ConfigError("psi0 must be [[re0, im0], [re1, im1]] or {'bloch': [...]}")
         psi0 = pairs[:, 0] + 1j * pairs[:, 1]
-        norm = float(np.sqrt(_norm_sq(psi0)))
+        norm = float(np.sqrt(_quiet_fp(_norm_sq)(psi0)))  # an overflow is inf, far from 1
         if abs(norm - 1.0) > TOL_NORM0:
             raise ConfigError(f"psi0 has norm {norm!r}, expected 1")
     return field, psi0
@@ -437,7 +444,7 @@ def sweep_alpha(theta_ab: float, n_points: int, E: float = 1.0) -> dict:
     return _finite_columns({
         "alpha": alphas,
         "s": s,
-        "t_ab": phi / (2.0 * E),
+        "t_ab": 0.5 * phi / E,  # as the family's: 2 E may overflow
         "delta_e": E * radius,
         "eta_ge": _unit_ratio(theta_ab / s),
         "eta_se": _unit_ratio(radius),

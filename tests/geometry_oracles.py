@@ -28,7 +28,7 @@ from blochpath.curvature import TOL_SING, _clamp_nonneg
 def _dispersion_operator(traj: Trajectory, k: int) -> np.ndarray:
     """Matrix ``Dh = (H - <H>) / dE`` at node ``k``."""
     de = traj.delta_e[k]
-    if de <= TOL_SING:
+    if de <= np.sqrt(TOL_SING) * np.linalg.norm(traj.h_nodes[k]):
         raise SingularEvolutionError(f"dE = {de!r} at node {k}; eigenstate evolution")
     matrix = pauli_compose(traj.h0_nodes[k], traj.h_nodes[k])
     expect = traj.h0_nodes[k] + float(traj.bloch[k] @ traj.h_nodes[k])

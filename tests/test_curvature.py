@@ -22,6 +22,7 @@ from blochpath import (
     curvature_bloch_profile,
     curvature_expectation_profile,
     curvature_numeric_profile,
+    run_report,
     schrodinger_evolve,
     state_from_bloch,
     uzdin_optimal,
@@ -156,12 +157,12 @@ class TestStationaryBits:
         assert abs(got - true) <= 4 * np.spacing(true)
 
     @settings(max_examples=60, deadline=None, derandomize=True)
-    @given(k=st.integers(0, 500), seed=st.integers(0, 2**32 - 1))
+    @given(k=st.integers(-500, 500), seed=st.integers(0, 2**32 - 1))
     def test_float_edge_a_change_of_time_unit_keeps_kappa(self, k, seed):
         # (h, dh/dt) -> (2^k h, 4^k dh/dt) is exact and leaves kappa^2 as it is:
         # to 1e-12 by the unscaled rounding, and to the bit between two fields
-        # past 2^160, which are taken at one scale.  k >= 0, since D is compared
-        # with an absolute TOL_SING, and 4^k dh/dt stays finite
+        # past 2^150, which are taken at one scale.  |k| <= 500, so that 4^k dh/dt
+        # stays finite and normal; D is compared with TOL_SING h^2, at any scale
         rng = np.random.default_rng(seed)
         a = rng.normal(size=3)
         a /= np.linalg.norm(a)
@@ -181,6 +182,31 @@ class TestStationaryBits:
             warnings.simplefilter("error")
             with pytest.raises(NumericalError, match="past the float range"):
                 curvature_bloch([1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1e170])
+
+    def test_float_edge_an_overflowing_rotation_term_is_past_the_float_range(self):
+        # |h|^2 |dh/dt|^2 and w.w are both inf: the rotation term's numerator is
+        # inf - inf, NaN, from finite rows, where kappa^2 is about 8e600
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="^curvature is past the float range$"):
+                curvature_bloch([0.6, 0.8, 0.0], [0.0, 1.0, 0.0], [1e300, 0.0, 1e300])
+
+    @pytest.mark.parametrize("scale", [1e-7, 1e-13, 1e-100, 1e-150])
+    def test_float_edge_a_weak_field_keeps_its_curvature(self, scale):
+        # D = h^2 - (a.h)^2 is 1e-14 at scale 1e-7, below an absolute 1e-12; the
+        # rule D <= TOL_SING h^2 is scale-free, and rows past 2^-150 are scaled
+        a, h, h_dot = [0.6, 0.0, 0.8], np.array([1.0, 0.3, -0.5]), np.array([0.2, -0.1, 0.4])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = curvature_bloch(a, scale * h, scale * scale * h_dot)
+        assert got == pytest.approx(curvature_bloch(a, h, h_dot), rel=1e-12)
+        assert got == pytest.approx(0.0857332726445151, rel=1e-14)
+
+    def test_an_eigenstate_of_a_weak_field_is_still_singular(self):
+        with pytest.raises(SingularEvolutionError):
+            curvature_bloch([0.0, 0.0, 1.0], [0.0, 0.0, 1e-200], [1e-300, 0.0, 0.0])
+        with pytest.raises(SingularEvolutionError):
+            curvature_bloch([0.0, 0.0, 1.0], np.zeros(3), [1.0, 0.0, 0.0])
 
     def test_float_edge_an_overflow_is_not_a_parallel_field(self):
         # a.h = 0.6 inf and |h|^2 = inf: D = inf - inf is NaN, not a small D
@@ -380,6 +406,25 @@ class TestExpectationForm:
                                    [1.0, 0.0], TimeGrid(0.0, 1.0, 16))
         with pytest.raises(SingularEvolutionError, match="at node 0;"):
             curvature_expectation_profile(eigen)
+
+    @pytest.mark.parametrize("strength", [1e-7, 1e-13])
+    def test_a_weak_precession_is_not_singular(self, tmp_path, strength):
+        # dE = strength, below an absolute 1e-12 or 1e-6 on D; both methods call a
+        # node singular only where dE^2 <= TOL_SING |h|^2.  The run turns by 2 rad
+        # about a field orthogonal to a: a great circle, of curvature 0
+        config = ScenarioConfig("custom", t_span=(0.0, 1.0 / strength), n_steps=2000,
+                                field={"h": [strength, 0.0, 0.0]},
+                                psi0={"bloch": [0.0, 0.6, 0.8]})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            row = run_report(config, tmp_path)
+            traj = schrodinger_evolve(*build_scenario(config))
+            expectation = curvature_expectation_profile(traj)
+        assert row.classification == "GeodesicUnwasteful"
+        kappa = np.loadtxt(tmp_path / "custom_trajectory.csv", delimiter=",",
+                           skiprows=1)[:, -1]
+        assert np.max(np.abs(kappa)) <= 1e-12
+        assert np.max(np.abs(expectation)) <= 1e-9
 
     def test_profile_beats_the_per_node_loop(self, example4):
         def best(fn, repeat):

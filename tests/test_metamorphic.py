@@ -36,13 +36,15 @@ from blochpath import (
 
 #: steps of every run, on [0, 1] or its image
 N_STEPS = 1000
-#: the rescaling factor of time and field
-LAMBDA = 1e3
+#: the rescaling factors of time and field, by relation: a strong field and
+#: two weak ones, whose dispersion lies far below any absolute bound
+LAMBDAS = {"rescaling": 1e3, "rescaling_by_1e-7": 1e-7, "rescaling_by_1e-13": 1e-13}
 #: the shift of the time origin
 SHIFT = 1e3
 #: ``(path, curvature)`` bounds; the path's covers every quantity but the
 #: curvature.  Largest gaps measured: rotation 2.5e-15 and 8.3e-12,
-#: rescaling 3.8e-15 and 1.1e-11
+#: rescaling 3.8e-15 and 1.1e-11; the rescalings by 1e-7 and 1e-13 share its
+#: bounds (2.9e-15 and 7.4e-12, 3.9e-15 and 3.1e-12)
 BOUNDS = {"rotation": (3e-14, 9e-11), "rescaling": (4e-14, 2e-10)}
 #: the shifted field sees ``t - SHIFT`` rounded to the ulp of SHIFT, an error
 #: of ``ulp(SHIFT) * rate`` in ``h`` and of ``N_STEPS`` times that in the
@@ -94,16 +96,17 @@ def observe(h, a0, t_start=0.0, t_end=1.0):
 
 def transformed(relation, h, a0, r):
     """:func:`observe` of the drive ``h`` from ``a0`` under ``relation``,
-    mapped back to the terms of the plain run: ``rotation`` by ``r``,
-    ``rescaling`` by ``LAMBDA`` and ``shift`` by ``SHIFT``."""
+    mapped back to the terms of the plain run: ``rotation`` by ``r``, a
+    rescaling by its factor in ``LAMBDAS`` and ``shift`` by ``SHIFT``."""
     if relation == "rotation":
         got = observe(lambda t: r @ h(t), r @ a0)
         if isinstance(got, dict):
             got["bloch"] = got["bloch"] @ r
-    elif relation == "rescaling":
-        got = observe(lambda t: LAMBDA * h(LAMBDA * t), a0, 0.0, 1.0 / LAMBDA)
+    elif relation in LAMBDAS:
+        lam = LAMBDAS[relation]
+        got = observe(lambda t: lam * h(lam * t), a0, 0.0, 1.0 / lam)
         if isinstance(got, dict):
-            got["delta_e"] = got["delta_e"] / LAMBDA
+            got["delta_e"] = got["delta_e"] / lam
     else:
         got = observe(lambda t: h(t - SHIFT), a0, SHIFT, SHIFT + 1.0)
     return got
@@ -121,12 +124,12 @@ def gaps(got, want):
 def bounds(relation, rate):
     """The ``(path, curvature)`` bounds of ``relation`` for a drive of ``rate``."""
     if relation != "shift":
-        return BOUNDS[relation]
+        return BOUNDS["rescaling" if relation in LAMBDAS else relation]
     unit = np.spacing(SHIFT) * rate
     return SHIFT_BOUNDS[0] * unit, SHIFT_BOUNDS[1] * unit * N_STEPS
 
 
-@pytest.mark.parametrize("relation", ["rotation", "rescaling", "shift"])
+@pytest.mark.parametrize("relation", ["rotation", *LAMBDAS, "shift"])
 @given(amps=st.lists(amplitudes, min_size=9, max_size=9),
        omega=st.floats(min_value=0.5, max_value=4.0),
        a0=st.builds(unit_vector, angles, angles),
@@ -143,7 +146,7 @@ def test_a_transformed_drive_gives_the_transformed_path(relation, amps, omega, a
     assert path <= path_bound and curvature <= curvature_bound, (path, curvature)
 
 
-@pytest.mark.parametrize("relation", ["rotation", "rescaling", "shift"])
+@pytest.mark.parametrize("relation", ["rotation", *LAMBDAS, "shift"])
 def test_each_relation_can_fail(relation):
     # one amplitude of the transformed drive off by 1e-6 breaks each relation
     amps, omega = [0.3, 1.0, -0.4, 1.2, 0.1, 0.5, -0.7, 0.9, 0.2], 2.0
