@@ -43,8 +43,9 @@ LAMBDAS = {"rescaling": 1e3, "rescaling_by_1e-7": 1e-7, "rescaling_by_1e-13": 1e
 SHIFT = 1e3
 #: ``(path, curvature)`` bounds; the path's covers every quantity but the
 #: curvature.  Largest gaps measured: rotation 2.5e-15 and 8.3e-12,
-#: rescaling 3.8e-15 and 1.1e-11; the rescalings by 1e-7 and 1e-13 share its
-#: bounds (2.9e-15 and 7.4e-12, 3.9e-15 and 3.1e-12)
+#: rescaling 3.8e-15 and 1.1e-11.  The rescalings by 1e-7 and 1e-13 share its
+#: bounds: 2.9e-15 and 7.4e-12, 3.9e-15 and 3.1e-12 over 200 drives drawn in
+#: the same order, with ``a0`` a normalized normal draw
 BOUNDS = {"rotation": (3e-14, 9e-11), "rescaling": (4e-14, 2e-10)}
 #: the shifted field sees ``t - SHIFT`` rounded to the ulp of SHIFT, an error
 #: of ``ulp(SHIFT) * rate`` in ``h`` and of ``N_STEPS`` times that in the
