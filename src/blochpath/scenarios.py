@@ -172,7 +172,8 @@ def _build_custom(config: ScenarioConfig, p: dict):
         if times.shape[0] < 2 or np.any(times[1:] <= times[:-1]):
             raise ConfigError("'times' must be strictly increasing, length >= 2")
         # np.interp's slopes are rates, which scale as h^2: in the time unit 2^e of
-        # the table's span they are of the size of h, and keep their bits
+        # the table's span (e clipped so that 2^-e is a normal double) they are of
+        # the size of h, and keep their bits
         e = np.clip(np.frexp(0.5 * times[-1] - 0.5 * times[0])[1], -1000, 1000)
         knots = np.ldexp(times, -e)
 
