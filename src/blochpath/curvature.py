@@ -109,12 +109,14 @@ def curvature_bloch_profile(traj: Trajectory) -> np.ndarray:
     / (6 dt)`` at inner nodes, and the one-sided five-point rule
     ``(48 (h_1 - h_0) - 36 (h_2 - h_0) + 16 (h_3 - h_0) - 3 (h_4 - h_0)) / (6 dt)``
     on the first five samples, mirrored on the last five.  Sums of sample
-    differences, they are exact zeros on equal samples.  ``h`` and ``dh/dt``
-    are taken in the time unit ``2^e`` of the step, ``dt`` in
-    ``(2^(e-1), 2^e]``, a change of time unit that keeps the coefficient: both
-    are then of the size of ``h dt``, so that ``dh/dt``, which scales as
-    ``h^2``, neither overflows nor underflows with a strong or weak field.  A
-    non-finite ``dh/dt`` is a :class:`FieldError` naming the node's time.
+    differences, they are exact zeros on equal samples.  Where the quotient by
+    ``6 dt`` passes the float range, or where a field with ``|h|^2 < 2**-300``
+    may have lost its digits to underflow, ``h`` and ``dh/dt`` are taken in the
+    time unit ``2^e`` of the step, ``dt`` in ``[2^(e-1), 2^e)``, a change of
+    time unit that keeps the coefficient: both are then of the size of
+    ``h dt``, so that ``dh/dt``, which scales as ``h^2``, neither overflows
+    nor underflows with a strong or weak field.  A non-finite ``dh/dt`` is a
+    :class:`FieldError` naming the node's time.
     """
     # component-major, so that each term is one long loop, not one per row
     h, dh_dt = traj.h_half.T.copy(), np.empty((3, traj.n_nodes))
@@ -122,10 +124,15 @@ def curvature_bloch_profile(traj: Trajectory) -> np.ndarray:
     # h_k - h_0 at the first node and h_(-1) - h_(-1-k) at the last, k = 1..4
     e = (h[:, [1, 2, 3, 4, -1, -1, -1, -1]] - h[:, [0, 0, 0, 0, -2, -3, -4, -5]]).reshape(3, 2, 4)
     dh_dt[:, [0, -1]] = 48.0 * e[..., 0] - 36.0 * e[..., 1] + 16.0 * e[..., 2] - 3.0 * e[..., 3]
-    unit = np.frexp(traj.grid.dt)[1]
-    dh_dt /= np.ldexp(6.0 * traj.grid.dt, -2 * unit)
-    _check_finite(traj.times, "field derivative", dh_dt.T)
-    return curvature_bloch(traj.bloch, np.ldexp(traj.h_nodes, unit), dh_dt.T)
+    field, dt = traj.h_nodes, traj.grid.dt
+    rate = dh_dt / (6.0 * dt)
+    if not (np.isfinite(rate).all() and (_dot(field, field) >= 2.0**-300).all()):
+        # 6 dt / 2^e lies in [3, 6); no 4^-e is formed, which overflows for a subnormal dt
+        unit = np.frexp(dt)[1]
+        rate = np.ldexp(dh_dt / (6.0 * np.ldexp(dt, -unit)), unit)
+        field = np.ldexp(field, unit)
+    _check_finite(traj.times, "field derivative", rate.T)
+    return curvature_bloch(traj.bloch, field, rate.T)
 
 
 @_quiet_fp  # an overflow leaves a NaN or inf, which _clamp_nonneg raises

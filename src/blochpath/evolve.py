@@ -45,9 +45,6 @@ TOL_DRIFT = 1e-8
 TOL_NORM0 = 1e-10
 #: steps whose matrices and prefix products are held at once
 _BLOCK = 1024
-#: a grid's nodes: a span past the float range gives NaN times, which
-#: sample_field raises as a ConfigError
-_linspace = _quiet_fp(np.linspace)
 
 
 def _trapezoid(y, grid: "TimeGrid", cumulative: bool = False):
@@ -101,18 +98,20 @@ class TimeGrid(_Frozen):
         return self.n_steps + 1
 
     @property
+    @_quiet_fp  # a span past the float range gives NaN times, which sample_field raises
     def times(self) -> np.ndarray:
-        return _linspace(self.t_start, self.t_end, self.n_steps + 1)
+        return np.linspace(self.t_start, self.t_end, self.n_steps + 1)
 
     @functools.cached_property
     def _widths(self) -> np.ndarray:  # the intervals of t - t_start that _trapezoid uses
         return np.diff(np.linspace(0.0, self.t_end - self.t_start, self.n_nodes))
 
     @property
+    @_quiet_fp  # as times
     def half_times(self) -> np.ndarray:
         """Nodes and midpoints interleaved: the even entries are :attr:`times` bit
         for bit, and the last is ``t_end``."""
-        return _linspace(self.t_start, self.t_end, 2 * self.n_steps + 1)
+        return np.linspace(self.t_start, self.t_end, 2 * self.n_steps + 1)
 
 
 def sample_field(field: FieldSpec, times) -> tuple[np.ndarray, np.ndarray]:

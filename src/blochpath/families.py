@@ -105,6 +105,7 @@ class SuboptimalStationary(_Frozen):
     attributes are frozen.
     """
 
+    @_quiet_fp  # a travel time past the float range is raised as a NumericalError
     def __init__(self, alpha: float, a_hat: np.ndarray, b_hat: np.ndarray,
                  E: float = 1.0):
         vars(self).update(alpha=alpha, E=E)  # kept as given
@@ -119,7 +120,7 @@ class SuboptimalStationary(_Frozen):
         theta_ab = endpoint_angle(a, b)
         phi = _orbit(alpha, theta_ab)[1]
         # phi / 2 is exact, and 2 E may overflow where the travel time does not
-        t_ab = _quiet_fp(np.divide)(0.5 * phi, E)
+        t_ab = 0.5 * phi / E
         if not np.isfinite(t_ab):
             raise NumericalError(f"travel time phi / (2 E) at E = {E!r} is not finite")
         vars(self).update(a_hat=a, b_hat=b, theta_ab=theta_ab, n_hat=axis, phi=phi,

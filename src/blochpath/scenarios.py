@@ -161,6 +161,7 @@ def _build_suboptimal_family(config: ScenarioConfig, p: dict):
     return field, state_from_bloch(a)
 
 
+@_quiet_fp  # an overflowing psi0 norm is inf, far from 1; no field runs here
 def _build_custom(config: ScenarioConfig, p: dict):
     spec = config.field
     if "times" in spec:
@@ -205,7 +206,7 @@ def _build_custom(config: ScenarioConfig, p: dict):
         if pairs.shape != (2, 2):
             raise ConfigError("psi0 must be [[re0, im0], [re1, im1]] or {'bloch': [...]}")
         psi0 = pairs[:, 0] + 1j * pairs[:, 1]
-        norm = float(np.sqrt(_quiet_fp(_norm_sq)(psi0)))  # an overflow is inf, far from 1
+        norm = float(np.sqrt(_norm_sq(psi0)))
         if abs(norm - 1.0) > TOL_NORM0:
             raise ConfigError(f"psi0 has norm {norm!r}, expected 1")
     return field, psi0

@@ -748,10 +748,12 @@ def test_trace_zero_uzdin_drive_matches_golden_bytes(tmp_path):
         == (GOLDEN / "uzdin_trace_zero_n30.csv").read_bytes()
 
 
-#: sha256 of ``curvature_bloch_profile``'s bytes on a 40-step run, ``dh/dt``
-#: the stencil of the run's samples: a table and ``example4``'s path drive; a
-#: change to how fields are built must not move them
-CURVATURE_DIGESTS = {"table": "4e4d1c77e21ab5b9", "path": "28e79904f5fec21e"}
+#: sha256 of ``curvature_bloch_profile``'s bytes on a 40-step run and on the
+#: default grid, ``dh/dt`` the stencil of the run's samples: a table and
+#: ``example4``'s path drive; a change to how fields are built, or to how the
+#: profile scales a strong or weak field, must not move them
+CURVATURE_DIGESTS = {"table": "4e4d1c77e21ab5b9", "path": "28e79904f5fec21e",
+                     "table_default": "8cdab2dd6a96e9fe", "path_default": "c5e0cca21ac72801"}
 
 
 @pytest.mark.parametrize("kind", list(CURVATURE_DIGESTS))
@@ -760,13 +762,15 @@ def test_curvature_profile_bytes_are_pinned(kind):
     table = {"times": knots.tolist(), "h0": (0.2 * np.cos(4.0 * knots)).tolist(),
              "h": np.stack([0.8 + 0.3 * np.sin(3.0 * knots), 0.4 * np.cos(2.0 * knots),
                             0.5 - 0.6 * knots], axis=1).tolist()}
-    if kind == "table":
+    if kind.startswith("table"):
         config = ScenarioConfig(scenario="custom", field=table, t_span=(0.05, 1.1),
                                 psi0={"bloch": [0.0, 0.6, 0.8]})
     else:
         config = ScenarioConfig(scenario="example4", parameters={"gamma": 1.7},
                                 t_span=(0.1, 0.9))
-    field, psi0, _ = build_scenario(config)
-    traj = schrodinger_evolve(field, psi0, TimeGrid(*field.t_span, 40))
+    field, psi0, grid = build_scenario(config)
+    if not kind.endswith("_default"):
+        grid = TimeGrid(*field.t_span, 40)
+    traj = schrodinger_evolve(field, psi0, grid)
     digest = hashlib.sha256(curvature_bloch_profile(traj).tobytes()).hexdigest()
     assert digest[:16] == CURVATURE_DIGESTS[kind]
