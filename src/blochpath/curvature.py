@@ -59,9 +59,10 @@ def curvature_bloch(a, h, h_dot):
     same bits as the sum.
     The trace part of the Hamiltonian cannot bend the path and must be
     dropped by the caller (only ``h`` enters).  Broadcasts over ``(..., 3)``
-    rows; ``float_power`` makes each row round as a lone 3-vector does.
-    The coefficient is unchanged by ``(h, dh/dt) -> (h / 2^k, dh/dt / 4^k)``,
-    as by a change of time unit: a row whose ``h^2`` lies outside
+    rows, each rounding as a lone 3-vector does.  Every power is a product,
+    correctly rounded, so the coefficient keeps its bits under
+    ``(h, dh/dt) -> (h / 2^k, dh/dt / 4^k)``, a change of time unit, wherever
+    no intermediate leaves the normal range: a row whose ``h^2`` lies outside
     ``[2**-300, 2**300]`` or whose ``(dh/dt)^2`` passes ``2**600`` is taken
     with the largest entry of ``h`` in ``[1/2, 1)``, where each product is of
     the size of the coefficient, so none overflows, or loses digits to
@@ -89,9 +90,9 @@ def curvature_bloch(a, h, h_dot):
     if not hd.any():  # term2 and term3 are +-0
         return _clamp_nonneg(np.broadcast_to(term1, shape[:-1]))
     w = _dot(a, hd)[..., None] * h - ah[..., None] * hd
-    term2 = (hh * hdhd - np.float_power(_dot(h, hd), 2)
-             - _dot(w, w)) / np.float_power(d, 3)
-    term3 = 4.0 * ah * _dot(a, _cross(h, hd)) / np.float_power(d, 2)
+    hhd = _dot(h, hd)
+    term2 = (hh * hdhd - hhd * hhd - _dot(w, w)) / (d * d * d)
+    term3 = 4.0 * ah * _dot(a, _cross(h, hd)) / (d * d)
     kappa = term1 + term2 + term3
     # finite rows whose products overflow leave inf - inf in the rotation term
     if np.isnan(kappa).any() and all(np.isfinite(x).all() for x in given):
@@ -109,30 +110,27 @@ def curvature_bloch_profile(traj: Trajectory) -> np.ndarray:
     / (6 dt)`` at inner nodes, and the one-sided five-point rule
     ``(48 (h_1 - h_0) - 36 (h_2 - h_0) + 16 (h_3 - h_0) - 3 (h_4 - h_0)) / (6 dt)``
     on the first five samples, mirrored on the last five.  Sums of sample
-    differences, they are exact zeros on equal samples.  Where the quotient by
-    ``6 dt`` passes the float range, or where a field with ``|h|^2 < 2**-300``
-    may have lost its digits to underflow, ``h`` and ``dh/dt`` are taken in the
-    time unit ``2^e`` of the step, ``dt`` in ``[2^(e-1), 2^e)``, a change of
-    time unit that keeps the coefficient: both are then of the size of
-    ``h dt``, so that ``dh/dt``, which scales as ``h^2``, neither overflows
-    nor underflows with a strong or weak field.  A non-finite ``dh/dt`` is a
+    differences, they are exact zeros on equal samples.  ``h`` and ``dh/dt``
+    are taken in the time unit ``2^e`` of the step, ``dt`` in
+    ``[2^(e-1), 2^e)``, a change of time unit that keeps the coefficient bit
+    for bit: both are then of the size of ``h dt``, so that ``dh/dt``, which
+    scales as ``h^2``, neither overflows nor underflows with a strong or weak
+    field, and a run and its twin ``2^m h(2^m t)`` on a span ``2^m`` times
+    shorter give one profile.  A non-finite ``dh/dt`` is a
     :class:`FieldError` naming the node's time.
     """
+    traj.validate()
     # component-major, so that each term is one long loop, not one per row
     h, dh_dt = traj.h_half.T.copy(), np.empty((3, traj.n_nodes))
     dh_dt[:, 1:-1] = 8.0 * (h[:, 3::2] - h[:, 1:-2:2]) - (h[:, 4::2] - h[:, :-4:2])
     # h_k - h_0 at the first node and h_(-1) - h_(-1-k) at the last, k = 1..4
     e = (h[:, [1, 2, 3, 4, -1, -1, -1, -1]] - h[:, [0, 0, 0, 0, -2, -3, -4, -5]]).reshape(3, 2, 4)
     dh_dt[:, [0, -1]] = 48.0 * e[..., 0] - 36.0 * e[..., 1] + 16.0 * e[..., 2] - 3.0 * e[..., 3]
-    field, dt = traj.h_nodes, traj.grid.dt
-    rate = dh_dt / (6.0 * dt)
-    if not (np.isfinite(rate).all() and (_dot(field, field) >= 2.0**-300).all()):
-        # 6 dt / 2^e lies in [3, 6); no 4^-e is formed, which overflows for a subnormal dt
-        unit = np.frexp(dt)[1]
-        rate = np.ldexp(dh_dt / (6.0 * np.ldexp(dt, -unit)), unit)
-        field = np.ldexp(field, unit)
+    # 6 dt / 2^e lies in [3, 6); no 4^-e is formed, which overflows for a subnormal dt
+    unit = np.frexp(traj.grid.dt)[1]
+    rate = np.ldexp(dh_dt / (6.0 * np.ldexp(traj.grid.dt, -unit)), unit)
     _check_finite(traj.times, "field derivative", rate.T)
-    return curvature_bloch(traj.bloch, field, rate.T)
+    return curvature_bloch(traj.bloch, np.ldexp(traj.h_nodes, unit), rate.T)
 
 
 @_quiet_fp  # an overflow leaves a NaN or inf, which _clamp_nonneg raises

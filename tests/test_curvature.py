@@ -14,6 +14,7 @@ from blochpath import (
     FieldSpec,
     NumericalError,
     ScenarioConfig,
+    ShapeError,
     SingularEvolutionError,
     TimeGrid,
     UzdinFamily,
@@ -159,9 +160,8 @@ class TestStationaryBits:
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(k=st.integers(-500, 500), seed=st.integers(0, 2**32 - 1))
     def test_float_edge_a_change_of_time_unit_keeps_kappa(self, k, seed):
-        # (h, dh/dt) -> (2^k h, 4^k dh/dt) is exact and leaves kappa^2 as it is:
-        # to 1e-12 by the unscaled rounding, and to the bit between two fields
-        # past 2^150, which are taken at one scale.  |k| <= 500, so that 4^k dh/dt
+        # (h, dh/dt) -> (2^k h, 4^k dh/dt) is exact and leaves kappa^2 as it is,
+        # bit for bit: every power is a product.  |k| <= 500, so that 4^k dh/dt
         # stays finite and normal; D is compared with TOL_SING h^2, at any scale
         rng = np.random.default_rng(seed)
         a = rng.normal(size=3)
@@ -173,8 +173,8 @@ class TestStationaryBits:
             got = curvature_bloch(a, np.ldexp(h, k), np.ldexp(h_dot, 2 * k))
             big = curvature_bloch(a, np.ldexp(h, 300), np.ldexp(h_dot, 600))
             bigger = curvature_bloch(a, np.ldexp(h, 500), np.ldexp(h_dot, 1000))
-        assert got == pytest.approx(want, rel=1e-12, abs=1e-300)
-        assert bigger == big
+        assert got == want
+        assert bigger == big == want
 
     def test_float_edge_a_curvature_past_the_float_range_is_a_numerical_error(self):
         # kappa^2 = |dh/dt|^2 / |h|^4 = 1e340 is inf, which passes the sign check
@@ -351,6 +351,24 @@ def test_a_fixed_axis_drive_is_flat_at_every_node(drive):
     field, psi0, grid, scale = drive
     kappa = curvature_bloch_profile(schrodinger_evolve(field, psi0, grid))
     assert np.all(kappa <= 16 * np.finfo(float).eps * scale)
+
+
+@pytest.mark.parametrize("change, error", [
+    (lambda traj: {"h_half": traj.h_half[:-2]}, ShapeError),
+    (lambda traj: {"h_half": traj.h_half[:, :2]}, ShapeError),
+    (lambda traj: {"bloch": 1.1 * traj.bloch}, NumericalError),
+], ids=["short_samples", "two_component_samples", "off_the_sphere"])
+def test_a_malformed_trajectory_is_a_typed_error_in_every_profile(change, error):
+    # checked before the stencil: not numpy's broadcast error, nor a value
+    # for points off the sphere
+    traj = schrodinger_evolve(
+        FieldSpec(0.1, lambda t: np.array([1.0 + 0.3 * np.sin(t), 0.2, 0.5])), [1.0, 0.0],
+        TimeGrid(0.0, 1.0, 20))
+    bad = traj._replace(**change(traj))
+    for fn in (curvature_bloch_profile, curvature_expectation_profile,
+               curvature_numeric_profile):
+        with pytest.raises(error):
+            fn(bad)
 
 
 class TestTransverseForm:

@@ -750,10 +750,10 @@ def test_trace_zero_uzdin_drive_matches_golden_bytes(tmp_path):
 
 #: sha256 of ``curvature_bloch_profile``'s bytes on a 40-step run and on the
 #: default grid, ``dh/dt`` the stencil of the run's samples: a table and
-#: ``example4``'s path drive; a change to how fields are built, or to how the
-#: profile scales a strong or weak field, must not move them
-CURVATURE_DIGESTS = {"table": "4e4d1c77e21ab5b9", "path": "28e79904f5fec21e",
-                     "table_default": "8cdab2dd6a96e9fe", "path_default": "c5e0cca21ac72801"}
+#: ``example4``'s path drive; a change to how fields are built, or to which
+#: rows the closed form scales, must not move them
+CURVATURE_DIGESTS = {"table": "88d55e961bdbeebd", "path": "28e79904f5fec21e",
+                     "table_default": "a88aed22a262f7ca", "path_default": "c5e0cca21ac72801"}
 
 
 @pytest.mark.parametrize("kind", list(CURVATURE_DIGESTS))

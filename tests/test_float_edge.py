@@ -16,11 +16,9 @@ overflow or underflow scaled by a power of two, as Blue's norm does (ACM TOMS
 4 (1978) 15), so a function homogeneous of degree ``d`` in the field returns
 ``2^(d m)`` times its unscaled value, bit for bit; a run of ``2^m h(2^m t)``
 on ``[0, T / 2^m]`` traces the same path, with the same curvature and
-efficiencies (the closed-form curvature to rounding where a node is taken
-unscaled: numpy's vector pow is not correctly rounded).  Where the scaled
-value passes the float range, the call must raise a typed error; so must the
-unscaled one where the scaled one does, unless the test names the error that
-the scale alone may cause.  The
+efficiencies.  Where the scaled value passes the float range, the call must
+raise a typed error; so must the unscaled one where the scaled one does,
+unless the test names the error that the scale alone may cause.  The
 unscaled draws are short dyadic numbers and unit vectors, so that no
 intermediate of theirs is near either end of the float range.
 """
@@ -188,21 +186,29 @@ class TestCurvatureBloch:
         # (2^m h, 4^m dh/dt) is a change of time unit; the largest entry of the
         # unscaled h is put in [1/2, 1), where the library takes a far row, and
         # dh/dt follows h while 4^m keeps it finite and normal: past that, the
-        # unscaled dh/dt is 2^(j - 2m) dh/dt, a rate of either extreme.  A row
-        # with |h|^2 in [2^-300, 2^300], |m| <= 151 here, is taken as it is, and
-        # numpy's vector pow, not correctly rounded, may round its scaled twin
-        # apart in the last bits
+        # unscaled dh/dt is 2^(j - 2m) dh/dt, a rate of either extreme.  Every
+        # power is a product, so a twin taken as it is, |m| <= 151 here, and
+        # one taken scaled round alike
         if h.any():
             h = np.ldexp(h, -np.frexp(np.abs(h).max())[1])
         j = min(max(2 * m + q, -1000), 1000)
         want = outcome(curvature_bloch, a, h, np.ldexp(h_dot, j - 2 * m))
         got = outcome(curvature_bloch, a, np.ldexp(h, m), np.ldexp(h_dot, j))
-        if abs(m) > 151 or isinstance(want, BlochPathError):
-            assert_scaled(got, want, m, 0)
-        else:
-            assert got == pytest.approx(want, rel=1e-12, abs=1e-300)
+        assert_scaled(got, want, m, 0)
         if not isinstance(want, BlochPathError):
             assert np.isfinite(want) and want >= 0.0
+
+    @pytest.mark.parametrize("k", [-200, -7, 3, 200])
+    def test_float_edge_random_rows_keep_kappa_under_a_change_of_time_unit(self, k):
+        # rows of every direction and of sizes near 1, taken as they are, and
+        # their twins, which are scaled back at k = -200 and 200: one value each
+        rng = np.random.default_rng(53)
+        a, h, h_dot = rng.normal(size=(3, 20000, 3))
+        a /= np.linalg.norm(a, axis=1)[:, None]
+        want = outcome(curvature_bloch, a, h, h_dot)
+        got = outcome(curvature_bloch, a, np.ldexp(h, k), np.ldexp(h_dot, 2 * k))
+        differ = np.flatnonzero(got.view(np.int64) != want.view(np.int64))
+        assert differ.size == 0, differ
 
 
 def polar_drive(omega, nu, theta0, s):
@@ -258,16 +264,23 @@ class TestRuns:
             return
         for fn in (curvature_expectation_profile, curvature_numeric_profile,
                    efficiency_report, geodesic_efficiency_profile, speed_efficiency_profile,
-                   parallel_transport):
+                   parallel_transport, curvature_bloch_profile):
             assert_scaled(outcome(fn, got), outcome(fn, want), m, 0)
-        # the closed form takes a node whose rate is finite and whose |h|^2 lies
-        # in [2^-300, 2^300] as it is, and numpy's vector pow may round it apart
-        # from its scaled twin in the last bits
-        kappa, twin = outcome(curvature_bloch_profile, got), outcome(curvature_bloch_profile, want)
-        if isinstance(twin, BlochPathError):
-            assert_scaled(kappa, twin, m, 0)
-        else:
-            assert kappa == pytest.approx(twin, rel=1e-12, abs=1e-300)
+
+    @pytest.mark.parametrize("m", [-3, 5])
+    def test_float_edge_a_curvature_profile_is_its_twins_bit_for_bit(self, m):
+        # trig drives h + h1 sin(t) on [0, 1] at 2000 steps, and their twins
+        # 2^m h(2^m t) on [0, 2^-m]: the same states, and the same curvature
+        rng = np.random.default_rng(11)
+        for _ in range(6):
+            h0 = rng.integers(-512, 513) / 256.0
+            h, h1 = rng.integers(-384, 385, size=(2, 3)) / 256.0
+            a = state_from_bloch(unit_vector(*rng.uniform(0.0, np.pi, 2)))
+            want, got = (curvature_bloch_profile(schrodinger_evolve(
+                field_of("callable", s, h0, h, h1), a, TimeGrid(0.0, 1.0 / s, 2000)))
+                for s in (1.0, 2.0**m))
+            differ = np.flatnonzero(got.view(np.int64) != want.view(np.int64))
+            assert differ.size == 0, differ
 
     @pytest.mark.parametrize("kind", ["constant", "callable", "optimal", "trace_nonzero",
                                       "trace_zero"])

@@ -253,8 +253,8 @@ class TestGoldenFiles:
             == (GOLDEN / "sweep_alpha_theta1.2_n9.csv").read_bytes()
 
     def test_phased_example2_trajectory_matches_golden_bytes(self, tmp_path):
-        # rows of this kappa_bloch column move in the last digits when the
-        # closed form's powers are rounded as array powers instead of libm pow
+        # a geodesic: this kappa_bloch column is rounding noise about 0, which
+        # any change to the closed form's order of operations moves
         run_report(ScenarioConfig(
             scenario="example2", t_span=(0.2, 2.0), n_steps=40,
             parameters={"omega0": 1.7, "nu0": 0.4, "varphi0": 0.3},
