@@ -200,8 +200,9 @@ class TestCurvatureBloch:
 
     @pytest.mark.parametrize("k", [-200, -7, 3, 200])
     def test_float_edge_random_rows_keep_kappa_under_a_change_of_time_unit(self, k):
-        # rows of every direction and of sizes near 1, taken as they are, and
-        # their twins, which are scaled back at k = -200 and 200: one value each
+        # random rows of sizes near 1, whose products round, as the short dyadic
+        # draws' do not: taken as they are, and their twins, which are scaled
+        # back at k = -200 and 200, give one value each
         rng = np.random.default_rng(53)
         a, h, h_dot = rng.normal(size=(3, 20000, 3))
         a /= np.linalg.norm(a, axis=1)[:, None]
@@ -269,8 +270,9 @@ class TestRuns:
 
     @pytest.mark.parametrize("m", [-3, 5])
     def test_float_edge_a_curvature_profile_is_its_twins_bit_for_bit(self, m):
-        # trig drives h + h1 sin(t) on [0, 1] at 2000 steps, and their twins
-        # 2^m h(2^m t) on [0, 2^-m]: the same states, and the same curvature
+        # trig drives h + h1 sin(t) on [0, 1] at 2000 steps, whose samples
+        # round, and their twins 2^m h(2^m t) on [0, 2^-m]: the same states,
+        # and the same curvature
         rng = np.random.default_rng(11)
         for _ in range(6):
             h0 = rng.integers(-512, 513) / 256.0
