@@ -110,14 +110,13 @@ def curvature_bloch_profile(traj: Trajectory) -> np.ndarray:
     / (6 dt)`` at inner nodes, and the one-sided five-point rule
     ``(48 (h_1 - h_0) - 36 (h_2 - h_0) + 16 (h_3 - h_0) - 3 (h_4 - h_0)) / (6 dt)``
     on the first five samples, mirrored on the last five.  Sums of sample
-    differences, they are exact zeros on equal samples.  ``h`` and ``dh/dt``
-    are taken in the time unit ``2^e`` of the step, ``dt`` in
-    ``[2^(e-1), 2^e)``, a change of time unit that keeps the coefficient bit
-    for bit: both are then of the size of ``h dt``, so that ``dh/dt``, which
-    scales as ``h^2``, neither overflows nor underflows with a strong or weak
-    field, and a run and its twin ``2^m h(2^m t)`` on a span ``2^m`` times
-    shorter give one profile.  A non-finite ``dh/dt`` is a
-    :class:`FieldError` naming the node's time.
+    differences, they are exact zeros on equal samples; one past the float
+    range in the step's time unit is a :class:`FieldError` naming its time.
+    Each node is taken in the time unit that puts the largest entry of its
+    ``h`` in ``[1/2, 1)``, which keeps the coefficient bit for bit: ``dh/dt``,
+    which scales as ``h^2``, is then of the size of ``|dh/dt| / h^2`` at any
+    field size and step, and a run and its twin ``2^m h(2^m t)`` on
+    ``[0, T / 2^m]`` give one profile.
     """
     traj.validate()
     # component-major, so that each term is one long loop, not one per row
@@ -127,10 +126,12 @@ def curvature_bloch_profile(traj: Trajectory) -> np.ndarray:
     e = (h[:, [1, 2, 3, 4, -1, -1, -1, -1]] - h[:, [0, 0, 0, 0, -2, -3, -4, -5]]).reshape(3, 2, 4)
     dh_dt[:, [0, -1]] = 48.0 * e[..., 0] - 36.0 * e[..., 1] + 16.0 * e[..., 2] - 3.0 * e[..., 3]
     # 6 dt / 2^e lies in [3, 6); no 4^-e is formed, which overflows for a subnormal dt
-    unit = np.frexp(traj.grid.dt)[1]
-    rate = np.ldexp(dh_dt / (6.0 * np.ldexp(traj.grid.dt, -unit)), unit)
+    step = np.frexp(traj.grid.dt)[1]
+    rate = dh_dt / (6.0 * np.ldexp(traj.grid.dt, -step))
     _check_finite(traj.times, "field derivative", rate.T)
-    return curvature_bloch(traj.bloch, np.ldexp(traj.h_nodes, unit), rate.T)
+    unit = -np.frexp(np.abs(traj.h_nodes).max(axis=1))[1]  # 0 for a zero node
+    field = np.ldexp(traj.h_nodes, unit[:, None])
+    return curvature_bloch(traj.bloch, field, np.ldexp(rate, 2 * unit - step).T)
 
 
 @_quiet_fp  # an overflow leaves a NaN or inf, which _clamp_nonneg raises

@@ -161,20 +161,20 @@ class TestStationaryBits:
     @given(k=st.integers(-500, 500), seed=st.integers(0, 2**32 - 1))
     def test_float_edge_a_change_of_time_unit_keeps_kappa(self, k, seed):
         # (h, dh/dt) -> (2^k h, 4^k dh/dt) is exact and leaves kappa^2 as it is,
-        # bit for bit: every power is a product.  |k| <= 500, so that 4^k dh/dt
-        # stays finite and normal; D is compared with TOL_SING h^2, at any scale
+        # bit for bit: every power is a product.  20000 rows of sizes near 1,
+        # whose products round, taken as they are, and their twins, scaled back
+        # past 2^150.  |k| <= 500, so that 4^k dh/dt stays finite, and normal
+        # unless an entry is below 2^-22 (one in about five million draws); D is
+        # compared with TOL_SING h^2, at any scale
         rng = np.random.default_rng(seed)
-        a = rng.normal(size=3)
-        a /= np.linalg.norm(a)
-        h, h_dot = rng.normal(size=3), rng.normal(size=3)
+        a, h, h_dot = rng.normal(size=(3, 20000, 3))
+        a /= np.linalg.norm(a, axis=1)[:, None]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            want = curvature_bloch(a, h, h_dot)
-            got = curvature_bloch(a, np.ldexp(h, k), np.ldexp(h_dot, 2 * k))
-            big = curvature_bloch(a, np.ldexp(h, 300), np.ldexp(h_dot, 600))
-            bigger = curvature_bloch(a, np.ldexp(h, 500), np.ldexp(h_dot, 1000))
-        assert got == want
-        assert bigger == big == want
+            want = curvature_bloch(a, h, h_dot).view(np.int64)
+            for j in (k, 300, 500):
+                got = curvature_bloch(a, np.ldexp(h, j), np.ldexp(h_dot, 2 * j))
+                assert np.flatnonzero(got.view(np.int64) != want).size == 0, j
 
     def test_float_edge_a_curvature_past_the_float_range_is_a_numerical_error(self):
         # kappa^2 = |dh/dt|^2 / |h|^4 = 1e340 is inf, which passes the sign check
