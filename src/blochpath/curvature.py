@@ -129,9 +129,9 @@ def curvature_bloch_profile(traj: Trajectory) -> np.ndarray:
     step = np.frexp(traj.grid.dt)[1]
     rate = dh_dt / (6.0 * np.ldexp(traj.grid.dt, -step))
     _check_finite(traj.times, "field derivative", rate.T)
-    unit = -np.frexp(np.abs(traj.h_nodes).max(axis=1))[1]  # 0 for a zero node
-    field = np.ldexp(traj.h_nodes, unit[:, None])
-    return curvature_bloch(traj.bloch, field, np.ldexp(rate, 2 * unit - step).T)
+    field = h[:, ::2]  # the nodes' samples
+    unit = -np.frexp(np.abs(field).max(axis=0))[1]  # 0 for a zero node
+    return curvature_bloch(traj.bloch, np.ldexp(field, unit).T, np.ldexp(rate, 2 * unit - step).T)
 
 
 @_quiet_fp  # an overflow leaves a NaN or inf, which _clamp_nonneg raises
